@@ -33,16 +33,14 @@ percentiles recorded.  ``--catalog`` appends a mode='storage' entry
 (``repro/storage``): a cold build-offline + first request + ``persist()`` to a
 throwaway sqlite catalog versus a warm ``Marketplace.open()`` + build-offline
 (asserting zero JI recomputes) + first request, parity-checked against the
-cold run.  ``--serve`` appends a mode='serve' entry (``repro/service/server``):
-a real HTTP server driven by concurrent urllib clients at 1, 2 and 4 shards,
-recording requests/second plus client-side and service-side p50/p95/p99
-latency, parity-checked across shard counts.  ``--qos`` appends a mode='qos'
+cold run.  ``--qos`` appends a mode='qos'
 entry (``repro/service/qos``, PR 9): a gold/silver/bronze request mix driven
 through one qos-enabled service under contention, recording per-tier
 queue-wait p50/p95/p99 from the weighted-fair-queue scheduler and asserting
-gold waits less than bronze at the p95.  ``--scale`` / ``--iterations``
-/ ``--sampling-rate`` shrink the scenario for smoke runs (e.g. in CI).  Run
-with::
+gold waits less than bronze at the p95.  HTTP serving is measured, with a
+noise band, by ``perfbench/run.py`` (the hot-tpce workload).  ``--scale`` /
+``--iterations`` / ``--sampling-rate`` shrink the scenario for smoke runs
+(e.g. in CI).  Run with::
 
     PYTHONPATH=src python scripts/bench_hot_path.py [--output BENCH_hotpath.json]
                                                     [--backend both|auto|numpy|python]
@@ -50,7 +48,6 @@ with::
                                                     [--executor serial|thread|process|all]
                                                     [--service]
                                                     [--catalog]
-                                                    [--serve]
                                                     [--shm]
                                                     [--qos]
 """
@@ -552,105 +549,6 @@ def bench_shm(workload, args: argparse.Namespace) -> dict[str, object]:
     }
 
 
-SERVE_SHARD_COUNTS = (1, 2, 4)
-
-
-def bench_serve(workload, args: argparse.Namespace) -> dict[str, object]:
-    """Requests/second and latency percentiles over HTTP at 1/2/4 shards.
-
-    Boots a real :class:`~repro.service.server.AcquisitionHTTPServer` (via the
-    reusable e2e harness in ``tests/integration/serve_harness.py``) per shard
-    count, warms it with one pass over the workload queries, then fires
-    ``--serve-rounds`` passes from ``--serve-clients`` concurrent urllib
-    clients with explicit per-request seeds.  Client-side latency percentiles
-    sit next to the service's own ``/metrics`` percentiles, and the warm-up
-    correlations are parity-checked across shard counts (the shard fold must
-    not change a single answer).
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    harness_dir = _REPO_ROOT / "tests" / "integration"
-    if str(harness_dir) not in sys.path:
-        sys.path.insert(0, str(harness_dir))
-    from serve_harness import ServeHarness
-
-    executor = args.executor if args.executor != "all" else "thread"
-    queries = queries_for(workload)
-    specs = [
-        {"query": name, "budget": BUDGET, "seed": index}
-        for index, name in enumerate(queries)
-    ]
-    work = [
-        dict(spec, seed=spec["seed"] + 1000 * round_index)
-        for round_index in range(args.serve_rounds)
-        for spec in specs
-    ]
-
-    per_shards: dict[str, dict[str, object]] = {}
-    correlations: dict[int, list[float]] = {}
-    for shards in SERVE_SHARD_COUNTS:
-        config = DanceConfig(
-            sampling_rate=args.sampling_rate,
-            mcmc=MCMCConfig(
-                iterations=args.iterations, seed=0, chains=args.chains, executor=executor
-            ),
-            service=ServiceConfig(seed=0, max_batch_workers=4),
-        )
-        with ServeHarness(
-            marketplace=_marketplace_for(workload),
-            config=config,
-            queries=queries,
-            shards=shards,
-        ) as harness:
-            warm = [harness.acquire(spec) for spec in specs]
-            if any(response.status != 200 for response in warm):
-                raise RuntimeError(
-                    f"warm-up failed at {shards} shard(s): "
-                    f"{[response.status for response in warm]}"
-                )
-            correlations[shards] = [
-                response.json()["result"]["estimated_correlation"] for response in warm
-            ]
-
-            def timed(spec: dict) -> float:
-                start = time.perf_counter()
-                response = harness.acquire(spec)
-                if response.status != 200:
-                    raise RuntimeError(f"HTTP {response.status}: {response.text}")
-                return time.perf_counter() - start
-
-            start = time.perf_counter()
-            with ThreadPoolExecutor(max_workers=args.serve_clients) as pool:
-                latencies = sorted(pool.map(timed, work))
-            wall_seconds = time.perf_counter() - start
-            metrics = harness.service.metrics()
-
-        def percentile(fraction: float) -> float:
-            return latencies[min(len(latencies) - 1, int(fraction * len(latencies)))]
-
-        per_shards[str(shards)] = {
-            "requests": len(work),
-            "wall_seconds": wall_seconds,
-            "requests_per_second": len(work) / wall_seconds if wall_seconds else None,
-            "http_p50_seconds": percentile(0.50),
-            "http_p95_seconds": percentile(0.95),
-            "http_p99_seconds": percentile(0.99),
-            "service_p50_seconds": metrics["latency"]["p50_seconds"],
-            "service_p95_seconds": metrics["latency"]["p95_seconds"],
-            "service_p99_seconds": metrics["latency"]["p99_seconds"],
-        }
-
-    reference = correlations[SERVE_SHARD_COUNTS[0]]
-    return {
-        "clients": args.serve_clients,
-        "rounds": args.serve_rounds,
-        "queries": list(queries),
-        "shard_parity": all(corr == reference for corr in correlations.values()),
-        "correlations": reference,
-        "shards": per_shards,
-    }
-
-
 QOS_TIER_LADDER = ("gold", "silver", "bronze")
 
 
@@ -778,11 +676,6 @@ def bench_backend(backend_name: str, args: argparse.Namespace) -> list[dict[str,
         storage_entry["mode"] = "storage"
         storage_entry["storage"] = bench_storage(workload, args)
         entries.append(storage_entry)
-    if args.serve:
-        serve_entry = _base_entry(args, resolved, args.executor)
-        serve_entry["mode"] = "serve"
-        serve_entry["serve"] = bench_serve(workload, args)
-        entries.append(serve_entry)
     if args.shm:
         shm_entry = _base_entry(args, resolved, "all")
         shm_entry["mode"] = "shm"
@@ -839,12 +732,6 @@ def main() -> None:
         "Marketplace.open() restart (appends a mode='storage' entry)",
     )
     parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="additionally measure requests/second and latency percentiles "
-        "over HTTP at 1/2/4 shards (appends a mode='serve' entry)",
-    )
-    parser.add_argument(
         "--shm",
         action="store_true",
         help="additionally measure the PR 8 shared-memory executor sweep "
@@ -862,18 +749,6 @@ def main() -> None:
         type=int,
         default=12,
         help="measured batch passes over the tiered request set (--qos)",
-    )
-    parser.add_argument(
-        "--serve-rounds",
-        type=int,
-        default=20,
-        help="measured passes over the workload queries per shard count (--serve)",
-    )
-    parser.add_argument(
-        "--serve-clients",
-        type=int,
-        default=8,
-        help="concurrent HTTP clients driving the serve benchmark (--serve)",
     )
     parser.add_argument(
         "--scale", type=float, default=SCALE, help="TPC-H workload scale factor"

@@ -31,6 +31,7 @@ DOCUMENTED_PATHS = [
     "scripts/run_experiments.py",
     "scripts/check_storage_parity.py",
     "scripts/check_serve_parity.py",
+    "perfbench/run.py",
     "docs/ARCHITECTURE.md",
     "BENCH_hotpath.json",
 ]

@@ -6,9 +6,7 @@ reusable e2e harness in ``tests/integration/serve_harness.py``) on the small
 TPC-H scenario, replays the Q1/Q2/Q3 request file over HTTP with explicit
 seeds, and byte-compares every served result against a direct
 ``AcquisitionService.acquire_batch()`` with the same seeds — the serve tier
-must add transport, never change an answer.  The same replay then runs
-against a 2-shard :class:`~repro.service.router.ShardRouter` server, which
-must match the single-shard bytes exactly.
+must add transport, never change an answer.
 
 The saturation scenario reruns the server with a bounded ``reject`` admission
 queue: with the queue held full, ``POST /acquire`` must answer ``503`` with a
@@ -119,13 +117,12 @@ def replay_over_http(harness: ServeHarness, specs: list[dict]) -> list[bytes]:
     return payloads
 
 
-def check_replay(shards: int, specs: list[dict], reference: list[bytes]) -> int:
+def check_replay(specs: list[dict], reference: list[bytes]) -> int:
     with tpch_harness(
         scale=SCALE,
         sampling_rate=SAMPLING_RATE,
         iterations=ITERATIONS,
         batch_workers=BATCH_WORKERS,
-        shards=shards,
     ) as harness:
         served = replay_over_http(harness, specs)
         drained = harness.shutdown()
@@ -133,12 +130,12 @@ def check_replay(shards: int, specs: list[dict], reference: list[bytes]) -> int:
     for spec, mine, expected in zip(specs, served, reference):
         if mine != expected:
             failures += 1
-            print(f"MISMATCH {shards}-shard {spec['query']}: {mine} != {expected}")
+            print(f"MISMATCH {spec['query']}: {mine} != {expected}")
     if not drained:
         failures += 1
-        print(f"FAIL: {shards}-shard server did not drain cleanly")
+        print("FAIL: server did not drain cleanly")
     if not failures:
-        print(f"OK: {shards}-shard serve replay byte-identical to acquire_batch")
+        print("OK: serve replay byte-identical to acquire_batch")
     return failures
 
 
@@ -198,8 +195,7 @@ def main() -> int:
     reference = library_reference(specs)
 
     failures = 0
-    failures += check_replay(1, specs, reference)
-    failures += check_replay(2, specs, reference)
+    failures += check_replay(specs, reference)
     failures += check_saturated_reject(specs, reference)
 
     if failures:

@@ -34,11 +34,10 @@ shell without writing Python:
     depth/rejection counters, Step-1 memo accounting.
 
 ``repro-dance serve``
-    Keep one hot service (or an N-shard router, ``--shards``) behind a
-    stdlib HTTP/JSON endpoint: ``POST /acquire`` (single + batch,
-    per-request seeds honoured), ``GET /metrics`` (Prometheus text format),
-    ``GET /healthz``, graceful drain + catalog checkpoint on shutdown.  See
-    :mod:`repro.service.server`.
+    Keep one hot service behind a stdlib HTTP/JSON endpoint: ``POST
+    /acquire`` (single + batch, per-request seeds honoured), ``GET /metrics``
+    (Prometheus text format), ``GET /healthz``, graceful drain + catalog
+    checkpoint on shutdown.  See :mod:`repro.service.server`.
 
 ``repro-dance export-graph``
     Build the join graph from samples and export it to JSON and/or DOT.
@@ -72,6 +71,7 @@ from repro.search.mcmc import EXECUTORS, MCMCConfig
 from repro.search.topk import ScoreWeights, top_k_acquisition
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.service import AcquisitionService
+from repro.service.server import request_from_spec
 from repro.workloads.queries import queries_for
 from repro.workloads.tpce import tpce_workload
 from repro.workloads.tpch import tpch_workload
@@ -252,6 +252,8 @@ def _parse_batch_requests(
     "target": [...], "budget": 100, "alpha": 2.5, "beta": 0.8}``); both forms
     additionally take ``shopper`` / ``tier`` / ``deadline``.  ``default_tier``
     (the ``--tier`` flag) applies to specs that name no tier of their own.
+    The spec format is the HTTP tier's
+    (:func:`repro.service.server.request_from_spec`).
     """
     try:
         specs = json.loads(path.read_text())
@@ -262,33 +264,10 @@ def _parse_batch_requests(
     requests: list[AcquisitionRequest] = []
     known = queries_for(workload)
     for index, spec in enumerate(specs):
-        if not isinstance(spec, dict):
-            raise ReproError(f"request {index} in {path} is not a JSON object")
-        if "query" in spec:
-            name = spec["query"]
-            if name not in known:
-                raise ReproError(
-                    f"request {index}: unknown query {name!r} (expected {sorted(known)})"
-                )
-            query = known[name]
-            source = list(query.source_attributes)
-            target = list(query.target_attributes)
-        else:
-            source = list(spec.get("source", []))
-            target = list(spec.get("target", []))
-        deadline = spec.get("deadline")
-        requests.append(
-            AcquisitionRequest(
-                source_attributes=source,
-                target_attributes=target,
-                budget=float(spec.get("budget", 100.0)),
-                max_join_informativeness=float(spec.get("alpha", float("inf"))),
-                min_quality=float(spec.get("beta", 0.0)),
-                shopper=spec.get("shopper"),
-                tier=spec.get("tier", default_tier),
-                deadline=float(deadline) if deadline is not None else None,
-            )
-        )
+        try:
+            requests.append(request_from_spec(spec, known, default_tier=default_tier))
+        except ReproError as error:
+            raise ReproError(f"request {index} in {path}: {error}") from error
     return requests
 
 
@@ -407,16 +386,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the long-lived HTTP acquisition server (see repro.service.server)."""
-    from repro.service.router import ShardRouter
     from repro.service.server import AcquisitionHTTPServer
 
     marketplace, workload = _service_marketplace(args)
     config = _service_config(args)
-    if args.shards > 1:
-        service = ShardRouter(marketplace, config, num_shards=args.shards)
-    else:
-        service = AcquisitionService(marketplace, config)
-    with service:
+    with AcquisitionService(marketplace, config) as service:
         server = AcquisitionHTTPServer(
             (args.host, args.port),
             service,
@@ -428,7 +402,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             json.dumps(
                 {
                     "serving": f"http://{args.host}:{server.port}",
-                    "shards": args.shards,
                     "queue_depth": config.service.max_queue_depth,
                     "admission": config.service.admission,
                     "qos": config.service.qos is not None,
@@ -659,13 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=8642, help="listen port (0 picks an ephemeral port)"
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="in-process service shards behind the router (answers are "
-        "bit-identical to --shards 1)",
     )
     serve.add_argument(
         "--serve-seconds",

@@ -8,7 +8,7 @@ from repro.exceptions import ReproError, SamplingError
 from repro.relational import backend as relational_backend
 from repro.sampling.resampling import ResamplingPolicy
 from repro.search.mcmc import MCMCConfig
-from repro.search.plan import ExecutionPlan, warn_legacy_option
+from repro.search.plan import ExecutionPlan
 
 
 @dataclass
@@ -31,13 +31,7 @@ class ServiceConfig:
         An :class:`~repro.search.plan.ExecutionPlan` (or its ``parse()``-able
         string form) describing how searches execute: executor, chains, pool
         width, shared columnar store, and pool policy.  Takes precedence over
-        the legacy per-knob spelling; see :class:`DanceConfig.plan`.
-    chain_pool_workers:
-        **Deprecated** alias for ``ExecutionPlan(workers=...)`` — size of the
-        persistent executor pool serving multi-chain MCMC walks; ``None``
-        uses the plan's default (``min(chains, 8)``, additionally capped at
-        the CPU count for process pools).  Emits a :class:`DeprecationWarning`
-        when set; kept for one release.
+        the per-knob spelling; see :class:`DanceConfig.plan`.
     share_caches:
         Whether the service keeps its evaluation memo and JI cache across
         requests (on by default; disabling isolates every request, which is
@@ -85,7 +79,6 @@ class ServiceConfig:
     seed: int | None = None
     max_batch_workers: int = 4
     plan: ExecutionPlan | str | None = None
-    chain_pool_workers: int | None = None
     share_caches: bool = True
     cache_stripes: int = 16
     max_queue_depth: int | None = None
@@ -105,14 +98,6 @@ class ServiceConfig:
         if self.max_batch_workers < 1:
             raise ReproError(
                 f"max_batch_workers must be >= 1, got {self.max_batch_workers}"
-            )
-        if self.chain_pool_workers is not None and self.chain_pool_workers < 1:
-            raise ReproError(
-                f"chain_pool_workers must be >= 1, got {self.chain_pool_workers}"
-            )
-        if self.chain_pool_workers is not None:
-            warn_legacy_option(
-                "ServiceConfig(chain_pool_workers=...)", "ExecutionPlan(workers=...)"
             )
         if self.cache_stripes < 1:
             raise ReproError(f"cache_stripes must be >= 1, got {self.cache_stripes}")
@@ -182,8 +167,8 @@ class DanceConfig:
         consolidating every execution knob: it overrides
         ``mcmc.chains`` / ``mcmc.executor`` and supplies the service's pool
         width, shared-store switch, and pool policy.  ``None`` (the default)
-        derives an equivalent plan from the legacy knobs
-        (:meth:`execution_plan`), so old configurations behave identically.
+        derives an equivalent plan from ``mcmc.chains`` / ``mcmc.executor``
+        (:meth:`execution_plan`).
         A plan set on ``service`` applies too; a plan set here wins.
     storage:
         Default catalog storage backend kind for
@@ -248,17 +233,11 @@ class DanceConfig:
 
     @property
     def execution_plan(self) -> ExecutionPlan:
-        """The effective plan: ``plan`` when set, else the legacy knobs folded
-        into an equivalent :class:`ExecutionPlan` (no deprecation warning —
-        this is the internal bridge that keeps old spellings working)."""
+        """The effective plan: ``plan`` when set, else the plan equivalent to
+        ``mcmc.executor`` / ``mcmc.chains``."""
         if isinstance(self.plan, ExecutionPlan):
             return self.plan
-        workers = None
-        if isinstance(self.service, ServiceConfig):
-            workers = self.service.chain_pool_workers
-        return ExecutionPlan.from_legacy(
-            executor=self.mcmc.executor, chains=self.mcmc.chains, workers=workers
-        )
+        return ExecutionPlan(executor=self.mcmc.executor, chains=self.mcmc.chains)
 
     def refined(self) -> "DanceConfig":
         """The configuration for one refinement round: a higher sampling rate."""

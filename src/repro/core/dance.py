@@ -453,7 +453,6 @@ class DANCE:
             step1_cache=runtime.step1_cache,
             pool=runtime.pool,
             pool_state=runtime.pool_state,
-            candidate_filter=runtime.candidate_filter,
         )
         if not heuristic.feasible:
             return None

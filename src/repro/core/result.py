@@ -29,9 +29,7 @@ class AcquisitionResult:
     igraph_size:
         Size of the minimal-weight I-graph found by Step 1.
     igraph_index:
-        Position of the winning candidate in Step 1's ordered candidate list
-        — the tie-break key the shard router folds on (see
-        :mod:`repro.service.router`).
+        The winner's position in Step 1's candidate list.
     refinement_rounds:
         How many times DANCE had to buy more samples before it found a feasible
         recommendation.

@@ -115,17 +115,6 @@ class InfeasibleAcquisitionError(SearchError):
     """No target graph satisfies the quality / informativeness / budget constraints."""
 
 
-class NoOwnedCandidatesError(InfeasibleAcquisitionError):
-    """A candidate filter excluded every Step-1 candidate I-graph.
-
-    Raised by :func:`repro.search.acquisition.heuristic_acquisition` when a
-    ``candidate_filter`` (e.g. a shard's ownership predicate — see
-    :mod:`repro.service.router`) leaves no candidate to search.  A shard
-    router treats this as "this shard owns none of the work", distinct from a
-    genuine infeasibility reported by a shard that did search candidates.
-    """
-
-
 class QualityError(ReproError):
     """Invalid functional dependency or quality computation input."""
 

@@ -9,13 +9,9 @@ evaluation, and the I-graph size (the quantity reported in Figure 5(b)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, MutableMapping, Sequence
+from typing import Mapping, MutableMapping, Sequence
 
-from repro.exceptions import (
-    InfeasibleAcquisitionError,
-    NoOwnedCandidatesError,
-    SearchError,
-)
+from repro.exceptions import InfeasibleAcquisitionError, SearchError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.landmarks import resolve_landmark_seed
 from repro.graph.steiner import IGraph, minimal_weight_igraphs
@@ -66,14 +62,6 @@ class SearchRuntime:
         and rebuilding the join graph.  Off for service requests: refinement
         mutates shared session state, so the service exposes it as an
         explicit, serialized operation instead.
-    ``candidate_filter``
-        Optional ownership predicate ``(candidate index, igraph) -> bool``
-        restricting which Step-1 candidate I-graphs this search explores.
-        Used by the shard router (:mod:`repro.service.router`): every shard
-        runs the identical Step 1, searches only the candidates it owns, and
-        the per-shard winners are folded with the same tie-break rule the
-        unfiltered loop applies — so the folded answer is bit-identical to
-        the unfiltered one for any partition of the candidates.
     ``plan``
         An :class:`~repro.search.plan.ExecutionPlan` overriding the
         configured executor and chain count for this search.  Results stay
@@ -90,7 +78,6 @@ class SearchRuntime:
     mcmc_seed: int | None = None
     resampling: object | None = None
     allow_refinement: bool = False
-    candidate_filter: "Callable[[int, IGraph], bool] | None" = None
     plan: ExecutionPlan | None = None
 
 
@@ -102,8 +89,7 @@ class HeuristicResult:
     Step 2 ran with ``MCMCConfig(chains > 1)``, a
     :class:`~repro.search.chains.MultiChainResult` aggregating all chains —
     the two expose the same best-graph / cache-accounting surface.
-    ``igraph_index`` is the winning candidate's position in Step 1's ordered
-    candidate list — the tie-break key a shard router folds on.
+    ``igraph_index`` is the winner's position in Step 1's candidate list.
     """
 
     igraph: IGraph
@@ -151,7 +137,6 @@ def heuristic_acquisition(
     step1_cache: MutableMapping | None = None,
     pool=None,
     pool_state: ChainPoolState | None = None,
-    candidate_filter: Callable[[int, IGraph], bool] | None = None,
 ) -> HeuristicResult:
     """Run Step 1 + Step 2 and return the best feasible target graph found.
 
@@ -205,12 +190,6 @@ def heuristic_acquisition(
     pool / pool_state:
         Optional persistent executor (plus process-pool state) serving every
         multi-chain ``mcmc_search`` call instead of a fresh pool per call.
-    candidate_filter:
-        Optional ownership predicate ``(candidate index, igraph) -> bool``:
-        only candidates it accepts are searched by Step 2, with their
-        original index kept as the tie-break key (``igraph_index``).  Raises
-        :class:`~repro.exceptions.NoOwnedCandidatesError` when it excludes
-        every candidate.  See :class:`SearchRuntime` and the shard router.
 
     Raises
     ------
@@ -260,24 +239,10 @@ def heuristic_acquisition(
         if step1_cache is not None:
             step1_cache[step1_key] = candidates
     igraphs = list(candidates)[: max(1, max_igraphs)]
-    indexed = list(enumerate(igraphs))
-    if candidate_filter is not None and igraphs:
-        indexed = [
-            (index, igraph)
-            for index, igraph in indexed
-            if candidate_filter(index, igraph)
-        ]
-        if not indexed:
-            # Zero candidates *after* filtering is "this caller owns none of
-            # the work"; zero candidates *before* filtering falls through to
-            # the plain infeasibility below, exactly like an unfiltered run.
-            raise NoOwnedCandidatesError(
-                f"the candidate filter excluded all {len(igraphs)} candidate I-graphs"
-            )
 
     best_result: HeuristicResult | None = None
     fallback_result: HeuristicResult | None = None
-    for index, igraph in indexed:
+    for index, igraph in enumerate(igraphs):
         try:
             initial = build_initial_target_graph(
                 join_graph, igraph, source_attributes, target_attributes

@@ -1,12 +1,8 @@
 """The unified :class:`ExecutionPlan` describing how searches execute.
 
-Before PR 8 the executor/pool configuration was sprawled across four surfaces:
-``MCMCConfig(chains=, executor=)`` for the walk itself,
-``ServiceConfig(chain_pool_workers=)`` for the persistent service pool,
-``SearchRuntime(pool=, pool_state=)`` for per-request overrides, and
-per-command CLI flags (``--chains`` / ``--executor``).  An
-:class:`ExecutionPlan` folds all of that into one value object that is
-accepted everywhere a pool can be configured:
+One value object carries the executor, chain count, pool width, shared-store
+switch and pool policy, and it is accepted everywhere a pool can be
+configured:
 
 - ``DanceConfig(plan=...)`` / ``ServiceConfig(plan=...)`` — the plan's
   ``executor`` and ``chains`` are applied onto ``MCMCConfig``, and its
@@ -15,15 +11,14 @@ accepted everywhere a pool can be configured:
 - ``SearchRuntime(plan=...)`` — a per-request override of chains/executor;
 - the CLI — ``--plan executor=process,chains=4`` via :meth:`ExecutionPlan.parse`.
 
-The legacy kwargs keep working for one release as thin deprecated aliases
-(``DeprecationWarning``); see ``tests/search/test_execution_plan.py`` for the
-equivalence contract.
+``MCMCConfig(chains=, executor=)`` and the CLI ``--chains`` / ``--executor``
+flags remain a shorthand for a plan with those two fields;
+``tests/search/test_execution_plan.py`` holds the equivalence contract.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, replace
 
 from repro.exceptions import ReproError
@@ -43,15 +38,6 @@ _BOOL_WORDS = {
     "off": False,
     "no": False,
 }
-
-
-def warn_legacy_option(old: str, new: str) -> None:
-    """Emit the one-release deprecation warning for a legacy executor kwarg."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead (legacy alias kept for one release)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -178,18 +164,6 @@ class ExecutionPlan:
             else:
                 raise ReproError(f"unknown ExecutionPlan spec key {key!r}")
         return cls(**fields)  # type: ignore[arg-type]
-
-    @classmethod
-    def from_legacy(
-        cls,
-        *,
-        executor: str = "serial",
-        chains: int = 1,
-        workers: int | None = None,
-    ) -> "ExecutionPlan":
-        """Build a plan from the pre-PR8 knob spelling (no deprecation warning:
-        this is the internal bridge, not the user-facing alias)."""
-        return cls(executor=executor, chains=chains, workers=workers)
 
     def with_overrides(self, **changes) -> "ExecutionPlan":
         """A copy with the given fields replaced (validation re-runs)."""

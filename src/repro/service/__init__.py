@@ -31,15 +31,10 @@ the online phase into a long-lived *session*:
     token-bucket rate limits, and deadline-aware shedding — whether/when a
     request runs, never what it computes.
 
-:class:`ShardRouter` (:mod:`repro.service.router`)
-    Scale-out: N in-process service shards over one marketplace, each
-    searching only the Step-1 candidates it owns, folded back into an answer
-    bit-identical to the single-shard service for any partition.
-
 :class:`AcquisitionHTTPServer` (:mod:`repro.service.server`)
     The networked serve tier: ``POST /acquire`` (single + batch), ``GET
     /metrics`` (Prometheus text), ``GET /healthz``, graceful drain —
-    stdlib ``http.server`` only, fronting a service or a shard router.
+    stdlib ``http.server`` only, fronting one service.
 
 Determinism contract: a batch of N requests is bit-identical to the same N
 requests served one at a time — shared caches hold only deterministic values,
@@ -59,7 +54,6 @@ from repro.service.qos import (
     WeightedFairQueue,
     retry_after_hint,
 )
-from repro.service.router import ShardRouter
 from repro.service.server import AcquisitionHTTPServer, render_prometheus
 from repro.service.session import AcquisitionService
 
@@ -74,7 +68,6 @@ __all__ = [
     "QosScheduler",
     "ServedRequest",
     "ServiceMetrics",
-    "ShardRouter",
     "TokenBucket",
     "WeightedFairQueue",
     "fair_order",

@@ -26,8 +26,7 @@ that FIFO with a priced scheduler:
 
 :class:`QosScheduler`
     The threaded scheduler behind :class:`~repro.service.session.AcquisitionService`
-    and :class:`~repro.service.router.ShardRouter` when
-    ``ServiceConfig(qos=...)`` is set.  ``submit()`` applies the token bucket
+    when ``ServiceConfig(qos=...)`` is set.  ``submit()`` applies the token bucket
     and the admission bound (same ``block``/``reject`` policies as
     :class:`~repro.service.admission.AdmissionQueue`) and enqueues a ticket;
     ``await_grant()`` blocks the serving thread until its ticket has the
@@ -292,7 +291,7 @@ class _TierStats:
 
 
 class QosScheduler:
-    """The WFQ + token-bucket + deadline scheduler of one service or router.
+    """The WFQ + token-bucket + deadline scheduler of one service.
 
     Thread-safe.  The serving path is::
 

@@ -1,9 +1,8 @@
 """The HTTP serve tier: one hot service behind a stdlib HTTP/JSON endpoint.
 
 ``repro-dance serve`` keeps one :class:`~repro.service.session.AcquisitionService`
-(or a :class:`~repro.service.router.ShardRouter`) hot behind a
-``http.server.ThreadingHTTPServer`` — no dependencies beyond the standard
-library:
+hot behind a ``http.server.ThreadingHTTPServer`` — no dependencies beyond the
+standard library:
 
 ``POST /acquire``
     A single request spec (the CLI ``batch`` file format: ``{"query": "Q1",
@@ -58,6 +57,7 @@ from repro.exceptions import (
 )
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.service.metrics import BUCKET_BOUNDS
+from repro.service.session import AcquisitionService
 
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -115,7 +115,6 @@ FIELD_METRICS: dict[str, str] = {
     "step1_memo.entries": "dance_step1_memo_entries",
     "step1_memo.hits": "dance_step1_memo_hits_total",
     "step1_memo.misses": "dance_step1_memo_misses_total",
-    "shards": "dance_shards",
 }
 
 
@@ -164,6 +163,20 @@ def retry_after_header(hint: float | None) -> str:
 
 
 # ------------------------------------------------------------- request parsing
+def _seed(value: object, field: str) -> int:
+    """A request seed from JSON: an integer of any size, never a bool or float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ReproError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _strings(spec: dict, key: str) -> list[str]:
+    value = spec.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ReproError(f'"{key}" must be a JSON list of strings, got {value!r}')
+    return value
+
+
 def request_from_spec(
     spec: object,
     queries: Mapping[str, object] | None = None,
@@ -178,16 +191,18 @@ def request_from_spec(
     ``alpha`` / ``beta`` / ``shopper`` / ``tier`` / ``deadline``.
     ``default_tier`` (the server passes the ``X-Dance-Tier`` header here)
     applies to specs that name no ``tier`` of their own.  Raises
-    :class:`~repro.exceptions.ReproError` (HTTP 400) for malformed specs;
-    request validation itself (e.g. empty targets) raises ``SearchError``
-    (HTTP 422) from the :class:`AcquisitionRequest` constructor.
+    :class:`~repro.exceptions.ReproError` (HTTP 400) for malformed specs:
+    attributes that are not a list of strings, a ``shopper`` / ``tier``
+    that is not a string, a non-numeric constraint.  Request validation
+    itself (e.g. empty targets) raises ``SearchError`` (HTTP 422) from the
+    :class:`AcquisitionRequest` constructor.
     """
     if not isinstance(spec, dict):
         raise ReproError(f"request spec must be a JSON object, got {type(spec).__name__}")
     if "query" in spec:
         known = queries or {}
         name = spec["query"]
-        if name not in known:
+        if not isinstance(name, str) or name not in known:
             raise ReproError(
                 f"unknown query {name!r} (expected {sorted(known) if known else 'none'})"
             )
@@ -195,8 +210,11 @@ def request_from_spec(
         source = list(query.source_attributes)
         target = list(query.target_attributes)
     else:
-        source = list(spec.get("source", []))
-        target = list(spec.get("target", []))
+        source = _strings(spec, "source")
+        target = _strings(spec, "target")
+    for key in ("shopper", "tier"):
+        if not isinstance(spec.get(key), (str, type(None))):
+            raise ReproError(f'"{key}" must be a string or null, got {spec[key]!r}')
     try:
         budget = float(spec.get("budget", 100.0))
         alpha = float(spec.get("alpha", float("inf")))
@@ -294,8 +312,8 @@ def render_prometheus(
 ) -> str:
     """Render a service ``metrics()`` payload as Prometheus text format.
 
-    ``metrics`` is the dict returned by ``AcquisitionService.metrics()`` /
-    ``ShardRouter.metrics()``.  The lifetime latency buckets become one
+    ``metrics`` is the dict returned by ``AcquisitionService.metrics()``.
+    The lifetime latency buckets become one
     cumulative histogram (``_sum`` is reconstructed from the reported mean,
     so it is exact up to float rounding); window percentiles, hit-rate trend
     and queue state become gauges; lifetime totals become counters.
@@ -465,10 +483,6 @@ def render_prometheus(
         _metric(lines, name, kind, help_text)
         lines.append(f"{name} {_format_value(step1.get(field, 0))}")
 
-    if "shards" in metrics:
-        _metric(lines, f"{prefix}_shards", "gauge", "Service shards behind the router.")
-        lines.append(f"{prefix}_shards {_format_value(metrics['shards'])}")
-
     for name, value in (extra or {}).items():
         full = f"{prefix}_{name}"
         _metric(lines, full, "gauge", f"Server state gauge {name}.")
@@ -481,11 +495,9 @@ def render_prometheus(
 class AcquisitionHTTPServer(ThreadingHTTPServer):
     """A threading HTTP server wrapping one hot acquisition service.
 
-    ``service`` is anything with the serving surface of
-    :class:`AcquisitionService` — the single-shard service or a
-    :class:`~repro.service.router.ShardRouter`.  The server owns the HTTP
-    lifecycle only; it never builds or closes the service (callers pair it
-    with ``with service: ...``).
+    ``service`` is the :class:`~repro.service.session.AcquisitionService` it
+    fronts.  The server owns the HTTP lifecycle only; it never builds or
+    closes the service (callers pair it with ``with service: ...``).
 
     Handler threads are daemonic and connections are HTTP/1.0 (closed per
     response), so a drain only has to wait for requests already executing.
@@ -497,7 +509,7 @@ class AcquisitionHTTPServer(ThreadingHTTPServer):
     def __init__(
         self,
         address: tuple[str, int],
-        service,
+        service: AcquisitionService,
         *,
         queries: Mapping[str, object] | None = None,
         default_tier: str | None = None,
@@ -695,7 +707,7 @@ class _AcquisitionHandler(BaseHTTPRequestHandler):
         )
         seed = spec.get("seed") if isinstance(spec, dict) else None
         if seed is not None:
-            seed = int(seed)
+            seed = _seed(seed, "seed")
         result = self.server.service.acquire(request, seed=seed)
         self._send_json(
             200,
@@ -719,7 +731,7 @@ class _AcquisitionHandler(BaseHTTPRequestHandler):
         if seeds is not None:
             if not isinstance(seeds, list):
                 raise ReproError('"seeds" must be a JSON list of integers')
-            seeds = [int(seed) for seed in seeds]
+            seeds = [_seed(seed, "seeds entry") for seed in seeds]
         batch = self.server.service.acquire_batch(requests, seeds=seeds)
         rejected = sum(
             1 for item in batch if isinstance(item.error, AdmissionRejectedError)

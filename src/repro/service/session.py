@@ -14,10 +14,14 @@ keeps one marketplace *hot* instead:
   :class:`~repro.search.acquisition.SearchRuntime`, so all candidate I-graphs
   of one request and all requests of one session share work.
 * **Pool reuse.**  One persistent executor serves every multi-chain
-  ``mcmc_search`` call for the lifetime of the service.  Process pools are
-  built by :func:`repro.search.chains.process_chain_pool`, which preloads the
-  join graph and FDs into the workers once — chain payloads then reference
-  tables by name instead of re-pickling them per call.
+  ``mcmc_search`` call for the lifetime of the service.  Process plans use
+  the shared columnar store by default
+  (:func:`repro.search.chains.shared_chain_pool`): workers map the encoded
+  samples read-only and take graph changes as versioned deltas instead of a
+  pool teardown.  With ``shared_store=off``,
+  :func:`repro.search.chains.process_chain_pool` preloads the join graph and
+  FDs into the workers once and is rebuilt on every graph change.  Either
+  way chain payloads reference tables by name instead of re-pickling them.
 * **Batched concurrency.**  :meth:`AcquisitionService.acquire_batch` executes
   a list of requests under a thread fan-out with deterministic per-request
   seeds (:func:`~repro.service.batch.request_seed`), returning results
@@ -141,12 +145,6 @@ class AcquisitionService:
     build_offline:
         Run the offline phase during construction (the default).  Pass
         ``False`` to defer it; the first served request triggers it then.
-    candidate_filter:
-        Optional ownership predicate ``(candidate index, igraph) -> bool``
-        threaded into every request's
-        :class:`~repro.search.acquisition.SearchRuntime`.  Used by the shard
-        router (:mod:`repro.service.router`) to make this service search only
-        the Step-1 candidates its shard owns.
 
     Use as a context manager (or call :meth:`close`) to release the pools::
 
@@ -162,7 +160,6 @@ class AcquisitionService:
         known_fds: Mapping[str, Sequence[FunctionalDependency]] | None = None,
         source_tables: Sequence[Table] = (),
         build_offline: bool = True,
-        candidate_filter=None,
     ) -> None:
         self._dance = DANCE(marketplace, config, known_fds=known_fds)
         self.config = self._dance.config
@@ -171,7 +168,6 @@ class AcquisitionService:
             service_config.seed if service_config.seed is not None else self.config.mcmc.seed
         )
         self._service_id = next(_SERVICE_COUNTER)
-        self._candidate_filter = candidate_filter
         self._lock = threading.Lock()
         self._closed = False  # guarded-by: self._lock
         self._synced_version: int | None = None  # guarded-by: self._lock
@@ -516,7 +512,6 @@ class AcquisitionService:
             mcmc_seed=seed,
             resampling=copy.deepcopy(self.config.resampling),
             allow_refinement=False,
-            candidate_filter=self._candidate_filter,
         )
 
     def _sync_locked(self, changed: Sequence[str] | None = None) -> None:

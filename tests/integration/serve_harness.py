@@ -1,11 +1,10 @@
 """Reusable end-to-end harness for the HTTP serve tier.
 
-Spins a *real* :class:`~repro.service.server.AcquisitionHTTPServer` — single
-service or :class:`~repro.service.router.ShardRouter` — on an ephemeral
-loopback port and drives it with plain ``urllib`` clients, so a test (or the
-``check_serve_parity.py`` / ``bench_hot_path.py --serve`` scripts, which
-import this module off ``tests/integration``) exercises the full stack:
-HTTP parsing → admission → session → search → storage.
+Spins a *real* :class:`~repro.service.server.AcquisitionHTTPServer` on an
+ephemeral loopback port and drives it with plain ``urllib`` clients, so a
+test (or ``scripts/check_serve_parity.py``, which imports this module off
+``tests/integration``) exercises the full stack: HTTP parsing → admission →
+session → search → storage.
 
 The harness is deliberately free of pytest imports; everything is context
 managers and plain functions.
@@ -25,7 +24,7 @@ from repro.marketplace.market import Marketplace
 from repro.pricing.models import EntropyPricingModel
 from repro.relational.table import Table
 from repro.search.mcmc import MCMCConfig
-from repro.service import AcquisitionService, ShardRouter
+from repro.service import AcquisitionService
 from repro.service.server import AcquisitionHTTPServer
 from repro.workloads.queries import queries_for
 from repro.workloads.tpch import tpch_workload
@@ -131,12 +130,10 @@ class ServeHarness:
     >>> with ServeHarness() as harness:
     ...     response = harness.post("/acquire", SMALL_REQUEST_SPEC)
 
-    Parameters mirror the ``serve`` CLI: ``shards=1`` fronts a plain
-    :class:`AcquisitionService`; ``shards>1`` a :class:`ShardRouter`.
-    ``marketplace`` defaults to :func:`small_marketplace` and ``config`` to
-    :func:`small_config` with the given admission knobs.  Exit performs the
-    real graceful shutdown (drain → optional checkpoint → close) and then
-    closes the service.
+    Parameters mirror the ``serve`` CLI.  ``marketplace`` defaults to
+    :func:`small_marketplace` and ``config`` to :func:`small_config` with the
+    given admission knobs.  Exit performs the real graceful shutdown (drain →
+    optional checkpoint → close) and then closes the service.
     """
 
     def __init__(
@@ -145,7 +142,6 @@ class ServeHarness:
         marketplace: Marketplace | None = None,
         config: DanceConfig | None = None,
         queries: dict | None = None,
-        shards: int = 1,
         queue_depth: int | None = None,
         admission: str = "block",
         batch_workers: int = 4,
@@ -161,13 +157,9 @@ class ServeHarness:
                 catalog_path=catalog_path,
             )
         self.config = config
-        self.shards = shards
         self.drain_timeout = drain_timeout
         marketplace = marketplace if marketplace is not None else small_marketplace()
-        if shards > 1:
-            self.service = ShardRouter(marketplace, config, num_shards=shards)
-        else:
-            self.service = AcquisitionService(marketplace, config)
+        self.service = AcquisitionService(marketplace, config)
         self.server = AcquisitionHTTPServer(
             ("127.0.0.1", 0), self.service, queries=queries or {}
         )
@@ -227,7 +219,6 @@ def tpch_harness(
     sampling_rate: float = 0.5,
     iterations: int = 60,
     seed: int = 0,
-    shards: int = 1,
     queue_depth: int | None = None,
     admission: str = "block",
     batch_workers: int = 3,
@@ -253,5 +244,4 @@ def tpch_harness(
         marketplace=marketplace,
         config=config,
         queries=dict(queries_for(workload)),
-        shards=shards,
     )

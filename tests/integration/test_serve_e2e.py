@@ -5,7 +5,7 @@ ephemeral port via :mod:`serve_harness` and talks to it with plain ``urllib``
 clients.  The core claim under test is the serve tier's determinism contract:
 the bits a client receives over HTTP are the bits a direct
 ``DANCE.acquire()`` call produces with the same seed — for single requests,
-concurrent clients, batches, and the shard router alike.
+concurrent clients and batches alike.
 """
 
 from __future__ import annotations
@@ -88,13 +88,6 @@ def test_batch_endpoint_matches_direct_dance():
         assert [item["seed"] for item in summaries] == [3, 11]
         assert served_bits(summaries[0]["result"]) == direct_reference(3)
         assert served_bits(summaries[1]["result"]) == direct_reference(11)
-
-
-def test_sharded_server_matches_direct_dance():
-    with ServeHarness(shards=3) as harness:
-        response = harness.acquire({**SMALL_REQUEST_SPEC, "seed": 7})
-        assert response.status == 200
-        assert served_bits(response.json()["result"]) == direct_reference(7)
 
 
 def test_healthz_and_metrics_report_live_state():

@@ -6,10 +6,13 @@ import pytest
 
 from repro.exceptions import InfeasibleAcquisitionError
 from repro.graph.join_graph import JoinGraph
+from repro.graph.steiner import IGraph
+from repro.graph.target import TargetGraphEvaluation
 from repro.quality.fd import FunctionalDependency
 from repro.relational.table import Table
+from repro.search import acquisition
 from repro.search.acquisition import heuristic_acquisition
-from repro.search.mcmc import MCMCConfig
+from repro.search.mcmc import MCMCConfig, MCMCResult
 
 
 @pytest.fixture
@@ -88,3 +91,27 @@ class TestHeuristicAcquisition:
             mcmc_config=MCMCConfig(iterations=10, seed=0), rng=0,
         )
         assert result.feasible
+
+    def test_tie_goes_to_the_earlier_candidate(self, chain_graph, fds, monkeypatch):
+        """``igraph_index`` is the winner's position in Step 1's candidate list."""
+        nodes = ("customers", "nations", "orders")
+        edges = (("customers", "nations"), ("customers", "orders"))
+        candidates = [IGraph(nodes, edges, weight) for weight in (1.0, 2.0, 3.0)]
+        correlations = iter([0.2, 0.7, 0.7])
+
+        def fixed_walk(join_graph, initial, *args, **kwargs):
+            evaluation = TargetGraphEvaluation(
+                correlation=next(correlations), quality=1.0, weight=0.0, price=0.0
+            )
+            return MCMCResult(best_graph=initial, best_evaluation=evaluation)
+
+        monkeypatch.setattr(
+            acquisition, "minimal_weight_igraphs", lambda *args, **kwargs: candidates
+        )
+        monkeypatch.setattr(acquisition, "mcmc_search", fixed_walk)
+        result = heuristic_acquisition(
+            chain_graph, ["totalprice"], ["nname"], fds, budget=1e9, rng=0
+        )
+        assert result.igraph_index == 1
+        assert result.igraph is candidates[1]
+        assert result.best_evaluation.correlation == 0.7

@@ -1,10 +1,9 @@
 """Tests for the unified :class:`~repro.search.plan.ExecutionPlan` (PR 8).
 
 The contracts under test: the plan is the single source of truth for
-executor/chains/pool configuration; every legacy spelling maps onto an
-equivalent plan (with a ``DeprecationWarning`` where the spelling is
-user-facing); and a plan produces bit-identical results to the knobs it
-replaced.
+executor/chains/pool configuration; the ``MCMCConfig(chains=, executor=)``
+shorthand maps onto an equivalent plan without warning; and a plan produces
+bit-identical results to that shorthand.
 """
 
 from __future__ import annotations
@@ -150,14 +149,7 @@ class TestConfigIntegration:
 
     def test_legacy_knobs_fold_into_equivalent_plan(self):
         config = DanceConfig(mcmc=MCMCConfig(chains=3, executor="thread"))
-        assert config.execution_plan == ExecutionPlan.from_legacy(
-            executor="thread", chains=3
-        )
-
-    def test_chain_pool_workers_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="chain_pool_workers"):
-            config = DanceConfig(service=ServiceConfig(chain_pool_workers=2))
-        assert config.execution_plan.workers == 2
+        assert config.execution_plan == ExecutionPlan(executor="thread", chains=3)
 
     def test_plan_survives_refinement_copy(self):
         config = DanceConfig(plan="executor=thread,chains=2")

@@ -23,7 +23,6 @@ from repro.exceptions import (
     AdmissionRejectedError,
     DeadlineExceededError,
     InfeasibleAcquisitionError,
-    NoOwnedCandidatesError,
     RateLimitedError,
     ReproError,
     SearchError,
@@ -35,7 +34,7 @@ from repro.pricing.models import EntropyPricingModel
 from repro.pricing.sla import DEFAULT_TIERS, SlaTier
 from repro.relational.table import Table
 from repro.search.mcmc import MCMCConfig
-from repro.service import AcquisitionService, ShardRouter
+from repro.service import AcquisitionService
 from repro.service.metrics import BUCKET_BOUNDS
 from repro.service.qos import QosConfig
 from repro.service.server import (
@@ -174,7 +173,6 @@ GOLDEN_PAYLOAD = {
         },
     },
     "step1_memo": {"enabled": True, "entries": 3, "hits": 5, "misses": 4},
-    "shards": 2,
 }
 
 
@@ -230,11 +228,7 @@ def test_render_prometheus_matches_golden_file():
 def test_field_metrics_covers_every_real_payload_leaf():
     with AcquisitionService(small_marketplace(), small_config(seed=0)) as service:
         single_paths = flatten_paths(service.metrics())
-    with ShardRouter(small_marketplace(), small_config(seed=0), num_shards=2) as router:
-        router_paths = flatten_paths(router.metrics())
-    # The router payload is the single payload plus the shard gauge.
-    assert router_paths == single_paths | {"shards"}
-    assert single_paths | router_paths == set(FIELD_METRICS)
+    assert single_paths == set(FIELD_METRICS)
 
 
 def test_field_metrics_names_are_valid_prometheus():
@@ -277,10 +271,13 @@ def test_render_handles_empty_payload_with_nans():
     assert "dance_requests_total 0" in rendered
     assert "dance_request_latency_p50_seconds NaN" in rendered
     assert "dance_admission_max_depth NaN" in rendered
-    assert "dance_shards" not in rendered
 
 
 # --------------------------------------------------------------- error mapping
+class _NarrowerInfeasibility(InfeasibleAcquisitionError):
+    """A subclass maps like its base: error_status dispatches on isinstance."""
+
+
 @pytest.mark.parametrize(
     ("error", "status"),
     [
@@ -289,7 +286,7 @@ def test_render_handles_empty_payload_with_nans():
         (DeadlineExceededError("missed in queue"), 504),
         (SearchError("bad request shape"), 422),
         (InfeasibleAcquisitionError("no feasible acquisition"), 422),
-        (NoOwnedCandidatesError("filtered"), 422),
+        (_NarrowerInfeasibility("narrower"), 422),
         (StorageError("disk gone"), 500),
         (ReproError("generic library error"), 400),
         (RuntimeError("anything else"), 500),
@@ -329,8 +326,21 @@ def test_request_from_spec_rejects_malformed_specs():
         request_from_spec(["not", "a", "dict"])
     with pytest.raises(ReproError, match="unknown query"):
         request_from_spec({"query": "Q99"}, queries={})
+    with pytest.raises(ReproError, match="unknown query"):
+        request_from_spec({"query": ["Q1"]}, queries={})
     with pytest.raises(ReproError, match="invalid numeric"):
         request_from_spec({"source": ["a"], "target": ["b"], "budget": "cheap"})
+    for field, value in (
+        ("source", 5),
+        ("source", "ab"),
+        ("target", [None]),
+        ("shopper", ["alice"]),
+        ("shopper", {"name": "alice"}),
+        ("tier", 3),
+    ):
+        spec = {"source": ["a"], "target": ["b"], field: value}
+        with pytest.raises(ReproError, match=field):
+            request_from_spec(spec)
 
 
 def test_request_from_spec_builds_explicit_requests():
@@ -445,6 +455,26 @@ def test_http_errors_carry_typed_bodies_not_tracebacks(live_server):
     assert body["error"]["type"] == "InfeasibleAcquisitionError"
     assert "Traceback" not in raw.decode("utf-8")
 
+    # Malformed fields -> 400 ReproError, never the 500 catch-all.
+    spec = {"source": ["measure"], "target": ["label"], "budget": 1e9}
+    for payload in (
+        {**spec, "seed": "abc"},
+        {**spec, "seed": [1]},
+        {**spec, "seed": True},
+        {**spec, "seed": 7.0},
+        {"requests": [spec], "seeds": ["x"]},
+        {"requests": [spec], "seeds": [None]},
+        {**spec, "source": 5},
+        {"requests": [{**spec, "shopper": ["a"]}, {**spec, "shopper": "b"}]},
+    ):
+        status, _, raw = http_json(f"{url}/acquire", payload)
+        assert (status, json.loads(raw)["error"]["type"]) == (400, "ReproError"), payload
+
+    # A request_seed-sized (64-bit) seed is served as given.
+    status, _, raw = http_json(f"{url}/acquire", {**spec, "seed": 2**64 - 1})
+    assert status == 200
+    assert json.loads(raw)["seed"] == 2**64 - 1
+
 
 def test_saturated_reject_queue_maps_to_503_and_recovers():
     service = AcquisitionService(
@@ -493,6 +523,10 @@ def test_qos_sheds_map_to_429_and_504_over_http():
         )
         assert status == 504
         assert json.loads(raw)["error"]["type"] == "DeadlineExceededError"
+
+        # A list-valued shopper cannot key the scheduler's buckets: 400.
+        status, _, raw = http_json(f"{url}/acquire", {**spec, "shopper": ["x"]})
+        assert (status, json.loads(raw)["error"]["type"]) == (400, "ReproError")
 
         # Bronze holds a single token refilling at 0.001/s: the first request
         # runs, the second sheds with 429 and a computed Retry-After.  The

@@ -366,10 +366,6 @@ class TestServiceConfigValidation:
         with pytest.raises(ReproError):
             ServiceConfig(max_batch_workers=0)
 
-    def test_rejects_bad_chain_pool_workers(self):
-        with pytest.raises(ReproError):
-            ServiceConfig(chain_pool_workers=0)
-
     def test_rejects_bad_stripes(self):
         with pytest.raises(ReproError):
             ServiceConfig(cache_stripes=0)
