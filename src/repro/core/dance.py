@@ -75,6 +75,10 @@ class DANCE:
         self._source_tables: dict[str, Table] = {}
         self._join_graph: JoinGraph | None = None
         self._fds: list[FunctionalDependency] = []
+        # Per instance name, the table AFDs were last discovered on and the
+        # result; see _collect_fds for when an entry is reused.
+        self._discovered: dict[str, tuple[Table, list[FunctionalDependency]]] = {}
+        self._afd_discoveries = 0
         self._sample_cost = 0.0
         self._current_rate = self.config.sampling_rate
         self._graph_version = 0
@@ -119,16 +123,18 @@ class DANCE:
         rebuilds the graph so the FDs collected from the old data are dropped
         too — but the rebuild reuses the prior graph's cached JI weights for
         every instance pair whose samples did not change, so it only
-        recomputes the edges touching the replaced instances.
+        recomputes the edges touching the replaced instances, and it re-mines
+        AFDs on the replaced instances only.
 
         Returns a summary: which names were added vs. replaced, how the graph
         was refreshed (``"deferred"`` before the offline phase,
         ``"incremental"`` for pure additions, ``"rebuild"`` for
         replacements, ``"noop"`` when every "replacement" is the identical
-        table object already in the graph), and how many I-edge weight maps
-        were actually recomputed.  A no-op refresh does **not** bump
-        :attr:`graph_version` — re-registering unchanged tables must not tear
-        down session caches or warm worker pools keyed on the version.
+        table object already in the graph), how many I-edge weight maps
+        were actually recomputed (``edge_recomputes``) and on how many tables
+        AFDs were mined (``afd_discoveries``).  A no-op refresh does **not**
+        bump :attr:`graph_version` — re-registering unchanged tables must not
+        tear down session caches or warm worker pools keyed on the version.
         """
         added: list[str] = []
         replaced: list[str] = []
@@ -142,6 +148,7 @@ class DANCE:
         if not tables or self._join_graph is None:
             summary["mode"] = "deferred"
             summary["edge_recomputes"] = 0
+            summary["afd_discoveries"] = 0
             return summary
         if not added and all(
             table.name in self._join_graph
@@ -150,11 +157,14 @@ class DANCE:
         ):
             summary["mode"] = "noop"
             summary["edge_recomputes"] = 0
+            summary["afd_discoveries"] = 0
             return summary
+        discoveries_before = self._afd_discoveries
         if replaced:
             self._rebuild_graph()
             summary["mode"] = "rebuild"
             summary["edge_recomputes"] = self._join_graph.edge_recomputes
+            summary["afd_discoveries"] = self._afd_discoveries - discoveries_before
             return summary
         recomputes_before = self._join_graph.edge_recomputes
         seen = {(fd.lhs, fd.rhs) for fd in self._fds}
@@ -167,6 +177,7 @@ class DANCE:
         self._graph_version += 1
         summary["mode"] = "incremental"
         summary["edge_recomputes"] = self._join_graph.edge_recomputes - recomputes_before
+        summary["afd_discoveries"] = self._afd_discoveries - discoveries_before
         return summary
 
     def build_offline(self, *, sampling_rate: float | None = None) -> JoinGraph:
@@ -208,6 +219,10 @@ class DANCE:
             reuse_cache_from=self._join_graph,
             preload_ji=preload_ji,
         )
+        # An instance that left the graph must not keep its table alive.
+        self._discovered = {
+            name: entry for name, entry in self._discovered.items() if name in tables
+        }
         self._fds = (
             list(adopted_fds) if adopted_fds is not None else self._collect_fds(tables)
         )
@@ -322,17 +337,30 @@ class DANCE:
         )
 
     def _collect_fds(self, tables: Mapping[str, Table]) -> list[FunctionalDependency]:
+        """Known FDs plus AFDs discovered on ``tables``, deduplicated in table order.
+
+        An instance whose table is the *same object* as at its last discovery
+        reuses that FD list — the identity rule ``JoinGraph`` applies to JI
+        weights — so a rebuild mines only new or replaced instances (a
+        refinement round's re-bought samples are new objects).  A miss
+        overwrites the instance's entry and counts in ``_afd_discoveries``.
+        """
         fds: list[FunctionalDependency] = []
         seen: set[tuple] = set()
         for name, table in tables.items():
+            entry = self._discovered.get(name)
             if name in self._known_fds:
                 table_fds = self._known_fds[name]
+            elif entry is not None and entry[0] is table:
+                table_fds = entry[1]
             else:
                 table_fds = discover_afds(
                     table,
                     max_violation=self.config.afd_max_violation,
                     max_lhs_size=self.config.afd_max_lhs_size,
                 )
+                self._discovered[name] = (table, table_fds)
+                self._afd_discoveries += 1
             for fd in table_fds:
                 key = (fd.lhs, fd.rhs)
                 if key not in seen:

@@ -8,6 +8,15 @@ level-wise search over left-hand-side candidates with the usual prunings:
 * a minimal AFD prunes all its supersets with the same right-hand side;
 * LHS candidates are bounded by ``max_lhs_size`` (default 2) to keep the search
   tractable on wide tables.
+
+The search counts on the table's cached dictionary codes.  Each LHS groups the
+rows once, as one int key per row (:func:`~repro.relational.partitions.group_keys`),
+and only when some RHS candidate survives the pruning; that grouping is reused
+for every RHS candidate.  Two cases are exact without counting: an LHS that is
+a key keeps every row, and an RHS that is a key keeps one row per LHS class.
+The threshold compares the integer counts as one correctly rounded ratio: an
+AFD is reported when ``(rows - correct) / rows <= max_violation``, so a rate
+that sits exactly on the threshold passes.
 """
 
 from __future__ import annotations
@@ -17,7 +26,12 @@ from typing import Sequence
 
 from repro.exceptions import QualityError
 from repro.quality.fd import FunctionalDependency
-from repro.relational.partitions import partition_error
+from repro.relational.partitions import (
+    RowKeys,
+    column_codes,
+    correct_from_keys,
+    group_keys,
+)
 from repro.relational.table import Table
 
 
@@ -36,7 +50,8 @@ def discover_afds(
         The instance to mine.
     max_violation:
         Maximum fraction of violating rows (the paper's ``theta = 0.1``); an
-        AFD is reported when ``1 - Q(table, X -> A) <= max_violation``.
+        AFD is reported when ``1 - Q(table, X -> A) <= max_violation``,
+        computed as ``(rows - correct) / rows``.
     max_lhs_size:
         Maximum number of attributes on the left-hand side.
     attributes:
@@ -58,6 +73,8 @@ def discover_afds(
     if len(table) == 0:
         return []
 
+    rows = len(table)
+    columns = {name: column_codes(table, name) for name in names}
     discovered: list[FunctionalDependency] = []
     # minimal LHS sets already found per RHS, used for superset pruning
     minimal_lhs: dict[str, list[frozenset[str]]] = {name: [] for name in names}
@@ -65,13 +82,16 @@ def discover_afds(
     for lhs_size in range(1, max_lhs_size + 1):
         for lhs in combinations(names, lhs_size):
             lhs_set = frozenset(lhs)
+            lhs_keys: RowKeys | None = None  # grouped once, for the first surviving RHS
             for rhs in names:
                 if rhs in lhs_set:
                     continue
                 if any(existing <= lhs_set for existing in minimal_lhs[rhs]):
                     continue  # a smaller LHS already determines rhs
-                error = partition_error(table, lhs, (rhs,))
-                if error <= max_violation:
+                if lhs_keys is None:
+                    lhs_keys = group_keys([columns[name] for name in lhs])
+                violations = rows - correct_from_keys(lhs_keys, columns[rhs])
+                if violations / rows <= max_violation:
                     discovered.append(FunctionalDependency(lhs, rhs))
                     minimal_lhs[rhs].append(lhs_set)
 

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from repro.exceptions import QualityError
 from repro.relational.table import Table
-from repro.relational.partitions import partition_error
+from repro.relational.partitions import correct_row_count
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,22 @@ class FunctionalDependency:
         """True when the FD holds with zero violations on ``table``."""
         if not self.applies_to(table):
             return False
-        return partition_error(table, self.lhs, (self.rhs,)) == 0.0
+        return correct_row_count(table, self.lhs, (self.rhs,)) == len(table)
 
     def holds_approximately(self, table: Table, theta: float) -> bool:
-        """True when ``Q(table, self) >= theta`` (the paper's AFD semantics)."""
+        """True when ``Q(table, self) >= theta`` (the paper's AFD semantics).
+
+        ``Q`` is ``correct / rows``, the value
+        :func:`~repro.quality.measure.instance_quality` returns (1 on an empty
+        table), so a quality that sits exactly on ``theta`` holds.
+        """
         if not 0.0 < theta <= 1.0:
             raise QualityError(f"AFD threshold theta must be in (0, 1], got {theta}")
         if not self.applies_to(table):
             return False
-        return 1.0 - partition_error(table, self.lhs, (self.rhs,)) >= theta
+        if len(table) == 0:
+            return True
+        return correct_row_count(table, self.lhs, (self.rhs,)) / len(table) >= theta
 
     @staticmethod
     def decompose(lhs: Sequence[str], rhs_attributes: Iterable[str]) -> list["FunctionalDependency"]:

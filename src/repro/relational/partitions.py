@@ -5,13 +5,22 @@ row indices by their value combination on ``X``.  Partitions are the work-horse
 of FD/AFD checking (TANE-style) and of the paper's data-quality measure: the
 quality of an instance w.r.t. an FD ``X -> Y`` is computed by comparing the
 partition on ``X`` with the partition on ``X ∪ Y``.
+
+The g3 error and AFD discovery never build those partitions: they count on the
+tables' cached dictionary codes instead (:func:`group_keys`,
+:func:`correct_from_keys`), where two rows share a key exactly when they agree
+on every attribute.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections import Counter
+from typing import Sequence
 
 from repro.relational.table import Table
+
+#: A row-aligned int key per row and how many distinct keys there are.
+RowKeys = tuple[list[int], int]
 
 
 def partition(table: Table, attributes: Sequence[str]) -> dict[tuple, list[int]]:
@@ -41,44 +50,84 @@ def stripped_partition(table: Table, attributes: Sequence[str]) -> list[list[int
     return [eclass for eclass in equivalence_classes(table, attributes) if len(eclass) > 1]
 
 
-def refine(
-    base: Mapping[tuple, list[int]], table: Table, attributes: Sequence[str]
-) -> dict[tuple, list[int]]:
-    """Refine an existing partition by additionally grouping on ``attributes``.
+def column_codes(table: Table, name: str) -> RowKeys:
+    """One column's dictionary codes as a python list, and its number of values.
 
-    ``refine(partition(D, X), D, Y)`` equals ``partition(D, X + Y)`` but avoids
-    recomputing the keys for ``X``.  Used when walking down the attribute-set
-    lattice during FD discovery.
+    The codes come from the table's cached encoding (:meth:`Table.encoded`),
+    whose dict lookups give the same equality as grouping the raw values:
+    ``None`` is a value, ``1 == 1.0 == True`` share a code, and distinct NaN
+    objects stay apart.
     """
-    validated = table.schema.validate_subset(attributes)
-    extra_keys = table.key_tuples(validated)
-    refined: dict[tuple, list[int]] = {}
-    for key, rows in base.items():
-        for row in rows:
-            refined.setdefault(key + extra_keys[row], []).append(row)
-    return refined
+    encoding = table.encoded(name)
+    return encoding.code_list(), encoding.num_codes
+
+
+def group_keys(columns: Sequence[RowKeys]) -> RowKeys:
+    """One int key per row for the value combination of ``columns``.
+
+    ``columns`` are :func:`column_codes` results (at least one).  The codes
+    combine in mixed radix over each column's ``num_codes``, so two rows get
+    the same key exactly when they agree on every column.  Returns the keys
+    and their distinct count; a single column is returned as it is.
+    """
+    keys, distinct = columns[0]
+    for codes, radix in columns[1:]:
+        keys = [key * radix + code for key, code in zip(keys, codes)]
+    if len(columns) > 1:
+        distinct = len(set(keys))
+    return keys, distinct
+
+
+def correct_from_keys(lhs: RowKeys, rhs: RowKeys) -> int:
+    """``|C(D, X -> Y)|`` from the row keys of ``X`` and of ``Y``.
+
+    Each ``pi_X`` class counts the rows of its largest ``pi_{X ∪ Y}``
+    sub-class.  Two cases need no counting: when every row has its own ``X``
+    key all rows are correct, and when every row has its own ``Y`` key each
+    ``X`` class keeps one row.  When each ``X`` class holds one ``Y`` value
+    (an exact FD) all rows are correct too.
+    """
+    (lhs_keys, lhs_distinct), (rhs_keys, rhs_distinct) = lhs, rhs
+    rows = len(lhs_keys)
+    if lhs_distinct == rows:
+        return rows
+    if rhs_distinct == rows:
+        return lhs_distinct
+    counts = Counter(zip(lhs_keys, rhs_keys))
+    if len(counts) == lhs_distinct:
+        return rows
+    largest: dict[int, int] = {}
+    for (lhs_key, _), size in counts.items():
+        if size > largest.get(lhs_key, 0):
+            largest[lhs_key] = size
+    return sum(largest.values())
+
+
+def correct_row_count(table: Table, lhs: Sequence[str], rhs: Sequence[str]) -> int:
+    """``|C(table, lhs -> rhs)|``, the rows the paper's quality counts as correct.
+
+    For every equivalence class of ``pi_lhs`` only the largest sub-class of
+    ``pi_{lhs ∪ rhs}`` is correct; RHS attributes that are also on the LHS
+    are dropped, and an RHS left empty keeps every row.
+    """
+    lhs = table.schema.validate_subset(lhs)
+    rhs = table.schema.validate_subset([a for a in rhs if a not in lhs])
+    rows = len(table)
+    if not rhs or rows == 0:
+        return rows
+    lhs_keys = group_keys([column_codes(table, a) for a in lhs]) if lhs else ([0] * rows, 1)
+    return correct_from_keys(lhs_keys, group_keys([column_codes(table, a) for a in rhs]))
 
 
 def partition_error(table: Table, lhs: Sequence[str], rhs: Sequence[str]) -> float:
     """The g3-style error of the FD ``lhs -> rhs`` on ``table``.
 
-    This is ``1 - Q(D, lhs -> rhs)`` under the paper's quality definition: for
-    every equivalence class of ``pi_lhs`` only the largest sub-class of
-    ``pi_{lhs ∪ rhs}`` is counted as correct.
+    This is ``1 - Q(D, lhs -> rhs)`` under the paper's quality definition
+    (see :func:`correct_row_count`); an empty table has no error.
     """
     if len(table) == 0:
         return 0.0
-    lhs_partition = partition(table, lhs)
-    both_partition = partition(table, list(lhs) + [a for a in rhs if a not in lhs])
-    largest: dict[tuple, int] = {}
-    lhs_len = len(table.schema.validate_subset(lhs))
-    for key, rows in both_partition.items():
-        lhs_key = key[:lhs_len]
-        size = len(rows)
-        if size > largest.get(lhs_key, 0):
-            largest[lhs_key] = size
-    correct = sum(largest[key] for key in lhs_partition)
-    return 1.0 - correct / len(table)
+    return 1.0 - correct_row_count(table, lhs, rhs) / len(table)
 
 
 def correct_row_indices(table: Table, lhs: Sequence[str], rhs: Sequence[str]) -> set[int]:

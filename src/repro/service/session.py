@@ -738,8 +738,8 @@ class AcquisitionService:
         marketplace, offline phase, session caches — is checkpointed to it in
         the same call, so a restart after the registration is warm; the
         summary gains a ``"checkpointed"`` flag.  Returns DANCE's refresh
-        summary (mode, added / replaced names, edge recompute count).  Must
-        not overlap in-flight requests.
+        summary (mode, added / replaced names, edge recompute and AFD
+        discovery counts).  Must not overlap in-flight requests.
         """
         with self._lock:
             summary = self._dance.register_source_tables(tables)

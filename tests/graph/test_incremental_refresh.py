@@ -4,17 +4,23 @@ The contract: JI weights are pure functions of the endpoint samples, so a
 rebuild seeded with ``reuse_cache_from`` recomputes exactly the edges whose
 endpoint samples changed (asserted through the ``edge_recomputes`` /
 ``ji_computations`` counters) and produces weights identical to a
-from-scratch build.
+from-scratch build.  AFDs follow the same identity rule: a refresh mines only
+the instances whose tables changed (the ``afd_discoveries`` count) and leaves
+``DANCE.fds`` identical to a fresh middleware's list.
 """
 
 from __future__ import annotations
 
+import pytest
+
+from repro.core import dance as dance_module
 from repro.core.config import DanceConfig
 from repro.core.dance import DANCE
 from repro.graph.join_graph import JoinGraph
 from repro.marketplace.dataset import MarketplaceDataset
 from repro.marketplace.market import Marketplace
 from repro.pricing.models import EntropyPricingModel
+from repro.quality.fd import FunctionalDependency
 from repro.relational.table import Table
 
 
@@ -102,13 +108,31 @@ class TestReuseCacheFrom:
         assert weight_maps(rebuilt) == weight_maps(prior)
 
 
+@pytest.fixture
+def mined(monkeypatch) -> list[str]:
+    """Names of the tables DANCE mines AFDs on, in call order."""
+    names: list[str] = []
+    discover = dance_module.discover_afds
+
+    def recording(table, **options):
+        names.append(table.name)
+        return discover(table, **options)
+
+    monkeypatch.setattr(dance_module, "discover_afds", recording)
+    return names
+
+
+def triangle_marketplace() -> Marketplace:
+    pricing = EntropyPricingModel()
+    marketplace = Marketplace(default_pricing=pricing)
+    for table in triangle_tables():
+        marketplace.host(MarketplaceDataset(table=table, pricing=pricing))
+    return marketplace
+
+
 class TestDanceIncrementalRefresh:
-    def build_dance(self) -> DANCE:
-        pricing = EntropyPricingModel()
-        marketplace = Marketplace(default_pricing=pricing)
-        for table in triangle_tables():
-            marketplace.host(MarketplaceDataset(table=table, pricing=pricing))
-        dance = DANCE(marketplace, DanceConfig(sampling_rate=1.0))
+    def build_dance(self, **options) -> DANCE:
+        dance = DANCE(triangle_marketplace(), DanceConfig(sampling_rate=1.0), **options)
         dance.build_offline()
         return dance
 
@@ -173,14 +197,92 @@ class TestDanceIncrementalRefresh:
         assert rebuilt.edge_recomputes == total_edges - len(source_pair_edges)
 
     def test_deferred_registration_before_offline(self):
-        pricing = EntropyPricingModel()
-        marketplace = Marketplace(default_pricing=pricing)
-        for table in triangle_tables():
-            marketplace.host(MarketplaceDataset(table=table, pricing=pricing))
-        dance = DANCE(marketplace, DanceConfig(sampling_rate=1.0))
+        dance = DANCE(triangle_marketplace(), DanceConfig(sampling_rate=1.0))
         summary = dance.register_source_tables(
             [Table.from_rows("mine", ["k1", "x"], [(1, 2)])]
         )
         assert summary["mode"] == "deferred"
+        assert summary["afd_discoveries"] == 0
         dance.build_offline()
         assert "mine" in dance.join_graph.instance_names
+
+    # AFDs: a refresh mines only instances whose table object changed.
+    def test_adding_a_source_mines_only_it(self, mined):
+        dance = self.build_dance()
+        mined.clear()
+        source = Table.from_rows("mine", ["k1", "mine_x"], [(i % 4, i) for i in range(10)])
+        summary = dance.register_source_tables([source])
+        assert summary["afd_discoveries"] == 1
+        assert mined == ["mine"]
+
+    def test_replacing_a_source_mines_only_it(self, mined):
+        dance = self.build_dance()
+        dance.register_source_tables(
+            [Table.from_rows("mine", ["k1", "mine_x"], [(i % 4, i) for i in range(10)])]
+        )
+        mined.clear()
+        replacement = Table.from_rows(
+            "mine", ["k1", "mine_x"], [(i % 2, i * 7) for i in range(12)]
+        )
+        summary = dance.register_source_tables([replacement])
+        assert summary["mode"] == "rebuild"
+        assert summary["afd_discoveries"] == 1
+        assert mined == ["mine"]
+
+    def test_reregistering_the_same_object_mines_nothing(self, mined):
+        dance = self.build_dance()
+        source = Table.from_rows("mine", ["k1", "mine_x"], [(i % 4, i) for i in range(10)])
+        dance.register_source_tables([source])
+        mined.clear()
+        summary = dance.register_source_tables([source])
+        assert summary["mode"] == "noop"
+        assert summary["afd_discoveries"] == 0
+        assert mined == []
+
+    def test_refinement_round_mines_hosted_samples_only(self, mined):
+        dance = self.build_dance()
+        dance.register_source_tables(
+            [
+                Table.from_rows("mine", ["k1", "mine_x"], [(i % 4, i) for i in range(10)]),
+                Table.from_rows("yours", ["k1", "yours_y"], [(i % 4, -i) for i in range(10)]),
+            ]
+        )
+        mined.clear()
+        dance.build_offline(sampling_rate=1.0)
+        assert mined == ["alpha", "beta", "gamma"]
+
+    def test_known_fds_instance_is_never_mined(self, mined):
+        known = [FunctionalDependency("a", "k1")]
+        dance = self.build_dance(known_fds={"alpha": known})
+        replacement = Table.from_rows(
+            "alpha", ["k1", "k2", "a"], [(i % 2, i % 3, i) for i in range(12)]
+        )
+        summary = dance.register_source_tables([replacement])
+        dance.build_offline(sampling_rate=1.0)
+        assert summary["afd_discoveries"] == 0
+        assert "alpha" not in mined
+        assert dance.fds[: len(known)] == known
+
+    def test_instance_leaving_the_graph_drops_its_discovery(self):
+        marketplace = triangle_marketplace()
+        dance = DANCE(marketplace, DanceConfig(sampling_rate=1.0))
+        dance.build_offline()
+        marketplace.remove("gamma")
+        dance.build_offline()
+        assert "gamma" not in dance.join_graph.instance_names
+        # the per-instance entry would keep the departed sample alive
+        assert list(dance._discovered) == ["alpha", "beta"]
+
+    def test_rebuilt_fds_equal_a_fresh_middlewares(self):
+        dance = self.build_dance()
+        dance.register_source_tables(
+            [Table.from_rows("mine", ["k1", "mine_x"], [(i % 4, i) for i in range(10)])]
+        )
+        replacement = Table.from_rows(
+            "mine", ["k1", "mine_x"], [(i % 4, i % 3) for i in range(12)]
+        )
+        dance.register_source_tables([replacement])
+        fresh = DANCE(triangle_marketplace(), DanceConfig(sampling_rate=1.0))
+        fresh.register_source_tables([replacement])
+        fresh.build_offline()
+        assert dance.fds == fresh.fds

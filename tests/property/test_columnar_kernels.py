@@ -6,6 +6,11 @@ copies of the original row-based algorithms as executable references and check
 the columnar versions against them on randomized tables — including ``None``
 join keys, colliding column names between the two sides, and empty tables.
 
+The g3 error and AFD discovery likewise count on dictionary codes; their
+reference is the raw-tuple partition code they replaced, which groups the
+original values (``None``, ``1 == 1.0 == True`` mixes, shared and distinct NaN
+objects) with python's own equality.
+
 The whole module runs twice, once per columnar backend (numpy and
 pure-python; see :mod:`repro.relational.backend`), so the same references
 double as parity oracles for the gated numpy kernels.
@@ -14,6 +19,7 @@ double as parity oracles for the gated numpy kernels.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +37,8 @@ from repro.infotheory.join_informativeness import (
     join_informativeness,
     join_informativeness_from_pairs,
 )
+from repro.quality.discovery import discover_afds
+from repro.quality.fd import FunctionalDependency
 from repro.relational.joins import (
     _build_hash_index,
     _joined_schema,
@@ -38,8 +46,11 @@ from repro.relational.joins import (
     full_outer_join,
     inner_join,
 )
+from repro.relational.partitions import correct_row_count, partition, partition_error
 from repro.relational.schema import Attribute, AttributeType, Schema
 from repro.relational.table import Table
+from repro.workloads.tpce import tpce_workload
+from repro.workloads.tpch import tpch_workload
 
 
 @pytest.fixture(scope="module", params=["python", "numpy"], autouse=True)
@@ -281,3 +292,110 @@ class TestHistogramJoinInformativeness:
         left = Table.empty("left", ["k"])
         right = Table.empty("right", ["k"])
         assert join_informativeness(left, right, ["k"]) == 1.0
+
+
+# ------------------------------------------------- g3 error / AFD discovery
+SHARED_NAN = float("nan")
+
+fd_value_kinds = [
+    st.integers(min_value=0, max_value=3),  # all-int: numpy's bucket encoder
+    st.sampled_from([0.0, -0.0, 1.5, 2.5]),  # NaN-free floats: numpy's np.unique
+    st.one_of(  # mixed: the dict loop under both backends
+        st.none(),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([1, 1.0, True, "u", "v", SHARED_NAN]),
+        st.builds(float, st.just("nan")),  # a distinct NaN object per draw
+    ),
+]
+
+
+@st.composite
+def fd_tables(draw):
+    """0-40 rows over 1-4 columns, each column drawn from one value kind."""
+    rows = draw(st.integers(min_value=0, max_value=40))
+    names = [f"c{i}" for i in range(draw(st.integers(min_value=1, max_value=4)))]
+    columns = {}
+    for name in names:
+        values = draw(st.sampled_from(fd_value_kinds))
+        columns[name] = draw(st.lists(values, min_size=rows, max_size=rows))
+    return Table("t", Schema(names), columns)
+
+
+def reference_correct_count(table: Table, lhs, rhs) -> int:
+    """The raw-tuple g3 count: partitions on ``lhs`` and on ``lhs ∪ rhs``."""
+    lhs_partition = partition(table, lhs)
+    both_partition = partition(table, list(lhs) + [a for a in rhs if a not in lhs])
+    largest: dict[tuple, int] = {}
+    for key, rows in both_partition.items():
+        lhs_key = key[: len(lhs)]
+        if len(rows) > largest.get(lhs_key, 0):
+            largest[lhs_key] = len(rows)
+    return sum(largest[key] for key in lhs_partition)
+
+
+def reference_discover_afds(table: Table, *, max_violation, max_lhs_size, attributes=None):
+    """The level-wise loop with one reference count per (LHS, RHS) pair."""
+    names = list(attributes) if attributes is not None else list(table.schema.names)
+    rows = len(table)
+    if rows == 0:
+        return []
+    discovered = []
+    minimal_lhs: dict[str, list[frozenset]] = {name: [] for name in names}
+    for lhs_size in range(1, max_lhs_size + 1):
+        for lhs in combinations(names, lhs_size):
+            lhs_set = frozenset(lhs)
+            for rhs in names:
+                if rhs in lhs_set or any(found <= lhs_set for found in minimal_lhs[rhs]):
+                    continue
+                violations = rows - reference_correct_count(table, lhs, (rhs,))
+                if violations / rows <= max_violation:
+                    discovered.append(FunctionalDependency(lhs, rhs))
+                    minimal_lhs[rhs].append(lhs_set)
+    discovered.sort(key=lambda fd: (fd.rhs, len(fd.lhs), fd.lhs))
+    return discovered
+
+
+class TestCodeKernelG3:
+    @settings(max_examples=60, deadline=None)
+    @given(fd_tables())
+    def test_correct_counts_and_errors_match_reference(self, table):
+        names = list(table.schema.names)
+        rows = len(table)
+        for size in range(len(names) + 1):  # the empty LHS is one class
+            for lhs in combinations(names, size):
+                for rhs in [(name,) for name in names] + [tuple(names)]:
+                    expected = reference_correct_count(table, lhs, rhs)
+                    assert correct_row_count(table, lhs, rhs) == expected
+                    error = partition_error(table, lhs, rhs)
+                    assert error == (1.0 - expected / rows if rows else 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fd_tables(),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([0.0, 0.1, 0.25, 0.3]),
+        st.data(),
+    )
+    def test_discovered_afds_match_reference(self, table, max_lhs_size, max_violation, data):
+        names = list(table.schema.names)
+        attributes = data.draw(
+            st.none() | st.lists(st.sampled_from(names), min_size=1, unique=True)
+        )
+        options = dict(
+            max_violation=max_violation, max_lhs_size=max_lhs_size, attributes=attributes
+        )
+        assert discover_afds(table, **options) == reference_discover_afds(table, **options)
+
+    def test_workload_tables_match_reference(self):
+        workloads = [tpch_workload(scale=0.2), tpce_workload(scale=0.15)]
+        tables = [
+            table
+            for workload in workloads
+            for name in workload.tables
+            for table in (workload.tables[name], workload.dirty_or_clean(name))
+        ]
+        for table in tables:
+            options = dict(max_violation=0.1, max_lhs_size=2)
+            assert discover_afds(table, **options) == reference_discover_afds(
+                table, **options
+            ), table.name

@@ -46,6 +46,20 @@ class TestDiscovery:
         assert FunctionalDependency("zipcode", "state") not in strict
         assert FunctionalDependency("zipcode", "state") in relaxed
 
+    @pytest.mark.parametrize(
+        "b_values, max_violation",
+        [
+            # 3 of 10 rows violate; 1.0 - 7/10 is 0.30000000000000004
+            ([1] * 7 + [2, 3, 4], 0.3),
+            # 1 of 10 rows violates, the paper's theta
+            ([1] * 9 + [2], 0.1),
+        ],
+    )
+    def test_violation_rate_on_the_threshold_is_reported(self, b_values, max_violation):
+        table = Table.from_rows("t", ["a", "b"], [("x", b) for b in b_values])
+        fds = discover_afds(table, max_violation=max_violation, max_lhs_size=1)
+        assert FunctionalDependency("a", "b") in fds
+
     def test_empty_table(self):
         assert discover_afds(Table.empty("t", ["a", "b"])) == []
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import QualityError
 from repro.quality.fd import FunctionalDependency
+from repro.quality.measure import instance_quality
 from repro.relational.table import Table
 
 
@@ -61,6 +62,25 @@ class TestSemantics:
         # 3 of 4 rows are correct -> quality 0.75
         assert fd.holds_approximately(zip_table, 0.7)
         assert not fd.holds_approximately(zip_table, 0.9)
+
+    @pytest.mark.parametrize(
+        "b_values, theta",
+        [
+            # largest class 2 of 10: 1.0 - (1.0 - 0.2) is 0.19999999999999996
+            ([1, 1, 2, 3, 4, 5, 6, 7, 8, 9], 0.2),
+            ([1] * 9 + [2], 0.9),
+        ],
+    )
+    def test_quality_on_the_threshold_holds(self, b_values, theta):
+        table = Table.from_rows("t", ["a", "b"], [("x", b) for b in b_values])
+        fd = FunctionalDependency("a", "b")
+        assert instance_quality(table, fd) == theta
+        assert fd.holds_approximately(table, theta)
+
+    def test_empty_table_holds(self):
+        fd = FunctionalDependency("a", "b")
+        assert fd.holds_approximately(Table.empty("t", ["a", "b"]), 1.0)
+        assert fd.holds_exactly(Table.empty("t", ["a", "b"]))
 
     def test_invalid_theta_rejected(self, zip_table):
         fd = FunctionalDependency("zipcode", "state")

@@ -7,7 +7,6 @@ from repro.relational.partitions import (
     equivalence_classes,
     partition,
     partition_error,
-    refine,
     stripped_partition,
 )
 from repro.relational.table import Table
@@ -34,12 +33,6 @@ class TestPartition:
         stripped = stripped_partition(example_d, ["A"])
         assert len(stripped) == 1
         assert len(stripped[0]) == 4
-
-    def test_refine_equals_direct_partition(self, example_d):
-        base = partition(example_d, ["A"])
-        refined = refine(base, example_d, ["B"])
-        direct = partition(example_d, ["A", "B"])
-        assert {tuple(v) for v in refined.values()} == {tuple(v) for v in direct.values()}
 
 
 class TestPartitionError:

@@ -64,6 +64,22 @@ class TestZeroRecomputeRestart:
         warm.build_offline()
         assert warm.fds == cold.fds
 
+    def test_replacement_after_restart_matches_a_cold_build(self, tmp_path, kind):
+        # The warm build adopts the persisted FD list and has no per-table
+        # discoveries to reuse, so this write re-mines every table.
+        cold_dance().persist(tmp_path / "cat", kind=kind)
+        replacement = Table.from_rows(
+            "extra", ["bad_key", "bonus"], [(i % 3, float(i % 4)) for i in range(12)]
+        )
+        warm = DANCE(Marketplace.open(tmp_path / "cat"), config())
+        warm.build_offline()
+        warm.register_source_tables([replacement])
+
+        cold = DANCE(small_marketplace(), config())
+        cold.register_source_tables([replacement])
+        cold.build_offline()
+        assert warm.fds == cold.fds
+
     def test_acquisitions_are_bit_identical(self, tmp_path, kind):
         cold = cold_dance()
         expected = cold.acquire(REQUEST)
