@@ -14,6 +14,10 @@ under the requested :class:`~repro.search.plan.ExecutionPlan` and replays it
 serially; the served bits must agree, a mid-run ``register_source_tables``
 delta must be absorbed by the warm shared-store pool with **zero** full
 worker resyncs, and every shared-memory segment must be unlinked on close.
+A second replay lowers the re-sampling threshold ``eta`` to ``FIRED_ETA``,
+so that the correlated re-sampling hook fires on the served target graphs,
+and must agree bit for bit across the serial, thread and requested
+executors, before and after the delta.
 
 Usage::
 
@@ -28,6 +32,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+#: Live mode's second re-sampling threshold: the served TPC-H 0.2 target
+#: graphs have first-level joins of 17-28 rows, so it fires on every one.
+FIRED_ETA = 16
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _SRC = _REPO_ROOT / "src"
@@ -109,6 +118,8 @@ def check_live(args) -> int:
     from repro.marketplace.market import Marketplace
     from repro.marketplace.shopper import AcquisitionRequest
     from repro.pricing.models import EntropyPricingModel
+    from repro.sampling.resampling import ResamplingPolicy
+    from repro.search.mcmc import MCMCConfig
     from repro.search.plan import ExecutionPlan
     from repro.search.shm import live_segments
     from repro.service import AcquisitionService
@@ -128,15 +139,11 @@ def check_live(args) -> int:
     # which the shared-store pool must absorb as a versioned delta.
     delta_name = sorted(workload.tables)[0]
     delta_table = workload.table(delta_name)
-
-    plans = [
-        ExecutionPlan(executor="serial", chains=args.chains),
-        ExecutionPlan(
-            executor=args.executor,
-            chains=args.chains,
-            shared_store=True if args.shared_store else None,
-        ),
-    ]
+    requested = ExecutionPlan(
+        executor=args.executor,
+        chains=args.chains,
+        shared_store=True if args.shared_store else None,
+    )
 
     def build_marketplace() -> Marketplace:
         pricing = EntropyPricingModel()
@@ -147,46 +154,78 @@ def check_live(args) -> int:
             )
         return marketplace
 
-    failures = 0
-    outcomes = []
-    for plan in plans:
-        from repro.search.mcmc import MCMCConfig
+    def replay(plans, resampling: ResamplingPolicy) -> tuple[list, int, int]:
+        """Serve every plan cold and after the delta; compare with the first plan.
 
-        config = DanceConfig(
-            sampling_rate=0.5,
-            mcmc=MCMCConfig(iterations=args.iterations, seed=0),
-            plan=plan,
-            service=ServiceConfig(max_batch_workers=1),
-        )
-        with AcquisitionService(build_marketplace(), config) as service:
-            cold = [fingerprint(service.acquire(request)) for request in requests]
-            service.register_source_tables([delta_table])
-            warm = [fingerprint(service.acquire(request)) for request in requests]
-            store_stats = service.describe()["shared_store"]
-        outcomes.append((plan, cold, warm, store_stats))
-
-    (serial_plan, serial_cold, serial_warm, _) = outcomes[0]
-    for plan, cold, warm, store_stats in outcomes[1:]:
-        if cold != serial_cold:
-            failures += 1
-            print(f"MISMATCH [{plan.spec()}]: cold results differ from serial")
-        if warm != serial_warm:
-            failures += 1
-            print(f"MISMATCH [{plan.spec()}]: post-delta results differ from serial")
-        if plan.executor == "process" and plan.wants_shared_store:
-            if store_stats is None:
-                failures += 1
-                print(f"FAIL [{plan.spec()}]: no shared-store pool was built")
-            else:
-                if store_stats["worker_resyncs"] != 0:
-                    failures += 1
-                    print(
-                        f"FAIL [{plan.spec()}]: warm pool did not survive the "
-                        f"delta: {store_stats}"
+        Returns the outcomes, the failure count and on how many of the first
+        plan's served graphs the policy fires."""
+        failures = 0
+        outcomes = []
+        fired = 0
+        for plan in plans:
+            config = DanceConfig(
+                sampling_rate=0.5,
+                mcmc=MCMCConfig(iterations=args.iterations, seed=0),
+                plan=plan,
+                resampling=resampling,
+                service=ServiceConfig(max_batch_workers=1),
+            )
+            with AcquisitionService(build_marketplace(), config) as service:
+                results = [service.acquire(request) for request in requests]
+                if not outcomes:
+                    fired = sum(
+                        fires(result.target_graph, service.dance.join_graph, resampling)
+                        for result in results
                     )
-                if store_stats["deltas_published"] + store_stats["rebases"] < 1:
+                cold = [fingerprint(result) for result in results]
+                service.register_source_tables([delta_table])
+                warm = [fingerprint(service.acquire(request)) for request in requests]
+                store_stats = service.describe()["shared_store"]
+            outcomes.append((plan, cold, warm, store_stats))
+
+        (_, first_cold, first_warm, _) = outcomes[0]
+        label = f"eta={resampling.threshold}"
+        for plan, cold, warm, store_stats in outcomes[1:]:
+            if cold != first_cold:
+                failures += 1
+                print(f"MISMATCH [{plan.spec()}, {label}]: cold results differ from serial")
+            if warm != first_warm:
+                failures += 1
+                print(
+                    f"MISMATCH [{plan.spec()}, {label}]: post-delta results differ from serial"
+                )
+            if plan.executor == "process" and plan.wants_shared_store:
+                if store_stats is None:
                     failures += 1
-                    print(f"FAIL [{plan.spec()}]: no update was published: {store_stats}")
+                    print(f"FAIL [{plan.spec()}, {label}]: no shared-store pool was built")
+                else:
+                    if store_stats["worker_resyncs"] != 0:
+                        failures += 1
+                        print(
+                            f"FAIL [{plan.spec()}, {label}]: warm pool did not survive "
+                            f"the delta: {store_stats}"
+                        )
+                    if store_stats["deltas_published"] + store_stats["rebases"] < 1:
+                        failures += 1
+                        print(
+                            f"FAIL [{plan.spec()}, {label}]: no update was published: "
+                            f"{store_stats}"
+                        )
+        return outcomes, failures, fired
+
+    serial = ExecutionPlan(executor="serial", chains=args.chains)
+    outcomes, failures, _ = replay([serial, requested], ResamplingPolicy())
+    fired_policy = ResamplingPolicy(threshold=FIRED_ETA, rate=0.5, seed=0)
+    thread = ExecutionPlan(executor="thread", chains=args.chains)
+    fired_plans = [serial, thread] + ([requested] if requested.executor != "thread" else [])
+    _, fired_failures, fired = replay(fired_plans, fired_policy)
+    failures += fired_failures
+    if not fired:
+        failures += 1
+        print(
+            f"FAIL: eta={FIRED_ETA} fired on none of the {len(requests)} served "
+            f"target graphs; lower FIRED_ETA"
+        )
     leaked = live_segments()
     if leaked:
         failures += 1
@@ -197,12 +236,24 @@ def check_live(args) -> int:
         return 1
     stats = outcomes[-1][3]
     print(
-        f"OK: {len(requests)} requests x {len(plans)} plans bit-identical "
+        f"OK: {len(requests)} requests x 2 plans bit-identical "
         f"(chains={args.chains}, executor={args.executor}, "
         f"shared_store={bool(args.shared_store)}); shared-store stats: {stats}; "
-        f"no leaked segments"
+        f"eta={FIRED_ETA} fired on {fired}/{len(requests)} served graphs and "
+        f"{len(fired_plans)} plans agree; no leaked segments"
     )
     return 0
+
+
+def fires(graph, join_graph, policy) -> bool:
+    """Whether ``policy`` re-samples an intermediate of ``graph``'s evaluation.
+
+    The first level whose unsampled join exceeds ``eta`` is where it fires."""
+    sizes: list[int] = []
+    probe = SimpleNamespace(draw=lambda num_rows: sizes.append(num_rows))
+    tables = {name: join_graph.sample(name) for name in graph.nodes}
+    graph.joined_table(tables, intermediate_hook=probe)
+    return any(size > policy.threshold for size in sizes)
 
 
 def main(argv: list[str]) -> int:

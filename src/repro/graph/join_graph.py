@@ -18,6 +18,7 @@ the per-instance AS-lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -53,9 +54,16 @@ class IEdge:
             raise GraphConstructionError(f"I-edge {self.left}–{self.right} has no join attributes")
         return min(self.weights, key=lambda attrs: (self.weights[attrs], sorted(attrs)))
 
-    def join_attribute_choices(self) -> list[frozenset[str]]:
+    def join_attribute_choices(self) -> tuple[frozenset[str], ...]:
         """All candidate join attribute sets, cheapest (lowest JI) first."""
-        return sorted(self.weights, key=lambda attrs: (self.weights[attrs], sorted(attrs)))
+        return self._choices
+
+    @cached_property
+    def _choices(self) -> tuple[frozenset[str], ...]:
+        # The weight map never changes after construction, so the order is
+        # sorted once, on the first proposal that asks for it.
+        weights = self.weights
+        return tuple(sorted(weights, key=lambda attrs: (weights[attrs], sorted(attrs))))
 
 
 class JoinGraph:

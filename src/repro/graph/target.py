@@ -25,7 +25,7 @@ from repro.infotheory.correlation import attribute_set_correlation
 from repro.infotheory.join_informativeness import join_informativeness
 from repro.quality.fd import FunctionalDependency
 from repro.quality.measure import join_quality
-from repro.relational.joins import inner_join
+from repro.relational.joins import JoinLineage, inner_join, inner_join_origins
 from repro.relational.table import Table
 
 
@@ -144,6 +144,22 @@ class TargetGraph:
             for i in range(len(self.edges))
         ]
 
+    def signature(self) -> tuple:
+        """A canonical, hashable identity: nodes, edges, parents, projections.
+
+        Two graphs with the same signature evaluate identically on the same
+        tables, so the signature keys evaluation memos.  It is purely
+        structural and never contains table data or (possibly array-backed,
+        unhashable) encodings, so a memo keyed on it is valid under both
+        columnar backends, which evaluate bit-identically.
+        """
+        return (
+            tuple(self.nodes),
+            tuple(tuple(sorted(edge)) for edge in self.edges),
+            tuple(self.parents),
+            tuple(tuple(sorted(self.projections[name])) for name in self.nodes),
+        )
+
     def purchased_instances(self) -> list[str]:
         """Instances that must actually be bought (everything not owned)."""
         return [name for name in self.nodes if name not in self.source_instances]
@@ -204,27 +220,62 @@ class TargetGraph:
             projected.append(table.project(keep) if keep else table)
         return projected
 
-    def _join(self, projected: Sequence[Table], intermediate_hook=None) -> Table:
-        joined = projected[0]
-        for edge_index, right in enumerate(projected[1:]):
-            # sorted so the key-encoding cache key is canonical for the attr set
-            join_attrs = sorted(
-                a for a in self.edges[edge_index] if a in joined.schema and a in right.schema
+    def _join_attributes(self, edge_index: int, joined: Table, right: Table) -> list[str]:
+        # sorted so the key-encoding cache key is canonical for the attr set
+        join_attrs = sorted(
+            a for a in self.edges[edge_index] if a in joined.schema and a in right.schema
+        )
+        if not join_attrs:
+            parent = self.nodes[self.parents[edge_index]]
+            raise SearchError(
+                f"join attributes {sorted(self.edges[edge_index])} are not present on both "
+                f"sides of the join between {parent!r} and {self.nodes[edge_index + 1]!r}"
             )
-            if not join_attrs:
-                parent = self.nodes[self.parents[edge_index]]
-                raise SearchError(
-                    f"join attributes {sorted(self.edges[edge_index])} are not present on both "
-                    f"sides of the join between {parent!r} and {self.nodes[edge_index + 1]!r}"
-                )
-            joined = inner_join(joined, right, join_attrs)
-            if intermediate_hook is not None:
-                joined = intermediate_hook(joined)
-        return joined
+        return join_attrs
+
+    def _sampled_join(
+        self, tables: Mapping[str, Table], intermediate_hook, lineage: JoinLineage | None
+    ) -> tuple[Table, JoinLineage | None]:
+        """The join along the tree with every intermediate re-sampled by the hook.
+
+        Returns the final join and, when the hook fired, its
+        :class:`~repro.relational.joins.JoinLineage`.  Given that lineage
+        (built on the same tables), no join runs: the hook's draws are
+        replayed down the lineage instead.  Otherwise the chain is joined
+        unsampled, recording origins from the first level the hook fires on,
+        and the draws are replayed down the fresh lineage, so either way the
+        hook sees the same calls as re-sampling while joining.
+        """
+        if lineage is not None:
+            return lineage.sample(intermediate_hook), lineage
+        projected = self._projected_tables(tables)
+        joined = projected[0]
+        first_keep = None
+        for edge_index, right in enumerate(projected[1:]):
+            join_attrs = self._join_attributes(edge_index, joined, right)
+            # Levels up to the first firing are never sampled, so only the
+            # levels after it need to know which row each row came from.
+            if lineage is None:
+                joined = inner_join(joined, right, join_attrs)
+                if intermediate_hook is not None:
+                    first_keep = intermediate_hook.draw(len(joined))
+                    if first_keep is not None:
+                        lineage = JoinLineage(len(joined))
+            else:
+                joined, origins = inner_join_origins(joined, right, join_attrs)
+                lineage.add_level(origins)
+        if lineage is None:
+            return joined, None
+        lineage.joined = joined
+        return lineage.sample(intermediate_hook, first_keep), lineage
 
     def joined_table(self, tables: Mapping[str, Table], *, intermediate_hook=None) -> Table:
-        """Join the (projected) instances along the tree."""
-        return self._join(self._projected_tables(tables), intermediate_hook)
+        """Join the (projected) instances along the tree.
+
+        ``intermediate_hook`` re-samples each intermediate join result (see
+        :meth:`evaluate`).
+        """
+        return self._sampled_join(tables, intermediate_hook, None)[0]
 
     def price(self, tables: Mapping[str, Table], pricing) -> float:
         """Total purchase price: Σ over non-owned instances of the projection price."""
@@ -277,9 +328,25 @@ class TargetGraph:
         *,
         intermediate_hook=None,
         ji_cache: dict[tuple, float] | None = None,
+        lineages: dict[tuple, JoinLineage] | None = None,
     ) -> TargetGraphEvaluation:
-        """Correlation, quality, weight and price of this target graph on ``tables``."""
-        joined = self._join(self._projected_tables(tables), intermediate_hook)
+        """Correlation, quality, weight and price of this target graph on ``tables``.
+
+        ``intermediate_hook`` is a correlated re-sampler of the intermediate
+        join results, such as
+        :class:`~repro.sampling.resampling.ResamplingPolicy`: its
+        ``draw(num_rows)`` returns the ascending row positions to keep, or
+        ``None`` to keep them all, and whether it keeps all must depend on
+        ``num_rows`` alone.  ``lineages`` memoises, by :meth:`signature`, the
+        join lineage of every graph on which the hook fired, so a later
+        evaluation of the same graph on the same ``tables`` re-samples
+        without joining; graphs on which it never fired get no entry.
+        """
+        key = None if lineages is None else self.signature()
+        lineage = None if key is None else lineages.get(key)
+        joined, lineage = self._sampled_join(tables, intermediate_hook, lineage)
+        if key is not None and lineage is not None:
+            lineages[key] = lineage
         correlation = attribute_set_correlation(joined, source_attributes, target_attributes)
         quality = join_quality(joined, fds)
         return TargetGraphEvaluation(

@@ -20,6 +20,10 @@ from repro.exceptions import MeasureError
 
 
 def _clean_numeric(values: Sequence[object]) -> list[float]:
+    kinds = set(map(type, values))
+    if kinds == {float} or kinds == {int}:
+        # One numeric type throughout: nothing to drop, no per-value checks.
+        return list(map(float, values))
     cleaned: list[float] = []
     for value in values:
         if value is None:

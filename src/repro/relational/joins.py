@@ -16,10 +16,19 @@ are built with vectorised run expansion (``np.repeat`` over per-row match
 counts plus an offset arithmetic gather into the concatenated match arrays)
 and the result columns are gathered by fancy indexing into object arrays; the
 emitted rows and their order are identical to the pure-python path.
+
+Inner joins emit their rows grouped by left row, in left row order, so
+joining a row subset of the left side yields exactly the join's rows whose
+left row is in that subset, in the same order.  :class:`JoinLineage` uses
+this to replay a re-sampled join chain without joining: it keeps each
+level's left-row index vector and the unsampled final join, and carries a
+sampler's kept rows down the index vectors.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import compress
 from typing import Sequence
 
 from repro.exceptions import JoinError
@@ -240,6 +249,21 @@ def inner_join(
     of the right table that collide with a left attribute name are prefixed
     with the right table's name.
     """
+    return inner_join_origins(left, right, on, name=name)[0]
+
+
+def inner_join_origins(
+    left: Table,
+    right: Table,
+    on: Sequence[str] | None = None,
+    *,
+    name: str | None = None,
+):
+    """:func:`inner_join`, plus the left row each result row came from.
+
+    The origins are ascending: a list under the pure-python backend, an
+    ``int64`` array under numpy.
+    """
     join_attrs = _resolve_join_attributes(left, right, on)
     schema, right_extra = _joined_schema(left, right, join_attrs)
     result_name = name or f"{left.name}_join_{right.name}"
@@ -259,7 +283,67 @@ def inner_join(
         columns[result_names[len(left.schema.names) + offset]] = _gather(
             right, attr, right_idx
         )
-    return Table._from_columns(result_name, schema, columns, len(left_idx))
+    return Table._from_columns(result_name, schema, columns, len(left_idx)), left_idx
+
+
+def _kept_origins(origins, kept, num_left_rows: int):
+    """Positions (ascending) of the join rows whose origin is in ``kept``."""
+    if _backend.is_array(origins):
+        np = _backend.get_numpy()
+        alive = np.zeros(num_left_rows, dtype=bool)
+        alive[np.asarray(kept, dtype=np.int64)] = True
+        return np.flatnonzero(alive[origins])
+    alive = set(kept)
+    return list(compress(range(len(origins)), map(alive.__contains__, origins)))
+
+
+def _pick(rows, keep):
+    """``rows[k]`` for each position ``k`` of ``keep``."""
+    if _backend.is_array(rows):
+        np = _backend.get_numpy()
+        return rows[np.asarray(keep, dtype=np.int64)]
+    return list(map(rows.__getitem__, keep))
+
+
+class JoinLineage:
+    """A left-deep join chain from the first level a sampler re-sampled on.
+
+    ``fired_rows`` is that level's row count; ``origins`` holds, for each
+    later level, the row of the level before that each of its rows came
+    from; ``joined`` is the unsampled final join.  Whether a sampler fires
+    depends on the row count alone, and the levels before the first firing
+    are never sampled, so every replay fires first at the same level.
+    """
+
+    __slots__ = ("fired_rows", "origins", "joined")
+
+    def __init__(self, fired_rows: int) -> None:
+        self.fired_rows = fired_rows
+        self.origins: list = []
+        self.joined: Table | None = None
+
+    def add_level(self, origins) -> None:
+        """Record the next level's origins (lists are packed into ``int64``)."""
+        self.origins.append(origins if _backend.is_array(origins) else array("q", origins))
+
+    def sample(self, sampler, first_keep: list[int] | None = None) -> Table:
+        """The final join as re-sampling every level with ``sampler`` makes it.
+
+        ``sampler.draw(num_rows)`` returns the ascending positions to keep,
+        or ``None`` to keep all; it is called once per level from the first
+        re-sampled one on, with the row count the sampled chain has there —
+        the same calls, in the same order, as sampling while joining.
+        ``first_keep`` is the first level's draw when it was already made.
+        """
+        keep = first_keep if first_keep is not None else sampler.draw(self.fired_rows)
+        rows = range(self.fired_rows) if keep is None else keep
+        num_rows = self.fired_rows
+        for origins in self.origins:
+            candidates = _kept_origins(origins, rows, num_rows)
+            keep = sampler.draw(len(candidates))
+            rows = candidates if keep is None else _pick(candidates, keep)
+            num_rows = len(origins)
+        return self.joined.take(rows.tolist() if _backend.is_array(rows) else rows)
 
 
 def full_outer_join(

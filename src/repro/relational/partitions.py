@@ -6,15 +6,18 @@ of FD/AFD checking (TANE-style) and of the paper's data-quality measure: the
 quality of an instance w.r.t. an FD ``X -> Y`` is computed by comparing the
 partition on ``X`` with the partition on ``X ∪ Y``.
 
-The g3 error and AFD discovery never build those partitions: they count on the
-tables' cached dictionary codes instead (:func:`group_keys`,
-:func:`correct_from_keys`), where two rows share a key exactly when they agree
+The g3 error, AFD discovery and the correct-record sets of the quality
+measure never build those partitions: they work on the tables' cached
+dictionary codes instead (:func:`group_keys`, :func:`correct_from_keys`,
+:func:`correct_row_mask`), where two rows share a key exactly when they agree
 on every attribute.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
+from operator import eq
 from typing import Sequence
 
 from repro.relational.table import Table
@@ -130,24 +133,45 @@ def partition_error(table: Table, lhs: Sequence[str], rhs: Sequence[str]) -> flo
     return 1.0 - correct_row_count(table, lhs, rhs) / len(table)
 
 
+def correct_row_mask(table: Table, lhs: Sequence[str], rhs: Sequence[str]) -> bytes:
+    """One byte per row, 1 for the rows of ``C(D, lhs -> rhs)`` and 0 otherwise.
+
+    For every equivalence class ``eq_x`` of ``pi_lhs`` the rows of the
+    *largest* class of ``pi_{lhs ∪ rhs}`` contained in ``eq_x`` are correct;
+    ties go to the sub-class whose first row comes first, which is
+    deterministic for a given row order.  Classes are grouped on the
+    dictionary codes (:func:`group_keys`), RHS attributes that are also on
+    the LHS are dropped, and an RHS left empty keeps every row.
+    """
+    lhs = table.schema.validate_subset(lhs)
+    rhs = table.schema.validate_subset([a for a in rhs if a not in lhs])
+    rows = len(table)
+    everything = b"\x01" * rows
+    if not rhs or rows == 0:
+        return everything
+    lhs_keys, lhs_distinct = (
+        group_keys([column_codes(table, a) for a in lhs]) if lhs else ([0] * rows, 1)
+    )
+    if lhs_distinct == rows:
+        return everything
+    rhs_keys, _ = group_keys([column_codes(table, a) for a in rhs])
+    # Counter keeps first-occurrence order, so a strictly larger sub-class is
+    # the only one that displaces the current choice.
+    counts = Counter(zip(lhs_keys, rhs_keys))
+    if len(counts) == lhs_distinct:
+        return everything
+    largest: dict[int, int] = {}
+    chosen: dict[int, int] = {}
+    for (lhs_key, rhs_key), size in counts.items():
+        if size > largest.get(lhs_key, 0):
+            largest[lhs_key] = size
+            chosen[lhs_key] = rhs_key
+    return bytes(map(eq, map(chosen.__getitem__, lhs_keys), rhs_keys))
+
+
 def correct_row_indices(table: Table, lhs: Sequence[str], rhs: Sequence[str]) -> set[int]:
     """Row indices in the paper's correct-record set ``C(D, lhs -> rhs)``.
 
-    For every equivalence class ``eq_x`` of ``pi_lhs`` the *largest* equivalence
-    class of ``pi_{lhs ∪ rhs}`` contained in ``eq_x`` is kept (ties broken by
-    first occurrence, which is deterministic for a given row order).
+    The rows :func:`correct_row_mask` marks.
     """
-    validated_lhs = table.schema.validate_subset(lhs)
-    extra = [a for a in rhs if a not in validated_lhs]
-    both_partition = partition(table, list(validated_lhs) + extra)
-    lhs_len = len(validated_lhs)
-    best: dict[tuple, list[int]] = {}
-    for key, rows in both_partition.items():
-        lhs_key = key[:lhs_len]
-        current = best.get(lhs_key)
-        if current is None or len(rows) > len(current):
-            best[lhs_key] = rows
-    correct: set[int] = set()
-    for rows in best.values():
-        correct.update(rows)
-    return correct
+    return set(compress(range(len(table)), correct_row_mask(table, lhs, rhs)))

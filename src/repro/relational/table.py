@@ -159,6 +159,18 @@ def _encode_numpy(values: Sequence[Value]) -> ColumnEncoding | None:
     return ColumnEncoding(_backend.make_codes(codes), decode)
 
 
+def bernoulli_rows(num_rows: int, rate: float, rng: random.Random) -> list[int]:
+    """The row positions a Bernoulli sample at ``rate`` keeps, in ascending order.
+
+    Draws exactly one ``rng.random()`` per row, in row order, and keeps a row
+    when its draw is ``<= rate``.  Every row sampler of the library draws
+    through here, so a sample taken from a row count alone consumes the same
+    stream as sampling the table itself.
+    """
+    draw = rng.random
+    return [row for row in range(num_rows) if draw() <= rate]
+
+
 def _encode(values: Sequence[Value]) -> ColumnEncoding:
     if _backend.active_backend() == _backend.NUMPY:
         encoding = _encode_numpy(values)
@@ -573,8 +585,7 @@ class Table:
 
     def sample_rows(self, rate: float, rng: random.Random, *, name: str | None = None) -> "Table":
         """Bernoulli row sample at ``rate`` using ``rng`` (uniform, not correlated)."""
-        keep = [i for i in range(self._num_rows) if rng.random() <= rate]
-        return self.take(keep, name=name)
+        return self.take(bernoulli_rows(self._num_rows, rate, rng), name=name)
 
     # --------------------------------------------------------------- summaries
     def distinct_count(self, names: Sequence[str]) -> int:

@@ -6,6 +6,13 @@ the intermediate size: whenever an intermediate join result exceeds a
 threshold ``eta``, it is Bernoulli-sampled at a fixed re-sampling rate before
 the next join.  The estimators remain unbiased regardless of ``eta``
 (Theorem 3.2); larger ``eta`` / rate only reduces the estimator variance.
+
+A policy re-samples in one of two forms that draw the same stream:
+``policy(table)`` returns the re-sampled table (the hook of
+:func:`repro.relational.joins.join_path`), and ``policy.draw(num_rows)``
+returns only the row positions to keep, which is all a target-graph
+evaluation replaying a memoised join lineage needs
+(:class:`repro.relational.joins.JoinLineage`).
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.exceptions import SamplingError
-from repro.relational.table import Table
+from repro.relational.table import Table, bernoulli_rows
 
 
 def resample_if_large(
@@ -85,11 +92,21 @@ class ResamplingPolicy:
         self._rng = random.Random(self.seed)
         self._scale = 1.0
 
+    def draw(self, num_rows: int) -> list[int] | None:
+        """The rows to keep of an intermediate of ``num_rows`` rows, or ``None``.
+
+        ``None`` means the intermediate stays whole (it is within ``eta``, or
+        re-sampling is disabled) and consumes no randomness; otherwise the
+        ascending kept positions are drawn exactly as
+        :meth:`Table.sample_rows <repro.relational.table.Table.sample_rows>`
+        draws them.
+        """
+        if self.threshold is None or num_rows <= self.threshold or self.rate == 1.0:
+            return None
+        self._scale *= self.rate
+        return bernoulli_rows(num_rows, self.rate, self._rng)
+
     def __call__(self, intermediate: Table) -> Table:
         """Hook for :func:`repro.relational.joins.join_path`: maybe re-sample."""
-        if self.threshold is None:
-            return intermediate
-        if len(intermediate) <= self.threshold or self.rate == 1.0:
-            return intermediate
-        self._scale *= self.rate
-        return resample_if_large(intermediate, self.threshold, self.rate, self._rng)
+        keep = self.draw(len(intermediate))
+        return intermediate if keep is None else intermediate.take(keep)

@@ -175,7 +175,8 @@ def heuristic_acquisition(
         ``random.Random`` streams are rejected — Step-1 output must depend
         only on declared inputs).
     intermediate_hook:
-        Optional correlated re-sampling hook applied to intermediate joins.
+        Optional correlated re-sampler of the intermediate joins (see
+        :meth:`TargetGraph.evaluate <repro.graph.target.TargetGraph.evaluate>`).
     evaluation_cache / ji_cache:
         Optional externally-owned memo tables shared by *all* candidate
         I-graphs of this request (previously each I-graph's walk started

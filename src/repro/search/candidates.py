@@ -224,7 +224,7 @@ def enumerate_target_graphs(
                 source_instances=frozenset(join_graph.source_instances),
             )
             continue
-        per_edge_choices: list[list[frozenset[str]]] = []
+        per_edge_choices: list[tuple[frozenset[str], ...]] = []
         for left, right in zip(path, path[1:]):
             if not join_graph.has_edge(left, right):
                 per_edge_choices = []

@@ -23,17 +23,17 @@ seeded walks and keeps the best feasible target graph across all of them:
   two-step heuristic, :class:`~repro.core.dance.DANCE`, and the CLI surface
   multi-chain runs without special cases.
 
-Stochastic re-sampling hooks stay correct: each chain receives its own deep
-copy of the hook (reset to its seeded state when it exposes ``reset()``), and
+Stochastic re-sampling hooks stay correct: each chain receives its own copy
+of the hook, reset to its seeded state (see :func:`_chain_hook`), and
 evaluations during which a hook actually fired are never memoised, so the
 shared caches only ever hold hook-independent values.  This relies on one
 property custom hooks must share with
 :class:`~repro.sampling.resampling.ResamplingPolicy`: *whether* a hook fires
 on a given intermediate (and whether it consumes randomness) must be a
-deterministic function of that intermediate — e.g. a size threshold.  A hook
-that draws from its RNG even when it returns its input unchanged would let a
-cache hit (which skips hook invocations entirely) desynchronise the hook's
-RNG between executors, breaking cross-executor bit-identity.
+deterministic function of that intermediate's row count — e.g. a size
+threshold.  A hook that draws from its RNG even when it keeps every row
+would let a cache hit (which skips hook invocations entirely) desynchronise
+the hook's RNG between executors, breaking cross-executor bit-identity.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from repro.graph.join_graph import JoinGraph
 from repro.graph.target import TargetGraph, TargetGraphEvaluation
 from repro.quality.fd import FunctionalDependency
 from repro.relational.table import Table
+from repro.sampling.resampling import ResamplingPolicy
 from repro.search import shm as _shm
 from repro.search.mcmc import EXECUTORS, MCMCConfig, MCMCResult, mcmc_search
 from repro.search.plan import ExecutionPlan
@@ -264,11 +265,16 @@ def _chain_hook(intermediate_hook, chain_index: int):
     """An independent, reset copy of the re-sampling hook for one chain.
 
     Chains must not share mutable hook state (a shared RNG would make results
-    depend on chain scheduling).  Chain 0 keeps a reset deep copy too, so its
-    walk matches a fresh single-chain run with the same hook.
+    depend on chain scheduling).  Chain 0 keeps a reset copy too, so its
+    walk matches a fresh single-chain run with the same hook.  A
+    :class:`~repro.sampling.resampling.ResamplingPolicy` is rebuilt from its
+    fields, which starts the seeded stream afresh without deep-copying the
+    generator state; other hooks are deep-copied and ``reset()``.
     """
     if intermediate_hook is None:
         return None
+    if isinstance(intermediate_hook, ResamplingPolicy):
+        return replace(intermediate_hook)
     hook = copy.deepcopy(intermediate_hook)
     reset = getattr(hook, "reset", None)
     if callable(reset):

@@ -20,6 +20,7 @@ from repro.exceptions import InfeasibleAcquisitionError, SearchError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.target import TargetGraph, TargetGraphEvaluation
 from repro.quality.fd import FunctionalDependency
+from repro.relational.joins import JoinLineage
 from repro.relational.table import Table
 
 if TYPE_CHECKING:
@@ -148,25 +149,6 @@ class MCMCResult:
         return self.best_graph, self.best_evaluation
 
 
-def _graph_signature(graph: TargetGraph) -> tuple:
-    """A canonical, hashable identity of a target graph (nodes, edges, parents, projections).
-
-    Two graphs with the same signature evaluate identically on the same tables,
-    so the signature keys the walk's evaluation memo table.  The signature is
-    purely structural — instance names, edge attribute sets, projections —
-    and never contains table data or (possibly array-backed, unhashable)
-    :class:`~repro.relational.table.ColumnEncoding` objects, so the memo
-    table is valid under both columnar backends
-    (:mod:`repro.relational.backend`), which evaluate bit-identically.
-    """
-    return (
-        tuple(graph.nodes),
-        tuple(tuple(sorted(edge)) for edge in graph.edges),
-        tuple(graph.parents),
-        tuple(tuple(sorted(graph.projections[name])) for name in graph.nodes),
-    )
-
-
 def _propose_edge_swap(
     current: TargetGraph, join_graph: JoinGraph, rng: random.Random
 ) -> TargetGraph | None:
@@ -257,8 +239,10 @@ def mcmc_search(
     config:
         Iteration count, seed, and proposal mix.
     intermediate_hook:
-        Optional re-sampling hook applied to intermediate join results during
-        candidate evaluation (correlated re-sampling).
+        Optional correlated re-sampler of the intermediate join results during
+        candidate evaluation, such as
+        :class:`~repro.sampling.resampling.ResamplingPolicy` (see
+        :meth:`TargetGraph.evaluate <repro.graph.target.TargetGraph.evaluate>`).
     evaluation_cache / ji_cache:
         Optional externally-owned memo tables (any mapping supporting ``get``
         and item assignment, e.g. the lock-striped caches of
@@ -307,38 +291,30 @@ def mcmc_search(
         evaluation_cache = {}
     if ji_cache is None:
         ji_cache = {}
+    # A fired re-sampling hook makes an evaluation stochastic, and memoising
+    # it would freeze one random draw per candidate for the rest of the walk.
+    # Graphs on which the hook fired get a join lineage here instead, private
+    # to this walk: a revisit skips every join but still draws afresh.
+    lineages: dict[tuple, JoinLineage] = {}
 
     def evaluate(graph: TargetGraph) -> TargetGraphEvaluation:
-        signature = _graph_signature(graph)
+        signature = graph.signature()
         cached = evaluation_cache.get(signature)
         if cached is not None:
             result.evaluation_cache_hits += 1
             return cached
         result.evaluation_cache_misses += 1
-        # A re-sampling hook makes the evaluation stochastic, and memoising a
-        # stochastic evaluation would freeze one random draw per candidate for
-        # the rest of the walk.  The hook returns its input object unchanged
-        # when it does not fire, so track whether any intermediate was actually
-        # altered and only memoise the (then deterministic) evaluations.
-        hook = intermediate_hook
-        hook_fired = False
-        if intermediate_hook is not None:
-            def hook(intermediate, _inner=intermediate_hook):
-                nonlocal hook_fired
-                out = _inner(intermediate)
-                if out is not intermediate:
-                    hook_fired = True
-                return out
         evaluation = graph.evaluate(
             tables,
             source_attributes,
             target_attributes,
             fds,
             pricing,
-            intermediate_hook=hook,
+            intermediate_hook=intermediate_hook,
             ji_cache=ji_cache,
+            lineages=lineages,
         )
-        if not hook_fired:
+        if signature not in lineages:
             evaluation_cache[signature] = evaluation
         return evaluation
 

@@ -82,7 +82,7 @@ sampling rate) when infeasibility persists.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import itertools
 import threading
 import time
@@ -510,7 +510,9 @@ class AcquisitionService:
             pool=pool,
             pool_state=pool_state,
             mcmc_seed=seed,
-            resampling=copy.deepcopy(self.config.resampling),
+            # A policy rebuilt from its fields starts the seeded stream afresh
+            # without copying the config's generator state.
+            resampling=dataclasses.replace(self.config.resampling),
             allow_refinement=False,
         )
 

@@ -95,6 +95,7 @@ class TestPropertyFourOne:
         choices = graph.edge("l", "r").join_attribute_choices()
         weights = [graph.edge("l", "r").weights[c] for c in choices]
         assert weights == sorted(weights)
+        assert graph.edge("l", "r").join_attribute_choices() is choices  # sorted once
 
 
 class TestInstanceServices:

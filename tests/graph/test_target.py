@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.exceptions import GraphConstructionError, SearchError
@@ -153,11 +155,11 @@ class TestEvaluation:
     def test_intermediate_hook_applied(self, path_graph, tables):
         calls = []
 
-        def hook(table):
-            calls.append(len(table))
-            return table
+        def draw(num_rows):
+            calls.append(num_rows)
+            return None
 
-        path_graph.joined_table(tables, intermediate_hook=hook)
+        path_graph.joined_table(tables, intermediate_hook=SimpleNamespace(draw=draw))
         assert len(calls) == 2
 
 

@@ -6,10 +6,15 @@ copies of the original row-based algorithms as executable references and check
 the columnar versions against them on randomized tables — including ``None``
 join keys, colliding column names between the two sides, and empty tables.
 
-The g3 error and AFD discovery likewise count on dictionary codes; their
-reference is the raw-tuple partition code they replaced, which groups the
-original values (``None``, ``1 == 1.0 == True`` mixes, shared and distinct NaN
-objects) with python's own equality.
+The g3 error, AFD discovery and the quality measure's correct-record sets
+likewise work on dictionary codes; their reference is the raw-tuple
+partition code they replaced, which groups the original values (``None``,
+``1 == 1.0 == True`` mixes, shared and distinct NaN objects) with python's
+own equality.
+
+A re-sampled target-graph evaluation replays its sampler's draws down a join
+lineage instead of joining sampled intermediates; its reference joins every
+level with :func:`inner_join` and re-samples each intermediate table.
 
 The whole module runs twice, once per columnar backend (numpy and
 pure-python; see :mod:`repro.relational.backend`), so the same references
@@ -37,8 +42,11 @@ from repro.infotheory.join_informativeness import (
     join_informativeness,
     join_informativeness_from_pairs,
 )
+from repro.graph.target import TargetGraph
+from repro.pricing.models import FlatAttributePricingModel
 from repro.quality.discovery import discover_afds
 from repro.quality.fd import FunctionalDependency
+from repro.quality.measure import correct_records, join_quality
 from repro.relational.joins import (
     _build_hash_index,
     _joined_schema,
@@ -46,9 +54,15 @@ from repro.relational.joins import (
     full_outer_join,
     inner_join,
 )
-from repro.relational.partitions import correct_row_count, partition, partition_error
+from repro.relational.partitions import (
+    correct_row_count,
+    correct_row_indices,
+    partition,
+    partition_error,
+)
 from repro.relational.schema import Attribute, AttributeType, Schema
 from repro.relational.table import Table
+from repro.sampling.resampling import ResamplingPolicy
 from repro.workloads.tpce import tpce_workload
 from repro.workloads.tpch import tpch_workload
 
@@ -399,3 +413,225 @@ class TestCodeKernelG3:
             assert discover_afds(table, **options) == reference_discover_afds(
                 table, **options
             ), table.name
+
+
+# ----------------------------------------------- correct records / join quality
+def reference_correct_rows(table: Table, lhs, rhs) -> set[int]:
+    """The raw-tuple correct-record set ``C(D, lhs -> rhs)``.
+
+    Rows are grouped on tuples of their raw values; in each ``pi_lhs`` class
+    the largest ``pi_{lhs ∪ rhs}`` class wins, the earliest-seen one on a tie.
+    """
+    names = list(lhs) + [a for a in rhs if a not in lhs]
+    if len(names) == len(lhs):
+        return set(range(len(table)))
+    columns = [table.column(a) for a in names]
+    groups: dict[tuple, list[int]] = {}
+    for row, key in enumerate(zip(*columns)):
+        groups.setdefault(key, []).append(row)
+    best: dict[tuple, list[int]] = {}
+    for key, rows in groups.items():
+        current = best.get(key[: len(lhs)])
+        if current is None or len(rows) > len(current):
+            best[key[: len(lhs)]] = rows
+    return {row for rows in best.values() for row in rows}
+
+
+def reference_join_quality(table: Table, fds) -> float:
+    """The intersection of the raw-tuple correct sets, over the rows."""
+    applicable = [fd for fd in fds if all(a in table.schema for a in fd.attributes)]
+    if len(table) == 0 or not applicable:
+        return 1.0
+    correct = set(range(len(table)))
+    for fd in applicable:
+        correct &= reference_correct_rows(table, fd.lhs, (fd.rhs,))
+    return len(correct) / len(table)
+
+
+class TestCodeKernelCorrectRecords:
+    @settings(max_examples=60, deadline=None)
+    @given(fd_tables())
+    def test_correct_rows_match_reference(self, table):
+        names = list(table.schema.names)
+        for size in range(len(names) + 1):
+            for lhs in combinations(names, size):
+                for rhs in [(name,) for name in names] + [tuple(names)]:
+                    expected = reference_correct_rows(table, lhs, rhs)
+                    assert correct_row_indices(table, lhs, rhs) == expected
+                    if lhs and len(rhs) == 1 and rhs[0] not in lhs:
+                        fd = FunctionalDependency(lhs, rhs[0])
+                        assert correct_records(table, fd) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(fd_tables(), st.data())
+    def test_join_quality_matches_reference(self, table, data):
+        names = list(table.schema.names)
+        candidates = [
+            FunctionalDependency(lhs, rhs)
+            for size in (1, 2)
+            for lhs in combinations(names, size)
+            for rhs in names
+            if rhs not in lhs
+        ] + [FunctionalDependency("absent", names[0])]
+        fds = data.draw(st.lists(st.sampled_from(candidates), max_size=4))
+        assert join_quality(table, fds) == reference_join_quality(table, fds)
+
+    def test_ties_go_to_the_first_seen_sub_class(self):
+        # a=1 splits into b="x" (rows 1, 2) and b="y" (rows 0, 3): a tie that
+        # "y" wins by appearing first; a=2 has one b, so both its rows stay.
+        table = Table.from_rows(
+            "t", ["a", "b"], [(1, "y"), (1, "x"), (1, "x"), (1, "y"), (2, "z"), (2, "z")]
+        )
+        assert correct_row_indices(table, ["a"], ["b"]) == {0, 3, 4, 5}
+        assert join_quality(table, [FunctionalDependency("a", "b")]) == 4 / 6
+
+
+# ------------------------------------------------------- re-sampled join chains
+chain_keys = st.sampled_from([0, 1, 2, None])
+
+
+@st.composite
+def join_chains(draw):
+    """A tree of 2-4 small tables joined on per-edge keys, with payload columns.
+
+    Node ``i > 0`` joins its parent on ``k<i>``; every node carries a payload
+    ``v<i>`` (``v0`` numeric), so the joins grow and re-sampling can fire at
+    any level.
+    """
+    size = draw(st.integers(min_value=2, max_value=4))
+    parents = [draw(st.integers(min_value=0, max_value=i)) for i in range(size - 1)]
+    tables = {}
+    for node in range(size):
+        rows = draw(st.integers(min_value=0, max_value=9))
+        names = [f"k{node}"] if node else []
+        names += [f"k{child + 1}" for child, parent in enumerate(parents) if parent == node]
+        columns = {
+            name: draw(st.lists(chain_keys, min_size=rows, max_size=rows)) for name in names
+        }
+        payload = (
+            st.one_of(st.none(), st.integers(min_value=0, max_value=5))
+            if node == 0
+            else st.one_of(st.none(), st.sampled_from(["a", "b", "c"]))
+        )
+        columns[f"v{node}"] = draw(st.lists(payload, min_size=rows, max_size=rows))
+        numeric = {"v0"}
+        attributes = [
+            Attribute(
+                name,
+                AttributeType.NUMERICAL if name in numeric else AttributeType.CATEGORICAL,
+            )
+            for name in columns
+        ]
+        tables[f"t{node}"] = Table(f"t{node}", Schema(attributes), columns)
+    graph = TargetGraph(
+        nodes=list(tables),
+        edges=[frozenset({f"k{child}"}) for child in range(1, size)],
+        parents=parents,
+        projections={name: frozenset(table.schema.names) for name, table in tables.items()},
+    )
+    return graph, tables
+
+
+def reference_sampled_join(graph: TargetGraph, tables, policy) -> Table:
+    """Join level by level with :func:`inner_join`; re-sample each intermediate."""
+    joined = tables[graph.nodes[0]]
+    for edge_index, name in enumerate(graph.nodes[1:]):
+        right = tables[name]
+        edge = graph.edges[edge_index]
+        on = sorted(a for a in edge if a in joined.schema and a in right.schema)
+        joined = policy(inner_join(joined, right, on))
+    return joined
+
+
+def policy_state(policy: ResamplingPolicy) -> tuple:
+    return policy._rng.getstate(), policy.cumulative_scale
+
+
+class TestJoinLineage:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        join_chains(),
+        st.integers(min_value=0, max_value=2) | st.integers(min_value=0, max_value=60),
+        st.sampled_from([0.3, 0.5, 0.9]),
+        st.integers(min_value=0, max_value=20),
+    )
+    def test_lineage_replays_match_join_then_resample(self, chain, threshold, rate, seed):
+        graph, tables = chain
+        fds = [FunctionalDependency("k1", "v0")]
+        source, target = ["v0"], [f"v{len(graph.nodes) - 1}"]
+        pricing = FlatAttributePricingModel()
+        policy = ResamplingPolicy(threshold=threshold, rate=rate, seed=seed)
+        reference_policy = ResamplingPolicy(threshold=threshold, rate=rate, seed=seed)
+        lineages: dict = {}
+        # The first evaluation builds the lineage (when the policy fires), the
+        # later ones replay it; the reference joins afresh every time.
+        for _ in range(3):
+            evaluation = graph.evaluate(
+                tables,
+                source,
+                target,
+                fds,
+                pricing,
+                intermediate_hook=policy,
+                lineages=lineages,
+            )
+            reference = reference_sampled_join(graph, tables, reference_policy)
+            assert evaluation.join_rows == len(reference)
+            correlation = attribute_set_correlation(reference, source, target)
+            assert evaluation.correlation == correlation
+            assert evaluation.quality == join_quality(reference, fds)
+            assert policy_state(policy) == policy_state(reference_policy)
+        replayed = graph.joined_table(tables, intermediate_hook=policy)
+        reference = reference_sampled_join(graph, tables, reference_policy)
+        assert replayed.schema == reference.schema
+        assert list(replayed.iter_rows()) == list(reference.iter_rows())
+        assert policy_state(policy) == policy_state(reference_policy)
+
+    @pytest.mark.parametrize("threshold, firings", [(10_000, 0), (20, 1), (0, 3)])
+    def test_policy_fires_at_no_one_or_several_levels(self, threshold, firings):
+        keys = [0, 0, 1, 1, 2, 2]
+        tables = {
+            "t0": Table.from_rows("t0", ["k1", "v0"], [(k, i) for i, k in enumerate(keys)]),
+            "t1": Table.from_rows(
+                "t1", ["k1", "k2", "v1"], [(k, k, c) for k, c in zip(keys, "abcabc")]
+            ),
+            "t2": Table.from_rows(
+                "t2", ["k2", "k3", "v2"], [(k, k, c) for k, c in zip(keys, "bcabca")]
+            ),
+            "t3": Table.from_rows("t3", ["k3", "v3"], [(k, c) for k, c in zip(keys, "cab")]),
+        }
+        # Unsampled level sizes: 12, 24 and 24 rows (t3 holds key 0 twice, key 1 once).
+        graph = TargetGraph(
+            nodes=list(tables),
+            edges=[frozenset({"k1"}), frozenset({"k2"}), frozenset({"k3"})],
+            projections={name: frozenset(t.schema.names) for name, t in tables.items()},
+        )
+        drawn: list[int] = []
+        reference_policy = ResamplingPolicy(threshold=threshold, rate=0.5, seed=4)
+
+        def counting(intermediate):
+            out = reference_policy(intermediate)
+            if out is not intermediate:
+                drawn.append(len(intermediate))
+            return out
+
+        policy = ResamplingPolicy(threshold=threshold, rate=0.5, seed=4)
+        lineages: dict = {}
+        for _ in range(2):
+            drawn.clear()
+            evaluation = graph.evaluate(
+                tables,
+                ["v0"],
+                ["v3"],
+                [],
+                FlatAttributePricingModel(),
+                intermediate_hook=policy,
+                lineages=lineages,
+            )
+            reference = reference_sampled_join(graph, tables, counting)
+            assert len(drawn) == firings
+            assert evaluation.join_rows == len(reference)
+            correlation = attribute_set_correlation(reference, ["v0"], ["v3"])
+            assert evaluation.correlation == correlation
+            assert policy_state(policy) == policy_state(reference_policy)
+        assert len(lineages) == (1 if firings else 0)

@@ -19,6 +19,7 @@ from repro.graph.steiner import minimal_weight_igraph
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.quality.fd import FunctionalDependency
 from repro.relational.table import Table
+from repro.sampling.resampling import ResamplingPolicy
 from repro.search.acquisition import heuristic_acquisition
 from repro.search.candidates import build_initial_target_graph
 from repro.search.chains import (
@@ -222,6 +223,47 @@ class TestExecutorBitIdentity:
         assert result.mcmc_chain_correlations == reference.mcmc_chain_correlations
         assert result.mcmc_chains == 3
         assert result.mcmc_executor == executor
+
+    def test_executors_agree_when_the_hook_fires(self, setup):
+        """Fired evaluations replay per-walk join lineages under every executor."""
+        join_graph, initial, tables, fds = setup
+        config = MCMCConfig(iterations=40, seed=0, record_trace=True)
+        policy = ResamplingPolicy(threshold=5, rate=0.5, seed=3)
+        policy.draw(100)  # chains start from the seeded state, not from this one
+        state = policy._rng.getstate()
+
+        def run(executor):
+            return ChainScheduler(chains=3, executor=executor).run(
+                join_graph,
+                initial,
+                tables,
+                ["measure"],
+                ["label"],
+                fds,
+                budget=1e9,
+                config=config,
+                intermediate_hook=policy,
+            )
+
+        results = {executor: run(executor) for executor in EXECUTORS}
+        reference = results["serial"]
+        for result in results.values():
+            assert result.traces == reference.traces
+            assert result.chain_correlations == reference.chain_correlations
+        assert policy._rng.getstate() == state
+        single = mcmc_search(
+            join_graph,
+            initial,
+            tables,
+            ["measure"],
+            ["label"],
+            fds,
+            budget=1e9,
+            config=config,
+            intermediate_hook=ResamplingPolicy(threshold=5, rate=0.5, seed=3),
+        )
+        assert single.evaluation_cache_hits == 0  # every evaluation fired
+        assert reference.chain_results[0].trace == single.trace
 
     def test_repeated_runs_are_deterministic(self, setup):
         first = run_multi(setup, chains=3, executor="thread", seed=9)

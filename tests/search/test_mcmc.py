@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.exceptions import InfeasibleAcquisitionError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.steiner import minimal_weight_igraph
 from repro.quality.fd import FunctionalDependency
-from repro.relational.table import Table
+from repro.relational.table import Table, bernoulli_rows
 from repro.search.candidates import build_initial_target_graph
 from repro.search.mcmc import MCMCConfig, mcmc_search
 
@@ -146,9 +148,9 @@ class TestMCMCSearch:
 
         join_graph, initial, tables, fds = setup
         rng = random_module.Random(0)
-
-        def always_resample(intermediate):
-            return intermediate.sample_rows(0.9, rng)
+        always_resample = SimpleNamespace(
+            draw=lambda num_rows: bernoulli_rows(num_rows, 0.9, rng)
+        )
 
         result = mcmc_search(
             join_graph, initial, tables, ["measure"], ["label"], fds,
@@ -164,7 +166,7 @@ class TestMCMCSearch:
         result = mcmc_search(
             join_graph, initial, tables, ["measure"], ["label"], fds,
             budget=1e9, config=MCMCConfig(iterations=100, seed=0),
-            intermediate_hook=lambda intermediate: intermediate,
+            intermediate_hook=SimpleNamespace(draw=lambda num_rows: None),
         )
         assert result.evaluation_cache_hits > 0
 
