@@ -1,27 +1,31 @@
 #!/usr/bin/env python
-"""Assert the multi-chain determinism contract, offline or live.
+"""Assert the multi-chain determinism contract on live services.
 
-**JSON mode** (the original CI ``bench-smoke`` check): given a bench JSON
-produced by ``scripts/bench_hot_path.py`` — the same tiny scenario run under
-``--chains 1`` / ``--chains 4``, serial / thread / process executors, both
-columnar backends — every entry must report *exactly* the same per-query
-correlations.  Results depend only on ``(seed, chains)``, never on the
-executor, the scheduling order, or the backend.
+Both modes serve the TPC-H Q1-Q3 requests through real
+``AcquisitionService`` instances under different
+:class:`~repro.search.plan.ExecutionPlan` s and compare the served bits.
 
-**Live mode** (the CI ``shm-smoke`` check): ``--executor process
---shared-store`` serves a real workload through an ``AcquisitionService``
-under the requested :class:`~repro.search.plan.ExecutionPlan` and replays it
-serially; the served bits must agree, a mid-run ``register_source_tables``
-delta must be absorbed by the warm shared-store pool with **zero** full
-worker resyncs, and every shared-memory segment must be unlinked on close.
-A second replay lowers the re-sampling threshold ``eta`` to ``FIRED_ETA``,
-so that the correlated re-sampling hook fires on the served target graphs,
-and must agree bit for bit across the serial, thread and requested
-executors, before and after the delta.
+**Sweep** (the CI ``bench-smoke`` check, ``--sweep``): under each columnar
+backend, serve once with one chain and once per four-chain plan: serial,
+thread, and process with and without the shared columnar store.  The
+four-chain plans must agree bit for bit, one chain must match their
+correlations on this scenario, and the two backends must serve the same
+bits.  Results depend only on ``(seed, chains)``, never on the executor, the
+scheduling order, or the backend.
+
+**Executor check** (the CI ``shm-smoke`` check): ``--executor process
+--shared-store`` serves under the requested plan and replays serially; the
+served bits must agree, a mid-run ``register_source_tables`` delta must be
+absorbed by the warm shared-store pool with **zero** full worker resyncs,
+and every shared-memory segment must be unlinked on close.  A second replay
+lowers the re-sampling threshold ``eta`` to ``FIRED_ETA``, so that the
+correlated re-sampling hook fires on the served target graphs, and must
+agree bit for bit across the serial, thread and requested executors, before
+and after the delta.
 
 Usage::
 
-    python scripts/check_multichain_parity.py bench-smoke.json
+    PYTHONPATH=src python scripts/check_multichain_parity.py --sweep
     PYTHONPATH=src python scripts/check_multichain_parity.py \\
         --executor process --shared-store [--chains 3] [--scale 0.2]
 """
@@ -29,7 +33,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -44,62 +47,6 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 
-# ---------------------------------------------------------------- JSON mode
-def correlations(entry: dict) -> dict[str, float]:
-    return {
-        key: value
-        for key, value in entry.items()
-        if key.startswith("acquire_") and key.endswith("_correlation")
-    }
-
-
-def describe(entry: dict) -> str:
-    scenario = entry.get("scenario", {})
-    return (
-        f"backend={entry.get('backend')} chains={scenario.get('chains')} "
-        f"executor={scenario.get('executor')}"
-    )
-
-
-def check_json(path: Path) -> int:
-    entries = json.loads(path.read_text())
-    if len(entries) < 2:
-        print(f"error: {path} holds {len(entries)} entries; need >= 2 to compare")
-        return 1
-
-    reference = correlations(entries[0])
-    if not reference:
-        print(f"error: first entry of {path} has no acquire_*_correlation keys")
-        return 1
-
-    failures = 0
-    for entry in entries[1:]:
-        current = correlations(entry)
-        if set(current) != set(reference):
-            print(f"MISMATCH [{describe(entry)}]: query set differs: "
-                  f"{sorted(current)} vs {sorted(reference)}")
-            failures += 1
-            continue
-        for key, expected in reference.items():
-            if current[key] != expected:
-                print(
-                    f"MISMATCH [{describe(entry)}] {key}: "
-                    f"{current[key]!r} != {expected!r} [{describe(entries[0])}]"
-                )
-                failures += 1
-
-    if failures:
-        print(f"\n{failures} correlation mismatch(es) across {len(entries)} entries")
-        return 1
-    print(
-        f"OK: {len(entries)} entries agree bit-for-bit on "
-        f"{len(reference)} correlation(s): "
-        + ", ".join(f"{key}={value}" for key, value in sorted(reference.items()))
-    )
-    return 0
-
-
-# ---------------------------------------------------------------- live mode
 def fingerprint(result) -> tuple:
     return (
         tuple(result.target_graph.nodes),
@@ -112,22 +59,11 @@ def fingerprint(result) -> tuple:
     )
 
 
-def check_live(args) -> int:
-    from repro.core.config import DanceConfig, ServiceConfig
-    from repro.marketplace.dataset import MarketplaceDataset
-    from repro.marketplace.market import Marketplace
+def tpch_requests(workload) -> list:
     from repro.marketplace.shopper import AcquisitionRequest
-    from repro.pricing.models import EntropyPricingModel
-    from repro.sampling.resampling import ResamplingPolicy
-    from repro.search.mcmc import MCMCConfig
-    from repro.search.plan import ExecutionPlan
-    from repro.search.shm import live_segments
-    from repro.service import AcquisitionService
     from repro.workloads.queries import queries_for
-    from repro.workloads.tpch import tpch_workload
 
-    workload = tpch_workload(scale=args.scale, seed=0)
-    requests = [
+    return [
         AcquisitionRequest(
             source_attributes=list(query.source_attributes),
             target_attributes=list(query.target_attributes),
@@ -135,6 +71,104 @@ def check_live(args) -> int:
         )
         for query in queries_for(workload).values()
     ]
+
+
+def build_marketplace(workload):
+    from repro.marketplace.dataset import MarketplaceDataset
+    from repro.marketplace.market import Marketplace
+    from repro.pricing.models import EntropyPricingModel
+
+    pricing = EntropyPricingModel()
+    marketplace = Marketplace(default_pricing=pricing)
+    for name in workload.tables:
+        marketplace.host(
+            MarketplaceDataset(table=workload.dirty_or_clean(name), pricing=pricing)
+        )
+    return marketplace
+
+
+def check_sweep(args) -> int:
+    from repro.core.config import DanceConfig, ServiceConfig
+    from repro.relational import backend as columnar_backend
+    from repro.search.mcmc import MCMCConfig
+    from repro.search.plan import ExecutionPlan
+    from repro.search.shm import live_segments
+    from repro.service import AcquisitionService
+    from repro.workloads.tpch import tpch_workload
+
+    if not columnar_backend.numpy_available():
+        print("FAIL: numpy is not importable; the sweep compares both backends")
+        return 1
+    single = ExecutionPlan(executor="serial", chains=1)
+    plans = [single] + [
+        ExecutionPlan(executor=executor, chains=4, shared_store=shared_store)
+        for executor, shared_store in (
+            ("serial", None),
+            ("thread", None),
+            ("process", False),
+            ("process", True),
+        )
+    ]
+    served: dict[tuple[str, str], list[tuple]] = {}
+    failures = 0
+    for backend in ("python", "numpy"):
+        with columnar_backend.use_backend(backend):
+            # Rebuilt per backend, so every encoding is built by that backend.
+            workload = tpch_workload(scale=args.scale, seed=0)
+            requests = tpch_requests(workload)
+            for plan in plans:
+                config = DanceConfig(
+                    sampling_rate=0.5,
+                    mcmc=MCMCConfig(iterations=args.iterations, seed=0),
+                    plan=plan,
+                    service=ServiceConfig(max_batch_workers=1),
+                )
+                with AcquisitionService(build_marketplace(workload), config) as service:
+                    served[backend, plan.spec()] = [
+                        fingerprint(service.acquire(request)) for request in requests
+                    ]
+                    if plan.shared_store and service.describe()["shared_store"] is None:
+                        failures += 1
+                        print(f"FAIL [backend={backend} plan={plan.spec()}]: no shared store")
+
+    reference_key = ("python", plans[1].spec())
+    reference = served[reference_key]
+    for key, fingerprints in served.items():
+        if key[1] == single.spec():
+            # One chain and four chains are different walks; on this scenario
+            # they find the same correlations.
+            same = [f[2] for f in fingerprints] == [f[2] for f in reference]
+        else:
+            same = fingerprints == reference
+        if not same:
+            failures += 1
+            print(f"MISMATCH [backend={key[0]} plan={key[1]}] differs from {reference_key}")
+    leaked = live_segments()
+    if leaked:
+        failures += 1
+        print(f"FAIL: leaked shared-memory segments after close: {leaked}")
+    if failures:
+        print(f"\n{failures} sweep failure(s)")
+        return 1
+    correlations = ", ".join(repr(f[2]) for f in reference)
+    print(
+        f"OK: {len(served)} (backend, plan) runs of {len(reference)} requests agree "
+        f"(plans: {', '.join(plan.spec() for plan in plans)}); correlations: {correlations}"
+    )
+    return 0
+
+
+def check_live(args) -> int:
+    from repro.core.config import DanceConfig, ServiceConfig
+    from repro.sampling.resampling import ResamplingPolicy
+    from repro.search.mcmc import MCMCConfig
+    from repro.search.plan import ExecutionPlan
+    from repro.search.shm import live_segments
+    from repro.service import AcquisitionService
+    from repro.workloads.tpch import tpch_workload
+
+    workload = tpch_workload(scale=args.scale, seed=0)
+    requests = tpch_requests(workload)
     # A clean variant of a hosted instance: registering it is a replacement,
     # which the shared-store pool must absorb as a versioned delta.
     delta_name = sorted(workload.tables)[0]
@@ -144,15 +178,6 @@ def check_live(args) -> int:
         chains=args.chains,
         shared_store=True if args.shared_store else None,
     )
-
-    def build_marketplace() -> Marketplace:
-        pricing = EntropyPricingModel()
-        marketplace = Marketplace(default_pricing=pricing)
-        for name in workload.tables:
-            marketplace.host(
-                MarketplaceDataset(table=workload.dirty_or_clean(name), pricing=pricing)
-            )
-        return marketplace
 
     def replay(plans, resampling: ResamplingPolicy) -> tuple[list, int, int]:
         """Serve every plan cold and after the delta; compare with the first plan.
@@ -170,7 +195,7 @@ def check_live(args) -> int:
                 resampling=resampling,
                 service=ServiceConfig(max_batch_workers=1),
             )
-            with AcquisitionService(build_marketplace(), config) as service:
+            with AcquisitionService(build_marketplace(workload), config) as service:
                 results = [service.acquire(request) for request in requests]
                 if not outcomes:
                     fired = sum(
@@ -258,22 +283,22 @@ def fires(graph, join_graph, policy) -> bool:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("bench_json", nargs="?", type=Path,
-                        help="bench JSON to compare (JSON mode)")
+    parser.add_argument("--sweep", action="store_true",
+                        help="compare chains, executors and backends (bench-smoke)")
     parser.add_argument("--executor", default=None,
-                        help="live mode: executor to check against serial")
+                        help="executor to check against serial (shm-smoke)")
     parser.add_argument("--shared-store", action="store_true",
-                        help="live mode: force the shared columnar store on")
+                        help="with --executor: force the shared columnar store on")
     parser.add_argument("--chains", type=int, default=3)
     parser.add_argument("--scale", type=float, default=0.2)
     parser.add_argument("--iterations", type=int, default=60)
     args = parser.parse_args(argv[1:])
+    if args.sweep:
+        return check_sweep(args)
     if args.executor is not None:
         return check_live(args)
-    if args.bench_json is None:
-        parser.print_help()
-        return 2
-    return check_json(args.bench_json)
+    parser.print_help()
+    return 2
 
 
 if __name__ == "__main__":

@@ -27,13 +27,12 @@ if str(_SRC) not in sys.path:
 TIER1_COMMAND = "PYTHONPATH=src python -m pytest -x -q"
 DOCUMENTED_PATHS = [
     "examples/quickstart.py",
-    "scripts/bench_hot_path.py",
+    "scripts/check_multichain_parity.py",
     "scripts/run_experiments.py",
     "scripts/check_storage_parity.py",
     "scripts/check_serve_parity.py",
     "perfbench/run.py",
     "docs/ARCHITECTURE.md",
-    "BENCH_hotpath.json",
 ]
 
 

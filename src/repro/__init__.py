@@ -69,8 +69,8 @@ interchangeable columnar backends:
   ``DanceConfig(backend=...)``).  Both backends are bit-identical; the
   pure-python kernels remain the no-dependency fallback.
 
-``scripts/bench_hot_path.py`` tracks the resulting wall-clock numbers (for
-both backends) in ``BENCH_hotpath.json`` PR over PR.
+``perfbench/run.py`` measures the resulting throughput and latency, end to
+end and per layer, on three workloads.
 """
 
 from repro.core.config import DanceConfig

@@ -17,6 +17,7 @@ total join-informativeness weight, and total price.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -75,6 +76,11 @@ class TargetGraph:
         cannot be executed on the purchased data).
     source_instances:
         Instances owned by the shopper (their projections are free).
+
+    The fields are never mutated after construction: every change of a
+    graph (:meth:`replace_edge`, :meth:`with_projection`) builds a new one,
+    so an instance caches its :meth:`signature` and
+    :attr:`required_join_attributes`.
     """
 
     nodes: list[str]
@@ -106,26 +112,23 @@ class TargetGraph:
                 )
         self.edges = [frozenset(edge) for edge in self.edges]
         self.source_instances = frozenset(self.source_instances)
+        required = self.required_join_attributes
         for node_index, name in enumerate(self.nodes):
             if name in self.projections:
                 self.projections[name] = frozenset(self.projections[name])
             else:
-                self.projections[name] = frozenset(self._required_join_attributes(node_index))
+                self.projections[name] = required[node_index]
         self._validate_projections()
 
     # ----------------------------------------------------------------- helpers
-    def _required_join_attributes(self, node_index: int) -> set[str]:
-        """Join attributes instance ``nodes[node_index]`` participates in."""
-        required: set[str] = set()
-        for edge_index, edge in enumerate(self.edges):
-            if edge_index + 1 == node_index or self.parents[edge_index] == node_index:
-                required |= set(edge)
-        return required
+    @cached_property
+    def required_join_attributes(self) -> tuple[frozenset[str], ...]:
+        """Per node, the join attributes of every edge it is an endpoint of."""
+        return incident_join_attributes(len(self.nodes), self.edges, self.parents)
 
     def _validate_projections(self) -> None:
-        for node_index, name in enumerate(self.nodes):
-            required = self._required_join_attributes(node_index)
-            missing = required - set(self.projections[name])
+        for name, required in zip(self.nodes, self.required_join_attributes):
+            missing = required - self.projections[name]
             if missing:
                 raise GraphConstructionError(
                     f"projection of {name!r} is missing join attributes {sorted(missing)}"
@@ -151,8 +154,13 @@ class TargetGraph:
         tables, so the signature keys evaluation memos.  It is purely
         structural and never contains table data or (possibly array-backed,
         unhashable) encodings, so a memo keyed on it is valid under both
-        columnar backends, which evaluate bit-identically.
+        columnar backends, which evaluate bit-identically.  It is computed
+        once per instance.
         """
+        return self._signature
+
+    @cached_property
+    def _signature(self) -> tuple:
         return (
             tuple(self.nodes),
             tuple(tuple(sorted(edge)) for edge in self.edges),
@@ -172,24 +180,17 @@ class TargetGraph:
         """
         if not 0 <= index < len(self.edges):
             raise SearchError(f"edge index {index} out of range for {len(self.edges)} edges")
-        new_edges = list(self.edges)
-        new_edges[index] = frozenset(join_attributes)
-        replacement = TargetGraph(
-            nodes=list(self.nodes),
-            edges=new_edges,
-            parents=list(self.parents),
-            projections={},
-            source_instances=self.source_instances,
-        )
-        projections: dict[str, frozenset[str]] = {}
-        for node_index, name in enumerate(self.nodes):
-            old_required = self._required_join_attributes(node_index)
-            extras = set(self.projections[name]) - old_required
-            new_required = replacement._required_join_attributes(node_index)
-            projections[name] = frozenset(new_required | extras)
+        edges = list(self.edges)
+        edges[index] = frozenset(join_attributes)
+        old_required = self.required_join_attributes
+        new_required = incident_join_attributes(len(self.nodes), edges, self.parents)
+        projections = {
+            name: new_required[i] | (self.projections[name] - old_required[i])
+            for i, name in enumerate(self.nodes)
+        }
         return TargetGraph(
             nodes=list(self.nodes),
-            edges=new_edges,
+            edges=edges,
             parents=list(self.parents),
             projections=projections,
             source_instances=self.source_instances,
@@ -361,6 +362,21 @@ class TargetGraph:
     def __repr__(self) -> str:
         path = " ⋈ ".join(self.nodes)
         return f"TargetGraph({path})"
+
+
+def incident_join_attributes(
+    size: int, edges: Sequence[frozenset[str]], parents: Sequence[int]
+) -> tuple[frozenset[str], ...]:
+    """Per node of a ``size``-node tree, the union of its incident edges' attributes.
+
+    Edge ``i`` joins node ``i + 1`` to node ``parents[i]``, as in
+    :class:`TargetGraph`; one pass over the edges serves every node.
+    """
+    required: list[frozenset[str]] = [frozenset()] * size
+    for child, (parent, edge) in enumerate(zip(parents, edges), start=1):
+        required[child] |= edge
+        required[parent] |= edge
+    return tuple(required)
 
 
 def enumerate_covering_sets(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -69,13 +70,18 @@ class AcquisitionRequest:
     ) -> None:
         if not target_attributes:
             raise SearchError("an acquisition request needs at least one target attribute")
-        if budget < 0:
+        # NaN compares false with everything, so each bound is checked for it
+        # explicitly; infinity stays a valid "no limit".
+        if math.isnan(budget) or budget < 0:
             raise SearchError(f"budget must be non-negative, got {budget}")
         if not 0.0 <= min_quality <= 1.0:
             raise SearchError(f"min_quality must be in [0, 1], got {min_quality}")
-        if max_join_informativeness < 0:
-            raise SearchError("max_join_informativeness must be non-negative")
-        if deadline is not None and deadline < 0:
+        if math.isnan(max_join_informativeness) or max_join_informativeness < 0:
+            raise SearchError(
+                "max_join_informativeness must be non-negative, "
+                f"got {max_join_informativeness}"
+            )
+        if deadline is not None and (math.isnan(deadline) or deadline < 0):
             raise SearchError(f"deadline must be non-negative, got {deadline}")
         object.__setattr__(self, "source_attributes", tuple(source_attributes))
         object.__setattr__(self, "target_attributes", tuple(target_attributes))

@@ -17,7 +17,7 @@ import networkx as nx
 from repro.exceptions import SearchError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.steiner import IGraph, igraph_join_order
-from repro.graph.target import TargetGraph
+from repro.graph.target import TargetGraph, incident_join_attributes
 
 
 def _instances_covering(
@@ -168,15 +168,11 @@ def build_initial_target_graph(
         edges.append(edge.best_join_attributes)
 
     wanted = set(source_attributes) | set(target_attributes)
-    projections: dict[str, frozenset[str]] = {}
-    for index, name in enumerate(order):
-        required: set[str] = set()
-        for edge_index, edge_attrs in enumerate(edges):
-            if edge_index + 1 == index or parents[edge_index] == index:
-                required |= set(edge_attrs)
-        schema_names = set(join_graph.sample(name).schema.names)
-        required |= wanted & schema_names
-        projections[name] = frozenset(required)
+    required = incident_join_attributes(len(order), edges, parents)
+    projections = {
+        name: required[index] | (wanted & set(join_graph.sample(name).schema.names))
+        for index, name in enumerate(order)
+    }
 
     return TargetGraph(
         nodes=order,
@@ -233,21 +229,17 @@ def enumerate_target_graphs(
         if not per_edge_choices:
             continue
         emitted = 0
+        parents = list(range(len(path) - 1))
         for combination in product(*per_edge_choices):
-            projections: dict[str, frozenset[str]] = {}
-            for index, name in enumerate(path):
-                required: set[str] = set()
-                if index > 0:
-                    required |= set(combination[index - 1])
-                if index < len(combination):
-                    required |= set(combination[index])
-                schema_names = set(join_graph.sample(name).schema.names)
-                required |= wanted & schema_names
-                projections[name] = frozenset(required)
+            required = incident_join_attributes(len(path), combination, parents)
+            projections = {
+                name: required[index] | (wanted & set(join_graph.sample(name).schema.names))
+                for index, name in enumerate(path)
+            }
             yield TargetGraph(
                 nodes=list(path),
                 edges=list(combination),
-                parents=list(range(len(path) - 1)),
+                parents=list(parents),
                 projections=projections,
                 source_instances=frozenset(join_graph.source_instances),
             )

@@ -149,22 +149,48 @@ class MCMCResult:
         return self.best_graph, self.best_evaluation
 
 
-def _propose_edge_swap(
-    current: TargetGraph, join_graph: JoinGraph, rng: random.Random
-) -> TargetGraph | None:
-    """Pick a random edge and a random *different* join attribute set for it."""
-    if not current.edges:
-        return None
-    index = rng.randrange(len(current.edges))
+def _edge_alternatives(
+    current: TargetGraph, index: int, join_graph: JoinGraph
+) -> tuple[frozenset[str], ...]:
+    """The join attribute sets edge ``index`` could switch to (cheapest first)."""
     left = current.nodes[current.parents[index]]
     right = current.nodes[index + 1]
     if not join_graph.has_edge(left, right):
-        return None
+        return ()
+    attributes = current.edges[index]
     choices = join_graph.edge(left, right).join_attribute_choices()
-    alternatives = [attrs for attrs in choices if attrs != current.edges[index]]
+    return tuple(choice for choice in choices if choice != attributes)
+
+
+def _propose_edge_swap(
+    current: TargetGraph,
+    join_graph: JoinGraph,
+    rng: random.Random,
+    moves: dict[tuple[int, frozenset[str]], tuple[frozenset[str], ...]],
+    transitions: dict[tuple, TargetGraph],
+) -> TargetGraph | None:
+    """Pick a random edge and a random *different* join attribute set for it.
+
+    ``moves`` and ``transitions`` are the walk's move table and transition
+    memo (see :func:`mcmc_search`); a proposal that either of them already
+    knows costs no join-graph lookup and builds no graph.
+    """
+    edges = current.edges
+    if not edges:
+        return None
+    index = rng.randrange(len(edges))
+    key = (index, edges[index])
+    alternatives = moves.get(key)
+    if alternatives is None:
+        alternatives = moves[key] = _edge_alternatives(current, index, join_graph)
     if not alternatives:
         return None
-    return current.replace_edge(index, rng.choice(alternatives))
+    attributes = rng.choice(alternatives)
+    move = (current.signature(), index, attributes)
+    proposal = transitions.get(move)
+    if proposal is None:
+        proposal = transitions[move] = current.replace_edge(index, attributes)
+    return proposal
 
 
 def _propose_projection_flip(
@@ -176,12 +202,8 @@ def _propose_projection_flip(
     """Toggle one optional (non-join, non-requested) attribute in one projection."""
     name = rng.choice(current.nodes)
     index = current.nodes.index(name)
-    required: set[str] = set()
-    for edge_index, edge in enumerate(current.edges):
-        if edge_index + 1 == index or current.parents[edge_index] == index:
-            required |= set(edge)
     schema_names = set(join_graph.sample(name).schema.names)
-    required |= wanted & schema_names
+    required = current.required_join_attributes[index] | (wanted & schema_names)
     optional = sorted(schema_names - required)
     if not optional:
         return None
@@ -296,6 +318,15 @@ def mcmc_search(
     # Graphs on which the hook fired get a join lineage here instead, private
     # to this walk: a revisit skips every join but still draws afresh.
     lineages: dict[tuple, JoinLineage] = {}
+    # A walk never changes its nodes or parents, so an edge's alternatives
+    # depend only on the edge's index and its current join attributes: the
+    # move table reads the join graph once per such key.  The transition
+    # memo maps (current signature, edge index, chosen attributes) to the
+    # proposal, so each distinct edge swap builds its graph once.  Both
+    # tables die with the walk, and neither touches the random stream: every
+    # proposal still draws its edge and its attributes through ``rng``.
+    moves: dict[tuple[int, frozenset[str]], tuple[frozenset[str], ...]] = {}
+    transitions: dict[tuple, TargetGraph] = {}
 
     def evaluate(graph: TargetGraph) -> TargetGraphEvaluation:
         signature = graph.signature()
@@ -338,7 +369,7 @@ def mcmc_search(
         if flip_probability > 0 and rng.random() < flip_probability:
             proposal = _propose_projection_flip(current, join_graph, wanted, rng)
         if proposal is None:
-            proposal = _propose_edge_swap(current, join_graph, rng)
+            proposal = _propose_edge_swap(current, join_graph, rng, moves, transitions)
         if proposal is None:
             if record_trace:
                 result.trace.append(current_eval.correlation)

@@ -50,6 +50,16 @@ class TestAcquisitionRequest:
         with pytest.raises(SearchError):
             AcquisitionRequest([], ["disease"], budget=5.0, max_join_informativeness=-0.1)
 
+    @pytest.mark.parametrize("field", ["budget", "max_join_informativeness", "deadline"])
+    def test_nan_constraint_rejected(self, field):
+        with pytest.raises(SearchError, match=field):
+            AcquisitionRequest([], ["disease"], **{"budget": 5.0, field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["budget", "max_join_informativeness", "deadline"])
+    def test_infinite_constraint_accepted(self, field):
+        request = AcquisitionRequest([], ["disease"], **{"budget": 5.0, field: float("inf")})
+        assert getattr(request, field) == float("inf")
+
     def test_with_budget_keeps_other_fields(self):
         request = AcquisitionRequest(["age"], ["disease"], budget=5.0, min_quality=0.4)
         rebudgeted = request.with_budget(9.0)

@@ -423,6 +423,24 @@ def test_healthz_flips_during_graceful_shutdown(live_server):
         urllib.request.urlopen(f"{url}/healthz", timeout=5.0)
 
 
+def test_nan_constraints_answer_422_before_admission(live_server):
+    url = f"http://127.0.0.1:{live_server.port}"
+    spec = {"source": ["measure"], "target": ["label"]}
+    for field in ("budget", "alpha", "deadline"):
+        # json.dumps writes the bare NaN literal; float() also parses "nan".
+        for value in (float("nan"), "nan"):
+            bad = {**spec, field: value}
+            for payload in (bad, {"requests": [spec, bad]}):
+                assert (b"NaN" in json.dumps(payload).encode()) == isinstance(value, float)
+                status, _, raw = http_json(f"{url}/acquire", payload)
+                body = json.loads(raw)
+                assert (status, body["error"]["type"]) == (422, "SearchError"), payload
+    assert live_server.service.metrics()["queue"]["admitted"] == 0
+    # Infinity is still a valid "no limit".
+    status, _, raw = http_json(f"{url}/acquire", {**spec, "budget": 1e9, "alpha": "inf"})
+    assert status == 200, raw
+
+
 def test_metrics_endpoint_serves_prometheus_content_type(live_server):
     url = f"http://127.0.0.1:{live_server.port}"
     status, headers, body = http_json(f"{url}/metrics")
