@@ -11,7 +11,12 @@ thread, and process with and without the shared columnar store.  The
 four-chain plans must agree bit for bit, one chain must match their
 correlations on this scenario, and the two backends must serve the same
 bits.  Results depend only on ``(seed, chains)``, never on the executor, the
-scheduling order, or the backend.
+scheduling order, or the backend.  Every run is repeated with the
+re-sampling threshold ``eta`` lowered to ``FIRED_ETA``, so that the hook
+fires and the walks replay join lineages from their distinct-row summaries;
+there each plan must serve the same bits under both backends and the
+four-chain plans must agree bit for bit (one chain draws differently, so
+its fired answers are only compared across backends).
 
 **Executor check** (the CI ``shm-smoke`` check): ``--executor process
 --shared-store`` serves under the requested plan and replays serially; the
@@ -90,6 +95,7 @@ def build_marketplace(workload):
 def check_sweep(args) -> int:
     from repro.core.config import DanceConfig, ServiceConfig
     from repro.relational import backend as columnar_backend
+    from repro.sampling.resampling import ResamplingPolicy
     from repro.search.mcmc import MCMCConfig
     from repro.search.plan import ExecutionPlan
     from repro.search.shm import live_segments
@@ -109,40 +115,68 @@ def check_sweep(args) -> int:
             ("process", True),
         )
     ]
-    served: dict[tuple[str, str], list[tuple]] = {}
+    policies = {
+        "default": ResamplingPolicy(),
+        f"eta={FIRED_ETA}": ResamplingPolicy(threshold=FIRED_ETA, rate=0.5, seed=0),
+    }
+    served: dict[tuple[str, str, str], list[tuple]] = {}
+    fired = 0
     failures = 0
     for backend in ("python", "numpy"):
         with columnar_backend.use_backend(backend):
             # Rebuilt per backend, so every encoding is built by that backend.
             workload = tpch_workload(scale=args.scale, seed=0)
             requests = tpch_requests(workload)
-            for plan in plans:
-                config = DanceConfig(
-                    sampling_rate=0.5,
-                    mcmc=MCMCConfig(iterations=args.iterations, seed=0),
-                    plan=plan,
-                    service=ServiceConfig(max_batch_workers=1),
-                )
-                with AcquisitionService(build_marketplace(workload), config) as service:
-                    served[backend, plan.spec()] = [
-                        fingerprint(service.acquire(request)) for request in requests
-                    ]
-                    if plan.shared_store and service.describe()["shared_store"] is None:
-                        failures += 1
-                        print(f"FAIL [backend={backend} plan={plan.spec()}]: no shared store")
+            for label, resampling in policies.items():
+                for plan in plans:
+                    config = DanceConfig(
+                        sampling_rate=0.5,
+                        mcmc=MCMCConfig(iterations=args.iterations, seed=0),
+                        plan=plan,
+                        resampling=resampling,
+                        service=ServiceConfig(max_batch_workers=1),
+                    )
+                    with AcquisitionService(build_marketplace(workload), config) as service:
+                        results = [service.acquire(request) for request in requests]
+                        served[backend, label, plan.spec()] = [
+                            fingerprint(result) for result in results
+                        ]
+                        if resampling.threshold == FIRED_ETA:
+                            join_graph = service.dance.join_graph
+                            fired += sum(
+                                fires(result.target_graph, join_graph, resampling)
+                                for result in results
+                            )
+                        if plan.shared_store and service.describe()["shared_store"] is None:
+                            failures += 1
+                            print(
+                                f"FAIL [backend={backend} {label} plan={plan.spec()}]: "
+                                f"no shared store"
+                            )
 
-    reference_key = ("python", plans[1].spec())
-    reference = served[reference_key]
-    for key, fingerprints in served.items():
-        if key[1] == single.spec():
-            # One chain and four chains are different walks; on this scenario
-            # they find the same correlations.
-            same = [f[2] for f in fingerprints] == [f[2] for f in reference]
-        else:
-            same = fingerprints == reference
-        if not same:
-            failures += 1
-            print(f"MISMATCH [backend={key[0]} plan={key[1]}] differs from {reference_key}")
+    for label in policies:
+        reference_key = ("python", label, plans[1].spec())
+        reference = served[reference_key]
+        for key, fingerprints in served.items():
+            if key[1] != label:
+                continue
+            if key[2] != single.spec():
+                same = fingerprints == reference
+            elif label == "default":
+                # One chain and four chains are different walks; on this
+                # scenario they find the same correlations.
+                same = [f[2] for f in fingerprints] == [f[2] for f in reference]
+            else:
+                same = fingerprints == served["python", label, single.spec()]
+            if not same:
+                failures += 1
+                print(f"MISMATCH [backend={key[0]} {label} plan={key[2]}] differs")
+    if not fired:
+        failures += 1
+        print(
+            f"FAIL: eta={FIRED_ETA} fired on none of the served target graphs; "
+            f"lower FIRED_ETA"
+        )
     leaked = live_segments()
     if leaked:
         failures += 1
@@ -150,10 +184,13 @@ def check_sweep(args) -> int:
     if failures:
         print(f"\n{failures} sweep failure(s)")
         return 1
+    reference = served["python", "default", plans[1].spec()]
     correlations = ", ".join(repr(f[2]) for f in reference)
+    fired_runs = len(served) // len(policies) * len(reference)
     print(
-        f"OK: {len(served)} (backend, plan) runs of {len(reference)} requests agree "
-        f"(plans: {', '.join(plan.spec() for plan in plans)}); correlations: {correlations}"
+        f"OK: {len(served)} (backend, eta, plan) runs of {len(reference)} requests agree "
+        f"(plans: {', '.join(plan.spec() for plan in plans)}); correlations: "
+        f"{correlations}; eta={FIRED_ETA} fired on {fired}/{fired_runs} served graphs"
     )
     return 0
 

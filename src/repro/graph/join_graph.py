@@ -212,7 +212,11 @@ class JoinGraph:
         """JI of instances ``left`` and ``right`` on ``attrs`` (cached on the graph).
 
         Empty samples weigh 1.0 (an uninformative join), matching the
-        pessimistic default used during target-graph evaluation.
+        pessimistic default used during target-graph evaluation.  JI is
+        computed with the pair in the cache key's sorted orientation, as
+        :meth:`TargetGraph.weight <repro.graph.target.TargetGraph.weight>`
+        does: it is not bitwise symmetric, and a weight must not depend on
+        the order the caller names the pair in.
         """
         attr_set = frozenset(attrs)
         first, second = sorted((left, right))
@@ -220,7 +224,7 @@ class JoinGraph:
         cached = self._ji_cache.get(key)
         if cached is None:
             self.ji_computations += 1
-            left_table, right_table = self.sample(left), self.sample(right)
+            left_table, right_table = self.sample(first), self.sample(second)
             if len(left_table) == 0 or len(right_table) == 0:
                 cached = 1.0
             else:

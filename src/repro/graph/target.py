@@ -16,17 +16,25 @@ total join-informativeness weight, and total price.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from repro.exceptions import GraphConstructionError, SearchError
-from repro.infotheory.correlation import attribute_set_correlation
+from repro.infotheory.correlation import (
+    SortedGroups,
+    attribute_set_correlation,
+    grouped_correlation,
+)
+from repro.infotheory.cumulative import finite_floats
 from repro.infotheory.join_informativeness import join_informativeness
 from repro.quality.fd import FunctionalDependency
-from repro.quality.measure import join_quality
+from repro.quality.measure import grouped_join_quality, join_quality
 from repro.relational.joins import JoinLineage, inner_join, inner_join_origins
+from repro.relational.partitions import distinct_rows
+from repro.relational.schema import AttributeType
 from repro.relational.table import Table
 
 
@@ -234,24 +242,19 @@ class TargetGraph:
             )
         return join_attrs
 
-    def _sampled_join(
-        self, tables: Mapping[str, Table], intermediate_hook, lineage: JoinLineage | None
-    ) -> tuple[Table, JoinLineage | None]:
-        """The join along the tree with every intermediate re-sampled by the hook.
+    def _join(
+        self, tables: Mapping[str, Table], intermediate_hook
+    ) -> tuple[Table, JoinLineage | None, list[int] | None]:
+        """The unsampled join along the tree, and its lineage if the hook fired.
 
-        Returns the final join and, when the hook fired, its
-        :class:`~repro.relational.joins.JoinLineage`.  Given that lineage
-        (built on the same tables), no join runs: the hook's draws are
-        replayed down the lineage instead.  Otherwise the chain is joined
-        unsampled, recording origins from the first level the hook fires on,
-        and the draws are replayed down the fresh lineage, so either way the
-        hook sees the same calls as re-sampling while joining.
+        The chain is joined unsampled, recording origins from the first level
+        the hook fires on; the third value is that first draw.  Replaying the
+        draws down the lineage (:meth:`JoinLineage.kept_rows`) then gives the
+        hook the same calls as re-sampling while joining.
         """
-        if lineage is not None:
-            return lineage.sample(intermediate_hook), lineage
         projected = self._projected_tables(tables)
         joined = projected[0]
-        first_keep = None
+        lineage = first_keep = None
         for edge_index, right in enumerate(projected[1:]):
             join_attrs = self._join_attributes(edge_index, joined, right)
             # Levels up to the first firing are never sampled, so only the
@@ -265,10 +268,9 @@ class TargetGraph:
             else:
                 joined, origins = inner_join_origins(joined, right, join_attrs)
                 lineage.add_level(origins)
-        if lineage is None:
-            return joined, None
-        lineage.joined = joined
-        return lineage.sample(intermediate_hook, first_keep), lineage
+        if lineage is not None:
+            lineage.joined = joined
+        return joined, lineage, first_keep
 
     def joined_table(self, tables: Mapping[str, Table], *, intermediate_hook=None) -> Table:
         """Join the (projected) instances along the tree.
@@ -276,7 +278,8 @@ class TargetGraph:
         ``intermediate_hook`` re-samples each intermediate join result (see
         :meth:`evaluate`).
         """
-        return self._sampled_join(tables, intermediate_hook, None)[0]
+        joined, lineage, first_keep = self._join(tables, intermediate_hook)
+        return joined if lineage is None else lineage.sample(intermediate_hook, first_keep)
 
     def price(self, tables: Mapping[str, Table], pricing) -> float:
         """Total purchase price: Σ over non-owned instances of the projection price."""
@@ -299,10 +302,15 @@ class TargetGraph:
         ``ji_cache`` (keyed by ``(left, right, attrs)`` with the instance pair
         sorted) memoises per-edge JI across repeated evaluations against the
         same tables — the MCMC walk shares one cache for the whole search.
+        JI is not bitwise symmetric, so every term is computed in that
+        sorted orientation, as :meth:`JoinGraph.edge_weight
+        <repro.graph.join_graph.JoinGraph.edge_weight>` computes it: a
+        cached weight never depends on which caller missed first.
         """
         total = 0.0
         for left_name, right_name, join_attrs in self.edge_pairs():
-            left, right = tables[left_name], tables[right_name]
+            first, second = sorted((left_name, right_name))
+            left, right = tables[first], tables[second]
             usable = sorted(a for a in join_attrs if a in left.schema and a in right.schema)
             if not usable or len(left) == 0 or len(right) == 0:
                 total += 1.0
@@ -310,7 +318,6 @@ class TargetGraph:
             if ji_cache is None:
                 total += join_informativeness(left, right, usable)
                 continue
-            first, second = sorted((left_name, right_name))
             key = (first, second, frozenset(usable))
             cached = ji_cache.get(key)
             if cached is None:
@@ -341,27 +348,132 @@ class TargetGraph:
         ``num_rows`` alone.  ``lineages`` memoises, by :meth:`signature`, the
         join lineage of every graph on which the hook fired, so a later
         evaluation of the same graph on the same ``tables`` re-samples
-        without joining; graphs on which it never fired get no entry.
+        without joining; graphs on which it never fired get no entry.  A
+        memoised lineage also keeps a :class:`_LineageSummary` of its final
+        join, and every evaluation of it measures the kept rows from that
+        summary without gathering them.
         """
         key = None if lineages is None else self.signature()
         lineage = None if key is None else lineages.get(key)
-        joined, lineage = self._sampled_join(tables, intermediate_hook, lineage)
-        if key is not None and lineage is not None:
+        if lineage is not None:
+            rows = lineage.kept_rows(intermediate_hook)
+        else:
+            joined, lineage, first_keep = self._join(tables, intermediate_hook)
+            if lineage is None or key is None:
+                # Nothing to memoise: measure the (sampled) join row by row.
+                if lineage is not None:
+                    joined = lineage.sample(intermediate_hook, first_keep)
+                return TargetGraphEvaluation(
+                    correlation=attribute_set_correlation(
+                        joined, source_attributes, target_attributes
+                    ),
+                    quality=join_quality(joined, fds),
+                    weight=self.weight(tables, ji_cache=ji_cache),
+                    price=self.price(tables, pricing),
+                    join_rows=len(joined),
+                )
             lineages[key] = lineage
-        correlation = attribute_set_correlation(joined, source_attributes, target_attributes)
-        quality = join_quality(joined, fds)
-        return TargetGraphEvaluation(
-            correlation=correlation,
-            quality=quality,
-            weight=self.weight(tables, ji_cache=ji_cache),
-            price=self.price(tables, pricing),
-            join_rows=len(joined),
-        )
+            rows = lineage.kept_rows(intermediate_hook, first_keep)
+        request = (tuple(source_attributes), tuple(target_attributes), tuple(fds))
+        summary = lineage.summary
+        if summary is None or summary.request != request:
+            summary = lineage.summary = _LineageSummary(
+                lineage.joined,
+                request,
+                weight=self.weight(tables, ji_cache=ji_cache),
+                price=self.price(tables, pricing),
+            )
+        return summary.evaluate(rows)
 
     # ------------------------------------------------------------------ dunder
     def __repr__(self) -> str:
         path = " ⋈ ".join(self.nodes)
         return f"TargetGraph({path})"
+
+
+#: The value types a numerical source's summary takes: two of them that
+#: compare equal convert to the same float.  Other types may equal a plain
+#: number (``Decimal(1) == 1``) yet fail the per-row estimator's cleaning.
+_PLAIN_NUMBERS = frozenset({int, float, bool, type(None)})
+
+
+class _LineageSummary:
+    """A lineage's final join as its distinct rows, for one evaluation request.
+
+    ``request`` is ``(source attributes, target attributes, FDs)``.  The
+    final join's rows are grouped on every column the request reads
+    (:func:`~repro.relational.partitions.distinct_rows`), and per group the
+    summary keeps its target key code, each present source's code
+    (categorical) or float (numerical), and the LHS and RHS codes of every
+    applicable FD that some row violates on the final join (an FD that holds
+    there holds on every sample of it).  Weight and price depend only on the
+    graph and the tables, so those of the lineage's first evaluation serve
+    every later one.
+
+    A numerical source whose column holds a value the run-length kernel
+    cannot take (see :func:`~repro.infotheory.cumulative.finite_floats`)
+    sends the lineage down the per-row route: each evaluation gathers its
+    kept rows and measures them with the per-row kernels.
+    """
+
+    __slots__ = (
+        "request", "joined", "weight", "price", "group_of", "targets", "sources", "fd_keys"
+    )
+
+    def __init__(self, joined: Table, request: tuple, *, weight: float, price: float):
+        self.request = request
+        self.joined = joined
+        self.weight = weight
+        self.price = price
+        source_attributes, target_attributes, fds = request
+        schema = joined.schema
+        present_targets = [a for a in target_attributes if a in schema]
+        # Without a present target CORR is 0 and reads no source.
+        present_sources = [a for a in source_attributes if a in schema and present_targets]
+        applicable = [fd for fd in fds if fd.applies_to(joined)]
+        fd_attributes = [a for fd in applicable for a in fd.attributes]
+        read = dict.fromkeys(present_sources + present_targets + fd_attributes)
+        group_of, groups = distinct_rows(joined, list(read))
+        self.group_of: list[int] | None = group_of
+        self.targets = groups.encoded_key(present_targets).code_list()
+        self.sources: list[tuple[AttributeType, list[int] | SortedGroups]] = []
+        self.fd_keys: list[tuple[list[int], list[int]]] = []
+        for attribute in present_sources:
+            x_type = schema.type_of(attribute)
+            if x_type is not AttributeType.NUMERICAL:
+                self.sources.append((x_type, groups.encoded(attribute).code_list()))
+                continue
+            values = None
+            if set(map(type, joined.column(attribute))) <= _PLAIN_NUMBERS:
+                values = finite_floats(groups.column(attribute))
+            if values is None:
+                self.group_of = None  # the per-row route
+                return
+            self.sources.append((x_type, SortedGroups.build(values, self.targets)))
+        for fd in applicable:
+            lhs = groups.encoded_key(fd.lhs).code_list()
+            rhs = groups.encoded(fd.rhs).code_list()
+            if len(set(zip(lhs, rhs))) != len(set(lhs)):
+                self.fd_keys.append((lhs, rhs))
+
+    def evaluate(self, rows: list[int]) -> TargetGraphEvaluation:
+        """The evaluation of the final join's ``rows`` (ascending positions)."""
+        if self.group_of is None:
+            sources, targets, fds = self.request
+            sample = self.joined.take(rows)
+            correlation = attribute_set_correlation(sample, sources, targets)
+            quality = join_quality(sample, fds)
+        else:
+            counts = Counter(map(self.group_of.__getitem__, rows))
+            correlation = grouped_correlation(counts, self.targets, self.sources)
+            quality = grouped_join_quality(counts, self.fd_keys)
+        return TargetGraphEvaluation(
+            correlation=correlation,
+            quality=quality,
+            weight=self.weight,
+            price=self.price,
+            join_rows=len(rows),
+        )
 
 
 def incident_join_attributes(

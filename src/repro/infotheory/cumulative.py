@@ -8,6 +8,11 @@ numerical attribute ``X`` with the *cumulative entropy*
 estimated from the empirical CDF of the observed values.  The conditional
 cumulative entropy ``h(X | Y)`` averages ``h(X | y)`` over the conditioning
 groups (``Y`` is treated as categorical / discretised).
+
+:func:`cumulative_entropy` is the per-row estimator.  A sample given as
+sorted runs of distinct values and their counts takes
+:func:`cumulative_entropy_of_runs`, which returns the same float on finite
+values without expanding the runs.
 """
 
 from __future__ import annotations
@@ -23,17 +28,46 @@ def _clean_numeric(values: Sequence[object]) -> list[float]:
     kinds = set(map(type, values))
     if kinds == {float} or kinds == {int}:
         # One numeric type throughout: nothing to drop, no per-value checks.
-        return list(map(float, values))
-    cleaned: list[float] = []
+        numbers = values
+    else:
+        numbers = []
+        for value in values:
+            if value is None:
+                continue
+            if not isinstance(value, (int, float)):  # bools are ints
+                raise MeasureError(
+                    f"cumulative entropy requires numeric values, got {value!r}"
+                )
+            numbers.append(value)
+    try:
+        return list(map(float, numbers))
+    except OverflowError:
+        raise MeasureError(
+            "cumulative entropy requires values a float can hold, got an int beyond "
+            "float range"
+        ) from None
+
+
+def finite_floats(values: Sequence[object]) -> list[float | None] | None:
+    """``values`` (ints, floats, bools or ``None``) as floats, keeping ``None``.
+
+    Returns ``None`` instead when a value is an int beyond float range or a
+    float that is not finite: there the per-row estimator raises, or its
+    result depends on where NaNs and equal infinities fall in its sort, so
+    :func:`cumulative_entropy_of_runs` cannot stand in for it.
+    """
+    cleaned: list[float | None] = []
     for value in values:
         if value is None:
+            cleaned.append(None)
             continue
-        if isinstance(value, bool):
-            cleaned.append(float(value))
-        elif isinstance(value, (int, float)):
-            cleaned.append(float(value))
-        else:
-            raise MeasureError(f"cumulative entropy requires numeric values, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:
+            return None
+        if not math.isfinite(number):
+            return None
+        cleaned.append(number)
     return cleaned
 
 
@@ -58,6 +92,31 @@ def cumulative_entropy(values: Sequence[object]) -> float:
             continue
         p = i / n
         total -= gap * p * math.log(p)
+    return total
+
+
+def cumulative_entropy_of_runs(values: Sequence[float], counts: Sequence[int]) -> float:
+    """:func:`cumulative_entropy` of finite floats given as ascending runs.
+
+    The sample holds ``counts[i]`` copies of ``values[i]``, with ``values``
+    ascending.  Between equal order statistics the per-row loop sees a zero
+    gap and adds nothing, so it adds a term only where a run starts, with
+    ``i`` the number of values below the run.  This loop adds the same
+    terms in the same order, so the result is the same float.  Neighbouring
+    runs may hold equal values: the zero gap between them adds nothing
+    either.
+    """
+    n = sum(counts)
+    if n < 2:
+        return 0.0
+    total = 0.0
+    below = counts[0]
+    for previous, value, count in zip(values, values[1:], counts[1:]):
+        gap = value - previous
+        if gap > 0.0:
+            p = below / n
+            total -= gap * p * math.log(p)
+        below += count
     return total
 
 

@@ -313,37 +313,47 @@ class JoinLineage:
     from; ``joined`` is the unsampled final join.  Whether a sampler fires
     depends on the row count alone, and the levels before the first firing
     are never sampled, so every replay fires first at the same level.
+    ``summary`` holds what an evaluator derives from ``joined`` once for
+    all its replays (see :meth:`repro.graph.target.TargetGraph.evaluate`);
+    it lives and dies with the lineage.
     """
 
-    __slots__ = ("fired_rows", "origins", "joined")
+    __slots__ = ("fired_rows", "origins", "joined", "summary")
 
     def __init__(self, fired_rows: int) -> None:
         self.fired_rows = fired_rows
         self.origins: list = []
         self.joined: Table | None = None
+        self.summary = None
 
     def add_level(self, origins) -> None:
         """Record the next level's origins (lists are packed into ``int64``)."""
         self.origins.append(origins if _backend.is_array(origins) else array("q", origins))
 
-    def sample(self, sampler, first_keep: list[int] | None = None) -> Table:
-        """The final join as re-sampling every level with ``sampler`` makes it.
+    def kept_rows(self, sampler, first_keep: list[int] | None = None) -> list[int]:
+        """The rows of ``joined`` that re-sampling every level with ``sampler`` keeps.
 
         ``sampler.draw(num_rows)`` returns the ascending positions to keep,
         or ``None`` to keep all; it is called once per level from the first
         re-sampled one on, with the row count the sampled chain has there —
         the same calls, in the same order, as sampling while joining.
         ``first_keep`` is the first level's draw when it was already made.
+        The rows come in ascending order.
         """
         keep = first_keep if first_keep is not None else sampler.draw(self.fired_rows)
-        rows = range(self.fired_rows) if keep is None else keep
+        rows = list(range(self.fired_rows)) if keep is None else keep
         num_rows = self.fired_rows
         for origins in self.origins:
             candidates = _kept_origins(origins, rows, num_rows)
             keep = sampler.draw(len(candidates))
             rows = candidates if keep is None else _pick(candidates, keep)
             num_rows = len(origins)
-        return self.joined.take(rows.tolist() if _backend.is_array(rows) else rows)
+        return rows.tolist() if _backend.is_array(rows) else rows
+
+    def sample(self, sampler, first_keep: list[int] | None = None) -> Table:
+        """The final join as re-sampling every level with ``sampler`` makes it
+        (the rows :meth:`kept_rows` names)."""
+        return self.joined.take(self.kept_rows(sampler, first_keep))
 
 
 def full_outer_join(

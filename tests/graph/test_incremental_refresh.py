@@ -22,6 +22,7 @@ from repro.marketplace.market import Marketplace
 from repro.pricing.models import EntropyPricingModel
 from repro.quality.fd import FunctionalDependency
 from repro.relational.table import Table
+from repro.workloads.tpch import tpch_workload
 
 
 def triangle_tables() -> list[Table]:
@@ -286,3 +287,39 @@ class TestDanceIncrementalRefresh:
         fresh.register_source_tables([replacement])
         fresh.build_offline()
         assert dance.fds == fresh.fds
+
+
+class TestJoinInformativenessOrientation:
+    """JI is not bitwise symmetric, so every weight is computed in the cache
+    key's sorted orientation, whoever asks for it first."""
+
+    def test_incremental_source_weights_equal_a_cold_graph_bit_for_bit(self):
+        workload = tpch_workload(scale=0.2, seed=0)
+        pricing = EntropyPricingModel()
+        marketplace = Marketplace(default_pricing=pricing)
+        for name in workload.tables:
+            if name != "supplier":
+                marketplace.host(
+                    MarketplaceDataset(table=workload.dirty_or_clean(name), pricing=pricing)
+                )
+        dance = DANCE(marketplace, DanceConfig(sampling_rate=0.5))
+        dance.build_offline()
+        # "supplier" sorts after customer, nation and partsupp, its
+        # neighbours; the incremental path meets each pair new-side first.
+        summary = dance.register_source_tables([workload.table("supplier")])
+        assert summary["mode"] == "incremental"
+        graph = dance.join_graph
+        cold = JoinGraph(
+            {name: graph.sample(name) for name in graph.instance_names},
+            pricing=graph.pricing,
+            source_instances=tuple(graph.source_instances),
+        )
+
+        def hex_weights(join_graph: JoinGraph) -> dict:
+            return {
+                pair: {attrs: weight.hex() for attrs, weight in weights.items()}
+                for pair, weights in weight_maps(join_graph).items()
+            }
+
+        assert any("supplier" in pair for pair in weight_maps(graph))
+        assert hex_weights(graph) == hex_weights(cold)

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.exceptions import MeasureError
 from repro.infotheory.cumulative import (
     conditional_cumulative_entropy,
     cumulative_entropy,
+    cumulative_entropy_of_runs,
     cumulative_mutual_information,
+    finite_floats,
 )
+
+INF = float("inf")
+NAN = float("nan")
 
 
 class TestCumulativeEntropy:
@@ -44,6 +52,88 @@ class TestCumulativeEntropy:
 
     def test_integers_accepted(self):
         assert cumulative_entropy([1, 2, 3]) > 0.0
+
+    def test_repeated_values_add_a_term_per_run(self):
+        # Sorted [1, 1, 2, 2]: the only non-zero gap sits after two of four.
+        assert cumulative_entropy([2.0, 1.0, 2.0, 1.0]) == 0.5 * math.log(2)
+        assert cumulative_entropy([0.0, 1.0, 1.0, 3.0]).hex() == "0x1.8e62b0c64c1a5p-1"
+
+    def test_ints_bools_and_floats_mix_as_their_floats(self):
+        mixed = cumulative_entropy([1, 2.0, True, 3])
+        assert mixed.hex() == cumulative_entropy([1.0, 1.0, 2.0, 3.0]).hex()
+        assert mixed.hex() == "0x1.1fea645f0ef4ep-1"
+
+    def test_the_sign_of_zero_does_not_matter(self):
+        expected = cumulative_entropy([0.0, 0.0, 1.0]).hex()
+        assert cumulative_entropy([-0.0, 0.0, 1.0]).hex() == expected
+        assert cumulative_entropy([0.0, -0.0, 1.0]).hex() == expected
+        assert expected == "0x1.14cc29dd51033p-2"
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([1.5, INF], INF),
+            ([-INF, 0.0], INF),
+            ([-INF, INF], INF),
+            # inf - inf between equal infinities is NaN, and NaN poisons the sum
+            ([1.5, INF, INF], NAN),
+            ([-INF, -INF, 0.0], NAN),
+            ([NAN, 1.0, 2.0], NAN),
+            ([1.0, NAN, 2.0], NAN),
+        ],
+    )
+    def test_non_finite_values(self, values, expected):
+        assert cumulative_entropy(values).hex() == expected.hex()
+
+    @pytest.mark.parametrize("values", [[10**400, 1], [10**400, 1.0], [None, -(10**400)]])
+    def test_an_int_beyond_float_range_is_a_measure_error(self, values):
+        with pytest.raises(MeasureError, match="float range"):
+            cumulative_entropy(values)
+
+
+class TestRunLengthKernel:
+    """cumulative_entropy_of_runs reproduces the per-row estimator on finite runs."""
+
+    @staticmethod
+    def runs(values):
+        cleaned = sorted(value for value in finite_floats(values) if value is not None)
+        distinct = sorted(set(cleaned))
+        return distinct, [cleaned.count(value) for value in distinct]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [3.0],
+            [5.0, 5.0, 5.0],
+            [2.0, 1.0, 2.0, 1.0],
+            [0.0, 1.0, 1.0, 3.0],
+            [1, 2.0, True, 3],
+            [-0.0, 0.0, 1.0, -1.0],
+            [None, 1.0, None, 2.5, 2.5],
+            [1e300, -1e300, 0.0],
+            [2**53, 2**53 + 1, 7],
+        ],
+    )
+    def test_matches_the_per_row_estimator(self, values):
+        distinct, counts = self.runs(values)
+        expected = cumulative_entropy(values).hex()
+        assert cumulative_entropy_of_runs(distinct, counts).hex() == expected
+
+    def test_equal_neighbouring_runs_add_nothing(self):
+        # 2**53 and 2**53 + 1 are distinct ints with one float: two runs of
+        # one value, as two groups of distinct rows would give them.
+        values = [1.0, float(2**53), float(2**53 + 1), 2.0**54]
+        split = cumulative_entropy_of_runs(values, [1, 2, 1, 1])
+        merged = cumulative_entropy_of_runs([1.0, 2.0**53, 2.0**54], [1, 3, 1])
+        assert split.hex() == merged.hex()
+        assert split.hex() == cumulative_entropy([1, 2**53, 2**53, 2**53 + 1, 2**54]).hex()
+
+    def test_finite_floats_refuses_what_the_kernel_cannot_take(self):
+        assert finite_floats([1, True, None, 2.5]) == [1.0, 1.0, None, 2.5]
+        assert finite_floats([1.0, INF]) is None
+        assert finite_floats([NAN]) is None
+        assert finite_floats([10**400]) is None
 
 
 class TestConditionalCumulativeEntropy:

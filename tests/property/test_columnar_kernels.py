@@ -14,7 +14,9 @@ own equality.
 
 A re-sampled target-graph evaluation replays its sampler's draws down a join
 lineage instead of joining sampled intermediates; its reference joins every
-level with :func:`inner_join` and re-samples each intermediate table.
+level with :func:`inner_join` and re-samples each intermediate table.  It
+then measures the kept rows from the lineage's distinct-row summary; the
+reference gathers them and runs the per-row correlation and quality kernels.
 
 The whole module runs twice, once per columnar backend (numpy and
 pure-python; see :mod:`repro.relational.backend`), so the same references
@@ -42,7 +44,8 @@ from repro.infotheory.join_informativeness import (
     join_informativeness,
     join_informativeness_from_pairs,
 )
-from repro.graph.target import TargetGraph
+from repro.exceptions import MeasureError
+from repro.graph.target import TargetGraph, _LineageSummary
 from repro.pricing.models import FlatAttributePricingModel
 from repro.quality.discovery import discover_afds
 from repro.quality.fd import FunctionalDependency
@@ -635,3 +638,153 @@ class TestJoinLineage:
             assert evaluation.correlation == correlation
             assert policy_state(policy) == policy_state(reference_policy)
         assert len(lineages) == (1 if firings else 0)
+
+    @staticmethod
+    def numeric_source_chain(v0):
+        """``t0(k1, v0) ⋈ t1(k1, v1)`` on six rows a side: 12 joined rows, all
+        with ``v1 == "a"``, and a numerical ``v0`` given per ``t0`` row."""
+        keys = [0, 0, 1, 1, 2, 2]
+        schema = Schema(
+            [
+                Attribute("k1", AttributeType.CATEGORICAL),
+                Attribute("v0", AttributeType.NUMERICAL),
+            ]
+        )
+        tables = {
+            "t0": Table("t0", schema, {"k1": keys, "v0": v0}),
+            "t1": Table.from_rows("t1", ["k1", "v1"], [(k, "a") for k in keys]),
+        }
+        graph = TargetGraph(
+            nodes=["t0", "t1"],
+            edges=[frozenset({"k1"})],
+            projections={name: frozenset(t.schema.names) for name, t in tables.items()},
+        )
+        return graph, tables
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_a_non_finite_source_takes_the_per_row_route(self, bad):
+        # Half the joined rows hold ``bad``: the per-row estimator subtracts
+        # inf - inf (or sorts a NaN) and returns NaN, which the run-length
+        # kernel would not reproduce.
+        graph, tables = self.numeric_source_chain([bad, 1.0, bad, 2.0, bad, 3.0])
+        policy = ResamplingPolicy(threshold=4, rate=0.9, seed=1)
+        reference_policy = ResamplingPolicy(threshold=4, rate=0.9, seed=1)
+        lineages: dict = {}
+        for _ in range(3):
+            evaluation = graph.evaluate(
+                tables, ["v0"], ["v1"], [], FlatAttributePricingModel(),
+                intermediate_hook=policy, lineages=lineages,
+            )
+            reference = reference_sampled_join(graph, tables, reference_policy)
+            expected = attribute_set_correlation(reference, ["v0"], ["v1"])
+            assert evaluation.correlation.hex() == expected.hex()
+        (lineage,) = lineages.values()
+        assert lineage.summary.group_of is None
+
+    def test_each_request_gets_its_own_summary(self):
+        # One lineage memo serves two requests on the same graph.  v0 is 1.0
+        # under k1 = 0 and 2 and 2.0 under k1 = 0 and 1, so the requests'
+        # correlations differ and v0 -> k1 is violated.
+        graph, tables = self.numeric_source_chain([1.0, 2.0, 2.0, 5.0, 1.0, 7.0])
+        policy = ResamplingPolicy(threshold=4, rate=0.7, seed=3)
+        reference_policy = ResamplingPolicy(threshold=4, rate=0.7, seed=3)
+        requests = [(["v0"], ["k1"], []), (["k1"], ["v0"], [FunctionalDependency("v0", "k1")])]
+        lineages: dict = {}
+        for sources, targets, fds in requests * 2:
+            evaluation = graph.evaluate(
+                tables, sources, targets, fds, FlatAttributePricingModel(),
+                intermediate_hook=policy, lineages=lineages,
+            )
+            reference = reference_sampled_join(graph, tables, reference_policy)
+            expected = attribute_set_correlation(reference, sources, targets)
+            assert evaluation.correlation.hex() == expected.hex()
+            assert evaluation.quality == join_quality(reference, fds)
+
+    def test_an_int_beyond_float_range_fails_as_a_measure_error(self):
+        graph, tables = self.numeric_source_chain([10**400] * 6)
+        policy = ResamplingPolicy(threshold=4, rate=0.9, seed=1)
+        lineages: dict = {}
+        for _ in range(2):
+            with pytest.raises(MeasureError, match="float range"):
+                graph.evaluate(
+                    tables, ["v0"], ["v1"], [], FlatAttributePricingModel(),
+                    intermediate_hook=policy, lineages=lineages,
+                )
+
+
+# ------------------------------------------------ distinct-row (grouped) measures
+numeric_value_kinds = [
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([0.0, -0.0, 1.5, 2.5]),
+    st.one_of(st.none(), st.sampled_from([0, 1, 1.0, True, 2, 2.5, -0.0, 0.0])),
+]
+
+
+@st.composite
+def summarised_joins(draw):
+    """A final join, an evaluation request on it and the rows a replay keeps.
+
+    ``num`` is a numerical source; ``cat``, the targets ``t0``/``t1`` and the
+    FD columns ``f0``/``f1`` draw from the value kinds of :func:`fd_tables`
+    (``None``, ``1 == 1.0 == True``, NaN objects).  Small domains make
+    repeated rows, FD violations and tied sub-classes common.
+    """
+    rows = draw(st.integers(min_value=0, max_value=40))
+
+    def column(kinds):
+        return draw(st.lists(draw(st.sampled_from(kinds)), min_size=rows, max_size=rows))
+
+    columns = {"num": column(numeric_value_kinds)}
+    for name in ("cat", "t0", "t1", "f0", "f1"):
+        columns[name] = column(fd_value_kinds)
+    schema = Schema(
+        [Attribute("num", AttributeType.NUMERICAL)]
+        + [Attribute(name, AttributeType.CATEGORICAL) for name in list(columns)[1:]]
+    )
+    table = Table("joined", schema, columns)
+    sources = draw(
+        st.lists(
+            st.sampled_from(["num", "cat", "absent"]), min_size=1, max_size=3, unique=True
+        )
+    )
+    targets = draw(st.sampled_from([["t0"], ["t0", "t1"], ["t1", "f0"], ["absent"]]))
+    names = ["f0", "f1", "t0", "cat", "num"]
+    candidates = [
+        FunctionalDependency(lhs, rhs)
+        for size in (1, 2)
+        for lhs in combinations(names, size)
+        for rhs in names
+        if rhs not in lhs
+    ] + [FunctionalDependency("absent", "f0")]
+    fds = draw(st.lists(st.sampled_from(candidates), max_size=3))
+    kept = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    return table, sources, targets, fds, [row for row, keep in enumerate(kept) if keep]
+
+
+class TestDistinctRowMeasures:
+    @settings(max_examples=200, deadline=None)
+    @given(summarised_joins())
+    def test_grouped_measures_match_the_per_row_kernels(self, case):
+        table, sources, targets, fds, rows = case
+        request = (tuple(sources), tuple(targets), tuple(fds))
+        summary = _LineageSummary(table, request, weight=0.0, price=0.0)
+        assert summary.group_of is not None
+        evaluation = summary.evaluate(rows)
+        sample = table.take(rows)
+        correlation = attribute_set_correlation(sample, sources, targets)
+        assert evaluation.correlation.hex() == correlation.hex()
+        assert evaluation.quality.hex() == join_quality(sample, fds).hex()
+        assert evaluation.join_rows == len(rows)
+
+    def test_ties_go_to_the_first_kept_sub_class(self):
+        # Kept rows 1-3 leave a=1 with b="x" (rows 1, 2) against b="y"
+        # (row 3); all six rows tie, and "y" wins by appearing first.
+        table = Table.from_rows(
+            "t", ["a", "b"], [(1, "y"), (1, "x"), (1, "x"), (1, "y"), (2, "z"), (2, "z")]
+        )
+        fds = [FunctionalDependency("a", "b")]
+        summary = _LineageSummary(table, ((), (), tuple(fds)), weight=0.0, price=0.0)
+        for rows in ([0, 1, 2, 3, 4, 5], [1, 2, 3], [0, 3, 4]):
+            assert summary.evaluate(rows).quality == join_quality(table.take(rows), fds)
+        assert summary.evaluate(list(range(6))).quality == 4 / 6
+        assert summary.evaluate([1, 2, 3]).quality == 2 / 3

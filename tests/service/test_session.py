@@ -21,6 +21,8 @@ from repro.relational.table import Table
 from repro.search.chains import chain_seed
 from repro.search.mcmc import MCMCConfig
 from repro.service import AcquisitionService, request_seed
+from repro.workloads.queries import queries_for
+from repro.workloads.tpce import tpce_workload
 
 
 def small_marketplace() -> Marketplace:
@@ -480,3 +482,39 @@ class TestExecutionPlanPooling:
         finally:
             service.close()
         assert live_segments() == []
+
+
+class TestServedJoinInformativeness:
+    def test_served_ji_does_not_depend_on_request_order(self):
+        """A walk and the join graph share the JI cache; whichever misses
+        first, a weight is computed in the key's sorted orientation."""
+        workload = tpce_workload(scale=0.5, seed=0)
+        pricing = EntropyPricingModel()
+        queries = queries_for(workload)
+        requests = [(name, seed) for name in sorted(queries) for seed in (0, 1)]
+
+        def served(order) -> dict:
+            marketplace = Marketplace(default_pricing=pricing)
+            for name in workload.tables:
+                marketplace.host(
+                    MarketplaceDataset(table=workload.dirty_or_clean(name), pricing=pricing)
+                )
+            settings = DanceConfig(
+                sampling_rate=0.5,
+                mcmc=MCMCConfig(seed=0),
+                service=ServiceConfig(max_batch_workers=1),
+            )
+            answers = {}
+            with AcquisitionService(marketplace, settings) as service:
+                for name, seed in order:
+                    query = queries[name]
+                    request = AcquisitionRequest(
+                        list(query.source_attributes),
+                        list(query.target_attributes),
+                        budget=1000.0,
+                    )
+                    result = service.acquire(request, seed=seed)
+                    answers[name, seed] = result.estimated_join_informativeness.hex()
+            return answers
+
+        assert served(requests) == served(requests[::-1])
