@@ -22,11 +22,12 @@ its fired answers are only compared across backends).
 --shared-store`` serves under the requested plan and replays serially; the
 served bits must agree, a mid-run ``register_source_tables`` delta must be
 absorbed by the warm shared-store pool with **zero** full worker resyncs,
-and every shared-memory segment must be unlinked on close.  A second replay
-lowers the re-sampling threshold ``eta`` to ``FIRED_ETA``, so that the
-correlated re-sampling hook fires on the served target graphs, and must
-agree bit for bit across the serial, thread and requested executors, before
-and after the delta.
+no worker may unpickle the pinned worker spec more than once per published
+version, and every shared-memory segment must be unlinked on close.  A
+second replay lowers the re-sampling threshold ``eta`` to ``FIRED_ETA``, so
+that the correlated re-sampling hook fires on the served target graphs, and
+must agree bit for bit across the serial, thread and requested executors,
+before and after the delta.
 
 Usage::
 
@@ -272,6 +273,15 @@ def check_live(args) -> int:
                         print(
                             f"FAIL [{plan.spec()}, {label}]: no update was published: "
                             f"{store_stats}"
+                        )
+                    # A worker unpickles the pinned spec at most once per
+                    # published version; a per-payload re-read would not.
+                    versions = 1 + store_stats["deltas_published"] + store_stats["rebases"]
+                    if store_stats["worker_spec_loads"] > plan.resolved_workers() * versions:
+                        failures += 1
+                        print(
+                            f"FAIL [{plan.spec()}, {label}]: workers re-read the pinned "
+                            f"spec more than once per version: {store_stats}"
                         )
         return outcomes, failures, fired
 

@@ -19,7 +19,7 @@ from repro.graph.target import TargetGraph, TargetGraphEvaluation
 from repro.quality.fd import FunctionalDependency
 from repro.relational.table import Table
 from repro.search.candidates import build_initial_target_graph, terminal_instances
-from repro.search.chains import ChainPoolState, MultiChainResult
+from repro.search.chains import ChainPoolState, ChainScheduler, MultiChainResult
 from repro.search.mcmc import MCMCConfig, MCMCResult, mcmc_search
 from repro.search.plan import ExecutionPlan
 
@@ -40,8 +40,8 @@ class SearchRuntime:
         context — the service namespaces it per request signature; the JI
         cache keys are structural and safe to share service-wide.
     ``pool`` / ``pool_state``
-        A persistent executor serving every multi-chain ``mcmc_search`` call
-        (see :class:`~repro.search.chains.ChainScheduler`).
+        A persistent executor serving every multi-chain dispatch (see
+        :class:`~repro.search.chains.ChainScheduler`).
     ``step1_cache``
         Session-scoped memo for Step 1 (``minimal_weight_igraphs``), keyed on
         ``(terminal set, alpha, num_landmarks, landmark seed, graph
@@ -189,8 +189,10 @@ def heuristic_acquisition(
         skips the landmark/Steiner search entirely.  Only successful
         candidate lists are memoised; infeasibility always re-raises fresh.
     pool / pool_state:
-        Optional persistent executor (plus process-pool state) serving every
-        multi-chain ``mcmc_search`` call instead of a fresh pool per call.
+        Optional persistent executor (plus process-pool state) serving the
+        multi-chain walks instead of a fresh pool per request.  With
+        ``chains > 1`` every candidate's chains go to the executor in one
+        :meth:`~repro.search.chains.ChainScheduler.run_starts` dispatch.
 
     Raises
     ------
@@ -241,8 +243,9 @@ def heuristic_acquisition(
             step1_cache[step1_key] = candidates
     igraphs = list(candidates)[: max(1, max_igraphs)]
 
-    best_result: HeuristicResult | None = None
-    fallback_result: HeuristicResult | None = None
+    # Every start is built before any walk, so the chains of all starts can
+    # go to the executor in one dispatch.
+    starts: list[tuple[int, IGraph, TargetGraph, dict[str, Table]]] = []
     for index, igraph in enumerate(igraphs):
         try:
             initial = build_initial_target_graph(
@@ -250,30 +253,56 @@ def heuristic_acquisition(
             )
         except SearchError:
             continue
-
         tables = (
             dict(evaluation_tables)
             if evaluation_tables is not None
             else {name: join_graph.sample(name) for name in igraph.nodes}
         )
+        starts.append((index, igraph, initial, tables))
 
-        mcmc = mcmc_search(
+    constraints = dict(budget=budget, max_weight=max_weight, min_quality=min_quality)
+    config = mcmc_config or MCMCConfig()
+    walks: list[MCMCResult | MultiChainResult]
+    if config.chains > 1:
+        # Each chain walks on a reset copy of the hook, so the starts are
+        # independent and their chains share one dispatch.
+        walks = ChainScheduler(
+            chains=config.chains, executor=config.executor, pool=pool, pool_state=pool_state
+        ).run_starts(
             join_graph,
-            initial,
-            tables,
+            [(initial, tables) for _, _, initial, tables in starts],
             source_attributes,
             target_attributes,
             fds,
-            budget=budget,
-            max_weight=max_weight,
-            min_quality=min_quality,
-            config=mcmc_config,
+            **constraints,
+            config=config,
             intermediate_hook=intermediate_hook,
             evaluation_cache=evaluation_cache,
             ji_cache=ji_cache,
-            pool=pool,
-            pool_state=pool_state,
         )
+    else:
+        # One walk draws from the request's hook itself, and its stream
+        # carries from one start to the next: the walks run in order.
+        walks = [
+            mcmc_search(
+                join_graph,
+                initial,
+                tables,
+                source_attributes,
+                target_attributes,
+                fds,
+                **constraints,
+                config=config,
+                intermediate_hook=intermediate_hook,
+                evaluation_cache=evaluation_cache,
+                ji_cache=ji_cache,
+            )
+            for _, _, initial, tables in starts
+        ]
+
+    best_result: HeuristicResult | None = None
+    fallback_result: HeuristicResult | None = None
+    for (index, igraph, _, _), mcmc in zip(starts, walks):
         result = HeuristicResult(igraph=igraph, mcmc=mcmc, igraph_index=index)
         if fallback_result is None:
             fallback_result = result

@@ -166,8 +166,8 @@ class MultiChainResult:
     evaluation_cache_size: int = 0
     ji_cache_size: int = 0
     # Shared-store pools only (see repro.search.shm): summed per-call worker
-    # session accounting — cold_loads / resyncs / deltas_applied.  Empty for
-    # every other executor path.
+    # session accounting — cold_load / resyncs / deltas_applied /
+    # spec_loads.  Empty for every other executor path.
     worker_stats: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------ aggregate
@@ -368,14 +368,14 @@ def _run_chain_from_state(payload: tuple) -> tuple[MCMCResult, dict, dict]:
     )
 
 
-def _preload_shared_worker(spec: "_shm.WorkerSpec") -> None:
+def _preload_shared_worker(pinned: "_shm.PinnedSpec") -> None:
     """Shared-store pool initializer: attach and materialize once per worker.
 
     Failures are deliberately swallowed — the first chain call re-attaches
     lazily and surfaces the real error through the future instead of leaving
     the pool permanently broken from its initializer."""
     try:
-        _shm.ensure_session(spec)
+        _shm.ensure_pinned_session(pinned)
     except Exception:  # dancelint: disable=ERR301 -- pool initializer must never raise
         pass
 
@@ -384,13 +384,14 @@ def _run_chain_shared(payload: tuple) -> tuple[MCMCResult, dict, dict, dict]:
     """Run one chain against the shared-memory worker session (see shm.py).
 
     Unlike :func:`_run_chain_from_state`, the worker state is *versioned*:
-    ``ensure_session`` applies any published deltas before the walk, so a
-    warm pool survives catalog updates without teardown.  The evaluation / JI
-    memos persist inside the worker across calls (plain dicts — no lock
-    traffic); only the entries this call *added* are returned for merging, so
-    warm calls ship back almost nothing."""
+    ``ensure_pinned_session`` applies any published deltas before the walk,
+    so a warm pool survives catalog updates without teardown, and a worker
+    already at the payload's version never unpickles the spec.  The
+    evaluation / JI memos persist inside the worker across calls (plain dicts
+    — no lock traffic); only the entries this call *added* are returned for
+    merging, so warm calls ship back almost nothing."""
     (
-        spec,
+        pinned,
         table_names,
         initial,
         source_attributes,
@@ -402,7 +403,7 @@ def _run_chain_shared(payload: tuple) -> tuple[MCMCResult, dict, dict, dict]:
         intermediate_hook,
         memo_key,
     ) = payload
-    session, stats = _shm.ensure_session(spec)
+    session, stats = _shm.ensure_pinned_session(pinned)
     join_graph = session.graph
     tables = {name: join_graph.sample(name) for name in table_names}
     evaluation_cache = session.evaluation_cache(memo_key)
@@ -470,7 +471,7 @@ def shared_chain_pool(
     pool = ProcessPoolExecutor(
         max_workers=max_workers,
         initializer=_preload_shared_worker,
-        initargs=(state.spec(),),
+        initargs=(state.pinned(),),
     )
     return pool, state
 
@@ -557,7 +558,8 @@ class ChainScheduler:
         thread / process chains.  The scheduler never shuts it down, so a
         long-lived caller (the acquisition service) can amortise pool startup
         across many ``mcmc_search`` calls.  ``None`` (the default) creates and
-        disposes a private pool per :meth:`run`, the one-shot behaviour.
+        disposes a private pool per :meth:`run` or :meth:`run_starts` call,
+        the one-shot behaviour.
     pool_state:
         The state of a persistent process pool: a :class:`ChainPoolState`
         from :func:`process_chain_pool` (pickled worker state) or a
@@ -600,11 +602,15 @@ class ChainScheduler:
         self.pool = pool
         self.pool_state = pool_state
 
-    def _pool_size(self) -> int:
+    def _pool_size(self, payloads: int) -> int:
+        """The batch width of one dispatch of ``payloads`` chain payloads.
+
+        An external pool takes up to its own width; a pool built for the call
+        is never wider than the chain count."""
         if self.pool is not None:
             width = getattr(self.pool, "_max_workers", None)
             if width:
-                return max(1, min(width, self.chains))
+                return max(1, min(width, payloads))
         if self.max_workers is not None:
             return max(1, min(self.max_workers, self.chains))
         return min(self.chains, _MAX_WORKERS)
@@ -636,22 +642,66 @@ class ChainScheduler:
         process executor merges each worker's private caches into them after
         the run, so contents survive for subsequent searches either way.
         """
+        (result,) = self.run_starts(
+            join_graph,
+            [(initial, tables)],
+            source_attributes,
+            target_attributes,
+            fds,
+            budget=budget,
+            max_weight=max_weight,
+            min_quality=min_quality,
+            config=config,
+            intermediate_hook=intermediate_hook,
+            evaluation_cache=evaluation_cache,
+            ji_cache=ji_cache,
+        )
+        return result
+
+    def run_starts(
+        self,
+        join_graph: JoinGraph,
+        starts: Sequence[tuple[TargetGraph, Mapping[str, Table]]],
+        source_attributes: Sequence[str],
+        target_attributes: Sequence[str],
+        fds: Sequence[FunctionalDependency],
+        *,
+        budget: float,
+        max_weight: float = float("inf"),
+        min_quality: float = 0.0,
+        config: MCMCConfig | None = None,
+        intermediate_hook=None,
+        evaluation_cache=None,
+        ji_cache=None,
+    ) -> list[MultiChainResult]:
+        """:meth:`run` for several ``(initial graph, tables)`` starts in one dispatch.
+
+        The chain payloads are start-major (every chain of the first start,
+        then of the second, ...), go to the executor in one call, and come
+        back as one :class:`MultiChainResult` per start, in order.  Every
+        start's chains get the same seeds and reset hook copies that a
+        separate :meth:`run` would give them, so each result is that run's,
+        bit for bit.  Caller-supplied caches serve every start; without them
+        each start gets fresh caches, as a separate run would.
+        """
+        if not starts:
+            return []
         config = config or MCMCConfig()
         configs = _chain_configs(replace(config, chains=self.chains))
         covered = (
             self.executor == "process"
             and self.pool is not None
             and self.pool_state is not None
-            and self.pool_state.covers(join_graph, tables, fds)
+            and all(self.pool_state.covers(join_graph, tables, fds) for _, tables in starts)
         )
         shared_state = (
             self.pool_state
             if covered and isinstance(self.pool_state, _shm.SharedChainState)
             else None
         )
-        use_light = covered and shared_state is None
+        constraints = (source_attributes, target_attributes, budget, max_weight, min_quality)
         if shared_state is not None:
-            spec = shared_state.spec()
+            pinned = shared_state.pinned()
             # Namespacing the worker-persistent evaluation memo on the request
             # attributes mirrors the service's per-signature caches; the
             # remaining validity dimensions (samples, fds, pricing) are pinned
@@ -661,40 +711,91 @@ class ChainScheduler:
                 if shared_state.share_worker_caches
                 else None
             )
-            payloads = [
-                (
-                    spec,
-                    tuple(sorted(tables)),
-                    initial,
-                    source_attributes,
-                    target_attributes,
-                    budget,
-                    max_weight,
-                    min_quality,
-                    chain_config,
-                    _chain_hook(intermediate_hook, index),
-                    memo_key,
-                )
-                for index, chain_config in enumerate(configs)
-            ]
-        elif use_light:
-            payloads = [
-                (
-                    self.pool_state.token,
-                    tuple(sorted(tables)),
-                    initial,
-                    source_attributes,
-                    target_attributes,
-                    budget,
-                    max_weight,
-                    min_quality,
-                    chain_config,
-                    _chain_hook(intermediate_hook, index),
-                )
-                for index, chain_config in enumerate(configs)
-            ]
+            worker = _run_chain_shared
+
+            def payload(initial, tables, chain_config, hook) -> tuple:
+                names = tuple(sorted(tables))
+                return (pinned, names, initial, *constraints, chain_config, hook, memo_key)
+
+        elif covered:
+            token = self.pool_state.token
+            worker = _run_chain_from_state
+
+            def payload(initial, tables, chain_config, hook) -> tuple:
+                names = tuple(sorted(tables))
+                return (token, names, initial, *constraints, chain_config, hook)
+
         else:
-            payloads = [
+            worker = _run_chain
+
+            def payload(initial, tables, chain_config, hook) -> tuple:
+                return (
+                    join_graph,
+                    initial,
+                    tables,
+                    source_attributes,
+                    target_attributes,
+                    fds,
+                    budget,
+                    max_weight,
+                    min_quality,
+                    chain_config,
+                    hook,
+                )
+
+        payloads = [
+            payload(initial, tables, chain_config, _chain_hook(intermediate_hook, index))
+            for initial, tables in starts
+            for index, chain_config in enumerate(configs)
+        ]
+        # Only threads need lock striping; serial chains share plain dicts,
+        # so the hot loop pays no lock traffic.
+        fresh = LockStripedCache if self.executor == "thread" and self.chains > 1 else dict
+        start_caches = [
+            (
+                evaluation_cache if evaluation_cache is not None else fresh(),
+                ji_cache if ji_cache is not None else fresh(),
+            )
+            for _ in starts
+        ]
+        caches = [pair for pair in start_caches for _ in configs]
+        if self.executor == "process":
+            chain_results, chain_stats = self._run_process(
+                payloads, caches, worker=worker, shared_state=shared_state
+            )
+        else:
+            chain_results = self._run_shared(payloads, caches)
+            chain_stats = [{} for _ in payloads]
+
+        results = []
+        for start, (start_evaluations, start_ji) in enumerate(start_caches):
+            span = slice(start * len(configs), (start + 1) * len(configs))
+            worker_stats: dict = {}
+            for stats in chain_stats[span]:
+                for key, value in stats.items():
+                    worker_stats[key] = worker_stats.get(key, 0) + value
+            results.append(
+                MultiChainResult(
+                    chain_results=chain_results[span],
+                    best_chain_index=_best_chain_index(chain_results[span]),
+                    executor=self.executor,
+                    evaluation_cache_size=len(start_evaluations),
+                    ji_cache_size=len(start_ji),
+                    worker_stats=worker_stats,
+                )
+            )
+        return results
+
+    # ------------------------------------------------------------ executors
+    def _run_shared(self, payloads: list[tuple], caches: list[tuple]) -> list[MCMCResult]:
+        """Serial / thread execution over literally shared caches.
+
+        ``caches[i]`` is the ``(evaluation, JI)`` cache pair payload ``i``
+        walks on.
+        """
+
+        def run_one(item: tuple) -> MCMCResult:
+            (
                 (
                     join_graph,
                     initial,
@@ -706,68 +807,10 @@ class ChainScheduler:
                     max_weight,
                     min_quality,
                     chain_config,
-                    _chain_hook(intermediate_hook, index),
-                )
-                for index, chain_config in enumerate(configs)
-            ]
-
-        worker_stats: dict = {}
-        if self.executor == "process":
-            if shared_state is not None:
-                worker = _run_chain_shared
-            elif use_light:
-                worker = _run_chain_from_state
-            else:
-                worker = _run_chain
-            chain_results, evaluation_cache, ji_cache = self._run_process(
-                payloads,
-                evaluation_cache,
-                ji_cache,
-                worker=worker,
-                shared_state=shared_state,
-                worker_stats=worker_stats,
-            )
-        else:
-            chain_results, evaluation_cache, ji_cache = self._run_shared(
-                payloads, evaluation_cache, ji_cache
-            )
-
-        return MultiChainResult(
-            chain_results=chain_results,
-            best_chain_index=_best_chain_index(chain_results),
-            executor=self.executor,
-            evaluation_cache_size=len(evaluation_cache),
-            ji_cache_size=len(ji_cache),
-            worker_stats=worker_stats,
-        )
-
-    # ------------------------------------------------------------ executors
-    def _run_shared(self, payloads: list[tuple], evaluation_cache, ji_cache):
-        """Serial / thread execution over literally shared caches.
-
-        Only the thread pool needs lock striping; serial chains share plain
-        dicts so the hot loop pays no lock traffic.
-        """
-        threaded = self.executor == "thread" and self.chains > 1
-        if evaluation_cache is None:
-            evaluation_cache = LockStripedCache() if threaded else {}
-        if ji_cache is None:
-            ji_cache = LockStripedCache() if threaded else {}
-
-        def run_one(payload: tuple) -> MCMCResult:
-            (
-                join_graph,
-                initial,
-                tables,
-                source_attributes,
-                target_attributes,
-                fds,
-                budget,
-                max_weight,
-                min_quality,
-                chain_config,
-                hook,
-            ) = payload
+                    hook,
+                ),
+                (evaluation_cache, ji_cache),
+            ) = item
             return mcmc_search(
                 join_graph,
                 initial,
@@ -784,71 +827,59 @@ class ChainScheduler:
                 ji_cache=ji_cache,
             )
 
+        items = list(zip(payloads, caches))
         if self.executor == "thread" and self.chains > 1:
             if self.pool is not None:
-                chain_results = list(self.pool.map(run_one, payloads))
-            else:
-                with ThreadPoolExecutor(max_workers=self._pool_size()) as pool:
-                    chain_results = list(pool.map(run_one, payloads))
-        else:
-            chain_results = [run_one(payload) for payload in payloads]
-        return chain_results, evaluation_cache, ji_cache
+                return list(self.pool.map(run_one, items))
+            with ThreadPoolExecutor(max_workers=self._pool_size(len(items))) as pool:
+                return list(pool.map(run_one, items))
+        return [run_one(item) for item in items]
 
     def _run_process(
         self,
         payloads: list[tuple],
-        evaluation_cache,
-        ji_cache,
+        caches: list[tuple],
         *,
         worker=_run_chain,
         shared_state: "_shm.SharedChainState | None" = None,
-        worker_stats: dict | None = None,
-    ):
+    ) -> tuple[list[MCMCResult], list[dict]]:
         """Process execution: private caches per worker, merged afterwards.
 
-        Shared-store workers (:func:`_run_chain_shared`) return a fourth
-        element — per-call session stats — which is summed into
-        ``worker_stats`` and reported to the parent-side ``shared_state``."""
-        merged_evaluations = evaluation_cache if evaluation_cache is not None else {}
-        merged_ji = ji_cache if ji_cache is not None else {}
+        Each chain's new cache entries are merged into its ``caches[i]``
+        pair.  Shared-store workers (:func:`_run_chain_shared`) return a
+        fourth element, per-call session stats, which is returned per chain
+        and reported to the parent-side ``shared_state``."""
         chain_results: list[MCMCResult] = []
+        chain_stats: list[dict] = []
 
-        def collect(outcomes) -> None:
-            for outcome in outcomes:
-                if len(outcome) == 4:
-                    result, chain_evaluations, chain_ji, stats = outcome
-                    if worker_stats is not None:
-                        for key, value in stats.items():
-                            worker_stats[key] = worker_stats.get(key, 0) + value
-                    if shared_state is not None:
-                        shared_state.note_worker_stats(stats)
-                else:
-                    result, chain_evaluations, chain_ji = outcome
+        def collect(outcome_lists) -> None:
+            outcomes = (outcome for outcomes in outcome_lists for outcome in outcomes)
+            for (evaluation_cache, ji_cache), outcome in zip(caches, outcomes):
+                result, chain_evaluations, chain_ji, *rest = outcome
+                stats = rest[0] if rest else {}
+                if shared_state is not None:
+                    shared_state.note_worker_stats(stats)
                 chain_results.append(result)
-                merged_evaluations.update(chain_evaluations)
-                merged_ji.update(chain_ji)
+                chain_stats.append(stats)
+                evaluation_cache.update(chain_evaluations)
+                ji_cache.update(chain_ji)
 
         # One IPC round-trip per worker, not per chain: contiguous chunks
         # preserve chain order (map is ordered), and each worker walks its
         # chunk serially — results depend only on each chain's config, so
         # the grouping cannot change a single bit.
-        width = self._pool_size()
+        width = self._pool_size(len(payloads))
         step = max(1, -(-len(payloads) // width))
         batches = [
             (worker, tuple(payloads[start : start + step]))
             for start in range(0, len(payloads), step)
         ]
         if self.pool is not None:
-            outcome_lists = self.pool.map(_run_chain_batch, batches)
-            collect(outcome for outcomes in outcome_lists for outcome in outcomes)
+            collect(self.pool.map(_run_chain_batch, batches))
         else:
             with ProcessPoolExecutor(max_workers=width) as pool:
-                collect(
-                    outcome
-                    for outcomes in pool.map(_run_chain_batch, batches)
-                    for outcome in outcomes
-                )
-        return chain_results, merged_evaluations, merged_ji
+                collect(pool.map(_run_chain_batch, batches))
+        return chain_results, chain_stats
 
 
 def _best_chain_index(chain_results: Sequence[MCMCResult]) -> int | None:

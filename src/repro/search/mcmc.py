@@ -12,6 +12,7 @@ graph seen during the walk is returned.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, MutableMapping, Sequence
@@ -47,7 +48,8 @@ class MCMCConfig:
         Probability that a step additionally toggles one optional attribute of
         one instance's projection (an inexpensive extension of Algorithm 1 that
         lets the walk also explore AS-vertices differing in non-join
-        attributes; 0 recovers the paper's pure edge-swap proposal).
+        attributes; 0 recovers the paper's pure edge-swap proposal).  Must
+        be a finite value in ``[0, 1]``.
     chains:
         Number of independently-seeded Metropolis walks.  ``1`` (the default)
         runs the paper's single chain; larger values run a multi-chain search
@@ -78,6 +80,9 @@ class MCMCConfig:
             raise SearchError(f"iterations must be >= 0, got {self.iterations}")
         if self.chains < 1:
             raise SearchError(f"chains must be >= 1, got {self.chains}")
+        flip = self.projection_flip_probability
+        if not (math.isfinite(flip) and 0.0 <= flip <= 1.0):
+            raise SearchError(f"projection_flip_probability must be in [0, 1], got {flip}")
         if self.executor not in EXECUTORS:
             raise SearchError(
                 f"executor must be one of {EXECUTORS}, got {self.executor!r}"
@@ -362,11 +367,25 @@ def mcmc_search(
         result.best_evaluation = current_eval
     result.feasible_steps = 1 if current_feasible else 0
 
+    flip_probability = config.projection_flip_probability
+    flips = flip_probability > 0
+    if not flips and not any(
+        moves.setdefault((index, edge), _edge_alternatives(current, index, join_graph))
+        for index, edge in enumerate(current.edges)
+    ):
+        # A dead start: no flips and no edge with an alternative, so every
+        # proposal is None and the walk never moves.  Its only draws are from
+        # its private ``rng``, so stopping here changes no other stream; the
+        # result is what the loop would return.
+        result.iterations = config.iterations
+        if record_trace:
+            result.trace = [current_eval.correlation] * config.iterations
+        return result
+
     for _ in range(config.iterations):
         result.iterations += 1
         proposal: TargetGraph | None = None
-        flip_probability = config.projection_flip_probability
-        if flip_probability > 0 and rng.random() < flip_probability:
+        if flips and rng.random() < flip_probability:
             proposal = _propose_projection_flip(current, join_graph, wanted, rng)
         if proposal is None:
             proposal = _propose_edge_swap(current, join_graph, rng, moves, transitions)

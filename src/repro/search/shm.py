@@ -10,10 +10,10 @@ down whenever the catalog changed.  This module replaces both halves:
     dictionary-encoding (codes and histogram counts) plus one pickled payload
     blob per table (schema, decode values) and one store-level meta blob
     (pricing model, JI cache, FDs).  Every segment is blake2b-fingerprinted
-    and listed in a :class:`StoreManifest` — a small picklable registry that
-    rides inside chain payloads.  Workers map the int64 buffers as read-only
-    numpy views (zero copy); under the pure-python backend the same API ships
-    the codes once as ``array('q')`` bytes and rebuilds plain lists.
+    and listed in a :class:`StoreManifest` — a small picklable registry.
+    Workers map the int64 buffers as read-only numpy views (zero copy); under
+    the pure-python backend the same API ships the codes once as
+    ``array('q')`` bytes and rebuilds plain lists.
 
 ``SharedChainState``
     The parent-side version manager: publishes one *base* manifest plus an
@@ -21,7 +21,9 @@ down whenever the catalog changed.  This module replaces both halves:
     weights the incremental ``JoinGraph`` rebuild already computed).  Workers
     hold a versioned session and apply deltas keyed by ``graph_version``,
     hard-resyncing only on version gaps or a rebase — so a warm pool survives
-    ``register_source_tables`` without teardown.
+    ``register_source_tables`` without teardown.  The manifests reach workers
+    as a :class:`PinnedSpec`: the :class:`WorkerSpec` pickled once per
+    published version, which a worker already at that version never unpickles.
 
 Nothing here is numpy-specific: container types round-trip exactly
 (``ndarray`` codes come back as read-only ``ndarray`` views, list codes as
@@ -176,6 +178,20 @@ class WorkerSpec:
     @property
     def version(self) -> int:
         return self.deltas[-1].version if self.deltas else self.base.version
+
+
+@dataclass(frozen=True)
+class PinnedSpec:
+    """A :class:`WorkerSpec` pickled once per published version.
+
+    Chain payloads carry this instead of the spec: ``blob`` is the pickled
+    spec, and ``(token, version, base_fingerprint)`` is all a worker reads to
+    see that its session is already there, which skips the unpickle."""
+
+    token: str
+    version: int
+    base_fingerprint: str
+    blob: bytes
 
 
 # --------------------------------------------------------------------------
@@ -493,6 +509,24 @@ def ensure_session(spec: WorkerSpec) -> tuple[_WorkerSession, dict[str, int]]:
     return session, stats
 
 
+def ensure_pinned_session(pinned: PinnedSpec) -> tuple[_WorkerSession, dict[str, int]]:
+    """:func:`ensure_session` for a pinned spec, unpickling it only when needed.
+
+    A session already at the pinned version over the same base is returned
+    as is; any other unpickles the spec and runs :func:`ensure_session`.  The
+    stats gain ``spec_loads``: 1 when the call unpickled the spec."""
+    session = _SESSIONS.get(pinned.token)
+    if (
+        session is not None
+        and session.version == pinned.version
+        and session.base_fingerprint == pinned.base_fingerprint
+    ):
+        return session, {"cold_load": 0, "resyncs": 0, "deltas_applied": 0, "spec_loads": 0}
+    session, stats = ensure_session(pickle.loads(pinned.blob))
+    stats["spec_loads"] = 1
+    return session, stats
+
+
 def drop_session(token: str) -> None:
     """Release this process's session for ``token`` (tests / explicit resets)."""
     session = _SESSIONS.pop(token, None)
@@ -535,8 +569,10 @@ class SharedChainState:
             "worker_cold_loads": 0,
             "worker_resyncs": 0,
             "worker_deltas_applied": 0,
+            "worker_spec_loads": 0,
         }
         self._closed = False  # guarded-by: self._lock
+        self._pinned: PinnedSpec | None = None  # guarded-by: self._lock
         with self._lock:
             self._base = self._publish_base_locked(join_graph, fds, version)
 
@@ -561,6 +597,7 @@ class SharedChainState:
         self._revision = join_graph.revision  # guarded-by: self._lock
         self._fds = tuple(fds)  # guarded-by: self._lock
         self._version = version  # guarded-by: self._lock
+        self._pinned = None
         return manifest
 
     def publish_delta(
@@ -614,6 +651,7 @@ class SharedChainState:
             self._revision = join_graph.revision
             self._fds = tuple(fds)
             self._version = version
+            self._pinned = None
             self._stats["deltas_published"] += 1
 
     def rebase(
@@ -641,12 +679,28 @@ class SharedChainState:
 
     def spec(self) -> WorkerSpec:
         with self._lock:
-            return WorkerSpec(
-                token=self.token,
-                base=self._base,
-                deltas=tuple(self._deltas),
-                share_worker_caches=self.share_worker_caches,
-            )
+            return self._spec_locked()
+
+    def _spec_locked(self) -> WorkerSpec:
+        return WorkerSpec(
+            token=self.token,
+            base=self._base,
+            deltas=tuple(self._deltas),
+            share_worker_caches=self.share_worker_caches,
+        )
+
+    def pinned(self) -> PinnedSpec:
+        """The current spec, pickled once per published version."""
+        with self._lock:
+            if self._pinned is None:
+                spec = self._spec_locked()
+                self._pinned = PinnedSpec(
+                    token=self.token,
+                    version=spec.version,
+                    base_fingerprint=spec.base.fingerprint,
+                    blob=pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL),
+                )
+            return self._pinned
 
     def covers(
         self,
@@ -680,6 +734,7 @@ class SharedChainState:
             self._stats["worker_cold_loads"] += stats.get("cold_load", 0)
             self._stats["worker_resyncs"] += stats.get("resyncs", 0)
             self._stats["worker_deltas_applied"] += stats.get("deltas_applied", 0)
+            self._stats["worker_spec_loads"] += stats.get("spec_loads", 0)
 
     def stats(self) -> dict[str, int]:
         with self._lock:

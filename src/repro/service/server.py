@@ -193,9 +193,9 @@ def request_from_spec(
     applies to specs that name no ``tier`` of their own.  Raises
     :class:`~repro.exceptions.ReproError` (HTTP 400) for malformed specs:
     attributes that are not a list of strings, a ``shopper`` / ``tier``
-    that is not a string, a non-numeric constraint.  Request validation
-    itself (e.g. empty targets) raises ``SearchError`` (HTTP 422) from the
-    :class:`AcquisitionRequest` constructor.
+    that is not a string, a non-numeric or boolean constraint.  Request
+    validation itself (e.g. empty targets) raises ``SearchError`` (HTTP 422)
+    from the :class:`AcquisitionRequest` constructor.
     """
     if not isinstance(spec, dict):
         raise ReproError(f"request spec must be a JSON object, got {type(spec).__name__}")
@@ -215,6 +215,10 @@ def request_from_spec(
     for key in ("shopper", "tier"):
         if not isinstance(spec.get(key), (str, type(None))):
             raise ReproError(f'"{key}" must be a string or null, got {spec[key]!r}')
+    for key in ("budget", "alpha", "beta", "deadline"):
+        # float(True) is 1.0: a JSON boolean must not pass as a number.
+        if isinstance(spec.get(key), bool):
+            raise ReproError(f'"{key}" must be a number, got {spec[key]!r}')
     try:
         budget = float(spec.get("budget", 100.0))
         alpha = float(spec.get("alpha", float("inf")))

@@ -7,6 +7,8 @@ replaced: every proposal looks its edge up in the join graph, builds a fresh
 graph with a two-construction ``replace_edge``, and recomputes the signature.
 On generated join graphs both walks must return the same result, leave the
 same evaluation memo behind, and leave the re-sampling hook in the same state.
+The reference also runs every iteration of a walk whose start has no move
+(no flips, no edge with an alternative), which ``mcmc_search`` stops early.
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ def trees(draw):
 
 
 @st.composite
-def walk_scenarios(draw):
+def walk_scenarios(draw, dead: bool = False):
     """Tables on a tree, their join graph, a starting graph and the walk's knobs.
 
     Edge ``i`` shares 1-3 key columns ``e<i>k<j>`` between its endpoints;
@@ -214,12 +216,17 @@ def walk_scenarios(draw):
     choices.  Every node has a payload ``v<i>`` (``v0`` numeric) and an
     optional ``x<i>`` that projection flips toggle; ``x0 -> v0`` is the FD.
     One edge may be missing from the join graph, which then knows no
-    alternative for it.
+    alternative for it.  A ``dead`` scenario gives every edge one key and
+    one-key join attribute sets, so no edge has an alternative: without
+    flips, the walk starts dead.
     """
     size, parents = draw(trees())
-    max_size = draw(st.sampled_from([1, 2]))
+    max_size = 1 if dead else draw(st.sampled_from([1, 2]))
     keys = [
-        [f"e{edge}k{j}" for j in range(draw(st.integers(1, 3 if max_size == 1 else 2)))]
+        [
+            f"e{edge}k{j}"
+            for j in range(1 if dead else draw(st.integers(1, 3 if max_size == 1 else 2)))
+        ]
         for edge in range(size - 1)
     ]
     tables = {}
@@ -308,37 +315,49 @@ def signature_or_none(graph) -> tuple | None:
 
 
 # ---------------------------------------------------------------------- tests
+def assert_walk_matches_reference(scenario) -> None:
+    names = ("join_graph", "initial", "tables", "source", "target", "fds")
+    positional = [scenario[name] for name in names]
+    constraints = {key: scenario[key] for key in ("budget", "max_weight", "min_quality")}
+    runs = []
+    for walk in (mcmc_search, reference_walk):
+        args = scenario["hook_args"]
+        hook = None if args is None else ResamplingPolicy(**args)
+        cache: dict = {}
+        result = walk(
+            *positional,
+            **constraints,
+            config=scenario["config"],
+            intermediate_hook=hook,
+            evaluation_cache=cache,
+        )
+        runs.append((result, cache, hook_state(hook)))
+    (walked, walked_cache, walked_hook), (expected, expected_cache, expected_hook) = runs
+    assert signature_or_none(walked.best_graph) == signature_or_none(expected.best_graph)
+    assert walked.best_evaluation == expected.best_evaluation
+    assert walked.accepted_steps == expected.accepted_steps
+    assert walked.feasible_steps == expected.feasible_steps
+    assert walked.iterations == expected.iterations
+    assert walked.evaluation_cache_hits == expected.evaluation_cache_hits
+    assert walked.evaluation_cache_misses == expected.evaluation_cache_misses
+    assert walked.trace == expected.trace
+    assert walked_cache == expected_cache
+    assert walked_hook == expected_hook
+
+
 class TestWalkMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(walk_scenarios())
     def test_walk_returns_and_memoises_what_the_reference_does(self, scenario):
-        names = ("join_graph", "initial", "tables", "source", "target", "fds")
-        positional = [scenario[name] for name in names]
-        constraints = {key: scenario[key] for key in ("budget", "max_weight", "min_quality")}
-        runs = []
-        for walk in (mcmc_search, reference_walk):
-            args = scenario["hook_args"]
-            hook = None if args is None else ResamplingPolicy(**args)
-            cache: dict = {}
-            result = walk(
-                *positional,
-                **constraints,
-                config=scenario["config"],
-                intermediate_hook=hook,
-                evaluation_cache=cache,
-            )
-            runs.append((result, cache, hook_state(hook)))
-        (walked, walked_cache, walked_hook), (expected, expected_cache, expected_hook) = runs
-        assert signature_or_none(walked.best_graph) == signature_or_none(expected.best_graph)
-        assert walked.best_evaluation == expected.best_evaluation
-        assert walked.accepted_steps == expected.accepted_steps
-        assert walked.feasible_steps == expected.feasible_steps
-        assert walked.iterations == expected.iterations
-        assert walked.evaluation_cache_hits == expected.evaluation_cache_hits
-        assert walked.evaluation_cache_misses == expected.evaluation_cache_misses
-        assert walked.trace == expected.trace
-        assert walked_cache == expected_cache
-        assert walked_hook == expected_hook
+        assert_walk_matches_reference(scenario)
+
+    @settings(max_examples=100, deadline=None)
+    @given(walk_scenarios(dead=True))
+    def test_dead_starts_return_what_the_reference_walk_does(self, scenario):
+        """Without flips these walks stop after the initial evaluation; with
+        flips they run the loop.  Either way the result, the trace, the memo
+        and the hook are the reference walk's."""
+        assert_walk_matches_reference(scenario)
 
 
 @st.composite

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.exceptions import InfeasibleAcquisitionError
+from repro.exceptions import InfeasibleAcquisitionError, SearchError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.steiner import minimal_weight_igraph
 from repro.quality.fd import FunctionalDependency
@@ -203,3 +203,17 @@ class TestMCMCSearch:
             tables, ["measure"], ["label"], fds, join_graph.pricing
         )
         assert best_eval.correlation >= start_eval.correlation
+
+
+class TestMCMCConfig:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.25, 1.5])
+    def test_rejects_a_flip_probability_outside_the_unit_interval(self, value):
+        # NaN would silently disable flips (nan > 0 is false) and 1.5 would
+        # silently mean "always flip".
+        with pytest.raises(SearchError, match="projection_flip_probability"):
+            MCMCConfig(projection_flip_probability=value)
+
+    @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
+    def test_accepts_a_flip_probability_in_the_unit_interval(self, value):
+        config = MCMCConfig(projection_flip_probability=value)
+        assert config.projection_flip_probability == value

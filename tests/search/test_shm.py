@@ -20,16 +20,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import DanceConfig
+from repro.core.dance import build_dance
 from repro.exceptions import ReproError
 from repro.graph.join_graph import JoinGraph
+from repro.marketplace.dataset import MarketplaceDataset
+from repro.marketplace.market import Marketplace
+from repro.pricing.models import EntropyPricingModel
 from repro.quality.fd import FunctionalDependency
 from repro.relational import backend as relational_backend
 from repro.relational.table import Table
+from repro.sampling.resampling import ResamplingPolicy
 from repro.search import shm
+from repro.search.acquisition import heuristic_acquisition
 from repro.search.chains import ChainScheduler, shared_chain_pool
-from repro.search.mcmc import MCMCConfig
+from repro.search.mcmc import MCMCConfig, mcmc_search
 from repro.search.candidates import build_initial_target_graph
 from repro.graph.steiner import minimal_weight_igraph
+from repro.workloads.queries import queries_for
 
 BACKENDS = ["python"] + (["numpy"] if relational_backend.numpy_available() else [])
 
@@ -281,6 +289,106 @@ class TestWorkerSessions:
             shm.drop_session("test-gap")
             state.close()
 
+    def test_pinned_call_at_the_session_version_skips_the_spec(self, graph_setup):
+        join_graph, _, fds = graph_setup
+        state = shm.SharedChainState(join_graph, fds, token="test-pinned")
+        try:
+            pinned = state.pinned()
+            session, stats = shm.ensure_pinned_session(pinned)
+            assert stats == {
+                "cold_load": 1, "resyncs": 0, "deltas_applied": 0, "spec_loads": 1
+            }
+            # Unreadable bytes prove the fast path never unpickles them.
+            again, stats = shm.ensure_pinned_session(replace(pinned, blob=b"not a pickle"))
+            assert again is session
+            assert stats == {
+                "cold_load": 0, "resyncs": 0, "deltas_applied": 0, "spec_loads": 0
+            }
+        finally:
+            shm.drop_session("test-pinned")
+            state.close()
+
+    def test_pinned_call_one_version_ahead_applies_one_delta(self, graph_setup):
+        join_graph, tables, fds = graph_setup
+        state = shm.SharedChainState(join_graph, fds, token="test-pinned-delta")
+        try:
+            shm.ensure_pinned_session(state.pinned())
+            dims2 = Table.from_rows(
+                "dims",
+                ["good_key", "bad_key", "label"],
+                [(i, i % 2, f"new{i}") for i in range(8)],
+            )
+            new_graph = JoinGraph([tables["facts"], dims2], source_instances=["facts"])
+            state.publish_delta(new_graph, fds, version=1, changed=("dims",))
+            session, stats = shm.ensure_pinned_session(state.pinned())
+            assert stats == {
+                "cold_load": 0, "resyncs": 0, "deltas_applied": 1, "spec_loads": 1
+            }
+            assert session.version == 1
+        finally:
+            shm.drop_session("test-pinned-delta")
+            state.close()
+
+    def test_pinned_call_on_a_new_base_resyncs(self, graph_setup):
+        join_graph, tables, fds = graph_setup
+        state = shm.SharedChainState(join_graph, fds, token="test-pinned-rebase")
+        try:
+            shm.ensure_pinned_session(state.pinned())
+            new_graph = JoinGraph(
+                [tables["facts"], tables["dims"]], source_instances=["facts"]
+            )
+            state.rebase(new_graph, fds, version=1)
+            session, stats = shm.ensure_pinned_session(state.pinned())
+            assert stats == {
+                "cold_load": 0, "resyncs": 1, "deltas_applied": 0, "spec_loads": 1
+            }
+            assert session.version == 1
+            assert session.base_fingerprint == state.spec().base.fingerprint
+        finally:
+            shm.drop_session("test-pinned-rebase")
+            state.close()
+
+    def test_state_pickles_the_spec_once_per_published_version(
+        self, graph_setup, monkeypatch
+    ):
+        join_graph, tables, fds = graph_setup
+        state = shm.SharedChainState(join_graph, fds, token="test-pin-once")
+        dumps = pickle.dumps
+        pickled: list[int] = []
+
+        def counting_dumps(value, *args, **kwargs):
+            if isinstance(value, shm.WorkerSpec):
+                pickled.append(value.version)
+            return dumps(value, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", counting_dumps)
+        try:
+            first = state.pinned()
+            assert state.pinned() is first
+            assert pickle.loads(first.blob) == state.spec()
+            assert (first.version, first.base_fingerprint) == (
+                0, state.spec().base.fingerprint
+            )
+            state.publish_delta(join_graph, fds, version=1, changed=("dims",))
+            second = state.pinned()
+            assert state.pinned() is second
+            assert second.version == 1
+            assert pickle.loads(second.blob) == state.spec()
+            assert pickled == [0, 1]
+        finally:
+            state.close()
+
+    def test_worker_spec_loads_are_summed(self, graph_setup):
+        join_graph, _, fds = graph_setup
+        state = shm.SharedChainState(join_graph, fds, token="test-spec-loads")
+        try:
+            state.note_worker_stats({"spec_loads": 1, "deltas_applied": 1})
+            state.note_worker_stats({"spec_loads": 0})
+            state.note_worker_stats({"spec_loads": 1})
+            assert state.stats()["worker_spec_loads"] == 2
+        finally:
+            state.close()
+
     def test_close_unlinks_every_segment(self, graph_setup):
         join_graph, _, fds = graph_setup
         state = shm.SharedChainState(join_graph, fds, token="test-unlink")
@@ -350,6 +458,88 @@ class TestSharedSchedulerParity:
             assert stats["rebases"] == 0
             assert stats["worker_resyncs"] == 0
             assert stats["worker_deltas_applied"] >= 1
+        finally:
+            pool.shutdown()
+            state.close()
+        assert shm.live_segments() == []
+
+
+class CountingPool:
+    """A process pool that records the payload count of every ``map`` call."""
+
+    def __init__(self, pool) -> None:
+        self.pool = pool
+        self._max_workers = pool._max_workers
+        self.maps: list[int] = []
+
+    def map(self, fn, batches):
+        batches = list(batches)
+        self.maps.append(sum(len(payloads) for _, payloads in batches))
+        return self.pool.map(fn, batches)
+
+
+class TestOneDispatchPerRequest:
+    """``heuristic_acquisition`` sends every start's chains in one ``map``.
+    Each start's result is the one a walk of that start alone returns, and
+    the winner is the serial executor's, bit for bit."""
+
+    @pytest.mark.parametrize("eta", [None, 8], ids=["default-eta", "fired-eta"])
+    def test_shared_pool_maps_once_and_matches_serial(self, small_tpch, eta, monkeypatch):
+        pricing = EntropyPricingModel()
+        market = Marketplace(default_pricing=pricing)
+        for name in small_tpch.tables:
+            market.host(
+                MarketplaceDataset(table=small_tpch.dirty_or_clean(name), pricing=pricing)
+            )
+        dance = build_dance(market, config=DanceConfig(sampling_rate=0.5))
+        join_graph, fds = dance.join_graph, dance.fds
+        dispatches = []
+        run_starts = ChainScheduler.run_starts
+
+        def recording_run_starts(scheduler, graph, starts, *args, **kwargs):
+            results = run_starts(scheduler, graph, starts, *args, **kwargs)
+            if scheduler.executor == "process":
+                dispatches.append((starts, results))
+            return results
+
+        monkeypatch.setattr(ChainScheduler, "run_starts", recording_run_starts)
+
+        def hook():
+            return None if eta is None else ResamplingPolicy(threshold=eta, rate=0.5, seed=0)
+
+        def config(executor):
+            return MCMCConfig(iterations=30, seed=0, chains=2, executor=executor)
+
+        pool, state = shared_chain_pool(
+            join_graph, fds, token=f"test-one-dispatch-{eta}", max_workers=2
+        )
+        counting = CountingPool(pool)
+        try:
+            for query in queries_for(small_tpch).values():
+                request = (join_graph, query.source_attributes, query.target_attributes, fds)
+                serial = heuristic_acquisition(
+                    *request, budget=1000.0, mcmc_config=config("serial"), rng=0,
+                    intermediate_hook=hook(),
+                )
+                shared = heuristic_acquisition(
+                    *request, budget=1000.0, mcmc_config=config("process"), rng=0,
+                    intermediate_hook=hook(), pool=counting, pool_state=state,
+                )
+                ((starts, results),) = dispatches
+                dispatches.clear()
+                assert len(starts) >= 2
+                assert counting.maps == [2 * len(starts)]
+                counting.maps.clear()
+                for (initial, tables), result in zip(starts, results):
+                    alone = mcmc_search(
+                        join_graph, initial, tables, *request[1:], budget=1000.0,
+                        config=config("serial"), intermediate_hook=hook(),
+                    )
+                    assert result.chain_correlations == alone.chain_correlations
+                assert shared.igraph_index == serial.igraph_index
+                assert shared.best_graph.signature() == serial.best_graph.signature()
+                assert shared.best_evaluation == serial.best_evaluation
+                assert shared.mcmc.chain_correlations == serial.mcmc.chain_correlations
         finally:
             pool.shutdown()
             state.close()

@@ -15,6 +15,7 @@ import re
 import urllib.error
 import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -337,10 +338,20 @@ def test_request_from_spec_rejects_malformed_specs():
         ("shopper", ["alice"]),
         ("shopper", {"name": "alice"}),
         ("tier", 3),
+        # float(True) is 1.0: a JSON boolean is not a numeric constraint.
+        ("budget", True),
+        ("alpha", False),
+        ("beta", True),
+        ("deadline", True),
     ):
         spec = {"source": ["a"], "target": ["b"], field: value}
         with pytest.raises(ReproError, match=field):
             request_from_spec(spec)
+    with pytest.raises(ReproError, match="budget"):
+        request_from_spec(
+            {"query": "Q1", "budget": True, "alpha": False, "deadline": True},
+            queries={"Q1": SimpleNamespace(source_attributes=["a"], target_attributes=["b"])},
+        )
 
 
 def test_request_from_spec_builds_explicit_requests():
@@ -439,6 +450,18 @@ def test_nan_constraints_answer_422_before_admission(live_server):
     # Infinity is still a valid "no limit".
     status, _, raw = http_json(f"{url}/acquire", {**spec, "budget": 1e9, "alpha": "inf"})
     assert status == 200, raw
+
+
+def test_boolean_constraints_answer_400_before_admission(live_server):
+    url = f"http://127.0.0.1:{live_server.port}"
+    spec = {"source": ["measure"], "target": ["label"]}
+    for field in ("budget", "alpha", "beta", "deadline"):
+        bad = {**spec, field: True}
+        for payload in (bad, {"requests": [spec, bad]}):
+            status, _, raw = http_json(f"{url}/acquire", payload)
+            body = json.loads(raw)
+            assert (status, body["error"]["type"]) == (400, "ReproError"), payload
+    assert live_server.service.metrics()["queue"]["admitted"] == 0
 
 
 def test_metrics_endpoint_serves_prometheus_content_type(live_server):
