@@ -23,11 +23,14 @@ its fired answers are only compared across backends).
 served bits must agree, a mid-run ``register_source_tables`` delta must be
 absorbed by the warm shared-store pool with **zero** full worker resyncs,
 no worker may unpickle the pinned worker spec more than once per published
-version, and every shared-memory segment must be unlinked on close.  A
-second replay lowers the re-sampling threshold ``eta`` to ``FIRED_ETA``, so
-that the correlated re-sampling hook fires on the served target graphs, and
-must agree bit for bit across the serial, thread and requested executors,
-before and after the delta.
+version, and every shared-memory segment must be unlinked on close.  The
+delta must keep some memoised evaluations and drop others, and every plan's
+post-delta answers must equal those of a cold service built with the delta
+registered before its first request: warm services alone would all agree
+on an entry that was wrongly kept.  A second replay lowers the re-sampling
+threshold ``eta`` to ``FIRED_ETA``, so that the correlated re-sampling hook
+fires on the served target graphs, and must agree bit for bit across the
+serial, thread and requested executors, before and after the delta.
 
 Usage::
 
@@ -46,6 +49,9 @@ from types import SimpleNamespace
 #: Live mode's second re-sampling threshold: the served TPC-H 0.2 target
 #: graphs have first-level joins of 17-28 rows, so it fires on every one.
 FIRED_ETA = 16
+
+#: Live mode's MCMC seed for every request, on warm and cold services alike.
+SEED = 0
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _SRC = _REPO_ROOT / "src"
@@ -208,17 +214,34 @@ def check_live(args) -> int:
     workload = tpch_workload(scale=args.scale, seed=0)
     requests = tpch_requests(workload)
     # A clean variant of a hosted instance: registering it is a replacement,
-    # which the shared-store pool must absorb as a versioned delta.
-    delta_name = sorted(workload.tables)[0]
-    delta_table = workload.table(delta_name)
+    # which the shared-store pool must absorb as a versioned delta.  About
+    # half of the memoised graphs join lineitem, so the delta both keeps and
+    # drops memo entries.
+    delta_table = workload.table("lineitem")
     requested = ExecutionPlan(
         executor=args.executor,
         chains=args.chains,
         shared_store=True if args.shared_store else None,
     )
 
-    def replay(plans, resampling: ResamplingPolicy) -> tuple[list, int, int]:
-        """Serve every plan cold and after the delta; compare with the first plan.
+    def config_for(plan, resampling: ResamplingPolicy) -> DanceConfig:
+        return DanceConfig(
+            sampling_rate=0.5,
+            mcmc=MCMCConfig(iterations=args.iterations, seed=0),
+            plan=plan,
+            resampling=resampling,
+            service=ServiceConfig(max_batch_workers=1),
+        )
+
+    def serve(service) -> list:
+        return [service.acquire(request, seed=SEED) for request in requests]
+
+    def replay(
+        plans, resampling: ResamplingPolicy, *, memo_split: bool
+    ) -> tuple[list, int, int]:
+        """Serve every plan before and after the delta; compare with the first
+        plan, and the post-delta answers with a cold service's.  With
+        ``memo_split`` the delta must keep and drop memo entries in every plan.
 
         Returns the outcomes, the failure count and on how many of the first
         plan's served graphs the policy fires."""
@@ -226,36 +249,46 @@ def check_live(args) -> int:
         outcomes = []
         fired = 0
         for plan in plans:
-            config = DanceConfig(
-                sampling_rate=0.5,
-                mcmc=MCMCConfig(iterations=args.iterations, seed=0),
-                plan=plan,
-                resampling=resampling,
-                service=ServiceConfig(max_batch_workers=1),
-            )
+            config = config_for(plan, resampling)
             with AcquisitionService(build_marketplace(workload), config) as service:
-                results = [service.acquire(request) for request in requests]
+                results = serve(service)
                 if not outcomes:
                     fired = sum(
                         fires(result.target_graph, service.dance.join_graph, resampling)
                         for result in results
                     )
-                cold = [fingerprint(result) for result in results]
-                service.register_source_tables([delta_table])
-                warm = [fingerprint(service.acquire(request)) for request in requests]
+                before = [fingerprint(result) for result in results]
+                summary = service.register_source_tables([delta_table])
+                after = [fingerprint(result) for result in serve(service)]
                 store_stats = service.describe()["shared_store"]
-            outcomes.append((plan, cold, warm, store_stats))
+            memo = (summary["memo_kept"], summary["memo_dropped"])
+            outcomes.append((plan, before, after, store_stats, memo))
+        # The delta registered before the first request: nothing memoised
+        # before the write can leak into these answers.
+        with AcquisitionService(
+            build_marketplace(workload),
+            config_for(plans[0], resampling),
+            source_tables=[delta_table],
+        ) as service:
+            cold_after = [fingerprint(result) for result in serve(service)]
 
-        (_, first_cold, first_warm, _) = outcomes[0]
+        (_, first_before, _, _, _) = outcomes[0]
         label = f"eta={resampling.threshold}"
-        for plan, cold, warm, store_stats in outcomes[1:]:
-            if cold != first_cold:
+        for plan, before, after, store_stats, memo in outcomes:
+            if before != first_before:
                 failures += 1
                 print(f"MISMATCH [{plan.spec()}, {label}]: cold results differ from serial")
-            if warm != first_warm:
+            if after != cold_after:
                 failures += 1
                 print(
-                    f"MISMATCH [{plan.spec()}, {label}]: post-delta results differ from serial"
+                    f"MISMATCH [{plan.spec()}, {label}]: post-delta results differ from "
+                    f"a cold service with the delta registered"
+                )
+            if memo_split and not all(memo):
+                failures += 1
+                print(
+                    f"FAIL [{plan.spec()}, {label}]: the delta must keep and drop memo "
+                    f"entries; kept {memo[0]}, dropped {memo[1]}"
                 )
             if plan.executor == "process" and plan.wants_shared_store:
                 if store_stats is None:
@@ -286,11 +319,11 @@ def check_live(args) -> int:
         return outcomes, failures, fired
 
     serial = ExecutionPlan(executor="serial", chains=args.chains)
-    outcomes, failures, _ = replay([serial, requested], ResamplingPolicy())
+    outcomes, failures, _ = replay([serial, requested], ResamplingPolicy(), memo_split=True)
     fired_policy = ResamplingPolicy(threshold=FIRED_ETA, rate=0.5, seed=0)
     thread = ExecutionPlan(executor="thread", chains=args.chains)
     fired_plans = [serial, thread] + ([requested] if requested.executor != "thread" else [])
-    _, fired_failures, fired = replay(fired_plans, fired_policy)
+    _, fired_failures, fired = replay(fired_plans, fired_policy, memo_split=False)
     failures += fired_failures
     if not fired:
         failures += 1
@@ -307,10 +340,15 @@ def check_live(args) -> int:
         print(f"\n{failures} live-parity failure(s)")
         return 1
     stats = outcomes[-1][3]
+    memo = "; ".join(
+        f"{plan.spec()} kept {kept}, dropped {dropped}"
+        for plan, _, _, _, (kept, dropped) in outcomes
+    )
     print(
         f"OK: {len(requests)} requests x 2 plans bit-identical "
         f"(chains={args.chains}, executor={args.executor}, "
-        f"shared_store={bool(args.shared_store)}); shared-store stats: {stats}; "
+        f"shared_store={bool(args.shared_store)}), and equal to a cold service after "
+        f"the delta; memo entries across the delta: {memo}; shared-store stats: {stats}; "
         f"eta={FIRED_ETA} fired on {fired}/{len(requests)} served graphs and "
         f"{len(fired_plans)} plans agree; no leaked segments"
     )

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, MutableMapping, Sequence
 
 from repro.exceptions import GraphConstructionError, SearchError
 from repro.infotheory.correlation import (
@@ -389,6 +389,75 @@ class TargetGraph:
     def __repr__(self) -> str:
         path = " ⋈ ".join(self.nodes)
         return f"TargetGraph({path})"
+
+
+def prune_memos(
+    evaluation_caches: Iterable[MutableMapping[tuple, TargetGraphEvaluation]],
+    ji_cache: MutableMapping[tuple, float] | None,
+    changed: Iterable[str],
+    fds_before: Iterable[FunctionalDependency],
+    fds_after: Iterable[FunctionalDependency],
+) -> None:
+    """Drop the memo entries a one-step write may have changed; keep the rest.
+
+    ``evaluation_caches`` map :meth:`TargetGraph.signature` to evaluations,
+    ``ji_cache`` maps ``(left, right, attrs)`` to JI weights, ``changed``
+    names the instances the write added or replaced, and the FD lists are
+    those in force before and after it.  An evaluation reads the tables of
+    its nodes (correlation, JI weight, price) and the FDs whose attributes
+    all lie in its join's schema (quality), so an entry is dropped only when
+
+    * one of its nodes changed, or
+    * some FD in the symmetric difference of the before and after
+      ``(lhs, rhs)`` sets has every attribute among the names the graph's
+      join can carry: its projections, plus ``<instance>.<attr>`` for the
+      colliding columns a join renames.  FD order does not matter, because
+      quality intersects per-FD correct sets.
+
+    A JI entry is dropped only when one of its endpoints changed.  A kept
+    entry is exactly what re-evaluation would return.  The caches need
+    ``keys()`` and ``pop(key, default)``.
+    """
+    changed = frozenset(changed)
+    # Built when the first entry passes the node test, which most writes'
+    # entries do not reach.
+    fd_delta: list[frozenset[str]] | None = None
+    renames = False
+    for cache in evaluation_caches:
+        stale = []
+        for signature in cache.keys():
+            if changed.isdisjoint(signature[0]):
+                if fd_delta is None:
+                    before = {(fd.lhs, fd.rhs) for fd in fds_before}
+                    after = {(fd.lhs, fd.rhs) for fd in fds_after}
+                    fd_delta = [frozenset((*lhs, rhs)) for lhs, rhs in before ^ after]
+                    # Only an FD naming a dotted attribute can need the
+                    # renamed columns.
+                    renames = any("." in name for names in fd_delta for name in names)
+                if not fd_delta or not _carries_any(signature, fd_delta, renames):
+                    continue
+            stale.append(signature)
+        for signature in stale:
+            cache.pop(signature, None)
+    if ji_cache is not None:
+        stale = [key for key in ji_cache.keys() if key[0] in changed or key[1] in changed]
+        for key in stale:
+            ji_cache.pop(key, None)
+
+
+def _carries_any(signature: tuple, fd_delta: list[frozenset[str]], renames: bool) -> bool:
+    """Whether the join of ``signature``'s graph can carry every attribute of
+    some FD in ``fd_delta``: its projections, plus (with ``renames``) the
+    ``<instance>.<attr>`` names a join gives colliding columns."""
+    nodes, _, _, projections = signature
+    names = set().union(*projections)
+    if renames:
+        names.update(
+            f"{node}.{attribute}"
+            for node, projection in zip(nodes, projections)
+            for attribute in projection
+        )
+    return any(names.issuperset(attributes) for attributes in fd_delta)
 
 
 #: The value types a numerical source's summary takes: two of them that

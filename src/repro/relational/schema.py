@@ -118,7 +118,8 @@ class Schema:
     @property
     def names(self) -> tuple[str, ...]:
         """Attribute names in schema order."""
-        return tuple(attr.name for attr in self._attributes)
+        # ``_index`` is built in attribute order and never changes afterwards.
+        return tuple(self._index)
 
     @property
     def attributes(self) -> tuple[Attribute, ...]:

@@ -85,7 +85,8 @@ class LockStripedCache:
     same lock.  (CPython's GIL already serialises single dict operations; the
     stripes make the structure safe by construction rather than by
     implementation detail, and keep the design portable to free-threaded
-    builds.)
+    builds.)  ``keys`` and ``pop`` serve
+    :func:`~repro.graph.target.prune_memos` after a write.
     """
 
     __slots__ = ("_stripes", "_locks")
@@ -118,6 +119,15 @@ class LockStripedCache:
         index = self._index(key)
         with self._locks[index]:
             return key in self._stripes[index]
+
+    def pop(self, key, default=None):
+        index = self._index(key)
+        with self._locks[index]:
+            return self._stripes[index].pop(key, default)
+
+    def keys(self) -> list:
+        """A point-in-time key snapshot across all stripes (see :meth:`items`)."""
+        return [key for key, _ in self.items()]
 
     def __len__(self) -> int:
         # dancelint: disable=CON201 -- racy-but-consistent gauge: each len()
@@ -705,7 +715,8 @@ class ChainScheduler:
             # Namespacing the worker-persistent evaluation memo on the request
             # attributes mirrors the service's per-signature caches; the
             # remaining validity dimensions (samples, fds, pricing) are pinned
-            # by the session version, which ensure_session brings up to date.
+            # by the session version, which ensure_session brings up to date,
+            # dropping the entries each delta may have changed.
             memo_key = (
                 (tuple(source_attributes), tuple(target_attributes))
                 if shared_state.share_worker_caches

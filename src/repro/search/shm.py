@@ -21,7 +21,9 @@ down whenever the catalog changed.  This module replaces both halves:
     weights the incremental ``JoinGraph`` rebuild already computed).  Workers
     hold a versioned session and apply deltas keyed by ``graph_version``,
     hard-resyncing only on version gaps or a rebase — so a warm pool survives
-    ``register_source_tables`` without teardown.  The manifests reach workers
+    ``register_source_tables`` without teardown, and its memos keep every
+    entry a delta cannot have changed
+    (:func:`~repro.graph.target.prune_memos`).  The manifests reach workers
     as a :class:`PinnedSpec`: the :class:`WorkerSpec` pickled once per
     published version, which a worker already at that version never unpickles.
 
@@ -43,6 +45,7 @@ from typing import Mapping, Sequence
 
 from repro.exceptions import ReproError
 from repro.graph.join_graph import JoinGraph
+from repro.graph.target import prune_memos
 from repro.quality.fd import FunctionalDependency
 from repro.relational import backend as _backend
 from repro.relational.table import ColumnEncoding, Table
@@ -460,12 +463,12 @@ def _apply_delta(session: _WorkerSession, manifest: StoreManifest) -> None:
         session.graph.add_instance(
             tables[name], is_source=is_source.get(name, False), preload_ji=meta["ji"]
         )
-    session.fds = tuple(meta["fds"])
-    # The catalog changed: evaluation and JI memo entries may mention the
-    # replaced instances, so the session drops them (mirroring the service's
-    # own cache reset on graph_version bumps).
-    session.eval_caches.clear()
-    session.ji_cache.clear()
+    fds_before, session.fds = session.fds, tuple(meta["fds"])
+    # A delta is one step, so the memos keep every entry it cannot have
+    # changed, by the same rule as the service's own memos.
+    prune_memos(
+        session.eval_caches.values(), session.ji_cache, tables, fds_before, session.fds
+    )
     session.version = manifest.version
 
 

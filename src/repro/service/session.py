@@ -46,8 +46,8 @@ keeps one marketplace *hot* instead:
   ``(terminal set, alpha, num_landmarks, landmark seed, graph version)``, so
   the service memoises it per that key
   (``ServiceConfig(step1_memo=True)``); warm requests skip the
-  landmark/Steiner search entirely.  Invalidated off ``graph_version`` like
-  the other session caches.
+  landmark/Steiner search entirely.  It resets on every ``graph_version``
+  bump, because the Steiner search reads the whole I-layer.
 * **Metrics.**  Per-request latency histograms with p50/p95/p99, the
   evaluation-cache hit-rate trend over a sliding window, queue
   depth/rejection counters and an in-flight gauge
@@ -56,8 +56,9 @@ keeps one marketplace *hot* instead:
 * **Incremental refresh.**  :meth:`register_source_tables` updates the join
   graph through DANCE's incremental path (only edges touching changed
   instances are recomputed) and invalidates exactly the session state the
-  change made stale: pure additions keep the caches (old structural keys
-  stay valid), replacements and offline rebuilds drop them.
+  change made stale: the evaluation and JI memos keep every entry the write
+  cannot have changed (:func:`~repro.graph.target.prune_memos`), in the
+  session and in shared-store pool workers; offline rebuilds drop them.
 * **Persistent session state.**  With ``ServiceConfig(catalog_path=...)``
   the service opens the catalog at startup (warming the offline phase; see
   :meth:`repro.core.dance.DANCE.persist`), restores its JI cache and Step-1
@@ -102,6 +103,7 @@ from repro.exceptions import (
     StorageError,
 )
 from repro.graph.join_graph import JoinGraph
+from repro.graph.target import prune_memos
 from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.quality.fd import FunctionalDependency
@@ -171,6 +173,7 @@ class AcquisitionService:
         self._lock = threading.Lock()
         self._closed = False  # guarded-by: self._lock
         self._synced_version: int | None = None  # guarded-by: self._lock
+        self._synced_fds: tuple[FunctionalDependency, ...] = ()  # guarded-by: self._lock
         self._ji_cache: LockStripedCache | None = None  # guarded-by: self._lock
         self._evaluation_caches: dict[tuple, LockStripedCache] = {}  # guarded-by: self._lock
         self._step1_memo: CountingCache | None = None  # guarded-by: self._lock
@@ -519,37 +522,57 @@ class AcquisitionService:
     def _sync_locked(self, changed: Sequence[str] | None = None) -> None:
         """Re-derive session state after a join-graph change (caller holds the lock).
 
-        Any version bump means sample tables may have been replaced, which
-        invalidates evaluation memo entries (they were computed on the old
-        tables) and the process pool's preloaded worker state.  Structural
-        additions bump the version too: the old cache entries would still be
-        valid, but a pool preloaded without the new instance must not serve
-        graphs that contain it, and a full reset keeps the invalidation rule
-        simple and obviously correct.
+        A one-step refresh that names its changed instances (``changed``, the
+        added and replaced names of :meth:`register_source_tables`) prunes
+        the evaluation and JI memos by
+        :func:`~repro.graph.target.prune_memos`: an entry survives unless the
+        write changed one of its instances or an FD its join can carry.  Any
+        other version bump — an offline rebuild, or a change made on the
+        middleware behind the session's back, which shows as a version gap —
+        resets both memos and counts in ``cache_resets``.  The Step-1 memo
+        always resets, because its Steiner search reads the whole I-layer.
+
+        A sync that pruned skips :meth:`_restore_caches_locked`: the catalog
+        blob describes the state before the write.
 
         Pools over a shared columnar store are *versioned*, not disposable:
         when ``changed`` names the touched instances, only their deltas are
-        published (workers apply them in place); otherwise the published
-        snapshot is rebased wholesale.  Either way the warm pool survives.
+        published (workers apply them in place and prune their own memos by
+        the same rule); otherwise the published snapshot is rebased
+        wholesale.  Either way the warm pool survives.
         """
         version = self._dance.graph_version
         if version == self._synced_version:
             return
-        if self._synced_version is not None:
-            self._cache_resets += 1
-        self._synced_version = version
+        fds = tuple(self._dance.fds)
         stripes = self.config.service.cache_stripes
-        self._ji_cache = LockStripedCache(stripes)
-        self._evaluation_caches = {}
-        # The Step-1 memo is keyed on the graph revision too, but a *new*
-        # graph object restarts its revision counter, so the version bump
-        # must drop the memo outright (same rule as the evaluation memos).
+        pruned = (
+            bool(changed)
+            and self._synced_version is not None
+            and version == self._synced_version + 1
+        )
+        if pruned:
+            prune_memos(
+                self._evaluation_caches.values(),
+                self._ji_cache,
+                changed,
+                self._synced_fds,
+                fds,
+            )
+        else:
+            if self._synced_version is not None:
+                self._cache_resets += 1
+            self._ji_cache = LockStripedCache(stripes)
+            self._evaluation_caches = {}
+        self._synced_version = version
+        self._synced_fds = fds
         self._step1_memo = (
             CountingCache(stripes) if self.config.service.step1_memo else None
         )
         if not self._refresh_chain_pool_locked(version, changed):
             self._dispose_chain_pool_locked()
-        self._restore_caches_locked()
+        if not pruned:
+            self._restore_caches_locked()
 
     def _refresh_chain_pool_locked(
         self, version: int, changed: Sequence[str] | None
@@ -741,16 +764,22 @@ class AcquisitionService:
         the same call, so a restart after the registration is warm; the
         summary gains a ``"checkpointed"`` flag.  Returns DANCE's refresh
         summary (mode, added / replaced names, edge recompute and AFD
-        discovery counts).  Must not overlap in-flight requests.
+        discovery counts) plus ``memo_kept`` and ``memo_dropped``: how many
+        memoised evaluations, over every request namespace, survived the
+        write and how many it dropped (see :meth:`_sync_locked`).  Must not
+        overlap in-flight requests.
         """
         with self._lock:
             summary = self._dance.register_source_tables(tables)
+            entries = self._evaluation_entries_locked()
             if self._dance._join_graph is not None:
                 # Shared-store pools take a per-instance delta instead of a
                 # teardown; a "noop" refresh did not bump the version, so
                 # _sync_locked leaves every cache and pool untouched.
                 changed = list(summary["added"]) + list(summary["replaced"])
                 self._sync_locked(changed)
+            summary["memo_kept"] = self._evaluation_entries_locked()
+            summary["memo_dropped"] = entries - summary["memo_kept"]
             if self.config.service.catalog_path is not None:
                 try:
                     self._persist_locked(self.config.service.catalog_path)
@@ -870,12 +899,19 @@ class AcquisitionService:
         payload["step1_memo"] = step1
         return payload
 
+    def _evaluation_entries_locked(self) -> int:
+        return sum(len(cache) for cache in self._evaluation_caches.values())
+
     def describe(self) -> dict[str, object]:
+        """A JSON-friendly snapshot of the session.
+
+        ``cache_resets`` counts full memo resets (offline rebuilds, version
+        gaps); a write that only pruned the memos is not one, and its
+        ``register_source_tables`` summary reports what it kept and dropped.
+        """
         metrics = self.metrics()
         with self._lock:
-            evaluation_entries = sum(
-                len(cache) for cache in self._evaluation_caches.values()
-            )
+            evaluation_entries = self._evaluation_entries_locked()
             return {
                 "seed": self._seed,
                 "requests_served": self._requests_served,

@@ -7,10 +7,16 @@ from types import SimpleNamespace
 import pytest
 
 from repro.exceptions import GraphConstructionError, SearchError
-from repro.graph.target import TargetGraph, TargetGraphEvaluation, enumerate_covering_sets
+from repro.graph.target import (
+    TargetGraph,
+    TargetGraphEvaluation,
+    enumerate_covering_sets,
+    prune_memos,
+)
 from repro.pricing.models import FlatAttributePricingModel
 from repro.quality.fd import FunctionalDependency
 from repro.relational.table import Table
+from repro.search.chains import LockStripedCache
 
 
 @pytest.fixture
@@ -161,6 +167,90 @@ class TestEvaluation:
 
         path_graph.joined_table(tables, intermediate_hook=SimpleNamespace(draw=draw))
         assert len(calls) == 2
+
+
+class TestPruneMemos:
+    """The one rule that decides which memo entries outlive a one-step write."""
+
+    ORDERS_CUSTOMERS = TargetGraph(
+        nodes=["orders", "customers"],
+        edges=[frozenset({"custkey"})],
+        projections={
+            "orders": {"custkey", "totalprice"},
+            "customers": {"custkey", "nationkey"},
+        },
+    ).signature()
+    CUSTOMERS_NATIONS = TargetGraph(
+        nodes=["customers", "nations"],
+        edges=[frozenset({"nationkey"})],
+        projections={"customers": {"nationkey", "segment"}, "nations": {"nationkey", "nname"}},
+    ).signature()
+    NATIONS = TargetGraph(
+        nodes=["nations"], edges=[], projections={"nations": {"nationkey", "nname"}}
+    ).signature()
+
+    def kept(self, changed, fds_before=(), fds_after=(), *, caches=dict):
+        """The signatures that survive a write of ``changed`` under the FD change."""
+        evaluations = caches()
+        for signature in (self.ORDERS_CUSTOMERS, self.CUSTOMERS_NATIONS, self.NATIONS):
+            evaluations[signature] = TargetGraphEvaluation(1.0, 1.0, 1.0, 1.0)
+        prune_memos([evaluations], None, changed, fds_before, fds_after)
+        return set(evaluations.keys())
+
+    def test_drops_the_entries_of_changed_instances(self):
+        assert self.kept({"orders"}) == {self.CUSTOMERS_NATIONS, self.NATIONS}
+
+    def test_an_added_fd_drops_untouched_graphs_whose_join_carries_it(self):
+        fd = FunctionalDependency("custkey", "nationkey")
+        # Only orders-customers carries both custkey and nationkey.
+        assert self.kept({"shop"}, [], [fd]) == {self.CUSTOMERS_NATIONS, self.NATIONS}
+
+    def test_a_removed_fd_counts_like_an_added_one(self):
+        fd = FunctionalDependency("nname", "nationkey")
+        assert self.kept({"shop"}, [fd], []) == {self.ORDERS_CUSTOMERS}
+
+    def test_fd_order_does_not_matter(self):
+        fds = [
+            FunctionalDependency("nname", "nationkey"),
+            FunctionalDependency("custkey", "nationkey"),
+        ]
+        assert len(self.kept({"shop"}, fds, list(reversed(fds)))) == 3
+
+    def test_prunes_lock_striped_caches_alike(self):
+        kept = self.kept({"orders"}, caches=LockStripedCache)
+        assert kept == {self.CUSTOMERS_NATIONS, self.NATIONS}
+
+    def test_ji_entries_drop_only_with_a_changed_endpoint(self):
+        ji = {
+            ("customers", "orders", frozenset({"custkey"})): 0.5,
+            ("customers", "nations", frozenset({"nationkey"})): 0.25,
+        }
+        prune_memos([], ji, {"orders"}, [], [])
+        assert list(ji) == [("customers", "nations", frozenset({"nationkey"}))]
+
+    def test_every_column_of_the_join_counts_as_carried(self):
+        """An FD on any two columns of the actual join, renamed ones included,
+        drops the entry; an FD naming another instance's column keeps it."""
+        left = Table.from_rows("left", ["k", "x"], [(i % 3, i) for i in range(6)])
+        right = Table.from_rows("right", ["k", "x", "y"], [(i, -i, i % 2) for i in range(3)])
+        graph = TargetGraph(
+            nodes=["left", "right"],
+            edges=[frozenset({"k"})],
+            projections={"left": {"k", "x"}, "right": {"k", "x", "y"}},
+        )
+
+        def survives(fd: FunctionalDependency) -> bool:
+            cache = {graph.signature(): None}
+            prune_memos([cache], None, {"shop"}, [], [fd])
+            return bool(cache)
+
+        names = graph.joined_table({"left": left, "right": right}).schema.names
+        assert "right.x" in names
+        for lhs in names:
+            for rhs in names:
+                if lhs != rhs:
+                    assert not survives(FunctionalDependency(lhs, rhs))
+        assert survives(FunctionalDependency("shop.x", "y"))
 
 
 class TestEnumerateCoveringSets:

@@ -24,6 +24,7 @@ from repro.core.config import DanceConfig
 from repro.core.dance import build_dance
 from repro.exceptions import ReproError
 from repro.graph.join_graph import JoinGraph
+from repro.graph.target import TargetGraph, TargetGraphEvaluation
 from repro.marketplace.dataset import MarketplaceDataset
 from repro.marketplace.market import Marketplace
 from repro.pricing.models import EntropyPricingModel
@@ -268,6 +269,55 @@ class TestWorkerSessions:
             ]
         finally:
             shm.drop_session("test-delta")
+            state.close()
+
+    def test_delta_keeps_the_memo_entries_it_cannot_change(self, graph_setup):
+        join_graph, tables, fds = graph_setup
+        facts = tables["facts"]
+        extra = Table.from_rows(
+            "extra", ["bad_key", "bonus"], [(i % 3, float(i)) for i in range(12)]
+        )
+
+        def dims(label):
+            return Table.from_rows(
+                "dims",
+                ["good_key", "bad_key", "label"],
+                [(i, i % 2, f"{label}{i}") for i in range(8)],
+            )
+
+        def graph(dims_table):
+            return JoinGraph([facts, dims_table, extra], source_instances=["facts"])
+
+        state = shm.SharedChainState(graph(tables["dims"]), fds, token="test-memo-prune")
+        namespace = (("measure",), ("label",))
+        facts_only = TargetGraph(
+            nodes=["facts"], edges=[], projections={"facts": {"good_key", "measure"}}
+        ).signature()
+        facts_extra = TargetGraph(nodes=["facts", "extra"], edges=[{"bad_key"}]).signature()
+        with_dims = TargetGraph(nodes=["facts", "dims"], edges=[{"good_key"}]).signature()
+        kept_ji = ("extra", "facts", frozenset({"bad_key"}))
+        try:
+            session, _ = shm.ensure_session(state.spec())
+            for signature in (facts_only, facts_extra, with_dims):
+                session.evaluation_cache(namespace)[signature] = TargetGraphEvaluation(
+                    1.0, 1.0, 1.0, 1.0
+                )
+            dropped_ji = ("dims", "facts", frozenset({"good_key"}))
+            session.ji_cache.update({kept_ji: 0.25, dropped_ji: 0.5})
+            # dims changed: only the entries that read it go.
+            state.publish_delta(graph(dims("new")), fds, version=1, changed=("dims",))
+            session, stats = shm.ensure_session(state.spec())
+            assert stats == {"cold_load": 0, "resyncs": 0, "deltas_applied": 1}
+            assert set(session.evaluation_cache(namespace)) == {facts_only, facts_extra}
+            assert list(session.ji_cache) == [kept_ji]
+            # A new FD drops the untouched graph whose join carries it.
+            grown = [*fds, FunctionalDependency("good_key", "measure")]
+            state.publish_delta(graph(dims("newer")), grown, version=2, changed=("dims",))
+            session, _ = shm.ensure_session(state.spec())
+            assert set(session.evaluation_cache(namespace)) == {facts_extra}
+            assert list(session.ji_cache) == [kept_ji]
+        finally:
+            shm.drop_session("test-memo-prune")
             state.close()
 
     def test_version_jump_falls_back_to_rebase_and_resync(self, graph_setup):

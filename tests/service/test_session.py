@@ -205,6 +205,29 @@ class TestSessionLifecycle:
             # And the service still serves correctly after the reset.
             assert service.acquire(REQUEST).mcmc_cache_hit_rate < 1.0
 
+    def test_register_keeps_the_memo_entries_the_write_cannot_change(self):
+        with AcquisitionService(small_marketplace(), config()) as service:
+            service.acquire(REQUEST)
+            (namespace,) = service._evaluation_caches.values()
+            before = set(namespace.keys())
+            touching = {signature for signature in before if "extra" in signature[0]}
+            assert touching and touching != before
+            ji_before = set(service._ji_cache.keys())
+            extra = Table.from_rows(
+                "extra", ["bad_key", "bonus"], [(i % 3, float(i) + 0.5) for i in range(12)]
+            )
+            summary = service.register_source_tables([extra])
+            assert summary["mode"] == "rebuild"
+            assert set(namespace.keys()) == before - touching
+            assert (summary["memo_kept"], summary["memo_dropped"]) == (
+                len(before - touching),
+                len(touching),
+            )
+            assert set(service._ji_cache.keys()) == {
+                key for key in ji_before if "extra" not in key[:2]
+            }
+            assert service.describe()["cache_resets"] == 0
+
     def test_close_is_idempotent_and_final(self):
         service = AcquisitionService(small_marketplace(), config())
         service.acquire(REQUEST)
