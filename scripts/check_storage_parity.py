@@ -11,6 +11,14 @@ acquired again.  Every reopened run must agree with the cold run bit-for-bit
 (correlations and generated SQL), and when both disk engines are importable
 their stored payload bytes must be identical namespace-by-namespace.
 
+Then, per engine, a second middleware persists cold, registers a replacement
+source instance (a hosted table's clean version) and checkpoints into the
+catalog it has attached: in place on sqlite, through a full rewrite on duckdb.
+Every payload and every metadata value but ``created`` must equal a full
+rewrite of the same state into a fresh file, and the reopened catalog must
+serve bit-identical answers with zero edge recomputes and zero AFD
+discoveries.
+
 The whole check runs once per columnar backend (numpy and pure-python; see
 ``repro/relational/backend.py``), so parity holds across the full
 storage-engine x columnar-backend matrix.
@@ -41,7 +49,7 @@ from repro.marketplace.shopper import AcquisitionRequest
 from repro.pricing.models import EntropyPricingModel
 from repro.relational import backend as columnar_backend
 from repro.search.mcmc import MCMCConfig
-from repro.storage import SQLITE, duckdb_available, open_backend
+from repro.storage import META_CREATED, SQLITE, duckdb_available, open_backend
 from repro.workloads.queries import queries_for
 from repro.workloads.tpch import tpch_workload
 
@@ -115,6 +123,70 @@ def _compare_payloads(paths: dict[str, Path]) -> int:
     return failures
 
 
+def _catalog_state(path: Path) -> tuple[dict, dict]:
+    """Every payload and every metadata value but ``created`` of the catalog at ``path``."""
+    with open_backend(path) as backend:
+        blobs = {
+            (namespace, key): backend.get(namespace, key)
+            for namespace in backend.namespaces()
+            for key in backend.keys(namespace)
+        }
+        meta = {
+            key: backend.get_meta(key) for key in backend.meta_keys() if key != META_CREATED
+        }
+    return blobs, meta
+
+
+def _check_checkpoint(workload, kind: str, scratch: Path, args, label: str) -> int:
+    """Checkpoint a source replacement into the attached catalog; compare and reopen."""
+    replaced = next(
+        name
+        for name in sorted(workload.dirty_tables)
+        if workload.dirty_tables[name] is not workload.table(name)
+    )
+    replacement = workload.table(replaced)
+    path = scratch / f"checkpoint.{kind}"
+    live = _build_dance(workload, args)
+    live.build_offline()
+    live.persist(path, kind=kind)
+    live.register_source_tables([replacement])
+    live.persist()
+    puts = live.marketplace.checkpoint_blobs
+    live.persist(scratch / f"rewrite.{kind}", kind=kind)
+    failures = 0
+    checkpointed, rewritten = _catalog_state(path), _catalog_state(scratch / f"rewrite.{kind}")
+    for part, mine, full in zip(("payload", "metadata"), checkpointed, rewritten):
+        for key in sorted(set(mine) | set(full), key=repr):
+            if mine.get(key) != full.get(key):
+                print(f"MISMATCH [{label}]: checkpointed {part} {key!r} != a full rewrite")
+                failures += 1
+    reference = _acquire_all(live, workload)
+
+    warm = DANCE(Marketplace.open(path), _config(args))
+    warm.register_source_tables([replacement])
+    warm.build_offline()
+    if warm.join_graph.edge_recomputes or warm.afd_discoveries:
+        print(
+            f"MISMATCH [{label}]: reopened checkpoint recomputed "
+            f"{warm.join_graph.edge_recomputes} I-edges and mined "
+            f"{warm.afd_discoveries} tables; expected 0 and 0"
+        )
+        failures += 1
+    current = _acquire_all(warm, workload)
+    for name, expected in reference.items():
+        if current.get(name) != expected:
+            print(f"MISMATCH [{label}] query {name}: {current.get(name)!r} != {expected!r}")
+            failures += 1
+    warm.marketplace.storage.close()
+    live.marketplace.storage.close()
+    if not failures:
+        print(
+            f"[{label}] checkpoint after replacing {replaced!r} put {puts} of "
+            f"{len(checkpointed[0])} blobs, equals a full rewrite and reopens warm"
+        )
+    return failures
+
+
 def check_columnar_backend(backend_name: str, args: argparse.Namespace) -> int:
     resolved = columnar_backend.set_backend(backend_name)
     workload = tpch_workload(scale=args.scale, seed=0)
@@ -154,6 +226,9 @@ def check_columnar_backend(backend_name: str, args: argparse.Namespace) -> int:
                     failures += 1
             warm.marketplace.storage.close()
             print(f"[{resolved}] {kind} reopened run: 0 recomputes, parity OK")
+            failures += _check_checkpoint(
+                workload, kind, Path(scratch), args, f"{resolved}/{kind}"
+            )
 
         if len(paths) > 1:
             byte_failures = _compare_payloads(paths)

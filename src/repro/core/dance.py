@@ -103,6 +103,11 @@ class DANCE:
         return list(self._fds)
 
     @property
+    def afd_discoveries(self) -> int:
+        """How many instance tables AFDs were mined on so far (see :meth:`_collect_fds`)."""
+        return self._afd_discoveries
+
+    @property
     def graph_version(self) -> int:
         """Monotonic counter bumped whenever the join graph's tables change.
 
@@ -206,11 +211,12 @@ class DANCE:
         # refinement round re-buys samples (shopper tables never change).
         # The *first* build in a process has no prior graph to reuse; when the
         # marketplace carries a catalog with persisted offline state, JI
-        # weights (and, when every table is unchanged, discovered FDs) are
-        # adopted from there instead — a warm restart recomputes zero edges.
-        preload_ji = adopted_fds = None
+        # weights and per-instance FD lists are adopted from there instead
+        # for every unchanged table — a warm restart recomputes zero edges
+        # and mines no table.
+        preload_ji = None
         if self._join_graph is None:
-            preload_ji, adopted_fds = self._offline_preload(tables)
+            preload_ji = self._offline_preload(tables)
         self._join_graph = JoinGraph(
             tables,
             pricing=self.marketplace.pricing,
@@ -223,60 +229,52 @@ class DANCE:
         self._discovered = {
             name: entry for name, entry in self._discovered.items() if name in tables
         }
-        self._fds = (
-            list(adopted_fds) if adopted_fds is not None else self._collect_fds(tables)
-        )
+        self._fds = self._collect_fds(tables)
         self._graph_version += 1
 
-    def _offline_preload(
-        self, tables: Mapping[str, Table]
-    ) -> tuple[dict | None, list[FunctionalDependency] | None]:
-        """Offline-phase state adoptable from the marketplace's catalog.
+    def _offline_preload(self, tables: Mapping[str, Table]) -> dict | None:
+        """Adopt offline-phase state from the marketplace's catalog.
 
-        Returns ``(preload_ji, fds)``: JI weights valid for the current
-        tables (persisted weights whose endpoint fingerprints match the
-        tables about to enter the graph — sampling is deterministic, so an
-        unchanged source instance reproduces an unchanged sample), and the
-        persisted FD list when *every* table is unchanged and the AFD
-        parameters match (``None`` otherwise — FDs are deduplicated across
-        tables, so partial adoption is not sound).  Unreadable offline state
-        degrades to a cold build with a ``RuntimeWarning``; it never fails
-        the build.
+        Returns the JI weights valid for ``tables``: persisted weights whose
+        endpoint fingerprints match the tables about to enter the graph
+        (sampling is deterministic, so an unchanged source instance
+        reproduces an unchanged sample).  Under the same guard, and when the
+        AFD parameters match, each persisted per-instance FD list seeds
+        ``_discovered``, so :meth:`_collect_fds` mines only changed tables.
+        Unreadable offline state degrades to a cold build with a
+        ``RuntimeWarning``; it never fails the build.
         """
         storage = self.marketplace.storage
         if storage is None:
-            return None, None
+            return None
         from repro.storage import NS_OFFLINE
         from repro.storage import serialize as _serialize
 
         try:
             payload = storage.get(NS_OFFLINE, "state")
             if payload is None:
-                return None, None
+                return None
             state = _serialize.loads(payload)
             if not isinstance(state, dict):
                 raise StorageError("offline state is not a mapping")
             current = _serialize.fingerprint_tables(tables)
-            preload = _serialize.ji_weights_from_spec(
-                state.get("ji", ()), state.get("fingerprints", {}), current
-            )
+            stored = state.get("fingerprints", {})
+            preload = _serialize.ji_weights_from_spec(state.get("ji", ()), stored, current)
         except StorageError as error:
             warnings.warn(
                 f"ignoring unreadable offline state in the catalog: {error}",
                 RuntimeWarning,
                 stacklevel=3,
             )
-            return None, None
-        fds = None
-        if (
-            state.get("fingerprints") == current
-            and tuple(state.get("afd_params", ()))
-            == (self.config.afd_max_violation, self.config.afd_max_lhs_size)
-            and sorted(state.get("known_names", ())) == sorted(self._known_fds)
-            and isinstance(state.get("fds"), list)
+            return None
+        if tuple(state.get("afd_params", ())) == (
+            self.config.afd_max_violation,
+            self.config.afd_max_lhs_size,
         ):
-            fds = state["fds"]
-        return (preload or None), fds
+            for name, fds in dict(state.get("instance_fds", {})).items():
+                if name in current and current[name] == stored.get(name):
+                    self._discovered[name] = (tables[name], list(fds))
+        return preload or None
 
     def persist(
         self,
@@ -289,13 +287,15 @@ class DANCE:
 
         Persists the marketplace (tables, encodings, pricing, revenues) plus
         the offline state this middleware derived from it: per-sample content
-        fingerprints, every cached JI edge weight, and the discovered FDs —
-        everything a fresh process needs for :meth:`build_offline` on the
-        reopened catalog to recompute **zero** JI edges.  ``kind`` defaults to
-        ``config.storage``; the write is atomic (see
-        :meth:`repro.marketplace.market.Marketplace.persist`).  ``extra`` runs
-        inside the same atomic write (used by the acquisition service to add
-        its session caches).  Returns the attached backend.
+        fingerprints, every cached JI edge weight, and the FD list of every
+        instance AFDs were mined on — everything a fresh process needs for
+        :meth:`build_offline` on the reopened catalog to recompute **zero** JI
+        edges and mine no table.  ``kind`` defaults to ``config.storage``.
+        The write is all-or-nothing whether it rewrites the attached catalog
+        in place or replaces the file (see
+        :meth:`repro.marketplace.market.Marketplace.persist`); ``extra`` runs
+        inside the same write (used by the acquisition service to add its
+        session caches).  Returns the attached backend.
         """
         from repro.storage import META_OFFLINE, NS_OFFLINE
         from repro.storage import serialize as _serialize
@@ -306,8 +306,11 @@ class DANCE:
                 state = {
                     "fingerprints": _serialize.fingerprint_tables(graph._samples),
                     "ji": _serialize.ji_weights_to_spec(graph._ji_cache),
-                    "fds": list(self._fds),
-                    "known_names": sorted(self._known_fds),
+                    "instance_fds": {
+                        name: self._discovered[name][1]
+                        for name in sorted(self._discovered)
+                        if graph._samples.get(name) is self._discovered[name][0]
+                    },
                     "afd_params": (
                         self.config.afd_max_violation,
                         self.config.afd_max_lhs_size,
@@ -342,8 +345,10 @@ class DANCE:
         An instance whose table is the *same object* as at its last discovery
         reuses that FD list — the identity rule ``JoinGraph`` applies to JI
         weights — so a rebuild mines only new or replaced instances (a
-        refinement round's re-bought samples are new objects).  A miss
-        overwrites the instance's entry and counts in ``_afd_discoveries``.
+        refinement round's re-bought samples are new objects); a warm build
+        seeds the entries of unchanged tables from the catalog (see
+        :meth:`_offline_preload`).  A miss overwrites the instance's entry and
+        counts in ``_afd_discoveries``.
         """
         fds: list[FunctionalDependency] = []
         seen: set[tuple] = set()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -14,6 +16,7 @@ from repro.sampling.correlated import CorrelatedSampler
 
 if TYPE_CHECKING:  # repro.storage imports this module; runtime imports are lazy
     from repro.storage import CatalogBackend
+    from repro.storage.checkpoint import CheckpointWriter
 
 #: Reserved key in the datasets namespace holding the pickled default pricing
 #: model (dataset names never start with ``#``, matching the table-encoding
@@ -55,6 +58,62 @@ class PurchaseReceipt:
     result: Table
 
 
+@dataclass
+class _Checkpoint:
+    """What the attached catalog holds, as of the last checkpoint into it.
+
+    ``tokens`` maps each dataset to what its blobs were serialised from
+    (:func:`_dataset_token`), ``digests`` maps every blob to the digest the
+    :class:`~repro.storage.checkpoint.CheckpointWriter` recorded, ``file_id``
+    is the ``(st_dev, st_ino)`` of the catalog file the backend's connection
+    holds (``None`` in memory) and ``puts`` counts the blobs the write put.
+    None of it holds a serialised blob.
+    """
+
+    backend: "CatalogBackend"
+    file_id: tuple[int, int] | None
+    tokens: dict[str, tuple]
+    digests: dict[tuple[str, str], bytes]
+    puts: int
+
+
+def _dataset_token(dataset: MarketplaceDataset) -> tuple:
+    """What a dataset's catalog blobs are serialised from.
+
+    The record's objects by identity — the dataset, its table (``None`` while
+    a lazy table is still in the catalog), pricing, FDs and description —
+    and the table's :func:`~repro.storage.serialize.encodings_state`.
+    Tables are immutable by convention and their caches only grow, so an
+    equal token means equal blobs.
+    """
+    from repro.storage import StoredDataset
+    from repro.storage.serialize import encodings_state
+
+    if isinstance(dataset, StoredDataset) and not dataset.hydrated:
+        table, state = None, (0, 0)
+    else:
+        table = dataset.table
+        state = encodings_state(table)
+    return (dataset, table, dataset.pricing, dataset.fds, dataset.description), state
+
+
+def _same_token(before: tuple | None, now: tuple) -> bool:
+    return (
+        before is not None
+        and all(old is new for old, new in zip(before[0], now[0]))
+        and before[1] == now[1]
+    )
+
+
+def _file_id(path: Path) -> tuple[int, int] | None:
+    """``(st_dev, st_ino)`` of the file at ``path``, or ``None`` when there is none."""
+    try:
+        status = os.stat(path)
+    except OSError:
+        return None
+    return status.st_dev, status.st_ino
+
+
 class Marketplace:
     """An in-process data marketplace hosting :class:`MarketplaceDataset` objects.
 
@@ -80,6 +139,7 @@ class Marketplace:
         self.sample_revenue = 0.0
         self.query_revenue = 0.0
         self._storage: "CatalogBackend | None" = None
+        self._checkpoint: _Checkpoint | None = None
         for dataset in datasets:
             self.host(dataset)
 
@@ -246,47 +306,54 @@ class Marketplace:
             if isinstance(dataset, StoredDataset):
                 dataset._backend = backend
 
-    def _snapshot_payloads(self) -> list[tuple[str, bytes, bytes, bytes | None]]:
-        """Serialised ``(name, spec, table, encodings)`` for every dataset.
+    @property
+    def checkpoint_blobs(self) -> int:
+        """How many blobs the last successful checkpoint put (0 before any).
 
-        Gathered *before* any write so that re-persisting a catalog into its
-        own backend (e.g. an in-memory backend about to be cleared) still sees
-        the blobs that lazy, never-hydrated datasets would copy verbatim.
+        A full rewrite puts every blob; an in-place checkpoint only those
+        whose bytes changed (see :meth:`persist`).
         """
+        return 0 if self._checkpoint is None else self._checkpoint.puts
+
+    def _dataset_payloads(
+        self, name: str, dataset: MarketplaceDataset
+    ) -> tuple[bytes, bytes, bytes | None]:
+        """Serialised ``(record, table, encodings)`` blobs of one dataset."""
         from repro.storage import NS_ENCODINGS, NS_TABLES, StoredDataset
         from repro.storage import serialize as _serialize
 
-        items: list[tuple[str, bytes, bytes, bytes | None]] = []
-        for name, dataset in self._datasets.items():
-            spec = _serialize.dumps(
-                {
-                    "entry": dataset.catalog_entry(),
-                    "description": dataset.description,
-                    "pricing": dataset.pricing,
-                    "fds": dataset.fds,
-                }
-            )
-            if isinstance(dataset, StoredDataset) and not dataset.hydrated:
-                # Copy the stored bytes verbatim — checkpointing a lazy
-                # catalog must not force every table into memory.
-                table_blob = dataset._backend.get(NS_TABLES, name)
-                if table_blob is None:
-                    raise StorageError(
-                        f"catalog holds no table data for dataset {name!r}"
-                    )
-                encodings_blob = dataset._backend.get(NS_ENCODINGS, name)
-            else:
-                table_blob = _serialize.table_to_blob(dataset.table)
-                encodings_blob = _serialize.encodings_to_blob(dataset.table)
-            items.append((name, spec, table_blob, encodings_blob))
-        return items
+        spec = _serialize.dumps(
+            {
+                "entry": dataset.catalog_entry(),
+                "description": dataset.description,
+                "pricing": dataset.pricing,
+                "fds": dataset.fds,
+            }
+        )
+        if isinstance(dataset, StoredDataset) and not dataset.hydrated:
+            # Copy the stored bytes verbatim — checkpointing a lazy catalog
+            # must not force every table into memory.
+            table_blob = dataset._backend.get(NS_TABLES, name)
+            if table_blob is None:
+                raise StorageError(f"catalog holds no table data for dataset {name!r}")
+            return spec, table_blob, dataset._backend.get(NS_ENCODINGS, name)
+        return (
+            spec,
+            _serialize.table_to_blob(dataset.table),
+            _serialize.encodings_to_blob(dataset.table),
+        )
 
     def _write_catalog(
         self,
-        backend: "CatalogBackend",
-        items: list[tuple[str, bytes, bytes, bytes | None]],
-        extra: "Callable[[CatalogBackend], None] | None" = None,
-    ) -> None:
+        writer: "CheckpointWriter",
+        tokens: Mapping[str, tuple],
+        extra: "Callable[[CheckpointWriter], None] | None" = None,
+    ) -> dict[str, tuple]:
+        """Write the whole catalog through ``writer``; returns the new tokens.
+
+        A dataset whose token equals its entry in ``tokens`` (what the
+        catalog's blobs were serialised from) keeps its blobs unread.
+        """
         from repro.storage import (
             META_MARKETPLACE,
             NS_DATASETS,
@@ -295,8 +362,8 @@ class Marketplace:
         )
         from repro.storage import serialize as _serialize
 
-        backend.initialize()
-        backend.put_meta(
+        writer.stamp()
+        writer.put_meta(
             META_MARKETPLACE,
             {
                 "sample_row_price": self.sample_row_price,
@@ -307,58 +374,128 @@ class Marketplace:
                 "datasets": list(self._datasets),
             },
         )
-        backend.put(
+        writer.put(
             NS_DATASETS, _DEFAULT_PRICING_KEY, _serialize.dumps(self._default_pricing)
         )
-        for name, spec, table_blob, encodings_blob in items:
-            backend.put(NS_DATASETS, name, spec)
-            backend.put(NS_TABLES, name, table_blob)
-            if encodings_blob is not None:
-                backend.put(NS_ENCODINGS, name, encodings_blob)
+        written: dict[str, tuple] = {}
+        for name, dataset in self._datasets.items():
+            token = _dataset_token(dataset)
+            if (
+                _same_token(tokens.get(name), token)
+                and writer.keep(NS_DATASETS, name)
+                and writer.keep(NS_TABLES, name)
+            ):
+                writer.keep(NS_ENCODINGS, name)
+            else:
+                spec, table_blob, encodings_blob = self._dataset_payloads(name, dataset)
+                writer.put(NS_DATASETS, name, spec)
+                writer.put(NS_TABLES, name, table_blob)
+                if encodings_blob is not None:
+                    writer.put(NS_ENCODINGS, name, encodings_blob)
+                # Serialising may have cached more statistics (the record's
+                # full price); the token describes what was written.
+                token = _dataset_token(dataset)
+            written[name] = token
         if extra is not None:
-            extra(backend)
-        backend.flush()
+            extra(writer)
+        return written
 
     def persist(
         self,
         path: str | Path | None = None,
         *,
         kind: str | None = None,
-        extra: "Callable[[CatalogBackend], None] | None" = None,
+        extra: "Callable[[CheckpointWriter], None] | None" = None,
     ) -> "CatalogBackend":
         """Checkpoint the marketplace into a catalog and attach that catalog.
 
-        With no ``path``, the attached backend is rewritten in place (a fresh
-        in-memory backend is attached when nothing is).  With a ``path``, the
-        catalog is written to a sibling temp file and atomically renamed into
-        place, so an interrupted persist never corrupts an existing catalog.
+        With no ``path`` the attached catalog is checkpointed (a fresh
+        in-memory backend is attached when none is).  Every checkpoint is
+        all-or-nothing, in one of two ways:
+
+        * **In place**, in one backend transaction, when the target is the
+          attached catalog, a previous checkpoint wrote it, and its backend
+          is transactional (sqlite and in-memory).  For a file, the path
+          must still name the file the backend's connection holds.  Only
+          the blobs whose bytes changed are put, datasets whose table and
+          record are unchanged are not even serialised, and every key a
+          full rewrite would not write is deleted.  An exception rolls the
+          transaction back; when a file's backend failed (a
+          :class:`~repro.exceptions.StorageError`), the checkpoint warns and
+          retries as a full rewrite.
+        * **Full rewrite** otherwise: the catalog is written to a sibling
+          temp file and atomically renamed into place
+          (:func:`~repro.storage.atomic_persist`), so an interrupted persist
+          never corrupts an existing catalog.
+
         ``extra`` lets higher layers (:meth:`repro.core.dance.DANCE.persist`,
-        the acquisition service) add their namespaces inside the same atomic
-        write.  Returns the backend now attached.
+        the acquisition service) add their namespaces inside the same write;
+        it receives a :class:`~repro.storage.checkpoint.CheckpointWriter`
+        (``put``/``put_meta``).  :attr:`checkpoint_blobs` reports how many
+        blobs the write put.  Returns the backend now attached.
         """
         from repro import storage as _storage
+        from repro.storage.checkpoint import CheckpointWriter, write_in_place
 
-        items = self._snapshot_payloads()
-        target = None if path is None else Path(path)
-        if target is None and (self._storage is None or self._storage.path is None):
-            backend = self._storage
-            if backend is None:
-                backend = _storage.InMemoryBackend()
-            if isinstance(backend, _storage.InMemoryBackend):
-                backend.clear()
-            self._write_catalog(backend, items, extra)
+        storage = self._storage
+        last = self._checkpoint
+        if last is not None and last.backend is not storage:
+            last = None
+        # Until a write succeeds, the catalog's contents count as unknown.
+        self._checkpoint = None
+        tokens = {} if last is None else last.tokens
+
+        def write(writer: CheckpointWriter) -> dict[str, tuple]:
+            return self._write_catalog(writer, tokens, extra)
+
+        if path is None and (storage is None or storage.path is None):
+            backend = storage if storage is not None else _storage.InMemoryBackend()
+            writer, written = write_in_place(
+                backend, None if last is None else last.digests, write
+            )
             self._attach(backend)
+            self._checkpoint = _Checkpoint(backend, None, written, writer.digests, writer.puts)
             return backend
-        if target is None:
-            target = self._storage.path
-            kind = kind or self._storage.kind
-        final = _storage.atomic_persist(
-            target, kind, lambda backend: self._write_catalog(backend, items, extra)
+        target = Path(path) if path is not None else storage.path
+        if path is None:
+            kind = kind or storage.kind
+        if (
+            last is not None
+            and last.file_id is not None
+            and storage.transactional
+            and _storage.normalize_kind(kind) in (None, storage.kind)
+            and last.file_id == _file_id(target)
+        ):
+            try:
+                writer, written = write_in_place(storage, last.digests, write)
+            except StorageError as error:
+                warnings.warn(
+                    f"rewriting the catalog at {target} in full: the in-place "
+                    f"checkpoint failed and was rolled back: {error}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            else:
+                self._checkpoint = _Checkpoint(
+                    storage, last.file_id, written, writer.digests, writer.puts
+                )
+                return storage
+        outcome: list = []
+
+        def write_fresh(backend: "CatalogBackend") -> None:
+            writer = CheckpointWriter(backend)
+            outcome[:] = [writer, write(writer)]
+
+        final = _storage.atomic_persist(target, kind, write_fresh)
+        if storage is not None:
+            storage.close()
+        backend = _storage.open_backend(final)
+        self._attach(backend)
+        writer, written = outcome
+        self._checkpoint = _Checkpoint(
+            backend, _file_id(final), written, writer.digests, writer.puts
         )
-        if self._storage is not None:
-            self._storage.close()
-        self._attach(_storage.open_backend(final))
-        return self._storage
+        return backend
 
     @classmethod
     def open(

@@ -234,7 +234,9 @@ class Table:
         }
         self._num_rows = lengths.pop() if lengths else 0
         self._encodings: dict[tuple[str, ...], ColumnEncoding] = {}
-        self._stats: dict[object, float] = {}
+        # Entropy statistics, plus the content fingerprint the catalog caches
+        # here (see repro.storage.serialize.table_fingerprint).
+        self._stats: dict[object, float | str] = {}
         self._padded_arrays: dict[str, object] = {}
 
     @classmethod

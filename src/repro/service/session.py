@@ -762,12 +762,14 @@ class AcquisitionService:
         (``ServiceConfig(catalog_path=...)``), the refreshed state —
         marketplace, offline phase, session caches — is checkpointed to it in
         the same call, so a restart after the registration is warm; the
-        summary gains a ``"checkpointed"`` flag.  Returns DANCE's refresh
-        summary (mode, added / replaced names, edge recompute and AFD
-        discovery counts) plus ``memo_kept`` and ``memo_dropped``: how many
-        memoised evaluations, over every request namespace, survived the
-        write and how many it dropped (see :meth:`_sync_locked`).  Must not
-        overlap in-flight requests.
+        summary gains a ``"checkpointed"`` flag and ``"checkpoint_blobs"``,
+        the number of blobs the checkpoint put: every blob for a full
+        rewrite, only those whose bytes changed for one in place, 0 when it
+        failed.  Returns DANCE's refresh summary (mode, added / replaced
+        names, edge recompute and AFD discovery counts) plus ``memo_kept``
+        and ``memo_dropped``: how many memoised evaluations, over every
+        request namespace, survived the write and how many it dropped (see
+        :meth:`_sync_locked`).  Must not overlap in-flight requests.
         """
         with self._lock:
             summary = self._dance.register_source_tables(tables)
@@ -784,8 +786,10 @@ class AcquisitionService:
                 try:
                     self._persist_locked(self.config.service.catalog_path)
                     summary["checkpointed"] = True
+                    summary["checkpoint_blobs"] = self._dance.marketplace.checkpoint_blobs
                 except StorageError as error:
                     summary["checkpointed"] = False
+                    summary["checkpoint_blobs"] = 0
                     warnings.warn(
                         f"session checkpoint failed: {error}",
                         RuntimeWarning,
@@ -802,9 +806,11 @@ class AcquisitionService:
         marketplace's attached backend.  The session namespace stores the JI
         cache and Step-1 memo under a fingerprint of the current graph state,
         so a restarted service only adopts them while the data is unchanged.
-        The write is atomic end to end (one temp-file rename covers all
-        namespaces).  Must not overlap in-flight requests.  Returns the
-        attached backend.
+        The write is all-or-nothing across every namespace: it rewrites the
+        attached catalog in one transaction, putting only the blobs that
+        changed, or else replaces the file through one temp-file rename (see
+        :meth:`repro.marketplace.market.Marketplace.persist`).  Must not
+        overlap in-flight requests.  Returns the attached backend.
         """
         with self._lock:
             if self._closed:

@@ -2,8 +2,9 @@
 
 See :mod:`repro.storage.base` for the backend contract and the namespace
 layout; :mod:`repro.storage.factory` for construction/opening/atomic
-persistence; :mod:`repro.storage.serialize` for the payload formats; and
-:mod:`repro.storage.lazy` for lazily hydrated datasets.
+persistence; :mod:`repro.storage.checkpoint` for in-place checkpoints that
+put only what changed; :mod:`repro.storage.serialize` for the payload
+formats; and :mod:`repro.storage.lazy` for lazily hydrated datasets.
 """
 
 from repro.storage.base import (

@@ -34,6 +34,7 @@ import abc
 import json
 import time
 from pathlib import Path
+from typing import ContextManager
 
 from repro.exceptions import StorageError
 
@@ -99,6 +100,9 @@ class CatalogBackend(abc.ABC):
 
     #: Canonical kind name (``"memory"``/``"sqlite"``/``"duckdb"``).
     kind: str = "abstract"
+    #: Whether :meth:`transaction` makes a batch of writes all-or-nothing, so
+    #: a checkpoint may rewrite this catalog in place.
+    transactional: bool = False
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path: Path | None = None if path is None else Path(path)
@@ -133,6 +137,14 @@ class CatalogBackend(abc.ABC):
     def get_meta(self, key: str, default: object = None) -> object:
         """The metadata value under ``key``, or ``default``."""
 
+    @abc.abstractmethod
+    def delete_meta(self, key: str) -> None:
+        """Remove the metadata value under ``key`` if present."""
+
+    @abc.abstractmethod
+    def meta_keys(self) -> list[str]:
+        """Sorted metadata keys."""
+
     # -------------------------------------------------------------- lifecycle
     @abc.abstractmethod
     def flush(self) -> None:
@@ -142,6 +154,16 @@ class CatalogBackend(abc.ABC):
     def close(self) -> None:
         """Flush and release the backend's resources (idempotent)."""
 
+    def transaction(self) -> ContextManager["CatalogBackend"]:
+        """A context that makes the writes inside it all-or-nothing.
+
+        A clean exit commits them once; any exception undoes every write the
+        block made and propagates.  Only backends with :attr:`transactional`
+        set support it; the others raise
+        :class:`~repro.exceptions.StorageError`.
+        """
+        raise StorageError(f"{self._where()} does not support transactions")
+
     def __enter__(self) -> "CatalogBackend":
         return self
 
@@ -149,13 +171,19 @@ class CatalogBackend(abc.ABC):
         self.close()
 
     # ------------------------------------------------------------ versioning
-    def initialize(self) -> None:
-        """Stamp a fresh catalog: schema version, backend kind, creation time."""
+    def initialize(self, *, created: bool = True) -> tuple[str, ...]:
+        """Stamp a catalog: schema version, backend kind, creation time.
+
+        ``created=False`` keeps the catalog's creation time (a checkpoint
+        rewriting it in place).  Returns the stamp's metadata keys.
+        """
         self.put_meta(META_SCHEMA_VERSION, SCHEMA_VERSION)
         self.put_meta(META_KIND, self.kind)
-        # dancelint: disable=DET104 -- provenance stamp: metadata only, never
-        # read back into any computation or served result.
-        self.put_meta(META_CREATED, time.strftime("%Y-%m-%dT%H:%M:%S"))
+        if created:
+            # dancelint: disable=DET104 -- provenance stamp: metadata only,
+            # never read back into any computation or served result.
+            self.put_meta(META_CREATED, time.strftime("%Y-%m-%dT%H:%M:%S"))
+        return META_SCHEMA_VERSION, META_KIND, META_CREATED
 
     def check_schema_version(self) -> int:
         """Validate the stored schema version, returning it.

@@ -11,6 +11,10 @@ acquisition result — are bit-identical across the two engines.
 As with the sqlite backend, one connection is shared across threads behind a
 lock (statement execution and row fetching both inside the critical section),
 because the acquisition service hydrates tables from request worker threads.
+
+Every statement autocommits, so the backend is not :attr:`transactional`: a
+checkpoint into a duckdb catalog always rewrites it through
+:func:`repro.storage.factory.atomic_persist`.
 """
 
 from __future__ import annotations
@@ -184,6 +188,13 @@ class DuckDBBackend(CatalogBackend):
             [("SELECT value FROM catalog_meta WHERE key = ?", (key,))], fetch="one"
         )
         return default if row is None else meta_loads(row[0])
+
+    def delete_meta(self, key: str) -> None:
+        self._run([("DELETE FROM catalog_meta WHERE key = ?", (key,))])
+
+    def meta_keys(self) -> list[str]:
+        rows = self._run([("SELECT key FROM catalog_meta ORDER BY key", ())], fetch="all")
+        return [row[0] for row in rows]
 
     # -------------------------------------------------------------- lifecycle
     def flush(self) -> None:

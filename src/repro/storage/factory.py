@@ -134,9 +134,10 @@ def atomic_persist(path: str | Path, kind: str | None, writer) -> Path:
     """Write a catalog to ``path`` atomically via a sibling temp file.
 
     ``writer`` receives a fresh backend rooted at the temp path, fills it,
-    and returns; the temp file then replaces ``path`` in one ``os.replace``.
-    On any failure the temp file is removed and ``path`` keeps its previous
-    contents — persist is all-or-nothing.
+    and returns; the temp file is committed and then replaces ``path`` in
+    one ``os.replace``.  On any failure, a failed commit included, the temp
+    file is removed and ``path`` keeps its previous contents: persist is
+    all-or-nothing.
     """
     target = Path(path)
     if target.parent and not target.parent.exists():
@@ -145,6 +146,9 @@ def atomic_persist(path: str | Path, kind: str | None, writer) -> Path:
     try:
         with create_backend(kind or SQLITE, scratch) as backend:
             writer(backend)
+            # close() swallows commit errors; a half-written temp file must
+            # never replace the catalog.
+            backend.flush()
         os.replace(scratch, target)
     except BaseException:
         scratch.unlink(missing_ok=True)

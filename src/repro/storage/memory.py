@@ -10,6 +10,9 @@ against it byte for byte.
 
 from __future__ import annotations
 
+import contextlib
+from typing import Iterator
+
 from repro.storage.base import MEMORY, CatalogBackend, meta_dumps, meta_loads
 
 
@@ -17,6 +20,7 @@ class InMemoryBackend(CatalogBackend):
     """A catalog held in process memory (``path`` is always ``None``)."""
 
     kind = MEMORY
+    transactional = True
 
     def __init__(self) -> None:
         super().__init__(path=None)
@@ -50,6 +54,12 @@ class InMemoryBackend(CatalogBackend):
         text = self._meta.get(key)
         return default if text is None else meta_loads(text)
 
+    def delete_meta(self, key: str) -> None:
+        self._meta.pop(key, None)
+
+    def meta_keys(self) -> list[str]:
+        return sorted(self._meta)
+
     # -------------------------------------------------------------- lifecycle
     def flush(self) -> None:
         pass
@@ -60,7 +70,14 @@ class InMemoryBackend(CatalogBackend):
         # release, and persist()/open() pairs hand the same instance around.
         self._closed = True
 
-    def clear(self) -> None:
-        """Drop every blob and metadata entry (used by full re-persists)."""
-        self._blobs.clear()
-        self._meta.clear()
+    @contextlib.contextmanager
+    def transaction(self) -> Iterator["InMemoryBackend"]:
+        # The copies share the payload bytes; a failed block gets the dicts
+        # it started from back.
+        blobs = {namespace: dict(keyed) for namespace, keyed in self._blobs.items()}
+        meta = dict(self._meta)
+        try:
+            yield self
+        except BaseException:
+            self._blobs, self._meta = blobs, meta
+            raise

@@ -54,6 +54,11 @@ def loads(payload: bytes) -> object:
 
 
 # ------------------------------------------------------------------ fingerprints
+#: Where :func:`table_fingerprint` caches its digest in ``Table._stats``
+#: (never persisted: :func:`encodings_to_blob` stores entropy keys only).
+_FINGERPRINT_KEY = ("fingerprint",)
+
+
 def table_fingerprint(table: Table) -> str:
     """Content digest of one table: name, typed schema, and every column.
 
@@ -61,7 +66,12 @@ def table_fingerprint(table: Table) -> str:
     fingerprint in any process — the substrate for adopting persisted JI
     weights and FDs after a restart (sampling is deterministic, so unchanged
     source data reproduces unchanged samples, which reproduce this digest).
+    The digest is cached on the table (tables are immutable by convention),
+    so each checkpoint hashes only tables it has not hashed before.
     """
+    cached = table._stats.get(_FINGERPRINT_KEY)
+    if cached is not None:
+        return cached
     digest = hashlib.blake2b(digest_size=16)
     digest.update(repr(table.name).encode())
     for attribute in table.schema:
@@ -70,7 +80,8 @@ def table_fingerprint(table: Table) -> str:
         digest.update(
             pickle.dumps(table.column(name), protocol=PICKLE_PROTOCOL)
         )
-    return digest.hexdigest()
+    table._stats[_FINGERPRINT_KEY] = fingerprint = digest.hexdigest()
+    return fingerprint
 
 
 def fingerprint_tables(tables: Mapping[str, Table]) -> dict[str, str]:
@@ -138,6 +149,15 @@ def encodings_to_blob(table: Table) -> bytes:
     ]
     stats = {key: value for key, value in table._stats.items() if key[0] == "entropy"}
     return dumps({"encodings": encodings, "stats": stats})
+
+
+def encodings_state(table: Table) -> tuple[int, int]:
+    """How many encodings and entropy statistics :func:`encodings_to_blob` stores.
+
+    Both caches only grow, so for one table an unchanged state means
+    unchanged blob bytes.
+    """
+    return len(table._encodings), sum(1 for key in table._stats if key[0] == "entropy")
 
 
 def restore_encodings(table: Table, payload: bytes) -> int:

@@ -11,13 +11,20 @@ The connection is shared across threads (``check_same_thread=False``) behind
 one lock, with statement execution *and* row fetching inside the critical
 section — the acquisition service hydrates tables and restores caches from
 request worker threads.
+
+Writes go into the connection's implicit transaction and become durable at
+:meth:`SQLiteBackend.flush`; :meth:`SQLiteBackend.transaction` is that same
+transaction, committed once or rolled back, which is what lets a checkpoint
+rewrite the catalog file in place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import sqlite3
 import threading
 from pathlib import Path
+from typing import Iterator
 
 from repro.exceptions import StorageError
 from repro.storage.base import SQLITE, CatalogBackend, meta_dumps, meta_loads
@@ -40,6 +47,7 @@ class SQLiteBackend(CatalogBackend):
     """A catalog stored in one sqlite database file."""
 
     kind = SQLITE
+    transactional = True
 
     def __init__(self, path: str | Path) -> None:
         super().__init__(path=path)
@@ -133,6 +141,13 @@ class SQLiteBackend(CatalogBackend):
         )
         return default if row is None else meta_loads(row[0])
 
+    def delete_meta(self, key: str) -> None:
+        self._run("DELETE FROM catalog_meta WHERE key = ?", (key,))
+
+    def meta_keys(self) -> list[str]:
+        rows = self._run("SELECT key FROM catalog_meta ORDER BY key", fetch="all")
+        return [row[0] for row in rows]
+
     # -------------------------------------------------------------- lifecycle
     def flush(self) -> None:
         with self._lock:
@@ -154,3 +169,20 @@ class SQLiteBackend(CatalogBackend):
             except sqlite3.Error:
                 pass
             self._dispose()
+
+    @contextlib.contextmanager
+    def transaction(self) -> Iterator["SQLiteBackend"]:
+        # Commit what earlier writes left pending, so a rollback undoes
+        # exactly the block's own writes.
+        self.flush()
+        try:
+            yield self
+            self.flush()
+        except BaseException:
+            with self._lock:
+                if self._connection is not None:
+                    try:
+                        self._connection.rollback()
+                    except sqlite3.Error:
+                        pass
+            raise

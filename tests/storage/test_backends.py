@@ -109,6 +109,42 @@ class TestBackendContract:
         assert summary["schema_version"] == SCHEMA_VERSION
         assert summary["namespaces"] == {"tables": 1}
 
+    def test_initialize_returns_its_keys_and_can_keep_created(self, backend):
+        keys = backend.initialize()
+        assert sorted(keys) == backend.meta_keys()
+        backend.put_meta("created", "earlier")
+        assert backend.initialize(created=False) == keys
+        assert backend.get_meta("created") == "earlier"
+
+    def test_meta_keys_and_delete(self, backend):
+        backend.put_meta("b", 1)
+        backend.put_meta("a", 2)
+        assert backend.meta_keys() == ["a", "b"]
+        backend.delete_meta("b")
+        backend.delete_meta("b")
+        assert backend.meta_keys() == ["a"]
+        assert backend.get_meta("b") is None
+
+    def test_transaction_commits_once_or_rolls_back(self, backend):
+        if not backend.transactional:
+            with pytest.raises(StorageError, match="transactions"):
+                backend.transaction()
+            return
+        backend.put("tables", "kept", b"before")
+        backend.put_meta("note", "before")
+        with backend.transaction():
+            backend.put("tables", "kept", b"after")
+        assert backend.get("tables", "kept") == b"after"
+        with pytest.raises(StorageError, match="mid-transaction"):
+            with backend.transaction():
+                backend.put("tables", "kept", b"lost")
+                backend.put("offline", "new", b"lost")
+                backend.delete_meta("note")
+                raise StorageError("mid-transaction")
+        assert backend.get("tables", "kept") == b"after"
+        assert backend.namespaces() == ["tables"]
+        assert backend.get_meta("note") == "before"
+
     def test_context_manager_closes(self, backend):
         with backend as inside:
             inside.put("tables", "a", b"x")

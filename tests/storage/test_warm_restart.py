@@ -1,11 +1,12 @@
 """Warm restarts: persisted offline state makes ``build_offline`` free.
 
-``DANCE.persist`` stores the JI edge weights, discovered FDs, and per-instance
-content fingerprints; a process that reopens the catalog and rebuilds the
-offline phase must adopt every weight (zero JI computations, zero edge
-recomputes) and serve acquisitions bit-identical to the cold run.  Adoption is
-fingerprint-guarded: any change to an instance's data invalidates exactly the
-entries that touch it, never correctness.
+``DANCE.persist`` stores the JI edge weights, each mined instance's FD list,
+and per-instance content fingerprints; a process that reopens the catalog and
+rebuilds the offline phase must adopt every weight (zero JI computations, zero
+edge recomputes) and every FD list (zero AFD discoveries), and serve
+acquisitions bit-identical to the cold run.  Adoption is fingerprint-guarded:
+any change to an instance's data invalidates exactly the entries that touch
+it, never correctness.
 """
 
 from __future__ import annotations
@@ -63,22 +64,39 @@ class TestZeroRecomputeRestart:
         warm = DANCE(Marketplace.open(tmp_path / "cat"), config())
         warm.build_offline()
         assert warm.fds == cold.fds
+        assert warm.afd_discoveries == 0
 
     def test_replacement_after_restart_matches_a_cold_build(self, tmp_path, kind):
-        # The warm build adopts the persisted FD list and has no per-table
-        # discoveries to reuse, so this write re-mines every table.
+        # The warm build seeds each unchanged instance's FD list from the
+        # catalog, so this write mines only the replaced table.
         cold_dance().persist(tmp_path / "cat", kind=kind)
         replacement = Table.from_rows(
             "extra", ["bad_key", "bonus"], [(i % 3, float(i % 4)) for i in range(12)]
         )
         warm = DANCE(Marketplace.open(tmp_path / "cat"), config())
         warm.build_offline()
-        warm.register_source_tables([replacement])
+        assert warm.afd_discoveries == 0
+        summary = warm.register_source_tables([replacement])
+        assert summary["afd_discoveries"] == 1
 
         cold = DANCE(small_marketplace(), config())
         cold.register_source_tables([replacement])
         cold.build_offline()
         assert warm.fds == cold.fds
+
+    def test_changed_afd_parameters_mine_every_table(self, tmp_path, kind):
+        cold_dance().persist(tmp_path / "cat", kind=kind)
+        stricter = DanceConfig(
+            sampling_rate=1.0,
+            mcmc=MCMCConfig(iterations=40, seed=0),
+            afd_max_violation=0.0,
+        )
+        warm = DANCE(Marketplace.open(tmp_path / "cat"), stricter)
+        warm.build_offline()
+        fresh = DANCE(small_marketplace(), stricter)
+        fresh.build_offline()
+        assert warm.afd_discoveries == fresh.afd_discoveries > 0
+        assert warm.fds == fresh.fds
 
     def test_acquisitions_are_bit_identical(self, tmp_path, kind):
         cold = cold_dance()
