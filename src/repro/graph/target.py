@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import compress, product
 from typing import Iterable, Mapping, MutableMapping, Sequence
 
 from repro.exceptions import GraphConstructionError, SearchError
@@ -35,7 +35,7 @@ from repro.quality.measure import grouped_join_quality, join_quality
 from repro.relational.joins import JoinLineage, inner_join, inner_join_origins
 from repro.relational.partitions import distinct_rows
 from repro.relational.schema import AttributeType
-from repro.relational.table import Table
+from repro.relational.table import Table, mask_rows
 
 
 @dataclass(frozen=True)
@@ -244,17 +244,17 @@ class TargetGraph:
 
     def _join(
         self, tables: Mapping[str, Table], intermediate_hook
-    ) -> tuple[Table, JoinLineage | None, list[int] | None]:
+    ) -> tuple[Table, JoinLineage | None, bytes | None]:
         """The unsampled join along the tree, and its lineage if the hook fired.
 
         The chain is joined unsampled, recording origins from the first level
         the hook fires on; the third value is that first draw.  Replaying the
-        draws down the lineage (:meth:`JoinLineage.kept_rows`) then gives the
+        draws down the lineage (:meth:`JoinLineage.kept_mask`) then gives the
         hook the same calls as re-sampling while joining.
         """
         projected = self._projected_tables(tables)
         joined = projected[0]
-        lineage = first_keep = None
+        lineage = first_mask = None
         for edge_index, right in enumerate(projected[1:]):
             join_attrs = self._join_attributes(edge_index, joined, right)
             # Levels up to the first firing are never sampled, so only the
@@ -262,15 +262,15 @@ class TargetGraph:
             if lineage is None:
                 joined = inner_join(joined, right, join_attrs)
                 if intermediate_hook is not None:
-                    first_keep = intermediate_hook.draw(len(joined))
-                    if first_keep is not None:
+                    first_mask = intermediate_hook.draw(len(joined))
+                    if first_mask is not None:
                         lineage = JoinLineage(len(joined))
             else:
                 joined, origins = inner_join_origins(joined, right, join_attrs)
                 lineage.add_level(origins)
         if lineage is not None:
             lineage.joined = joined
-        return joined, lineage, first_keep
+        return joined, lineage, first_mask
 
     def joined_table(self, tables: Mapping[str, Table], *, intermediate_hook=None) -> Table:
         """Join the (projected) instances along the tree.
@@ -278,8 +278,8 @@ class TargetGraph:
         ``intermediate_hook`` re-samples each intermediate join result (see
         :meth:`evaluate`).
         """
-        joined, lineage, first_keep = self._join(tables, intermediate_hook)
-        return joined if lineage is None else lineage.sample(intermediate_hook, first_keep)
+        joined, lineage, first_mask = self._join(tables, intermediate_hook)
+        return joined if lineage is None else lineage.sample(intermediate_hook, first_mask)
 
     def price(self, tables: Mapping[str, Table], pricing) -> float:
         """Total purchase price: Σ over non-owned instances of the projection price."""
@@ -343,26 +343,27 @@ class TargetGraph:
         ``intermediate_hook`` is a correlated re-sampler of the intermediate
         join results, such as
         :class:`~repro.sampling.resampling.ResamplingPolicy`: its
-        ``draw(num_rows)`` returns the ascending row positions to keep, or
-        ``None`` to keep them all, and whether it keeps all must depend on
-        ``num_rows`` alone.  ``lineages`` memoises, by :meth:`signature`, the
-        join lineage of every graph on which the hook fired, so a later
-        evaluation of the same graph on the same ``tables`` re-samples
-        without joining; graphs on which it never fired get no entry.  A
-        memoised lineage also keeps a :class:`_LineageSummary` of its final
-        join, and every evaluation of it measures the kept rows from that
-        summary without gathering them.
+        ``draw(num_rows)`` returns a byte mask over the ``num_rows`` rows (1
+        for a row to keep, 0 for one to drop), or ``None`` to keep them all,
+        and whether it keeps all must depend on ``num_rows`` alone.
+        ``lineages`` memoises, by :meth:`signature`, the join lineage of every
+        graph on which the hook fired, so a later evaluation of the same graph
+        on the same ``tables`` re-samples without joining; graphs on which it
+        never fired get no entry.  A memoised lineage also keeps a
+        :class:`_LineageSummary` of its final join, and every evaluation of it
+        measures the rows its mask keeps from that summary without gathering
+        them.
         """
         key = None if lineages is None else self.signature()
         lineage = None if key is None else lineages.get(key)
         if lineage is not None:
-            rows = lineage.kept_rows(intermediate_hook)
+            mask = lineage.kept_mask(intermediate_hook)
         else:
-            joined, lineage, first_keep = self._join(tables, intermediate_hook)
+            joined, lineage, first_mask = self._join(tables, intermediate_hook)
             if lineage is None or key is None:
                 # Nothing to memoise: measure the (sampled) join row by row.
                 if lineage is not None:
-                    joined = lineage.sample(intermediate_hook, first_keep)
+                    joined = lineage.sample(intermediate_hook, first_mask)
                 return TargetGraphEvaluation(
                     correlation=attribute_set_correlation(
                         joined, source_attributes, target_attributes
@@ -373,7 +374,7 @@ class TargetGraph:
                     join_rows=len(joined),
                 )
             lineages[key] = lineage
-            rows = lineage.kept_rows(intermediate_hook, first_keep)
+            mask = lineage.kept_mask(intermediate_hook, first_mask)
         request = (tuple(source_attributes), tuple(target_attributes), tuple(fds))
         summary = lineage.summary
         if summary is None or summary.request != request:
@@ -383,7 +384,7 @@ class TargetGraph:
                 weight=self.weight(tables, ji_cache=ji_cache),
                 price=self.price(tables, pricing),
             )
-        return summary.evaluate(rows)
+        return summary.evaluate(mask)
 
     # ------------------------------------------------------------------ dunder
     def __repr__(self) -> str:
@@ -525,15 +526,20 @@ class _LineageSummary:
             if len(set(zip(lhs, rhs))) != len(set(lhs)):
                 self.fd_keys.append((lhs, rhs))
 
-    def evaluate(self, rows: list[int]) -> TargetGraphEvaluation:
-        """The evaluation of the final join's ``rows`` (ascending positions)."""
+    def evaluate(self, mask: bytes) -> TargetGraphEvaluation:
+        """The evaluation of the final join's rows that the byte ``mask``
+        keeps (one byte per row, 1 for kept).
+
+        Kept rows are counted per group in row order, so the groups come in
+        the order of their first kept row, as the per-row kernels count them.
+        """
         if self.group_of is None:
             sources, targets, fds = self.request
-            sample = self.joined.take(rows)
+            sample = self.joined.take(mask_rows(mask))
             correlation = attribute_set_correlation(sample, sources, targets)
             quality = join_quality(sample, fds)
         else:
-            counts = Counter(map(self.group_of.__getitem__, rows))
+            counts = Counter(compress(self.group_of, mask))
             correlation = grouped_correlation(counts, self.targets, self.sources)
             quality = grouped_join_quality(counts, self.fd_keys)
         return TargetGraphEvaluation(
@@ -541,7 +547,7 @@ class _LineageSummary:
             quality=quality,
             weight=self.weight,
             price=self.price,
-            join_rows=len(rows),
+            join_rows=mask.count(1),
         )
 
 

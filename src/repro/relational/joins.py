@@ -22,19 +22,20 @@ joining a row subset of the left side yields exactly the join's rows whose
 left row is in that subset, in the same order.  :class:`JoinLineage` uses
 this to replay a re-sampled join chain without joining: it keeps each
 level's left-row index vector and the unsampled final join, and carries a
-sampler's kept rows down the index vectors.
+sampler's byte mask of kept rows down the index vectors.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import compress
+from operator import itemgetter
 from typing import Sequence
 
 from repro.exceptions import JoinError
 from repro.relational import backend as _backend
 from repro.relational.schema import Schema
-from repro.relational.table import ColumnEncoding, Table, Value
+from repro.relational.table import ColumnEncoding, Table, Value, mask_rows
 
 
 def shared_join_attributes(left: Table, right: Table) -> tuple[str, ...]:
@@ -286,23 +287,29 @@ def inner_join_origins(
     return Table._from_columns(result_name, schema, columns, len(left_idx)), left_idx
 
 
-def _kept_origins(origins, kept, num_left_rows: int):
-    """Positions (ascending) of the join rows whose origin is in ``kept``."""
+def _mask_gather(origins):
+    """A function that carries a byte mask over a level's rows to the rows of
+    the next level, whose ``origins`` name the row each came from.
+
+    Under numpy it fancy-indexes the mask's bytes; under python an
+    ``operator.itemgetter`` over the origins gathers them in C.
+    """
     if _backend.is_array(origins):
         np = _backend.get_numpy()
-        alive = np.zeros(num_left_rows, dtype=bool)
-        alive[np.asarray(kept, dtype=np.int64)] = True
-        return np.flatnonzero(alive[origins])
-    alive = set(kept)
-    return list(compress(range(len(origins)), map(alive.__contains__, origins)))
+        return lambda mask: np.frombuffer(mask, np.uint8)[origins].tobytes()
+    if len(origins) < 2:  # itemgetter needs an item, and returns one bare
+        return lambda mask: bytes(mask[row] for row in origins)
+    gather = itemgetter(*origins)
+    return lambda mask: bytes(gather(mask))
 
 
-def _pick(rows, keep):
-    """``rows[k]`` for each position ``k`` of ``keep``."""
-    if _backend.is_array(rows):
-        np = _backend.get_numpy()
-        return rows[np.asarray(keep, dtype=np.int64)]
-    return list(map(rows.__getitem__, keep))
+def _narrow(candidates: bytes, keep) -> bytes:
+    """``candidates`` with its marked rows narrowed to those ``keep`` marks;
+    ``keep`` holds one byte per marked row, in row order."""
+    narrowed = bytearray(len(candidates))
+    for row in compress(compress(range(len(candidates)), candidates), keep):
+        narrowed[row] = 1
+    return bytes(narrowed)
 
 
 class JoinLineage:
@@ -316,44 +323,52 @@ class JoinLineage:
     ``summary`` holds what an evaluator derives from ``joined`` once for
     all its replays (see :meth:`repro.graph.target.TargetGraph.evaluate`);
     it lives and dies with the lineage.
+
+    A replay carries a byte mask, one byte per row and 1 for kept, from the
+    first level's draw down the origins (:meth:`kept_mask`); it never lists
+    row positions.  The per-level gathers are built on the first replay.
     """
 
-    __slots__ = ("fired_rows", "origins", "joined", "summary")
+    __slots__ = ("fired_rows", "origins", "joined", "summary", "_gathers")
 
     def __init__(self, fired_rows: int) -> None:
         self.fired_rows = fired_rows
         self.origins: list = []
         self.joined: Table | None = None
         self.summary = None
+        self._gathers: list | None = None
 
     def add_level(self, origins) -> None:
         """Record the next level's origins (lists are packed into ``int64``)."""
         self.origins.append(origins if _backend.is_array(origins) else array("q", origins))
 
-    def kept_rows(self, sampler, first_keep: list[int] | None = None) -> list[int]:
-        """The rows of ``joined`` that re-sampling every level with ``sampler`` keeps.
+    def kept_mask(self, sampler, first_mask: bytes | None = None) -> bytes:
+        """The byte mask of the rows of ``joined`` that re-sampling every level
+        with ``sampler`` keeps.
 
-        ``sampler.draw(num_rows)`` returns the ascending positions to keep,
-        or ``None`` to keep all; it is called once per level from the first
-        re-sampled one on, with the row count the sampled chain has there —
-        the same calls, in the same order, as sampling while joining.
-        ``first_keep`` is the first level's draw when it was already made.
-        The rows come in ascending order.
+        ``sampler.draw(num_rows)`` returns a byte mask over ``num_rows``
+        rows, or ``None`` to keep all; it is called once per level from the
+        first re-sampled one on, with the row count the sampled chain has
+        there, so with the same calls, in the same order, as sampling while
+        joining.  A level's candidates are the rows whose origin was kept,
+        and its draw narrows them.  ``first_mask`` is the first level's draw
+        when it was already made.
         """
-        keep = first_keep if first_keep is not None else sampler.draw(self.fired_rows)
-        rows = list(range(self.fired_rows)) if keep is None else keep
-        num_rows = self.fired_rows
-        for origins in self.origins:
-            candidates = _kept_origins(origins, rows, num_rows)
-            keep = sampler.draw(len(candidates))
-            rows = candidates if keep is None else _pick(candidates, keep)
-            num_rows = len(origins)
-        return rows.tolist() if _backend.is_array(rows) else rows
+        mask = first_mask if first_mask is not None else sampler.draw(self.fired_rows)
+        if mask is None:
+            mask = b"\x01" * self.fired_rows
+        if self._gathers is None:
+            self._gathers = [_mask_gather(origins) for origins in self.origins]
+        for gather in self._gathers:
+            candidates = gather(mask)
+            keep = sampler.draw(candidates.count(1))
+            mask = candidates if keep is None else _narrow(candidates, keep)
+        return mask
 
-    def sample(self, sampler, first_keep: list[int] | None = None) -> Table:
+    def sample(self, sampler, first_mask: bytes | None = None) -> Table:
         """The final join as re-sampling every level with ``sampler`` makes it
-        (the rows :meth:`kept_rows` names)."""
-        return self.joined.take(self.kept_rows(sampler, first_keep))
+        (the rows :meth:`kept_mask` marks)."""
+        return self.joined.take(mask_rows(self.kept_mask(sampler, first_mask)))
 
 
 def full_outer_join(

@@ -10,9 +10,10 @@ touches a few columns of many rows.
 from __future__ import annotations
 
 import random
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.exceptions import SchemaError
+from repro.exceptions import SamplingError, SchemaError
 from repro.relational import backend as _backend
 from repro.relational.schema import Attribute, AttributeType, Schema
 
@@ -159,16 +160,56 @@ def _encode_numpy(values: Sequence[Value]) -> ColumnEncoding | None:
     return ColumnEncoding(_backend.make_codes(codes), decode)
 
 
-def bernoulli_rows(num_rows: int, rate: float, rng: random.Random) -> list[int]:
-    """The row positions a Bernoulli sample at ``rate`` keeps, in ascending order.
+def bernoulli_mask(num_rows: int, rate: float, rng: random.Random) -> bytes:
+    """A Bernoulli sample at ``rate`` as a byte mask: byte ``i`` is 1 when row
+    ``i`` is kept, 0 when it is not.
 
-    Draws exactly one ``rng.random()`` per row, in row order, and keeps a row
-    when its draw is ``<= rate``.  Every row sampler of the library draws
-    through here, so a sample taken from a row count alone consumes the same
-    stream as sampling the table itself.
+    The rows kept, and the state ``rng`` is left in, are those of one
+    ``rng.random() <= rate`` test per row, in row order, but all rows are
+    drawn by one ``rng.getrandbits`` call.  ``random()`` builds its float
+    from the next two 32-bit Mersenne-Twister words ``(a, b)`` as
+    ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, and ``getrandbits`` returns
+    the next words least significant first, so in its little-endian bytes
+    row ``i``'s ``a`` is bytes ``8i`` to ``8i + 3``.  A row is kept iff
+    that 53-bit integer is at most ``int(rate * 2**53)``.  Its top 8 bits
+    are the top byte of ``a``, which alone decides every row whose top byte
+    differs from the threshold's; the others, about one row in 256, are
+    decided from all 53 bits.  Every row sampler of the library draws
+    through here, so a sample taken from a row count alone consumes the
+    same stream as sampling the table itself.
+
+    Raises :class:`~repro.exceptions.SamplingError` for a ``rate`` outside
+    ``(0, 1]``.
     """
-    draw = rng.random
-    return [row for row in range(num_rows) if draw() <= rate]
+    if not 0.0 < rate <= 1.0:
+        raise SamplingError(f"sampling rate must be in (0, 1], got {rate}")
+    raw = rng.getrandbits(64 * num_rows).to_bytes(8 * num_rows, "little")
+    threshold = int(rate * 2**53)
+    tie = threshold >> 45
+    # Maps a row's top byte to 1 (kept), 0 (dropped) or 2 (decided below).
+    # At rate 1.0 the threshold's top byte is 256, so every row is kept and
+    # the slice trims the table to 256 entries.
+    mask = raw[3::8].translate((b"\x01" * tie + b"\x02" + b"\x00" * (255 - tie))[:256])
+    row = mask.find(2)
+    if row < 0:
+        return mask
+    mask = bytearray(mask)
+    while row >= 0:
+        word = int.from_bytes(raw[8 * row : 8 * row + 8], "little")
+        mask[row] = ((word & 0xFFFF_FFFF) >> 5 << 26) + (word >> 38) <= threshold
+        row = mask.find(2, row + 1)
+    return bytes(mask)
+
+
+def mask_rows(mask) -> list[int]:
+    """The positions of the nonzero bytes of ``mask``, in ascending order."""
+    return list(compress(range(len(mask)), mask))
+
+
+def bernoulli_rows(num_rows: int, rate: float, rng: random.Random) -> list[int]:
+    """The row positions a Bernoulli sample at ``rate`` keeps, in ascending
+    order (those :func:`bernoulli_mask` marks)."""
+    return mask_rows(bernoulli_mask(num_rows, rate, rng))
 
 
 def _encode(values: Sequence[Value]) -> ColumnEncoding:
@@ -586,7 +627,11 @@ class Table:
         return self.take(indices, name=name)
 
     def sample_rows(self, rate: float, rng: random.Random, *, name: str | None = None) -> "Table":
-        """Bernoulli row sample at ``rate`` using ``rng`` (uniform, not correlated)."""
+        """Bernoulli row sample at ``rate`` using ``rng`` (uniform, not correlated).
+
+        Raises :class:`~repro.exceptions.SamplingError` for a ``rate`` outside
+        ``(0, 1]``.
+        """
         return self.take(bernoulli_rows(self._num_rows, rate, rng), name=name)
 
     # --------------------------------------------------------------- summaries

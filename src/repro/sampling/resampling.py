@@ -10,9 +10,11 @@ the next join.  The estimators remain unbiased regardless of ``eta``
 A policy re-samples in one of two forms that draw the same stream:
 ``policy(table)`` returns the re-sampled table (the hook of
 :func:`repro.relational.joins.join_path`), and ``policy.draw(num_rows)``
-returns only the row positions to keep, which is all a target-graph
-evaluation replaying a memoised join lineage needs
-(:class:`repro.relational.joins.JoinLineage`).
+returns only a byte mask of the rows to keep (1 kept, 0 dropped), which is
+all a target-graph evaluation replaying a memoised join lineage needs
+(:class:`repro.relational.joins.JoinLineage`).  The replay carries the mask
+down the lineage and counts the rows it keeps without ever listing their
+positions; only the table form gathers rows.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.exceptions import SamplingError
-from repro.relational.table import Table, bernoulli_rows
+from repro.relational.table import Table, bernoulli_mask, mask_rows
 
 
 def resample_if_large(
@@ -92,21 +94,23 @@ class ResamplingPolicy:
         self._rng = random.Random(self.seed)
         self._scale = 1.0
 
-    def draw(self, num_rows: int) -> list[int] | None:
-        """The rows to keep of an intermediate of ``num_rows`` rows, or ``None``.
+    def draw(self, num_rows: int) -> bytes | None:
+        """The rows to keep of an intermediate of ``num_rows`` rows, as a byte
+        mask (byte ``i`` is 1 when row ``i`` is kept, else 0), or ``None``.
 
         ``None`` means the intermediate stays whole (it is within ``eta``, or
         re-sampling is disabled) and consumes no randomness; otherwise the
-        ascending kept positions are drawn exactly as
+        mask is drawn by :func:`~repro.relational.table.bernoulli_mask`, so
+        it keeps the rows, and advances the generator as far, as
         :meth:`Table.sample_rows <repro.relational.table.Table.sample_rows>`
-        draws them.
+        would.
         """
         if self.threshold is None or num_rows <= self.threshold or self.rate == 1.0:
             return None
         self._scale *= self.rate
-        return bernoulli_rows(num_rows, self.rate, self._rng)
+        return bernoulli_mask(num_rows, self.rate, self._rng)
 
     def __call__(self, intermediate: Table) -> Table:
         """Hook for :func:`repro.relational.joins.join_path`: maybe re-sample."""
-        keep = self.draw(len(intermediate))
-        return intermediate if keep is None else intermediate.take(keep)
+        mask = self.draw(len(intermediate))
+        return intermediate if mask is None else intermediate.take(mask_rows(mask))

@@ -193,7 +193,8 @@ def request_from_spec(
     applies to specs that name no ``tier`` of their own.  Raises
     :class:`~repro.exceptions.ReproError` (HTTP 400) for malformed specs:
     attributes that are not a list of strings, a ``shopper`` / ``tier``
-    that is not a string, a non-numeric or boolean constraint.  Request
+    that is not a string, a non-numeric or boolean constraint, or an integer
+    constraint too large for a float.  Request
     validation itself (e.g. empty targets) raises ``SearchError`` (HTTP 422)
     from the :class:`AcquisitionRequest` constructor.
     """
@@ -225,7 +226,8 @@ def request_from_spec(
         beta = float(spec.get("beta", 0.0))
         deadline = spec.get("deadline")
         deadline = float(deadline) if deadline is not None else None
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
+        # OverflowError: an integer too large for a float, which JSON allows.
         raise ReproError(f"invalid numeric field in request spec: {error}") from error
     return AcquisitionRequest(
         source_attributes=source,

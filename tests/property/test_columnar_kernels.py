@@ -722,7 +722,8 @@ numeric_value_kinds = [
 
 @st.composite
 def summarised_joins(draw):
-    """A final join, an evaluation request on it and the rows a replay keeps.
+    """A final join, an evaluation request on it and the byte mask of the
+    rows a replay keeps.
 
     ``num`` is a numerical source; ``cat``, the targets ``t0``/``t1`` and the
     FD columns ``f0``/``f1`` draw from the value kinds of :func:`fd_tables`
@@ -758,18 +759,19 @@ def summarised_joins(draw):
     ] + [FunctionalDependency("absent", "f0")]
     fds = draw(st.lists(st.sampled_from(candidates), max_size=3))
     kept = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    return table, sources, targets, fds, [row for row, keep in enumerate(kept) if keep]
+    return table, sources, targets, fds, bytes(kept)
 
 
 class TestDistinctRowMeasures:
     @settings(max_examples=200, deadline=None)
     @given(summarised_joins())
     def test_grouped_measures_match_the_per_row_kernels(self, case):
-        table, sources, targets, fds, rows = case
+        table, sources, targets, fds, mask = case
+        rows = [row for row, keep in enumerate(mask) if keep]
         request = (tuple(sources), tuple(targets), tuple(fds))
         summary = _LineageSummary(table, request, weight=0.0, price=0.0)
         assert summary.group_of is not None
-        evaluation = summary.evaluate(rows)
+        evaluation = summary.evaluate(mask)
         sample = table.take(rows)
         correlation = attribute_set_correlation(sample, sources, targets)
         assert evaluation.correlation.hex() == correlation.hex()
@@ -784,7 +786,12 @@ class TestDistinctRowMeasures:
         )
         fds = [FunctionalDependency("a", "b")]
         summary = _LineageSummary(table, ((), (), tuple(fds)), weight=0.0, price=0.0)
+
+        def mask(rows):
+            return bytes(row in rows for row in range(len(table)))
+
         for rows in ([0, 1, 2, 3, 4, 5], [1, 2, 3], [0, 3, 4]):
-            assert summary.evaluate(rows).quality == join_quality(table.take(rows), fds)
-        assert summary.evaluate(list(range(6))).quality == 4 / 6
-        assert summary.evaluate([1, 2, 3]).quality == 2 / 3
+            expected = join_quality(table.take(rows), fds)
+            assert summary.evaluate(mask(rows)).quality == expected
+        assert summary.evaluate(mask(range(6))).quality == 4 / 6
+        assert summary.evaluate(mask([1, 2, 3])).quality == 2 / 3

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.exceptions import SchemaError
+from repro.exceptions import SamplingError, SchemaError
 from repro.relational.schema import Attribute, AttributeType, Schema
-from repro.relational.table import Table
+from repro.relational.table import Table, bernoulli_mask, bernoulli_rows
 
 
 @pytest.fixture
@@ -135,9 +138,61 @@ class TestOperations:
     def test_sample_rows_rate_one_keeps_all(self, people):
         assert len(people.sample_rows(1.0, random.Random(0))) == 5
 
+    @pytest.mark.parametrize(
+        "rate", [float("nan"), float("inf"), float("-inf"), 2.0, 1.0000000000000002, 0.0, -0.5]
+    )
+    def test_sample_rows_rejects_a_rate_outside_zero_one(self, people, rate):
+        with pytest.raises(SamplingError, match="rate"):
+            people.sample_rows(rate, random.Random(0))
+
     def test_with_name(self, people):
         assert people.with_name("other").name == "other"
         assert people.with_name("other").column("name") == people.column("name")
+
+
+def reference_draw(num_rows: int, rate: float, rng: random.Random) -> list[int]:
+    """One ``rng.random() <= rate`` test per row, in row order."""
+    return [row for row in range(num_rows) if rng.random() <= rate]
+
+
+@st.composite
+def bernoulli_draws(draw):
+    """``(num_rows, rate, seed)``.  Besides 0.5, 1.0 and rates near 0 and 1,
+    the rate may be a ``random()`` value of the drawn stream or 1 ulp either
+    side of one: the row that drew it has the threshold's top byte, so only
+    the exact 53-bit comparison decides it."""
+    num_rows = draw(st.integers(min_value=0, max_value=20_000))
+    seed = draw(st.integers(min_value=0, max_value=2**64))
+    rate = draw(
+        st.sampled_from([0.5, 1.0])
+        | st.floats(min_value=5e-324, max_value=1e-3)
+        | st.floats(min_value=0.999, max_value=1.0)
+        | st.floats(min_value=5e-324, max_value=1.0)
+    )
+    if num_rows and draw(st.booleans()):
+        rng = random.Random(seed)
+        values = [rng.random() for _ in range(draw(st.integers(1, num_rows)))]
+        rate = draw(st.sampled_from([math.nextafter(values[-1], 0.0), values[-1],
+                                     math.nextafter(values[-1], 1.0)]))
+    assume(0.0 < rate <= 1.0)
+    return num_rows, rate, seed
+
+
+class TestBernoulliDraw:
+    @settings(max_examples=150, deadline=None)
+    @given(bernoulli_draws())
+    def test_one_getrandbits_call_draws_what_per_row_random_calls_draw(self, case):
+        num_rows, rate, seed = case
+        reference_rng = random.Random(seed)
+        expected = reference_draw(num_rows, rate, reference_rng)
+        rng = random.Random(seed)
+        mask = bernoulli_mask(num_rows, rate, rng)
+        assert len(mask) == num_rows and set(mask) <= {0, 1}
+        assert [row for row, kept in enumerate(mask) if kept] == expected
+        assert rng.getstate() == reference_rng.getstate()
+        rng = random.Random(seed)
+        assert bernoulli_rows(num_rows, rate, rng) == expected
+        assert rng.getstate() == reference_rng.getstate()
 
 
 class TestSummaries:

@@ -10,7 +10,7 @@ from repro.exceptions import InfeasibleAcquisitionError, SearchError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.steiner import minimal_weight_igraph
 from repro.quality.fd import FunctionalDependency
-from repro.relational.table import Table, bernoulli_rows
+from repro.relational.table import Table, bernoulli_mask
 from repro.search.candidates import build_initial_target_graph
 from repro.search.mcmc import MCMCConfig, mcmc_search
 
@@ -149,7 +149,7 @@ class TestMCMCSearch:
         join_graph, initial, tables, fds = setup
         rng = random_module.Random(0)
         always_resample = SimpleNamespace(
-            draw=lambda num_rows: bernoulli_rows(num_rows, 0.9, rng)
+            draw=lambda num_rows: bernoulli_mask(num_rows, 0.9, rng)
         )
 
         result = mcmc_search(

@@ -331,6 +331,10 @@ def test_request_from_spec_rejects_malformed_specs():
         request_from_spec({"query": ["Q1"]}, queries={})
     with pytest.raises(ReproError, match="invalid numeric"):
         request_from_spec({"source": ["a"], "target": ["b"], "budget": "cheap"})
+    # JSON integers have no size limit; float() overflows past ~1.8e308.
+    for field in ("budget", "alpha", "beta", "deadline"):
+        with pytest.raises(ReproError, match="invalid numeric"):
+            request_from_spec({"source": ["a"], "target": ["b"], field: 10**400})
     for field, value in (
         ("source", 5),
         ("source", "ab"),
@@ -507,6 +511,8 @@ def test_http_errors_carry_typed_bodies_not_tracebacks(live_server):
         {"requests": [spec], "seeds": [None]},
         {**spec, "source": 5},
         {"requests": [{**spec, "shopper": ["a"]}, {**spec, "shopper": "b"}]},
+        {**spec, "budget": 10**400},
+        {"requests": [{**spec, "deadline": -(10**400)}]},
     ):
         status, _, raw = http_json(f"{url}/acquire", payload)
         assert (status, json.loads(raw)["error"]["type"]) == (400, "ReproError"), payload
