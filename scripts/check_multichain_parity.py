@@ -5,18 +5,16 @@ Both modes serve the TPC-H Q1-Q3 requests through real
 ``AcquisitionService`` instances under different
 :class:`~repro.search.plan.ExecutionPlan` s and compare the served bits.
 
-**Sweep** (the CI ``bench-smoke`` check, ``--sweep``): under each columnar
-backend, serve once with one chain and once per four-chain plan: serial,
-thread, and process with and without the shared columnar store.  The
-four-chain plans must agree bit for bit, one chain must match their
-correlations on this scenario, and the two backends must serve the same
-bits.  Results depend only on ``(seed, chains)``, never on the executor, the
-scheduling order, or the backend.  Every run is repeated with the
-re-sampling threshold ``eta`` lowered to ``FIRED_ETA``, so that the hook
-fires and the walks replay join lineages from their distinct-row summaries;
-there each plan must serve the same bits under both backends and the
-four-chain plans must agree bit for bit (one chain draws differently, so
-its fired answers are only compared across backends).
+**Sweep** (the CI ``bench-smoke`` check, ``--sweep``): serve once with one
+chain and once per four-chain plan: serial, thread, and process with and
+without the shared columnar store.  The four-chain plans must agree bit for
+bit, and one chain must match their correlations on this scenario.  Results
+depend only on ``(seed, chains)``, never on the executor or the scheduling
+order.  Every run is repeated with the re-sampling threshold ``eta`` lowered
+to ``FIRED_ETA``, so that the hook fires and the walks replay join lineages
+from their distinct-row summaries; there the four-chain plans must agree bit
+for bit (one chain draws differently, so its fired answers are not
+compared).
 
 **Executor check** (the CI ``shm-smoke`` check): ``--executor process
 --shared-store`` serves under the requested plan and replays serially; the
@@ -101,7 +99,6 @@ def build_marketplace(workload):
 
 def check_sweep(args) -> int:
     from repro.core.config import DanceConfig, ServiceConfig
-    from repro.relational import backend as columnar_backend
     from repro.sampling.resampling import ResamplingPolicy
     from repro.search.mcmc import MCMCConfig
     from repro.search.plan import ExecutionPlan
@@ -109,9 +106,6 @@ def check_sweep(args) -> int:
     from repro.service import AcquisitionService
     from repro.workloads.tpch import tpch_workload
 
-    if not columnar_backend.numpy_available():
-        print("FAIL: numpy is not importable; the sweep compares both backends")
-        return 1
     single = ExecutionPlan(executor="serial", chains=1)
     plans = [single] + [
         ExecutionPlan(executor=executor, chains=4, shared_store=shared_store)
@@ -126,58 +120,49 @@ def check_sweep(args) -> int:
         "default": ResamplingPolicy(),
         f"eta={FIRED_ETA}": ResamplingPolicy(threshold=FIRED_ETA, rate=0.5, seed=0),
     }
-    served: dict[tuple[str, str, str], list[tuple]] = {}
+    served: dict[tuple[str, str], list[tuple]] = {}
     fired = 0
     failures = 0
-    for backend in ("python", "numpy"):
-        with columnar_backend.use_backend(backend):
-            # Rebuilt per backend, so every encoding is built by that backend.
-            workload = tpch_workload(scale=args.scale, seed=0)
-            requests = tpch_requests(workload)
-            for label, resampling in policies.items():
-                for plan in plans:
-                    config = DanceConfig(
-                        sampling_rate=0.5,
-                        mcmc=MCMCConfig(iterations=args.iterations, seed=0),
-                        plan=plan,
-                        resampling=resampling,
-                        service=ServiceConfig(max_batch_workers=1),
+    workload = tpch_workload(scale=args.scale, seed=0)
+    requests = tpch_requests(workload)
+    for label, resampling in policies.items():
+        for plan in plans:
+            config = DanceConfig(
+                sampling_rate=0.5,
+                mcmc=MCMCConfig(iterations=args.iterations, seed=0),
+                plan=plan,
+                resampling=resampling,
+                service=ServiceConfig(max_batch_workers=1),
+            )
+            with AcquisitionService(build_marketplace(workload), config) as service:
+                results = [service.acquire(request) for request in requests]
+                served[label, plan.spec()] = [fingerprint(result) for result in results]
+                if resampling.threshold == FIRED_ETA:
+                    join_graph = service.dance.join_graph
+                    fired += sum(
+                        fires(result.target_graph, join_graph, resampling)
+                        for result in results
                     )
-                    with AcquisitionService(build_marketplace(workload), config) as service:
-                        results = [service.acquire(request) for request in requests]
-                        served[backend, label, plan.spec()] = [
-                            fingerprint(result) for result in results
-                        ]
-                        if resampling.threshold == FIRED_ETA:
-                            join_graph = service.dance.join_graph
-                            fired += sum(
-                                fires(result.target_graph, join_graph, resampling)
-                                for result in results
-                            )
-                        if plan.shared_store and service.describe()["shared_store"] is None:
-                            failures += 1
-                            print(
-                                f"FAIL [backend={backend} {label} plan={plan.spec()}]: "
-                                f"no shared store"
-                            )
+                if plan.shared_store and service.describe()["shared_store"] is None:
+                    failures += 1
+                    print(f"FAIL [{label} plan={plan.spec()}]: no shared store")
 
     for label in policies:
-        reference_key = ("python", label, plans[1].spec())
-        reference = served[reference_key]
-        for key, fingerprints in served.items():
-            if key[1] != label:
+        reference = served[label, plans[1].spec()]
+        for (key_label, spec), fingerprints in served.items():
+            if key_label != label:
                 continue
-            if key[2] != single.spec():
+            if spec != single.spec():
                 same = fingerprints == reference
             elif label == "default":
                 # One chain and four chains are different walks; on this
                 # scenario they find the same correlations.
                 same = [f[2] for f in fingerprints] == [f[2] for f in reference]
             else:
-                same = fingerprints == served["python", label, single.spec()]
+                continue
             if not same:
                 failures += 1
-                print(f"MISMATCH [backend={key[0]} {label} plan={key[2]}] differs")
+                print(f"MISMATCH [{label} plan={spec}] differs")
     if not fired:
         failures += 1
         print(
@@ -191,11 +176,11 @@ def check_sweep(args) -> int:
     if failures:
         print(f"\n{failures} sweep failure(s)")
         return 1
-    reference = served["python", "default", plans[1].spec()]
+    reference = served["default", plans[1].spec()]
     correlations = ", ".join(repr(f[2]) for f in reference)
     fired_runs = len(served) // len(policies) * len(reference)
     print(
-        f"OK: {len(served)} (backend, eta, plan) runs of {len(reference)} requests agree "
+        f"OK: {len(served)} (eta, plan) runs of {len(reference)} requests agree "
         f"(plans: {', '.join(plan.spec() for plan in plans)}); correlations: "
         f"{correlations}; eta={FIRED_ETA} fired on {fired}/{fired_runs} served graphs"
     )
@@ -369,7 +354,7 @@ def fires(graph, join_graph, policy) -> bool:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sweep", action="store_true",
-                        help="compare chains, executors and backends (bench-smoke)")
+                        help="compare chains and executors (bench-smoke)")
     parser.add_argument("--executor", default=None,
                         help="executor to check against serial (shm-smoke)")
     parser.add_argument("--shared-store", action="store_true",

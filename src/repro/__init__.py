@@ -41,8 +41,8 @@ Performance architecture
 ------------------------
 
 The online search is dominated by repeated joins and entropies over the same
-sample tables, so the hot path is layered over three caches and two
-interchangeable columnar backends:
+sample tables, so the hot path is layered over pure-python columnar kernels
+and three caches:
 
 * **Dictionary encoding** — :class:`~repro.relational.table.Table` lazily
   encodes each column (and each multi-column key) into integer codes with a
@@ -61,13 +61,6 @@ interchangeable columnar backends:
   memoises :meth:`~repro.graph.target.TargetGraph.evaluate` results by a
   canonical graph signature and reports the hit rate in
   :class:`~repro.search.mcmc.MCMCResult`.
-* **Numpy backend (optional)** — when numpy is importable the columnar
-  kernels store codes as ``int64`` arrays, histograms become ``np.bincount``,
-  joint counts reduce via ``np.unique``, and join gathers fancy-index cached
-  object arrays (:mod:`repro.relational.backend`; select with
-  ``REPRO_BACKEND``, :func:`repro.relational.set_backend`, or
-  ``DanceConfig(backend=...)``).  Both backends are bit-identical; the
-  pure-python kernels remain the no-dependency fallback.
 
 ``perfbench/run.py`` measures the resulting throughput and latency, end to
 end and per layer, on three workloads.

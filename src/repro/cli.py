@@ -159,9 +159,9 @@ def cmd_catalog(args: argparse.Namespace) -> int:
             # Offline phase included: the catalog carries JI edge weights and
             # FDs, so the next open + build_offline recomputes zero edges.
             dance = _build_dance(marketplace, args)
-            backend = dance.persist(args.catalog, kind=args.storage)
+            backend = dance.persist(args.catalog)
         else:
-            backend = marketplace.persist(args.catalog, kind=args.storage)
+            backend = marketplace.persist(args.catalog)
         print(json.dumps(backend.describe(), indent=2))
         return 0
     # action == "show"
@@ -521,14 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(catalog)
     catalog.add_argument("--json", action="store_true")
     catalog.add_argument(
-        "--catalog", type=Path, default=None, help="catalog file to read or write"
-    )
-    catalog.add_argument(
-        "--storage",
-        choices=("sqlite", "duckdb"),
-        default=None,
-        help="storage backend for init/persist (default sqlite; duckdb falls "
-        "back to sqlite with a warning when not installed)",
+        "--catalog", type=Path, default=None, help="sqlite catalog file to read or write"
     )
     catalog.set_defaults(func=cmd_catalog)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.exceptions import ReproError, SamplingError
-from repro.relational import backend as relational_backend
 from repro.sampling.resampling import ResamplingPolicy
 from repro.search.mcmc import MCMCConfig
 from repro.search.plan import ExecutionPlan
@@ -32,13 +31,6 @@ class ServiceConfig:
         string form) describing how searches execute: executor, chains, pool
         width, shared columnar store, and pool policy.  Takes precedence over
         the per-knob spelling; see :class:`DanceConfig.plan`.
-    share_caches:
-        Whether the service keeps its evaluation memo and JI cache across
-        requests (on by default; disabling isolates every request, which is
-        only useful for measuring cache effectiveness).
-    cache_stripes:
-        Lock striping of the shared caches (see
-        :class:`repro.search.chains.LockStripedCache`).
     max_queue_depth:
         Bound on how many requests may be admitted (queued + executing) at
         once.  ``None`` (the default) admits everything — the pre-traffic-layer
@@ -79,8 +71,6 @@ class ServiceConfig:
     seed: int | None = None
     max_batch_workers: int = 4
     plan: ExecutionPlan | str | None = None
-    share_caches: bool = True
-    cache_stripes: int = 16
     max_queue_depth: int | None = None
     admission: str = "block"
     metrics_window: int = 256
@@ -99,8 +89,6 @@ class ServiceConfig:
             raise ReproError(
                 f"max_batch_workers must be >= 1, got {self.max_batch_workers}"
             )
-        if self.cache_stripes < 1:
-            raise ReproError(f"cache_stripes must be >= 1, got {self.cache_stripes}")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ReproError(
                 f"max_queue_depth must be >= 1 (or None for unbounded), "
@@ -137,8 +125,8 @@ class DanceConfig:
         runs N independently-seeded Metropolis chains per candidate I-graph
         under the chosen executor — ``serial`` / ``thread`` / ``process`` —
         sharing the evaluation and join-informativeness caches; results are
-        bit-identical for a fixed ``(seed, chains)`` whatever the executor or
-        columnar backend.  ``record_trace`` re-enables the per-iteration
+        bit-identical for a fixed ``(seed, chains)`` whatever the executor.
+        ``record_trace`` re-enables the per-iteration
         correlation trace).
     num_landmarks:
         Number of landmarks used by Step 1.
@@ -153,14 +141,6 @@ class DanceConfig:
         sampling rate) and retry when no feasible target graph exists.
     refinement_rate_multiplier:
         Factor applied to the sampling rate on each refinement round.
-    backend:
-        Columnar-kernel backend for the hot path: ``"numpy"``, ``"python"``,
-        or ``"auto"`` (numpy when importable).  ``None`` (the default) leaves
-        the process-wide selection alone — i.e. the ``REPRO_BACKEND``
-        environment variable or automatic detection; a non-``None`` value is
-        applied process-wide when the :class:`~repro.core.dance.DANCE`
-        middleware is constructed (see :mod:`repro.relational.backend`).
-        Both backends produce bit-identical results.
     plan:
         An :class:`~repro.search.plan.ExecutionPlan` (object or
         ``parse()``-able string like ``"executor=process,chains=4"``)
@@ -170,15 +150,6 @@ class DanceConfig:
         derives an equivalent plan from ``mcmc.chains`` / ``mcmc.executor``
         (:meth:`execution_plan`).
         A plan set on ``service`` applies too; a plan set here wins.
-    storage:
-        Default catalog storage backend kind for
-        :meth:`~repro.core.dance.DANCE.persist`: ``"memory"``, ``"sqlite"``,
-        or ``"duckdb"`` (``duckdb`` degrades to sqlite with a
-        ``RuntimeWarning`` when the module is not importable, mirroring the
-        numpy fallback above).  ``None`` (the default) infers the kind from
-        the persist target — sqlite for paths, memory otherwise.  All
-        backends store byte-identical payloads and serve bit-identical
-        acquisitions.
     service:
         Configuration of the long-lived acquisition service
         (:class:`ServiceConfig`: batch fan-out, persistent pool size, shared
@@ -196,8 +167,6 @@ class DanceConfig:
     afd_max_lhs_size: int = 2
     max_refinement_rounds: int = 2
     refinement_rate_multiplier: float = 2.0
-    backend: str | None = None
-    storage: str | None = None
     service: ServiceConfig = field(default_factory=ServiceConfig)
     plan: ExecutionPlan | str | None = None
 
@@ -208,13 +177,6 @@ class DanceConfig:
         if plan is not None:
             self.plan = plan
             self.mcmc = replace(self.mcmc, chains=plan.chains, executor=plan.executor)
-        if self.backend is not None:
-            # Normalises aliases and raises early on unknown backend names.
-            self.backend = relational_backend.normalize(self.backend)
-        if self.storage is not None:
-            from repro.storage import normalize_kind
-
-            self.storage = normalize_kind(self.storage)
         if not 0.0 < self.sampling_rate <= 1.0:
             raise SamplingError(
                 f"sampling_rate must be in (0, 1], got {self.sampling_rate}"
@@ -253,8 +215,6 @@ class DanceConfig:
             afd_max_lhs_size=self.afd_max_lhs_size,
             max_refinement_rounds=self.max_refinement_rounds,
             refinement_rate_multiplier=self.refinement_rate_multiplier,
-            backend=self.backend,
-            storage=self.storage,
             service=self.service,
             plan=self.plan,
         )

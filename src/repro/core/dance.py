@@ -25,7 +25,6 @@ from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.quality.discovery import discover_afds
 from repro.quality.fd import FunctionalDependency
-from repro.relational import backend as relational_backend
 from repro.relational.table import Table
 from repro.sampling.correlated import CorrelatedSampler
 from repro.search.acquisition import SearchRuntime, heuristic_acquisition
@@ -48,10 +47,7 @@ class DANCE:
         The marketplace to buy samples and instances from.
     config:
         All tunable knobs (sampling rate, MCMC budget, refinement policy,
-        columnar-kernel backend, ...); defaults to :class:`DanceConfig`.
-        When ``config.backend`` is set, the process-wide columnar backend
-        (numpy vs. pure-python; see :mod:`repro.relational.backend`) is
-        selected here, before any sample is encoded.
+        ...); defaults to :class:`DanceConfig`.
     known_fds:
         Known functional dependencies per instance name; instances without an
         entry get AFDs discovered on their samples instead.
@@ -66,8 +62,6 @@ class DANCE:
     ) -> None:
         self.marketplace = marketplace
         self.config = config or DanceConfig()
-        if self.config.backend is not None:
-            relational_backend.set_backend(self.config.backend)
         self._known_fds = {
             name: list(fds) for name, fds in (known_fds or {}).items()
         }
@@ -280,7 +274,6 @@ class DANCE:
         self,
         path: str | Path | None = None,
         *,
-        kind: str | None = None,
         extra: "Callable | None" = None,
     ) -> object:
         """Checkpoint marketplace *and* offline phase into one catalog.
@@ -290,9 +283,9 @@ class DANCE:
         fingerprints, every cached JI edge weight, and the FD list of every
         instance AFDs were mined on — everything a fresh process needs for
         :meth:`build_offline` on the reopened catalog to recompute **zero** JI
-        edges and mine no table.  ``kind`` defaults to ``config.storage``.
-        The write is all-or-nothing whether it rewrites the attached catalog
-        in place or replaces the file (see
+        edges and mine no table.  A ``path`` names a sqlite catalog file.  The
+        write is all-or-nothing whether it rewrites the attached catalog in
+        place or replaces the file (see
         :meth:`repro.marketplace.market.Marketplace.persist`); ``extra`` runs
         inside the same write (used by the acquisition service to add its
         session caches).  Returns the attached backend.
@@ -335,9 +328,7 @@ class DANCE:
             if extra is not None:
                 extra(backend)
 
-        return self.marketplace.persist(
-            path, kind=kind or self.config.storage, extra=write_offline
-        )
+        return self.marketplace.persist(path, extra=write_offline)
 
     def _collect_fds(self, tables: Mapping[str, Table]) -> list[FunctionalDependency]:
         """Known FDs plus AFDs discovered on ``tables``, deduplicated in table order.

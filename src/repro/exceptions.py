@@ -101,7 +101,7 @@ class StorageError(ReproError):
 
     Every storage failure — a missing catalog file, a corrupt or
     foreign-format database, a schema-version mismatch, an undecodable blob —
-    surfaces as this type (never as a raw ``sqlite3``/``duckdb`` exception),
+    surfaces as this type (never as a raw ``sqlite3`` exception),
     so callers of :meth:`repro.marketplace.market.Marketplace.open` can handle
     storage problems at one boundary.
     """
@@ -127,10 +127,6 @@ class MeasureError(ReproError, ValueError):
     ``except ValueError`` — both contracts hold: the HTTP tier classifies it
     as a 400-family :class:`ReproError`, numeric callers still catch it.
     """
-
-
-class BackendError(ReproError, ValueError):
-    """A relational backend received rows or parameters it cannot execute."""
 
 
 class WorkloadError(ReproError, ValueError):

@@ -143,10 +143,7 @@ class JoinGraph:
         # with the instance pair in sorted order.  JI on the samples is a pure
         # function of that key, so the cache survives across searches and is
         # only invalidated when an instance's sample is replaced.  The key is
-        # purely structural (names and attribute sets) — array-backed
-        # ColumnEncodings never enter it, so the cache works unchanged under
-        # both columnar backends (repro.relational.backend) and both produce
-        # bit-identical weights.
+        # purely structural (names and attribute sets).
         self._ji_cache: dict[tuple[str, str, frozenset[str]], float] = {}
         self.ji_computations = 0
         self.edge_recomputes = 0

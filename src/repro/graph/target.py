@@ -160,10 +160,8 @@ class TargetGraph:
 
         Two graphs with the same signature evaluate identically on the same
         tables, so the signature keys evaluation memos.  It is purely
-        structural and never contains table data or (possibly array-backed,
-        unhashable) encodings, so a memo keyed on it is valid under both
-        columnar backends, which evaluate bit-identically.  It is computed
-        once per instance.
+        structural and never contains table data or encodings.  It is
+        computed once per instance.
         """
         return self._signature
 
@@ -505,13 +503,13 @@ class _LineageSummary:
         read = dict.fromkeys(present_sources + present_targets + fd_attributes)
         group_of, groups = distinct_rows(joined, list(read))
         self.group_of: list[int] | None = group_of
-        self.targets = groups.encoded_key(present_targets).code_list()
+        self.targets = groups.encoded_key(present_targets).codes
         self.sources: list[tuple[AttributeType, list[int] | SortedGroups]] = []
         self.fd_keys: list[tuple[list[int], list[int]]] = []
         for attribute in present_sources:
             x_type = schema.type_of(attribute)
             if x_type is not AttributeType.NUMERICAL:
-                self.sources.append((x_type, groups.encoded(attribute).code_list()))
+                self.sources.append((x_type, groups.encoded(attribute).codes))
                 continue
             values = None
             if set(map(type, joined.column(attribute))) <= _PLAIN_NUMBERS:
@@ -521,8 +519,8 @@ class _LineageSummary:
                 return
             self.sources.append((x_type, SortedGroups.build(values, self.targets)))
         for fd in applicable:
-            lhs = groups.encoded_key(fd.lhs).code_list()
-            rhs = groups.encoded(fd.rhs).code_list()
+            lhs = groups.encoded_key(fd.lhs).codes
+            rhs = groups.encoded(fd.rhs).codes
             if len(set(zip(lhs, rhs))) != len(set(lhs)):
                 self.fd_keys.append((lhs, rhs))
 

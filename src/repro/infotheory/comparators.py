@@ -17,11 +17,7 @@ from repro.exceptions import MeasureError
 
 
 def pearson_correlation(x: Sequence[object], y: Sequence[object]) -> float:
-    """Pearson's r for two aligned numeric sequences (``None`` pairs are dropped).
-
-    Implemented without numpy so the comparators stay importable when the
-    optional numpy backend dependency is absent.
-    """
+    """Pearson's r for two aligned numeric sequences (``None`` pairs are dropped)."""
     pairs = [
         (float(a), float(b))
         for a, b in zip(x, y)

@@ -73,18 +73,12 @@ def attribute_set_correlation(
     y_encoding = table.encoded_key(present_targets)
     h_y = entropy_of_counts(y_encoding.counts())
     total = 0.0
-    y_code_groups: list | None = None
     for attribute in present_sources:
         x_type = table.schema.type_of(attribute)
         if x_type is AttributeType.NUMERICAL:
-            if y_code_groups is None:
-                # The cumulative-entropy estimator groups rows by target code
-                # in python; plain int codes group faster than boxed array
-                # scalars, and the result is identical under both backends.
-                y_code_groups = y_encoding.code_list()
             x_values = table.column(attribute)
             total += cumulative_entropy(x_values) - conditional_cumulative_entropy(
-                x_values, y_code_groups
+                x_values, y_encoding.codes
             )
         else:
             x_encoding = table.encoded(attribute)

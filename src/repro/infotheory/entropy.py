@@ -9,14 +9,6 @@ built over small dense integers, which is what makes the MCMC evaluation loop
 cheap.  Entropies are measured in bits (log base 2); the choice of base cancels
 in the correlation and join-informativeness ratios, but bits make the unit
 tests easy to reason about.
-
-The code-based kernels accept either container of the columnar backend
-(:mod:`repro.relational.backend`): plain lists or ``int64`` numpy arrays.
-Array inputs take vectorised paths (``np.bincount`` histograms, ``np.unique``
-joint-count reduction over a combined integer key), but every floating-point
-accumulation still consumes the same count values in the same
-(first-occurrence) order as the list path, so the two backends return
-bit-identical entropies.
 """
 
 from __future__ import annotations
@@ -26,17 +18,11 @@ from collections import Counter
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.exceptions import MeasureError
-from repro.relational import backend as _backend
 
 
 def entropy_of_counts(counts: Iterable[int]) -> float:
     """Shannon entropy (bits) of a histogram of non-negative counts."""
-    if _backend.is_array(counts):
-        # Keep the order and convert to python ints: the sequential reduction
-        # below is then bit-identical to the pure-python backend.
-        counts = counts[counts > 0].tolist()
-    else:
-        counts = [count for count in counts if count > 0]
+    counts = [count for count in counts if count > 0]
     total = sum(counts)
     if total == 0:
         return 0.0
@@ -90,14 +76,8 @@ def normalized_mutual_information(x: Sequence[Hashable], y: Sequence[Hashable]) 
     return mutual_information(x, y) / joint
 
 
-def counts_of_codes(codes: Sequence[int], num_codes: int):
-    """Histogram of a dictionary-encoded code column (codes in ``[0, num_codes)``).
-
-    Array-backed codes take the ``np.bincount`` path and return an array; the
-    values and their order are identical to the list path either way.
-    """
-    if _backend.is_array(codes):
-        return _backend.get_numpy().bincount(codes, minlength=num_codes)
+def counts_of_codes(codes: Sequence[int], num_codes: int) -> list[int]:
+    """Histogram of a dictionary-encoded code column (codes in ``[0, num_codes)``)."""
     counts = [0] * num_codes
     for code in codes:
         counts[code] += 1
@@ -127,23 +107,9 @@ def joint_code_counts(
 def joint_entropy_of_codes(
     x_codes: Sequence[int], y_codes: Sequence[int], y_num_codes: int
 ) -> float:
-    """``H(X, Y)`` in bits from two aligned code columns.
-
-    When both columns are array-backed the joint histogram is reduced with
-    ``np.unique`` over the combined key vector and then re-ordered to the
-    first occurrence of each pair, which is exactly the insertion order of the
-    dict built by :func:`joint_code_counts` — keeping the entropy accumulation
-    bit-identical across backends.
-    """
+    """``H(X, Y)`` in bits from two aligned code columns."""
     if len(x_codes) != len(y_codes):
         raise MeasureError("joint_entropy_of_codes requires aligned code columns")
-    if _backend.is_array(x_codes) and _backend.is_array(y_codes):
-        np = _backend.get_numpy()
-        combined = x_codes.astype(np.int64) * y_num_codes + y_codes
-        _, first_index, counts = np.unique(
-            combined, return_index=True, return_counts=True
-        )
-        return entropy_of_counts(counts[np.argsort(first_index)])
     return entropy_of_counts(joint_code_counts(x_codes, y_codes, y_num_codes).values())
 
 

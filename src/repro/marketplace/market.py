@@ -279,21 +279,20 @@ class Marketplace:
 
     def attach_storage(
         self,
-        backend: "CatalogBackend | str | None" = None,
+        backend: "CatalogBackend | None" = None,
         *,
         path: str | Path | None = None,
     ) -> "CatalogBackend":
         """Attach a catalog backend to this marketplace.
 
-        ``backend`` may be a :class:`~repro.storage.CatalogBackend` instance or
-        a kind name (``"memory"``/``"sqlite"``/``"duckdb"``; default infers
-        memory without a ``path``, sqlite with one).  Attaching alone writes
+        Without a ``backend`` instance, a ``path`` attaches a sqlite catalog
+        there and no ``path`` an in-memory one.  Attaching alone writes
         nothing — call :meth:`persist` to checkpoint the marketplace into it.
         """
         from repro import storage as _storage
 
-        if not isinstance(backend, _storage.CatalogBackend):
-            backend = _storage.create_backend(backend, path)
+        if backend is None:
+            backend = _storage.create_backend(path)
         self._attach(backend)
         return backend
 
@@ -404,21 +403,19 @@ class Marketplace:
         self,
         path: str | Path | None = None,
         *,
-        kind: str | None = None,
         extra: "Callable[[CheckpointWriter], None] | None" = None,
     ) -> "CatalogBackend":
         """Checkpoint the marketplace into a catalog and attach that catalog.
 
-        With no ``path`` the attached catalog is checkpointed (a fresh
-        in-memory backend is attached when none is).  Every checkpoint is
-        all-or-nothing, in one of two ways:
+        A ``path`` names a sqlite catalog file.  With no ``path`` the attached
+        catalog is checkpointed (a fresh in-memory backend is attached when
+        none is).  Every checkpoint is all-or-nothing, in one of two ways:
 
         * **In place**, in one backend transaction, when the target is the
-          attached catalog, a previous checkpoint wrote it, and its backend
-          is transactional (sqlite and in-memory).  For a file, the path
-          must still name the file the backend's connection holds.  Only
-          the blobs whose bytes changed are put, datasets whose table and
-          record are unchanged are not even serialised, and every key a
+          attached catalog and a previous checkpoint wrote it.  For a file,
+          the path must still name the file the backend's connection holds.
+          Only the blobs whose bytes changed are put, datasets whose table
+          and record are unchanged are not even serialised, and every key a
           full rewrite would not write is deleted.  An exception rolls the
           transaction back; when a file's backend failed (a
           :class:`~repro.exceptions.StorageError`), the checkpoint warns and
@@ -457,13 +454,9 @@ class Marketplace:
             self._checkpoint = _Checkpoint(backend, None, written, writer.digests, writer.puts)
             return backend
         target = Path(path) if path is not None else storage.path
-        if path is None:
-            kind = kind or storage.kind
         if (
             last is not None
             and last.file_id is not None
-            and storage.transactional
-            and _storage.normalize_kind(kind) in (None, storage.kind)
             and last.file_id == _file_id(target)
         ):
             try:
@@ -486,7 +479,7 @@ class Marketplace:
             writer = CheckpointWriter(backend)
             outcome[:] = [writer, write(writer)]
 
-        final = _storage.atomic_persist(target, kind, write_fresh)
+        final = _storage.atomic_persist(target, write_fresh)
         if storage is not None:
             storage.close()
         backend = _storage.open_backend(final)
@@ -498,9 +491,7 @@ class Marketplace:
         return backend
 
     @classmethod
-    def open(
-        cls, source: "str | Path | CatalogBackend", *, kind: str | None = None
-    ) -> "Marketplace":
+    def open(cls, source: "str | Path | CatalogBackend") -> "Marketplace":
         """Open a persisted marketplace from a catalog path or backend.
 
         Datasets come back as lazily hydrated :class:`~repro.storage.StoredDataset`
@@ -514,7 +505,7 @@ class Marketplace:
         from repro import storage as _storage
         from repro.storage import serialize as _serialize
 
-        backend = _storage.open_backend(source, kind=kind)
+        backend = _storage.open_backend(source)
         meta = backend.get_meta(_storage.META_MARKETPLACE)
         if not isinstance(meta, dict):
             raise StorageError(

@@ -17,17 +17,8 @@ The public surface is re-exported here:
 ``partition``, ``equivalence_classes``
     Partition / equivalence-class machinery used by FD-based quality
     measurement (``partitions.py``).
-``active_backend``, ``set_backend``, ``use_backend``, ``numpy_available``
-    Columnar-kernel backend selection: numpy arrays when numpy is importable,
-    pure-python lists otherwise (``backend.py``).
 """
 
-from repro.relational.backend import (
-    active_backend,
-    numpy_available,
-    set_backend,
-    use_backend,
-)
 from repro.relational.schema import Attribute, AttributeType, Schema
 from repro.relational.table import ColumnEncoding, Table
 from repro.relational.joins import full_outer_join, inner_join, join_path
@@ -45,8 +36,4 @@ __all__ = [
     "partition",
     "equivalence_classes",
     "stripped_partition",
-    "active_backend",
-    "set_backend",
-    "use_backend",
-    "numpy_available",
 ]

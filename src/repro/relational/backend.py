@@ -1,205 +1,12 @@
-"""Backend selection for the columnar kernels: numpy arrays or pure-python lists.
-
-The hot path of the online search — dictionary-encoded code columns, code
-histograms, joint-count reductions, and join gathers — can run on two
-interchangeable backends:
-
-``numpy``
-    :class:`~repro.relational.table.ColumnEncoding` stores its codes as an
-    ``np.ndarray`` (``int64``), histograms are ``np.bincount``, joint counts
-    reduce via ``np.unique`` on a combined integer key, and joins gather
-    result columns through fancy indexing over (left, right) row-index
-    vectors.  Selected automatically whenever numpy is importable.
-``python``
-    The original pure-python list kernels.  Selected automatically when numpy
-    is absent; always available.
-
-Both backends are **bit-identical**: every floating-point reduction consumes
-the same count values in the same (first-occurrence) order, so entropies,
-correlations, and join informativeness agree bit for bit, and the property
-tests in ``tests/property/test_columnar_kernels.py`` double as parity oracles.
-
-Selection
----------
-The backend is resolved once, lazily, from (in order of precedence):
-
-1. a programmatic override via :func:`set_backend` / :func:`use_backend`
-   (also reachable through ``DanceConfig(backend=...)``),
-2. the ``REPRO_BACKEND`` environment variable (``"numpy"``, ``"python"``, or
-   ``"auto"``; read once, at first resolution),
-3. the default ``"auto"``: numpy when importable, python otherwise.
-
-Requesting ``"numpy"`` when numpy cannot be imported falls back to
-``"python"`` with a :class:`RuntimeWarning` instead of failing — the library
-never *requires* numpy.
-
-Switching backends mid-process is safe: kernels dispatch on the *type* of the
-codes they receive (:func:`is_array`), not on the globally active backend, so
-tables encoded under one backend keep working after a switch.  The active
-backend only controls the container used for encodings built afterwards.
-"""
+"""The columnar kernels' backend name, as the benchmark records it."""
 
 from __future__ import annotations
 
-import os
-import warnings
-from contextlib import contextmanager
-from typing import Iterator, Sequence
-
-from repro.exceptions import BackendError
-
-try:  # numpy is an optional dependency; everything degrades to lists without it.
-    import numpy as _NUMPY  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - exercised via the masked-numpy tests
-    _NUMPY = None
-
-ENV_VAR = "REPRO_BACKEND"
-
-NUMPY = "numpy"
-PYTHON = "python"
-AUTO = "auto"
-
-_ALIASES = {
-    "numpy": NUMPY,
-    "np": NUMPY,
-    "python": PYTHON,
-    "list": PYTHON,
-    "pure-python": PYTHON,
-    "purepython": PYTHON,
-    "auto": AUTO,
-    "": AUTO,
-}
-
-# Programmatic override (set_backend) and the lazily-resolved active backend.
-_override: str | None = None
-_active: str | None = None
-
-
-def numpy_available() -> bool:
-    """Whether numpy could be imported in this process."""
-    return _NUMPY is not None
-
-
-def get_numpy():
-    """The numpy module, or ``None`` when it is not importable."""
-    return _NUMPY
-
-
-def normalize(name: str) -> str:
-    """Canonical backend name for ``name`` (``"numpy"``/``"python"``/``"auto"``).
-
-    Raises :class:`~repro.exceptions.BackendError` (a ``ValueError``) for
-    unknown names; accepted aliases are
-    ``np``, ``list``, ``pure-python``, ``purepython``, and the empty string.
-    """
-    canonical = _ALIASES.get(name.strip().lower())
-    if canonical is None:
-        raise BackendError(
-            f"unknown columnar backend {name!r}; expected one of "
-            f"{sorted(set(_ALIASES.values()))}"
-        )
-    return canonical
-
-
-def _resolve(requested: str) -> str:
-    if requested == AUTO:
-        return NUMPY if _NUMPY is not None else PYTHON
-    if requested == NUMPY and _NUMPY is None:
-        warnings.warn(
-            "REPRO backend 'numpy' requested but numpy is not importable; "
-            "falling back to the pure-python kernels",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return PYTHON
-    return requested
-
 
 def active_backend() -> str:
-    """The resolved backend name: ``"numpy"`` or ``"python"`` (never ``"auto"``)."""
-    global _active
-    if _active is None:
-        requested = _override if _override is not None else normalize(
-            os.environ.get(ENV_VAR, AUTO)
-        )
-        _active = _resolve(requested)
-    return _active
+    """The columnar kernels' backend: always ``"python"``.
 
-
-def set_backend(name: str | None) -> str:
-    """Override the backend (``None`` clears the override and re-reads the env var).
-
-    Returns the backend that is now active.  Existing encodings are untouched;
-    only encodings built after the call use the new container.
+    The kernels run on plain python lists.  The library once had a second,
+    numpy backend; the benchmark still records the backend in its results.
     """
-    global _override, _active
-    _override = None if name is None else normalize(name)
-    _active = None
-    return active_backend()
-
-
-@contextmanager
-def use_backend(name: str | None) -> Iterator[str]:
-    """Context manager form of :func:`set_backend`; restores the prior override."""
-    global _override, _active
-    saved_override, saved_active = _override, _active
-    try:
-        yield set_backend(name)
-    finally:
-        _override, _active = saved_override, saved_active
-
-
-def is_array(obj: object) -> bool:
-    """Whether ``obj`` is a numpy array (False whenever numpy is unavailable).
-
-    Kernels dispatch on this rather than on :func:`active_backend` so that
-    encodings created before a backend switch keep evaluating correctly.
-    """
-    return _NUMPY is not None and isinstance(obj, _NUMPY.ndarray)
-
-
-def make_codes(codes: Sequence[int]):
-    """Wrap a freshly-built code list in the active backend's container.
-
-    Under the numpy backend this is an ``int64`` array (the substrate for
-    ``np.bincount`` histograms and fancy-indexed join gathers); under the
-    python backend the list is returned unchanged.
-    """
-    if active_backend() == NUMPY:
-        return _NUMPY.asarray(codes, dtype=_NUMPY.int64)
-    return codes if isinstance(codes, list) else list(codes)
-
-
-def codes_to_bytes(codes) -> tuple[bytes, int, str]:
-    """Serialize a codes/counts container to raw int64 bytes.
-
-    Returns ``(data, length, container)`` where ``container`` records the
-    original type (``"ndarray"`` or ``"list"``) so :func:`codes_from_buffer`
-    can rebuild the exact same representation on the other side of a shared
-    memory segment.  Both containers serialize to identical little-endian
-    int64 layout, so a buffer written under one backend can be re-mapped
-    under the other."""
-    if is_array(codes):
-        arr = _NUMPY.ascontiguousarray(codes, dtype=_NUMPY.int64)
-        return arr.tobytes(), len(arr), "ndarray"
-    from array import array as _array
-
-    return _array("q", codes).tobytes(), len(codes), "list"
-
-
-def codes_from_buffer(buffer, length: int, container: str):
-    """Rebuild a codes/counts container from a raw int64 buffer.
-
-    ``"ndarray"`` containers come back as *read-only* views over ``buffer``
-    (zero copy — the caller must keep the buffer alive); ``"list"``
-    containers (and ``"ndarray"`` when numpy is unavailable) are copied out
-    into a plain python list of ints."""
-    if container == "ndarray" and _NUMPY is not None:
-        view = _NUMPY.frombuffer(buffer, dtype=_NUMPY.int64, count=length)
-        view.flags.writeable = False
-        return view
-    from array import array as _array
-
-    out = _array("q")
-    out.frombytes(bytes(buffer[: length * 8]))
-    return out.tolist()
+    return "python"

@@ -11,12 +11,6 @@ The joins are *columnar*: each side's join key is dictionary-encoded once
 row, and the result columns are gathered directly from (left row, right row)
 index vectors — no intermediate row tuples are materialised.
 
-Under the numpy backend (:mod:`repro.relational.backend`) the index vectors
-are built with vectorised run expansion (``np.repeat`` over per-row match
-counts plus an offset arithmetic gather into the concatenated match arrays)
-and the result columns are gathered by fancy indexing into object arrays; the
-emitted rows and their order are identical to the pure-python path.
-
 Inner joins emit their rows grouped by left row, in left row order, so
 joining a row subset of the left side yields exactly the join's rows whose
 left row is in that subset, in the same order.  :class:`JoinLineage` uses
@@ -33,7 +27,6 @@ from operator import itemgetter
 from typing import Sequence
 
 from repro.exceptions import JoinError
-from repro.relational import backend as _backend
 from repro.relational.schema import Schema
 from repro.relational.table import ColumnEncoding, Table, Value, mask_rows
 
@@ -69,23 +62,11 @@ def _build_hash_index(table: Table, attrs: Sequence[str]) -> dict[tuple, list[in
     return index
 
 
-def _rows_by_code(encoding: ColumnEncoding) -> list:
+def _rows_by_code(encoding: ColumnEncoding) -> list[list[int]]:
     """Row indices grouped by key code (the columnar hash index).
 
-    List-backed codes yield lists of row indices; array-backed codes yield
-    ``int64`` arrays (grouped via a stable argsort).  Either way group ``c``
-    holds the rows with code ``c`` in ascending row order.
+    Group ``c`` holds the rows with code ``c`` in ascending row order.
     """
-    if _backend.is_array(encoding.codes):
-        np = _backend.get_numpy()
-        order = np.argsort(encoding.codes, kind="stable").astype(np.int64)
-        boundaries = np.searchsorted(
-            encoding.codes[order], np.arange(encoding.num_codes + 1)
-        )
-        return [
-            order[boundaries[code] : boundaries[code + 1]]
-            for code in range(encoding.num_codes)
-        ]
     groups: list[list[int]] = [[] for _ in range(encoding.num_codes)]
     for row_index, code in enumerate(encoding.codes):
         groups[code].append(row_index)
@@ -94,7 +75,7 @@ def _rows_by_code(encoding: ColumnEncoding) -> list:
 
 def _matches_per_left_code(
     left_encoding: ColumnEncoding, right_encoding: ColumnEncoding
-) -> list:
+) -> list[list[int] | None]:
     """For each distinct left key code, the matching right row indices (or None).
 
     ``None`` join values never match (SQL NULL semantics), so keys containing
@@ -103,9 +84,9 @@ def _matches_per_left_code(
     right_groups = _rows_by_code(right_encoding)
     right_by_value: dict = {}
     for code, value in enumerate(right_encoding.values):
-        if len(right_groups[code]) and not any(v is None for v in value):
+        if right_groups[code] and not any(v is None for v in value):
             right_by_value[value] = right_groups[code]
-    matches: list = []
+    matches: list[list[int] | None] = []
     for value in left_encoding.values:
         if any(v is None for v in value):
             matches.append(None)
@@ -114,81 +95,26 @@ def _matches_per_left_code(
     return matches
 
 
-def _expand_matches_np(codes, match_arrays):
-    """Vectorised run expansion of per-code match arrays into row-index vectors.
-
-    For each left row (in order), emits one ``(left row, right row)`` index
-    pair per entry of ``match_arrays[code]`` — the same pairs in the same
-    order as the pure-python extend loop, built without per-row appends.
-    """
-    np = _backend.get_numpy()
-    sizes = np.fromiter(
-        (len(m) for m in match_arrays), dtype=np.int64, count=len(match_arrays)
-    )
-    if match_arrays:
-        flat = np.concatenate([np.asarray(m, dtype=np.int64) for m in match_arrays])
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    else:
-        flat = np.empty(0, dtype=np.int64)
-        starts = np.empty(0, dtype=np.int64)
-    row_sizes = sizes[codes]
-    left_idx = np.repeat(np.arange(len(codes), dtype=np.int64), row_sizes)
-    total = int(row_sizes.sum())
-    if total == 0:
-        return left_idx, np.empty(0, dtype=np.int64)
-    out_starts = np.cumsum(row_sizes) - row_sizes
-    positions = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(out_starts, row_sizes)
-        + np.repeat(starts[codes], row_sizes)
-    )
-    return left_idx, flat[positions]
-
-
 def _join_row_indices(
     left_encoding: ColumnEncoding,
     right_encoding: ColumnEncoding,
     num_right_rows: int,
     *,
     outer: bool,
-):
+) -> tuple[list[int], list[int]]:
     """The (left row, right row) index vectors of the join result, in row order.
 
     Index ``-1`` marks the NULL pad of an unmatched side (outer joins only).
     Matched pairs are emitted per left row in order; for outer joins the
-    right-only rows follow in ascending right row order.  Returns lists for
-    list-backed encodings and ``int64`` arrays for array-backed ones — the
-    same pairs in the same order either way.
+    right-only rows follow in ascending right row order.
     """
     matches = _matches_per_left_code(left_encoding, right_encoding)
-    if _backend.is_array(left_encoding.codes) and _backend.is_array(
-        right_encoding.codes
-    ):
-        np = _backend.get_numpy()
-        pad = np.asarray([-1], dtype=np.int64)
-        if outer:
-            match_arrays = [m if m is not None and len(m) else pad for m in matches]
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            match_arrays = [m if m is not None else empty for m in matches]
-        left_idx, right_idx = _expand_matches_np(left_encoding.codes, match_arrays)
-        if outer:
-            matched = np.zeros(num_right_rows, dtype=bool)
-            valid = right_idx >= 0
-            matched[right_idx[valid]] = True
-            right_only = np.nonzero(~matched)[0].astype(np.int64)
-            left_idx = np.concatenate(
-                [left_idx, np.full(len(right_only), -1, dtype=np.int64)]
-            )
-            right_idx = np.concatenate([right_idx, right_only])
-        return left_idx, right_idx
-
     left_idx: list[int] = []
     right_idx: list[int] = []
     right_matched = [False] * num_right_rows if outer else None
     for left_row_index, code in enumerate(left_encoding.codes):
         matched_rows = matches[code]
-        if matched_rows is not None and len(matched_rows):
+        if matched_rows:
             left_idx.extend([left_row_index] * len(matched_rows))
             right_idx.extend(matched_rows)
             if outer:
@@ -205,19 +131,8 @@ def _join_row_indices(
     return left_idx, right_idx
 
 
-def _gather(table: Table, name: str, indices) -> list[Value]:
-    """Values of ``table.column(name)`` at ``indices``; index ``-1`` yields NULL.
-
-    Array index vectors gather by fancy indexing into the table's cached
-    padded object array (whose trailing ``None`` slot index ``-1`` naturally
-    selects); ragged values (e.g. tuple-valued columns) and the pure-python
-    backend fall back to the per-row python gather.
-    """
-    if _backend.is_array(indices):
-        padded = table.padded_column_array(name)
-        if padded is not None:
-            return padded[indices].tolist()
-        indices = indices.tolist()
+def _gather(table: Table, name: str, indices: list[int]) -> list[Value]:
+    """Values of ``table.column(name)`` at ``indices``; index ``-1`` yields NULL."""
     column = table.column(name)
     return [None if i < 0 else column[i] for i in indices]
 
@@ -260,11 +175,8 @@ def inner_join_origins(
     *,
     name: str | None = None,
 ):
-    """:func:`inner_join`, plus the left row each result row came from.
-
-    The origins are ascending: a list under the pure-python backend, an
-    ``int64`` array under numpy.
-    """
+    """:func:`inner_join`, plus the left row each result row came from
+    (an ascending list)."""
     join_attrs = _resolve_join_attributes(left, right, on)
     schema, right_extra = _joined_schema(left, right, join_attrs)
     result_name = name or f"{left.name}_join_{right.name}"
@@ -291,12 +203,8 @@ def _mask_gather(origins):
     """A function that carries a byte mask over a level's rows to the rows of
     the next level, whose ``origins`` name the row each came from.
 
-    Under numpy it fancy-indexes the mask's bytes; under python an
-    ``operator.itemgetter`` over the origins gathers them in C.
+    An ``operator.itemgetter`` over the origins gathers them in C.
     """
-    if _backend.is_array(origins):
-        np = _backend.get_numpy()
-        return lambda mask: np.frombuffer(mask, np.uint8)[origins].tobytes()
     if len(origins) < 2:  # itemgetter needs an item, and returns one bare
         return lambda mask: bytes(mask[row] for row in origins)
     gather = itemgetter(*origins)
@@ -339,8 +247,8 @@ class JoinLineage:
         self._gathers: list | None = None
 
     def add_level(self, origins) -> None:
-        """Record the next level's origins (lists are packed into ``int64``)."""
-        self.origins.append(origins if _backend.is_array(origins) else array("q", origins))
+        """Record the next level's origins (packed into ``int64``)."""
+        self.origins.append(array("q", origins))
 
     def kept_mask(self, sampler, first_mask: bytes | None = None) -> bytes:
         """The byte mask of the rows of ``joined`` that re-sampling every level

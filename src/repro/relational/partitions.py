@@ -72,7 +72,7 @@ def distinct_rows(table: Table, names: Sequence[str]) -> tuple[list[int], Table]
         {name: list(values) for name, values in zip(names, columns)},
         encoding.num_codes,
     )
-    return encoding.code_list(), groups
+    return encoding.codes, groups
 
 
 def column_codes(table: Table, name: str) -> RowKeys:
@@ -84,7 +84,7 @@ def column_codes(table: Table, name: str) -> RowKeys:
     objects stay apart.
     """
     encoding = table.encoded(name)
-    return encoding.code_list(), encoding.num_codes
+    return encoding.codes, encoding.num_codes
 
 
 def group_keys(columns: Sequence[RowKeys]) -> RowKeys:

@@ -14,14 +14,10 @@ from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import SamplingError, SchemaError
-from repro.relational import backend as _backend
 from repro.relational.schema import Attribute, AttributeType, Schema
 
 Row = tuple
 Value = object
-
-# Sentinel distinguishing "never computed" from a cached None (ragged/no-numpy).
-_UNSET = object()
 
 
 class ColumnEncoding:
@@ -33,17 +29,11 @@ class ColumnEncoding:
     ``values`` reproduces the first-seen order of the raw data.  Encodings are
     produced and cached by :meth:`Table.encoded` / :meth:`Table.encoded_key`;
     they are the substrate for the histogram-based entropy / join kernels.
-
-    Under the numpy backend (see :mod:`repro.relational.backend`) ``codes`` is
-    an ``int64`` ``np.ndarray`` and :meth:`counts` is an ``np.bincount``
-    array; under the pure-python backend both are plain lists.  Consumers
-    dispatch on the container type via :func:`repro.relational.backend.is_array`,
-    and both representations produce bit-identical downstream statistics.
     """
 
     __slots__ = ("codes", "values", "_counts")
 
-    def __init__(self, codes, values: list[Value]) -> None:
+    def __init__(self, codes: list[int], values: list[Value]) -> None:
         self.codes = codes
         self.values = values
         self._counts = None
@@ -52,38 +42,22 @@ class ColumnEncoding:
     def num_codes(self) -> int:
         return len(self.values)
 
-    def counts(self):
-        """Histogram of the codes (``counts()[c]`` = occurrences of code ``c``).
-
-        A list of ints for list-backed codes; an ``np.bincount`` array (same
-        values, same order) for array-backed codes.
-        """
+    def counts(self) -> list[int]:
+        """Histogram of the codes (``counts()[c]`` = occurrences of code ``c``)."""
         if self._counts is None:
             from repro.infotheory.entropy import counts_of_codes
 
             self._counts = counts_of_codes(self.codes, len(self.values))
         return self._counts
 
-    def code_list(self) -> list[int]:
-        """The codes as a plain python list (no copy for list-backed codes)."""
-        if _backend.is_array(self.codes):
-            return self.codes.tolist()
-        return self.codes
-
     def value_counts(self) -> dict[Value, int]:
-        """Histogram keyed by the original values, in first-occurrence order.
-
-        Counts are plain python ints under both backends, so the result can be
-        compared and reduced without caring which backend built the encoding.
-        """
+        """Histogram keyed by the original values, in first-occurrence order."""
         counts = self.counts()
-        if _backend.is_array(counts):
-            counts = counts.tolist()
         return {value: counts[code] for code, value in enumerate(self.values)}
 
 
-def _encode_python(values: Sequence[Value]) -> ColumnEncoding:
-    """The reference dictionary-encoding loop (always available, any value type)."""
+def _encode(values: Sequence[Value]) -> ColumnEncoding:
+    """Dictionary-encode ``values``: codes in first-occurrence order."""
     codes: list[int] = []
     mapping: dict[Value, int] = {}
     decode: list[Value] = []
@@ -94,70 +68,7 @@ def _encode_python(values: Sequence[Value]) -> ColumnEncoding:
             mapping[value] = code
             decode.append(value)
         codes.append(code)
-    return ColumnEncoding(_backend.make_codes(codes), decode)
-
-
-def _encode_numpy(values: Sequence[Value]) -> ColumnEncoding | None:
-    """Vectorised dictionary encoding, or ``None`` when the dict loop must run.
-
-    Bit-identical to :func:`_encode_python` — same codes in the same
-    first-occurrence order, same python-typed ``values`` — but the per-row
-    dict work runs in C.  Applies only to columns the two paths are
-    guaranteed to agree on: every value the *same* python type, either
-    ``int`` (no bools — ``True == 1`` would merge codes under the dict loop
-    but round-trip as ``1`` here) or NaN-free ``float`` (``np.unique``
-    collapses all NaNs, the dict loop keeps distinct NaN objects apart).
-    ``None``-bearing, mixed-type, string, and tuple-keyed columns fall back
-    to the dict loop (string sorting in numpy is slower than dict hashing).
-
-    Bounded-range int columns — the dominant case: dictionary-encoded keys of
-    the synthetic workloads are dense — factorise in O(n + range) via a
-    bucket table (two fancy-index stores and one gather); everything else
-    pays one ``np.unique`` sort re-ranked to first-occurrence order.
-    """
-    np = _backend.get_numpy()
-    if np is None or not values:
-        return None
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        try:
-            arr = np.asarray(values, dtype=np.int64)
-        except OverflowError:  # ints beyond int64: the dict loop handles them
-            return None
-        n = len(arr)
-        low = int(arr.min())
-        span = int(arr.max()) - low + 1
-        if span <= 4 * n + 1024:
-            shifted = arr - low
-            # Reversed store: the final write into each bucket comes from the
-            # smallest row index, i.e. the value's first occurrence.
-            first = np.empty(span, dtype=np.int64)
-            first[shifted[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
-            seen = np.zeros(span, dtype=bool)
-            seen[shifted] = True
-            present = np.flatnonzero(seen)
-            first_present = first[present]
-            order = np.argsort(first_present)
-            rank_table = np.empty(span, dtype=np.int64)
-            rank_table[present[order]] = np.arange(len(present), dtype=np.int64)
-            codes = rank_table[shifted]
-            decode = arr[first_present[order]].tolist()
-            return ColumnEncoding(_backend.make_codes(codes), decode)
-    elif kinds == {float}:
-        arr = np.asarray(values, dtype=np.float64)
-        if np.isnan(arr).any():
-            return None
-    else:
-        return None
-    _, first_index, inverse = np.unique(arr, return_index=True, return_inverse=True)
-    # np.unique returns values in sorted order; re-rank the codes so that the
-    # value first seen earliest gets code 0 (the dict loop's insertion order).
-    order = np.argsort(first_index)
-    rank = np.empty(len(first_index), dtype=np.int64)
-    rank[order] = np.arange(len(first_index), dtype=np.int64)
-    codes = rank[inverse.reshape(-1)].astype(np.int64, copy=False)
-    decode = arr[first_index[order]].tolist()
-    return ColumnEncoding(_backend.make_codes(codes), decode)
+    return ColumnEncoding(codes, decode)
 
 
 def bernoulli_mask(num_rows: int, rate: float, rng: random.Random) -> bytes:
@@ -212,24 +123,15 @@ def bernoulli_rows(num_rows: int, rate: float, rng: random.Random) -> list[int]:
     return mask_rows(bernoulli_mask(num_rows, rate, rng))
 
 
-def _encode(values: Sequence[Value]) -> ColumnEncoding:
-    if _backend.active_backend() == _backend.NUMPY:
-        encoding = _encode_numpy(values)
-        if encoding is not None:
-            return encoding
-    return _encode_python(values)
-
-
 class Table:
     """An immutable-by-convention, column-oriented relational instance.
 
     Tables are the single data container of the library: marketplace
     datasets, correlated samples, and join results are all ``Table`` objects.
     Statistics needed by the hot path — dictionary encodings
-    (:meth:`encoded` / :meth:`encoded_key`), code histograms, key entropies
-    (:meth:`key_entropy`), and the numpy backend's padded gather arrays
-    (:meth:`padded_column_array`) — are computed lazily and cached on the
-    table, and inherited by derived tables that share column objects
+    (:meth:`encoded` / :meth:`encoded_key`), code histograms and key entropies
+    (:meth:`key_entropy`) — are computed lazily and cached on the table, and
+    inherited by derived tables that share column objects
     (:meth:`project`, :meth:`rename`, :meth:`with_name`).  The caches assume
     columns are never mutated in place.
 
@@ -252,7 +154,6 @@ class Table:
         "_num_rows",
         "_encodings",
         "_stats",
-        "_padded_arrays",
     )
 
     def __init__(
@@ -278,7 +179,6 @@ class Table:
         # Entropy statistics, plus the content fingerprint the catalog caches
         # here (see repro.storage.serialize.table_fingerprint).
         self._stats: dict[object, float | str] = {}
-        self._padded_arrays: dict[str, object] = {}
 
     @classmethod
     def _from_columns(
@@ -297,7 +197,6 @@ class Table:
         table._num_rows = num_rows
         table._encodings = {}
         table._stats = {}
-        table._padded_arrays = {}
         return table
 
     # ------------------------------------------------------------ constructors
@@ -432,34 +331,6 @@ class Table:
             self._encodings[("#key",) + key] = encoding
         return encoding
 
-    def padded_column_array(self, name: str):
-        """One column as an object ``np.ndarray`` with a trailing ``None`` pad (cached).
-
-        This is the gather substrate of the numpy join backend: row-index
-        vectors fancy-index into it, and the pad slot at position ``-1``
-        supplies the NULL of unmatched outer-join rows.  Returns ``None`` when
-        numpy is unavailable or when the column holds ragged values that numpy
-        cannot store element-wise (tuple-valued columns); callers then fall
-        back to the python gather.  Cached because the MCMC loop joins the
-        same sample tables over and over.
-        """
-        cached = self._padded_arrays.get(name, _UNSET)
-        if cached is _UNSET:
-            np = _backend.get_numpy()
-            if np is None:
-                cached = None
-            else:
-                column = self.column(name)
-                try:
-                    padded = np.empty(len(column) + 1, dtype=object)
-                    padded[: len(column)] = column
-                except ValueError:  # ragged values (e.g. tuples): not representable
-                    cached = None
-                else:
-                    cached = padded
-            self._padded_arrays[name] = cached
-        return cached
-
     def key_entropy(self, names: Sequence[str]) -> float:
         """Shannon entropy (bits) of the joint distribution of ``names`` (cached).
 
@@ -516,10 +387,6 @@ class Table:
                 for old, new in zip(old_names, new_names)
             ):
                 self._stats.setdefault(("entropy",) + new_names, value)
-        for old, padded in list(parent._padded_arrays.items()):
-            new = mapping.get(old, old)
-            if new in self._columns and self._columns[new] is parent._columns[old]:
-                self._padded_arrays.setdefault(new, padded)
         return self
 
     # -------------------------------------------------------------- operations

@@ -8,7 +8,7 @@ seeded walks and keeps the best feasible target graph across all of them:
 * **Deterministic seeding** — every chain's seed is derived from the base seed
   by :func:`chain_seed` (chain 0 keeps the base seed), so the outcome of a
   multi-chain search depends only on ``(seed, chains)``: never on the
-  executor, the scheduling order, or the columnar backend.
+  executor or the scheduling order.
 * **Shared caches** — chains explore overlapping candidate sets, so the
   evaluation memo table and the per-edge join-informativeness cache are shared.
   For the ``serial`` and ``thread`` executors the chains literally share two
@@ -417,7 +417,7 @@ def _run_chain_shared(payload: tuple) -> tuple[MCMCResult, dict, dict, dict]:
     join_graph = session.graph
     tables = {name: join_graph.sample(name) for name in table_names}
     evaluation_cache = session.evaluation_cache(memo_key)
-    ji_cache = session.ji_cache if memo_key is not None else {}
+    ji_cache = session.ji_cache
     known_evaluations = set(evaluation_cache)
     known_ji = set(ji_cache)
     result = mcmc_search(
@@ -459,7 +459,6 @@ def shared_chain_pool(
     token: str,
     max_workers: int = _MAX_WORKERS,
     version: int = 0,
-    share_worker_caches: bool = True,
 ) -> "tuple[ProcessPoolExecutor, _shm.SharedChainState]":
     """A persistent process pool fed from a shared-memory column store.
 
@@ -476,7 +475,6 @@ def shared_chain_pool(
         fds,
         token=token,
         version=version,
-        share_worker_caches=share_worker_caches,
     )
     pool = ProcessPoolExecutor(
         max_workers=max_workers,
@@ -717,11 +715,7 @@ class ChainScheduler:
             # remaining validity dimensions (samples, fds, pricing) are pinned
             # by the session version, which ensure_session brings up to date,
             # dropping the entries each delta may have changed.
-            memo_key = (
-                (tuple(source_attributes), tuple(target_attributes))
-                if shared_state.share_worker_caches
-                else None
-            )
+            memo_key = (tuple(source_attributes), tuple(target_attributes))
             worker = _run_chain_shared
 
             def payload(initial, tables, chain_config, hook) -> tuple:

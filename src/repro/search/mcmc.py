@@ -55,7 +55,7 @@ class MCMCConfig:
         runs the paper's single chain; larger values run a multi-chain search
         (see :mod:`repro.search.chains`) whose result is the best feasible
         target graph across chains.  The outcome depends only on
-        ``(seed, chains)`` — never on the executor or the columnar backend.
+        ``(seed, chains)`` — never on the executor.
     executor:
         How chains execute when ``chains > 1``: ``"serial"`` (one after the
         other, sharing caches), ``"thread"`` (a thread pool sharing

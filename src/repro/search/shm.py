@@ -11,9 +11,8 @@ down whenever the catalog changed.  This module replaces both halves:
     blob per table (schema, decode values) and one store-level meta blob
     (pricing model, JI cache, FDs).  Every segment is blake2b-fingerprinted
     and listed in a :class:`StoreManifest` — a small picklable registry.
-    Workers map the int64 buffers as read-only numpy views (zero copy); under
-    the pure-python backend the same API ships the codes once as
-    ``array('q')`` bytes and rebuilds plain lists.
+    The codes travel once as ``array('q')`` bytes, and each worker copies
+    them out into plain lists.
 
 ``SharedChainState``
     The parent-side version manager: publishes one *base* manifest plus an
@@ -26,10 +25,6 @@ down whenever the catalog changed.  This module replaces both halves:
     (:func:`~repro.graph.target.prune_memos`).  The manifests reach workers
     as a :class:`PinnedSpec`: the :class:`WorkerSpec` pickled once per
     published version, which a worker already at that version never unpickles.
-
-Nothing here is numpy-specific: container types round-trip exactly
-(``ndarray`` codes come back as read-only ``ndarray`` views, list codes as
-lists), so both columnar backends stay bit-identical.
 """
 
 from __future__ import annotations
@@ -39,6 +34,7 @@ import itertools
 import os
 import pickle
 import threading
+from array import array
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Mapping, Sequence
@@ -47,7 +43,6 @@ from repro.exceptions import ReproError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.target import prune_memos
 from repro.quality.fd import FunctionalDependency
-from repro.relational import backend as _backend
 from repro.relational.table import ColumnEncoding, Table
 
 #: Every segment name starts with this prefix (plus the creating pid), so a
@@ -79,7 +74,7 @@ class _RawSegment:
     worker exit, while unregistering corrupts a fork-shared tracker instead.
     Mapping ``/dev/shm/<name>`` directly sidesteps the tracker on every
     interpreter, and ``PROT_READ`` enforces the read-only contract at the OS
-    level (numpy views over the buffer come back non-writeable)."""
+    level."""
 
     __slots__ = ("name", "_mmap", "buf")
 
@@ -134,27 +129,18 @@ class SegmentRef:
 
 
 @dataclass(frozen=True)
-class ArrayRef:
-    """An int64 buffer inside a segment plus the container it must map back to."""
-
-    segment: SegmentRef
-    length: int
-    container: str  # "ndarray" | "list"
-
-
-@dataclass(frozen=True)
 class TableExport:
     """One table's segments: a pickled payload blob plus its encoding buffers.
 
     ``arrays`` maps ``(encoding key, kind)`` — kind is ``"codes"`` or
-    ``"counts"`` — to the buffer holding it.  Single-column ``#key``
-    encodings share their codes buffer with the base column encoding, exactly
-    like the in-process cache does.
+    ``"counts"`` — to the segment holding it as int64 values.  Single-column
+    ``#key`` encodings share their codes segment with the base column
+    encoding, exactly like the in-process cache does.
     """
 
     name: str
     payload: SegmentRef
-    arrays: tuple[tuple[tuple, ArrayRef], ...]
+    arrays: tuple[tuple[tuple, SegmentRef], ...]
 
 
 @dataclass(frozen=True)
@@ -176,7 +162,6 @@ class WorkerSpec:
     token: str
     base: StoreManifest
     deltas: tuple[StoreManifest, ...] = ()
-    share_worker_caches: bool = True
 
     @property
     def version(self) -> int:
@@ -228,27 +213,27 @@ class SharedColumnStore:
         self._segments.append(segment)
         return SegmentRef(name=segment.name, size=len(data), digest=_digest(data))
 
+    def _write_array(self, values: list[int]) -> SegmentRef:
+        return self._write_segment(array("q", values).tobytes())
+
     def _export_table(self, table: Table) -> TableExport:
         # Force a base encoding for every column so workers can rebuild the
         # raw column lists from (codes, values) without shipping them twice.
         for column in table.schema.names:
             table.encoded(column)
-        arrays: list[tuple[tuple, ArrayRef]] = []
+        arrays: list[tuple[tuple, SegmentRef]] = []
         values: dict[tuple, list] = {}
-        shared_refs: dict[int, ArrayRef] = {}
+        shared_refs: dict[int, SegmentRef] = {}
         for key, encoding in sorted(table._encodings.items()):
             ref = shared_refs.get(id(encoding.codes))
             if ref is None:
-                data, length, container = _backend.codes_to_bytes(encoding.codes)
-                ref = ArrayRef(self._write_segment(data), length, container)
+                ref = self._write_array(encoding.codes)
                 shared_refs[id(encoding.codes)] = ref
             arrays.append(((key, "codes"), ref))
             values[key] = encoding.values
             cached_counts = encoding._counts
             if cached_counts is not None:
-                data, length, container = _backend.codes_to_bytes(cached_counts)
-                counts_ref = ArrayRef(self._write_segment(data), length, container)
-                arrays.append(((key, "counts"), counts_ref))
+                arrays.append(((key, "counts"), self._write_array(cached_counts)))
         payload = pickle.dumps(
             {
                 "schema": table.schema,
@@ -281,7 +266,7 @@ class SharedColumnStore:
         for export in exports:
             hasher.update(export.payload.digest.encode())
             for _, ref in export.arrays:
-                hasher.update(ref.segment.digest.encode())
+                hasher.update(ref.digest.encode())
         hasher.update(meta_ref.digest.encode())
         return StoreManifest(
             token=self.token,
@@ -327,14 +312,12 @@ def _read_segment(ref: SegmentRef, attachments: list) -> shared_memory.SharedMem
     return segment
 
 
-def _map_array(ref: ArrayRef, attachments: list):
-    """Map an int64 buffer back into its original container.
-
-    ``ndarray`` buffers become read-only views over the shared segment (zero
-    copy — the segment stays attached for the session's lifetime); ``list``
-    buffers are copied out once and the values become plain python ints."""
-    segment = _read_segment(ref.segment, attachments)
-    return _backend.codes_from_buffer(segment.buf, ref.length, ref.container)
+def _read_array(ref: SegmentRef, attachments: list) -> list[int]:
+    """Copy a segment's int64 values out into a list of python ints."""
+    segment = _read_segment(ref, attachments)
+    values = array("q")
+    values.frombytes(bytes(segment.buf[: ref.size]))
+    return values.tolist()
 
 
 def attach_tables(
@@ -343,8 +326,7 @@ def attach_tables(
     """Rebuild the manifest's tables (and its meta blob) from shared memory.
 
     Returns ``(tables, meta, attachments)``; the caller owns the attachment
-    list and must keep the segments open for as long as any ``ndarray`` view
-    is alive."""
+    list and closes the segments."""
     attachments: list[shared_memory.SharedMemory] = []
     tables: dict[str, Table] = {}
     for export in manifest.tables:
@@ -356,16 +338,16 @@ def attach_tables(
         by_segment: dict[str, object] = {}
         counts: dict[tuple, object] = {}
         for (key, kind), ref in export.arrays:
-            buffer = by_segment.get(ref.segment.name)
+            buffer = by_segment.get(ref.name)
             if buffer is None:
-                buffer = _map_array(ref, attachments)
-                by_segment[ref.segment.name] = buffer
+                buffer = _read_array(ref, attachments)
+                by_segment[ref.name] = buffer
             if kind == "codes":
                 mapped[key] = buffer
             else:
                 counts[key] = buffer
         columns = {
-            name: [values[(name,)][code] for code in _as_code_iter(mapped[(name,)])]
+            name: [values[(name,)][code] for code in mapped[(name,)]]
             for name in schema.names
         }
         table = Table._from_columns(export.name, schema, columns, payload["num_rows"])
@@ -378,12 +360,6 @@ def attach_tables(
     meta_segment = _read_segment(manifest.meta, attachments)
     meta = pickle.loads(bytes(meta_segment.buf[: manifest.meta.size]))
     return tables, meta, attachments
-
-
-def _as_code_iter(codes):
-    if _backend.is_array(codes):
-        return codes.tolist()
-    return codes
 
 
 class _WorkerSession:
@@ -415,13 +391,9 @@ class _WorkerSession:
 
         A plain dict: workers are single-threaded, so unlike the service's
         ``LockStripedCache`` there is no lock traffic on the hot path."""
-        if memo_key is None:
-            return {}
         return self.eval_caches.setdefault(memo_key, {})
 
     def close(self) -> None:
-        # Release the graph (and with it every ndarray view over the shared
-        # buffers) before closing the mappings, or mmap refuses to close.
         self.graph = None
         self.eval_caches.clear()
         self.ji_cache.clear()
@@ -429,8 +401,8 @@ class _WorkerSession:
             try:
                 segment.close()
             except BufferError:
-                # A caller still holds a view (e.g. a test keeping a table
-                # alive); the mapping is released when that reference dies.
+                # A caller still holds a view of the buffer; the mapping is
+                # released when that reference dies.
                 pass
         self.attachments.clear()
 
@@ -559,10 +531,8 @@ class SharedChainState:
         *,
         token: str,
         version: int = 0,
-        share_worker_caches: bool = True,
     ) -> None:
         self.token = token
-        self.share_worker_caches = share_worker_caches
         self._lock = threading.Lock()
         self._stores: list[SharedColumnStore] = []  # guarded-by: self._lock
         self._deltas: list[StoreManifest] = []  # guarded-by: self._lock
@@ -689,7 +659,6 @@ class SharedChainState:
             token=self.token,
             base=self._base,
             deltas=tuple(self._deltas),
-            share_worker_caches=self.share_worker_caches,
         )
 
     def pinned(self) -> PinnedSpec:

@@ -11,7 +11,9 @@ standard library:
     optional ``"seed"``), or a batch ``{"requests": [...], "seeds": [...]}``
     (a bare JSON list is treated as a batch too).  Per-request seeds are
     honoured exactly as in :meth:`AcquisitionService.acquire_batch`, so the
-    served bits are bit-identical to direct library calls.
+    served bits are bit-identical to direct library calls.  A body declared
+    longer than :data:`MAX_BODY_BYTES` is refused with ``413`` before any of
+    it is read.
 
 ``GET /metrics``
     The service's :meth:`metrics` payload rendered as Prometheus text
@@ -61,6 +63,10 @@ from repro.service.session import AcquisitionService
 
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Largest ``POST /acquire`` body the server reads (16 MiB).  A request
+#: declaring a longer ``Content-Length`` is answered 413 unread.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: Flattened ``metrics()`` payload path -> the Prometheus metric that carries
 #: it.  The golden-file test walks a real payload and asserts every leaf is
@@ -672,8 +678,21 @@ class _AcquisitionHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------ acquire
     def _handle_acquire(self) -> None:
+        # The declared length is checked before any of the body is read.
+        declared = self.headers.get("Content-Length") or "0"
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            message = f"invalid Content-Length {declared!r}"
+            self._send_json(400, {"error": {"type": "InvalidRequest", "message": message}})
+            return
+        if length > MAX_BODY_BYTES:
+            message = f"a body of {length} bytes is over the {MAX_BODY_BYTES}-byte limit"
+            self._send_json(413, {"error": {"type": "PayloadTooLarge", "message": message}})
+            return
+        try:
             raw = self.rfile.read(length) if length > 0 else b""
             spec = json.loads(raw.decode("utf-8")) if raw else {}
         except (ValueError, UnicodeDecodeError) as error:

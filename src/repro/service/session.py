@@ -499,11 +499,8 @@ class AcquisitionService:
                 # concurrent first requests cannot each buy a sample set.
                 self._dance.build_offline()
             self._sync_locked()
-            share = self.config.service.share_caches
-            evaluation_cache = (
-                self._evaluation_cache_locked(request) if share else LockStripedCache()
-            )
-            ji_cache = self._ji_cache if share else LockStripedCache()
+            evaluation_cache = self._evaluation_cache_locked(request)
+            ji_cache = self._ji_cache
             step1_cache = self._step1_memo if self.config.service.step1_memo else None
             pool, pool_state = self._chain_pool_locked()
         return SearchRuntime(
@@ -545,7 +542,6 @@ class AcquisitionService:
         if version == self._synced_version:
             return
         fds = tuple(self._dance.fds)
-        stripes = self.config.service.cache_stripes
         pruned = (
             bool(changed)
             and self._synced_version is not None
@@ -562,12 +558,12 @@ class AcquisitionService:
         else:
             if self._synced_version is not None:
                 self._cache_resets += 1
-            self._ji_cache = LockStripedCache(stripes)
+            self._ji_cache = LockStripedCache()
             self._evaluation_caches = {}
         self._synced_version = version
         self._synced_fds = fds
         self._step1_memo = (
-            CountingCache(stripes) if self.config.service.step1_memo else None
+            CountingCache() if self.config.service.step1_memo else None
         )
         if not self._refresh_chain_pool_locked(version, changed):
             self._dispose_chain_pool_locked()
@@ -677,7 +673,7 @@ class AcquisitionService:
         key = (request.source_attributes, request.target_attributes)
         cache = self._evaluation_caches.get(key)
         if cache is None:
-            cache = LockStripedCache(self.config.service.cache_stripes)
+            cache = LockStripedCache()
             self._evaluation_caches[key] = cache
         return cache
 
@@ -706,7 +702,6 @@ class AcquisitionService:
                         token=f"acqsvc-{self._service_id}",
                         max_workers=workers,
                         version=self._dance.graph_version,
-                        share_worker_caches=self.config.service.share_caches,
                     )
                 else:
                     token = (
@@ -797,9 +792,7 @@ class AcquisitionService:
                     )
         return summary
 
-    def persist(
-        self, path: str | Path | None = None, *, kind: str | None = None
-    ) -> object:
+    def persist(self, path: str | Path | None = None) -> object:
         """Checkpoint marketplace, offline state, and session caches.
 
         ``path`` defaults to ``ServiceConfig.catalog_path``, then to the
@@ -818,11 +811,9 @@ class AcquisitionService:
             if self._dance._join_graph is None:
                 self._dance.build_offline()
             self._sync_locked()
-            return self._persist_locked(path, kind=kind)
+            return self._persist_locked(path)
 
-    def _persist_locked(
-        self, path: str | Path | None = None, *, kind: str | None = None
-    ) -> object:
+    def _persist_locked(self, path: str | Path | None = None) -> object:
         from repro.storage import NS_SESSION
         from repro.storage import serialize as _serialize
 
@@ -840,7 +831,7 @@ class AcquisitionService:
             backend.put(NS_SESSION, "caches", _serialize.dumps(state))
 
         target = path if path is not None else self.config.service.catalog_path
-        return self._dance.persist(target, kind=kind, extra=write_session)
+        return self._dance.persist(target, extra=write_session)
 
     def rebuild_offline(self, *, sampling_rate: float | None = None) -> JoinGraph:
         """Re-run the offline phase (e.g. at a higher sampling rate) and resync.

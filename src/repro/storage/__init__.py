@@ -8,7 +8,6 @@ formats; and :mod:`repro.storage.lazy` for lazily hydrated datasets.
 """
 
 from repro.storage.base import (
-    DUCKDB,
     MEMORY,
     META_CREATED,
     META_KIND,
@@ -23,9 +22,7 @@ from repro.storage.base import (
     SCHEMA_VERSION,
     SQLITE,
     CatalogBackend,
-    normalize_kind,
 )
-from repro.storage.duckdb import DuckDBBackend, duckdb_available
 from repro.storage.factory import (
     atomic_persist,
     create_backend,
@@ -49,14 +46,12 @@ from repro.storage.sqlite import SQLiteBackend
 
 __all__ = [
     "CatalogBackend",
-    "DuckDBBackend",
     "InMemoryBackend",
     "SQLiteBackend",
     "StoredDataset",
     "SCHEMA_VERSION",
     "MEMORY",
     "SQLITE",
-    "DUCKDB",
     "NS_TABLES",
     "NS_ENCODINGS",
     "NS_DATASETS",
@@ -67,8 +62,6 @@ __all__ = [
     "META_CREATED",
     "META_MARKETPLACE",
     "META_OFFLINE",
-    "normalize_kind",
-    "duckdb_available",
     "create_backend",
     "open_backend",
     "detect_kind",

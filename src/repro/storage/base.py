@@ -15,15 +15,10 @@ namespace; backends only decide *where the bytes live*:
     The default: attaching one preserves today's RAM-resident behaviour
     exactly, and it doubles as the reference implementation for parity tests.
 ``sqlite``
-    :class:`~repro.storage.sqlite.SQLiteBackend` — stdlib ``sqlite3``, always
-    available, one self-contained catalog file.
-``duckdb``
-    :class:`~repro.storage.duckdb.DuckDBBackend` — optional; when ``duckdb``
-    is not importable the factory falls back to sqlite with a
-    ``RuntimeWarning``, mirroring the numpy fallback in
-    :mod:`repro.relational.backend`.
+    :class:`~repro.storage.sqlite.SQLiteBackend` — stdlib ``sqlite3``, one
+    self-contained catalog file; every catalog path is one.
 
-All three store byte-identical payloads, so served acquisition results are
+Both store byte-identical payloads, so served acquisition results are
 bit-identical whichever backend holds the catalog (gated by
 ``scripts/check_storage_parity.py`` and the round-trip property tests).
 """
@@ -46,17 +41,6 @@ SCHEMA_VERSION = 1
 
 MEMORY = "memory"
 SQLITE = "sqlite"
-DUCKDB = "duckdb"
-
-_KIND_ALIASES = {
-    "memory": MEMORY,
-    "inmemory": MEMORY,
-    "ram": MEMORY,
-    "sqlite": SQLITE,
-    "sqlite3": SQLITE,
-    "duckdb": DUCKDB,
-    "": None,
-}
 
 # Blob namespaces used by the library layers above the backend.
 NS_TABLES = "tables"  # full instance data, one blob per dataset
@@ -72,24 +56,6 @@ META_MARKETPLACE = "marketplace"
 META_OFFLINE = "offline"
 
 
-def normalize_kind(name: str | None) -> str | None:
-    """Canonical backend kind for ``name`` (``None`` stays ``None``).
-
-    Raises :class:`~repro.exceptions.StorageError` for unknown kinds; accepted
-    aliases mirror :func:`repro.relational.backend.normalize` in spirit
-    (``sqlite3``, ``inmemory``, ``ram``, and the empty string).
-    """
-    if name is None:
-        return None
-    canonical = _KIND_ALIASES.get(name.strip().lower(), "")
-    if canonical == "":
-        raise StorageError(
-            f"unknown storage backend {name!r}; expected one of "
-            f"{sorted(k for k in {MEMORY, SQLITE, DUCKDB})}"
-        )
-    return canonical
-
-
 class CatalogBackend(abc.ABC):
     """A namespaced blob store holding one marketplace catalog.
 
@@ -98,11 +64,8 @@ class CatalogBackend(abc.ABC):
     summary.  Backends are context managers (``close`` is idempotent).
     """
 
-    #: Canonical kind name (``"memory"``/``"sqlite"``/``"duckdb"``).
+    #: Kind name (``"memory"``/``"sqlite"``), stamped into the catalog.
     kind: str = "abstract"
-    #: Whether :meth:`transaction` makes a batch of writes all-or-nothing, so
-    #: a checkpoint may rewrite this catalog in place.
-    transactional: bool = False
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path: Path | None = None if path is None else Path(path)
@@ -154,15 +117,14 @@ class CatalogBackend(abc.ABC):
     def close(self) -> None:
         """Flush and release the backend's resources (idempotent)."""
 
+    @abc.abstractmethod
     def transaction(self) -> ContextManager["CatalogBackend"]:
         """A context that makes the writes inside it all-or-nothing.
 
         A clean exit commits them once; any exception undoes every write the
-        block made and propagates.  Only backends with :attr:`transactional`
-        set support it; the others raise
-        :class:`~repro.exceptions.StorageError`.
+        block made and propagates.  This is what lets a checkpoint rewrite a
+        catalog in place.
         """
-        raise StorageError(f"{self._where()} does not support transactions")
 
     def __enter__(self) -> "CatalogBackend":
         return self

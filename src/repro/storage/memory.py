@@ -20,7 +20,6 @@ class InMemoryBackend(CatalogBackend):
     """A catalog held in process memory (``path`` is always ``None``)."""
 
     kind = MEMORY
-    transactional = True
 
     def __init__(self) -> None:
         super().__init__(path=None)

@@ -1,21 +1,15 @@
 """Serialisation of catalog artifacts: tables, encodings, JI weights, memos.
 
-Everything a catalog persists goes through this module, which fixes two
-invariants the parity tests rely on:
-
-* **Backend-neutral payloads.**  Column encodings are stored as plain python
-  code lists (``ColumnEncoding.code_list``) and rebuilt through
-  :func:`repro.relational.backend.make_codes` on load, so a catalog written
-  under the numpy columnar backend rehydrates bit-identically under the
-  pure-python backend and vice versa.
-* **Content fingerprints, not identity.**  The in-process incremental-refresh
-  machinery proves cache validity by object identity
-  (``JoinGraph(reuse_cache_from=...)``), which cannot survive a process
-  restart.  Persisted JI weights, discovered FDs, and session memos instead
-  carry a blake2b *content* fingerprint per instance table; on a warm open
-  they are adopted only for instances whose rebuilt samples hash to the same
-  fingerprint — the conservative cross-process analogue of the identity check
-  (a changed sample can never resurrect a stale weight).
+Everything a catalog persists goes through this module, which fixes one
+invariant the parity tests rely on: **content fingerprints, not identity.**
+The in-process incremental-refresh machinery proves cache validity by object
+identity (``JoinGraph(reuse_cache_from=...)``), which cannot survive a process
+restart.  Persisted JI weights, discovered FDs, and session memos instead
+carry a blake2b *content* fingerprint per instance table; on a warm open they
+are adopted only for instances whose rebuilt samples hash to the same
+fingerprint — the conservative cross-process analogue of the identity check
+(a changed sample can never resurrect a stale weight).  Column encodings are
+stored as their plain code lists.
 
 Payloads are pickled at a pinned protocol so the same catalog opens across the
 supported python versions; a fingerprint mismatch (e.g. across incompatible
@@ -29,7 +23,6 @@ import pickle
 from typing import Mapping
 
 from repro.exceptions import StorageError
-from repro.relational import backend as _backend
 from repro.relational.schema import Attribute, AttributeType, Schema
 from repro.relational.table import ColumnEncoding, Table
 
@@ -139,12 +132,10 @@ def table_from_blob(payload: bytes) -> Table:
 def encodings_to_blob(table: Table) -> bytes:
     """Serialise a table's cached dictionary encodings and entropy statistics.
 
-    Only what the table has already computed is stored (the caches are lazy);
-    codes are flattened to plain lists so the payload is columnar-backend
-    neutral.
+    Only what the table has already computed is stored (the caches are lazy).
     """
     encodings = [
-        (key, encoding.code_list(), list(encoding.values))
+        (key, encoding.codes, list(encoding.values))
         for key, encoding in table._encodings.items()
     ]
     stats = {key: value for key, value in table._stats.items() if key[0] == "entropy"}
@@ -163,10 +154,8 @@ def encodings_state(table: Table) -> tuple[int, int]:
 def restore_encodings(table: Table, payload: bytes) -> int:
     """Install persisted encodings/stats on ``table``; returns how many.
 
-    Codes re-enter through :func:`repro.relational.backend.make_codes`, so
-    they materialise in the *active* columnar backend's container whatever
-    backend produced them — rehydration instead of re-encoding, with
-    bit-identical downstream statistics.
+    Rehydration instead of re-encoding, with bit-identical downstream
+    statistics.
     """
     spec = loads(payload)
     if not isinstance(spec, dict):
@@ -174,7 +163,7 @@ def restore_encodings(table: Table, payload: bytes) -> int:
     restored = 0
     for key, codes, values in spec.get("encodings", ()):
         table._encodings.setdefault(
-            tuple(key), ColumnEncoding(_backend.make_codes(codes), list(values))
+            tuple(key), ColumnEncoding(codes, list(values))
         )
         restored += 1
     for key, value in spec.get("stats", {}).items():

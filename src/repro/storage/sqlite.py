@@ -1,9 +1,8 @@
 """The sqlite catalog backend: stdlib, always available, one file per catalog.
 
 The layout is two tables — ``catalog_meta`` (JSON text values) and
-``catalog_blobs`` (binary payloads keyed by ``(namespace, key)``) — identical
-to the duckdb backend's, so payload bytes round-trip bit-identically whichever
-engine holds them.  Every sqlite exception is wrapped into a typed
+``catalog_blobs`` (binary payloads keyed by ``(namespace, key)``).  Every
+sqlite exception is wrapped into a typed
 :class:`~repro.exceptions.StorageError` at this boundary; callers never see a
 raw ``sqlite3.DatabaseError``.
 
@@ -47,7 +46,6 @@ class SQLiteBackend(CatalogBackend):
     """A catalog stored in one sqlite database file."""
 
     kind = SQLITE
-    transactional = True
 
     def __init__(self, path: str | Path) -> None:
         super().__init__(path=path)

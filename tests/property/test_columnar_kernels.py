@@ -17,10 +17,6 @@ lineage instead of joining sampled intermediates; its reference joins every
 level with :func:`inner_join` and re-samples each intermediate table.  It
 then measures the kept rows from the lineage's distinct-row summary; the
 reference gathers them and runs the per-row correlation and quality kernels.
-
-The whole module runs twice, once per columnar backend (numpy and
-pure-python; see :mod:`repro.relational.backend`), so the same references
-double as parity oracles for the gated numpy kernels.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational import backend as columnar_backend_module
 from repro.infotheory.correlation import attribute_set_correlation, correlation
 from repro.infotheory.entropy import (
     entropy_of_codes,
@@ -69,14 +64,6 @@ from repro.sampling.resampling import ResamplingPolicy
 from repro.workloads.tpce import tpce_workload
 from repro.workloads.tpch import tpch_workload
 
-
-@pytest.fixture(scope="module", params=["python", "numpy"], autouse=True)
-def columnar_backend(request):
-    """Run every test in this module under both columnar backends."""
-    if request.param == "numpy" and not columnar_backend_module.numpy_available():
-        pytest.skip("numpy is not installed")
-    with columnar_backend_module.use_backend(request.param):
-        yield request.param
 
 # ---------------------------------------------------------------------- data
 key_values = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
@@ -315,9 +302,9 @@ class TestHistogramJoinInformativeness:
 SHARED_NAN = float("nan")
 
 fd_value_kinds = [
-    st.integers(min_value=0, max_value=3),  # all-int: numpy's bucket encoder
-    st.sampled_from([0.0, -0.0, 1.5, 2.5]),  # NaN-free floats: numpy's np.unique
-    st.one_of(  # mixed: the dict loop under both backends
+    st.integers(min_value=0, max_value=3),  # all-int
+    st.sampled_from([0.0, -0.0, 1.5, 2.5]),  # NaN-free floats
+    st.one_of(  # mixed types, equal values of different types, NaNs
         st.none(),
         st.integers(min_value=0, max_value=3),
         st.sampled_from([1, 1.0, True, "u", "v", SHARED_NAN]),

@@ -1,14 +1,12 @@
 """Hypothesis property tests: catalog round trips are lossless and bit-stable.
 
-Two layers of invariants, each across the full storage-engine x
-columnar-backend matrix (sqlite always, duckdb when importable; pure-python
-always, numpy when importable):
+Two layers of invariants, on sqlite catalogs:
 
 * **Payload round trips.**  Any table — arbitrary names, mixed ``None``s,
   numeric and categorical columns — survives ``table_to_blob`` /
   ``table_from_blob`` through a real backend unchanged, with its cached
   dictionary encodings rehydrated rather than re-encoded, and fingerprints
-  that depend on content, not on the process or columnar backend.
+  that depend on content, not on the process.
 * **End-to-end warm restarts.**  Persist -> reopen -> ``build_offline`` adopts
   the whole join graph (zero edge recomputes) and serves acquisitions
   bit-identical to the cold middleware — including after a
@@ -20,7 +18,6 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,12 +25,10 @@ from repro.core.config import DanceConfig
 from repro.core.dance import DANCE
 from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
-from repro.relational import backend as columnar_backend_module
 from repro.relational.table import Table
 from repro.search.mcmc import MCMCConfig
 from repro.storage import (
     create_backend,
-    duckdb_available,
     restore_encodings,
     table_fingerprint,
     table_from_blob,
@@ -42,17 +37,6 @@ from repro.storage import (
 from repro.storage.serialize import encodings_to_blob
 
 from tests.storage.test_marketplace_persist import small_marketplace
-
-STORAGE_KINDS = ["sqlite"] + (["duckdb"] if duckdb_available() else [])
-
-
-@pytest.fixture(scope="module", params=["python", "numpy"], autouse=True)
-def columnar_backend(request):
-    """Run every test in this module under both columnar backends."""
-    if request.param == "numpy" and not columnar_backend_module.numpy_available():
-        pytest.skip("numpy is not installed")
-    with columnar_backend_module.use_backend(request.param):
-        yield request.param
 
 
 # ------------------------------------------------------------------ strategies
@@ -75,12 +59,11 @@ source_rows = st.lists(
 
 
 # --------------------------------------------------------------- payload level
-@pytest.mark.parametrize("kind", STORAGE_KINDS)
 @given(table=tables)
 @settings(max_examples=20, deadline=None)
-def test_table_blob_round_trips_through_a_real_backend(kind, table):
+def test_table_blob_round_trips_through_a_real_backend(table):
     with tempfile.TemporaryDirectory() as scratch:
-        with create_backend(kind, Path(scratch) / "cat") as backend:
+        with create_backend(Path(scratch) / "cat") as backend:
             backend.put("tables", table.name, table_to_blob(table))
             restored = table_from_blob(backend.get("tables", table.name))
     assert restored.name == table.name
@@ -96,14 +79,14 @@ def test_table_blob_round_trips_through_a_real_backend(kind, table):
 def test_encodings_rehydrate_bit_identically(table):
     if len(table) == 0:
         return
-    expected = table.encoded_key(("a", "b")).code_list()
+    expected = table.encoded_key(("a", "b")).codes
     blob = encodings_to_blob(table)
     bare = table_from_blob(table_to_blob(table))
     assert restore_encodings(bare, blob) >= 1
     # The cached entry comes back under its original cache key, installed
     # before any kernel asks for it — rehydrated, not recomputed.
     assert set(bare._encodings) == set(table._encodings)
-    assert bare.encoded_key(("a", "b")).code_list() == expected
+    assert bare.encoded_key(("a", "b")).codes == expected
 
 
 @given(table=tables)
@@ -132,10 +115,9 @@ def _config(seed: int) -> DanceConfig:
     return DanceConfig(sampling_rate=1.0, mcmc=MCMCConfig(iterations=25, seed=seed))
 
 
-@pytest.mark.parametrize("kind", STORAGE_KINDS)
 @given(rows=source_rows, seed=st.integers(min_value=0, max_value=3))
 @settings(max_examples=6, deadline=None)
-def test_warm_restart_is_bit_identical_after_source_delta(kind, rows, seed):
+def test_warm_restart_is_bit_identical_after_source_delta(rows, seed):
     # Both sides register the shopper delta before the offline build: the
     # MCMC walk is only promised bit-stable across *identically ordered*
     # graphs, and the warm process replays the same registration sequence.
@@ -148,7 +130,7 @@ def test_warm_restart_is_bit_identical_after_source_delta(kind, rows, seed):
 
     with tempfile.TemporaryDirectory() as scratch:
         catalog = Path(scratch) / "cat"
-        cold.persist(catalog, kind=kind)
+        cold.persist(catalog)
 
         warm = DANCE(Marketplace.open(catalog), _config(seed))
         warm.register_source_tables([source])

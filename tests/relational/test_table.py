@@ -263,3 +263,69 @@ class TestConcurrentMemoisation:
             worker.join(timeout=30.0)
         stop.set()
         assert errors == []
+
+
+def make_table() -> Table:
+    schema = Schema(
+        [
+            Attribute("k", AttributeType.CATEGORICAL),
+            Attribute("num", AttributeType.NUMERICAL),
+            Attribute("cat", AttributeType.CATEGORICAL),
+        ]
+    )
+    rows = [
+        ("a", 1, "x"),
+        ("b", 2, "y"),
+        ("a", 3, "x"),
+        (None, 4, "z"),
+        ("c", 2, "y"),
+        ("a", 1, None),
+    ]
+    return Table.from_rows("t", schema, rows)
+
+
+class TestEncodingPropagation:
+    def test_project_inherits_cached_encodings(self):
+        table = make_table()
+        encoding = table.encoded("k")
+        key_encoding = table.encoded_key(("k", "cat"))
+        entropy = table.key_entropy(("k",))
+        projected = table.project(["k", "cat"])
+        assert projected.encoded("k") is encoding
+        assert projected.encoded_key(("k", "cat")) is key_encoding
+        assert projected.key_entropy(("k",)) == entropy
+        assert ("entropy", "k") in projected._stats
+
+    def test_project_drops_encodings_of_dropped_columns(self):
+        table = make_table()
+        table.encoded("num")
+        projected = table.project(["k"])
+        assert ("num",) not in projected._encodings
+
+    def test_with_name_and_rename_inherit(self):
+        table = make_table()
+        encoding = table.encoded("k")
+        renamed = table.rename({"k": "key"})
+        assert renamed.encoded("key") is encoding
+        assert table.with_name("other").encoded("k") is encoding
+
+    def test_take_re_encodes(self):
+        table = make_table()
+        table.encoded("k")
+        subset = table.take([0, 2, 4])
+        assert not subset._encodings  # gathered columns: nothing to inherit
+        assert subset.encoded("k").values == ["a", "c"]
+
+    def test_projected_encoding_matches_fresh_encoding(self):
+        table = make_table()
+        table.encoded_key(("k", "cat"))
+        projected = table.project(["k", "cat"])
+        fresh = Table(
+            "fresh",
+            projected.schema,
+            {name: list(projected.column(name)) for name in projected.schema.names},
+        )
+        inherited = projected.encoded_key(("k", "cat"))
+        rebuilt = fresh.encoded_key(("k", "cat"))
+        assert list(inherited.codes) == list(rebuilt.codes)
+        assert inherited.values == rebuilt.values

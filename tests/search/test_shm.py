@@ -2,9 +2,9 @@
 
 The contracts under test: a :class:`SharedColumnStore` round-trips the encoded
 columnar state bit-identically (codes, histograms, value order) — in-process
-and across a real spawned interpreter, under both columnar backends; worker
-sessions apply versioned deltas in place and hard-resync only on version gaps
-or fingerprint changes; and every published segment is unlinked on close.
+and across a real spawned interpreter; worker sessions apply versioned deltas
+in place and hard-resync only on version gaps or fingerprint changes; and
+every published segment is unlinked on close.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.marketplace.dataset import MarketplaceDataset
 from repro.marketplace.market import Marketplace
 from repro.pricing.models import EntropyPricingModel
 from repro.quality.fd import FunctionalDependency
-from repro.relational import backend as relational_backend
 from repro.relational.table import Table
 from repro.sampling.resampling import ResamplingPolicy
 from repro.search import shm
@@ -40,8 +39,6 @@ from repro.search.candidates import build_initial_target_graph
 from repro.graph.steiner import minimal_weight_igraph
 from repro.workloads.queries import queries_for
 
-BACKENDS = ["python"] + (["numpy"] if relational_backend.numpy_available() else [])
-
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src")
 
 
@@ -51,62 +48,57 @@ def assert_tables_identical(original: Table, rebuilt: Table) -> None:
     assert list(rebuilt.iter_rows()) == list(original.iter_rows())
     for key, encoding in original._encodings.items():
         copy = rebuilt._encodings[key]
-        assert list(shm._as_code_iter(copy.codes)) == list(
-            shm._as_code_iter(encoding.codes)
-        )
+        assert copy.codes == encoding.codes
         assert copy.values == encoding.values  # value order is part of the contract
         assert list(copy.counts()) == list(encoding.counts())
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestRoundTripInProcess:
-    def test_codes_values_and_counts_round_trip(self, backend):
-        with relational_backend.use_backend(backend):
-            facts = Table.from_rows(
-                "facts",
-                ["good_key", "bad_key", "measure"],
-                [(i % 10, i % 3, float(i % 8) * 10 + i % 3) for i in range(64)],
+    def test_codes_values_and_counts_round_trip(self):
+        facts = Table.from_rows(
+            "facts",
+            ["good_key", "bad_key", "measure"],
+            [(i % 10, i % 3, float(i % 8) * 10 + i % 3) for i in range(64)],
+        )
+        # Force the multi-column key path and the histogram caches so the
+        # export carries them (shared codes objects must dedup too).
+        facts.encoded_key(["good_key", "bad_key"])
+        for column in facts.schema.names:
+            facts.encoded(column).counts()
+        store = shm.SharedColumnStore("test-roundtrip")
+        try:
+            manifest = store.export_tables(
+                {"facts": facts}, version=0, kind="base", meta={"k": "v"}
             )
-            # Force the multi-column key path and the histogram caches so the
-            # export carries them (shared codes objects must dedup too).
-            facts.encoded_key(["good_key", "bad_key"])
-            for column in facts.schema.names:
-                facts.encoded(column).counts()
-            store = shm.SharedColumnStore("test-roundtrip")
+            attached, meta, attachments = shm.attach_tables(manifest)
             try:
-                manifest = store.export_tables(
-                    {"facts": facts}, version=0, kind="base", meta={"k": "v"}
-                )
-                attached, meta, attachments = shm.attach_tables(manifest)
-                try:
-                    assert meta == {"k": "v"}
-                    assert_tables_identical(facts, attached["facts"])
-                finally:
-                    attached.clear()
-                    for segment in attachments:
-                        try:
-                            segment.close()
-                        except BufferError:
-                            pass
+                assert meta == {"k": "v"}
+                assert_tables_identical(facts, attached["facts"])
             finally:
-                store.close()
+                attached.clear()
+                for segment in attachments:
+                    try:
+                        segment.close()
+                    except BufferError:
+                        pass
+        finally:
+            store.close()
 
-    def test_fingerprint_mismatch_is_rejected(self, backend):
-        with relational_backend.use_backend(backend):
-            table = Table.from_rows("t", ["a"], [(1,), (2,), (1,)])
-            store = shm.SharedColumnStore("test-corrupt")
-            try:
-                manifest = store.export_tables(
-                    {"t": table}, version=0, kind="base", meta={}
-                )
-                forged = replace(
-                    manifest,
-                    meta=replace(manifest.meta, digest="00" * 16),
-                )
-                with pytest.raises(ReproError, match="fingerprint"):
-                    shm.attach_tables(forged)
-            finally:
-                store.close()
+    def test_fingerprint_mismatch_is_rejected(self):
+        table = Table.from_rows("t", ["a"], [(1,), (2,), (1,)])
+        store = shm.SharedColumnStore("test-corrupt")
+        try:
+            manifest = store.export_tables(
+                {"t": table}, version=0, kind="base", meta={}
+            )
+            forged = replace(
+                manifest,
+                meta=replace(manifest.meta, digest="00" * 16),
+            )
+            with pytest.raises(ReproError, match="fingerprint"):
+                shm.attach_tables(forged)
+        finally:
+            store.close()
 
 
 # The spawned child re-attaches the manifest from nothing but segment names
@@ -124,7 +116,7 @@ payload = {
         "rows": list(table.iter_rows()),
         "encodings": {
             repr(key): (
-                list(shm._as_code_iter(encoding.codes)),
+                encoding.codes,
                 encoding.values,
                 list(encoding.counts()),
             )
@@ -173,44 +165,43 @@ class TestSpawnedProcessProperty:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(table=small_tables(), backend=st.sampled_from(BACKENDS))
-    def test_round_trips_bit_identically_across_a_process(self, table, backend):
-        with relational_backend.use_backend(backend):
-            rebuilt = Table.from_rows(
-                table.name, list(table.schema.names), list(table.iter_rows())
+    @given(table=small_tables())
+    def test_round_trips_bit_identically_across_a_process(self, table):
+        rebuilt = Table.from_rows(
+            table.name, list(table.schema.names), list(table.iter_rows())
+        )
+        for column in rebuilt.schema.names:
+            rebuilt.encoded(column).counts()
+        if len(rebuilt.schema.names) > 1:
+            rebuilt.encoded_key(list(rebuilt.schema.names))
+        store = shm.SharedColumnStore("test-spawn")
+        try:
+            manifest = store.export_tables(
+                {rebuilt.name: rebuilt}, version=0, kind="base", meta={"n": 1}
             )
-            for column in rebuilt.schema.names:
-                rebuilt.encoded(column).counts()
-            if len(rebuilt.schema.names) > 1:
-                rebuilt.encoded_key(list(rebuilt.schema.names))
-            store = shm.SharedColumnStore("test-spawn")
-            try:
-                manifest = store.export_tables(
-                    {rebuilt.name: rebuilt}, version=0, kind="base", meta={"n": 1}
+            with tempfile.TemporaryDirectory() as tmp:
+                manifest_path = os.path.join(tmp, "manifest.pkl")
+                out_path = os.path.join(tmp, "out.pkl")
+                with open(manifest_path, "wb") as fh:
+                    pickle.dump(manifest, fh)
+                env = dict(os.environ)
+                env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+                subprocess.run(
+                    [sys.executable, "-c", CHILD_SCRIPT, manifest_path, out_path],
+                    env=env,
+                    check=True,
+                    timeout=120,
                 )
-                with tempfile.TemporaryDirectory() as tmp:
-                    manifest_path = os.path.join(tmp, "manifest.pkl")
-                    out_path = os.path.join(tmp, "out.pkl")
-                    with open(manifest_path, "wb") as fh:
-                        pickle.dump(manifest, fh)
-                    env = dict(os.environ)
-                    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-                    subprocess.run(
-                        [sys.executable, "-c", CHILD_SCRIPT, manifest_path, out_path],
-                        env=env,
-                        check=True,
-                        timeout=120,
-                    )
-                    with open(out_path, "rb") as fh:
-                        seen = pickle.load(fh)
-            finally:
-                store.close()
+                with open(out_path, "rb") as fh:
+                    seen = pickle.load(fh)
+        finally:
+            store.close()
         assert seen["meta"] == {"n": 1}
         child = seen["tables"][rebuilt.name]
         assert child["rows"] == list(rebuilt.iter_rows())
         for key, encoding in rebuilt._encodings.items():
             codes, values, counts = child["encodings"][repr(key)]
-            assert codes == list(shm._as_code_iter(encoding.codes))
+            assert codes == encoding.codes
             assert values == encoding.values
             assert counts == list(encoding.counts())
 

@@ -2,9 +2,8 @@
 
 The acceptance contract of the service layer: a batch of N requests through
 ``AcquisitionService`` equals N serial ``DANCE.acquire()`` calls with the
-same derived seeds — with and without shared caches, under both columnar
-backends, and under every executor (serial / thread / process multi-chain
-walks, concurrent and serial batch fan-out).
+same derived seeds — under every executor (serial / thread / process
+multi-chain walks, concurrent and serial batch fan-out).
 """
 
 from __future__ import annotations
@@ -17,20 +16,10 @@ from repro.marketplace.dataset import MarketplaceDataset
 from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.pricing.models import EntropyPricingModel
-from repro.relational import backend as columnar_backend
 from repro.relational.table import Table
 from repro.search.acquisition import SearchRuntime
 from repro.search.mcmc import MCMCConfig
 from repro.service import AcquisitionService, request_seed
-
-
-@pytest.fixture(params=["python", "numpy"])
-def backend_name(request):
-    """Run every parity test under both columnar backends."""
-    if request.param == "numpy" and not columnar_backend.numpy_available():
-        pytest.skip("numpy is not installed")
-    with columnar_backend.use_backend(request.param):
-        yield request.param
 
 
 def build_marketplace() -> Marketplace:
@@ -103,23 +92,18 @@ def batch_fingerprints(config: DanceConfig) -> list[tuple]:
 
 
 class TestBatchEqualsSerial:
-    @pytest.mark.parametrize("share_caches", [True, False])
     @pytest.mark.parametrize("batch_workers", [1, 4])
-    def test_single_chain(self, backend_name, share_caches, batch_workers):
+    def test_single_chain(self, batch_workers):
         mcmc = MCMCConfig(iterations=40, seed=0)
         config = DanceConfig(
             sampling_rate=1.0,
             mcmc=mcmc,
-            service=ServiceConfig(
-                share_caches=share_caches, max_batch_workers=batch_workers
-            ),
+            service=ServiceConfig(max_batch_workers=batch_workers),
         )
         assert batch_fingerprints(config) == serial_reference(mcmc, seed_base=0)
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_multi_chain_executors(self, backend_name, executor):
-        if executor == "process" and backend_name == "python":
-            pytest.skip("one process-executor leg per backend keeps the suite fast")
+    def test_multi_chain_executors(self, executor):
         mcmc = MCMCConfig(iterations=30, seed=0, chains=3, executor=executor)
         config = DanceConfig(
             sampling_rate=1.0,
@@ -128,7 +112,7 @@ class TestBatchEqualsSerial:
         )
         assert batch_fingerprints(config) == serial_reference(mcmc, seed_base=0)
 
-    def test_batch_equals_repeated_service_calls(self, backend_name):
+    def test_batch_equals_repeated_service_calls(self):
         """Concurrent batch == the same service serving one request at a time."""
         config = DanceConfig(
             sampling_rate=1.0,
@@ -146,7 +130,7 @@ class TestBatchEqualsSerial:
             ]
         assert [fingerprint(item.result) for item in batch] == one_at_a_time
 
-    def test_nonzero_service_seed(self, backend_name):
+    def test_nonzero_service_seed(self):
         mcmc = MCMCConfig(iterations=40, seed=0)
         config = DanceConfig(
             sampling_rate=1.0,
@@ -155,7 +139,7 @@ class TestBatchEqualsSerial:
         )
         assert batch_fingerprints(config) == serial_reference(mcmc, seed_base=99)
 
-    def test_repeated_batches_are_stable(self, backend_name):
+    def test_repeated_batches_are_stable(self):
         """A second identical batch (warm caches) is bit-identical to the first."""
         config = DanceConfig(
             sampling_rate=1.0,

@@ -10,6 +10,7 @@ cannot silently vanish from the endpoint.
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
 import urllib.error
@@ -499,6 +500,23 @@ def test_http_errors_carry_typed_bodies_not_tracebacks(live_server):
     body = json.loads(raw)
     assert body["error"]["type"] == "InfeasibleAcquisitionError"
     assert "Traceback" not in raw.decode("utf-8")
+
+    # A bad Content-Length is answered before any of the body is read.
+    for length, expected in (
+        ("1000000000000", (413, "PayloadTooLarge")),
+        ("-5", (400, "InvalidRequest")),
+    ):
+        connection = http.client.HTTPConnection("127.0.0.1", live_server.port, timeout=30.0)
+        try:
+            connection.putrequest("POST", "/acquire")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        finally:
+            connection.close()
+        assert (response.status, body["error"]["type"]) == expected, length
 
     # Malformed fields -> 400 ReproError, never the 500 catch-all.
     spec = {"source": ["measure"], "target": ["label"], "budget": 1e9}

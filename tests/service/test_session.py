@@ -99,14 +99,6 @@ class TestSingleRequest:
         assert other.estimated_correlation == again.estimated_correlation
         assert other.sql() == again.sql()
 
-    def test_share_caches_off_still_deterministic(self):
-        with AcquisitionService(
-            small_marketplace(), config(share_caches=False)
-        ) as service:
-            first = service.acquire(REQUEST)
-            second = service.acquire(REQUEST)
-        assert first.estimated_correlation == second.estimated_correlation
-
 
 class TestBatch:
     def test_batch_results_in_request_order_with_derived_seeds(self):
@@ -390,10 +382,6 @@ class TestServiceConfigValidation:
     def test_rejects_bad_batch_workers(self):
         with pytest.raises(ReproError):
             ServiceConfig(max_batch_workers=0)
-
-    def test_rejects_bad_stripes(self):
-        with pytest.raises(ReproError):
-            ServiceConfig(cache_stripes=0)
 
     def test_rejects_bad_queue_depth(self):
         with pytest.raises(ReproError):

@@ -1,9 +1,8 @@
-"""Backend contract, factory inference, duckdb fallback, atomic persistence.
+"""Backend contract, factory inference, file checks, atomic persistence.
 
 Every concrete :class:`~repro.storage.CatalogBackend` must behave identically
-through the blob/metadata interface; the factory must infer engines sensibly,
-sniff existing files, and degrade duckdb to sqlite exactly like the numpy
-fallback in ``repro/relational/backend.py``.
+through the blob/metadata interface; the factory must pick sqlite for a path
+and memory without one, and refuse files that are not sqlite catalogs.
 """
 
 from __future__ import annotations
@@ -20,45 +19,22 @@ from repro.storage import (
     atomic_persist,
     create_backend,
     detect_kind,
-    duckdb_available,
-    normalize_kind,
     open_backend,
 )
-from repro.storage import duckdb as duckdb_module
-from repro.storage.duckdb import DuckDBBackend
 
 
-def _backend_params():
-    params = [MEMORY, SQLITE]
-    if duckdb_available():
-        params.append("duckdb")
-    return params
-
-
-@pytest.fixture(params=_backend_params())
+@pytest.fixture(params=[MEMORY, SQLITE])
 def backend(request, tmp_path):
     if request.param == MEMORY:
         built = InMemoryBackend()
     else:
-        built = create_backend(request.param, tmp_path / f"cat.{request.param}")
+        built = SQLiteBackend(tmp_path / "cat.sqlite")
     yield built
     built.close()
 
 
-class TestNormalizeKind:
-    def test_aliases(self):
-        assert normalize_kind("sqlite3") == SQLITE
-        assert normalize_kind("SQLite") == SQLITE
-        assert normalize_kind("ram") == MEMORY
-        assert normalize_kind("inmemory") == MEMORY
-        assert normalize_kind(None) is None
-
-    def test_unknown_kind_raises_typed_error(self):
-        with pytest.raises(StorageError):
-            normalize_kind("postgres")
-
-    def test_storage_error_is_a_repro_error(self):
-        assert issubclass(StorageError, ReproError)
+def test_storage_error_is_a_repro_error():
+    assert issubclass(StorageError, ReproError)
 
 
 class TestBackendContract:
@@ -126,10 +102,6 @@ class TestBackendContract:
         assert backend.get_meta("b") is None
 
     def test_transaction_commits_once_or_rolls_back(self, backend):
-        if not backend.transactional:
-            with pytest.raises(StorageError, match="transactions"):
-                backend.transaction()
-            return
         backend.put("tables", "kept", b"before")
         backend.put_meta("note", "before")
         with backend.transaction():
@@ -154,22 +126,19 @@ class TestBackendContract:
 
 
 class TestDiskPersistence:
-    @pytest.mark.parametrize(
-        "kind", [SQLITE] + (["duckdb"] if duckdb_available() else [])
-    )
-    def test_blobs_survive_reopen(self, tmp_path, kind):
-        path = tmp_path / f"cat.{kind}"
-        with create_backend(kind, path) as backend:
+    def test_blobs_survive_reopen(self, tmp_path):
+        path = tmp_path / "cat.sqlite"
+        with create_backend(path) as backend:
             backend.initialize()
             backend.put("tables", "a", b"\x00\xffbinary")
             backend.flush()
         with open_backend(path) as reopened:
-            assert reopened.kind == kind
+            assert reopened.kind == SQLITE
             assert reopened.get("tables", "a") == b"\x00\xffbinary"
 
     def test_detect_kind_sniffs_sqlite(self, tmp_path):
         path = tmp_path / "cat"
-        with create_backend(SQLITE, path) as backend:
+        with create_backend(path) as backend:
             backend.initialize()
         assert detect_kind(path) == SQLITE
 
@@ -187,9 +156,16 @@ class TestDiskPersistence:
         with pytest.raises(StorageError, match="not a recognised catalog"):
             detect_kind(path)
 
+    def test_opening_a_duckdb_file_is_a_hard_error(self, tmp_path):
+        # A catalog written by the removed duckdb engine is refused, not misread.
+        path = tmp_path / "cat.duckdb"
+        path.write_bytes(b"\x00" * 8 + b"DUCK" + b"\x00" * 52)
+        with pytest.raises(StorageError, match="not a recognised catalog"):
+            open_backend(path)
+
     def test_open_backend_rejects_uninitialised_file(self, tmp_path):
         path = tmp_path / "empty"
-        with create_backend(SQLITE, path):
+        with create_backend(path):
             pass  # valid sqlite file, but never stamped as a catalog
         with pytest.raises(StorageError, match="not a marketplace catalog"):
             open_backend(path)
@@ -208,43 +184,6 @@ class TestFactoryInference:
         with create_backend(path=tmp_path / "cat") as backend:
             assert isinstance(backend, SQLiteBackend)
 
-    def test_memory_rejects_a_path(self, tmp_path):
-        with pytest.raises(StorageError):
-            create_backend(MEMORY, tmp_path / "cat")
-
-    def test_disk_kinds_require_a_path(self):
-        with pytest.raises(StorageError):
-            create_backend(SQLITE)
-
-
-# ------------------------------------------------------- duckdb masked out
-class TestDuckdbMaskedFallback:
-    """duckdb absent: same degradation contract as numpy in relational/backend."""
-
-    def test_create_warns_and_falls_back_to_sqlite(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(duckdb_module, "_DUCKDB", None)
-        assert not duckdb_available()
-        with pytest.warns(RuntimeWarning, match="duckdb is not importable"):
-            backend = create_backend("duckdb", tmp_path / "cat")
-        with backend:
-            assert isinstance(backend, SQLiteBackend)
-            backend.initialize()
-        assert detect_kind(tmp_path / "cat") == SQLITE
-
-    def test_direct_construction_is_a_hard_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(duckdb_module, "_DUCKDB", None)
-        with pytest.raises(StorageError, match="duckdb is not importable"):
-            DuckDBBackend(tmp_path / "cat")
-
-    def test_opening_a_duckdb_file_is_a_hard_error(self, tmp_path, monkeypatch):
-        # A silent sqlite fallback would misread the file, so open refuses.
-        monkeypatch.setattr(duckdb_module, "_DUCKDB", None)
-        path = tmp_path / "cat.duckdb"
-        path.write_bytes(b"\x00" * 8 + b"DUCK" + b"\x00" * 52)
-        assert detect_kind(path) == "duckdb"
-        with pytest.raises(StorageError, match="duckdb is not importable"):
-            open_backend(path)
-
 
 class TestAtomicPersist:
     def test_writes_and_returns_target(self, tmp_path):
@@ -254,7 +193,7 @@ class TestAtomicPersist:
             backend.initialize()
             backend.put("tables", "a", b"x")
 
-        assert atomic_persist(target, SQLITE, writer) == target
+        assert atomic_persist(target, writer) == target
         with open_backend(target) as backend:
             assert backend.get("tables", "a") == b"x"
 
@@ -265,7 +204,7 @@ class TestAtomicPersist:
             backend.initialize()
             backend.put("tables", "a", b"original")
 
-        atomic_persist(target, SQLITE, good)
+        atomic_persist(target, good)
 
         def bad(backend):
             backend.initialize()
@@ -273,11 +212,11 @@ class TestAtomicPersist:
             raise RuntimeError("mid-write crash")
 
         with pytest.raises(RuntimeError):
-            atomic_persist(target, SQLITE, bad)
+            atomic_persist(target, bad)
         with open_backend(target) as backend:
             assert backend.get("tables", "a") == b"original"
         assert [p.name for p in tmp_path.iterdir()] == ["cat"]  # no temp leftovers
 
     def test_missing_parent_directory_is_a_typed_error(self, tmp_path):
         with pytest.raises(StorageError, match="does not exist"):
-            atomic_persist(tmp_path / "absent" / "cat", SQLITE, lambda backend: None)
+            atomic_persist(tmp_path / "absent" / "cat", lambda backend: None)

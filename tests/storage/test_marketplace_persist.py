@@ -22,10 +22,7 @@ from repro.storage import (
     InMemoryBackend,
     StoredDataset,
     create_backend,
-    duckdb_available,
 )
-
-KINDS = ["sqlite"] + (["duckdb"] if duckdb_available() else [])
 
 
 def small_marketplace() -> Marketplace:
@@ -55,18 +52,17 @@ def rows_of(table: Table) -> list[tuple]:
     return list(table.iter_rows())
 
 
-@pytest.mark.parametrize("kind", KINDS)
 class TestRoundTrip:
-    def test_catalog_is_bit_identical_in_hosting_order(self, tmp_path, kind):
+    def test_catalog_is_bit_identical_in_hosting_order(self, tmp_path):
         market = small_marketplace()
-        market.persist(tmp_path / "cat", kind=kind)
+        market.persist(tmp_path / "cat")
         reopened = Marketplace.open(tmp_path / "cat")
         assert reopened.dataset_names == market.dataset_names
         assert reopened.catalog() == market.catalog()
         assert reopened.sample_row_price == market.sample_row_price
 
-    def test_datasets_stay_lazy_until_touched(self, tmp_path, kind):
-        small_marketplace().persist(tmp_path / "cat", kind=kind)
+    def test_datasets_stay_lazy_until_touched(self, tmp_path):
+        small_marketplace().persist(tmp_path / "cat")
         reopened = Marketplace.open(tmp_path / "cat")
         dataset = reopened.dataset("facts")
         assert isinstance(dataset, StoredDataset)
@@ -80,23 +76,23 @@ class TestRoundTrip:
         )
         assert dataset.hydrated
 
-    def test_encodings_are_rehydrated_not_reencoded(self, tmp_path, kind):
+    def test_encodings_are_rehydrated_not_reencoded(self, tmp_path):
         market = small_marketplace()
         original = market.dataset("facts").table
         original.encoded_key(("good_key",))  # populate the lazy encoding cache
-        market.persist(tmp_path / "cat", kind=kind)
+        market.persist(tmp_path / "cat")
         table = Marketplace.open(tmp_path / "cat").dataset("facts").table
         # The persisted encoding is installed at hydration time, before any
         # kernel asks for it — rehydrated, not recomputed.
         assert ("good_key",) in table._encodings
-        assert table.encoded_key(("good_key",)).code_list() == original.encoded_key(
+        assert table.encoded_key(("good_key",)).codes == original.encoded_key(
             ("good_key",)
-        ).code_list()
+        ).codes
 
-    def test_repersisting_a_lazy_catalog_does_not_hydrate(self, tmp_path, kind):
-        small_marketplace().persist(tmp_path / "cat", kind=kind)
+    def test_repersisting_a_lazy_catalog_does_not_hydrate(self, tmp_path):
+        small_marketplace().persist(tmp_path / "cat")
         reopened = Marketplace.open(tmp_path / "cat")
-        reopened.persist(tmp_path / "copy", kind=kind)
+        reopened.persist(tmp_path / "copy")
         assert not any(
             dataset.hydrated for dataset in map(reopened.dataset, reopened.dataset_names)
         )
@@ -158,7 +154,7 @@ class TestTypedOpenErrors:
 
     def test_catalog_without_a_marketplace(self, tmp_path):
         path = tmp_path / "cat"
-        with create_backend("sqlite", path) as backend:
+        with create_backend(path) as backend:
             backend.initialize()  # versioned, but no marketplace metadata
         with pytest.raises(StorageError, match="holds no marketplace"):
             Marketplace.open(path)

@@ -11,21 +11,16 @@ it, never correctness.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import DanceConfig
 from repro.core.dance import DANCE
 from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
-from repro.relational import backend as columnar_backend
 from repro.relational.table import Table
 from repro.search.mcmc import MCMCConfig
-from repro.storage import NS_TABLES, duckdb_available
+from repro.storage import NS_TABLES
 from repro.storage import serialize as storage_serialize
 
 from tests.storage.test_marketplace_persist import small_marketplace
-
-KINDS = ["sqlite"] + (["duckdb"] if duckdb_available() else [])
 
 REQUEST = AcquisitionRequest(
     source_attributes=["measure"], target_attributes=["label"], budget=1e9
@@ -46,11 +41,10 @@ def weight_map(graph) -> dict:
     return {(edge.left, edge.right): dict(edge.weights) for edge in graph.edges()}
 
 
-@pytest.mark.parametrize("kind", KINDS)
 class TestZeroRecomputeRestart:
-    def test_warm_build_adopts_every_edge(self, tmp_path, kind):
+    def test_warm_build_adopts_every_edge(self, tmp_path):
         cold = cold_dance()
-        cold.persist(tmp_path / "cat", kind=kind)
+        cold.persist(tmp_path / "cat")
 
         warm = DANCE(Marketplace.open(tmp_path / "cat"), config())
         warm.build_offline()
@@ -58,18 +52,18 @@ class TestZeroRecomputeRestart:
         assert warm.join_graph.edge_recomputes == 0
         assert weight_map(warm.join_graph) == weight_map(cold.join_graph)
 
-    def test_fds_are_adopted_not_rediscovered(self, tmp_path, kind):
+    def test_fds_are_adopted_not_rediscovered(self, tmp_path):
         cold = cold_dance()
-        cold.persist(tmp_path / "cat", kind=kind)
+        cold.persist(tmp_path / "cat")
         warm = DANCE(Marketplace.open(tmp_path / "cat"), config())
         warm.build_offline()
         assert warm.fds == cold.fds
         assert warm.afd_discoveries == 0
 
-    def test_replacement_after_restart_matches_a_cold_build(self, tmp_path, kind):
+    def test_replacement_after_restart_matches_a_cold_build(self, tmp_path):
         # The warm build seeds each unchanged instance's FD list from the
         # catalog, so this write mines only the replaced table.
-        cold_dance().persist(tmp_path / "cat", kind=kind)
+        cold_dance().persist(tmp_path / "cat")
         replacement = Table.from_rows(
             "extra", ["bad_key", "bonus"], [(i % 3, float(i % 4)) for i in range(12)]
         )
@@ -84,8 +78,8 @@ class TestZeroRecomputeRestart:
         cold.build_offline()
         assert warm.fds == cold.fds
 
-    def test_changed_afd_parameters_mine_every_table(self, tmp_path, kind):
-        cold_dance().persist(tmp_path / "cat", kind=kind)
+    def test_changed_afd_parameters_mine_every_table(self, tmp_path):
+        cold_dance().persist(tmp_path / "cat")
         stricter = DanceConfig(
             sampling_rate=1.0,
             mcmc=MCMCConfig(iterations=40, seed=0),
@@ -98,10 +92,10 @@ class TestZeroRecomputeRestart:
         assert warm.afd_discoveries == fresh.afd_discoveries > 0
         assert warm.fds == fresh.fds
 
-    def test_acquisitions_are_bit_identical(self, tmp_path, kind):
+    def test_acquisitions_are_bit_identical(self, tmp_path):
         cold = cold_dance()
         expected = cold.acquire(REQUEST)
-        cold.persist(tmp_path / "cat", kind=kind)
+        cold.persist(tmp_path / "cat")
 
         warm = DANCE(Marketplace.open(tmp_path / "cat"), config())
         warm.build_offline()
@@ -150,21 +144,3 @@ class TestFingerprintGuard:
         dance = DANCE(market, config())
         dance.build_offline()
         assert dance.join_graph.ji_computations > 0
-
-
-@pytest.mark.skipif(
-    not columnar_backend.numpy_available(), reason="numpy is not installed"
-)
-class TestCrossColumnarBackendRestart:
-    def test_numpy_catalog_reopens_bit_identically_under_python(self, tmp_path):
-        with columnar_backend.use_backend("numpy"):
-            cold = cold_dance()
-            expected = cold.acquire(REQUEST)
-            cold.persist(tmp_path / "cat")
-        with columnar_backend.use_backend("python"):
-            warm = DANCE(Marketplace.open(tmp_path / "cat"), config())
-            warm.build_offline()
-            assert warm.join_graph.edge_recomputes == 0
-            served = warm.acquire(REQUEST)
-        assert served.estimated_correlation == expected.estimated_correlation
-        assert served.sql() == expected.sql()
