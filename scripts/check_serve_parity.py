@@ -151,7 +151,9 @@ def check_saturated_reject(specs: list[dict], reference: list[bytes]) -> int:
         admission="reject",
     ) as harness:
         # Hold the only admission slot, as a long in-flight request would.
-        harness.service._admission.admit()
+        scheduler = harness.service._scheduler
+        held = scheduler.submit(AcquisitionRequest([], ["held"], budget=0.0))
+        scheduler.await_grant(held)
         response = harness.acquire(specs[0])
         if response.status != 503:
             failures += 1
@@ -169,7 +171,7 @@ def check_saturated_reject(specs: list[dict], reference: list[bytes]) -> int:
 
         # Recovery: drain the queue, the identical request serves the
         # identical bytes.
-        harness.service._admission.release()
+        scheduler.release(held)
         recovered = harness.acquire(specs[0])
         if recovered.status != 200:
             failures += 1

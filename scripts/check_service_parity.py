@@ -10,21 +10,21 @@ quality, weight, price, SQL).  A warm repeat of the batch must agree with the
 cold one too (and, via the session's Step-1 memo, skip the landmark/Steiner
 search while doing so).
 
-``--queue`` additionally runs the admission-saturation smoke: a bounded queue
-under the ``block`` policy must serve the identical batch (backpressure never
-changes results), and a saturated queue under ``reject`` must shed requests
-with ``AdmissionRejectedError`` while leaving every *served* request
+It then runs the admission-saturation smoke: a bounded queue under the
+``block`` policy must serve the identical batch (backpressure never changes
+results), and a saturated queue under ``reject`` must shed requests with
+``AdmissionRejectedError`` while leaving every *served* request
 bit-identical — then recover fully once the queue drains.
 
-``--wfq`` runs the QoS smoke: a contended three-tier workload under the
-weighted-fair-queueing scheduler (``ServiceConfig(qos=True)``) must serve
-bit-identically to the serial single-FIFO reference, and a batch of
-already-expired deadlines must be shed whole with ``DeadlineExceededError``
-and recover bit-identically afterwards.
+Last comes the WFQ smoke: a contended three-tier workload on one execution
+slot (``ServiceConfig(qos=QosConfig(slots=1))``) must serve bit-identically
+to the serial reference, and a batch of already-expired deadlines must be
+shed whole with ``DeadlineExceededError`` and recover bit-identically
+afterwards.
 
 Used by the CI ``service-smoke`` job.  Run locally with::
 
-    PYTHONPATH=src python scripts/check_service_parity.py [--queue] [--wfq]
+    PYTHONPATH=src python scripts/check_service_parity.py
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.marketplace.dataset import MarketplaceDataset
 from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.pricing.models import EntropyPricingModel
+from repro.pricing.sla import QosConfig
 from repro.search.acquisition import SearchRuntime
 from repro.search.mcmc import MCMCConfig
 from repro.service import AcquisitionService, request_seed
@@ -80,7 +81,7 @@ def fingerprint(result) -> tuple:
 
 
 def check_queue(workload, requests, reference_prints) -> int:
-    """The admission-saturation smoke (``--queue``)."""
+    """The admission-saturation smoke (block and reject policies)."""
     from repro.exceptions import AdmissionRejectedError
 
     failures = 0
@@ -117,11 +118,13 @@ def check_queue(workload, requests, reference_prints) -> int:
         ),
     )
     with AcquisitionService(build_marketplace(workload), config) as service:
-        service._admission.admit()  # occupy the single slot
+        # Occupy the single slot, as an in-flight request would.
+        held = service._scheduler.submit(requests[0])
+        service._scheduler.await_grant(held)
         try:
             shed = service.acquire_batch(requests)
         finally:
-            service._admission.release()
+            service._scheduler.release(held)
         if shed.ok or any(item.ok for item in shed):
             failures += 1
             print("FAIL[queue]: saturated reject-policy batch served requests")
@@ -151,7 +154,7 @@ def check_queue(workload, requests, reference_prints) -> int:
 
 
 def check_wfq(workload, requests, reference_prints) -> int:
-    """The QoS smoke (``--wfq``): WFQ bit-identity and deadline shedding."""
+    """The WFQ smoke: contended-tier bit-identity and deadline shedding."""
     from repro.exceptions import DeadlineExceededError
 
     failures = 0
@@ -169,7 +172,7 @@ def check_wfq(workload, requests, reference_prints) -> int:
     config = DanceConfig(
         sampling_rate=SAMPLING_RATE,
         mcmc=MCMCConfig(iterations=ITERATIONS, seed=0),
-        service=ServiceConfig(max_batch_workers=BATCH_WORKERS, qos=True),
+        service=ServiceConfig(max_batch_workers=BATCH_WORKERS, qos=QosConfig(slots=1)),
     )
 
     # Contended mixed-tier batch: three shoppers on three tiers fight for the
@@ -185,9 +188,6 @@ def check_wfq(workload, requests, reference_prints) -> int:
     elif [fingerprint(item.result) for item in shaped] != reference_prints:
         failures += 1
         print("MISMATCH[wfq]: WFQ-scheduled batch differs from the serial reference")
-    if not qos["enabled"]:
-        failures += 1
-        print("FAIL[wfq]: the metrics payload does not report QoS enabled")
     granted = {name: stats["requests"] for name, stats in qos["tiers"].items()}
     expected = {}
     for index in range(len(tiered)):
@@ -246,16 +246,6 @@ def check_wfq(workload, requests, reference_prints) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--queue",
-        action="store_true",
-        help="additionally run the admission-saturation smoke (block + reject policies)",
-    )
-    parser.add_argument(
-        "--wfq",
-        action="store_true",
-        help="additionally run the QoS smoke (WFQ bit-identity + deadline sheds)",
-    )
     parser.add_argument(
         "--plan",
         default=None,
@@ -322,10 +312,8 @@ def main() -> int:
             f"(expected >= {len(requests)} hits, got {step1})"
         )
 
-    if args.queue:
-        failures += check_queue(workload, requests, cold_prints)
-    if args.wfq:
-        failures += check_wfq(workload, requests, cold_prints)
+    failures += check_queue(workload, requests, cold_prints)
+    failures += check_wfq(workload, requests, cold_prints)
 
     if failures:
         print(f"\n{failures} service-parity failure(s)")

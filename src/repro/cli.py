@@ -21,9 +21,9 @@ shell without writing Python:
     Serve a JSON file of acquisition requests through one long-lived
     :class:`~repro.service.AcquisitionService` — one offline phase, shared
     caches, concurrent execution with deterministic per-request seeds,
-    bounded admission (``--queue-depth`` / ``--admission``), optional priced
-    QoS scheduling (``--qos on`` / ``--tier``) — and print one summary per
-    request plus the service metrics.  ``--catalog PATH`` makes
+    bounded admission (``--queue-depth`` / ``--admission``), a default SLA
+    tier (``--tier``) — and print one summary per request plus the service
+    metrics.  ``--catalog PATH`` makes
     the service persistent: an existing catalog is opened instead of
     regenerating the workload (warm offline phase, restored session caches),
     and the session is checkpointed back after serving.
@@ -288,7 +288,6 @@ def _service_config(args: argparse.Namespace) -> DanceConfig:
             max_batch_workers=args.batch_workers,
             max_queue_depth=args.queue_depth,
             admission=args.admission,
-            qos=(True if getattr(args, "qos", "off") == "on" else None),
             catalog_path=(
                 None if getattr(args, "catalog", None) is None else str(args.catalog)
             ),
@@ -313,7 +312,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 "batch_workers": config.service.max_batch_workers,
                 "queue_depth": config.service.max_queue_depth,
                 "admission": config.service.admission,
-                "qos": metrics["qos"]["enabled"],
                 "requests": len(requests),
                 "errors": len(batch.errors()),
                 "rejected": metrics["queue"]["rejected"],
@@ -331,16 +329,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 def _print_tier_table(metrics: dict) -> None:
     """Human-readable SLA tier summary (stderr: stdout stays pure JSON)."""
-    tiers = metrics.get("qos", {}).get("tiers") or {}
-    if not tiers:
-        return
     print(
         f"{'tier':<10}{'weight':>8}{'requests':>10}{'rate_lim':>10}"
         f"{'deadline':>10}{'wait_p50':>12}{'wait_p95':>12}",
         file=sys.stderr,
     )
-    for name, tier in tiers.items():
-        wait = tier.get("queue_wait") or {}
+    for name, tier in metrics["qos"]["tiers"].items():
+        wait = tier["queue_wait"]
 
         def fmt(value: object) -> str:
             return "-" if value is None else f"{float(value):.4f}"
@@ -404,7 +399,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     "serving": f"http://{args.host}:{server.port}",
                     "queue_depth": config.service.max_queue_depth,
                     "admission": config.service.admission,
-                    "qos": config.service.qos is not None,
                 }
             ),
             flush=True,
@@ -569,14 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="persistent catalog file: opened when it exists (warm "
             "restart), checkpointed after serving",
-        )
-        sub.add_argument(
-            "--qos",
-            choices=("off", "on"),
-            default="off",
-            help="QoS scheduling: weighted fair queueing over SLA tiers, "
-            "per-shopper token-bucket rate limits, deadline-aware shedding "
-            "(served bits are identical either way)",
         )
         sub.add_argument(
             "--tier",

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.exceptions import ReproError, SamplingError
+from repro.pricing.sla import QosConfig
 from repro.sampling.resampling import ResamplingPolicy
 from repro.search.mcmc import MCMCConfig
 from repro.search.plan import ExecutionPlan
@@ -33,23 +34,14 @@ class ServiceConfig:
         the per-knob spelling; see :class:`DanceConfig.plan`.
     max_queue_depth:
         Bound on how many requests may be admitted (queued + executing) at
-        once.  ``None`` (the default) admits everything — the pre-traffic-layer
-        behaviour.  Admission never changes a served request's result, only
-        whether/when it runs.
+        once.  ``None`` (the default) admits everything.  Admission never
+        changes a served request's result, only whether/when it runs.
     admission:
         What happens to a request arriving at a full queue: ``"block"``
         (default) applies backpressure — the submitting caller waits for a
         slot; ``"reject"`` sheds load — the request fails immediately with
         :class:`~repro.exceptions.AdmissionRejectedError` (raised by
         ``acquire``, recorded on the batch item by ``acquire_batch``).
-    metrics_window:
-        Size of the sliding window behind the service metrics (latency
-        percentiles, cache hit-rate trend; see :mod:`repro.service.metrics`).
-    step1_memo:
-        Whether the service memoises Step 1 (``minimal_weight_igraphs``) per
-        ``(terminal set, alpha, num_landmarks, landmark seed, graph
-        version)`` so warm requests skip the landmark/Steiner search.  On by
-        default; results are bit-identical either way.
     catalog_path:
         Path of the service's persistent catalog (see :mod:`repro.storage`).
         When set, the service restores its session caches (JI cache, Step-1
@@ -57,15 +49,13 @@ class ServiceConfig:
         and caches back to it after ``register_source_tables``.  ``None``
         (the default) keeps the service fully in-memory.
     qos:
-        QoS scheduling (:mod:`repro.service.qos`).  ``None`` (the default)
-        keeps the PR 5 FIFO admission queue.  A
-        :class:`~repro.service.qos.QosConfig` — or ``True``/``"on"`` for the
-        default tier ladder — replaces it with the weighted-fair-queueing
-        scheduler: SLA-tier weights, per-shopper token buckets, and
-        deadline-aware shedding.  ``max_queue_depth``/``admission`` keep
-        their meaning (the scheduler enforces the same bound and policy).
-        QoS never changes a served request's result, only whether/when it
-        runs.
+        The tier table of the service's scheduler
+        (:class:`~repro.pricing.sla.QosConfig`; :mod:`repro.service.qos`),
+        which every request passes: SLA-tier weights, per-shopper token
+        buckets, deadline-aware shedding, and the ``max_queue_depth`` /
+        ``admission`` bound.  The default ladder has no rates and no slot
+        cap.  The scheduler never changes a served request's result, only
+        whether/when it runs.
     """
 
     seed: int | None = None
@@ -73,18 +63,13 @@ class ServiceConfig:
     plan: ExecutionPlan | str | None = None
     max_queue_depth: int | None = None
     admission: str = "block"
-    metrics_window: int = 256
-    step1_memo: bool = True
     catalog_path: str | None = None
-    qos: "object | bool | str | None" = None
+    qos: QosConfig = field(default_factory=QosConfig)
 
     def __post_init__(self) -> None:
         self.plan = ExecutionPlan.normalize(self.plan)
-        if self.qos is not None:
-            # Deferred import: repro.service.qos imports this module's siblings.
-            from repro.service.qos import QosConfig
-
-            self.qos = QosConfig.normalize(self.qos)
+        if not isinstance(self.qos, QosConfig):
+            raise ReproError(f"qos must be a QosConfig, got {self.qos!r}")
         if self.max_batch_workers < 1:
             raise ReproError(
                 f"max_batch_workers must be >= 1, got {self.max_batch_workers}"
@@ -97,10 +82,6 @@ class ServiceConfig:
         if self.admission not in ("block", "reject"):
             raise ReproError(
                 f"admission must be 'block' or 'reject', got {self.admission!r}"
-            )
-        if self.metrics_window < 1:
-            raise ReproError(
-                f"metrics_window must be >= 1, got {self.metrics_window}"
             )
 
 
@@ -152,8 +133,8 @@ class DanceConfig:
         A plan set on ``service`` applies too; a plan set here wins.
     service:
         Configuration of the long-lived acquisition service
-        (:class:`ServiceConfig`: batch fan-out, persistent pool size, shared
-        caches, per-request seed derivation).  Ignored by one-shot
+        (:class:`ServiceConfig`: batch fan-out, per-request seed derivation,
+        admission bound and tier table, catalog).  Ignored by one-shot
         :meth:`~repro.core.dance.DANCE.acquire` calls.
     """
 

@@ -37,15 +37,16 @@ class AcquisitionRequest:
         the search itself.
     tier:
         Optional SLA tier *name* the request is served under
-        (:mod:`repro.pricing.sla`).  The QoS scheduler resolves the name
-        against its own tier table for the weight/rate/burst — the request
-        never carries scheduling parameters, so a shopper cannot self-assign
-        a weight.  Like ``shopper``, it never affects the search itself.
+        (:mod:`repro.pricing.sla`).  The service's scheduler resolves the
+        name against its own tier table for the weight/rate/burst — the
+        request never carries scheduling parameters, so a shopper cannot
+        self-assign a weight.  Like ``shopper``, it never affects the search
+        itself.
     deadline:
         Optional deadline in seconds from submission.  A request that can no
-        longer meet it when the QoS scheduler would grant it a slot is shed
-        with :class:`~repro.exceptions.DeadlineExceededError` instead of
-        burning a worker.  Ignored when QoS is off.
+        longer meet it when the service's scheduler would grant it a slot is
+        shed with :class:`~repro.exceptions.DeadlineExceededError` instead of
+        burning a worker.
     """
 
     source_attributes: tuple[str, ...]

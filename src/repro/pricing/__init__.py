@@ -17,8 +17,9 @@ whole datasets, and prices are assigned by an entropy-based pricing function
     paper's "budget ratio" parameterisation.
 ``sla``
     Priced service levels: :class:`SlaTier` (WFQ weight, token-bucket rate and
-    burst, price multiplier) and :class:`TieredPricingModel`, which scales any
-    base model by a tier's multiplier while staying arbitrage-free.
+    burst, price multiplier), :class:`QosConfig` (the tier table the service
+    schedules by) and :class:`TieredPricingModel`, which scales any base
+    model by a tier's multiplier while staying arbitrage-free.
 """
 
 from repro.pricing.models import (
@@ -32,6 +33,7 @@ from repro.pricing.budget import Budget, budget_from_ratio, price_bounds
 from repro.pricing.sla import (
     DEFAULT_TIER_NAME,
     DEFAULT_TIERS,
+    QosConfig,
     SlaTier,
     TieredPricingModel,
     resolve_tier,
@@ -48,6 +50,7 @@ __all__ = [
     "Budget",
     "budget_from_ratio",
     "price_bounds",
+    "QosConfig",
     "SlaTier",
     "TieredPricingModel",
     "resolve_tier",

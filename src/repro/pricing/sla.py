@@ -19,15 +19,18 @@ a shopper: its requests are stamped with the tier name (the scheduler reads
 the weight/rate/burst from its own tier table — the request carries only the
 name, never the parameters, so a shopper cannot self-assign a weight), and
 its purchases are charged at the tier's multiplier.
+
+:class:`QosConfig` is that tier table as the service's scheduler reads it
+(``ServiceConfig(qos=...)``), plus the default tier and the execution cap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.exceptions import PricingError
+from repro.exceptions import PricingError, ReproError
 from repro.pricing.models import PricingModel
 from repro.relational.table import Table
 
@@ -113,6 +116,52 @@ def resolve_tier(
             f"unknown SLA tier {name!r} (expected one of {sorted(table)})"
         )
     return resolved
+
+
+@dataclass
+class QosConfig:
+    """The service scheduler's tier table (``ServiceConfig(qos=...)``).
+
+    Attributes
+    ----------
+    tiers:
+        The SLA tier table (name -> :class:`SlaTier`).  Requests carry only a
+        tier *name*; the scheduler reads weight, rate and burst from this
+        table, so shoppers cannot self-assign weights.
+    default_tier:
+        Tier of requests that name none (anonymous traffic).
+    slots:
+        Concurrent executions the scheduler grants.  ``None`` (the default)
+        grants every request at once, so the weights never delay one; ``1``
+        serializes execution in WFQ order, the strongest fairness shaping.
+    """
+
+    tiers: Mapping[str, SlaTier] = field(default_factory=lambda: dict(DEFAULT_TIERS))
+    default_tier: str = DEFAULT_TIER_NAME
+    slots: int | None = None
+
+    def __post_init__(self) -> None:
+        self.tiers = dict(self.tiers)
+        for name, tier in self.tiers.items():
+            if not isinstance(tier, SlaTier):
+                raise PricingError(f"tier {name!r} is not an SlaTier: {tier!r}")
+            if tier.name != name:
+                raise PricingError(
+                    f"tier table key {name!r} does not match tier name {tier.name!r}"
+                )
+        if not self.tiers:
+            raise PricingError("QosConfig needs at least one tier")
+        if self.default_tier not in self.tiers:
+            raise PricingError(
+                f"default_tier {self.default_tier!r} is not in the tier table "
+                f"{sorted(self.tiers)}"
+            )
+        if self.slots is not None and self.slots < 1:
+            raise ReproError(f"slots must be >= 1 or None, got {self.slots}")
+
+    def tier_of(self, name: str | None) -> SlaTier:
+        """The tier a request naming ``name`` is served under (HTTP 400 if unknown)."""
+        return resolve_tier(name, self.tiers, default=self.default_tier)
 
 
 class TieredPricingModel(PricingModel):

@@ -12,7 +12,7 @@ down whenever the catalog changed.  This module replaces both halves:
     (pricing model, JI cache, FDs).  Every segment is blake2b-fingerprinted
     and listed in a :class:`StoreManifest` — a small picklable registry.
     The codes travel once as ``array('q')`` bytes, and each worker copies
-    them out into plain lists.
+    them out into plain lists and unmaps the segment at once.
 
 ``SharedChainState``
     The parent-side version manager: publishes one *base* manifest plus an
@@ -299,39 +299,39 @@ class SharedColumnStore:
 # --------------------------------------------------------------------------
 
 
-def _read_segment(ref: SegmentRef, attachments: list) -> shared_memory.SharedMemory:
+def _read_segment(ref: SegmentRef) -> bytes:
+    """A segment's payload, fingerprint-checked; the mapping closes at once.
+
+    Workers copy everything they need out of the bytes, so no segment stays
+    mapped after its manifest is read."""
     segment = _attach_segment(ref.name)
-    data = bytes(segment.buf[: ref.size])
-    if _digest(data) != ref.digest:
+    try:
+        data = bytes(segment.buf[: ref.size])
+    finally:
         segment.close()
+    if _digest(data) != ref.digest:
         raise ReproError(
             f"shared-memory segment {ref.name} failed its fingerprint check "
             "(stale or foreign segment)"
         )
-    attachments.append(segment)
-    return segment
+    return data
 
 
-def _read_array(ref: SegmentRef, attachments: list) -> list[int]:
-    """Copy a segment's int64 values out into a list of python ints."""
-    segment = _read_segment(ref, attachments)
+def _read_array(ref: SegmentRef) -> list[int]:
+    """A segment's int64 values as a list of python ints."""
     values = array("q")
-    values.frombytes(bytes(segment.buf[: ref.size]))
+    values.frombytes(_read_segment(ref))
     return values.tolist()
 
 
-def attach_tables(
-    manifest: StoreManifest,
-) -> tuple[dict[str, Table], dict, list]:
+def attach_tables(manifest: StoreManifest) -> tuple[dict[str, Table], dict]:
     """Rebuild the manifest's tables (and its meta blob) from shared memory.
 
-    Returns ``(tables, meta, attachments)``; the caller owns the attachment
-    list and closes the segments."""
-    attachments: list[shared_memory.SharedMemory] = []
+    Returns ``(tables, meta)``; every segment is closed again before this
+    returns."""
     tables: dict[str, Table] = {}
     for export in manifest.tables:
-        payload_segment = _read_segment(export.payload, attachments)
-        payload = pickle.loads(bytes(payload_segment.buf[: export.payload.size]))
+        payload = pickle.loads(_read_segment(export.payload))
         schema = payload["schema"]
         values: dict[tuple, list] = payload["values"]
         mapped: dict[tuple, object] = {}
@@ -340,7 +340,7 @@ def attach_tables(
         for (key, kind), ref in export.arrays:
             buffer = by_segment.get(ref.name)
             if buffer is None:
-                buffer = _read_array(ref, attachments)
+                buffer = _read_array(ref)
                 by_segment[ref.name] = buffer
             if kind == "codes":
                 mapped[key] = buffer
@@ -357,9 +357,8 @@ def attach_tables(
                 encoding._counts = counts[key]
             table._encodings[key] = encoding
         tables[export.name] = table
-    meta_segment = _read_segment(manifest.meta, attachments)
-    meta = pickle.loads(bytes(meta_segment.buf[: manifest.meta.size]))
-    return tables, meta, attachments
+    meta = pickle.loads(_read_segment(manifest.meta))
+    return tables, meta
 
 
 class _WorkerSession:
@@ -373,7 +372,6 @@ class _WorkerSession:
         "fds",
         "eval_caches",
         "ji_cache",
-        "attachments",
     )
 
     def __init__(self, token: str) -> None:
@@ -384,7 +382,6 @@ class _WorkerSession:
         self.fds: tuple[FunctionalDependency, ...] = ()
         self.eval_caches: dict[object, dict] = {}
         self.ji_cache: dict = {}
-        self.attachments: list[shared_memory.SharedMemory] = []
 
     def evaluation_cache(self, memo_key) -> dict:
         """Worker-persistent evaluation memo for one request namespace.
@@ -397,14 +394,6 @@ class _WorkerSession:
         self.graph = None
         self.eval_caches.clear()
         self.ji_cache.clear()
-        for segment in self.attachments:
-            try:
-                segment.close()
-            except BufferError:
-                # A caller still holds a view of the buffer; the mapping is
-                # released when that reference dies.
-                pass
-        self.attachments.clear()
 
 
 _SESSIONS: dict[str, _WorkerSession] = {}
@@ -412,8 +401,7 @@ _SESSIONS: dict[str, _WorkerSession] = {}
 
 def _load_base(spec: WorkerSpec) -> _WorkerSession:
     session = _WorkerSession(spec.token)
-    tables, meta, attachments = attach_tables(spec.base)
-    session.attachments.extend(attachments)
+    tables, meta = attach_tables(spec.base)
     session.graph = JoinGraph(
         tables,
         pricing=meta["pricing"],
@@ -428,8 +416,7 @@ def _load_base(spec: WorkerSpec) -> _WorkerSession:
 
 
 def _apply_delta(session: _WorkerSession, manifest: StoreManifest) -> None:
-    tables, meta, attachments = attach_tables(manifest)
-    session.attachments.extend(attachments)
+    tables, meta = attach_tables(manifest)
     is_source: Mapping[str, bool] = meta["is_source"]
     for name in sorted(tables):
         session.graph.add_instance(

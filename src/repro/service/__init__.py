@@ -13,23 +13,21 @@ the online phase into a long-lived *session*:
     thread / process executor pool serving every multi-chain ``mcmc_search``
     call, and the thread fan-out for concurrent batches.
 
-:func:`request_seed` / :class:`ServedRequest` / :class:`BatchResult`
+:func:`request_seed` / :class:`ServedRequest` / :class:`BatchResult` / :func:`fair_order`
     Deterministic per-request seed derivation (blake2b, the chain-seed
-    recipe) and the result types of a batch.
+    recipe), the result types of a batch, and per-shopper round-robin
+    submission order.
 
-:class:`AdmissionQueue` / :func:`fair_order` (:mod:`repro.service.admission`)
-    The traffic layer: a bounded admission queue with block/reject
-    backpressure and per-shopper round-robin submission fairness.
+:class:`QosScheduler` (:mod:`repro.service.qos`)
+    The one admission path every request passes: the ``max_queue_depth``
+    bound with block/reject backpressure, weighted fair queueing over SLA
+    tiers (:class:`~repro.pricing.sla.QosConfig`), per-shopper token-bucket
+    rate limits, and deadline-aware shedding — whether/when a request runs,
+    never what it computes.
 
 :class:`ServiceMetrics` / :class:`LatencyHistogram` (:mod:`repro.service.metrics`)
     Per-request latency percentiles, cache hit-rate trends over a sliding
     window, and the counting cache behind the Step-1 memo.
-
-:class:`QosScheduler` / :class:`QosConfig` (:mod:`repro.service.qos`)
-    The priced QoS layer (``ServiceConfig(qos=...)``): weighted fair
-    queueing over SLA tiers (:mod:`repro.pricing.sla`), per-shopper
-    token-bucket rate limits, and deadline-aware shedding — whether/when a
-    request runs, never what it computes.
 
 :class:`AcquisitionHTTPServer` (:mod:`repro.service.server`)
     The networked serve tier: ``POST /acquire`` (single + batch), ``GET
@@ -39,16 +37,15 @@ the online phase into a long-lived *session*:
 Determinism contract: a batch of N requests is bit-identical to the same N
 requests served one at a time — shared caches hold only deterministic values,
 per-request seeds depend only on ``(service seed, batch index)``, and result
-ordering follows request order, never completion order.  Admission, fairness
-and the Step-1 memo decide whether/when/how cheaply a request runs, never
-what it computes.
+ordering follows request order, never completion order.  The scheduler,
+fairness and the Step-1 memo decide whether/when/how cheaply a request runs,
+never what it computes.
 """
 
-from repro.service.admission import AdmissionQueue, fair_order
-from repro.service.batch import BatchResult, ServedRequest, request_seed
+from repro.pricing.sla import QosConfig
+from repro.service.batch import BatchResult, ServedRequest, fair_order, request_seed
 from repro.service.metrics import CountingCache, LatencyHistogram, ServiceMetrics
 from repro.service.qos import (
-    QosConfig,
     QosScheduler,
     TokenBucket,
     WeightedFairQueue,
@@ -60,7 +57,6 @@ from repro.service.session import AcquisitionService
 __all__ = [
     "AcquisitionHTTPServer",
     "AcquisitionService",
-    "AdmissionQueue",
     "BatchResult",
     "CountingCache",
     "LatencyHistogram",

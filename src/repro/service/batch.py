@@ -1,9 +1,10 @@
-"""Batch request/result types and per-request seed derivation."""
+"""Batch request/result types, per-request seeds and shopper-fair submission order."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.core.result import AcquisitionResult
 from repro.exceptions import ReproError
@@ -22,6 +23,41 @@ def request_seed(service_seed: int, index: int) -> int:
     every (request, chain) pair an independent, reproducible stream.
     """
     return chain_seed(service_seed, index)
+
+
+def fair_order(shoppers: Sequence[str | None]) -> list[int]:
+    """Round-robin submission order of a batch across its shoppers.
+
+    Groups the batch indices by shopper (``None`` is one group of its own,
+    covering anonymous requests) and interleaves the groups round-robin,
+    preserving each shopper's internal order, so one shopper's 50-request
+    burst cannot starve another shopper's 2 requests behind it.  Groups
+    rotate in order of first appearance, so the result is a pure function of
+    the input:
+
+    >>> fair_order(["a", "a", "a", "b", "b"])
+    [0, 3, 1, 4, 2]
+
+    A batch with at most one distinct shopper keeps its original order.
+    Fairness only permutes *submission* order: seeds and result positions
+    follow the original request index, so the batch outcome stays
+    bit-identical.
+    """
+    groups: dict[str | None, deque[int]] = {}
+    for index, shopper in enumerate(shoppers):
+        groups.setdefault(shopper, deque()).append(index)
+    if len(groups) <= 1:
+        return list(range(len(shoppers)))
+    order: list[int] = []
+    queues = list(groups.values())
+    while queues:
+        remaining = []
+        for queue in queues:
+            order.append(queue.popleft())
+            if queue:
+                remaining.append(queue)
+        queues = remaining
+    return order
 
 
 @dataclass

@@ -53,6 +53,11 @@ BUCKET_BOUNDS: tuple[float, ...] = (
     10.0,
 )
 
+#: Samples in every sliding percentile window: the service's latency,
+#: queue-wait and execution histograms, its hit-rate trend, and the
+#: scheduler's per-tier queue-wait histograms.
+WINDOW = 256
+
 _MISS = object()
 
 
@@ -65,7 +70,7 @@ def _percentile(ordered: list[float], quantile: float) -> float:
 class LatencyHistogram:
     """Lifetime latency buckets plus exact percentiles over a sliding window."""
 
-    def __init__(self, window: int = 256, bounds: tuple[float, ...] = BUCKET_BOUNDS):
+    def __init__(self, window: int = WINDOW, bounds: tuple[float, ...] = BUCKET_BOUNDS):
         if window < 1:
             raise ReproError(f"window must be >= 1, got {window}")
         self._bounds = tuple(bounds)
@@ -127,13 +132,13 @@ class ServiceMetrics:
 
     End-to-end latency is tracked in three histograms: ``latency``
     (queue wait + execution, what the caller observes), ``queue_wait``
-    (admission block and, under QoS, the scheduler's weighted-fair wait), and
-    ``execution`` (worker time only).  The split is what makes scheduling
-    effects visible — WFQ moves queue wait between tiers while execution
-    time stays put.
+    (from submission to the scheduler's grant, a block at the depth bound
+    included), and ``execution`` (from the grant to the result).  The split
+    is what makes scheduling effects visible — WFQ moves queue wait between
+    tiers while execution time stays put.
     """
 
-    def __init__(self, window: int = 256):
+    def __init__(self, window: int = WINDOW):
         self.latency = LatencyHistogram(window=window)
         self.queue_wait = LatencyHistogram(window=window)
         self.execution = LatencyHistogram(window=window)

@@ -1,9 +1,8 @@
-"""QoS scheduling: weighted fair queueing, rate limits, deadlines (PR 9).
+"""Admission for the acquisition service: weighted fair queueing, rate limits, deadlines.
 
-The admission layer of PR 5 bounds *how many* requests run; every admitted
-request still waits in one FIFO, so a heavy shopper starves everyone else's
-latency and the marketplace cannot sell better service.  This module replaces
-that FIFO with a priced scheduler:
+Every request the service serves passes one :class:`QosScheduler`: it decides
+*whether and when* a request runs, by its SLA tier (:mod:`repro.pricing.sla`),
+never what it computes.
 
 :class:`WeightedFairQueue`
     Pure virtual-time bookkeeping (start-time fair queueing): each flow's
@@ -13,8 +12,10 @@ that FIFO with a priced scheduler:
     4x the grants of a weight-1 flow under backlog, every flow's own requests
     stay in submission order (finish tags are strictly increasing per flow),
     and no flow starves (a waiting request's tag is fixed while the virtual
-    clock advances past it).  Single-threaded; the scheduler wraps it in a
-    lock.  The hypothesis suite (``tests/property/test_qos_mechanics.py``) checks the
+    clock advances past it).  When no request is waiting, the flows' tags are
+    dropped (the idle rule), so the queue holds nothing per shopper between
+    busy periods.  Single-threaded; the scheduler wraps it in a lock.  The
+    hypothesis suite (``tests/property/test_qos_mechanics.py``) checks the
     three properties directly.
 
 :class:`TokenBucket`
@@ -22,26 +23,30 @@ that FIFO with a priced scheduler:
     ``rate`` tokens/second, monotone in time, never above ``burst``.  A
     submission with an empty bucket is shed with
     :class:`~repro.exceptions.RateLimitedError` carrying the seconds until
-    the next token as its retry-after hint.
+    the next token as its retry-after hint.  Tiers without a rate get no
+    bucket at all.
 
 :class:`QosScheduler`
-    The threaded scheduler behind :class:`~repro.service.session.AcquisitionService`
-    when ``ServiceConfig(qos=...)`` is set.  ``submit()`` applies the token bucket
-    and the admission bound (same ``block``/``reject`` policies as
-    :class:`~repro.service.admission.AdmissionQueue`) and enqueues a ticket;
-    ``await_grant()`` blocks the serving thread until its ticket has the
-    smallest WFQ tag among all waiting tickets *and* an execution slot is
-    free (``QosConfig.slots``); ``release()`` frees the slot.  A request
-    whose deadline has passed — or would pass before the estimated execution
-    time completes — when its grant arrives is shed with
-    :class:`~repro.exceptions.DeadlineExceededError` instead of burning the
-    slot.
+    The threaded scheduler behind
+    :class:`~repro.service.session.AcquisitionService`.  ``submit()`` applies
+    the token bucket and the admission bound (``ServiceConfig(max_queue_depth=,
+    admission=)``: a full queue blocks the submitter or sheds the request with
+    :class:`~repro.exceptions.AdmissionRejectedError`) and enqueues a ticket.
+    Under a slot cap (``QosConfig.slots``) ``await_grant()`` blocks the
+    serving thread until its ticket has the smallest WFQ tag among all
+    waiting tickets *and* a slot is free; with no cap (the default) it grants
+    at once.  ``release()`` frees the slot.  A request whose deadline —
+    counted from submission — has passed,
+    or would pass before the estimated execution time completes, when its
+    grant arrives is shed with :class:`~repro.exceptions.DeadlineExceededError`
+    instead of burning the slot.
 
-The hard invariant is inherited from PR 5: QoS decides *whether and when* a
-request runs, never what it computes.  Seeds and result positions follow the
-original request index (:func:`~repro.service.batch.request_seed`), so a
-contended mixed-tier batch is bit-identical to the serial single-FIFO
-reference (``scripts/check_service_parity.py --wfq``).
+The default :class:`~repro.pricing.sla.QosConfig` has no rates and no slot
+cap, so a default service admits, blocks and rejects by the depth bound
+alone.  Seeds and result positions follow the original request index
+(:func:`~repro.service.batch.request_seed`), so a contended mixed-tier batch
+is bit-identical to serving the same requests one at a time
+(``scripts/check_service_parity.py``).
 """
 
 from __future__ import annotations
@@ -51,8 +56,7 @@ import itertools
 import math
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.exceptions import (
     AdmissionRejectedError,
@@ -61,7 +65,7 @@ from repro.exceptions import (
     ReproError,
 )
 from repro.marketplace.shopper import AcquisitionRequest
-from repro.pricing.sla import DEFAULT_TIER_NAME, DEFAULT_TIERS, SlaTier
+from repro.pricing.sla import QosConfig, SlaTier
 from repro.service.metrics import LatencyHistogram
 
 
@@ -88,7 +92,9 @@ class WeightedFairQueue:
     ``push(flow, weight)`` returns an opaque entry; ``pop()`` removes and
     returns the entry with the smallest virtual finish tag (ties break by
     arrival order, so the queue degrades to FIFO when every weight is equal
-    and flows never interleave).  ``cancel(entry)`` lazily removes an entry.
+    and flows never interleave).  ``take(entry)`` dequeues a given entry into
+    service the way ``pop()`` dequeues the head; ``cancel(entry)`` withdraws
+    one.  Both remove lazily: the entry stays in the heap until popped over.
     """
 
     def __init__(self) -> None:
@@ -114,31 +120,46 @@ class WeightedFairQueue:
         return entry
 
     def cancel(self, entry: list) -> None:
-        """Lazily remove an entry (it stays in the heap until popped over)."""
+        """Withdraw a queued entry (a no-op for one already removed)."""
         if not entry[4]:
             entry[4] = True
             self._size -= 1
+            self._idle_if_empty()
 
-    def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0][4]:
-            heapq.heappop(self._heap)
-
-    def peek(self) -> list | None:
-        """The entry the next ``pop()`` would return (``None`` when empty)."""
-        self._drop_cancelled()
-        return self._heap[0] if self._heap else None
-
-    def pop(self) -> list:
-        """Dequeue the smallest-finish-tag entry, advancing the virtual clock."""
-        self._drop_cancelled()
-        if not self._heap:
-            raise ReproError("pop() from an empty WeightedFairQueue")
-        entry = heapq.heappop(self._heap)
+    def take(self, entry: list) -> None:
+        """Dequeue a queued entry into service, advancing the virtual clock."""
+        if entry[4]:
+            raise ReproError("take() of an entry that is no longer queued")
+        entry[4] = True
         self._size -= 1
         # SFQ rule: the virtual clock follows the start tag of the request in
         # service, which keeps a newly active flow's tags comparable to the
         # backlogged ones (no starvation, no post-idle monopoly).
         self._virtual = max(self._virtual, entry[2])
+        self._idle_if_empty()
+
+    def _idle_if_empty(self) -> None:
+        # SFQ's idle rule: when a busy period ends (nothing waits), the clock
+        # jumps to the largest finish tag, so no flow's old tag counts any
+        # more.  Dropping the tags instead grants in the same order (every
+        # later tag moves by one constant) and keeps nothing per flow, or per
+        # removed entry, between busy periods.
+        if not self._size:
+            self._finish.clear()
+            self._heap.clear()
+
+    def peek(self) -> list | None:
+        """The entry the next ``pop()`` would return (``None`` when empty)."""
+        while self._heap and self._heap[0][4]:
+            heapq.heappop(self._heap)
+        return self._heap[0] if self._heap else None
+
+    def pop(self) -> list:
+        """Dequeue the smallest-finish-tag entry (``take`` of the ``peek``)."""
+        entry = self.peek()
+        if entry is None:
+            raise ReproError("pop() from an empty WeightedFairQueue")
+        self.take(entry)
         return entry
 
 
@@ -193,86 +214,15 @@ class TokenBucket:
         return (1.0 - self._tokens) / self.rate
 
 
-# ----------------------------------------------------------------- the config
-@dataclass
-class QosConfig:
-    """Configuration of the QoS scheduler (``ServiceConfig(qos=...)``).
-
-    Attributes
-    ----------
-    tiers:
-        The SLA tier table (name -> :class:`~repro.pricing.sla.SlaTier`).
-        Requests carry only a tier *name*; the scheduler reads weight, rate
-        and burst from this table, so shoppers cannot self-assign weights.
-    default_tier:
-        Tier of requests that name none (anonymous traffic).
-    slots:
-        Concurrent executions the scheduler grants.  The default ``1``
-        serializes execution — the strongest fairness shaping; raise it to
-        trade shaping for throughput.  ``None`` grants immediately (WFQ then
-        only orders grants, it cannot delay them).
-    """
-
-    tiers: Mapping[str, SlaTier] = field(default_factory=lambda: dict(DEFAULT_TIERS))
-    default_tier: str = DEFAULT_TIER_NAME
-    slots: int | None = 1
-
-    def __post_init__(self) -> None:
-        self.tiers = {name: tier for name, tier in self.tiers.items()}
-        for name, tier in self.tiers.items():
-            if not isinstance(tier, SlaTier):
-                raise ReproError(f"tier {name!r} is not an SlaTier: {tier!r}")
-            if tier.name != name:
-                raise ReproError(
-                    f"tier table key {name!r} does not match tier name {tier.name!r}"
-                )
-        if not self.tiers:
-            raise ReproError("QosConfig needs at least one tier")
-        if self.default_tier not in self.tiers:
-            raise ReproError(
-                f"default_tier {self.default_tier!r} is not in the tier table "
-                f"{sorted(self.tiers)}"
-            )
-        if self.slots is not None and self.slots < 1:
-            raise ReproError(f"slots must be >= 1 or None, got {self.slots}")
-
-    @classmethod
-    def normalize(cls, value: "QosConfig | bool | str | None") -> "QosConfig | None":
-        """Coerce the ``ServiceConfig(qos=)`` spellings to a config (or None).
-
-        Accepts a ready :class:`QosConfig`, ``True``/``"on"``/``"default"``
-        for the default tier ladder, and ``False``/``None`` for off.
-        """
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            if value.lower() in ("on", "default", "true", "1"):
-                return cls()
-            raise ReproError(
-                f"unknown qos spec {value!r} (expected 'on' or a QosConfig)"
-            )
-        raise ReproError(f"qos must be a QosConfig, bool, or str, got {value!r}")
-
-
 # -------------------------------------------------------------- the scheduler
 class QosTicket:
     """One submitted request's place in the scheduler."""
 
-    __slots__ = ("shopper", "tier", "deadline_at", "submitted_at", "entry", "granted")
+    __slots__ = ("tier", "deadline_at", "submitted_at", "entry", "granted")
 
     def __init__(
-        self,
-        shopper: str | None,
-        tier: SlaTier,
-        deadline_at: float | None,
-        submitted_at: float,
-        entry: list,
+        self, tier: SlaTier, deadline_at: float | None, submitted_at: float, entry: list
     ) -> None:
-        self.shopper = shopper
         self.tier = tier
         self.deadline_at = deadline_at
         self.submitted_at = submitted_at
@@ -283,11 +233,11 @@ class QosTicket:
 class _TierStats:
     __slots__ = ("requests", "rate_limited", "deadline_exceeded", "queue_wait")
 
-    def __init__(self, window: int) -> None:
+    def __init__(self) -> None:
         self.requests = 0
         self.rate_limited = 0
         self.deadline_exceeded = 0
-        self.queue_wait = LatencyHistogram(window=window)
+        self.queue_wait = LatencyHistogram()
 
 
 class QosScheduler:
@@ -302,10 +252,9 @@ class QosScheduler:
         finally:
             scheduler.release(ticket)
 
-    ``snapshot()`` keeps the :class:`~repro.service.admission.AdmissionQueue`
-    schema, so the ``queue`` section of the metrics payload is identical
-    whether QoS is on or off; ``qos_snapshot()`` adds the per-tier counters
-    and queue-wait histograms.
+    ``snapshot()`` is the ``queue`` section of the metrics payload (depth,
+    peak, admitted, rejected, blocked time); ``qos_snapshot()`` is the
+    ``qos`` section (per-tier counters and queue-wait histograms).
     """
 
     def __init__(
@@ -337,111 +286,103 @@ class QosScheduler:
         self._blocked_seconds = 0.0  # guarded-by: self._cond
         self._buckets: dict[tuple[str | None, str], TokenBucket] = {}  # guarded-by: self._cond
         self._tiers: dict[str, _TierStats] = {  # guarded-by: self._cond
-            name: _TierStats(window=256) for name in sorted(config.tiers)
+            name: _TierStats() for name in sorted(config.tiers)
         }
 
     # ------------------------------------------------------------------ intake
-    def resolve_tier(self, request: AcquisitionRequest) -> SlaTier:
-        """The request's SLA tier; unknown names are a caller error (HTTP 400)."""
-        name = request.tier if request.tier is not None else self.config.default_tier
-        tier = self.config.tiers.get(name)
-        if tier is None:
-            raise ReproError(
-                f"unknown SLA tier {name!r} (expected one of {sorted(self.config.tiers)})"
-            )
-        return tier
-
     def _depth_locked(self) -> int:
         return len(self._wfq) + self._executing
+
+    def _estimate(self) -> float | None:
+        return self._execution_estimate() if self._execution_estimate else None
 
     def submit(self, request: AcquisitionRequest) -> QosTicket:
         """Admit one request into the WFQ, or shed it typed.
 
-        Sheds with :class:`~repro.exceptions.RateLimitedError` when the
-        shopper's token bucket is empty and with
-        :class:`~repro.exceptions.AdmissionRejectedError` when the queue is
-        at ``max_depth`` under the ``reject`` policy (``block`` waits
-        instead).  Both errors carry a retry-after hint.
+        Raises :class:`~repro.exceptions.PricingError` (HTTP 400) for a tier
+        the table does not hold.  Sheds with
+        :class:`~repro.exceptions.RateLimitedError` when the shopper's token
+        bucket is empty and with :class:`~repro.exceptions.AdmissionRejectedError`
+        when the queue is at ``max_depth`` under the ``reject`` policy
+        (``block`` waits instead).  Both errors carry a retry-after hint.
+        The submission time, which the queue wait and the deadline count
+        from, is read on entry, so a block at the depth bound counts in both.
         """
-        tier = self.resolve_tier(request)
         now = self._clock()
+        tier = self.config.tier_of(request.tier)
         with self._cond:
             stats = self._tiers[tier.name]
-            bucket = self._buckets.get((request.shopper, tier.name))
-            if bucket is None:
-                bucket = TokenBucket(tier.rate, tier.burst)
-                self._buckets[(request.shopper, tier.name)] = bucket
-            if not bucket.take(now):
-                self._rate_limited += 1
-                stats.rate_limited += 1
-                hint = bucket.retry_after(now)
-                raise RateLimitedError(
-                    f"shopper {request.shopper!r} exceeded tier {tier.name!r} "
-                    f"rate limit (rate={tier.rate}/s, burst={tier.burst})",
-                    retry_after=hint if math.isfinite(hint) else None,
-                )
+            if tier.rate is not None and not math.isinf(tier.rate):
+                key = (request.shopper, tier.name)
+                bucket = self._buckets.get(key)
+                if bucket is None:
+                    bucket = self._buckets[key] = TokenBucket(tier.rate, tier.burst)
+                if not bucket.take(now):
+                    self._rate_limited += 1
+                    stats.rate_limited += 1
+                    hint = bucket.retry_after(now)
+                    raise RateLimitedError(
+                        f"shopper {request.shopper!r} exceeded tier {tier.name!r} "
+                        f"rate limit (rate={tier.rate}/s, burst={tier.burst})",
+                        retry_after=hint if math.isfinite(hint) else None,
+                    )
             if self.max_depth is not None and self._depth_locked() >= self.max_depth:
                 if self.policy == "reject":
                     self._rejected += 1
-                    estimate = (
-                        self._execution_estimate() if self._execution_estimate else None
-                    )
                     raise AdmissionRejectedError(
                         f"admission queue is full (max_queue_depth={self.max_depth})",
-                        retry_after=retry_after_hint(self._depth_locked(), estimate),
+                        retry_after=retry_after_hint(
+                            self._depth_locked(), self._estimate()
+                        ),
                     )
                 start = time.perf_counter()
                 while self._depth_locked() >= self.max_depth:
                     self._cond.wait()
                 self._blocked_seconds += time.perf_counter() - start
-                now = self._clock()
             deadline_at = (
                 now + request.deadline if request.deadline is not None else None
             )
             entry = self._wfq.push(request.shopper, tier.weight)
             self._admitted += 1
             self._peak_depth = max(self._peak_depth, self._depth_locked())
-            ticket = QosTicket(request.shopper, tier, deadline_at, now, entry)
-            self._cond.notify_all()
-        return ticket
+            # A submission frees no slot and heads no one else's ticket, so
+            # no waiter needs waking.
+        return QosTicket(tier, deadline_at, now, entry)
 
     # ------------------------------------------------------------------ grants
     def await_grant(self, ticket: QosTicket) -> float:
         """Block until the ticket is granted; returns its queue wait in seconds.
 
-        A grant arrives when the ticket has the smallest WFQ finish tag among
-        all waiting tickets and an execution slot is free.  If the request's
+        With no slot cap the grant is immediate; under a cap it arrives when
+        the ticket has the smallest WFQ finish tag among all waiting tickets
+        and a slot is free.  If the request's
         deadline has already passed — or the recent median execution time no
         longer fits before it — the ticket is shed with
         :class:`~repro.exceptions.DeadlineExceededError` at that moment
         (dequeue-time shedding: it never occupies a slot).
         """
+        slots = self.config.slots
         with self._cond:
-            while True:
-                head = self._wfq.peek()
-                if head is ticket.entry and (
-                    self.config.slots is None or self._executing < self.config.slots
-                ):
-                    break
+            while slots is not None and (
+                self._executing >= slots or self._wfq.peek() is not ticket.entry
+            ):
                 self._cond.wait()
-            self._wfq.pop()
+            self._wfq.take(ticket.entry)
             now = self._clock()
             queued = max(0.0, now - ticket.submitted_at)
             stats = self._tiers[ticket.tier.name]
             stats.queue_wait.record(queued)
-            if ticket.deadline_at is not None:
-                estimate = (
-                    self._execution_estimate() if self._execution_estimate else None
+            if ticket.deadline_at is not None and (
+                now + (self._estimate() or 0.0) > ticket.deadline_at
+            ):
+                self._deadline_exceeded += 1
+                stats.deadline_exceeded += 1
+                self._cond.notify_all()
+                raise DeadlineExceededError(
+                    f"request missed its deadline by "
+                    f"{now - ticket.deadline_at:.3f}s at dequeue "
+                    f"(queued {queued:.3f}s)"
                 )
-                if now + (estimate or 0.0) > ticket.deadline_at:
-                    self._deadline_exceeded += 1
-                    stats.deadline_exceeded += 1
-                    self._cond.notify_all()
-                    raise DeadlineExceededError(
-                        f"request missed its deadline by "
-                        f"{now - ticket.deadline_at:.3f}s at dequeue "
-                        f"(queued {queued:.3f}s)"
-                    )
             ticket.granted = True
             self._executing += 1
             stats.requests += 1
@@ -453,9 +394,9 @@ class QosScheduler:
         with self._cond:
             if not ticket.granted:
                 return
-            ticket.granted = False
             if self._executing <= 0:
                 raise ReproError("release() without a matching grant")
+            ticket.granted = False
             self._executing -= 1
             self._cond.notify_all()
 
@@ -474,7 +415,7 @@ class QosScheduler:
             return self._depth_locked()
 
     def snapshot(self) -> dict[str, object]:
-        """Traffic counters in the :class:`AdmissionQueue` schema."""
+        """The ``queue`` section of the metrics payload (traffic counters)."""
         with self._cond:
             return {
                 "max_depth": self.max_depth,
@@ -500,21 +441,8 @@ class QosScheduler:
                 for name, stats in self._tiers.items()
             }
             return {
-                "enabled": True,
                 "slots": self.config.slots,
                 "rate_limited": self._rate_limited,
                 "deadline_exceeded": self._deadline_exceeded,
                 "tiers": tiers,
             }
-
-
-#: The ``qos`` metrics section of a service running without a scheduler —
-#: same schema, so the Prometheus surface does not depend on configuration.
-def disabled_qos_snapshot() -> dict[str, object]:
-    return {
-        "enabled": False,
-        "slots": None,
-        "rate_limited": 0,
-        "deadline_exceeded": 0,
-        "tiers": {},
-    }

@@ -112,12 +112,10 @@ FIELD_METRICS: dict[str, str] = {
     "queue.admitted": "dance_admission_admitted_total",
     "queue.rejected": "dance_admission_rejected_total",
     "queue.blocked_seconds": "dance_admission_blocked_seconds_total",
-    "qos.enabled": "dance_qos_enabled",
     "qos.slots": "dance_qos_slots",
     "qos.rate_limited": "dance_qos_rate_limited_total",
     "qos.deadline_exceeded": "dance_qos_deadline_exceeded_total",
     "qos.tiers": "dance_tier_requests_total",
-    "step1_memo.enabled": "dance_step1_memo_enabled",
     "step1_memo.entries": "dance_step1_memo_entries",
     "step1_memo.hits": "dance_step1_memo_hits_total",
     "step1_memo.misses": "dance_step1_memo_misses_total",
@@ -264,6 +262,34 @@ def _metric(lines: list[str], name: str, kind: str, help_text: str) -> None:
     lines.append(f"# TYPE {name} {kind}")
 
 
+def _histogram_samples(
+    lines: list[str], name: str, snapshot: Mapping[str, object], label: str = ""
+) -> None:
+    """One :class:`LatencyHistogram` snapshot as histogram samples of ``name``.
+
+    Cumulative ``le`` buckets, ``_sum`` reconstructed from the reported mean
+    (exact up to float rounding) and ``_count``; ``label`` (``tier="gold"``)
+    tags every sample when one family carries several histograms.  A
+    snapshot's per-bucket counts are non-cumulative and insertion-ordered
+    over BUCKET_BOUNDS plus one overflow bucket.
+    """
+    count = int(snapshot.get("count", 0) or 0)
+    mean = snapshot.get("mean_seconds")
+    total_sum = float(mean) * count if mean is not None else 0.0
+    bucket_counts = list((snapshot.get("buckets") or {}).values())
+    if len(bucket_counts) != len(BUCKET_BOUNDS) + 1:
+        bucket_counts = [0] * (len(BUCKET_BOUNDS) + 1)
+    le = f"{label}," if label else ""
+    tags = f"{{{label}}}" if label else ""
+    cumulative = 0
+    for bound, bucket in zip(BUCKET_BOUNDS, bucket_counts):
+        cumulative += int(bucket)
+        lines.append(f'{name}_bucket{{{le}le="{bound:g}"}} {cumulative}')
+    lines.append(f'{name}_bucket{{{le}le="+Inf"}} {count}')
+    lines.append(f"{name}_sum{tags} {_format_value(total_sum)}")
+    lines.append(f"{name}_count{tags} {count}")
+
+
 def _render_histogram(
     lines: list[str],
     prefix: str,
@@ -275,30 +301,17 @@ def _render_histogram(
 ) -> None:
     """One :class:`LatencyHistogram` snapshot as a Prometheus histogram family.
 
-    Emits ``{prefix}_{stem}_seconds`` (cumulative ``le`` buckets, ``_sum``
-    reconstructed from the reported mean, ``_count``) plus the max /
-    window-size / exact-percentile gauges — the same layout for the
-    end-to-end latency, queue-wait, and execution histograms.
+    Emits ``{prefix}_{stem}_seconds`` plus the max / window-size /
+    exact-percentile gauges — the same layout for the end-to-end latency,
+    queue-wait, and execution histograms.
     """
-    count = int(snapshot.get("count", 0) or 0)
-    mean = snapshot.get("mean_seconds")
-    total_sum = float(mean) * count if mean is not None else 0.0
-    bucket_counts = list((snapshot.get("buckets") or {}).values())
-    if len(bucket_counts) != len(BUCKET_BOUNDS) + 1:
-        bucket_counts = [0] * (len(BUCKET_BOUNDS) + 1)
     _metric(
         lines,
         f"{prefix}_{stem}_seconds",
         "histogram",
         f"Lifetime {subject} distribution.",
     )
-    cumulative = 0
-    for bound, bucket in zip(BUCKET_BOUNDS, bucket_counts):
-        cumulative += int(bucket)
-        lines.append(f'{prefix}_{stem}_seconds_bucket{{le="{bound:g}"}} {cumulative}')
-    lines.append(f'{prefix}_{stem}_seconds_bucket{{le="+Inf"}} {count}')
-    lines.append(f"{prefix}_{stem}_seconds_sum {_format_value(total_sum)}")
-    lines.append(f"{prefix}_{stem}_seconds_count {count}")
+    _histogram_samples(lines, f"{prefix}_{stem}_seconds", snapshot)
 
     for field, help_text in (
         ("max_seconds", f"Largest {subject} observed."),
@@ -350,8 +363,6 @@ def render_prometheus(
     )
     lines.append(f"{prefix}_request_errors_total {_format_value(metrics.get('errors', 0))}")
 
-    # Lifetime histograms: each snapshot's per-bucket counts are non-cumulative
-    # and insertion-ordered over BUCKET_BOUNDS plus one overflow bucket.
     _render_histogram(
         lines,
         prefix,
@@ -414,7 +425,6 @@ def render_prometheus(
         lines.append(f"{name} {_format_value(queue.get(field))}")
 
     for field, kind, help_text in (
-        ("enabled", "gauge", "Whether the QoS scheduler is on (1) or off (0)."),
         ("slots", "gauge", "Concurrent execution slots of the scheduler (NaN = unlimited/off)."),
         ("rate_limited", "counter", "Requests shed by a token-bucket rate limit."),
         ("deadline_exceeded", "counter", "Requests shed because their deadline passed at dequeue."),
@@ -439,37 +449,11 @@ def render_prometheus(
                 lines.append(
                     f'{name}{{tier="{tier_name}"}} {_format_value(tier.get(field))}'
                 )
-        _metric(
-            lines,
-            f"{prefix}_tier_queue_wait_seconds",
-            "histogram",
-            "Queue-wait distribution per SLA tier.",
-        )
+        name = f"{prefix}_tier_queue_wait_seconds"
+        _metric(lines, name, "histogram", "Queue-wait distribution per SLA tier.")
         for tier_name, tier in tiers.items():
-            snapshot = tier.get("queue_wait") or {}
-            count = int(snapshot.get("count", 0) or 0)
-            mean = snapshot.get("mean_seconds")
-            total_sum = float(mean) * count if mean is not None else 0.0
-            bucket_counts = list((snapshot.get("buckets") or {}).values())
-            if len(bucket_counts) != len(BUCKET_BOUNDS) + 1:
-                bucket_counts = [0] * (len(BUCKET_BOUNDS) + 1)
-            cumulative = 0
-            for bound, bucket in zip(BUCKET_BOUNDS, bucket_counts):
-                cumulative += int(bucket)
-                lines.append(
-                    f'{prefix}_tier_queue_wait_seconds_bucket'
-                    f'{{tier="{tier_name}",le="{bound:g}"}} {cumulative}'
-                )
-            lines.append(
-                f'{prefix}_tier_queue_wait_seconds_bucket'
-                f'{{tier="{tier_name}",le="+Inf"}} {count}'
-            )
-            lines.append(
-                f'{prefix}_tier_queue_wait_seconds_sum{{tier="{tier_name}"}} '
-                f"{_format_value(total_sum)}"
-            )
-            lines.append(
-                f'{prefix}_tier_queue_wait_seconds_count{{tier="{tier_name}"}} {count}'
+            _histogram_samples(
+                lines, name, tier.get("queue_wait") or {}, f'tier="{tier_name}"'
             )
         for field, help_text in (
             ("p50_seconds", "Median tier queue wait over the sliding window."),
@@ -485,7 +469,6 @@ def render_prometheus(
                 )
 
     for field, kind, help_text in (
-        ("enabled", "gauge", "Whether the Step-1 memo is on (1) or off (0)."),
         ("entries", "gauge", "Entries in the Step-1 memo."),
         ("hits", "counter", "Step-1 searches served from the memo."),
         ("misses", "counter", "Step-1 searches that ran the landmark/Steiner pass."),

@@ -26,26 +26,23 @@ keeps one marketplace *hot* instead:
   a list of requests under a thread fan-out with deterministic per-request
   seeds (:func:`~repro.service.batch.request_seed`), returning results
   bit-identical to serving the requests one at a time.
-* **Bounded admission.**  Every request passes the service's
-  :class:`~repro.service.admission.AdmissionQueue` before it reaches a worker
+* **One admission path.**  Every request passes the service's
+  :class:`~repro.service.qos.QosScheduler` before it executes.  The
+  scheduler bounds how many requests are admitted at once
   (``ServiceConfig(max_queue_depth=, admission=)``): a full queue either
   blocks the submitter (backpressure) or sheds the request
-  (:class:`~repro.exceptions.AdmissionRejectedError`).  Batches are submitted
-  in per-shopper round-robin order (:func:`~repro.service.admission.fair_order`)
-  so one shopper's burst cannot starve another's requests.  Admission only
-  decides whether/when a request runs — never what it computes.
-* **QoS scheduling.**  With ``ServiceConfig(qos=...)`` the FIFO admission
-  queue is replaced by the :class:`~repro.service.qos.QosScheduler`:
-  weighted fair queueing over SLA tiers (:mod:`repro.pricing.sla`),
-  per-shopper token-bucket rate limits
-  (:class:`~repro.exceptions.RateLimitedError`), and deadline-aware shedding
-  at dequeue time (:class:`~repro.exceptions.DeadlineExceededError`).  The
-  same invariant holds: QoS permutes whether/when a request runs, never its
-  served bits — seeds and result positions follow the request index.
+  (:class:`~repro.exceptions.AdmissionRejectedError`).  It grants in
+  weighted-fair order over SLA tiers (``ServiceConfig(qos=)``,
+  :mod:`repro.pricing.sla`), paces shoppers by token bucket where a tier
+  sets a rate (:class:`~repro.exceptions.RateLimitedError`), and sheds a
+  request that can no longer meet its deadline at grant time
+  (:class:`~repro.exceptions.DeadlineExceededError`).  Batches are submitted
+  in per-shopper round-robin order (:func:`~repro.service.batch.fair_order`).
+  The scheduler only decides whether/when a request runs — never what it
+  computes: seeds and result positions follow the request index.
 * **Step-1 memo.**  ``minimal_weight_igraphs`` is a pure function of
   ``(terminal set, alpha, num_landmarks, landmark seed, graph version)``, so
-  the service memoises it per that key
-  (``ServiceConfig(step1_memo=True)``); warm requests skip the
+  the service memoises it per that key; warm requests skip the
   landmark/Steiner search entirely.  It resets on every ``graph_version``
   bump, because the Steiner search reads the whole I-layer.
 * **Metrics.**  Per-request latency histograms with p50/p95/p99, the
@@ -116,10 +113,9 @@ from repro.search.chains import (
     shared_chain_pool,
 )
 from repro.search.shm import SharedChainState
-from repro.service.admission import AdmissionQueue, fair_order
-from repro.service.batch import BatchResult, ServedRequest, request_seed
+from repro.service.batch import BatchResult, ServedRequest, fair_order, request_seed
 from repro.service.metrics import CountingCache, ServiceMetrics
-from repro.service.qos import QosScheduler, disabled_qos_snapshot, retry_after_hint
+from repro.service.qos import QosScheduler
 
 _SERVICE_COUNTER = itertools.count()
 
@@ -139,7 +135,7 @@ class AcquisitionService:
     config:
         The middleware configuration; ``config.service``
         (:class:`~repro.core.config.ServiceConfig`) holds the session knobs —
-        base seed, batch fan-out, persistent pool size, cache sharing.
+        base seed, batch fan-out, admission bound and tier table, catalog.
     known_fds:
         Forwarded to :class:`~repro.core.dance.DANCE`.
     source_tables:
@@ -185,19 +181,12 @@ class AcquisitionService:
         self._errors = 0  # guarded-by: self._lock
         self._in_flight = 0  # guarded-by: self._lock
         self._cache_resets = 0  # guarded-by: self._lock
-        self._admission = AdmissionQueue(
-            service_config.max_queue_depth, service_config.admission
-        )
-        self._metrics = ServiceMetrics(window=service_config.metrics_window)
-        self._qos: QosScheduler | None = (
-            QosScheduler(
-                service_config.qos,
-                max_depth=service_config.max_queue_depth,
-                policy=service_config.admission,
-                execution_estimate=lambda: self._metrics.execution.percentile(0.5),
-            )
-            if service_config.qos is not None
-            else None
+        self._metrics = ServiceMetrics()
+        self._scheduler = QosScheduler(
+            service_config.qos,
+            max_depth=service_config.max_queue_depth,
+            policy=service_config.admission,
+            execution_estimate=lambda: self._metrics.execution.percentile(0.5),
         )
         if service_config.catalog_path is not None:
             # Attach before the offline phase so build_offline can adopt the
@@ -240,33 +229,17 @@ class AcquisitionService:
         repeated identical call is a repeated identical walk.
 
         Raises :class:`~repro.exceptions.AdmissionRejectedError` when the
-        admission queue is full under the ``reject`` policy; under ``block``
-        the call waits for a slot instead.  Under QoS
-        (``ServiceConfig(qos=...)``) the call may additionally raise
-        :class:`~repro.exceptions.RateLimitedError` (token bucket empty) or
-        :class:`~repro.exceptions.DeadlineExceededError` (deadline missed at
-        dequeue) — all three carry a retry-after hint where meaningful.
+        admission queue is full under the ``reject`` policy (under ``block``
+        the call waits for a slot instead),
+        :class:`~repro.exceptions.RateLimitedError` when the shopper's token
+        bucket is empty, and :class:`~repro.exceptions.DeadlineExceededError`
+        when the request's deadline is missed at grant — each carries a
+        retry-after hint where meaningful.  An unknown ``request.tier``
+        raises :class:`~repro.exceptions.PricingError`.
         """
-        resolved_seed = self._seed if seed is None else seed
-        if self._qos is not None:
-            item = self._qos_serve(request, 0, resolved_seed)
-            if not isinstance(item.error, SHED_ERRORS):
-                self._count(item)
-            return item.require_result()
-        submitted = time.perf_counter()
-        if not self._admission.admit():
-            raise AdmissionRejectedError(
-                "admission queue is full "
-                f"(max_queue_depth={self.config.service.max_queue_depth})",
-                retry_after=self._retry_after_hint(),
-            )
-        try:
-            item = self._serve_item(
-                request, index=0, seed=resolved_seed, submitted_at=submitted
-            )
-        finally:
-            self._admission.release()
-        self._count(item)
+        item = self._serve(request, 0, self._seed if seed is None else seed)
+        if not isinstance(item.error, SHED_ERRORS):
+            self._count(item)
         return item.require_result()
 
     def acquire_batch(
@@ -285,14 +258,13 @@ class AcquisitionService:
         rest of the batch.
 
         Requests are *submitted* in per-shopper round-robin order
-        (:func:`~repro.service.admission.fair_order` over
-        ``request.shopper``), and each submission passes the bounded
-        admission queue first: under the ``block`` policy a full queue
-        back-pressures this call, under ``reject`` the overflowing item
-        fails with :class:`~repro.exceptions.AdmissionRejectedError` on its
-        batch slot.  Neither fairness nor admission changes any served
-        result — seeds and result positions follow the original request
-        index.
+        (:func:`~repro.service.batch.fair_order` over ``request.shopper``),
+        and each passes the scheduler like a single :meth:`acquire`: a shed
+        request (queue full under ``reject``, rate-limited, deadline missed)
+        carries its typed error on its batch slot.  A request naming an
+        unknown tier refuses the whole batch before any of it runs.  Neither
+        fairness nor the scheduler changes any served result — seeds and
+        result positions follow the original request index.
         """
         requests = list(requests)
         if seeds is not None:
@@ -306,60 +278,23 @@ class AcquisitionService:
 
         if not requests:
             return BatchResult(items=[])
+        for request in requests:
+            # An unknown tier is a caller error: refuse the batch before any
+            # of it runs.
+            self.config.service.qos.tier_of(request.tier)
         pool = self._ensure_request_pool()
         order = fair_order([request.shopper for request in requests])
         items: list[ServedRequest | None] = [None] * len(requests)
-        if self._qos is not None:
-            # The scheduler subsumes admission: workers submit into the WFQ
-            # themselves (token bucket + depth bound applied there) and block
-            # until their grant, so this thread only fans the batch out.
-            if pool is None:
-                for index in order:
-                    items[index] = self._qos_serve(
-                        requests[index], index, seeds[index]
-                    )
-            else:
-                futures = {
-                    index: pool.submit(
-                        self._qos_serve, requests[index], index, seeds[index]
-                    )
-                    for index in order
-                }
-                for index, future in futures.items():
-                    items[index] = future.result()
-        elif pool is None:
+        if pool is None:
             for index in order:
-                submitted = time.perf_counter()
-                if not self._admission.admit():
-                    items[index] = self._rejected_item(requests[index], index, seeds[index])
-                    continue
-                try:
-                    items[index] = self._serve_item(
-                        requests[index],
-                        index=index,
-                        seed=seeds[index],
-                        submitted_at=submitted,
-                    )
-                finally:
-                    self._admission.release()
+                items[index] = self._serve(requests[index], index, seeds[index])
         else:
-            futures = {}
-            for index in order:
-                submitted = time.perf_counter()
-                if not self._admission.admit():
-                    items[index] = self._rejected_item(requests[index], index, seeds[index])
-                    continue
-                try:
-                    futures[index] = pool.submit(
-                        self._serve_admitted,
-                        requests[index],
-                        index,
-                        seeds[index],
-                        submitted,
-                    )
-                except BaseException:
-                    self._admission.release()
-                    raise
+            # Workers submit into the scheduler themselves and block until
+            # their grant, so this thread only fans the batch out.
+            futures = {
+                index: pool.submit(self._serve, requests[index], index, seeds[index])
+                for index in order
+            }
             for index, future in futures.items():
                 items[index] = future.result()
         batch = BatchResult(items=items)
@@ -368,99 +303,52 @@ class AcquisitionService:
         for item in items:
             # Shed items never executed: they appear in the queue/qos shed
             # counters, not in requests_served/errors — the same accounting
-            # a rejected single acquire() gets.
+            # a shed single acquire() gets.
             if not isinstance(item.error, SHED_ERRORS):
                 self._count(item)
         return batch
 
-    def _serve_admitted(
-        self,
-        request: AcquisitionRequest,
-        index: int,
-        seed: int,
-        submitted_at: float | None = None,
-    ) -> ServedRequest:
-        """Worker-side wrapper: always give the admission slot back."""
-        try:
-            return self._serve_item(
-                request, index=index, seed=seed, submitted_at=submitted_at
-            )
-        finally:
-            self._admission.release()
-
-    def _qos_serve(
+    def _serve(
         self, request: AcquisitionRequest, index: int, seed: int
     ) -> ServedRequest:
-        """One request's trip through the QoS scheduler (worker-side).
+        """One request's trip through the scheduler (worker-side).
 
-        Shed requests — rate-limited at submit, queue-full under ``reject``,
-        deadline-missed at grant — land their typed error on the batch item
-        without ever holding an execution slot.
+        Shed requests — rate-limited or rejected at submit, deadline-missed
+        at grant — land their typed error on the item without ever holding
+        an execution slot.
         """
-        qos = self._qos
-        assert qos is not None
+        scheduler = self._scheduler
         try:
-            ticket = qos.submit(request)
+            ticket = scheduler.submit(request)
         except SHED_ERRORS as error:
             return ServedRequest(index=index, request=request, seed=seed, error=error)
         try:
-            queued = qos.await_grant(ticket)
+            queued = scheduler.await_grant(ticket)
         except DeadlineExceededError as error:
             return ServedRequest(index=index, request=request, seed=seed, error=error)
         except BaseException:
-            qos.abandon(ticket)
+            scheduler.abandon(ticket)
             raise
         try:
-            return self._serve_item(
-                request, index=index, seed=seed, queued_seconds=queued
-            )
+            return self._serve_item(request, index=index, seed=seed, queued_seconds=queued)
         finally:
-            qos.release(ticket)
-
-    def _retry_after_hint(self) -> int:
-        """The computed ``Retry-After`` of a request shed at admission."""
-        return retry_after_hint(
-            self._admission.depth, self._metrics.execution.percentile(0.5)
-        )
-
-    def _rejected_item(
-        self, request: AcquisitionRequest, index: int, seed: int
-    ) -> ServedRequest:
-        return ServedRequest(
-            index=index,
-            request=request,
-            seed=seed,
-            error=AdmissionRejectedError(
-                f"request {index} rejected: admission queue full "
-                f"(max_queue_depth={self.config.service.max_queue_depth})",
-                retry_after=self._retry_after_hint(),
-            ),
-        )
+            scheduler.release(ticket)
 
     def _serve_item(
-        self,
-        request: AcquisitionRequest,
-        *,
-        index: int,
-        seed: int,
-        submitted_at: float | None = None,
-        queued_seconds: float = 0.0,
+        self, request: AcquisitionRequest, *, index: int, seed: int, queued_seconds: float
     ) -> ServedRequest:
-        """Execute one admitted request.
+        """Execute one granted request.
 
-        ``queued_seconds`` carries a wait already measured by the caller (the
-        QoS scheduler's grant delay); ``submitted_at`` lets the non-QoS paths
-        measure their own wait (admission block plus batch-pool queueing)
-        against the submission timestamp.  ``elapsed_seconds`` is always
-        queue wait + execution — what the caller observed end to end.
+        ``queued_seconds`` is the scheduler's wait from submission to grant,
+        and execution runs from the grant on, session plumbing included, so
+        ``elapsed_seconds`` (queue wait + execution) is what the caller
+        observed end to end.
         """
+        start = time.perf_counter()
         runtime = self._runtime_for(request, seed)
         item = ServedRequest(index=index, request=request, seed=seed)
         with self._lock:
             self._in_flight += 1
-        start = time.perf_counter()
-        if submitted_at is not None:
-            queued_seconds = max(0.0, start - submitted_at)
         try:
             item.result = self._dance.acquire(request, runtime=runtime)
         except ReproError as error:
@@ -501,7 +389,7 @@ class AcquisitionService:
             self._sync_locked()
             evaluation_cache = self._evaluation_cache_locked(request)
             ji_cache = self._ji_cache
-            step1_cache = self._step1_memo if self.config.service.step1_memo else None
+            step1_cache = self._step1_memo
             pool, pool_state = self._chain_pool_locked()
         return SearchRuntime(
             evaluation_cache=evaluation_cache,
@@ -562,9 +450,7 @@ class AcquisitionService:
             self._evaluation_caches = {}
         self._synced_version = version
         self._synced_fds = fds
-        self._step1_memo = (
-            CountingCache() if self.config.service.step1_memo else None
-        )
+        self._step1_memo = CountingCache()
         if not self._refresh_chain_pool_locked(version, changed):
             self._dispose_chain_pool_locked()
         if not pruned:
@@ -868,31 +754,24 @@ class AcquisitionService:
         """The operational metrics dump (CLI ``metrics``, ``batch`` summary).
 
         Per-request latency (lifetime histogram buckets, p50/p95/p99 over the
-        sliding window), the evaluation-cache hit-rate trend, the admission
-        queue's counters (depth, peak, rejections, blocked time), the
-        in-flight gauge, and the Step-1 memo's hit accounting.
+        sliding window), the evaluation-cache hit-rate trend, the scheduler's
+        queue counters (depth, peak, rejections, blocked time) and per-tier
+        accounting, the in-flight gauge, and the Step-1 memo's hit
+        accounting.
         """
         with self._lock:
             in_flight = self._in_flight
-            step1: dict[str, object] = {"enabled": self.config.service.step1_memo}
-            if self.config.service.step1_memo:
-                # Stable schema even before the first request syncs the
-                # session (the memo is created lazily in _sync_locked).
-                step1.update(
-                    self._step1_memo.snapshot()
-                    if self._step1_memo is not None
-                    else {"entries": 0, "hits": 0, "misses": 0}
-                )
+            # Stable schema even before the first request syncs the session
+            # (the memo is created lazily in _sync_locked).
+            step1 = (
+                self._step1_memo.snapshot()
+                if self._step1_memo is not None
+                else {"entries": 0, "hits": 0, "misses": 0}
+            )
         payload = self._metrics.snapshot()
         payload["in_flight"] = in_flight
-        # Under QoS the scheduler *is* the admission queue; its snapshot keeps
-        # the same schema, so the payload shape is configuration-independent.
-        payload["queue"] = (
-            self._qos.snapshot() if self._qos is not None else self._admission.snapshot()
-        )
-        payload["qos"] = (
-            self._qos.qos_snapshot() if self._qos is not None else disabled_qos_snapshot()
-        )
+        payload["queue"] = self._scheduler.snapshot()
+        payload["qos"] = self._scheduler.qos_snapshot()
         payload["step1_memo"] = step1
         return payload
 

@@ -198,7 +198,7 @@ class TestBatchCommand:
         payload = json.loads(capsys.readouterr().out)
         metrics = payload["metrics"]
         assert metrics["requests"] == 1
-        assert metrics["step1_memo"]["enabled"] is True
+        assert metrics["step1_memo"]["misses"] == 1
         assert "p95_seconds" in metrics["latency"]
         assert "trend" in metrics["cache_hit_rate"]
 
@@ -276,7 +276,7 @@ class TestMetricsCommand:
         assert payload["latency"]["count"] == 6
         assert payload["latency"]["p99_seconds"] is not None
         assert payload["queue"]["policy"] == "block"
-        assert payload["step1_memo"]["enabled"] is True
+        assert payload["step1_memo"]["hits"] >= 1  # the repeat skips Step 1
 
     def test_requests_file_and_reject_policy(self, tmp_path, capsys):
         path = tmp_path / "requests.json"

@@ -9,6 +9,7 @@ every published segment is unlinked on close.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import subprocess
@@ -70,17 +71,9 @@ class TestRoundTripInProcess:
             manifest = store.export_tables(
                 {"facts": facts}, version=0, kind="base", meta={"k": "v"}
             )
-            attached, meta, attachments = shm.attach_tables(manifest)
-            try:
-                assert meta == {"k": "v"}
-                assert_tables_identical(facts, attached["facts"])
-            finally:
-                attached.clear()
-                for segment in attachments:
-                    try:
-                        segment.close()
-                    except BufferError:
-                        pass
+            attached, meta = shm.attach_tables(manifest)
+            assert meta == {"k": "v"}
+            assert_tables_identical(facts, attached["facts"])
         finally:
             store.close()
 
@@ -110,7 +103,7 @@ from repro.search import shm
 
 with open(sys.argv[1], "rb") as fh:
     manifest = pickle.load(fh)
-tables, meta, attachments = shm.attach_tables(manifest)
+tables, meta = shm.attach_tables(manifest)
 payload = {
     name: {
         "rows": list(table.iter_rows()),
@@ -127,12 +120,24 @@ payload = {
 }
 with open(sys.argv[2], "wb") as fh:
     pickle.dump({"meta": meta, "tables": payload}, fh)
-tables.clear()
-for segment in attachments:
-    try:
-        segment.close()
-    except BufferError:
-        pass
+"""
+
+
+# Loads a base and one delta the way a pool worker does, then lists the
+# /proc/self/maps lines that still name one of the store's segments.
+MAPS_SCRIPT = """
+import json, pickle, sys
+from repro.search import shm
+
+with open(sys.argv[1], "rb") as fh:
+    spec, names = pickle.load(fh)
+session = shm._load_base(spec)
+for delta in spec.deltas:
+    shm._apply_delta(session, delta)
+with open("/proc/self/maps") as fh:
+    mapped = [line for line in fh if any(name in line for name in names)]
+labels = list(session.graph.sample("dims").column("label"))
+print(json.dumps([session.version, labels, mapped]))
 """
 
 
@@ -429,6 +434,41 @@ class TestWorkerSessions:
             assert state.stats()["worker_spec_loads"] == 2
         finally:
             state.close()
+
+    def test_worker_maps_no_segment_after_load_and_delta(self, graph_setup, tmp_path):
+        # A fresh interpreter (nothing inherited from this process, which
+        # created the segments and so maps them) loads the base and applies
+        # a delta: it has copied what it needs, so none stays mapped.
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("needs /proc/self/maps")
+        join_graph, tables, fds = graph_setup
+        state = shm.SharedChainState(join_graph, fds, token="test-unmap")
+        try:
+            dims2 = Table.from_rows(
+                "dims",
+                ["good_key", "bad_key", "label"],
+                [(i, i % 2, f"new{i}") for i in range(8)],
+            )
+            new_graph = JoinGraph([tables["facts"], dims2], source_instances=["facts"])
+            state.publish_delta(new_graph, fds, version=1, changed=("dims",))
+            spec_path = tmp_path / "spec.pkl"
+            spec_path.write_bytes(pickle.dumps((state.spec(), state.segment_names())))
+            env = dict(os.environ)
+            env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+            child = subprocess.run(
+                [sys.executable, "-c", MAPS_SCRIPT, str(spec_path)],
+                env=env,
+                check=True,
+                timeout=120,
+                capture_output=True,
+                text=True,
+            )
+        finally:
+            state.close()
+        version, labels, mapped = json.loads(child.stdout)
+        assert version == 1
+        assert labels == [f"new{i}" for i in range(8)]
+        assert mapped == []
 
     def test_close_unlinks_every_segment(self, graph_setup):
         join_graph, _, fds = graph_setup

@@ -3,7 +3,9 @@
 The contracts: admission decides whether/when a request runs, never what it
 computes (served results stay bit-identical to the unbounded service); a full
 queue blocks or rejects per policy; batch submission interleaves shoppers
-round-robin while seeds and result positions follow the original index.
+round-robin while seeds and result positions follow the original index.  The
+admission bound is the scheduler's ``queue`` gate; its tier, rate and deadline
+mechanics are pinned in ``test_qos.py``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from repro.marketplace.dataset import MarketplaceDataset
 from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.pricing.models import EntropyPricingModel
+from repro.pricing.sla import QosConfig
 from repro.relational.table import Table
 from repro.search.mcmc import MCMCConfig
-from repro.service import AcquisitionService, AdmissionQueue, fair_order, request_seed
+from repro.service import AcquisitionService, fair_order, request_seed
+from repro.service.qos import QosScheduler
 
 
 def small_marketplace() -> Marketplace:
@@ -53,6 +57,13 @@ def config(**service_kwargs) -> DanceConfig:
 REQUEST = AcquisitionRequest(
     source_attributes=["measure"], target_attributes=["label"], budget=1e9
 )
+
+
+def hold_slot(service: AcquisitionService):
+    """Occupy one admission slot the way an in-flight request does."""
+    ticket = service._scheduler.submit(REQUEST)
+    service._scheduler.await_grant(ticket)
+    return ticket
 
 
 def shopper_request(name: str) -> AcquisitionRequest:
@@ -87,52 +98,64 @@ class TestFairOrder:
         assert sorted(order) == list(range(len(shoppers)))
 
 
+
+def granted(scheduler: QosScheduler):
+    """Submit and grant one request: it holds an admission slot until released."""
+    ticket = scheduler.submit(REQUEST)
+    scheduler.await_grant(ticket)
+    return ticket
+
+
 class TestAdmissionQueue:
-    def test_unbounded_admits_everything(self):
-        queue = AdmissionQueue(None, "reject")
-        assert all(queue.admit() for _ in range(100))
-        snapshot = queue.snapshot()
-        assert snapshot["admitted"] == 100
-        assert snapshot["rejected"] == 0
-        assert snapshot["peak_depth"] == 100
+    """The scheduler's admission bound: queued + executing requests, per policy."""
 
     def test_reject_policy_sheds_at_depth(self):
-        queue = AdmissionQueue(2, "reject")
-        assert queue.admit() and queue.admit()
-        assert not queue.admit()
-        queue.release()
-        assert queue.admit()
-        snapshot = queue.snapshot()
+        scheduler = QosScheduler(QosConfig(), max_depth=2, policy="reject")
+        first = granted(scheduler)
+        scheduler.submit(REQUEST)  # queued, not yet granted: still counts
+        with pytest.raises(AdmissionRejectedError):
+            scheduler.submit(REQUEST)
+        scheduler.release(first)
+        scheduler.submit(REQUEST)
+        snapshot = scheduler.snapshot()
         assert snapshot["rejected"] == 1
         assert snapshot["admitted"] == 3
         assert snapshot["depth"] == 2
 
     def test_block_policy_waits_for_release(self):
-        queue = AdmissionQueue(1, "block")
-        assert queue.admit()
+        scheduler = QosScheduler(QosConfig(), max_depth=1, policy="block")
+        held = granted(scheduler)
         admitted = threading.Event()
 
         def blocked_admit():
-            queue.admit()
+            scheduler.submit(REQUEST)
             admitted.set()
 
         thread = threading.Thread(target=blocked_admit, daemon=True)
         thread.start()
         assert not admitted.wait(0.05)  # still blocked while the slot is held
-        queue.release()
+        scheduler.release(held)
         assert admitted.wait(2.0)
         thread.join(2.0)
-        assert queue.snapshot()["blocked_seconds"] > 0.0
+        assert scheduler.snapshot()["blocked_seconds"] > 0.0
+        assert scheduler.depth == 1
 
     def test_release_without_admit_rejected(self):
+        owner = QosScheduler(QosConfig())
+        ticket = granted(owner)
+        # The ticket holds no slot in a scheduler that never granted it.
         with pytest.raises(ReproError):
-            AdmissionQueue(1, "block").release()
+            QosScheduler(QosConfig()).release(ticket)
+        # The refused release left the ticket holding its owner's slot.
+        assert owner.depth == 1
+        owner.release(ticket)
+        assert owner.depth == 0
 
     def test_invalid_parameters(self):
         with pytest.raises(ReproError):
-            AdmissionQueue(0, "block")
+            QosScheduler(QosConfig(), max_depth=0, policy="block")
         with pytest.raises(ReproError):
-            AdmissionQueue(1, "fifo")
+            QosScheduler(QosConfig(), max_depth=1, policy="fifo")
 
 
 class TestServiceAdmission:
@@ -140,12 +163,12 @@ class TestServiceAdmission:
         with AcquisitionService(
             small_marketplace(), config(max_queue_depth=1, admission="reject")
         ) as service:
-            service._admission.admit()  # saturate the only slot
+            ticket = hold_slot(service)  # saturate the only slot
             try:
                 with pytest.raises(AdmissionRejectedError):
                     service.acquire(REQUEST)
             finally:
-                service._admission.release()
+                service._scheduler.release(ticket)
             # Draining the queue restores service.
             assert service.acquire(REQUEST).estimated_correlation is not None
 
@@ -153,11 +176,11 @@ class TestServiceAdmission:
         with AcquisitionService(
             small_marketplace(), config(max_queue_depth=1, admission="reject")
         ) as service:
-            service._admission.admit()
+            ticket = hold_slot(service)
             try:
                 batch = service.acquire_batch([REQUEST, REQUEST])
             finally:
-                service._admission.release()
+                service._scheduler.release(ticket)
             assert not batch.ok
             assert all(
                 isinstance(item.error, AdmissionRejectedError) for item in batch
@@ -257,7 +280,7 @@ class TestBlockingBackpressure:
         with AcquisitionService(
             small_marketplace(), config(max_queue_depth=1, admission="block")
         ) as service:
-            service._admission.admit()
+            ticket = hold_slot(service)
             results: list[object] = []
 
             def blocked_request():
@@ -267,7 +290,10 @@ class TestBlockingBackpressure:
             thread.start()
             time.sleep(0.05)
             assert not results  # back-pressured while the slot is held
-            service._admission.release()
+            service._scheduler.release(ticket)
             thread.join(10.0)
             assert len(results) == 1
-            assert service.metrics()["queue"]["blocked_seconds"] > 0.0
+            metrics = service.metrics()
+            assert metrics["queue"]["blocked_seconds"] > 0.0
+            # The served request's queue wait counts its block.
+            assert metrics["queue_wait"]["max_seconds"] >= 0.05

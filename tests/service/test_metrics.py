@@ -166,7 +166,6 @@ class TestServiceMetricsIntegration:
         assert metrics["latency"]["p95_seconds"] is not None
         assert metrics["latency"]["p99_seconds"] is not None
         assert metrics["queue"]["admitted"] == 2
-        assert metrics["step1_memo"]["enabled"] is True
         assert metrics["step1_memo"]["hits"] >= 1  # the warm repeat
         # The warm repeat is fully cached, so the window trend is upward.
         assert metrics["cache_hit_rate"]["window_mean"] > 0.0
@@ -176,7 +175,7 @@ class TestServiceMetricsIntegration:
         config = DanceConfig(sampling_rate=1.0, mcmc=MCMCConfig(iterations=30, seed=0))
         with AcquisitionService(small_marketplace(), config) as service:
             memo = service.metrics()["step1_memo"]
-        assert memo == {"enabled": True, "entries": 0, "hits": 0, "misses": 0}
+        assert memo == {"entries": 0, "hits": 0, "misses": 0}
 
     def test_describe_embeds_metrics(self):
         config = DanceConfig(sampling_rate=1.0, mcmc=MCMCConfig(iterations=30, seed=0))

@@ -1,14 +1,16 @@
-"""Tests for the QoS scheduler: tiers, token buckets, deadlines, bit-identity.
+"""Tests for the scheduler: admission bound, tiers, token buckets, deadlines.
 
-The contract mirrors the admission layer's: QoS decides *whether and when* a
-request runs — weighted by its SLA tier, paced by its token bucket, shed at
-its deadline — never what it computes.  A contended mixed-tier batch must be
-bit-identical to the plain serial service.
+The scheduler is the service's one admission path.  It decides *whether and
+when* a request runs — bounded by the queue depth, weighted by its SLA tier,
+paced by its token bucket, shed at its deadline — never what it computes.  A
+contended mixed-tier batch must be bit-identical to the plain serial service.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -23,11 +25,11 @@ from repro.marketplace.dataset import MarketplaceDataset
 from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.pricing.models import EntropyPricingModel
-from repro.pricing.sla import DEFAULT_TIERS, SlaTier
+from repro.pricing.sla import DEFAULT_TIERS, QosConfig, SlaTier
 from repro.relational.table import Table
 from repro.search.mcmc import MCMCConfig
 from repro.service import AcquisitionService, request_seed
-from repro.service.qos import QosConfig, QosScheduler, disabled_qos_snapshot, retry_after_hint
+from repro.service.qos import QosScheduler, retry_after_hint
 
 
 def request(shopper=None, tier=None, deadline=None) -> AcquisitionRequest:
@@ -54,22 +56,18 @@ class FakeClock:
 
 # ------------------------------------------------------------------ the config
 class TestQosConfig:
-    def test_normalize_spellings(self):
-        assert QosConfig.normalize(None) is None
-        assert QosConfig.normalize(False) is None
-        for spelling in (True, "on", "default", "TRUE", "1"):
-            config = QosConfig.normalize(spelling)
-            assert isinstance(config, QosConfig)
-            assert set(config.tiers) == {"bronze", "silver", "gold"}
-            assert config.slots == 1
-        ready = QosConfig(slots=2)
-        assert QosConfig.normalize(ready) is ready
+    def test_default_ladder_has_no_rates_and_no_slot_cap(self):
+        config = QosConfig()
+        assert config.tiers == dict(DEFAULT_TIERS)
+        assert config.default_tier == "bronze"
+        assert config.slots is None
+        assert all(tier.rate is None for tier in config.tiers.values())
 
-    def test_normalize_rejects_unknown_spellings(self):
-        with pytest.raises(ReproError):
-            QosConfig.normalize("sometimes")
-        with pytest.raises(ReproError):
-            QosConfig.normalize(3.14)
+    def test_service_config_takes_only_a_qos_config(self):
+        assert isinstance(ServiceConfig().qos, QosConfig)
+        for spelling in ("on", 1, None):
+            with pytest.raises(ReproError):
+                ServiceConfig(qos=spelling)
 
     def test_validation(self):
         with pytest.raises(ReproError):
@@ -111,13 +109,12 @@ class TestScheduler:
         scheduler.release(ticket)
         assert scheduler.depth == 0
         snapshot = scheduler.qos_snapshot()
-        assert snapshot["enabled"] is True
         assert snapshot["tiers"]["bronze"]["requests"] == 1
 
     def test_default_tier_applies_to_anonymous_requests(self):
         scheduler = self.scheduler()
-        assert scheduler.resolve_tier(request()) is DEFAULT_TIERS["bronze"]
-        assert scheduler.resolve_tier(request(tier="gold")) is DEFAULT_TIERS["gold"]
+        assert scheduler.submit(request()).tier is DEFAULT_TIERS["bronze"]
+        assert scheduler.submit(request(tier="gold")).tier is DEFAULT_TIERS["gold"]
 
     def test_unknown_tier_is_a_caller_error(self):
         scheduler = self.scheduler()
@@ -199,6 +196,18 @@ class TestScheduler:
         scheduler.await_grant(ticket)
         scheduler.release(ticket)
 
+    def test_unbounded_admits_a_hundred_in_a_row(self):
+        scheduler = self.scheduler(policy="reject")
+        tickets = [scheduler.submit(request(shopper="a")) for _ in range(100)]
+        snapshot = scheduler.snapshot()
+        assert snapshot["admitted"] == 100
+        assert snapshot["rejected"] == 0
+        assert snapshot["peak_depth"] == 100
+        for ticket in tickets:
+            scheduler.await_grant(ticket)
+            scheduler.release(ticket)
+        assert scheduler.depth == 0
+
     def test_block_policy_waits_for_capacity(self):
         scheduler = self.scheduler(max_depth=1, policy="block")
         first = scheduler.submit(request(shopper="a"))
@@ -221,7 +230,8 @@ class TestScheduler:
         assert scheduler.snapshot()["blocked_seconds"] > 0.0
 
     def test_grants_follow_wfq_weight_order(self):
-        scheduler = self.scheduler()
+        # One execution slot, so the grants serialize and their order shows.
+        scheduler = QosScheduler(QosConfig(slots=1), clock=FakeClock())
         # All submitted before any grant: bronze (weight 1) tags 1.0, 2.0;
         # gold (weight 4) tags 0.25, 0.5 — gold drains first.
         tickets = [
@@ -271,13 +281,115 @@ class TestScheduler:
             "rejected",
             "blocked_seconds",
         }
-        assert set(scheduler.qos_snapshot()) == set(disabled_qos_snapshot())
+        assert set(scheduler.qos_snapshot()) == {
+            "slots",
+            "rate_limited",
+            "deadline_exceeded",
+            "tiers",
+        }
 
     def test_invalid_parameters(self):
         with pytest.raises(ReproError):
             self.scheduler(policy="fifo")
         with pytest.raises(ReproError):
             self.scheduler(max_depth=0)
+
+    def test_default_scheduler_keeps_nothing_per_shopper(self):
+        # A default tier has no rate, so no shopper gets a token bucket, and
+        # the WFQ drops its finish tags whenever nothing waits: serving 1,000
+        # distinct shoppers one at a time leaves no per-shopper state behind.
+        scheduler = QosScheduler(QosConfig())
+        for index in range(1000):
+            ticket = scheduler.submit(request(shopper=f"shopper-{index}"))
+            scheduler.await_grant(ticket)
+            scheduler.release(ticket)
+        assert scheduler._buckets == {}
+        assert scheduler._wfq._finish == {}
+        assert scheduler._wfq._heap == []
+        assert scheduler.snapshot()["admitted"] == 1000
+
+    def test_concurrent_serving_balances_every_counter(self):
+        # More threads than cores, switching often, on a depth bound below
+        # the thread count: every grant is released, nothing is lost, and
+        # the idle rule leaves no tag behind once the last thread is done.
+        scheduler = QosScheduler(QosConfig(), max_depth=3, policy="block")
+        threads_n, rounds = 8, 50
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+
+            def serve(worker):
+                for index in range(rounds):
+                    tier = ("bronze", "silver", "gold")[index % 3]
+                    ticket = scheduler.submit(
+                        request(shopper=f"w{worker}-{index % 5}", tier=tier)
+                    )
+                    scheduler.await_grant(ticket)
+                    scheduler.release(ticket)
+
+            threads = [
+                threading.Thread(target=serve, args=(worker,), daemon=True)
+                for worker in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        snapshot = scheduler.snapshot()
+        assert snapshot["admitted"] == threads_n * rounds
+        assert snapshot["depth"] == 0
+        assert snapshot["peak_depth"] <= 3
+        granted = sum(
+            tier["requests"] for tier in scheduler.qos_snapshot()["tiers"].values()
+        )
+        assert granted == threads_n * rounds
+        assert scheduler._wfq._finish == {}
+
+    def hold_the_only_slot(self, scheduler, blocked_request):
+        """Submit ``blocked_request`` behind a held depth-1 slot; release after 0.2s.
+
+        Returns the blocked submission's ticket (or its error) once it got
+        through ``submit`` and ``await_grant``.
+        """
+        first = scheduler.submit(request(shopper="a"))
+        scheduler.await_grant(first)
+        outcome: list[object] = []
+
+        def blocked():
+            try:
+                ticket = scheduler.submit(blocked_request)
+                outcome.append(scheduler.await_grant(ticket))
+                scheduler.release(ticket)
+            except ReproError as error:
+                outcome.append(error)
+
+        thread = threading.Thread(target=blocked, daemon=True)
+        thread.start()
+        time.sleep(0.2)
+        assert not outcome  # still blocked at the depth bound
+        scheduler.release(first)
+        thread.join(10.0)
+        assert len(outcome) == 1
+        return outcome[0]
+
+    def test_queue_wait_counts_a_block_at_the_depth_bound(self):
+        scheduler = QosScheduler(QosConfig(), max_depth=1, policy="block")
+        queued = self.hold_the_only_slot(scheduler, request(shopper="b"))
+        assert queued >= 0.2
+        assert scheduler.snapshot()["blocked_seconds"] >= 0.15
+
+    def test_deadline_counts_from_submission_through_a_block(self):
+        # Blocked at the depth bound for longer than its deadline: the
+        # request is shed at grant instead of running late.
+        scheduler = QosScheduler(QosConfig(), max_depth=1, policy="block")
+        outcome = self.hold_the_only_slot(
+            scheduler, request(shopper="b", deadline=0.05)
+        )
+        assert isinstance(outcome, DeadlineExceededError)
+        assert scheduler.qos_snapshot()["deadline_exceeded"] == 1
 
 
 # ------------------------------------------------------------- the service path
@@ -320,7 +432,7 @@ class TestServiceWithQos:
         with AcquisitionService(small_marketplace(), config()) as service:
             plain = service.acquire_batch(plain_requests)
         with AcquisitionService(
-            small_marketplace(), config(qos=True, max_batch_workers=4)
+            small_marketplace(), config(qos=QosConfig(slots=1), max_batch_workers=4)
         ) as service:
             shaped = service.acquire_batch(requests)
             metrics = service.metrics()
@@ -333,7 +445,6 @@ class TestServiceWithQos:
         assert [item.seed for item in shaped] == [
             request_seed(0, i) for i in range(len(requests))
         ]
-        assert metrics["qos"]["enabled"] is True
         tier_requests = {
             name: stats["requests"] for name, stats in metrics["qos"]["tiers"].items()
         }
@@ -368,9 +479,7 @@ class TestServiceWithQos:
         assert description["errors"] == 0
 
     def test_single_acquire_sheds_raise_typed_errors(self):
-        with AcquisitionService(
-            small_marketplace(), config(qos=True)
-        ) as service:
+        with AcquisitionService(small_marketplace(), config()) as service:
             with pytest.raises(DeadlineExceededError):
                 service.acquire(request(deadline=0.0))
             # The service recovers: the shed consumed no slot.
@@ -378,7 +487,7 @@ class TestServiceWithQos:
             assert service.metrics()["qos"]["deadline_exceeded"] == 1
 
     def test_queue_section_keeps_its_schema_under_qos(self):
-        with AcquisitionService(small_marketplace(), config(qos=True)) as service:
+        with AcquisitionService(small_marketplace(), config()) as service:
             service.acquire(request())
             queue = service.metrics()["queue"]
         assert set(queue) == {
@@ -394,7 +503,7 @@ class TestServiceWithQos:
         assert queue["depth"] == 0
 
     def test_queue_wait_and_execution_split_in_metrics(self):
-        with AcquisitionService(small_marketplace(), config(qos=True)) as service:
+        with AcquisitionService(small_marketplace(), config()) as service:
             service.acquire(request())
             metrics = service.metrics()
         assert metrics["queue_wait"]["count"] == 1

@@ -33,12 +33,11 @@ from repro.exceptions import (
 from repro.marketplace.dataset import MarketplaceDataset
 from repro.marketplace.market import Marketplace
 from repro.pricing.models import EntropyPricingModel
-from repro.pricing.sla import DEFAULT_TIERS, SlaTier
+from repro.pricing.sla import DEFAULT_TIERS, QosConfig, SlaTier
 from repro.relational.table import Table
 from repro.search.mcmc import MCMCConfig
 from repro.service import AcquisitionService
 from repro.service.metrics import BUCKET_BOUNDS
-from repro.service.qos import QosConfig
 from repro.service.server import (
     FIELD_METRICS,
     PROMETHEUS_CONTENT_TYPE,
@@ -123,7 +122,6 @@ GOLDEN_PAYLOAD = {
         "blocked_seconds": 0.125,
     },
     "qos": {
-        "enabled": True,
         "slots": 3,
         "rate_limited": 4,
         "deadline_exceeded": 2,
@@ -174,7 +172,7 @@ GOLDEN_PAYLOAD = {
             },
         },
     },
-    "step1_memo": {"enabled": True, "entries": 3, "hits": 5, "misses": 4},
+    "step1_memo": {"entries": 3, "hits": 5, "misses": 4},
 }
 
 
@@ -501,6 +499,18 @@ def test_http_errors_carry_typed_bodies_not_tracebacks(live_server):
     assert body["error"]["type"] == "InfeasibleAcquisitionError"
     assert "Traceback" not in raw.decode("utf-8")
 
+    # An unknown SLA tier is the caller's error -> 400, and a batch holding
+    # one is refused before any of its requests is admitted.
+    spec = {"source": ["measure"], "target": ["label"], "budget": 1e9}
+    admitted = live_server.service.metrics()["queue"]["admitted"]
+    for payload in (
+        {**spec, "tier": "platinum"},
+        {"requests": [spec, {**spec, "tier": "platinum"}]},
+    ):
+        status, _, raw = http_json(f"{url}/acquire", payload)
+        assert (status, json.loads(raw)["error"]["type"]) == (400, "PricingError")
+    assert live_server.service.metrics()["queue"]["admitted"] == admitted
+
     # A bad Content-Length is answered before any of the body is read.
     for length, expected in (
         ("1000000000000", (413, "PayloadTooLarge")),
@@ -553,14 +563,15 @@ def test_saturated_reject_queue_maps_to_503_and_recovers():
     try:
         # Saturate the admission queue from the side, as an in-flight
         # request would.
-        assert service._admission.admit() is True
+        ticket = service._scheduler.submit(request_from_spec(spec))
+        service._scheduler.await_grant(ticket)
         status, headers, raw = http_json(f"{url}/acquire", spec)
         assert status == 503
         assert headers.get("Retry-After") == "1"
         assert json.loads(raw)["error"]["type"] == "AdmissionRejectedError"
 
         # Release the slot: the same request now succeeds.
-        service._admission.release()
+        service._scheduler.release(ticket)
         status, _, raw = http_json(f"{url}/acquire", spec)
         assert status == 200
         assert json.loads(raw)["ok"] is True
@@ -628,7 +639,6 @@ def test_qos_sheds_map_to_429_and_504_over_http():
         # The shed counters surface in /metrics per tier.
         status, _, body = http_json(f"{url}/metrics")
         text = body.decode("utf-8")
-        assert "dance_qos_enabled 1" in text
         assert "dance_qos_rate_limited_total 1" in text
         assert "dance_qos_deadline_exceeded_total 1" in text
         assert 'dance_tier_requests_total{tier="gold"} 1' in text

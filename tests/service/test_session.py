@@ -337,20 +337,7 @@ class TestStep1Memo:
             assert warm.estimated_correlation == cold.estimated_correlation
             assert warm.sql() == cold.sql()
             memo = service.metrics()["step1_memo"]
-            assert memo["enabled"] is True
             assert memo["hits"] >= 1
-
-    def test_memo_disabled_reruns_step1_with_identical_results(self, monkeypatch):
-        calls = self.count_step1_calls(monkeypatch)
-        with AcquisitionService(
-            small_marketplace(), config(step1_memo=False)
-        ) as service:
-            cold = service.acquire(REQUEST)
-            after_cold = len(calls)
-            warm = service.acquire(REQUEST)
-            assert len(calls) > after_cold  # no memo: Step 1 re-ran
-            assert warm.estimated_correlation == cold.estimated_correlation
-            assert service.metrics()["step1_memo"] == {"enabled": False}
 
     def test_memo_invalidated_by_register_source_tables(self, monkeypatch):
         calls = self.count_step1_calls(monkeypatch)
@@ -390,10 +377,6 @@ class TestServiceConfigValidation:
     def test_rejects_unknown_admission_policy(self):
         with pytest.raises(ReproError):
             ServiceConfig(admission="fifo")
-
-    def test_rejects_bad_metrics_window(self):
-        with pytest.raises(ReproError):
-            ServiceConfig(metrics_window=0)
 
     def test_service_seed_defaults_to_mcmc_seed(self):
         marketplace = small_marketplace()
