@@ -16,11 +16,18 @@ results), and a saturated queue under ``reject`` must shed requests with
 ``AdmissionRejectedError`` while leaving every *served* request
 bit-identical — then recover fully once the queue drains.
 
-Last comes the WFQ smoke: a contended three-tier workload on one execution
+Then comes the WFQ smoke: a contended three-tier workload on one execution
 slot (``ServiceConfig(qos=QosConfig(slots=1))``) must serve bit-identically
 to the serial reference, and a batch of already-expired deadlines must be
 shed whole with ``DeadlineExceededError`` and recover bit-identically
 afterwards.
+
+Last comes the fired smoke: under a re-sampling threshold low enough to
+fire the hook (``FIRED_ETA``, the golden-answer test's setting), one service
+serves Q1/Q2/Q3 at two seeds and then again in reverse order, so later
+requests replay join lineages that earlier ones left in the session's
+lineage memo.  Every answer must equal a cold one-shot ``DANCE.acquire()``
+at the same seed.
 
 Used by the CI ``service-smoke`` job.  Run locally with::
 
@@ -45,6 +52,7 @@ from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.pricing.models import EntropyPricingModel
 from repro.pricing.sla import QosConfig
+from repro.sampling.resampling import ResamplingPolicy
 from repro.search.acquisition import SearchRuntime
 from repro.search.mcmc import MCMCConfig
 from repro.service import AcquisitionService, request_seed
@@ -56,6 +64,10 @@ SAMPLING_RATE = 0.5
 ITERATIONS = 60
 BUDGET = 1000.0
 BATCH_WORKERS = 3
+#: A re-sampling threshold at which the hook fires on this scenario, and the
+#: seeds the fired smoke serves.
+FIRED_ETA = 16
+FIRED_SEEDS = (0, 1)
 
 
 def build_marketplace(workload) -> Marketplace:
@@ -244,6 +256,51 @@ def check_wfq(workload, requests, reference_prints) -> int:
     return failures
 
 
+def check_fired(workload, requests) -> int:
+    """The fired smoke: lineage replays across requests serve cold answers."""
+    config = DanceConfig(
+        sampling_rate=SAMPLING_RATE,
+        mcmc=MCMCConfig(iterations=ITERATIONS, seed=0),
+        resampling=ResamplingPolicy(threshold=FIRED_ETA, rate=0.5, seed=0),
+        service=ServiceConfig(max_batch_workers=1),
+    )
+    order = [(index, seed) for seed in FIRED_SEEDS for index in range(len(requests))]
+    served: list[tuple[int, int, tuple]] = []
+    with AcquisitionService(build_marketplace(workload), config) as service:
+        for index, seed in order + order[::-1]:
+            result = service.acquire(requests[index], seed=seed)
+            served.append((index, seed, fingerprint(result)))
+        lineages = service.describe()["lineage_cache_entries"]
+
+    dance = DANCE(build_marketplace(workload), config)
+    dance.build_offline()
+    cold = {
+        (index, seed): fingerprint(
+            dance.acquire(requests[index], runtime=SearchRuntime(mcmc_seed=seed))
+        )
+        for index, seed in order
+    }
+
+    failures = 0
+    for index, seed, print_ in served:
+        if print_ != cold[index, seed]:
+            failures += 1
+            print(
+                f"MISMATCH[fired]: request {index} seed {seed}: served {print_} "
+                f"!= cold {cold[index, seed]}"
+            )
+    if not lineages:
+        failures += 1
+        print(f"FAIL[fired]: eta={FIRED_ETA} left no join lineage; lower FIRED_ETA")
+    if not failures:
+        print(
+            f"OK[fired]: eta={FIRED_ETA}, {len(served)} requests served forwards and "
+            f"back bit-identical to cold one-shot DANCE.acquire; "
+            f"{lineages} lineages held"
+        )
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -314,6 +371,7 @@ def main() -> int:
 
     failures += check_queue(workload, requests, cold_prints)
     failures += check_wfq(workload, requests, cold_prints)
+    failures += check_fired(workload, requests)
 
     if failures:
         print(f"\n{failures} service-parity failure(s)")

@@ -474,6 +474,7 @@ class DANCE:
             intermediate_hook=resampling if resampling.enabled else None,
             evaluation_cache=runtime.evaluation_cache,
             ji_cache=runtime.ji_cache,
+            lineage_memo=runtime.lineage_memo,
             step1_cache=runtime.step1_cache,
             pool=runtime.pool,
             pool_state=runtime.pool_state,

@@ -32,7 +32,7 @@ from repro.infotheory.cumulative import finite_floats
 from repro.infotheory.join_informativeness import join_informativeness
 from repro.quality.fd import FunctionalDependency
 from repro.quality.measure import grouped_join_quality, join_quality
-from repro.relational.joins import JoinLineage, inner_join, inner_join_origins
+from repro.relational.joins import JoinLineage, LineageMemo, inner_join, inner_join_origins
 from repro.relational.partitions import distinct_rows
 from repro.relational.schema import AttributeType
 from repro.relational.table import Table, mask_rows
@@ -350,9 +350,10 @@ class TargetGraph:
         never fired get no entry.  A memoised lineage also keeps a
         :class:`_LineageSummary` of its final join, and every evaluation of it
         measures the rows its mask keeps from that summary without gathering
-        them.
+        them.  An evaluation without a hook neither reads nor writes
+        ``lineages``: it has nothing to replay.
         """
-        key = None if lineages is None else self.signature()
+        key = None if lineages is None or intermediate_hook is None else self.signature()
         lineage = None if key is None else lineages.get(key)
         if lineage is not None:
             mask = lineage.kept_mask(intermediate_hook)
@@ -396,13 +397,15 @@ def prune_memos(
     changed: Iterable[str],
     fds_before: Iterable[FunctionalDependency],
     fds_after: Iterable[FunctionalDependency],
+    lineage_memo: LineageMemo | None = None,
 ) -> None:
     """Drop the memo entries a one-step write may have changed; keep the rest.
 
     ``evaluation_caches`` map :meth:`TargetGraph.signature` to evaluations,
     ``ji_cache`` maps ``(left, right, attrs)`` to JI weights, ``changed``
-    names the instances the write added or replaced, and the FD lists are
-    those in force before and after it.  An evaluation reads the tables of
+    names the instances the write added or replaced, the FD lists are
+    those in force before and after it, and ``lineage_memo`` maps
+    signatures to join lineages.  An evaluation reads the tables of
     its nodes (correlation, JI weight, price) and the FDs whose attributes
     all lie in its join's schema (quality), so an entry is dropped only when
 
@@ -413,8 +416,9 @@ def prune_memos(
       colliding columns a join renames.  FD order does not matter, because
       quality intersects per-FD correct sets.
 
-    A JI entry is dropped only when one of its endpoints changed.  A kept
-    entry is exactly what re-evaluation would return.  The caches need
+    A JI entry, or a lineage, is dropped only when one of its instances
+    changed: a lineage holds the join of its nodes' tables and no FD.  A
+    kept entry is exactly what re-evaluation would return.  The caches need
     ``keys()`` and ``pop(key, default)``.
     """
     changed = frozenset(changed)
@@ -442,6 +446,10 @@ def prune_memos(
         stale = [key for key in ji_cache.keys() if key[0] in changed or key[1] in changed]
         for key in stale:
             ji_cache.pop(key, None)
+    if lineage_memo is not None:
+        for signature in lineage_memo.keys():
+            if not changed.isdisjoint(signature[0]):
+                lineage_memo.pop(signature, None)
 
 
 def _carries_any(signature: tuple, fd_delta: list[frozenset[str]], renames: bool) -> bool:
@@ -476,7 +484,9 @@ class _LineageSummary:
     applicable FD that some row violates on the final join (an FD that holds
     there holds on every sample of it).  Weight and price depend only on the
     graph and the tables, so those of the lineage's first evaluation serve
-    every later one.
+    every later one.  The summary lives as long as its lineage, which a
+    :class:`~repro.relational.joins.LineageMemo` may keep for many walks and
+    requests; an evaluation for another request replaces it.
 
     A numerical source whose column holds a value the run-length kernel
     cannot take (see :func:`~repro.infotheory.cumulative.finite_floats`)

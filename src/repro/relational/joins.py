@@ -16,11 +16,14 @@ joining a row subset of the left side yields exactly the join's rows whose
 left row is in that subset, in the same order.  :class:`JoinLineage` uses
 this to replay a re-sampled join chain without joining: it keeps each
 level's left-row index vector and the unsampled final join, and carries a
-sampler's byte mask of kept rows down the index vectors.
+sampler's byte mask of kept rows down the index vectors.  A
+:class:`LineageMemo` holds lineages for a session, within a bound on their
+rows.
 """
 
 from __future__ import annotations
 
+import threading
 from array import array
 from itertools import compress
 from operator import itemgetter
@@ -230,11 +233,15 @@ class JoinLineage:
     are never sampled, so every replay fires first at the same level.
     ``summary`` holds what an evaluator derives from ``joined`` once for
     all its replays (see :meth:`repro.graph.target.TargetGraph.evaluate`);
-    it lives and dies with the lineage.
+    it lives as long as the lineage, which a :class:`LineageMemo` may keep
+    for many walks.
 
     A replay carries a byte mask, one byte per row and 1 for kept, from the
     first level's draw down the origins (:meth:`kept_mask`); it never lists
-    row positions.  The per-level gathers are built on the first replay.
+    row positions.  The per-level gathers are built on the first replay.  A
+    replay writes nothing but those gathers and the summary, each a function
+    of the lineage alone, so walks on several threads may replay one
+    lineage at once.
     """
 
     __slots__ = ("fired_rows", "origins", "joined", "summary", "_gathers")
@@ -249,6 +256,11 @@ class JoinLineage:
     def add_level(self, origins) -> None:
         """Record the next level's origins (packed into ``int64``)."""
         self.origins.append(array("q", origins))
+
+    @property
+    def rows(self) -> int:
+        """The rows the lineage holds: its origins plus the final join's."""
+        return sum(map(len, self.origins)) + len(self.joined)
 
     def kept_mask(self, sampler, first_mask: bytes | None = None) -> bytes:
         """The byte mask of the rows of ``joined`` that re-sampling every level
@@ -277,6 +289,78 @@ class JoinLineage:
         """The final join as re-sampling every level with ``sampler`` makes it
         (the rows :meth:`kept_mask` marks)."""
         return self.joined.take(mask_rows(self.kept_mask(sampler, first_mask)))
+
+
+#: The rows a :class:`LineageMemo` holds at most (see :attr:`JoinLineage.rows`):
+#: about 15 MB at the 59 bytes per row that fresh-tpch's fired lineages
+#: retain with their summaries and replay gathers (tracemalloc, python 3.11).
+#: A put reads it, so a memo's bound is the value at the time of the put.
+LINEAGE_MEMO_ROWS = 1 << 18
+
+
+class LineageMemo:
+    """Join lineages by graph signature, shared by the walks of a session.
+
+    A walk looks a fired graph up in its own lineages first and here second,
+    and offers every lineage it fires on here (see
+    :func:`repro.search.mcmc.mcmc_search`).  The memo holds at most
+    :data:`LINEAGE_MEMO_ROWS` rows, counted as :attr:`JoinLineage.rows`: a
+    put evicts the oldest lineages, in insertion order, until the new one
+    fits, and a lineage larger than the bound is not held.  A walk that
+    needs an evicted lineage builds it again, so eviction costs time, never
+    bits.
+
+    A lineage records the rows of its graph's tables and the level a
+    re-sampling policy first fires on, so one memo serves one set of tables
+    and one policy.  Its owner drops the lineages a write made stale through
+    ``keys()`` and ``pop()`` (see :func:`repro.graph.target.prune_memos`).
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: dict[tuple, JoinLineage] = {}  # guarded-by: self._lock
+        self._rows = 0  # guarded-by: self._lock
+
+    def get(self, key: tuple, default=None) -> JoinLineage | None:
+        with self._lock:
+            return self._entries.get(key, default)
+
+    def __setitem__(self, key: tuple, lineage: JoinLineage) -> None:
+        """Hold ``lineage`` under ``key``, unless the key is held already."""
+        rows = lineage.rows
+        limit = LINEAGE_MEMO_ROWS
+        if rows > limit:
+            return
+        with self._lock:
+            entries = self._entries
+            if key in entries:
+                return
+            while self._rows + rows > limit:
+                self._rows -= entries.pop(next(iter(entries))).rows
+            entries[key] = lineage
+            self._rows += rows
+
+    def pop(self, key: tuple, default=None) -> JoinLineage | None:
+        with self._lock:
+            lineage = self._entries.pop(key, None)
+            if lineage is None:
+                return default
+            self._rows -= lineage.rows
+            return lineage
+
+    def keys(self) -> list[tuple]:
+        with self._lock:
+            return list(self._entries)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    @property
+    def rows(self) -> int:
+        """The rows the held lineages hold, summed."""
+        with self._lock:
+            return self._rows
 
 
 def full_outer_join(

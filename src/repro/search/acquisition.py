@@ -17,6 +17,7 @@ from repro.graph.landmarks import resolve_landmark_seed
 from repro.graph.steiner import IGraph, minimal_weight_igraphs
 from repro.graph.target import TargetGraph, TargetGraphEvaluation
 from repro.quality.fd import FunctionalDependency
+from repro.relational.joins import LineageMemo
 from repro.relational.table import Table
 from repro.search.candidates import build_initial_target_graph, terminal_instances
 from repro.search.chains import ChainPoolState, ChainScheduler, MultiChainResult
@@ -39,6 +40,24 @@ class SearchRuntime:
         for a fixed ``(samples, source attrs, target attrs, fds, pricing)``
         context — the service namespaces it per request signature; the JI
         cache keys are structural and safe to share service-wide.
+    ``lineage_memo``
+        A :class:`~repro.relational.joins.LineageMemo` holding the join
+        lineages of fired graphs for every single-walk search it is handed
+        to.  A lineage depends on its graph's signature (whose projections
+        carry every attribute the request reads), the tables and the
+        re-sampling policy, never on the request itself, so the service
+        keeps one memo for the session, beside the JI cache.  Without one,
+        each walk keeps its lineages to itself.  Sharing one changes no
+        served bit.  Whether the hook fires on a level depends on that
+        level's row count alone, and one memo serves one re-sampling policy
+        on one set of tables, so a lineage built in another walk fires first
+        at the level this walk's build would.  A build's draws on the levels
+        before that one return ``None`` and consume no randomness.  A replay
+        therefore draws the same masks, in the same order, whichever walk
+        built its lineage: the hook's RNG stream, the evaluation memo (fired
+        graphs never enter it) and every
+        :class:`~repro.search.mcmc.MCMCResult` counter are those of walks
+        with private lineages.  Multi-chain walks keep private lineages.
     ``pool`` / ``pool_state``
         A persistent executor serving every multi-chain dispatch (see
         :class:`~repro.search.chains.ChainScheduler`).
@@ -72,6 +91,7 @@ class SearchRuntime:
 
     evaluation_cache: MutableMapping | None = None
     ji_cache: MutableMapping | None = None
+    lineage_memo: LineageMemo | None = None
     step1_cache: MutableMapping | None = None
     pool: object | None = None
     pool_state: ChainPoolState | None = None
@@ -134,6 +154,7 @@ def heuristic_acquisition(
     intermediate_hook=None,
     evaluation_cache: MutableMapping | None = None,
     ji_cache: MutableMapping | None = None,
+    lineage_memo: LineageMemo | None = None,
     step1_cache: MutableMapping | None = None,
     pool=None,
     pool_state: ChainPoolState | None = None,
@@ -182,6 +203,10 @@ def heuristic_acquisition(
         I-graphs of this request (previously each I-graph's walk started
         cold).  A long-lived caller can keep them across requests too — see
         :class:`SearchRuntime` for the validity contract.
+    lineage_memo:
+        Optional memo of fired join lineages that every single-chain walk
+        reads and fills (see :class:`SearchRuntime`); multi-chain walks do
+        not use it.
     step1_cache:
         Optional externally-owned memo for Step 1's candidate I-graphs, keyed
         on ``(terminal set, max_weight, num_landmarks, landmark seed, graph
@@ -296,6 +321,7 @@ def heuristic_acquisition(
                 intermediate_hook=intermediate_hook,
                 evaluation_cache=evaluation_cache,
                 ji_cache=ji_cache,
+                lineage_memo=lineage_memo,
             )
             for _, _, initial, tables in starts
         ]

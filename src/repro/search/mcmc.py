@@ -21,7 +21,7 @@ from repro.exceptions import InfeasibleAcquisitionError, SearchError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.target import TargetGraph, TargetGraphEvaluation
 from repro.quality.fd import FunctionalDependency
-from repro.relational.joins import JoinLineage
+from repro.relational.joins import JoinLineage, LineageMemo
 from repro.relational.table import Table
 
 if TYPE_CHECKING:
@@ -237,6 +237,7 @@ def mcmc_search(
     intermediate_hook=None,
     evaluation_cache: "MutableMapping[tuple, TargetGraphEvaluation] | None" = None,
     ji_cache: "MutableMapping[tuple, float] | None" = None,
+    lineage_memo: LineageMemo | None = None,
     pool=None,
     pool_state=None,
 ) -> "MCMCResult | MultiChainResult":
@@ -277,6 +278,17 @@ def mcmc_search(
         chains — or across searches and requests, as the acquisition service
         does — never changes walk outcomes, only which walk pays for each
         (deterministic) evaluation.
+    lineage_memo:
+        Optional :class:`~repro.relational.joins.LineageMemo` of the join
+        lineages of fired graphs, shared with the other walks of a session
+        on the same ``tables`` under the same hook settings.  A walk looks a
+        fired graph up in its own lineages first and in the memo second, and
+        offers the memo every lineage it fires on, so the memo also takes
+        back one it evicted.  A replay draws what a build draws, so the memo
+        changes no outcome, counter or hook state (see
+        :class:`~repro.search.acquisition.SearchRuntime`).  Ignored without
+        a hook and for ``chains > 1``, whose walks keep their lineages to
+        themselves.
     pool / pool_state:
         An externally-owned executor (and, for persistent process pools, its
         :class:`~repro.search.chains.ChainPoolState`) serving the multi-chain
@@ -320,9 +332,14 @@ def mcmc_search(
         ji_cache = {}
     # A fired re-sampling hook makes an evaluation stochastic, and memoising
     # it would freeze one random draw per candidate for the rest of the walk.
-    # Graphs on which the hook fired get a join lineage here instead, private
-    # to this walk: a revisit skips every join but still draws afresh.
+    # Graphs on which the hook fired get a join lineage here instead: a
+    # revisit skips every join but still draws afresh.  The walk's own dict
+    # also marks which graphs fired in this walk, and a lineage taken from
+    # the session's memo enters it before its first replay, so an eviction
+    # from the memo never makes this walk build a lineage twice.  Every
+    # fired evaluation offers its lineage back to the memo.
     lineages: dict[tuple, JoinLineage] = {}
+    shared = lineage_memo if intermediate_hook is not None else None
     # A walk never changes its nodes or parents, so an edge's alternatives
     # depend only on the edge's index and its current join attributes: the
     # move table reads the join graph once per such key.  The transition
@@ -340,6 +357,10 @@ def mcmc_search(
             result.evaluation_cache_hits += 1
             return cached
         result.evaluation_cache_misses += 1
+        if shared is not None and signature not in lineages:
+            lineage = shared.get(signature)
+            if lineage is not None:
+                lineages[signature] = lineage
         evaluation = graph.evaluate(
             tables,
             source_attributes,
@@ -352,6 +373,8 @@ def mcmc_search(
         )
         if signature not in lineages:
             evaluation_cache[signature] = evaluation
+        elif shared is not None:
+            shared[signature] = lineages[signature]
         return evaluation
 
     result = MCMCResult(best_graph=None, best_evaluation=None)

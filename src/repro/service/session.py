@@ -12,7 +12,13 @@ keeps one marketplace *hot* instead:
   Both live in :class:`~repro.search.chains.LockStripedCache` instances and
   are handed to every search through
   :class:`~repro.search.acquisition.SearchRuntime`, so all candidate I-graphs
-  of one request and all requests of one session share work.
+  of one request and all requests of one session share work.  Beside the JI
+  cache sits one bounded :class:`~repro.relational.joins.LineageMemo` of the
+  join lineages of graphs on which the re-sampling hook fired: a lineage
+  depends on its graph, the tables and the session's one re-sampling policy,
+  never on the request, so every single-walk search of the session replays a
+  fired graph the session has already joined instead of joining it again.
+  It is never checkpointed.
 * **Pool reuse.**  One persistent executor serves every multi-chain
   ``mcmc_search`` call for the lifetime of the service.  Process plans use
   the shared columnar store by default
@@ -55,7 +61,8 @@ keeps one marketplace *hot* instead:
   instances are recomputed) and invalidates exactly the session state the
   change made stale: the evaluation and JI memos keep every entry the write
   cannot have changed (:func:`~repro.graph.target.prune_memos`), in the
-  session and in shared-store pool workers; offline rebuilds drop them.
+  session and in shared-store pool workers, and the lineage memo keeps
+  every lineage over unchanged instances; offline rebuilds drop them all.
 * **Persistent session state.**  With ``ServiceConfig(catalog_path=...)``
   the service opens the catalog at startup (warming the offline phase; see
   :meth:`repro.core.dance.DANCE.persist`), restores its JI cache and Step-1
@@ -104,6 +111,7 @@ from repro.graph.target import prune_memos
 from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.quality.fd import FunctionalDependency
+from repro.relational.joins import LineageMemo
 from repro.relational.table import Table
 from repro.search.acquisition import SearchRuntime
 from repro.search.chains import (
@@ -171,6 +179,7 @@ class AcquisitionService:
         self._synced_version: int | None = None  # guarded-by: self._lock
         self._synced_fds: tuple[FunctionalDependency, ...] = ()  # guarded-by: self._lock
         self._ji_cache: LockStripedCache | None = None  # guarded-by: self._lock
+        self._lineage_memo = LineageMemo()  # guarded-by: self._lock
         self._evaluation_caches: dict[tuple, LockStripedCache] = {}  # guarded-by: self._lock
         self._step1_memo: CountingCache | None = None  # guarded-by: self._lock
         self._chain_pool = None  # guarded-by: self._lock
@@ -389,11 +398,13 @@ class AcquisitionService:
             self._sync_locked()
             evaluation_cache = self._evaluation_cache_locked(request)
             ji_cache = self._ji_cache
+            lineage_memo = self._lineage_memo
             step1_cache = self._step1_memo
             pool, pool_state = self._chain_pool_locked()
         return SearchRuntime(
             evaluation_cache=evaluation_cache,
             ji_cache=ji_cache,
+            lineage_memo=lineage_memo,
             step1_cache=step1_cache,
             pool=pool,
             pool_state=pool_state,
@@ -409,13 +420,14 @@ class AcquisitionService:
 
         A one-step refresh that names its changed instances (``changed``, the
         added and replaced names of :meth:`register_source_tables`) prunes
-        the evaluation and JI memos by
+        the evaluation, JI and lineage memos by
         :func:`~repro.graph.target.prune_memos`: an entry survives unless the
-        write changed one of its instances or an FD its join can carry.  Any
-        other version bump — an offline rebuild, or a change made on the
-        middleware behind the session's back, which shows as a version gap —
-        resets both memos and counts in ``cache_resets``.  The Step-1 memo
-        always resets, because its Steiner search reads the whole I-layer.
+        write changed one of its instances or (evaluations only) an FD its
+        join can carry.  Any other version bump — an offline rebuild, or a
+        change made on the middleware behind the session's back, which shows
+        as a version gap — resets all three and counts in ``cache_resets``.
+        The Step-1 memo always resets, because its Steiner search reads the
+        whole I-layer.
 
         A sync that pruned skips :meth:`_restore_caches_locked`: the catalog
         blob describes the state before the write.
@@ -442,12 +454,14 @@ class AcquisitionService:
                 changed,
                 self._synced_fds,
                 fds,
+                lineage_memo=self._lineage_memo,
             )
         else:
             if self._synced_version is not None:
                 self._cache_resets += 1
             self._ji_cache = LockStripedCache()
             self._evaluation_caches = {}
+            self._lineage_memo = LineageMemo()
         self._synced_version = version
         self._synced_fds = fds
         self._step1_memo = CountingCache()
@@ -650,11 +664,14 @@ class AcquisitionService:
         names, edge recompute and AFD discovery counts) plus ``memo_kept``
         and ``memo_dropped``: how many memoised evaluations, over every
         request namespace, survived the write and how many it dropped (see
-        :meth:`_sync_locked`).  Must not overlap in-flight requests.
+        :meth:`_sync_locked`), and ``lineages_kept`` and
+        ``lineages_dropped``, the same for the join lineages.  Must not
+        overlap in-flight requests.
         """
         with self._lock:
             summary = self._dance.register_source_tables(tables)
             entries = self._evaluation_entries_locked()
+            lineages = len(self._lineage_memo)
             if self._dance._join_graph is not None:
                 # Shared-store pools take a per-instance delta instead of a
                 # teardown; a "noop" refresh did not bump the version, so
@@ -663,6 +680,8 @@ class AcquisitionService:
                 self._sync_locked(changed)
             summary["memo_kept"] = self._evaluation_entries_locked()
             summary["memo_dropped"] = entries - summary["memo_kept"]
+            summary["lineages_kept"] = len(self._lineage_memo)
+            summary["lineages_dropped"] = lineages - summary["lineages_kept"]
             if self.config.service.catalog_path is not None:
                 try:
                     self._persist_locked(self.config.service.catalog_path)
@@ -784,6 +803,9 @@ class AcquisitionService:
         ``cache_resets`` counts full memo resets (offline rebuilds, version
         gaps); a write that only pruned the memos is not one, and its
         ``register_source_tables`` summary reports what it kept and dropped.
+        ``lineage_cache_entries`` and ``lineage_cache_rows`` count the join
+        lineages the session's lineage memo holds and the rows those hold
+        (see :attr:`repro.relational.joins.JoinLineage.rows`).
         """
         metrics = self.metrics()
         with self._lock:
@@ -799,6 +821,8 @@ class AcquisitionService:
                 "evaluation_cache_groups": len(self._evaluation_caches),
                 "evaluation_cache_entries": evaluation_entries,
                 "ji_cache_entries": 0 if self._ji_cache is None else len(self._ji_cache),
+                "lineage_cache_entries": len(self._lineage_memo),
+                "lineage_cache_rows": self._lineage_memo.rows,
                 "step1_memo_entries": (
                     0 if self._step1_memo is None else len(self._step1_memo)
                 ),

@@ -15,7 +15,9 @@ from repro.graph.target import (
 )
 from repro.pricing.models import FlatAttributePricingModel
 from repro.quality.fd import FunctionalDependency
+from repro.relational.joins import JoinLineage, LineageMemo
 from repro.relational.table import Table
+from repro.sampling.resampling import ResamplingPolicy
 from repro.search.chains import LockStripedCache
 
 
@@ -168,6 +170,26 @@ class TestEvaluation:
         path_graph.joined_table(tables, intermediate_hook=SimpleNamespace(draw=draw))
         assert len(calls) == 2
 
+    def test_a_hookless_evaluation_neither_reads_nor_writes_the_lineages(
+        self, path_graph, tables
+    ):
+        """Lineages a hooked evaluation left can hold a graph an evaluation
+        without a hook then meets: that evaluation measures the unsampled
+        join and leaves the lineages as they were."""
+        args = (tables, ["totalprice"], ["nname"], [], FlatAttributePricingModel(1.0))
+        lineages: dict = {}
+        path_graph.evaluate(
+            *args, intermediate_hook=ResamplingPolicy(threshold=4, rate=0.5), lineages=lineages
+        )
+        assert list(lineages) == [path_graph.signature()]
+        unsampled = path_graph.evaluate(*args, lineages=lineages)
+        assert unsampled == path_graph.evaluate(*args)
+        assert unsampled.join_rows == 40
+        assert list(lineages) == [path_graph.signature()]
+        untouched: dict = {}
+        path_graph.evaluate(*args, lineages=untouched)
+        assert untouched == {}
+
 
 class TestPruneMemos:
     """The one rule that decides which memo entries outlive a one-step write."""
@@ -219,6 +241,18 @@ class TestPruneMemos:
     def test_prunes_lock_striped_caches_alike(self):
         kept = self.kept({"orders"}, caches=LockStripedCache)
         assert kept == {self.CUSTOMERS_NATIONS, self.NATIONS}
+
+    def test_lineages_drop_only_with_a_changed_node(self):
+        """A lineage holds its nodes' join and no FD: an FD change keeps it."""
+        memo = LineageMemo()
+        for signature in (self.ORDERS_CUSTOMERS, self.CUSTOMERS_NATIONS, self.NATIONS):
+            lineage = JoinLineage(1)
+            lineage.joined = Table.from_rows("joined", ["k"], [(0,)])
+            memo[signature] = lineage
+        fd = FunctionalDependency("custkey", "nationkey")
+        prune_memos([], None, {"nations"}, [], [fd], lineage_memo=memo)
+        assert memo.keys() == [self.ORDERS_CUSTOMERS]
+        assert memo.rows == 1
 
     def test_ji_entries_drop_only_with_a_changed_endpoint(self):
         ji = {

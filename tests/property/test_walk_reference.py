@@ -9,12 +9,16 @@ On generated join graphs both walks must return the same result, leave the
 same evaluation memo behind, and leave the re-sampling hook in the same state.
 The reference also runs every iteration of a walk whose start has no move
 (no flips, no edge with an alternative), which ``mcmc_search`` stops early.
+The reference keeps its join lineages to itself, so a walk that replays
+lineages another walk built and left in a shared
+:class:`~repro.relational.joins.LineageMemo` must match it too.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
+from dataclasses import replace
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -24,6 +28,7 @@ from repro.graph.join_graph import JoinGraph
 from repro.graph.target import TargetGraph
 from repro.pricing.models import FlatAttributePricingModel
 from repro.quality.fd import FunctionalDependency
+from repro.relational.joins import LineageMemo
 from repro.relational.schema import Attribute, AttributeType, Schema
 from repro.relational.table import Table
 from repro.sampling.resampling import ResamplingPolicy
@@ -208,7 +213,7 @@ def trees(draw):
 
 
 @st.composite
-def walk_scenarios(draw, dead: bool = False):
+def walk_scenarios(draw, dead: bool = False, hooks=("none", "idle", "fires")):
     """Tables on a tree, their join graph, a starting graph and the walk's knobs.
 
     Edge ``i`` shares 1-3 key columns ``e<i>k<j>`` between its endpoints;
@@ -218,7 +223,7 @@ def walk_scenarios(draw, dead: bool = False):
     One edge may be missing from the join graph, which then knows no
     alternative for it.  A ``dead`` scenario gives every edge one key and
     one-key join attribute sets, so no edge has an alternative: without
-    flips, the walk starts dead.
+    flips, the walk starts dead.  ``hooks`` are the hook kinds to draw from.
     """
     size, parents = draw(trees())
     max_size = 1 if dead else draw(st.sampled_from([1, 2]))
@@ -277,7 +282,7 @@ def walk_scenarios(draw, dead: bool = False):
         },
         source_instances=frozenset({"t0"}),
     )
-    hook = draw(st.sampled_from(["none", "idle", "fires"]))
+    hook = draw(st.sampled_from(hooks))
     hook_args = None
     if hook != "none":
         threshold = 10_000 if hook == "idle" else draw(st.integers(0, 4))
@@ -315,14 +320,24 @@ def signature_or_none(graph) -> tuple | None:
 
 
 # ---------------------------------------------------------------------- tests
-def assert_walk_matches_reference(scenario) -> None:
+def walk_arguments(scenario) -> tuple[list, dict]:
     names = ("join_graph", "initial", "tables", "source", "target", "fds")
     positional = [scenario[name] for name in names]
     constraints = {key: scenario[key] for key in ("budget", "max_weight", "min_quality")}
+    return positional, constraints
+
+
+def new_hook(scenario) -> ResamplingPolicy | None:
+    args = scenario["hook_args"]
+    return None if args is None else ResamplingPolicy(**args)
+
+
+def assert_walk_matches_reference(scenario, lineage_memo: LineageMemo | None = None) -> None:
+    """``mcmc_search``, handed ``lineage_memo``, against the reference walk."""
+    positional, constraints = walk_arguments(scenario)
     runs = []
-    for walk in (mcmc_search, reference_walk):
-        args = scenario["hook_args"]
-        hook = None if args is None else ResamplingPolicy(**args)
+    for walk, shared in ((mcmc_search, {"lineage_memo": lineage_memo}), (reference_walk, {})):
+        hook = new_hook(scenario)
         cache: dict = {}
         result = walk(
             *positional,
@@ -330,6 +345,7 @@ def assert_walk_matches_reference(scenario) -> None:
             config=scenario["config"],
             intermediate_hook=hook,
             evaluation_cache=cache,
+            **shared,
         )
         runs.append((result, cache, hook_state(hook)))
     (walked, walked_cache, walked_hook), (expected, expected_cache, expected_hook) = runs
@@ -358,6 +374,28 @@ class TestWalkMatchesReference:
         flips they run the loop.  Either way the result, the trace, the memo
         and the hook are the reference walk's."""
         assert_walk_matches_reference(scenario)
+
+    @settings(max_examples=100, deadline=None)
+    @given(walk_scenarios(hooks=("fires",)), st.integers(min_value=0, max_value=50))
+    def test_a_walk_replaying_another_walks_lineages_matches_the_reference(
+        self, scenario, first_seed
+    ):
+        """A first walk, at another seed, fills a lineage memo; a second walk
+        that shares it replays those lineages where the reference builds its
+        own, and ends with the reference's result, counters, trace,
+        evaluation memo and hook state."""
+        positional, constraints = walk_arguments(scenario)
+        memo = LineageMemo()
+        mcmc_search(
+            *positional,
+            **constraints,
+            config=replace(scenario["config"], seed=first_seed),
+            intermediate_hook=new_hook(scenario),
+            evaluation_cache={},
+            lineage_memo=memo,
+        )
+        assert_walk_matches_reference(scenario, memo)
+        assert memo.rows == sum(memo.get(key).rows for key in memo.keys())
 
 
 @st.composite

@@ -10,6 +10,9 @@ missing/corrupt catalogs fail with typed ``StorageError``s.
 
 from __future__ import annotations
 
+import warnings
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import StorageError
@@ -50,6 +53,37 @@ def small_marketplace() -> Marketplace:
 
 def rows_of(table: Table) -> list[tuple]:
     return list(table.iter_rows())
+
+
+#: Ways to damage a catalog file that keep its sqlite header intact.
+DAMAGES = ("truncated", "halved", "page_xored")
+
+
+def damaged_catalog(directory: Path, damage: str) -> Path:
+    """A service's checkpoint of :func:`small_marketplace`, damaged.
+
+    ``truncated`` loses its last 100 bytes, ``halved`` its second half, and
+    ``page_xored`` has every byte of its second page (the first after the
+    header's) XOR-ed with 0xFF.
+    """
+    from repro.service import AcquisitionService
+    from tests.storage.test_service_catalog import REQUEST, config
+
+    path = directory / "cat"
+    with AcquisitionService(small_marketplace(), config(path)) as service:
+        service.acquire(REQUEST)
+        service.persist()
+    data = bytearray(path.read_bytes())
+    if damage == "truncated":
+        data = data[:-100]
+    elif damage == "halved":
+        data = data[: len(data) // 2]
+    else:
+        page_size = int.from_bytes(data[16:18], "big")
+        for index in range(page_size, 2 * page_size):
+            data[index] ^= 0xFF
+    path.write_bytes(bytes(data))
+    return path
 
 
 class TestRoundTrip:
@@ -165,3 +199,36 @@ class TestTypedOpenErrors:
         market.storage.delete(NS_TABLES, "facts")
         with pytest.raises(StorageError, match="no table data"):
             market.dataset("facts").table
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_a_damaged_catalog_fails_typed_at_open_or_first_hydration(self, tmp_path, damage):
+        path = damaged_catalog(tmp_path, damage)
+        with pytest.raises(StorageError):
+            market = Marketplace.open(path)
+            for name in market.dataset_names:
+                market.dataset(name).table
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_a_service_on_a_damaged_catalog_serves_what_one_without_serves(
+        self, tmp_path, damage
+    ):
+        """The service starts cold, with a warning, when it cannot read the
+        catalog's offline state, and warm without one when it can (a damaged
+        table blob is never read: the service's marketplace holds its
+        tables); either way it answers as a service without a catalog."""
+        from repro.service import AcquisitionService
+        from tests.storage.test_service_catalog import REQUEST, config
+
+        path = damaged_catalog(tmp_path, damage)
+        with AcquisitionService(small_marketplace(), config()) as service:
+            expected = service.acquire(REQUEST)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            service = AcquisitionService(small_marketplace(), config(path))
+        with service:
+            warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert bool(warned) == (service.join_graph.ji_computations > 0)
+            served = service.acquire(REQUEST)
+        assert served.estimated_correlation == expected.estimated_correlation
+        assert served.estimated_price == expected.estimated_price
+        assert served.sql() == expected.sql()
