@@ -178,11 +178,21 @@ class TargetGraph:
         """Instances that must actually be bought (everything not owned)."""
         return [name for name in self.nodes if name not in self.source_instances]
 
-    def replace_edge(self, index: int, join_attributes: Iterable[str]) -> "TargetGraph":
+    def replace_edge(
+        self,
+        index: int,
+        join_attributes: Iterable[str],
+        keep: frozenset[str] = frozenset(),
+    ) -> "TargetGraph":
         """A copy with edge ``index`` switched to a different join attribute set.
 
         Projections are re-derived so they still cover all join attributes
-        while keeping any extra (non-join) attributes they already carried.
+        while keeping any extra (non-join) attributes they already carried,
+        and every attribute of ``keep`` they already held.  A search passes
+        its requested attributes as ``keep``: an attribute that is both
+        requested and joined on would otherwise leave the projection when
+        the edge swaps away from it, and the graph would no longer cover the
+        request.
         """
         if not 0 <= index < len(self.edges):
             raise SearchError(f"edge index {index} out of range for {len(self.edges)} edges")
@@ -190,10 +200,12 @@ class TargetGraph:
         edges[index] = frozenset(join_attributes)
         old_required = self.required_join_attributes
         new_required = incident_join_attributes(len(self.nodes), edges, self.parents)
-        projections = {
-            name: new_required[i] | (self.projections[name] - old_required[i])
-            for i, name in enumerate(self.nodes)
-        }
+        projections = {}
+        for i, name in enumerate(self.nodes):
+            projection = self.projections[name]
+            projections[name] = (
+                new_required[i] | (projection - old_required[i]) | (projection & keep)
+            )
         return TargetGraph(
             nodes=list(self.nodes),
             edges=edges,

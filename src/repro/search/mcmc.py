@@ -65,7 +65,9 @@ class MCMCConfig:
         Whether each walk records its per-iteration correlation in
         :attr:`MCMCResult.trace`.  Off by default: the trace grows by one
         float per iteration per chain and is only read by diagnostics, so
-        long multi-chain runs should not pay for it.
+        long multi-chain runs should not pay for it.  A walk that records
+        its trace runs every step: only a walk whose start cannot move
+        stops early (see :func:`mcmc_search`).
     """
 
     iterations: int = 200
@@ -97,6 +99,11 @@ class MCMCResult:
     proposed target graph's evaluation was served from the walk's memo table
     versus computed fresh — Metropolis walks revisit the same candidates
     constantly, so the hit rate is the main lever on online-phase runtime.
+
+    These counters, ``accepted_steps`` and ``feasible_steps`` cover the
+    steps the walk ran, while ``iterations`` reports the configured count:
+    a walk that stops once no remaining step could change its outcome (see
+    :func:`mcmc_search`) skips only steps that would have been memo hits.
 
     ``trace`` holds the per-iteration correlation of the walk's current state,
     but only when the walk ran with ``MCMCConfig(record_trace=True)`` — it is
@@ -167,18 +174,56 @@ def _edge_alternatives(
     return tuple(choice for choice in choices if choice != attributes)
 
 
+def _space_size(
+    start: TargetGraph,
+    alternatives: Sequence[tuple[frozenset[str], ...]],
+    wanted: frozenset[str],
+    limit: int,
+) -> int | None:
+    """How many graphs edge swaps can reach from ``start``, or ``None``.
+
+    ``alternatives[i]`` are edge ``i``'s other join attribute sets, so the
+    edge takes one of ``len(alternatives[i]) + 1`` sets and the product over
+    the edges bounds the walk's space.  That bounds the distinct signatures
+    only when a graph is fixed by its edges alone, with every projection its
+    join attributes plus the start's extras.  An edge swap keeps a node's
+    extras and requested attributes, so this holds unless an attribute that
+    some set of a swappable edge joins on is requested, or is an extra of
+    one of the edge's nodes: the swaps would then carry it in or out of a
+    projection.  The answer is ``None`` then, and when the product exceeds
+    ``limit``.
+    """
+    size = 1
+    for options in alternatives:
+        size *= len(options) + 1
+        if size > limit:
+            return None
+    required = start.required_join_attributes
+    for index, options in enumerate(alternatives):
+        if not options:
+            continue
+        joined = start.edges[index].union(*options)
+        for node in (start.parents[index], index + 1):
+            extras = start.projections[start.nodes[node]] - required[node]
+            if not joined.isdisjoint(wanted | extras):
+                return None
+    return size
+
+
 def _propose_edge_swap(
     current: TargetGraph,
     join_graph: JoinGraph,
     rng: random.Random,
     moves: dict[tuple[int, frozenset[str]], tuple[frozenset[str], ...]],
     transitions: dict[tuple, TargetGraph],
+    keep: frozenset[str],
 ) -> TargetGraph | None:
     """Pick a random edge and a random *different* join attribute set for it.
 
     ``moves`` and ``transitions`` are the walk's move table and transition
     memo (see :func:`mcmc_search`); a proposal that either of them already
-    knows costs no join-graph lookup and builds no graph.
+    knows costs no join-graph lookup and builds no graph.  The proposal's
+    projections keep the attributes of ``keep`` they held.
     """
     edges = current.edges
     if not edges:
@@ -194,14 +239,14 @@ def _propose_edge_swap(
     move = (current.signature(), index, attributes)
     proposal = transitions.get(move)
     if proposal is None:
-        proposal = transitions[move] = current.replace_edge(index, attributes)
+        proposal = transitions[move] = current.replace_edge(index, attributes, keep)
     return proposal
 
 
 def _propose_projection_flip(
     current: TargetGraph,
     join_graph: JoinGraph,
-    wanted: set[str],
+    wanted: frozenset[str],
     rng: random.Random,
 ) -> TargetGraph | None:
     """Toggle one optional (non-join, non-requested) attribute in one projection."""
@@ -248,6 +293,13 @@ def mcmc_search(
     walks run under ``config.executor`` and the returned
     :class:`~repro.search.chains.MultiChainResult` (a drop-in superset of
     :class:`MCMCResult`) carries the best feasible target graph across chains.
+
+    A walk without projection flips stops early once no remaining step could
+    change its outcome: at once when its start cannot move, and, without a
+    trace, once it has evaluated every graph its edge swaps can reach, none
+    of them fired the hook and none beats its best.  Its best graph and
+    evaluation, the evaluation memo and the hook's random stream are then
+    those of the walk that runs every step.
 
     Parameters
     ----------
@@ -321,7 +373,7 @@ def mcmc_search(
         )
     rng = random.Random(config.seed)
     pricing = join_graph.pricing
-    wanted = set(source_attributes) | set(target_attributes)
+    wanted = frozenset(source_attributes) | frozenset(target_attributes)
 
     # The walk revisits candidates constantly (edge swaps are frequently
     # undone), so evaluations are memoised by canonical graph signature, and
@@ -392,18 +444,34 @@ def mcmc_search(
 
     flip_probability = config.projection_flip_probability
     flips = flip_probability > 0
-    if not flips and not any(
-        moves.setdefault((index, edge), _edge_alternatives(current, index, join_graph))
-        for index, edge in enumerate(current.edges)
-    ):
-        # A dead start: no flips and no edge with an alternative, so every
-        # proposal is None and the walk never moves.  Its only draws are from
-        # its private ``rng``, so stopping here changes no other stream; the
-        # result is what the loop would return.
+    # Without flips a walk moves by edge swaps alone, over a space it can
+    # count (``_space_size``).  A space of one graph is a dead start: every
+    # proposal is None and the walk never moves, so it stops here.  Its
+    # only draws are from its private ``rng``, so stopping changes no other
+    # stream; the result is what the loop would return.
+    space = None
+    if not flips:
+        alternatives = [
+            moves.setdefault((index, edge), _edge_alternatives(current, index, join_graph))
+            for index, edge in enumerate(current.edges)
+        ]
+        space = _space_size(current, alternatives, wanted, config.iterations + 1)
+    if space == 1:
         result.iterations = config.iterations
         if record_trace:
             result.trace = [current_eval.correlation] * config.iterations
         return result
+    # A larger space the walk could exhaust: ``seen`` records the signature
+    # of every graph it evaluates, memo hits included, and ``top`` the
+    # highest correlation of a feasible one.  Once ``seen`` holds the whole
+    # space, no evaluation has fired (an unfired one is memoised) and none
+    # beats the best, every later proposal is a memo hit that cannot change
+    # the best: the walk stops with the best, the evaluation memo and the
+    # hook's stream of the full walk.  The trace would need every step.
+    seen = None
+    if space is not None and not record_trace:
+        seen = {current.signature()}
+        top = -math.inf
 
     for _ in range(config.iterations):
         result.iterations += 1
@@ -411,35 +479,42 @@ def mcmc_search(
         if flips and rng.random() < flip_probability:
             proposal = _propose_projection_flip(current, join_graph, wanted, rng)
         if proposal is None:
-            proposal = _propose_edge_swap(current, join_graph, rng, moves, transitions)
+            proposal = _propose_edge_swap(current, join_graph, rng, moves, transitions, wanted)
         if proposal is None:
             if record_trace:
                 result.trace.append(current_eval.correlation)
             continue
 
         proposal_eval = evaluate(proposal)
-        if not proposal_eval.satisfies(
+        feasible = proposal_eval.satisfies(
             max_weight=max_weight, min_quality=min_quality, budget=budget
-        ):
-            if record_trace:
-                result.trace.append(current_eval.correlation)
-            continue
-        result.feasible_steps += 1
-
-        if current_eval.correlation <= 0:
-            acceptance = 1.0
-        else:
-            acceptance = min(1.0, proposal_eval.correlation / current_eval.correlation)
-        if rng.random() <= acceptance:
-            current, current_eval = proposal, proposal_eval
-            result.accepted_steps += 1
-            if (
-                result.best_evaluation is None
-                or current_eval.correlation > result.best_evaluation.correlation
-            ):
-                result.best_graph = current
-                result.best_evaluation = current_eval
+        )
+        if feasible:
+            result.feasible_steps += 1
+            if current_eval.correlation <= 0:
+                acceptance = 1.0
+            else:
+                acceptance = min(1.0, proposal_eval.correlation / current_eval.correlation)
+            if rng.random() <= acceptance:
+                current, current_eval = proposal, proposal_eval
+                result.accepted_steps += 1
+                if (
+                    result.best_evaluation is None
+                    or current_eval.correlation > result.best_evaluation.correlation
+                ):
+                    result.best_graph = current
+                    result.best_evaluation = current_eval
         if record_trace:
             result.trace.append(current_eval.correlation)
+        elif seen is not None:
+            seen.add(proposal.signature())
+            if feasible and proposal_eval.correlation > top:
+                top = proposal_eval.correlation
+            if len(seen) == space and not lineages:
+                best = result.best_evaluation
+                beaten = result.feasible_steps > 0 if best is None else top > best.correlation
+                if not beaten:
+                    result.iterations = config.iterations
+                    break
 
     return result

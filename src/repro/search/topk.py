@@ -142,6 +142,7 @@ def top_k_acquisition(
     )
 
     pricing = join_graph.pricing
+    wanted = frozenset(source_attributes) | frozenset(target_attributes)
     best_by_signature: dict[frozenset, tuple[float, TargetGraph, TargetGraphEvaluation]] = {}
 
     def consider(graph: TargetGraph) -> None:
@@ -191,7 +192,7 @@ def top_k_acquisition(
                 continue
             for attrs in join_graph.edge(parent, child).join_attribute_choices():
                 if attrs != seed_graph.edges[edge_index]:
-                    consider(seed_graph.replace_edge(edge_index, attrs))
+                    consider(seed_graph.replace_edge(edge_index, attrs, keep=wanted))
 
     ranked = sorted(best_by_signature.values(), key=lambda item: item[0], reverse=True)
     return [

@@ -13,7 +13,10 @@ standard library:
     honoured exactly as in :meth:`AcquisitionService.acquire_batch`, so the
     served bits are bit-identical to direct library calls.  A body declared
     longer than :data:`MAX_BODY_BYTES` is refused with ``413`` before any of
-    it is read.
+    it is read, and one that ends before its declared ``Content-Length``
+    with ``400``.  A client that disconnects before its response is written
+    gets nothing more: the server stops reading or writing and closes the
+    connection.
 
 ``GET /metrics``
     The service's :meth:`metrics` payload rendered as Prometheus text
@@ -602,8 +605,13 @@ class _AcquisitionHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for key, value in (headers or {}).items():
             self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.end_headers()
+            self.wfile.write(body)
+        except ConnectionError:
+            # The client left before its response was written: there is no
+            # one to answer, so stop writing and close, with no 500 after it.
+            self.close_connection = True
 
     def _send_json(
         self, status: int, payload: object, headers: Mapping[str, str] | None = None
@@ -677,6 +685,15 @@ class _AcquisitionHandler(BaseHTTPRequestHandler):
             return
         try:
             raw = self.rfile.read(length) if length > 0 else b""
+        except ConnectionError:
+            # The client left mid-request: there is no one to answer.
+            self.close_connection = True
+            return
+        if len(raw) < length:
+            message = f"the body ended after {len(raw)} of its {length} declared bytes"
+            self._send_json(400, {"error": {"type": "InvalidRequest", "message": message}})
+            return
+        try:
             spec = json.loads(raw.decode("utf-8")) if raw else {}
         except (ValueError, UnicodeDecodeError) as error:
             message = f"invalid JSON body: {error}"

@@ -108,6 +108,34 @@ class TestMutation:
         assert "totalprice" in replaced.projections["orders"]
         assert "nname" in replaced.projections["nations"]
 
+    def test_an_edge_swap_keeps_a_requested_join_attribute(self):
+        """Requesting ``a -> v`` over ``t0(k, a) ⋈ t1(k, a, v)``, joined on
+        ``k``: ``a`` is requested and also a join attribute choice.  Swapping
+        the edge to ``a`` and back to ``k`` must return the start graph, with
+        ``a`` in both projections, not a graph that no longer covers the
+        request (CORR 0)."""
+        tables = {
+            "t0": Table.from_rows("t0", ["k", "a"], [(i, f"a{i % 3}") for i in range(12)]),
+            "t1": Table.from_rows(
+                "t1", ["k", "a", "v"], [(i, f"a{i % 4}", f"v{i % 3 == 0}") for i in range(12)]
+            ),
+        }
+        start = TargetGraph(
+            nodes=["t0", "t1"],
+            edges=[frozenset({"k"})],
+            projections={"t0": {"k", "a"}, "t1": {"k", "a", "v"}},
+        )
+        wanted = frozenset({"a", "v"})
+        back = start.replace_edge(0, {"a"}, keep=wanted).replace_edge(0, {"k"}, keep=wanted)
+        assert back.projections == start.projections
+        assert back.signature() == start.signature()
+
+        def evaluate(graph):
+            return graph.evaluate(tables, ["a"], ["v"], [], FlatAttributePricingModel())
+
+        assert evaluate(start).correlation > 0.0
+        assert evaluate(back) == evaluate(start)
+
     def test_replace_edge_out_of_range(self, path_graph):
         with pytest.raises(SearchError):
             path_graph.replace_edge(5, {"custkey"})

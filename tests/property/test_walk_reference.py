@@ -8,7 +8,10 @@ graph with a two-construction ``replace_edge``, and recomputes the signature.
 On generated join graphs both walks must return the same result, leave the
 same evaluation memo behind, and leave the re-sampling hook in the same state.
 The reference also runs every iteration of a walk whose start has no move
-(no flips, no edge with an alternative), which ``mcmc_search`` stops early.
+(no flips, no edge with an alternative), which ``mcmc_search`` stops early,
+and of a walk without a trace that has evaluated every graph its edge swaps
+can reach, which ``mcmc_search`` stops once no later step could change its
+outcome; only its step counters may then fall short of the reference's.
 The reference keeps its join lineages to itself, so a walk that replays
 lineages another walk built and left in a shared
 :class:`~repro.relational.joins.LineageMemo` must match it too.
@@ -54,8 +57,11 @@ def reference_required(graph: TargetGraph, node_index: int) -> set[str]:
     return required
 
 
-def reference_replace_edge(graph: TargetGraph, index: int, attributes) -> TargetGraph:
-    """Build the edge-swapped graph, then build it again with re-derived projections."""
+def reference_replace_edge(
+    graph: TargetGraph, index: int, attributes, keep=frozenset()
+) -> TargetGraph:
+    """Build the edge-swapped graph, then build it again with re-derived
+    projections, which keep the attributes of ``keep`` they held."""
     new_edges = list(graph.edges)
     new_edges[index] = frozenset(attributes)
     replacement = TargetGraph(
@@ -69,6 +75,7 @@ def reference_replace_edge(graph: TargetGraph, index: int, attributes) -> Target
     for node_index, name in enumerate(graph.nodes):
         old_required = reference_required(graph, node_index)
         extras = set(graph.projections[name]) - old_required
+        extras |= set(graph.projections[name]) & set(keep)
         new_required = reference_required(replacement, node_index)
         projections[name] = frozenset(new_required | extras)
     return TargetGraph(
@@ -80,7 +87,7 @@ def reference_replace_edge(graph: TargetGraph, index: int, attributes) -> Target
     )
 
 
-def reference_edge_swap(current, join_graph, rng):
+def reference_edge_swap(current, join_graph, wanted, rng):
     if not current.edges:
         return None
     index = rng.randrange(len(current.edges))
@@ -92,7 +99,7 @@ def reference_edge_swap(current, join_graph, rng):
     alternatives = [attrs for attrs in choices if attrs != current.edges[index]]
     if not alternatives:
         return None
-    return reference_replace_edge(current, index, rng.choice(alternatives))
+    return reference_replace_edge(current, index, rng.choice(alternatives), wanted)
 
 
 def reference_projection_flip(current, join_graph, wanted, rng):
@@ -174,7 +181,7 @@ def reference_walk(
         if flip > 0 and rng.random() < flip:
             proposal = reference_projection_flip(current, join_graph, wanted, rng)
         if proposal is None:
-            proposal = reference_edge_swap(current, join_graph, rng)
+            proposal = reference_edge_swap(current, join_graph, wanted, rng)
         if proposal is None:
             result.trace.append(current_eval.correlation)
             continue
@@ -213,7 +220,16 @@ def trees(draw):
 
 
 @st.composite
-def walk_scenarios(draw, dead: bool = False, hooks=("none", "idle", "fires")):
+def walk_scenarios(
+    draw,
+    dead: bool = False,
+    hooks=("none", "idle", "fires"),
+    flips=(0.0, 0.5),
+    source_keys=(False, True),
+    moving: bool = False,
+    record_trace: bool = True,
+    iterations: tuple[int, int] = (0, 60),
+):
     """Tables on a tree, their join graph, a starting graph and the walk's knobs.
 
     Edge ``i`` shares 1-3 key columns ``e<i>k<j>`` between its endpoints;
@@ -223,17 +239,26 @@ def walk_scenarios(draw, dead: bool = False, hooks=("none", "idle", "fires")):
     One edge may be missing from the join graph, which then knows no
     alternative for it.  A ``dead`` scenario gives every edge one key and
     one-key join attribute sets, so no edge has an alternative: without
-    flips, the walk starts dead.  ``hooks`` are the hook kinds to draw from.
+    flips, the walk starts dead.  A ``moving`` one gives every edge two or
+    more keys and misses none, so every edge has an alternative.  Otherwise
+    the source ``v0`` may also be a key of edge 0, which a swap can then
+    join on and swap away from.  ``hooks`` are the hook kinds, ``flips`` the
+    flip probabilities and ``source_keys`` the source-key choices to draw
+    from; ``iterations`` bounds the walk's length.
     """
     size, parents = draw(trees())
     max_size = 1 if dead else draw(st.sampled_from([1, 2]))
     keys = [
         [
             f"e{edge}k{j}"
-            for j in range(1 if dead else draw(st.integers(1, 3 if max_size == 1 else 2)))
+            for j in range(
+                1 if dead else draw(st.integers(1 + moving, 3 if max_size == 1 else 2))
+            )
         ]
         for edge in range(size - 1)
     ]
+    if not dead and draw(st.sampled_from(source_keys)):
+        keys[0].append("v0")
     tables = {}
     for node in range(size):
         rows = draw(st.integers(min_value=1, max_value=8))
@@ -252,7 +277,7 @@ def walk_scenarios(draw, dead: bool = False, hooks=("none", "idle", "fires")):
         tables[f"t{node}"] = Table(f"t{node}", Schema(attributes), columns)
     names = list(tables)
     samples = dict(tables)
-    missing = draw(st.none() | st.integers(min_value=0, max_value=size - 2))
+    missing = None if moving else draw(st.none() | st.integers(0, size - 2))
     if missing is not None:
         child = names[missing + 1]
         samples[child] = tables[child].project(
@@ -303,10 +328,10 @@ def walk_scenarios(draw, dead: bool = False, hooks=("none", "idle", "fires")):
         min_quality=draw(st.sampled_from([0.0, 0.5])),
         hook_args=hook_args,
         config=MCMCConfig(
-            iterations=draw(st.integers(min_value=0, max_value=60)),
+            iterations=draw(st.integers(*iterations)),
             seed=draw(st.integers(min_value=0, max_value=50)),
-            projection_flip_probability=draw(st.sampled_from([0.0, 0.5])),
-            record_trace=True,
+            projection_flip_probability=draw(st.sampled_from(flips)),
+            record_trace=record_trace,
         ),
     )
 
@@ -332,8 +357,11 @@ def new_hook(scenario) -> ResamplingPolicy | None:
     return None if args is None else ResamplingPolicy(**args)
 
 
-def assert_walk_matches_reference(scenario, lineage_memo: LineageMemo | None = None) -> None:
-    """``mcmc_search``, handed ``lineage_memo``, against the reference walk."""
+def walk_and_reference(
+    scenario, lineage_memo: LineageMemo | None = None
+) -> tuple[MCMCResult, MCMCResult]:
+    """``mcmc_search``, handed ``lineage_memo``, and the reference walk on
+    ``scenario``; both must leave the same evaluation memo and hook state."""
     positional, constraints = walk_arguments(scenario)
     runs = []
     for walk, shared in ((mcmc_search, {"lineage_memo": lineage_memo}), (reference_walk, {})):
@@ -351,14 +379,20 @@ def assert_walk_matches_reference(scenario, lineage_memo: LineageMemo | None = N
     (walked, walked_cache, walked_hook), (expected, expected_cache, expected_hook) = runs
     assert signature_or_none(walked.best_graph) == signature_or_none(expected.best_graph)
     assert walked.best_evaluation == expected.best_evaluation
-    assert walked.accepted_steps == expected.accepted_steps
-    assert walked.feasible_steps == expected.feasible_steps
     assert walked.iterations == expected.iterations
-    assert walked.evaluation_cache_hits == expected.evaluation_cache_hits
     assert walked.evaluation_cache_misses == expected.evaluation_cache_misses
-    assert walked.trace == expected.trace
     assert walked_cache == expected_cache
     assert walked_hook == expected_hook
+    return walked, expected
+
+
+def assert_walk_matches_reference(scenario, lineage_memo: LineageMemo | None = None) -> None:
+    """A walk that records its trace matches the reference step for step."""
+    walked, expected = walk_and_reference(scenario, lineage_memo)
+    assert walked.accepted_steps == expected.accepted_steps
+    assert walked.feasible_steps == expected.feasible_steps
+    assert walked.evaluation_cache_hits == expected.evaluation_cache_hits
+    assert walked.trace == expected.trace
 
 
 class TestWalkMatchesReference:
@@ -397,6 +431,36 @@ class TestWalkMatchesReference:
         assert_walk_matches_reference(scenario, memo)
         assert memo.rows == sum(memo.get(key).rows for key in memo.keys())
 
+    def test_a_walk_without_a_trace_stops_with_the_reference_outcome(self):
+        """Without flips or a trace, a walk that has evaluated every graph its
+        edge swaps can reach, none of them fired and none beating its best,
+        stops there.  It returns the reference's best graph and evaluation,
+        evaluation memo, hook state, iterations and misses, with no more
+        hits, accepted steps or feasible steps; most of these walks stop
+        early, and a stopped walk has fewer hits than the reference."""
+        stopped = []
+
+        @settings(max_examples=200, deadline=None)
+        @given(
+            walk_scenarios(
+                flips=(0.0,),
+                source_keys=(False,),
+                moving=True,
+                record_trace=False,
+                iterations=(100, 300),
+            )
+        )
+        def check(scenario):
+            walked, expected = walk_and_reference(scenario)
+            assert walked.evaluation_cache_hits <= expected.evaluation_cache_hits
+            assert walked.accepted_steps <= expected.accepted_steps
+            assert walked.feasible_steps <= expected.feasible_steps
+            assert walked.trace == []
+            stopped.append(walked.evaluation_cache_hits < expected.evaluation_cache_hits)
+
+        check()
+        assert any(stopped)
+
 
 @st.composite
 def graphs(draw):
@@ -426,8 +490,9 @@ class TestTargetGraphPasses:
     def test_replace_edge_matches_two_constructions(self, graph, data):
         index = data.draw(st.integers(0, len(graph.edges) - 1))
         attributes = data.draw(st.sets(st.sampled_from(["a", "b", "c", "d"]), min_size=1))
-        replaced = graph.replace_edge(index, attributes)
-        expected = reference_replace_edge(graph, index, attributes)
+        keep = data.draw(st.frozensets(st.sampled_from(["a", "b", "x"])))
+        replaced = graph.replace_edge(index, attributes, keep)
+        expected = reference_replace_edge(graph, index, attributes, keep)
         assert replaced == expected
         assert replaced.signature() == reference_signature(expected)
 

@@ -9,6 +9,7 @@ import pytest
 from repro.exceptions import InfeasibleAcquisitionError, SearchError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.steiner import minimal_weight_igraph
+from repro.graph.target import TargetGraph
 from repro.quality.fd import FunctionalDependency
 from repro.relational.table import Table, bernoulli_mask
 from repro.search.candidates import build_initial_target_graph
@@ -123,11 +124,12 @@ class TestMCMCSearch:
     def test_evaluation_cache_reports_hit_rate(self, setup):
         """Revisited candidates are served from the memo table and counted."""
         join_graph, initial, tables, fds = setup
+        # A walk that records its trace runs every step.
         result = mcmc_search(
             join_graph, initial, tables, ["measure"], ["label"], fds,
-            budget=1e9, config=MCMCConfig(iterations=100, seed=0),
+            budget=1e9, config=MCMCConfig(iterations=100, seed=0, record_trace=True),
         )
-        # Only two join-attribute choices exist, so a 100-step walk must
+        # Only three join-attribute choices exist, so a 100-step walk must
         # revisit previously-evaluated candidates many times.
         assert result.evaluation_cache_hits > 0
         assert result.evaluation_cache_misses >= 1
@@ -158,17 +160,103 @@ class TestMCMCSearch:
             intermediate_hook=always_resample,
         )
         assert result.evaluation_cache_hits == 0
-        assert result.evaluation_cache_misses > 1
+        # A walk whose evaluations fire runs every step.
+        assert result.evaluation_cache_misses == 41
 
     def test_noop_hook_keeps_memoisation(self, setup):
         """A hook that never alters the intermediate keeps full caching."""
         join_graph, initial, tables, fds = setup
         result = mcmc_search(
             join_graph, initial, tables, ["measure"], ["label"], fds,
-            budget=1e9, config=MCMCConfig(iterations=100, seed=0),
+            budget=1e9, config=MCMCConfig(iterations=100, seed=0, record_trace=True),
             intermediate_hook=SimpleNamespace(draw=lambda num_rows: None),
         )
         assert result.evaluation_cache_hits > 0
+
+    @pytest.mark.parametrize("hook", [None, SimpleNamespace(draw=lambda num_rows: None)])
+    def test_a_walk_that_has_seen_its_whole_space_stops(self, setup, hook):
+        """The edge takes one of three join attribute sets.  Without a trace the
+        walk stops within a few evaluations of having seen all three, and
+        returns the best graph and evaluation of the walk that runs every step."""
+        join_graph, initial, tables, fds = setup
+        full, stopped = (
+            mcmc_search(
+                join_graph, initial, tables, ["measure"], ["label"], fds,
+                budget=1e9, intermediate_hook=hook,
+                config=MCMCConfig(iterations=100, seed=0, record_trace=record_trace),
+            )
+            for record_trace in (True, False)
+        )
+        assert stopped.evaluation_cache_misses == full.evaluation_cache_misses == 3
+        assert stopped.evaluation_cache_hits + stopped.evaluation_cache_misses <= 6
+        assert full.evaluation_cache_hits + full.evaluation_cache_misses == 101
+        assert stopped.iterations == full.iterations == 100
+        assert stopped.best_graph.signature() == full.best_graph.signature()
+        assert stopped.best_evaluation == full.best_evaluation
+        assert stopped.trace == []
+
+    def test_a_walk_stops_only_once_no_graph_it_has_seen_beats_its_best(self):
+        """The start joins on ``(k1, k2)``, whose JI weight is over α = 0: it is
+        infeasible and has the highest CORR, 1.0.  At seed 5 the walk rejects
+        proposals from it until it accepts ``k2`` (CORR 0.40), and has then
+        seen all three graphs.  ``k1`` (CORR 0.49) still beats its best, so it
+        walks on until it accepts ``k1``, as the walk that runs every step."""
+        facts = Table.from_rows(
+            "facts",
+            ["k1", "k2", "m"],
+            [(0, 3, 5.0), (1, 0, 3.0), (3, 2, 5.0), (2, 3, 5.0),
+             (2, 1, 4.0), (0, 3, 5.0), (0, 2, 5.0), (0, 2, 1.0)],
+        )
+        dims = Table.from_rows(
+            "dims",
+            ["k1", "k2", "label"],
+            [(1, 3, "c"), (2, 2, "b"), (2, 3, "d"), (0, 0, "b"), (2, 1, "b")],
+        )
+        join_graph = JoinGraph([facts, dims], source_instances=["facts"])
+        start = TargetGraph(
+            nodes=["facts", "dims"],
+            edges=[frozenset({"k1", "k2"})],
+            projections={"facts": {"k1", "k2", "m"}, "dims": {"k1", "k2", "label"}},
+            source_instances=frozenset({"facts"}),
+        )
+        tables = {"facts": facts, "dims": dims}
+        fds = [FunctionalDependency("k1", "label")]
+        full, stopped = (
+            mcmc_search(
+                join_graph, start, tables, ["m"], ["label"], fds,
+                budget=1e9, max_weight=0.0,
+                config=MCMCConfig(iterations=60, seed=5, record_trace=record_trace),
+            )
+            for record_trace in (True, False)
+        )
+        # The walk that runs every step accepts k2, then k1.
+        assert full.trace[5] == 1.0
+        assert full.trace[6] < full.trace[7] == full.best_evaluation.correlation
+        assert stopped.best_graph.edges == full.best_graph.edges == [frozenset({"k1"})]
+        assert stopped.best_evaluation == full.best_evaluation
+        assert stopped.evaluation_cache_hits < full.evaluation_cache_hits
+
+    def test_a_walk_over_a_requested_join_attribute_runs_every_step(self, setup):
+        """Requesting ``bad_key``, which the edge may join on, leaves the count
+        unknown: a swap keeps a requested attribute in a projection, so the
+        graph is not fixed by its edges alone."""
+        join_graph, _, tables, fds = setup
+        igraph = minimal_weight_igraph(join_graph, ["facts", "dims"], rng=0)
+        initial = build_initial_target_graph(join_graph, igraph, ["measure"], ["bad_key"])
+        result = mcmc_search(
+            join_graph, initial, tables, ["measure"], ["bad_key"], fds,
+            budget=1e9, config=MCMCConfig(iterations=100, seed=0),
+        )
+        assert result.evaluation_cache_hits + result.evaluation_cache_misses == 101
+
+    def test_a_walk_over_a_space_larger_than_its_steps_runs_every_step(self, setup):
+        """One step cannot see all three graphs, so the walk records nothing."""
+        join_graph, initial, tables, fds = setup
+        result = mcmc_search(
+            join_graph, initial, tables, ["measure"], ["label"], fds,
+            budget=1e9, config=MCMCConfig(iterations=1, seed=0),
+        )
+        assert result.evaluation_cache_hits + result.evaluation_cache_misses == 2
 
     def test_cached_walk_matches_uncached_evaluations(self, setup):
         """Memoised evaluations must be value-identical to fresh ones."""

@@ -4,11 +4,16 @@ A small TPC-H 0.2 scenario is served serially through one
 :class:`~repro.service.AcquisitionService`: Q1-Q3 at two MCMC seeds, the same
 queries under a re-sampling threshold low enough to fire the hook (so the
 join-lineage replays run), and one top-k call (so projection flips run).
-Correlation, price and quality are compared as ``float.hex()``, with the SQL.
+TPC-E 0.3's Q1-Q3 follow at the same two seeds: their walks move over
+spaces of several target graphs, which they stop walking once they have
+evaluated every one.  Correlation, price and quality are compared as
+``float.hex()``, with the SQL.
 
-The file records the answers of the code as it was before the walk served
-repeated proposals from its move table and transition memo; only a change
-meant to alter answers may regenerate it, with::
+The TPC-H entries record the answers of the code as it was before the walk
+served repeated proposals from its move table and transition memo, and the
+TPC-E entries those of the code before a walk stopped once it had seen its
+whole space.  Only a change meant to alter answers may regenerate the file,
+with::
 
     PYTHONPATH=src python tests/service/test_golden_answers.py \\
         > tests/service/data/golden_answers.json
@@ -31,6 +36,7 @@ from repro.search.mcmc import MCMCConfig
 from repro.search.topk import top_k_acquisition
 from repro.service import AcquisitionService
 from repro.workloads.queries import queries_for
+from repro.workloads.tpce import tpce_workload
 from repro.workloads.tpch import tpch_workload
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_answers.json"
@@ -49,44 +55,56 @@ def answer(label: str, correlation, price, quality, sql) -> dict:
     }
 
 
-def serve_answers() -> list[dict]:
-    workload = tpch_workload(scale=0.2, seed=0)
+def serving(workload, resampling: ResamplingPolicy) -> AcquisitionService:
+    """A serial service over ``workload``'s hosted tables."""
     pricing = EntropyPricingModel()
-    queries = queries_for(workload)
+    marketplace = Marketplace(default_pricing=pricing)
+    for name in workload.tables:
+        marketplace.host(
+            MarketplaceDataset(table=workload.dirty_or_clean(name), pricing=pricing)
+        )
+    config = DanceConfig(
+        sampling_rate=0.5,
+        mcmc=MCMCConfig(seed=0),
+        resampling=resampling,
+        service=ServiceConfig(max_batch_workers=1),
+    )
+    return AcquisitionService(marketplace, config)
+
+
+def serve_queries(service, queries, seeds, eta: int, prefix: str = "") -> list[dict]:
+    """The answers to ``queries`` at each of ``seeds``, in that order."""
     requests = {
         name: AcquisitionRequest(
             list(query.source_attributes), list(query.target_attributes), budget=1000.0
         )
         for name, query in queries.items()
     }
+    answers = []
+    for seed in seeds:
+        for name, request in requests.items():
+            result = service.acquire(request, seed=seed)
+            answers.append(
+                answer(
+                    f"{prefix}{name} seed={seed} eta={eta}",
+                    result.estimated_correlation,
+                    result.estimated_price,
+                    result.estimated_quality,
+                    result.sql(),
+                )
+            )
+    return answers
+
+
+def serve_answers() -> list[dict]:
+    workload = tpch_workload(scale=0.2, seed=0)
+    queries = queries_for(workload)
     answers: list[dict] = []
     for resampling, seeds in ((ResamplingPolicy(), SEEDS), (
         ResamplingPolicy(threshold=FIRED_ETA, rate=0.5, seed=0), SEEDS[:1]
     )):
-        marketplace = Marketplace(default_pricing=pricing)
-        for name in workload.tables:
-            marketplace.host(
-                MarketplaceDataset(table=workload.dirty_or_clean(name), pricing=pricing)
-            )
-        config = DanceConfig(
-            sampling_rate=0.5,
-            mcmc=MCMCConfig(seed=0),
-            resampling=resampling,
-            service=ServiceConfig(max_batch_workers=1),
-        )
-        with AcquisitionService(marketplace, config) as service:
-            for seed in seeds:
-                for name, request in requests.items():
-                    result = service.acquire(request, seed=seed)
-                    answers.append(
-                        answer(
-                            f"{name} seed={seed} eta={resampling.threshold}",
-                            result.estimated_correlation,
-                            result.estimated_price,
-                            result.estimated_quality,
-                            result.sql(),
-                        )
-                    )
+        with serving(workload, resampling) as service:
+            answers += serve_queries(service, queries, seeds, resampling.threshold)
             if resampling.threshold == FIRED_ETA:
                 continue
             query = queries["Q3"]
@@ -111,6 +129,12 @@ def serve_answers() -> list[dict]:
                         [q.to_sql() for q in queries_for_target_graph(option.target_graph)],
                     )
                 )
+    tpce = tpce_workload(scale=0.3, seed=0)
+    resampling = ResamplingPolicy()
+    with serving(tpce, resampling) as service:
+        answers += serve_queries(
+            service, queries_for(tpce), SEEDS, resampling.threshold, prefix="TPC-E "
+        )
     return answers
 
 

@@ -13,6 +13,9 @@ from __future__ import annotations
 import http.client
 import json
 import re
+import socket
+import struct
+import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -437,6 +440,37 @@ def test_healthz_flips_during_graceful_shutdown(live_server):
         urllib.request.urlopen(f"{url}/healthz", timeout=5.0)
 
 
+@pytest.mark.parametrize("sent", [None, 10])
+def test_a_client_that_resets_before_its_response_leaves_no_error(live_server, sent):
+    """A client sends a whole request (``sent`` None), or the first ``sent``
+    bytes of its body, then resets the connection (SO_LINGER 0) before the
+    response is written.  The server stops reading or writing: no 500
+    follows on the dead socket and nothing reaches ``handle_error``.  It
+    serves the next request and drains."""
+    errors = []
+    live_server.handle_error = lambda request, address: errors.append(address)
+    closed = threading.Semaphore(0)
+    shutdown_request = live_server.shutdown_request
+
+    def shutdown_and_count(request):
+        shutdown_request(request)
+        closed.release()
+
+    live_server.shutdown_request = shutdown_and_count
+    spec = {"source": ["measure"], "target": ["label"], "budget": 1e9}
+    body = json.dumps({**spec, "seed": 3}).encode("utf-8")
+    head = f"POST /acquire HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n"
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=30.0) as client:
+        client.sendall(head.encode("ascii") + body[:sent])
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    assert closed.acquire(timeout=30.0)
+    assert errors == []
+    status, _, _ = http_json(f"http://127.0.0.1:{live_server.port}/acquire", spec)
+    assert status == 200
+    assert live_server.drain(timeout=10.0) is True
+    assert errors == []
+
+
 def test_nan_constraints_answer_422_before_admission(live_server):
     url = f"http://127.0.0.1:{live_server.port}"
     spec = {"source": ["measure"], "target": ["label"]}
@@ -511,17 +545,22 @@ def test_http_errors_carry_typed_bodies_not_tracebacks(live_server):
         assert (status, json.loads(raw)["error"]["type"]) == (400, "PricingError")
     assert live_server.service.metrics()["queue"]["admitted"] == admitted
 
-    # A bad Content-Length is answered before any of the body is read.
-    for length, expected in (
-        ("1000000000000", (413, "PayloadTooLarge")),
-        ("-5", (400, "InvalidRequest")),
+    # A bad Content-Length is answered before any of the body is read, and a
+    # body that ends (the client half-closes) before its declared length is
+    # refused, not served.
+    short = json.dumps(spec).encode("utf-8")
+    for length, body, expected in (
+        ("1000000000000", b"", (413, "PayloadTooLarge")),
+        ("-5", b"", (400, "InvalidRequest")),
+        ("100", short, (400, "InvalidRequest")),
     ):
         connection = http.client.HTTPConnection("127.0.0.1", live_server.port, timeout=30.0)
         try:
             connection.putrequest("POST", "/acquire")
             connection.putheader("Content-Type", "application/json")
             connection.putheader("Content-Length", length)
-            connection.endheaders()
+            connection.endheaders(body)
+            connection.sock.shutdown(socket.SHUT_WR)
             response = connection.getresponse()
             body = json.loads(response.read())
         finally:
