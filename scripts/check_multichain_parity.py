@@ -6,19 +6,19 @@ Both modes serve the TPC-H Q1-Q3 requests through real
 :class:`~repro.search.plan.ExecutionPlan` s and compare the served bits.
 
 **Sweep** (the CI ``bench-smoke`` check, ``--sweep``): serve once with one
-chain and once per four-chain plan: serial, thread, and process with and
-without the shared columnar store.  The four-chain plans must agree bit for
-bit, and one chain must match their correlations on this scenario.  Results
-depend only on ``(seed, chains)``, never on the executor or the scheduling
-order.  Every run is repeated with the re-sampling threshold ``eta`` lowered
+serial chain, once with four serial chains and once with four process
+chains (the service's shared-store pool).  The four-chain plans must agree
+bit for bit, and one chain must match their correlations on this scenario.
+Results depend only on ``(seed, chains)``, never on the executor or the
+scheduling order.  Every run is repeated with the re-sampling threshold ``eta`` lowered
 to ``FIRED_ETA``, so that the hook fires and the walks replay join lineages
 from their distinct-row summaries; there the four-chain plans must agree bit
 for bit (one chain draws differently, so its fired answers are not
 compared).
 
-**Executor check** (the CI ``shm-smoke`` check): ``--executor process
---shared-store`` serves under the requested plan and replays serially; the
-served bits must agree, a mid-run ``register_source_tables`` delta must be
+**Executor check** (the CI ``shm-smoke`` check): ``--executor process``
+serves under the requested plan and replays serially; the served bits must
+agree, a mid-run ``register_source_tables`` delta must be
 absorbed by the warm shared-store pool with **zero** full worker resyncs,
 no worker may unpickle the pinned worker spec more than once per published
 version, and every shared-memory segment must be unlinked on close.  The
@@ -28,13 +28,13 @@ registered before its first request: warm services alone would all agree
 on an entry that was wrongly kept.  A second replay lowers the re-sampling
 threshold ``eta`` to ``FIRED_ETA``, so that the correlated re-sampling hook
 fires on the served target graphs, and must agree bit for bit across the
-serial, thread and requested executors, before and after the delta.
+serial and requested executors, before and after the delta.
 
 Usage::
 
     PYTHONPATH=src python scripts/check_multichain_parity.py --sweep
     PYTHONPATH=src python scripts/check_multichain_parity.py \\
-        --executor process --shared-store [--chains 3] [--scale 0.2]
+        --executor process [--chains 3] [--scale 0.2]
 """
 
 from __future__ import annotations
@@ -107,14 +107,10 @@ def check_sweep(args) -> int:
     from repro.workloads.tpch import tpch_workload
 
     single = ExecutionPlan(executor="serial", chains=1)
-    plans = [single] + [
-        ExecutionPlan(executor=executor, chains=4, shared_store=shared_store)
-        for executor, shared_store in (
-            ("serial", None),
-            ("thread", None),
-            ("process", False),
-            ("process", True),
-        )
+    plans = [
+        single,
+        ExecutionPlan(executor="serial", chains=4),
+        ExecutionPlan(executor="process", chains=4),
     ]
     policies = {
         "default": ResamplingPolicy(),
@@ -143,7 +139,7 @@ def check_sweep(args) -> int:
                         fires(result.target_graph, join_graph, resampling)
                         for result in results
                     )
-                if plan.shared_store and service.describe()["shared_store"] is None:
+                if plan.executor == "process" and service.describe()["shared_store"] is None:
                     failures += 1
                     print(f"FAIL [{label} plan={plan.spec()}]: no shared store")
 
@@ -191,7 +187,7 @@ def check_live(args) -> int:
     from repro.core.config import DanceConfig, ServiceConfig
     from repro.sampling.resampling import ResamplingPolicy
     from repro.search.mcmc import MCMCConfig
-    from repro.search.plan import ExecutionPlan
+    from repro.search.plan import ExecutionPlan, pool_width
     from repro.search.shm import live_segments
     from repro.service import AcquisitionService
     from repro.workloads.tpch import tpch_workload
@@ -203,11 +199,7 @@ def check_live(args) -> int:
     # half of the memoised graphs join lineitem, so the delta both keeps and
     # drops memo entries.
     delta_table = workload.table("lineitem")
-    requested = ExecutionPlan(
-        executor=args.executor,
-        chains=args.chains,
-        shared_store=True if args.shared_store else None,
-    )
+    requested = ExecutionPlan(executor=args.executor, chains=args.chains)
 
     def config_for(plan, resampling: ResamplingPolicy) -> DanceConfig:
         return DanceConfig(
@@ -275,7 +267,7 @@ def check_live(args) -> int:
                     f"FAIL [{plan.spec()}, {label}]: the delta must keep and drop memo "
                     f"entries; kept {memo[0]}, dropped {memo[1]}"
                 )
-            if plan.executor == "process" and plan.wants_shared_store:
+            if plan.executor == "process":
                 if store_stats is None:
                     failures += 1
                     print(f"FAIL [{plan.spec()}, {label}]: no shared-store pool was built")
@@ -295,7 +287,7 @@ def check_live(args) -> int:
                     # A worker unpickles the pinned spec at most once per
                     # published version; a per-payload re-read would not.
                     versions = 1 + store_stats["deltas_published"] + store_stats["rebases"]
-                    if store_stats["worker_spec_loads"] > plan.resolved_workers() * versions:
+                    if store_stats["worker_spec_loads"] > pool_width(plan.chains) * versions:
                         failures += 1
                         print(
                             f"FAIL [{plan.spec()}, {label}]: workers re-read the pinned "
@@ -306,8 +298,7 @@ def check_live(args) -> int:
     serial = ExecutionPlan(executor="serial", chains=args.chains)
     outcomes, failures, _ = replay([serial, requested], ResamplingPolicy(), memo_split=True)
     fired_policy = ResamplingPolicy(threshold=FIRED_ETA, rate=0.5, seed=0)
-    thread = ExecutionPlan(executor="thread", chains=args.chains)
-    fired_plans = [serial, thread] + ([requested] if requested.executor != "thread" else [])
+    fired_plans = [serial, requested]
     _, fired_failures, fired = replay(fired_plans, fired_policy, memo_split=False)
     failures += fired_failures
     if not fired:
@@ -331,9 +322,9 @@ def check_live(args) -> int:
     )
     print(
         f"OK: {len(requests)} requests x 2 plans bit-identical "
-        f"(chains={args.chains}, executor={args.executor}, "
-        f"shared_store={bool(args.shared_store)}), and equal to a cold service after "
-        f"the delta; memo entries across the delta: {memo}; shared-store stats: {stats}; "
+        f"(chains={args.chains}, executor={args.executor}), and equal to a cold "
+        f"service after the delta; memo entries across the delta: {memo}; "
+        f"shared-store stats: {stats}; "
         f"eta={FIRED_ETA} fired on {fired}/{len(requests)} served graphs and "
         f"{len(fired_plans)} plans agree; no leaked segments"
     )
@@ -357,8 +348,6 @@ def main(argv: list[str]) -> int:
                         help="compare chains and executors (bench-smoke)")
     parser.add_argument("--executor", default=None,
                         help="executor to check against serial (shm-smoke)")
-    parser.add_argument("--shared-store", action="store_true",
-                        help="with --executor: force the shared columnar store on")
     parser.add_argument("--chains", type=int, default=3)
     parser.add_argument("--scale", type=float, default=0.2)
     parser.add_argument("--iterations", type=int, default=60)

@@ -307,7 +307,7 @@ def main() -> int:
         "--plan",
         default=None,
         help="serve the batch under this ExecutionPlan spec (e.g. "
-        "'executor=process,chains=3,shared_store=on'); the serial replay "
+        "'executor=process,chains=3'); the serial replay "
         "keeps the same chain count, so the contract stays (seed, chains)",
     )
     args = parser.parse_args()

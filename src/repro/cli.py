@@ -67,7 +67,7 @@ from repro.graph.export import join_graph_to_dot, write_dot, write_join_graph_js
 from repro.marketplace.dataset import MarketplaceDataset
 from repro.marketplace.market import Marketplace
 from repro.pricing.models import EntropyPricingModel
-from repro.search.mcmc import EXECUTORS, MCMCConfig
+from repro.search.mcmc import MCMCConfig
 from repro.search.topk import ScoreWeights, top_k_acquisition
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.service import AcquisitionService
@@ -121,14 +121,8 @@ def _service_marketplace(args: argparse.Namespace) -> tuple[Marketplace, object]
 def _build_dance(marketplace: Marketplace, args: argparse.Namespace) -> DANCE:
     config = DanceConfig(
         sampling_rate=args.sampling_rate,
-        mcmc=MCMCConfig(
-            iterations=args.mcmc_iterations,
-            seed=args.seed,
-            chains=args.chains,
-            executor=args.executor,
-        ),
+        mcmc=MCMCConfig(iterations=args.mcmc_iterations, seed=args.seed),
         num_landmarks=args.landmarks,
-        # --plan wins over --chains/--executor (DanceConfig folds it in).
         plan=getattr(args, "plan", None),
     )
     dance = DANCE(marketplace, config)
@@ -275,12 +269,7 @@ def _service_config(args: argparse.Namespace) -> DanceConfig:
     """The service-mode configuration shared by ``batch`` and ``metrics``."""
     return DanceConfig(
         sampling_rate=args.sampling_rate,
-        mcmc=MCMCConfig(
-            iterations=args.mcmc_iterations,
-            seed=args.seed,
-            chains=args.chains,
-            executor=args.executor,
-        ),
+        mcmc=MCMCConfig(iterations=args.mcmc_iterations, seed=args.seed),
         num_landmarks=args.landmarks,
         plan=getattr(args, "plan", None),
         service=ServiceConfig(
@@ -488,15 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--sampling-rate", type=float, default=0.5)
         sub.add_argument("--mcmc-iterations", type=int, default=100)
-        sub.add_argument("--chains", type=int, default=1,
-                         help="number of parallel MCMC chains (per I-graph)")
-        sub.add_argument("--executor", choices=EXECUTORS,
-                         default="serial", help="how multi-chain walks execute")
         sub.add_argument(
             "--plan",
             default=None,
-            help="execution plan spec, e.g. 'executor=process,chains=4,"
-            "shared_store=on,pool_policy=persistent'; overrides --chains/--executor",
+            help="execution plan spec, e.g. 'executor=process,chains=4' "
+            "(default: one serial chain per I-graph)",
         )
         sub.add_argument("--landmarks", type=int, default=4)
 

@@ -27,11 +27,6 @@ class ServiceConfig:
         Thread fan-out for :meth:`repro.service.AcquisitionService.acquire_batch`
         — how many requests execute concurrently.  ``1`` serves batches
         serially (results are bit-identical either way).
-    plan:
-        An :class:`~repro.search.plan.ExecutionPlan` (or its ``parse()``-able
-        string form) describing how searches execute: executor, chains, pool
-        width, shared columnar store, and pool policy.  Takes precedence over
-        the per-knob spelling; see :class:`DanceConfig.plan`.
     max_queue_depth:
         Bound on how many requests may be admitted (queued + executing) at
         once.  ``None`` (the default) admits everything.  Admission never
@@ -60,14 +55,12 @@ class ServiceConfig:
 
     seed: int | None = None
     max_batch_workers: int = 4
-    plan: ExecutionPlan | str | None = None
     max_queue_depth: int | None = None
     admission: str = "block"
     catalog_path: str | None = None
     qos: QosConfig = field(default_factory=QosConfig)
 
     def __post_init__(self) -> None:
-        self.plan = ExecutionPlan.normalize(self.plan)
         if not isinstance(self.qos, QosConfig):
             raise ReproError(f"qos must be a QosConfig, got {self.qos!r}")
         if self.max_batch_workers < 1:
@@ -102,10 +95,10 @@ class DanceConfig:
         ``eta`` and re-sampling rate; Figure 8 varies the rate).
     mcmc:
         Step 2 configuration (iterations ``ℓ``, seed, proposal mix, and the
-        parallel-search knobs: ``MCMCConfig(chains=N, executor="thread")``
+        parallel-search knobs: ``MCMCConfig(chains=N, executor="process")``
         runs N independently-seeded Metropolis chains per candidate I-graph
-        under the chosen executor — ``serial`` / ``thread`` / ``process`` —
-        sharing the evaluation and join-informativeness caches; results are
+        under the chosen executor — ``serial`` or ``process`` — sharing the
+        evaluation and join-informativeness caches; results are
         bit-identical for a fixed ``(seed, chains)`` whatever the executor.
         ``record_trace`` re-enables the per-iteration
         correlation trace).
@@ -124,13 +117,11 @@ class DanceConfig:
         Factor applied to the sampling rate on each refinement round.
     plan:
         An :class:`~repro.search.plan.ExecutionPlan` (object or
-        ``parse()``-able string like ``"executor=process,chains=4"``)
-        consolidating every execution knob: it overrides
-        ``mcmc.chains`` / ``mcmc.executor`` and supplies the service's pool
-        width, shared-store switch, and pool policy.  ``None`` (the default)
-        derives an equivalent plan from ``mcmc.chains`` / ``mcmc.executor``
-        (:meth:`execution_plan`).
-        A plan set on ``service`` applies too; a plan set here wins.
+        ``parse()``-able string like ``"executor=process,chains=4"``): it
+        overrides ``mcmc.chains`` / ``mcmc.executor``, and a service under a
+        multi-chain process plan serves it from one persistent pool.
+        ``None`` (the default) derives an equivalent plan from
+        ``mcmc.chains`` / ``mcmc.executor`` (:meth:`execution_plan`).
     service:
         Configuration of the long-lived acquisition service
         (:class:`ServiceConfig`: batch fan-out, per-request seed derivation,
@@ -153,8 +144,6 @@ class DanceConfig:
 
     def __post_init__(self) -> None:
         plan = ExecutionPlan.normalize(self.plan)
-        if plan is None and isinstance(self.service, ServiceConfig):
-            plan = self.service.plan
         if plan is not None:
             self.plan = plan
             self.mcmc = replace(self.mcmc, chains=plan.chains, executor=plan.executor)

@@ -39,8 +39,8 @@ class AcquisitionResult:
         and :class:`repro.search.chains.MultiChainResult`).
     mcmc_chains / mcmc_executor:
         How many Metropolis chains Step 2 ran and under which executor
-        (``serial`` / ``thread`` / ``process``); ``1`` / ``"serial"`` for the
-        paper's single-chain walk.
+        (``serial`` / ``process``); ``1`` / ``"serial"`` for the paper's
+        single-chain walk.
     mcmc_best_chain:
         Index of the chain that produced the recommended target graph
         (always 0 for a single-chain run).

@@ -107,6 +107,16 @@ class StorageError(ReproError):
     """
 
 
+class BrokenChainPoolError(ReproError):
+    """A worker process of a multi-chain process pool died mid-search.
+
+    The search that meets the broken pool fails with this error.  An
+    :class:`~repro.service.AcquisitionService` then disposes the pool and
+    its next request builds a fresh one, so the HTTP tier answers 503: a
+    retry is served.
+    """
+
+
 class SearchError(ReproError):
     """The online search cannot run with the provided request."""
 

@@ -14,9 +14,12 @@
     by Step 2 (MCMC on the AS-layer).
 ``chains``
     The parallel multi-chain extension of Step 2: several independently
-    seeded walks (serial / thread / process executors) sharing the
-    evaluation and join-informativeness caches, aggregated into the best
-    feasible result across chains.
+    seeded walks (serial or process executor) sharing the evaluation and
+    join-informativeness caches, aggregated into the best feasible result
+    across chains.
+``plan``
+    :class:`~repro.search.plan.ExecutionPlan`, the executor and chain count
+    of a search in one value, and the width rule of its process pools.
 """
 
 from repro.search.candidates import (

@@ -20,9 +20,10 @@ from repro.quality.fd import FunctionalDependency
 from repro.relational.joins import LineageMemo
 from repro.relational.table import Table
 from repro.search.candidates import build_initial_target_graph, terminal_instances
-from repro.search.chains import ChainPoolState, ChainScheduler, MultiChainResult
+from repro.search.chains import ChainScheduler, MultiChainResult
 from repro.search.mcmc import MCMCConfig, MCMCResult, mcmc_search
 from repro.search.plan import ExecutionPlan
+from repro.search.shm import SharedChainState
 
 
 @dataclass
@@ -59,8 +60,9 @@ class SearchRuntime:
         :class:`~repro.search.mcmc.MCMCResult` counter are those of walks
         with private lineages.  Multi-chain walks keep private lineages.
     ``pool`` / ``pool_state``
-        A persistent executor serving every multi-chain dispatch (see
-        :class:`~repro.search.chains.ChainScheduler`).
+        A persistent process pool and its shared columnar state serving
+        every multi-chain dispatch of a process plan (see
+        :func:`~repro.search.chains.shared_chain_pool`).
     ``step1_cache``
         Session-scoped memo for Step 1 (``minimal_weight_igraphs``), keyed on
         ``(terminal set, alpha, num_landmarks, landmark seed, graph
@@ -94,7 +96,7 @@ class SearchRuntime:
     lineage_memo: LineageMemo | None = None
     step1_cache: MutableMapping | None = None
     pool: object | None = None
-    pool_state: ChainPoolState | None = None
+    pool_state: SharedChainState | None = None
     mcmc_seed: int | None = None
     resampling: object | None = None
     allow_refinement: bool = False
@@ -157,7 +159,7 @@ def heuristic_acquisition(
     lineage_memo: LineageMemo | None = None,
     step1_cache: MutableMapping | None = None,
     pool=None,
-    pool_state: ChainPoolState | None = None,
+    pool_state: SharedChainState | None = None,
 ) -> HeuristicResult:
     """Run Step 1 + Step 2 and return the best feasible target graph found.
 
@@ -214,10 +216,10 @@ def heuristic_acquisition(
         skips the landmark/Steiner search entirely.  Only successful
         candidate lists are memoised; infeasibility always re-raises fresh.
     pool / pool_state:
-        Optional persistent executor (plus process-pool state) serving the
-        multi-chain walks instead of a fresh pool per request.  With
-        ``chains > 1`` every candidate's chains go to the executor in one
-        :meth:`~repro.search.chains.ChainScheduler.run_starts` dispatch.
+        Optional persistent process pool (plus its shared columnar state)
+        serving the multi-chain walks instead of a fresh pool per request.
+        With ``chains > 1`` every candidate's chains go to the executor in
+        one :meth:`~repro.search.chains.ChainScheduler.run_starts` dispatch.
 
     Raises
     ------

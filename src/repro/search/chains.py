@@ -1,20 +1,25 @@
 """Parallel multi-chain MCMC search (the ROADMAP's "parallel MCMC chains").
 
 Algorithm 1 of the paper is a single Metropolis walk.  On multi-modal
-AS-layers one walk can stall in a local optimum, and a single chain leaves
-multi-core hardware idle, so :class:`ChainScheduler` runs ``n`` independently
-seeded walks and keeps the best feasible target graph across all of them:
+AS-layers one walk can stall in a local optimum, so :class:`ChainScheduler`
+runs ``n`` independently seeded walks and keeps the best feasible target
+graph across all of them:
 
 * **Deterministic seeding** — every chain's seed is derived from the base seed
   by :func:`chain_seed` (chain 0 keeps the base seed), so the outcome of a
   multi-chain search depends only on ``(seed, chains)``: never on the
   executor or the scheduling order.
+* **Two executors** — ``serial`` chains run one after the other in the
+  calling process.  ``process`` chains run on a process pool: a persistent
+  :func:`shared_chain_pool` whose workers map the encoded samples from
+  shared memory (:mod:`repro.search.shm`), or, for a one-shot search or a
+  call the pool's state does not cover, workers that receive the join graph
+  and tables in every payload (:func:`_run_chain`).
 * **Shared caches** — chains explore overlapping candidate sets, so the
-  evaluation memo table and the per-edge join-informativeness cache are shared.
-  For the ``serial`` and ``thread`` executors the chains literally share two
-  :class:`LockStripedCache` instances (lock striping keeps thread contention
-  per-bucket); the ``process`` executor gives each worker private caches and
-  merges them afterwards.  Sharing is safe because every cached value is
+  evaluation memo table and the per-edge join-informativeness cache are
+  shared.  Serial chains literally share one pair of mappings; process
+  workers fill private memos and the scheduler merges what they added into
+  the caller's.  Sharing is safe because every cached value is
   deterministic: a chain served from another chain's entry computes nothing
   different, it just computes less.
 * **Aggregation** — the per-chain :class:`~repro.search.mcmc.MCMCResult`\\ s
@@ -41,11 +46,11 @@ from __future__ import annotations
 import copy
 import hashlib
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from repro.exceptions import InfeasibleAcquisitionError, SearchError
+from repro.exceptions import BrokenChainPoolError, InfeasibleAcquisitionError, SearchError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.target import TargetGraph, TargetGraphEvaluation
 from repro.quality.fd import FunctionalDependency
@@ -53,9 +58,7 @@ from repro.relational.table import Table
 from repro.sampling.resampling import ResamplingPolicy
 from repro.search import shm as _shm
 from repro.search.mcmc import EXECUTORS, MCMCConfig, MCMCResult, mcmc_search
-from repro.search.plan import ExecutionPlan
-
-_MAX_WORKERS = 8
+from repro.search.plan import pool_width
 
 
 def chain_seed(base_seed: int, chain_index: int) -> int:
@@ -79,14 +82,16 @@ def chain_seed(base_seed: int, chain_index: int) -> int:
 class LockStripedCache:
     """A dict striped over independently-locked buckets.
 
-    Supports the exact mapping surface the search hot path uses — ``get`` and
-    item assignment — plus ``len``.  Keys are routed to a stripe by hash, so
-    concurrent chains touching different candidates rarely contend on the
-    same lock.  (CPython's GIL already serialises single dict operations; the
-    stripes make the structure safe by construction rather than by
-    implementation detail, and keep the design portable to free-threaded
-    builds.)  ``keys`` and ``pop`` serve
-    :func:`~repro.graph.target.prune_memos` after a write.
+    The acquisition service keeps its JI cache and evaluation memos in these,
+    because the requests it serves concurrently (batch fan-out, HTTP handler
+    threads) read and fill them at once.  Supports the exact mapping surface
+    the search hot path uses — ``get`` and item assignment — plus ``len``.
+    Keys are routed to a stripe by hash, so concurrent requests touching
+    different candidates rarely contend on the same lock.  (CPython's GIL
+    already serialises single dict operations; the stripes make the
+    structure safe by construction rather than by implementation detail, and
+    keep the design portable to free-threaded builds.)  ``keys`` and ``pop``
+    serve :func:`~repro.graph.target.prune_memos` after a write.
     """
 
     __slots__ = ("_stripes", "_locks")
@@ -177,7 +182,7 @@ class MultiChainResult:
     ji_cache_size: int = 0
     # Shared-store pools only (see repro.search.shm): summed per-call worker
     # session accounting — cold_load / resyncs / deltas_applied /
-    # spec_loads.  Empty for every other executor path.
+    # spec_loads.  Empty for serial chains and full-payload workers.
     worker_stats: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------ aggregate
@@ -293,11 +298,15 @@ def _chain_hook(intermediate_hook, chain_index: int):
 
 
 def _run_chain(payload: tuple) -> tuple[MCMCResult, dict, dict]:
-    """Run one chain with private caches; return the result and its caches.
+    """Run one chain from a full payload with private caches.
 
-    Module-level so the process executor can pickle it.  The private caches
-    are returned for merging — under the process executor this is the only
-    way cache contents flow back to the scheduler.
+    The payload carries the join graph and the tables themselves.  A
+    one-shot search's private pool runs every chain this way, and so does a
+    persistent pool whose shared state does not cover a call (a write landed
+    between the request's snapshot and its dispatch, or the caller passed
+    tables the pool never published).  Returns the result and the caches for
+    merging: they are the only way cache contents flow back to the
+    scheduler.
     """
     (
         join_graph,
@@ -332,52 +341,6 @@ def _run_chain(payload: tuple) -> tuple[MCMCResult, dict, dict]:
     return result, evaluation_cache, ji_cache
 
 
-# Worker-side state of persistent process pools, keyed by state token.  A pool
-# built by :func:`process_chain_pool` preloads (join graph, fds) into every
-# worker once, at pool creation; chain payloads then reference tables by name
-# instead of re-pickling the graph and the sample tables on every
-# ``mcmc_search`` call (the dominant per-call cost of the process executor).
-_WORKER_STATE: dict[str, tuple] = {}
-
-
-def _load_worker_state(token: str, join_graph, fds) -> None:
-    """Process-pool initializer: stash the heavy shared objects once per worker."""
-    _WORKER_STATE[token] = (join_graph, tuple(fds))
-
-
-def _run_chain_from_state(payload: tuple) -> tuple[MCMCResult, dict, dict]:
-    """Run one chain against the preloaded worker state (light payload)."""
-    (
-        token,
-        table_names,
-        initial,
-        source_attributes,
-        target_attributes,
-        budget,
-        max_weight,
-        min_quality,
-        config,
-        intermediate_hook,
-    ) = payload
-    join_graph, fds = _WORKER_STATE[token]
-    tables = {name: join_graph.sample(name) for name in table_names}
-    return _run_chain(
-        (
-            join_graph,
-            initial,
-            tables,
-            source_attributes,
-            target_attributes,
-            fds,
-            budget,
-            max_weight,
-            min_quality,
-            config,
-            intermediate_hook,
-        )
-    )
-
-
 def _preload_shared_worker(pinned: "_shm.PinnedSpec") -> None:
     """Shared-store pool initializer: attach and materialize once per worker.
 
@@ -393,13 +356,13 @@ def _preload_shared_worker(pinned: "_shm.PinnedSpec") -> None:
 def _run_chain_shared(payload: tuple) -> tuple[MCMCResult, dict, dict, dict]:
     """Run one chain against the shared-memory worker session (see shm.py).
 
-    Unlike :func:`_run_chain_from_state`, the worker state is *versioned*:
-    ``ensure_pinned_session`` applies any published deltas before the walk,
-    so a warm pool survives catalog updates without teardown, and a worker
-    already at the payload's version never unpickles the spec.  The
-    evaluation / JI memos persist inside the worker across calls (plain dicts
-    — no lock traffic); only the entries this call *added* are returned for
-    merging, so warm calls ship back almost nothing."""
+    The worker state is *versioned*: ``ensure_pinned_session`` applies any
+    published deltas before the walk, so a warm pool survives catalog
+    updates without teardown, and a worker already at the payload's version
+    never unpickles the spec.  The evaluation / JI memos persist inside the
+    worker across calls (plain dicts — no lock traffic); only the entries
+    this call *added* are returned for merging, so warm calls ship back
+    almost nothing."""
     (
         pinned,
         table_names,
@@ -457,15 +420,14 @@ def shared_chain_pool(
     fds: Sequence[FunctionalDependency],
     *,
     token: str,
-    max_workers: int = _MAX_WORKERS,
+    max_workers: int,
     version: int = 0,
 ) -> "tuple[ProcessPoolExecutor, _shm.SharedChainState]":
-    """A persistent process pool fed from a shared-memory column store.
+    """A persistent process pool of ``max_workers`` workers fed from shared memory.
 
-    The zero-copy counterpart of :func:`process_chain_pool`: instead of
-    pickling the join graph into every worker, the encoded columnar state is
-    published once into ``multiprocessing.shared_memory`` and workers map the
-    code arrays read-only.  The returned
+    Instead of pickling the join graph into every worker, the encoded
+    columnar state is published once into ``multiprocessing.shared_memory``
+    and workers map the code arrays read-only.  The returned
     :class:`~repro.search.shm.SharedChainState` is the pool state to hand to
     :class:`ChainScheduler` *and* the version manager: publish deltas on
     catalog changes instead of rebuilding the pool, and ``close()`` it after
@@ -484,70 +446,6 @@ def shared_chain_pool(
     return pool, state
 
 
-@dataclass(frozen=True)
-class ChainPoolState:
-    """What a persistent process pool's workers were preloaded with.
-
-    ``token`` identifies the state inside the workers; ``join_graph`` is the
-    parent-side object the workers hold a pickled copy of, and ``revision``
-    the graph's mutation counter at pickling time.  The scheduler sends light
-    payloads only when the call's graph *is* this object at the *same
-    revision* (identity alone cannot detect in-place mutation via
-    ``JoinGraph.add_instance``) and every evaluation table *is* the graph's
-    own sample — any drift (a refreshed or mutated graph, caller-supplied
-    evaluation tables, different FDs) falls back to full payloads, so stale
-    worker state can never change a result.
-    """
-
-    token: str
-    join_graph: JoinGraph
-    revision: int = 0
-    fds: tuple[FunctionalDependency, ...] = ()
-
-    def covers(
-        self,
-        join_graph: JoinGraph,
-        tables: Mapping[str, Table],
-        fds: Sequence[FunctionalDependency],
-    ) -> bool:
-        if join_graph is not self.join_graph or tuple(fds) != self.fds:
-            return False
-        if join_graph.revision != self.revision:
-            return False
-        return all(
-            name in join_graph and tables[name] is join_graph.sample(name)
-            for name in tables
-        )
-
-
-def process_chain_pool(
-    join_graph: JoinGraph,
-    fds: Sequence[FunctionalDependency],
-    *,
-    token: str,
-    max_workers: int = _MAX_WORKERS,
-) -> tuple[ProcessPoolExecutor, ChainPoolState]:
-    """A persistent process pool with (join graph, fds) preloaded into workers.
-
-    Returns the pool and the :class:`ChainPoolState` to hand to
-    :class:`ChainScheduler`; the caller owns the pool's lifetime (the
-    scheduler never shuts down an external pool).  Recreate the pool whenever
-    the join graph is refreshed — the state only ``covers`` the exact graph
-    object it was built from, so a stale pool degrades to full payloads
-    rather than producing wrong results.
-    """
-    fds = tuple(fds)
-    pool = ProcessPoolExecutor(
-        max_workers=max_workers,
-        initializer=_load_worker_state,
-        initargs=(token, join_graph, fds),
-    )
-    state = ChainPoolState(
-        token=token, join_graph=join_graph, revision=join_graph.revision, fds=fds
-    )
-    return pool, state
-
-
 class ChainScheduler:
     """Runs ``chains`` independently-seeded MCMC walks under one executor.
 
@@ -557,56 +455,37 @@ class ChainScheduler:
         Number of walks.  ``1`` is allowed and reproduces the single-chain
         search exactly (chain 0 keeps the base seed).
     executor:
-        ``"serial"``, ``"thread"``, or ``"process"`` (see module docstring).
-    max_workers:
-        Pool size cap for the thread / process executors; defaults to
-        ``min(chains, 8)``.  Ignored when an external ``pool`` is supplied.
+        ``"serial"`` or ``"process"`` (see module docstring).
     pool:
-        An externally-owned :class:`concurrent.futures.Executor` serving the
-        thread / process chains.  The scheduler never shuts it down, so a
-        long-lived caller (the acquisition service) can amortise pool startup
-        across many ``mcmc_search`` calls.  ``None`` (the default) creates and
-        disposes a private pool per :meth:`run` or :meth:`run_starts` call,
-        the one-shot behaviour.
+        An externally-owned process pool serving the ``process`` chains,
+        such as the one :func:`shared_chain_pool` builds.  The scheduler
+        never shuts it down, so a long-lived caller (the acquisition service)
+        can amortise pool startup across many ``mcmc_search`` calls.
+        ``None`` (the default) creates and disposes a private pool of
+        :func:`~repro.search.plan.pool_width` workers per :meth:`run` or
+        :meth:`run_starts` call, the one-shot behaviour.
     pool_state:
-        The state of a persistent process pool: a :class:`ChainPoolState`
-        from :func:`process_chain_pool` (pickled worker state) or a
-        :class:`~repro.search.shm.SharedChainState` from
-        :func:`shared_chain_pool` (versioned shared-memory store).  When it
-        covers the call's graph and tables, chain payloads reference tables
-        by name instead of pickling the graph and samples per chain;
-        otherwise full payloads are sent (identical results, just slower).
-        Meaningless without ``pool``.
-    plan:
-        An :class:`~repro.search.plan.ExecutionPlan` supplying defaults for
-        ``chains`` / ``executor`` / ``max_workers`` in one value object;
-        explicitly-passed arguments win over the plan's fields.
+        The :class:`~repro.search.shm.SharedChainState` of a
+        :func:`shared_chain_pool`.  When it covers the call's graph and
+        tables, chain payloads reference tables by name instead of pickling
+        the graph and samples per chain; otherwise full payloads are sent
+        (identical results, just slower).  Meaningless without ``pool``.
     """
 
     def __init__(
         self,
-        chains: int | None = None,
-        executor: str | None = None,
+        chains: int,
+        executor: str = "serial",
         *,
-        max_workers: int | None = None,
         pool: Executor | None = None,
-        pool_state: "ChainPoolState | _shm.SharedChainState | None" = None,
-        plan: ExecutionPlan | None = None,
+        pool_state: "_shm.SharedChainState | None" = None,
     ) -> None:
-        if plan is not None:
-            chains = plan.chains if chains is None else chains
-            executor = plan.executor if executor is None else executor
-            max_workers = plan.resolved_workers() if max_workers is None else max_workers
-        if chains is None:
-            raise SearchError("ChainScheduler needs chains (directly or via plan=)")
-        executor = executor or "serial"
         if chains < 1:
             raise SearchError(f"chains must be >= 1, got {chains}")
         if executor not in EXECUTORS:
             raise SearchError(f"executor must be one of {EXECUTORS}, got {executor!r}")
         self.chains = chains
         self.executor = executor
-        self.max_workers = max_workers
         self.pool = pool
         self.pool_state = pool_state
 
@@ -614,14 +493,12 @@ class ChainScheduler:
         """The batch width of one dispatch of ``payloads`` chain payloads.
 
         An external pool takes up to its own width; a pool built for the call
-        is never wider than the chain count."""
+        is :func:`~repro.search.plan.pool_width` workers wide."""
         if self.pool is not None:
             width = getattr(self.pool, "_max_workers", None)
             if width:
                 return max(1, min(width, payloads))
-        if self.max_workers is not None:
-            return max(1, min(self.max_workers, self.chains))
-        return min(self.chains, _MAX_WORKERS)
+        return pool_width(self.chains)
 
     def run(
         self,
@@ -645,10 +522,10 @@ class ChainScheduler:
         Accepts the same arguments as :func:`repro.search.mcmc.mcmc_search`;
         ``config.chains`` is overridden by the scheduler's own chain count.
         Caller-supplied ``evaluation_cache`` / ``ji_cache`` mappings are used
-        directly by the serial and thread executors (pass thread-safe
-        mappings, e.g. :class:`LockStripedCache`, for ``thread``); the
-        process executor merges each worker's private caches into them after
-        the run, so contents survive for subsequent searches either way.
+        directly by serial chains; the process executor merges each worker's
+        new cache entries into them after the run, so contents survive for
+        subsequent searches either way.  A process worker that dies raises
+        :class:`~repro.exceptions.BrokenChainPoolError`.
         """
         (result,) = self.run_starts(
             join_graph,
@@ -702,11 +579,7 @@ class ChainScheduler:
             and self.pool_state is not None
             and all(self.pool_state.covers(join_graph, tables, fds) for _, tables in starts)
         )
-        shared_state = (
-            self.pool_state
-            if covered and isinstance(self.pool_state, _shm.SharedChainState)
-            else None
-        )
+        shared_state = self.pool_state if covered else None
         constraints = (source_attributes, target_attributes, budget, max_weight, min_quality)
         if shared_state is not None:
             pinned = shared_state.pinned()
@@ -721,14 +594,6 @@ class ChainScheduler:
             def payload(initial, tables, chain_config, hook) -> tuple:
                 names = tuple(sorted(tables))
                 return (pinned, names, initial, *constraints, chain_config, hook, memo_key)
-
-        elif covered:
-            token = self.pool_state.token
-            worker = _run_chain_from_state
-
-            def payload(initial, tables, chain_config, hook) -> tuple:
-                names = tuple(sorted(tables))
-                return (token, names, initial, *constraints, chain_config, hook)
 
         else:
             worker = _run_chain
@@ -753,13 +618,10 @@ class ChainScheduler:
             for initial, tables in starts
             for index, chain_config in enumerate(configs)
         ]
-        # Only threads need lock striping; serial chains share plain dicts,
-        # so the hot loop pays no lock traffic.
-        fresh = LockStripedCache if self.executor == "thread" and self.chains > 1 else dict
         start_caches = [
             (
-                evaluation_cache if evaluation_cache is not None else fresh(),
-                ji_cache if ji_cache is not None else fresh(),
+                evaluation_cache if evaluation_cache is not None else {},
+                ji_cache if ji_cache is not None else {},
             )
             for _ in starts
         ]
@@ -769,7 +631,7 @@ class ChainScheduler:
                 payloads, caches, worker=worker, shared_state=shared_state
             )
         else:
-            chain_results = self._run_shared(payloads, caches)
+            chain_results = self._run_serial(payloads, caches)
             chain_stats = [{} for _ in payloads]
 
         results = []
@@ -792,8 +654,8 @@ class ChainScheduler:
         return results
 
     # ------------------------------------------------------------ executors
-    def _run_shared(self, payloads: list[tuple], caches: list[tuple]) -> list[MCMCResult]:
-        """Serial / thread execution over literally shared caches.
+    def _run_serial(self, payloads: list[tuple], caches: list[tuple]) -> list[MCMCResult]:
+        """Serial execution over literally shared caches.
 
         ``caches[i]`` is the ``(evaluation, JI)`` cache pair payload ``i``
         walks on.
@@ -832,13 +694,7 @@ class ChainScheduler:
                 ji_cache=ji_cache,
             )
 
-        items = list(zip(payloads, caches))
-        if self.executor == "thread" and self.chains > 1:
-            if self.pool is not None:
-                return list(self.pool.map(run_one, items))
-            with ThreadPoolExecutor(max_workers=self._pool_size(len(items))) as pool:
-                return list(pool.map(run_one, items))
-        return [run_one(item) for item in items]
+        return [run_one(item) for item in zip(payloads, caches)]
 
     def _run_process(
         self,
@@ -853,7 +709,10 @@ class ChainScheduler:
         Each chain's new cache entries are merged into its ``caches[i]``
         pair.  Shared-store workers (:func:`_run_chain_shared`) return a
         fourth element, per-call session stats, which is returned per chain
-        and reported to the parent-side ``shared_state``."""
+        and reported to the parent-side ``shared_state``.  A pool broken by
+        a dead worker raises :class:`~repro.exceptions.BrokenChainPoolError`:
+        a private pool is gone with the call, and the owner of an external
+        one must replace it."""
         chain_results: list[MCMCResult] = []
         chain_stats: list[dict] = []
 
@@ -879,11 +738,16 @@ class ChainScheduler:
             (worker, tuple(payloads[start : start + step]))
             for start in range(0, len(payloads), step)
         ]
-        if self.pool is not None:
-            collect(self.pool.map(_run_chain_batch, batches))
-        else:
-            with ProcessPoolExecutor(max_workers=width) as pool:
-                collect(pool.map(_run_chain_batch, batches))
+        try:
+            if self.pool is not None:
+                collect(self.pool.map(_run_chain_batch, batches))
+            else:
+                with ProcessPoolExecutor(max_workers=width) as pool:
+                    collect(pool.map(_run_chain_batch, batches))
+        except BrokenExecutor as error:
+            raise BrokenChainPoolError(
+                f"a chain worker process died mid-search: {error}"
+            ) from error
         return chain_results, chain_stats
 
 

@@ -27,7 +27,7 @@ from repro.relational.table import Table
 if TYPE_CHECKING:
     from repro.search.chains import MultiChainResult
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 @dataclass
@@ -58,9 +58,9 @@ class MCMCConfig:
         ``(seed, chains)`` — never on the executor.
     executor:
         How chains execute when ``chains > 1``: ``"serial"`` (one after the
-        other, sharing caches), ``"thread"`` (a thread pool sharing
-        lock-striped caches), or ``"process"`` (a process pool with per-chain
-        caches merged afterwards).  Ignored for ``chains=1``.
+        other, sharing caches) or ``"process"`` (a process pool whose
+        workers' new cache entries are merged afterwards).  Ignored for
+        ``chains=1``.
     record_trace:
         Whether each walk records its per-iteration correlation in
         :attr:`MCMCResult.trace`.  Off by default: the trace grows by one
@@ -342,9 +342,10 @@ def mcmc_search(
         a hook and for ``chains > 1``, whose walks keep their lineages to
         themselves.
     pool / pool_state:
-        An externally-owned executor (and, for persistent process pools, its
-        :class:`~repro.search.chains.ChainPoolState`) serving the multi-chain
-        walks; ignored for ``chains=1``.  See
+        An externally-owned process pool and its
+        :class:`~repro.search.shm.SharedChainState` (see
+        :func:`~repro.search.chains.shared_chain_pool`) serving the
+        multi-chain walks; ignored for ``chains=1``.  See
         :class:`~repro.search.chains.ChainScheduler`.
     """
     config = config or MCMCConfig()

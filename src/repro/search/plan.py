@@ -1,79 +1,62 @@
-"""The unified :class:`ExecutionPlan` describing how searches execute.
+"""The :class:`ExecutionPlan`: how a multi-chain search executes.
 
-One value object carries the executor, chain count, pool width, shared-store
-switch and pool policy, and it is accepted everywhere a pool can be
-configured:
+A plan has two fields.  ``chains`` is how many independently seeded walks
+run per candidate I-graph, and ``executor`` is where they run: ``"serial"``
+runs them one after the other in the calling process, and ``"process"``
+runs them on a process pool fed from the shared columnar store
+(:mod:`repro.search.shm`).  A process pool is :func:`pool_width` workers
+wide.  One plan is accepted wherever chains are configured:
 
-- ``DanceConfig(plan=...)`` / ``ServiceConfig(plan=...)`` — the plan's
-  ``executor`` and ``chains`` are applied onto ``MCMCConfig``, and its
-  ``workers`` / ``shared_store`` / ``pool_policy`` drive the service's
-  persistent chain pool;
+- ``DanceConfig(plan=...)`` — the plan's fields are applied onto
+  ``MCMCConfig``, and a service builds its persistent chain pool from it;
 - ``SearchRuntime(plan=...)`` — a per-request override of chains/executor;
 - the CLI — ``--plan executor=process,chains=4`` via :meth:`ExecutionPlan.parse`.
 
-``MCMCConfig(chains=, executor=)`` and the CLI ``--chains`` / ``--executor``
-flags remain a shorthand for a plan with those two fields;
-``tests/search/test_execution_plan.py`` holds the equivalence contract.
+``MCMCConfig(chains=, executor=)`` remains a shorthand for a plan with the
+same two fields; ``tests/search/test_execution_plan.py`` holds the
+equivalence contract.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.exceptions import ReproError
 from repro.search.mcmc import EXECUTORS
 
-POOL_POLICIES = ("persistent", "per_call")
+#: The most worker processes one chain pool runs.
+MAX_POOL_WORKERS = 8
 
-_MAX_POOL_WORKERS = 8
 
-_BOOL_WORDS = {
-    "1": True,
-    "true": True,
-    "on": True,
-    "yes": True,
-    "0": False,
-    "false": False,
-    "off": False,
-    "no": False,
-}
+def pool_width(chains: int) -> int:
+    """Worker processes of a pool that runs ``chains`` chains.
+
+    ``min(chains, MAX_POOL_WORKERS, CPUs)``: a worker beyond the chain count
+    would only idle, and one beyond the core count only duplicates evaluation
+    work, because chains sharing a worker reuse its persistent caches one
+    after the other.  The service's persistent pool and a one-shot search's
+    private pool both follow this rule.
+    """
+    return max(1, min(chains, MAX_POOL_WORKERS, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """How a multi-chain search executes: topology, pooling, and data plane.
+    """How a multi-chain search executes.
 
     Attributes
     ----------
     executor:
-        ``"serial"``, ``"thread"`` or ``"process"`` — same contract as
+        ``"serial"`` or ``"process"`` — same contract as
         ``MCMCConfig.executor``; results are bit-identical for a fixed
         ``(seed, chains)`` regardless of this choice.
     chains:
         Number of independent MCMC chains per search call.
-    workers:
-        Pool width for thread/process executors.  ``None`` resolves to
-        ``min(chains, 8)`` for threads and additionally caps at the CPU count
-        for processes (oversubscribing process workers on a small box only
-        duplicates evaluation work that co-resident chains would otherwise
-        share through the per-worker caches).
-    shared_store:
-        Whether process pools export the encoded columnar state through
-        :class:`repro.search.shm.SharedColumnStore` (zero-copy code arrays,
-        versioned deltas instead of pool teardown).  ``None`` means "auto":
-        on for process executors, irrelevant otherwise.
-    pool_policy:
-        ``"persistent"`` keeps one warm pool per service session (the
-        default); ``"per_call"`` builds and tears down a pool inside every
-        search call (the pre-service behaviour, kept for measurement).
     """
 
     executor: str = "serial"
     chains: int = 1
-    workers: int | None = None
-    shared_store: bool | None = None
-    pool_policy: str = "persistent"
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTORS:
@@ -82,38 +65,6 @@ class ExecutionPlan:
             )
         if self.chains < 1:
             raise ReproError(f"ExecutionPlan.chains must be >= 1, got {self.chains}")
-        if self.workers is not None and self.workers < 1:
-            raise ReproError(
-                f"ExecutionPlan.workers must be >= 1 or None, got {self.workers}"
-            )
-        if self.pool_policy not in POOL_POLICIES:
-            raise ReproError(
-                f"ExecutionPlan.pool_policy must be one of {POOL_POLICIES}, "
-                f"got {self.pool_policy!r}"
-            )
-
-    # -- derived views -----------------------------------------------------
-
-    @property
-    def wants_shared_store(self) -> bool:
-        """Effective shared-store switch (auto = on for process executors)."""
-        if self.shared_store is None:
-            return self.executor == "process"
-        return bool(self.shared_store)
-
-    def resolved_workers(self) -> int:
-        """Concrete pool width for this plan's executor."""
-        if self.workers is not None:
-            return self.workers
-        width = min(max(1, self.chains), _MAX_POOL_WORKERS)
-        if self.executor == "process":
-            # Never run more worker processes than cores: chains sharing one
-            # worker reuse its persistent caches sequentially (serial-like),
-            # which beats oversubscribed workers each evaluating cold.
-            width = min(width, max(1, os.cpu_count() or 1))
-        return width
-
-    # -- construction helpers ----------------------------------------------
 
     @classmethod
     def normalize(cls, value: "ExecutionPlan | str | None") -> "ExecutionPlan | None":
@@ -128,11 +79,10 @@ class ExecutionPlan:
 
     @classmethod
     def parse(cls, spec: str) -> "ExecutionPlan":
-        """Parse the CLI form ``"executor=process,chains=4,workers=2,..."``.
+        """Parse the CLI form ``"executor=process,chains=4"``.
 
-        Keys: ``executor``, ``chains``, ``workers``, ``shared_store``
-        (on/off/true/false/1/0/yes/no), ``pool_policy``.  A bare token with
-        no ``=`` is shorthand for ``executor=<token>``.
+        Keys: ``executor`` and ``chains``; any other key is refused.  A bare
+        token with no ``=`` is shorthand for ``executor=<token>``.
         """
         fields: dict[str, object] = {}
         for raw in spec.split(","):
@@ -145,37 +95,19 @@ class ExecutionPlan:
                 value = value.strip()
             else:
                 key, value = "executor", token
-            if key in ("executor", "pool_policy"):
+            if key == "executor":
                 fields[key] = value
-            elif key in ("chains", "workers"):
+            elif key == "chains":
                 try:
                     fields[key] = int(value)
                 except ValueError:
                     raise ReproError(
                         f"ExecutionPlan spec {key}={value!r} is not an integer"
                     ) from None
-            elif key == "shared_store":
-                flag = _BOOL_WORDS.get(value.lower())
-                if flag is None:
-                    raise ReproError(
-                        f"ExecutionPlan spec shared_store={value!r} is not a boolean"
-                    )
-                fields[key] = flag
             else:
                 raise ReproError(f"unknown ExecutionPlan spec key {key!r}")
         return cls(**fields)  # type: ignore[arg-type]
 
-    def with_overrides(self, **changes) -> "ExecutionPlan":
-        """A copy with the given fields replaced (validation re-runs)."""
-        return replace(self, **changes)
-
     def spec(self) -> str:
         """The canonical ``parse()``-able spelling of this plan."""
-        parts = [f"executor={self.executor}", f"chains={self.chains}"]
-        if self.workers is not None:
-            parts.append(f"workers={self.workers}")
-        if self.shared_store is not None:
-            parts.append(f"shared_store={'on' if self.shared_store else 'off'}")
-        if self.pool_policy != "persistent":
-            parts.append(f"pool_policy={self.pool_policy}")
-        return ",".join(parts)
+        return f"executor={self.executor},chains={self.chains}"

@@ -507,9 +507,8 @@ class SharedChainState:
     Publishes the base snapshot at construction; :meth:`publish_delta` ships
     changed instances without touching the pool, :meth:`rebase` replaces the
     snapshot wholesale (workers hard-resync), and :meth:`close` unlinks every
-    segment.  Duck-types the ``covers()`` surface of
-    :class:`repro.search.chains.ChainPoolState` so ``ChainScheduler`` treats
-    it as just another pool state."""
+    segment.  ``ChainScheduler`` sends name-based payloads only while
+    :meth:`covers` holds for a call."""
 
     def __init__(
         self,
@@ -667,8 +666,14 @@ class SharedChainState:
         tables: Mapping[str, Table],
         fds: Sequence[FunctionalDependency],
     ) -> bool:
-        """Same contract as ``ChainPoolState.covers``: light payloads are only
-        valid when the published state is exactly the caller's world."""
+        """Whether name-based payloads are valid for a call: the published
+        state must be exactly the caller's world.
+
+        The call's graph must be the published graph object at its published
+        ``revision`` (identity alone cannot see an in-place
+        ``JoinGraph.add_instance``), its FDs the published FDs, and every
+        evaluation table the graph's own sample.  Any drift sends full
+        payloads instead, so stale worker state can never change a result."""
         with self._lock:
             if self._closed or join_graph is not self._graph:
                 return False

@@ -2,16 +2,17 @@
 
 Everything below :class:`~repro.core.dance.DANCE` is a one-shot library —
 each ``acquire()`` call rebuilds its world (fresh caches per candidate
-I-graph, a fresh executor pool per ``mcmc_search`` call).  This package turns
-the online phase into a long-lived *session*:
+I-graph, a fresh process pool per multi-chain ``mcmc_search`` call).  This
+package turns the online phase into a long-lived *session*:
 
 :class:`AcquisitionService`
     Wraps one :class:`~repro.marketplace.market.Marketplace` plus its offline
     phase and serves many :class:`~repro.marketplace.shopper.AcquisitionRequest`\\ s.
     It owns the evaluation memo and JI cache (shared across all candidate
-    I-graphs of a request *and* across requests), a single persistent
-    thread / process executor pool serving every multi-chain ``mcmc_search``
-    call, and the thread fan-out for concurrent batches.
+    I-graphs of a request *and* across requests), under a multi-chain
+    process plan a single persistent process pool over the shared columnar
+    store serving every ``mcmc_search`` call, and the thread fan-out for
+    concurrent batches.
 
 :func:`request_seed` / :class:`ServedRequest` / :class:`BatchResult` / :func:`fair_order`
     Deterministic per-request seed derivation (blake2b, the chain-seed

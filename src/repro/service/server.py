@@ -29,13 +29,14 @@ standard library:
     ``200 {"status": "ok"}`` while serving; ``503 {"status": "draining"}``
     once a graceful shutdown began.
 
-Error mapping (the typed-error contract): admission rejections surface as
-``503``, token-bucket sheds as ``429``, deadline sheds as ``504`` — the
-retryable statuses carry a *computed* ``Retry-After`` header (queue depth x
-recent p50 execution for 503, the bucket's refill time for 429) — search
-errors (including infeasibility) as ``422``, storage errors as ``500``, any
-other library error as ``400`` — always as ``{"error": {"type": <exception
-class name>, "message": ...}}``, never a traceback.
+Error mapping (the typed-error contract): admission rejections and a chain
+pool broken by a dead worker surface as ``503``, token-bucket sheds as
+``429``, deadline sheds as ``504`` — the retryable statuses carry a
+*computed* ``Retry-After`` header (queue depth x recent p50 execution for
+503, the bucket's refill time for 429) — search errors (including
+infeasibility) as ``422``, storage errors as ``500``, any other library
+error as ``400`` — always as ``{"error": {"type": <exception class name>,
+"message": ...}}``, never a traceback.
 
 Graceful shutdown (:meth:`AcquisitionHTTPServer.graceful_shutdown`) flips
 ``/healthz`` to draining, refuses new ``/acquire`` work, waits for in-flight
@@ -54,6 +55,7 @@ from typing import Mapping
 
 from repro.exceptions import (
     AdmissionRejectedError,
+    BrokenChainPoolError,
     DeadlineExceededError,
     RateLimitedError,
     ReproError,
@@ -129,16 +131,17 @@ FIELD_METRICS: dict[str, str] = {
 def error_status(error: BaseException) -> int:
     """The HTTP status of a library error (the typed-error contract).
 
-    Admission rejection is the backpressure signal (retryable, 503); a
-    token-bucket shed is the client's own pacing problem (429, with
-    ``Retry-After``); a deadline missed in queue is a timeout the *service*
-    could not meet (504); search errors describe the *request* (422,
-    unprocessable); storage errors are server-side (500); any other
-    :class:`~repro.exceptions.ReproError` is a bad request (400).  Order
-    matters: the typed shed errors and ``SearchError`` all derive from
-    ``ReproError``.
+    Admission rejection is the backpressure signal (retryable, 503), and so
+    is a chain pool a dead worker broke (the session disposes it, and the
+    next request builds a fresh one); a token-bucket shed is the client's
+    own pacing problem (429, with ``Retry-After``); a deadline missed in
+    queue is a timeout the *service* could not meet (504); search errors
+    describe the *request* (422, unprocessable); storage errors are
+    server-side (500); any other :class:`~repro.exceptions.ReproError` is a
+    bad request (400).  Order matters: the typed shed errors and
+    ``SearchError`` all derive from ``ReproError``.
     """
-    if isinstance(error, AdmissionRejectedError):
+    if isinstance(error, (AdmissionRejectedError, BrokenChainPoolError)):
         return 503
     if isinstance(error, RateLimitedError):
         return 429

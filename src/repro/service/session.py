@@ -1,8 +1,8 @@
 """The long-lived acquisition session: one hot marketplace, many requests.
 
 ``DANCE.acquire()`` is a one-shot call: every invocation runs Step 2 with
-fresh caches per candidate I-graph and, for the thread/process executors,
-spins a fresh pool per ``mcmc_search`` call.  :class:`AcquisitionService`
+fresh caches per candidate I-graph and, for the process executor, spins a
+fresh pool per ``mcmc_search`` call.  :class:`AcquisitionService`
 keeps one marketplace *hot* instead:
 
 * **Cache ownership.**  The service owns one JI cache (structural keys —
@@ -19,15 +19,15 @@ keeps one marketplace *hot* instead:
   never on the request, so every single-walk search of the session replays a
   fired graph the session has already joined instead of joining it again.
   It is never checkpointed.
-* **Pool reuse.**  One persistent executor serves every multi-chain
-  ``mcmc_search`` call for the lifetime of the service.  Process plans use
-  the shared columnar store by default
-  (:func:`repro.search.chains.shared_chain_pool`): workers map the encoded
-  samples read-only and take graph changes as versioned deltas instead of a
-  pool teardown.  With ``shared_store=off``,
-  :func:`repro.search.chains.process_chain_pool` preloads the join graph and
-  FDs into the workers once and is rebuilt on every graph change.  Either
-  way chain payloads reference tables by name instead of re-pickling them.
+* **Pool reuse.**  Under a process plan one persistent pool
+  (:func:`repro.search.chains.shared_chain_pool`) serves every multi-chain
+  ``mcmc_search`` call for the lifetime of the service: workers map the
+  encoded samples read-only, chain payloads reference tables by name
+  instead of re-pickling them, and graph changes reach the workers as
+  versioned deltas instead of a pool teardown.  A pool broken by a dead
+  worker fails the request that meets it with
+  :class:`~repro.exceptions.BrokenChainPoolError`; the session disposes it,
+  and the next request builds a fresh one.
 * **Batched concurrency.**  :meth:`AcquisitionService.acquire_batch` executes
   a list of requests under a thread fan-out with deterministic per-request
   seeds (:func:`~repro.service.batch.request_seed`), returning results
@@ -101,6 +101,7 @@ from repro.core.dance import DANCE
 from repro.core.result import AcquisitionResult
 from repro.exceptions import (
     AdmissionRejectedError,
+    BrokenChainPoolError,
     DeadlineExceededError,
     RateLimitedError,
     ReproError,
@@ -114,12 +115,8 @@ from repro.quality.fd import FunctionalDependency
 from repro.relational.joins import LineageMemo
 from repro.relational.table import Table
 from repro.search.acquisition import SearchRuntime
-from repro.search.chains import (
-    ChainPoolState,
-    LockStripedCache,
-    process_chain_pool,
-    shared_chain_pool,
-)
+from repro.search.chains import LockStripedCache, shared_chain_pool
+from repro.search.plan import pool_width
 from repro.search.shm import SharedChainState
 from repro.service.batch import BatchResult, ServedRequest, fair_order, request_seed
 from repro.service.metrics import CountingCache, ServiceMetrics
@@ -183,7 +180,7 @@ class AcquisitionService:
         self._evaluation_caches: dict[tuple, LockStripedCache] = {}  # guarded-by: self._lock
         self._step1_memo: CountingCache | None = None  # guarded-by: self._lock
         self._chain_pool = None  # guarded-by: self._lock
-        self._chain_pool_state: ChainPoolState | None = None  # guarded-by: self._lock
+        self._chain_pool_state: SharedChainState | None = None  # guarded-by: self._lock
         self._request_pool: ThreadPoolExecutor | None = None  # guarded-by: self._lock
         self._requests_served = 0  # guarded-by: self._lock
         self._batches_served = 0  # guarded-by: self._lock
@@ -360,6 +357,9 @@ class AcquisitionService:
             self._in_flight += 1
         try:
             item.result = self._dance.acquire(request, runtime=runtime)
+        except BrokenChainPoolError as error:
+            item.error = error
+            self._drop_broken_pool(runtime.pool)
         except ReproError as error:
             item.error = error
         finally:
@@ -378,6 +378,18 @@ class AcquisitionService:
                 execution_seconds=item.execution_seconds,
             )
         return item
+
+    def _drop_broken_pool(self, pool) -> None:
+        """Dispose ``pool``, which a dead worker broke, unless it is gone already.
+
+        Shutting the pool down unlinks its shared-memory segments, and the
+        next request that needs a pool builds a fresh one.  A concurrent
+        request that met the same broken pool finds it replaced and leaves
+        the new one alone.
+        """
+        with self._lock:
+            if pool is self._chain_pool:
+                self._dispose_chain_pool_locked()
 
     def _count(self, item: ServedRequest) -> None:
         with self._lock:
@@ -432,10 +444,10 @@ class AcquisitionService:
         A sync that pruned skips :meth:`_restore_caches_locked`: the catalog
         blob describes the state before the write.
 
-        Pools over a shared columnar store are *versioned*, not disposable:
-        when ``changed`` names the touched instances, only their deltas are
-        published (workers apply them in place and prune their own memos by
-        the same rule); otherwise the published snapshot is rebased
+        The chain pool's shared columnar store is *versioned*, not
+        disposable: when ``changed`` names the touched instances, only their
+        deltas are published (workers apply them in place and prune their own
+        memos by the same rule); otherwise the published snapshot is rebased
         wholesale.  Either way the warm pool survives.
         """
         version = self._dance.graph_version
@@ -477,11 +489,11 @@ class AcquisitionService:
 
         Returns ``True`` when the pool's published state now matches the
         current graph (delta shipped, or snapshot rebased); ``False`` when
-        there is no shared-store pool to refresh, so the caller falls back to
-        the dispose-and-rebuild path.
+        there is no pool to refresh, so the caller falls back to the
+        dispose-and-rebuild path.
         """
         state = self._chain_pool_state
-        if self._chain_pool is None or not isinstance(state, SharedChainState):
+        if state is None:
             return False
         graph = self._dance._join_graph
         if graph is None:
@@ -578,47 +590,25 @@ class AcquisitionService:
         return cache
 
     def _chain_pool_locked(self):
-        """The persistent executor for multi-chain walks (caller holds the lock).
+        """The persistent pool for multi-chain walks (caller holds the lock).
 
-        Driven by the effective :class:`~repro.search.plan.ExecutionPlan`:
-        ``pool_policy="per_call"`` opts out of persistence (the scheduler
-        builds a fresh pool per search); process pools with the shared store
-        enabled get a :func:`~repro.search.chains.shared_chain_pool` whose
-        workers map the columnar segments read-only and survive catalog
-        updates through versioned deltas.
+        Only a multi-chain process plan has one: a
+        :func:`~repro.search.chains.shared_chain_pool` of
+        :func:`~repro.search.plan.pool_width` workers, which map the columnar
+        segments read-only and survive catalog updates through versioned
+        deltas.  It is built on the first request that needs it.
         """
         plan = self.config.execution_plan
-        if plan.chains <= 1 or plan.executor == "serial":
-            return None, None
-        if plan.pool_policy == "per_call":
+        if plan.executor != "process" or plan.chains <= 1:
             return None, None
         if self._chain_pool is None:
-            workers = plan.resolved_workers()
-            if plan.executor == "process":
-                if plan.wants_shared_store:
-                    self._chain_pool, self._chain_pool_state = shared_chain_pool(
-                        self._dance.join_graph,
-                        self._dance.fds,
-                        token=f"acqsvc-{self._service_id}",
-                        max_workers=workers,
-                        version=self._dance.graph_version,
-                    )
-                else:
-                    token = (
-                        f"acquisition-service-{self._service_id}-v{self._synced_version}"
-                    )
-                    self._chain_pool, self._chain_pool_state = process_chain_pool(
-                        self._dance.join_graph,
-                        self._dance.fds,
-                        token=token,
-                        max_workers=workers,
-                    )
-            else:
-                self._chain_pool = ThreadPoolExecutor(
-                    max_workers=workers,
-                    thread_name_prefix=f"acquisition-service-{self._service_id}-chain",
-                )
-                self._chain_pool_state = None
+            self._chain_pool, self._chain_pool_state = shared_chain_pool(
+                self._dance.join_graph,
+                self._dance.fds,
+                token=f"acqsvc-{self._service_id}",
+                max_workers=pool_width(plan.chains),
+                version=self._dance.graph_version,
+            )
         return self._chain_pool, self._chain_pool_state
 
     def _ensure_request_pool(self) -> ThreadPoolExecutor | None:
@@ -638,11 +628,10 @@ class AcquisitionService:
     def _dispose_chain_pool_locked(self) -> None:
         if self._chain_pool is not None:
             self._chain_pool.shutdown(wait=True)
-            if isinstance(self._chain_pool_state, SharedChainState):
-                # Unlink the published segments only after the workers exit —
-                # POSIX keeps the memory alive for attached mappings, but the
-                # leak check wants /dev/shm clean the moment the pool is gone.
-                self._chain_pool_state.close()
+            # Unlink the published segments only after the workers exit —
+            # POSIX keeps the memory alive for attached mappings, but the
+            # leak check wants /dev/shm clean the moment the pool is gone.
+            self._chain_pool_state.close()
             self._chain_pool = None
             self._chain_pool_state = None
 
@@ -829,9 +818,9 @@ class AcquisitionService:
                 "chain_pool": None if self._chain_pool is None else self.config.mcmc.executor,
                 "execution_plan": self.config.execution_plan.spec(),
                 "shared_store": (
-                    self._chain_pool_state.stats()
-                    if isinstance(self._chain_pool_state, SharedChainState)
-                    else None
+                    None
+                    if self._chain_pool_state is None
+                    else self._chain_pool_state.stats()
                 ),
                 "batch_workers": self.config.service.max_batch_workers,
                 "metrics": metrics,

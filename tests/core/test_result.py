@@ -75,12 +75,12 @@ class TestAcquisitionResult:
             target_graph=graph,
             evaluation=evaluation,
             mcmc_chains=4,
-            mcmc_executor="thread",
+            mcmc_executor="process",
             mcmc_best_chain=2,
             mcmc_chain_correlations=[2.5, 2.5, 2.5, None],
         )
         summary = result.summary()
         assert summary["mcmc_chains"] == 4
-        assert summary["mcmc_executor"] == "thread"
+        assert summary["mcmc_executor"] == "process"
         assert summary["mcmc_best_chain"] == 2
         assert summary["mcmc_chain_correlations"] == [2.5, 2.5, 2.5, None]

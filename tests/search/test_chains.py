@@ -1,10 +1,10 @@
 """Tests for the parallel multi-chain MCMC search (``repro.search.chains``).
 
 The contract under test: for a fixed ``(seed, chains)`` the multi-chain
-search returns bit-identical best graphs and correlations under every
-executor (serial / thread / process), ``chains=1`` reproduces the
-single-chain walk exactly, and the shared caches only change who pays for
-each evaluation — never the outcome.
+search returns bit-identical best graphs and correlations under both
+executors (serial / process), ``chains=1`` reproduces the single-chain walk
+exactly, and the shared caches only change who pays for each evaluation —
+never the outcome.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.marketplace.shopper import AcquisitionRequest
 from repro.quality.fd import FunctionalDependency
 from repro.relational.table import Table
 from repro.sampling.resampling import ResamplingPolicy
+from repro.search import shm
 from repro.search.acquisition import heuristic_acquisition
 from repro.search.candidates import build_initial_target_graph
 from repro.search.chains import (
@@ -27,10 +28,11 @@ from repro.search.chains import (
     LockStripedCache,
     MultiChainResult,
     chain_seed,
+    shared_chain_pool,
 )
 from repro.search.mcmc import MCMCConfig, mcmc_search
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 @pytest.fixture
@@ -196,7 +198,7 @@ class TestExecutorBitIdentity:
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_executors_agree_on_tpch(self, tpch_marketplace, executor):
-        """Serial / thread / process bit-identity on the Fig. 4 TPC-H scenario."""
+        """Serial / process bit-identity on the Fig. 4 TPC-H scenario."""
         config = DanceConfig(
             sampling_rate=0.5,
             mcmc=MCMCConfig(iterations=30, seed=0, chains=3, executor=executor),
@@ -266,8 +268,8 @@ class TestExecutorBitIdentity:
         assert reference.chain_results[0].trace == single.trace
 
     def test_repeated_runs_are_deterministic(self, setup):
-        first = run_multi(setup, chains=3, executor="thread", seed=9)
-        second = run_multi(setup, chains=3, executor="thread", seed=9)
+        first = run_multi(setup, chains=3, executor="process", seed=9)
+        second = run_multi(setup, chains=3, executor="process", seed=9)
         assert first.best_evaluation.correlation == second.best_evaluation.correlation
         assert first.chain_correlations == second.chain_correlations
         assert first.best_chain_index == second.best_chain_index
@@ -399,7 +401,7 @@ class TestHeuristicIntegration:
             ["label"],
             fds,
             budget=1e9,
-            mcmc_config=MCMCConfig(iterations=40, seed=0, chains=3, executor="thread"),
+            mcmc_config=MCMCConfig(iterations=40, seed=0, chains=3, executor="process"),
             rng=0,
         )
         assert result.feasible
@@ -420,12 +422,15 @@ class TestHeuristicIntegration:
 
 
 class TestPersistentPools:
-    """External executor pools: reused across runs, never shut down, bit-identical."""
+    """A :func:`shared_chain_pool`: reused across runs, never shut down by the
+    scheduler, bit-identical to one-shot chains.  A call its state does not
+    cover goes out as full payloads (:func:`repro.search.chains._run_chain`),
+    and full-payload workers report no session stats."""
 
-    def run_with_pool(self, setup, *, executor, pool, pool_state=None, seed=0):
+    def run_with_pool(self, setup, *, pool, pool_state, seed=0):
         join_graph, initial, tables, fds = setup
         scheduler = ChainScheduler(
-            chains=3, executor=executor, pool=pool, pool_state=pool_state
+            chains=3, executor="process", pool=pool, pool_state=pool_state
         )
         return scheduler.run(
             join_graph,
@@ -438,99 +443,73 @@ class TestPersistentPools:
             config=MCMCConfig(iterations=40, seed=seed),
         )
 
-    def test_external_thread_pool_is_reused_and_bit_identical(self, setup):
-        from concurrent.futures import ThreadPoolExecutor
-
-        reference = run_multi(setup, chains=3, executor="thread", iterations=40)
-        pool = ThreadPoolExecutor(max_workers=3)
-        try:
-            first = self.run_with_pool(setup, executor="thread", pool=pool)
-            second = self.run_with_pool(setup, executor="thread", pool=pool)
-        finally:
-            pool.shutdown()
-        assert first.chain_correlations == reference.chain_correlations
-        assert second.chain_correlations == reference.chain_correlations
-
     def test_external_process_pool_with_light_payloads(self, setup):
-        from repro.search.chains import process_chain_pool
-
         join_graph, _, tables, fds = setup
-        reference = run_multi(setup, chains=3, executor="process", iterations=40)
-        pool, state = process_chain_pool(
-            join_graph, fds, token="test-pool", max_workers=2
-        )
+        reference = run_multi(setup, chains=3, executor="serial", iterations=40)
+        pool, state = shared_chain_pool(join_graph, fds, token="test-pool", max_workers=2)
         try:
             assert state.covers(join_graph, tables, fds)
-            first = self.run_with_pool(
-                setup, executor="process", pool=pool, pool_state=state
-            )
-            second = self.run_with_pool(
-                setup, executor="process", pool=pool, pool_state=state
-            )
+            first = self.run_with_pool(setup, pool=pool, pool_state=state)
+            second = self.run_with_pool(setup, pool=pool, pool_state=state)
         finally:
             pool.shutdown()
+            state.close()
         assert first.chain_correlations == reference.chain_correlations
         assert second.chain_correlations == reference.chain_correlations
+        assert first.worker_stats and second.worker_stats
+        assert shm.live_segments() == []
 
     def test_stale_pool_state_falls_back_to_full_payloads(self, setup):
-        from repro.search.chains import process_chain_pool
-
         join_graph, _, tables, fds = setup
-        reference = run_multi(setup, chains=3, executor="process", iterations=40)
-        other_graph = JoinGraph(
-            [tables["facts"], tables["dims"]], source_instances=["facts"]
-        )
-        pool, state = process_chain_pool(
-            other_graph, fds, token="stale-pool", max_workers=2
-        )
+        reference = run_multi(setup, chains=3, executor="serial", iterations=40)
+        other_graph = JoinGraph([tables["facts"], tables["dims"]], source_instances=["facts"])
+        pool, state = shared_chain_pool(other_graph, fds, token="stale-pool", max_workers=2)
         try:
-            # The state covers a different graph object: heavy payloads go out,
-            # the preloaded worker state is ignored, results stay identical.
+            # The state covers a different graph object: full payloads go
+            # out, the published worker state is ignored, results stay
+            # identical.
             assert not state.covers(join_graph, tables, fds)
-            result = self.run_with_pool(
-                setup, executor="process", pool=pool, pool_state=state
-            )
+            result = self.run_with_pool(setup, pool=pool, pool_state=state)
         finally:
             pool.shutdown()
+            state.close()
         assert result.chain_correlations == reference.chain_correlations
+        assert result.worker_stats == {}
 
     def test_in_place_graph_mutation_invalidates_coverage(self, setup):
         """Identity alone cannot detect add_instance; the revision counter must."""
-        from repro.search.chains import process_chain_pool
-
         join_graph, _, tables, fds = setup
-        pool, state = process_chain_pool(
-            join_graph, fds, token="mutation-pool", max_workers=2
-        )
+        pool, state = shared_chain_pool(join_graph, fds, token="mutation-pool", max_workers=2)
         try:
             assert state.covers(join_graph, tables, fds)
             extra = Table.from_rows(
                 "extra", ["bad_key", "bonus"], [(i % 3, float(i)) for i in range(6)]
             )
             join_graph.add_instance(extra)
-            # Same object, but mutated: workers hold a pre-mutation pickle, so
-            # light payloads must be refused...
+            # Same object, but mutated: the workers hold the pre-mutation
+            # columns, so name-based payloads must be refused...
             assert not state.covers(join_graph, tables, fds)
             # ...and the run still works (and stays correct) via full payloads.
-            result = self.run_with_pool(
-                setup, executor="process", pool=pool, pool_state=state
-            )
+            result = self.run_with_pool(setup, pool=pool, pool_state=state)
         finally:
             pool.shutdown()
-        reference = run_multi(setup, chains=3, executor="process", iterations=40)
+            state.close()
+        reference = run_multi(setup, chains=3, executor="serial", iterations=40)
         assert result.chain_correlations == reference.chain_correlations
+        assert result.worker_stats == {}
 
     def test_state_does_not_cover_foreign_tables(self, setup):
-        from repro.search.chains import process_chain_pool
-
         join_graph, _, tables, fds = setup
-        pool, state = process_chain_pool(
-            join_graph, fds, token="cover-pool", max_workers=1
-        )
-        pool.shutdown()
-        foreign = {
-            name: Table.from_rows(name, table.schema, list(table.iter_rows()))
-            for name, table in tables.items()
-        }
-        assert not state.covers(join_graph, foreign, fds)
-        assert not state.covers(join_graph, tables, [])
+        state = shm.SharedChainState(join_graph, fds, token="cover-pool")
+        try:
+            foreign = {
+                name: Table.from_rows(name, table.schema, list(table.iter_rows()))
+                for name, table in tables.items()
+            }
+            assert state.covers(join_graph, tables, fds)
+            assert not state.covers(join_graph, foreign, fds)
+            assert not state.covers(join_graph, tables, [])
+        finally:
+            state.close()
+        # A closed state covers nothing.
+        assert not state.covers(join_graph, tables, fds)

@@ -2,8 +2,8 @@
 
 The acceptance contract of the service layer: a batch of N requests through
 ``AcquisitionService`` equals N serial ``DANCE.acquire()`` calls with the
-same derived seeds — under every executor (serial / thread / process
-multi-chain walks, concurrent and serial batch fan-out).
+same derived seeds — under both executors (serial / process multi-chain
+walks, concurrent and serial batch fan-out).
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class TestBatchEqualsSerial:
         )
         assert batch_fingerprints(config) == serial_reference(mcmc, seed_base=0)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_multi_chain_executors(self, executor):
         mcmc = MCMCConfig(iterations=30, seed=0, chains=3, executor=executor)
         config = DanceConfig(

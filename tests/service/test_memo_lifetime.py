@@ -291,7 +291,7 @@ def test_serial_service_with_a_firing_hook_answers_like_a_cold_one_after_writes(
 def test_shared_store_pool_answers_like_a_cold_one_after_writes(family, data):
     check_writes(
         family,
-        "executor=process,chains=2,shared_store=on",
+        "executor=process,chains=2",
         "executor=serial,chains=2",
         data.draw(writes(family)),
     )

@@ -26,6 +26,7 @@ import pytest
 from repro.core.config import DanceConfig, ServiceConfig
 from repro.exceptions import (
     AdmissionRejectedError,
+    BrokenChainPoolError,
     DeadlineExceededError,
     InfeasibleAcquisitionError,
     RateLimitedError,
@@ -293,6 +294,7 @@ class _NarrowerInfeasibility(InfeasibleAcquisitionError):
         (StorageError("disk gone"), 500),
         (ReproError("generic library error"), 400),
         (RuntimeError("anything else"), 500),
+        (BrokenChainPoolError("a chain worker died"), 503),
     ],
 )
 def test_error_status_mapping(error, status):

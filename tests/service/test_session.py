@@ -8,11 +8,15 @@ failures stay per-request.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.core.config import DanceConfig, ServiceConfig
 from repro.core.dance import DANCE
-from repro.exceptions import InfeasibleAcquisitionError, ReproError
+from repro.exceptions import BrokenChainPoolError, InfeasibleAcquisitionError, ReproError
 from repro.marketplace.dataset import MarketplaceDataset
 from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
@@ -20,6 +24,7 @@ from repro.pricing.models import EntropyPricingModel
 from repro.relational.table import Table
 from repro.search.chains import chain_seed
 from repro.search.mcmc import MCMCConfig
+from repro.search.shm import live_segments
 from repro.service import AcquisitionService, request_seed
 from repro.workloads.queries import queries_for
 from repro.workloads.tpce import tpce_workload
@@ -401,7 +406,7 @@ class TestExecutionPlanPooling:
         )
         with AcquisitionService(
             small_marketplace(),
-            self.plan_config("executor=thread,chains=2"),
+            self.plan_config("executor=process,chains=2"),
             source_tables=[source],
         ) as service:
             service.acquire(REQUEST)
@@ -450,22 +455,7 @@ class TestExecutionPlanPooling:
         assert shm_first.sql() == serial_first.sql()
         assert shm_second.sql() == serial_second.sql()
 
-    def test_per_call_policy_builds_no_persistent_pool(self):
-        plan = "executor=thread,chains=2,pool_policy=per_call"
-        with AcquisitionService(small_marketplace(), self.plan_config(plan)) as service:
-            per_call = service.acquire(REQUEST)
-            assert service._chain_pool is None
-            assert service.describe()["chain_pool"] is None
-        with AcquisitionService(
-            small_marketplace(), self.plan_config("executor=thread,chains=2")
-        ) as service:
-            pooled = service.acquire(REQUEST)
-            assert service._chain_pool is not None
-        assert per_call.mcmc_chain_correlations == pooled.mcmc_chain_correlations
-
     def test_shared_store_segments_unlink_on_close(self):
-        from repro.search.shm import live_segments
-
         service = AcquisitionService(
             small_marketplace(), self.plan_config("executor=process,chains=2")
         )
@@ -473,6 +463,75 @@ class TestExecutionPlanPooling:
             service.acquire(REQUEST)
             assert service.describe()["shared_store"] is not None
             assert live_segments() != []
+        finally:
+            service.close()
+        assert live_segments() == []
+
+
+def fingerprint(result) -> tuple:
+    return (
+        result.estimated_correlation,
+        result.estimated_price,
+        tuple(result.sql()),
+        tuple(result.mcmc_chain_correlations),
+    )
+
+
+class TestWorkerDeath:
+    """A chain worker killed mid-session breaks the service's process pool.
+
+    The request that meets the broken pool fails with a typed
+    ``BrokenChainPoolError`` and counts as an error; the session disposes
+    the pool and unlinks its segments; the next request builds a fresh pool
+    and serves the serial answer."""
+
+    def plan_config(self, plan: str) -> DanceConfig:
+        return DanceConfig(
+            sampling_rate=1.0,
+            mcmc=MCMCConfig(iterations=30, seed=0),
+            plan=plan,
+            service=ServiceConfig(max_batch_workers=1),
+        )
+
+    @staticmethod
+    def kill_a_worker(service: AcquisitionService):
+        """SIGKILL one worker and wait until the pool knows it is broken."""
+        pool = service._chain_pool
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._broken
+        return pool
+
+    def test_a_dead_worker_fails_one_request_and_the_next_gets_a_fresh_pool(self):
+        with AcquisitionService(
+            small_marketplace(), self.plan_config("executor=serial,chains=2")
+        ) as serial:
+            expected = fingerprint(serial.acquire(REQUEST, seed=0))
+        service = AcquisitionService(
+            small_marketplace(), self.plan_config("executor=process,chains=2")
+        )
+        try:
+            assert fingerprint(service.acquire(REQUEST, seed=0)) == expected
+            broken = self.kill_a_worker(service)
+            with pytest.raises(BrokenChainPoolError):
+                service.acquire(REQUEST, seed=0)
+            described = service.describe()
+            assert (described["requests_served"], described["errors"]) == (2, 1)
+            assert described["chain_pool"] is None
+            assert live_segments() == []
+
+            assert fingerprint(service.acquire(REQUEST, seed=0)) == expected
+            assert service._chain_pool not in (None, broken)
+
+            self.kill_a_worker(service)
+            batch = service.acquire_batch([REQUEST, REQUEST], seeds=[0, 0])
+            first, second = batch.items
+            assert isinstance(first.error, BrokenChainPoolError)
+            assert fingerprint(second.result) == expected
+            assert service.describe()["errors"] == 2
+            assert fingerprint(service.acquire(REQUEST, seed=0)) == expected
         finally:
             service.close()
         assert live_segments() == []
