@@ -22,12 +22,19 @@ to the serial reference, and a batch of already-expired deadlines must be
 shed whole with ``DeadlineExceededError`` and recover bit-identically
 afterwards.
 
-Last comes the fired smoke: under a re-sampling threshold low enough to
+Then comes the fired smoke: under a re-sampling threshold low enough to
 fire the hook (``FIRED_ETA``, the golden-answer test's setting), one service
 serves Q1/Q2/Q3 at two seeds and then again in reverse order, so later
 requests replay join lineages that earlier ones left in the session's
 lineage memo.  Every answer must equal a cold one-shot ``DANCE.acquire()``
 at the same seed.
+
+Last comes the fresh-seed smoke: a warm service serves Q1/Q2/Q3 at seeds it
+never used, which miss the Step-1 memo and hit the walk-space memo (the
+starts and proposal graphs earlier requests built), then registers a new
+source instance and serves two more requests, the second at a seed never
+used.  Every answer must equal a cold one-shot ``DANCE.acquire()`` at the
+same seed and graph state.
 
 Used by the CI ``service-smoke`` job.  Run locally with::
 
@@ -68,6 +75,11 @@ BATCH_WORKERS = 3
 #: seeds the fired smoke serves.
 FIRED_ETA = 16
 FIRED_SEEDS = (0, 1)
+#: Seeds the fresh-seed smoke warms its service with, and the never-used
+#: seeds it then serves, one per request, and two more after its write.
+WARM_SEEDS = (0, 1, 2)
+FRESH_SEEDS = (1000, 1001, 1002)
+AFTER_WRITE_SEEDS = (2000, 2001)
 
 
 def build_marketplace(workload) -> Marketplace:
@@ -301,6 +313,81 @@ def check_fired(workload, requests) -> int:
     return failures
 
 
+def check_fresh_seeds(workload, requests) -> int:
+    """The fresh-seed smoke: Step-1 misses served from warm walk spaces."""
+    from repro.relational.table import Table
+
+    config = DanceConfig(
+        sampling_rate=SAMPLING_RATE,
+        mcmc=MCMCConfig(iterations=ITERATIONS, seed=0),
+        service=ServiceConfig(max_batch_workers=1),
+    )
+    customer = workload.table("customer")
+    shop = Table.from_rows(
+        "shop",
+        ["custkey", "shop_note"],
+        list(zip(customer.column("custkey"), customer.column("cname")))[:50],
+    )
+
+    def cold_prints(pairs, source_tables=()) -> list[tuple]:
+        dance = DANCE(build_marketplace(workload), config)
+        if source_tables:
+            dance.register_source_tables(list(source_tables))
+        dance.build_offline()
+        return [
+            fingerprint(dance.acquire(requests[index], runtime=SearchRuntime(mcmc_seed=seed)))
+            for index, seed in pairs
+        ]
+
+    fresh = [(index, seed) for index, seed in enumerate(FRESH_SEEDS)]
+    after = [(0, seed) for seed in AFTER_WRITE_SEEDS]
+    failures = 0
+    with AcquisitionService(build_marketplace(workload), config) as service:
+        for seed in WARM_SEEDS:
+            for request in requests:
+                service.acquire(request, seed=seed)
+        before = service.metrics()
+        served = [fingerprint(service.acquire(requests[i], seed=s)) for i, s in fresh]
+        between = service.metrics()
+        mode = service.register_source_tables([shop])["mode"]
+        served_after = [fingerprint(service.acquire(requests[i], seed=s)) for i, s in after]
+        final = service.metrics()
+
+    step1_misses = between["step1_memo"]["misses"] - before["step1_memo"]["misses"]
+    space_hits = between["walk_space_memo"]["hits"] - before["walk_space_memo"]["hits"]
+    space_misses = between["walk_space_memo"]["misses"] - before["walk_space_memo"]["misses"]
+    if step1_misses != len(fresh):
+        failures += 1
+        print(f"FAIL[fresh]: {len(fresh)} never-used seeds made {step1_misses} Step-1 misses")
+    if space_hits == 0:
+        failures += 1
+        print(
+            f"FAIL[fresh]: never-used seeds reused no warm walk space ({space_misses} misses)"
+        )
+    if final["walk_space_memo"]["hits"] == 0:
+        failures += 1
+        print("FAIL[fresh]: the request after the write did not reuse its walk space")
+    for (index, seed), got, want in zip(fresh, served, cold_prints(fresh)):
+        if got != want:
+            failures += 1
+            print(f"MISMATCH[fresh]: request {index} seed {seed}: served {got} != cold {want}")
+    for (index, seed), got, want in zip(after, served_after, cold_prints(after, [shop])):
+        if got != want:
+            failures += 1
+            print(
+                f"MISMATCH[fresh]: after the {mode} write, request {index} seed {seed}: "
+                f"served {got} != cold {want}"
+            )
+    if not failures:
+        print(
+            f"OK[fresh]: {len(fresh)} never-used seeds on a warm service ({step1_misses} "
+            f"Step-1 misses, {space_hits} of {space_hits + space_misses} starts from the "
+            f"walk-space memo) and {len(after)} requests after an {mode} write "
+            f"bit-identical to cold one-shot DANCE.acquire"
+        )
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -372,6 +459,7 @@ def main() -> int:
     failures += check_queue(workload, requests, cold_prints)
     failures += check_wfq(workload, requests, cold_prints)
     failures += check_fired(workload, requests)
+    failures += check_fresh_seeds(workload, requests)
 
     if failures:
         print(f"\n{failures} service-parity failure(s)")

@@ -390,7 +390,9 @@ class DANCE:
             Supplied by the acquisition service (:mod:`repro.service`); when
             given, iterative refinement is skipped unless
             ``runtime.allow_refinement`` is set, because refinement mutates
-            shared middleware state.
+            shared middleware state.  With a walk-space memo
+            (``runtime.walk_spaces``) the result's target graph is a copy of
+            the winner, so mutating it changes no later answer.
 
         Returns
         -------
@@ -476,12 +478,17 @@ class DANCE:
             ji_cache=runtime.ji_cache,
             lineage_memo=runtime.lineage_memo,
             step1_cache=runtime.step1_cache,
+            walk_spaces=runtime.walk_spaces,
             pool=runtime.pool,
             pool_state=runtime.pool_state,
         )
         if not heuristic.feasible:
             return None
         target_graph, evaluation = heuristic.require_feasible()
+        if runtime.walk_spaces is not None:
+            # The winner may be a graph of the session's walk-space memo,
+            # which later walks read: the caller gets a copy to keep.
+            target_graph = target_graph.copy()
         queries = queries_for_target_graph(target_graph, exclude=tuple(self._source_tables))
         # MCMCResult and MultiChainResult expose the same chain-diagnostic
         # surface (n_chains, executor, best_chain_index, chain_correlations).

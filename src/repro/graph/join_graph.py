@@ -151,6 +151,10 @@ class JoinGraph:
         # holders of a pickled copy (persistent process-pool workers) can
         # detect that object identity alone no longer proves equivalence.
         self.revision = 0
+        # Per node, its single-source shortest-path tree on the I-layer,
+        # built on first use (see shortest_paths) and dropped with every
+        # revision bump.
+        self._paths: dict[str, dict[str, list[str]]] = {}
         if preload_ji:
             for (left, right, attrs), weight in preload_ji.items():
                 if left in self._samples and right in self._samples:
@@ -238,6 +242,35 @@ class JoinGraph:
     def igraph(self) -> nx.Graph:
         """The I-layer as a networkx graph (edge attribute ``weight`` = I-edge weight)."""
         return self._graph
+
+    def shortest_paths(self, source: str) -> Mapping[str, list[str]]:
+        """Shortest weighted I-layer paths from ``source`` to every vertex it reaches.
+
+        ``paths[v]`` runs from ``source`` to ``v``; an unreachable vertex
+        has no entry.  The tree is one ``nx.single_source_dijkstra`` run,
+        made on the first call per node and kept until :meth:`add_instance`
+        bumps :attr:`revision`.  Its path to ``v`` is the one
+        ``nx.dijkstra_path(igraph, source, v)`` returns: that search is the
+        same run stopped when it pops ``v``, it pushes exactly what the full
+        run pushes up to then, and a popped vertex's path never changes.
+        These are the landmark trees of Gubichev et al., computed once ahead
+        of the queries rather than per search.  Callers must not mutate the
+        returned mapping or its paths.
+        """
+        paths = self._paths.get(source)
+        if paths is None:
+            self.sample(source)
+            paths = self._paths[source] = nx.single_source_dijkstra(
+                self._graph, source, weight="weight"
+            )[1]
+        return paths
+
+    def __getstate__(self) -> dict[str, object]:
+        # The trees are rebuilt on demand from the graph; a pickled copy
+        # (a process chain's payload) leaves them behind.
+        state = dict(self.__dict__)
+        state["_paths"] = {}
+        return state
 
     def __contains__(self, name: object) -> bool:
         return name in self._samples
@@ -335,6 +368,7 @@ class JoinGraph:
         name = table.name
         replacing = name in self._samples
         self.revision += 1
+        self._paths = {}
         self._samples[name] = table
         if is_source:
             self.source_instances.add(name)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import networkx as nx
 
@@ -74,13 +74,37 @@ def derive_landmark_seed(base_seed: int) -> int:
     return int.from_bytes(digest, "big")
 
 
+def draw_landmarks(
+    nodes: Iterable[str], num_landmarks: int, landmark_seed: int
+) -> tuple[str, ...]:
+    """The landmarks of one seed: ``min(num_landmarks, |nodes|)`` of ``nodes``.
+
+    One seeded draw from the sorted vertex names, so the choice depends only
+    on ``(vertex set, num_landmarks, landmark_seed)``.  Step 1
+    (:func:`repro.graph.steiner.minimal_weight_igraphs`) and
+    :class:`LandmarkIndex` both draw through here.
+    """
+    ordered = sorted(nodes)
+    if not ordered:
+        raise SearchError("cannot draw landmarks from an empty graph")
+    if num_landmarks < 1:
+        raise SearchError(f"num_landmarks must be >= 1, got {num_landmarks}")
+    k = min(num_landmarks, len(ordered))
+    return tuple(random.Random(landmark_seed).sample(ordered, k))
+
+
 class LandmarkIndex:
     """Pre-computed shortest paths from every vertex to a set of landmark vertices.
 
     Landmark selection is seeded by ``landmark_seed`` (an explicit integer;
     the legacy ``rng`` keyword accepts an int or ``None`` and is normalized
     through :func:`canonical_landmark_seed`), so the index depends only on
-    ``(graph, num_landmarks, landmark_seed)``.
+    ``(graph, num_landmarks, landmark_seed)``.  The landmarks come from
+    :func:`draw_landmarks`, and each one's paths are its single-source
+    Dijkstra tree.  Step 1 builds no index: it draws the same landmarks and
+    reads the same trees from the join graph's per-node cache
+    (:meth:`repro.graph.join_graph.JoinGraph.shortest_paths`), which lives
+    for a graph revision rather than a search.
     """
 
     def __init__(
@@ -94,16 +118,12 @@ class LandmarkIndex:
     ) -> None:
         if graph.number_of_nodes() == 0:
             raise SearchError("cannot build a landmark index on an empty graph")
-        if num_landmarks < 1:
-            raise SearchError(f"num_landmarks must be >= 1, got {num_landmarks}")
         self.landmark_seed = landmark_seed = resolve_landmark_seed(rng, landmark_seed)
 
         self._graph = graph
         self._weight = weight
-        nodes = sorted(graph.nodes)
-        k = min(num_landmarks, len(nodes))
-        self.landmarks: tuple[str, ...] = tuple(
-            random.Random(landmark_seed).sample(nodes, k)
+        self.landmarks: tuple[str, ...] = draw_landmarks(
+            graph.nodes, num_landmarks, landmark_seed
         )
 
         # distances[l][v] and paths[l][v]: shortest path from landmark l to v.

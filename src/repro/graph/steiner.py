@@ -17,7 +17,7 @@ import networkx as nx
 
 from repro.exceptions import InfeasibleAcquisitionError, SearchError
 from repro.graph.join_graph import JoinGraph
-from repro.graph.landmarks import LandmarkIndex, resolve_landmark_seed
+from repro.graph.landmarks import draw_landmarks, resolve_landmark_seed
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,14 @@ def minimal_weight_igraphs(
     set.  Step 2 of the online search explores the AS-layer of the lightest
     few of these.
 
+    The landmarks are :func:`~repro.graph.landmarks.draw_landmarks` of the
+    join graph's vertices, and every path is read from the hub's
+    shortest-path tree, which the join graph computes once per revision
+    (:meth:`~repro.graph.join_graph.JoinGraph.shortest_paths`).  A tree's
+    path equals the one ``nx.dijkstra_path`` returns, so a warm tree serves
+    the candidates a per-search :class:`~repro.graph.landmarks.LandmarkIndex`
+    plus a Dijkstra search per terminal hub would build.
+
     The result is a pure function of ``(terminal set, max_weight,
     num_landmarks, landmark_seed, join graph)`` — landmark selection is seeded
     by the explicit ``landmark_seed`` (the legacy ``rng`` keyword accepts an
@@ -82,6 +90,9 @@ def minimal_weight_igraphs(
 
     Raises
     ------
+    SearchError
+        When no terminal is given, a terminal is not in the join graph, or
+        ``num_landmarks < 1`` with two or more terminals.
     InfeasibleAcquisitionError
         When no connected subgraph contains all terminals, or every connected
         candidate exceeds ``max_weight``.
@@ -98,32 +109,17 @@ def minimal_weight_igraphs(
     if len(terminals) == 1:
         return [IGraph((terminals[0],), (), 0.0)]
 
-    index = LandmarkIndex(graph, num_landmarks=num_landmarks, landmark_seed=landmark_seed)
+    landmarks = draw_landmarks(graph.nodes, num_landmarks, landmark_seed)
 
     candidates: dict[tuple[str, ...], IGraph] = {}
-    candidate_landmarks = list(index.landmarks)
     # Also consider each terminal itself as a "landmark": connecting everything
     # through a terminal is often the lightest option on small marketplaces and
     # costs nothing extra (shortest paths to terminals fall out of Dijkstra).
     found_connected = False
-    for hub in candidate_landmarks + terminals:
-        paths = []
-        feasible = True
-        for terminal in terminals:
-            if hub in index.landmarks:
-                path = index.path_to_landmark(terminal, hub)
-                if not path:
-                    feasible = False
-                    break
-                paths.append(path)
-            else:
-                try:
-                    path = nx.dijkstra_path(graph, hub, terminal, weight="weight")
-                except (nx.NetworkXNoPath, nx.NodeNotFound):
-                    feasible = False
-                    break
-                paths.append(path)
-        if not feasible:
+    for hub in landmarks + tuple(terminals):
+        tree = join_graph.shortest_paths(hub)
+        paths = [tree.get(terminal) for terminal in terminals]
+        if None in paths:
             continue
         candidate = _subgraph_from_paths(graph, paths)
         if not candidate.contains_all(terminals):

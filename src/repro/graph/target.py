@@ -214,6 +214,16 @@ class TargetGraph:
             source_instances=self.source_instances,
         )
 
+    def copy(self) -> "TargetGraph":
+        """An equal graph whose fields a caller may mutate without touching this one."""
+        return TargetGraph(
+            nodes=list(self.nodes),
+            edges=list(self.edges),
+            parents=list(self.parents),
+            projections=dict(self.projections),
+            source_instances=self.source_instances,
+        )
+
     def with_projection(self, name: str, attributes: Iterable[str]) -> "TargetGraph":
         """A copy with the projection of instance ``name`` replaced."""
         if name not in self.nodes:

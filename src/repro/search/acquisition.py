@@ -8,6 +8,8 @@ evaluation, and the I-graph size (the quantity reported in Figure 5(b)).
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, MutableMapping, Sequence
 
@@ -24,6 +26,136 @@ from repro.search.chains import ChainScheduler, MultiChainResult
 from repro.search.mcmc import MCMCConfig, MCMCResult, mcmc_search
 from repro.search.plan import ExecutionPlan
 from repro.search.shm import SharedChainState
+
+
+#: Graphs a :class:`WalkSpaceMemo` holds at most: every space's start plus
+#: the targets of its transition memo.  Read at every insertion.
+WALK_SPACE_GRAPHS = 1 << 12
+
+
+class WalkSpace:
+    """What every single-chain walk from one start shares.
+
+    ``start`` is the graph :func:`build_initial_target_graph` makes for one
+    I-graph and one set of requested attributes, ``tables`` the I-graph's
+    samples, and ``moves`` and ``transitions`` the move table and the
+    transition memo of :func:`~repro.search.mcmc.mcmc_search`.  Each value
+    is a pure function of the join graph, the I-graph and the requested
+    attributes, and none draws from a random stream, so walks at any seed,
+    under any hook and for any constraints may share them.
+    """
+
+    __slots__ = ("start", "tables", "moves", "transitions")
+
+    def __init__(
+        self,
+        start: TargetGraph,
+        tables: dict[str, Table],
+        transitions: dict[tuple, TargetGraph] | None = None,
+    ) -> None:
+        self.start = start
+        self.tables = tables
+        self.moves: dict[tuple, tuple[frozenset[str], ...]] = {}
+        self.transitions = {} if transitions is None else transitions
+
+
+class _Transitions(dict):
+    """A held space's transition memo: each new graph counts in its memo.
+
+    The memo is referenced weakly: a strong reference would close a cycle
+    through the memo's spaces, and a memo its owner replaced would then
+    keep its graphs and tables until the cycle collector ran.
+    """
+
+    __slots__ = ("_memo", "_key")
+
+    def __init__(self, memo: "WalkSpaceMemo", key: tuple) -> None:
+        super().__init__()
+        self._memo = weakref.ref(memo)
+        self._key = key
+
+    def __setitem__(self, move: tuple, graph: TargetGraph) -> None:
+        memo = self._memo()
+        if memo is None:
+            dict.__setitem__(self, move, graph)
+        else:
+            memo._add_transition(self._key, self, move, graph)
+
+
+class WalkSpaceMemo:
+    """Walk spaces by ``(I-graph, requested attributes, graph revision)``.
+
+    One memo serves the requests of a session on one join graph; its owner
+    replaces it whenever the graph changes, as it does the Step-1 memo.  The
+    memo counts the graphs it holds, each space's start plus its transition
+    targets, and past :data:`WALK_SPACE_GRAPHS` it evicts whole spaces in
+    insertion order.  A walk keeps the space it was handed, so eviction
+    costs a later request time, never bits.  Walks on concurrent requests
+    read the shared tables without a lock and add transitions under the
+    memo's lock.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._spaces: dict[tuple, WalkSpace] = {}  # guarded-by: self._lock
+        self._graphs = 0  # guarded-by: self._lock
+        self._hits = 0  # guarded-by: self._lock
+        self._misses = 0  # guarded-by: self._lock
+
+    def get(self, key: tuple) -> WalkSpace | None:
+        """The space held under ``key``; counts a hit or a miss."""
+        with self._lock:
+            space = self._spaces.get(key)
+            if space is None:
+                self._misses += 1
+            else:
+                self._hits += 1
+            return space
+
+    def add(self, key: tuple, start: TargetGraph, tables: dict[str, Table]) -> WalkSpace:
+        """Hold a new space under ``key`` and return the space held there.
+
+        A concurrent request that added the key first wins, and this call
+        returns its space.
+        """
+        with self._lock:
+            space = self._spaces.get(key)
+            if space is None:
+                space = WalkSpace(start, tables, _Transitions(self, key))
+                self._spaces[key] = space
+                self._graphs += 1
+                self._evict_locked()
+            return space
+
+    def _add_transition(
+        self, key: tuple, transitions: _Transitions, move: tuple, graph: TargetGraph
+    ) -> None:
+        with self._lock:
+            if move in transitions:
+                return
+            dict.__setitem__(transitions, move, graph)
+            space = self._spaces.get(key)
+            # A space evicted while a walk still holds it grows privately.
+            if space is not None and space.transitions is transitions:
+                self._graphs += 1
+                self._evict_locked()
+
+    def _evict_locked(self) -> None:
+        spaces = self._spaces
+        while self._graphs > WALK_SPACE_GRAPHS and spaces:
+            evicted = spaces.pop(next(iter(spaces)))
+            self._graphs -= 1 + len(evicted.transitions)
+
+    def snapshot(self) -> dict[str, int]:
+        """The spaces held, their graphs (starts plus transition targets),
+        and the hits and misses of :meth:`get`."""
+        with self._lock:
+            return {
+                "entries": len(self._spaces),
+                "graphs": self._graphs,
+                "hits": self._hits,
+                "misses": self._misses,
+            }
 
 
 @dataclass
@@ -69,6 +201,18 @@ class SearchRuntime:
         revision)``.  Step 1 is a pure function of that key, so warm requests
         skip the landmark/Steiner search entirely; the service invalidates
         the memo off ``DANCE.graph_version`` like its other caches.
+    ``walk_spaces``
+        A :class:`WalkSpaceMemo` holding, per I-graph and requested
+        attributes, the start of Step 2 and the move table and transition
+        memo every single-chain walk from it shares, so a request whose
+        Step-1 candidates an earlier request already walked builds no start
+        and no proposal graph the earlier walks built.  The service resets
+        it wherever it resets the Step-1 memo.  Multi-chain walks take its
+        starts but keep private tables.  Sharing it changes no served bit:
+        each value is a pure function of its key, and none draws from a
+        random stream.  A served result's target graph is then a copy (see
+        :meth:`repro.core.dance.DANCE.acquire`), so a caller that mutates it
+        changes no later answer.
     ``mcmc_seed``
         Overrides the configured MCMC base seed for this request — the
         service derives one per batch index.  The landmark-selection seed is
@@ -95,6 +239,7 @@ class SearchRuntime:
     ji_cache: MutableMapping | None = None
     lineage_memo: LineageMemo | None = None
     step1_cache: MutableMapping | None = None
+    walk_spaces: WalkSpaceMemo | None = None
     pool: object | None = None
     pool_state: SharedChainState | None = None
     mcmc_seed: int | None = None
@@ -158,6 +303,7 @@ def heuristic_acquisition(
     ji_cache: MutableMapping | None = None,
     lineage_memo: LineageMemo | None = None,
     step1_cache: MutableMapping | None = None,
+    walk_spaces: WalkSpaceMemo | None = None,
     pool=None,
     pool_state: SharedChainState | None = None,
 ) -> HeuristicResult:
@@ -215,6 +361,10 @@ def heuristic_acquisition(
         revision)`` — all of Step 1's declared inputs — so a warm request
         skips the landmark/Steiner search entirely.  Only successful
         candidate lists are memoised; infeasibility always re-raises fresh.
+    walk_spaces:
+        Optional :class:`WalkSpaceMemo` of Step 2's starts and the tables
+        their single-chain walks share (see :class:`SearchRuntime`).
+        Without one, each start gets a private space.
     pool / pool_state:
         Optional persistent process pool (plus its shared columnar state)
         serving the multi-chain walks instead of a fresh pool per request.
@@ -271,21 +421,27 @@ def heuristic_acquisition(
     igraphs = list(candidates)[: max(1, max_igraphs)]
 
     # Every start is built before any walk, so the chains of all starts can
-    # go to the executor in one dispatch.
-    starts: list[tuple[int, IGraph, TargetGraph, dict[str, Table]]] = []
+    # go to the executor in one dispatch.  A start depends on the I-graph and
+    # on the requested attributes only as a set.
+    wanted = frozenset(source_attributes) | frozenset(target_attributes)
+    starts: list[tuple[int, IGraph, WalkSpace, dict[str, Table]]] = []
     for index, igraph in enumerate(igraphs):
-        try:
-            initial = build_initial_target_graph(
-                join_graph, igraph, source_attributes, target_attributes
-            )
-        except SearchError:
-            continue
-        tables = (
-            dict(evaluation_tables)
-            if evaluation_tables is not None
-            else {name: join_graph.sample(name) for name in igraph.nodes}
-        )
-        starts.append((index, igraph, initial, tables))
+        key = (igraph, wanted, join_graph.revision)
+        space = None if walk_spaces is None else walk_spaces.get(key)
+        if space is None:
+            try:
+                initial = build_initial_target_graph(
+                    join_graph, igraph, source_attributes, target_attributes
+                )
+            except SearchError:
+                continue
+            samples = {name: join_graph.sample(name) for name in igraph.nodes}
+            if walk_spaces is None:
+                space = WalkSpace(initial, samples)
+            else:
+                space = walk_spaces.add(key, initial, samples)
+        tables = space.tables if evaluation_tables is None else dict(evaluation_tables)
+        starts.append((index, igraph, space, tables))
 
     constraints = dict(budget=budget, max_weight=max_weight, min_quality=min_quality)
     config = mcmc_config or MCMCConfig()
@@ -297,7 +453,7 @@ def heuristic_acquisition(
             chains=config.chains, executor=config.executor, pool=pool, pool_state=pool_state
         ).run_starts(
             join_graph,
-            [(initial, tables) for _, _, initial, tables in starts],
+            [(space.start, tables) for _, _, space, tables in starts],
             source_attributes,
             target_attributes,
             fds,
@@ -313,7 +469,7 @@ def heuristic_acquisition(
         walks = [
             mcmc_search(
                 join_graph,
-                initial,
+                space.start,
                 tables,
                 source_attributes,
                 target_attributes,
@@ -324,8 +480,10 @@ def heuristic_acquisition(
                 evaluation_cache=evaluation_cache,
                 ji_cache=ji_cache,
                 lineage_memo=lineage_memo,
+                moves=space.moves,
+                transitions=space.transitions,
             )
-            for _, _, initial, tables in starts
+            for _, _, space, tables in starts
         ]
 
     best_result: HeuristicResult | None = None

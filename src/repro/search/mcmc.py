@@ -214,8 +214,8 @@ def _propose_edge_swap(
     current: TargetGraph,
     join_graph: JoinGraph,
     rng: random.Random,
-    moves: dict[tuple[int, frozenset[str]], tuple[frozenset[str], ...]],
-    transitions: dict[tuple, TargetGraph],
+    moves: MutableMapping[tuple, tuple[frozenset[str], ...]],
+    transitions: MutableMapping[tuple, TargetGraph],
     keep: frozenset[str],
 ) -> TargetGraph | None:
     """Pick a random edge and a random *different* join attribute set for it.
@@ -283,6 +283,8 @@ def mcmc_search(
     evaluation_cache: "MutableMapping[tuple, TargetGraphEvaluation] | None" = None,
     ji_cache: "MutableMapping[tuple, float] | None" = None,
     lineage_memo: LineageMemo | None = None,
+    moves: "MutableMapping[tuple, tuple[frozenset[str], ...]] | None" = None,
+    transitions: "MutableMapping[tuple, TargetGraph] | None" = None,
     pool=None,
     pool_state=None,
 ) -> "MCMCResult | MultiChainResult":
@@ -341,6 +343,14 @@ def mcmc_search(
         :class:`~repro.search.acquisition.SearchRuntime`).  Ignored without
         a hook and for ``chains > 1``, whose walks keep their lineages to
         themselves.
+    moves / transitions:
+        Optional move table and transition memo shared with the other walks
+        from the same ``initial`` under the same requested attributes (see
+        :class:`~repro.search.acquisition.WalkSpace`).  Without them the walk
+        makes private ones.  Each entry is a pure function of its key, the
+        start and the requested attributes, and neither table draws from
+        ``rng``, so sharing them changes no outcome, counter or stream.
+        Ignored for ``chains > 1``, whose walks keep private tables.
     pool / pool_state:
         An externally-owned process pool and its
         :class:`~repro.search.shm.SharedChainState` (see
@@ -397,11 +407,14 @@ def mcmc_search(
     # depend only on the edge's index and its current join attributes: the
     # move table reads the join graph once per such key.  The transition
     # memo maps (current signature, edge index, chosen attributes) to the
-    # proposal, so each distinct edge swap builds its graph once.  Both
-    # tables die with the walk, and neither touches the random stream: every
-    # proposal still draws its edge and its attributes through ``rng``.
-    moves: dict[tuple[int, frozenset[str]], tuple[frozenset[str], ...]] = {}
-    transitions: dict[tuple, TargetGraph] = {}
+    # proposal, so each distinct edge swap builds its graph once.  Private
+    # tables die with the walk; shared ones serve every walk from this
+    # start.  Neither touches the random stream: every proposal still draws
+    # its edge and its attributes through ``rng``.
+    if moves is None:
+        moves = {}
+    if transitions is None:
+        transitions = {}
 
     def evaluate(graph: TargetGraph) -> TargetGraphEvaluation:
         signature = graph.signature()
@@ -452,10 +465,12 @@ def mcmc_search(
     # stream; the result is what the loop would return.
     space = None
     if not flips:
-        alternatives = [
-            moves.setdefault((index, edge), _edge_alternatives(current, index, join_graph))
-            for index, edge in enumerate(current.edges)
-        ]
+        alternatives = []
+        for index, edge in enumerate(current.edges):
+            options = moves.get((index, edge))
+            if options is None:
+                options = moves[index, edge] = _edge_alternatives(current, index, join_graph)
+            alternatives.append(options)
         space = _space_size(current, alternatives, wanted, config.iterations + 1)
     if space == 1:
         result.iterations = config.iterations

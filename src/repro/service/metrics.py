@@ -18,9 +18,9 @@ view an operator actually pages on:
 
 :class:`CountingCache`
     A :class:`~repro.search.chains.LockStripedCache` that additionally counts
-    hits and misses, used for the service's Step-1 memo so the metrics can
-    report how many warm requests actually skipped the landmark/Steiner
-    search.
+    hits and misses and holds at most :data:`STEP1_MEMO_ENTRIES` entries,
+    used for the service's Step-1 memo so the metrics can report how many
+    warm requests actually skipped the landmark/Steiner search.
 
 All classes are thread-safe; ``snapshot()`` methods return plain-JSON dicts
 (surfaced through ``AcquisitionService.describe()``/``metrics()``, the CLI
@@ -57,6 +57,11 @@ BUCKET_BOUNDS: tuple[float, ...] = (
 #: queue-wait and execution histograms, its hit-rate trend, and the
 #: scheduler's per-tier queue-wait histograms.
 WINDOW = 256
+
+#: Entries a :class:`CountingCache` (the session's Step-1 memo) holds at
+#: most; past it the oldest entry goes, in insertion order.  Read at every
+#: insertion.
+STEP1_MEMO_ENTRIES = 1024
 
 _MISS = object()
 
@@ -208,15 +213,51 @@ class ServiceMetrics:
 
 
 class CountingCache(LockStripedCache):
-    """A lock-striped cache that counts hits and misses on ``get``."""
+    """A lock-striped cache that counts hits and misses on ``get``.
 
-    __slots__ = ("_counter_lock", "_hits", "_misses")
+    It holds at most :data:`STEP1_MEMO_ENTRIES` entries: a put of a new key
+    past the bound evicts the oldest key in insertion order, whether the
+    put comes from a search or from :meth:`update` restoring a catalog's
+    memo.  Every value is recomputable, so eviction costs time, never bits.
+    """
+
+    __slots__ = ("_counter_lock", "_hits", "_misses", "_order")
 
     def __init__(self, stripes: int = 16) -> None:
         super().__init__(stripes)
         self._counter_lock = threading.Lock()
         self._hits = 0
         self._misses = 0
+        # Keys in insertion order; a dict, so membership is O(1).
+        self._order: dict = {}  # guarded-by: self._counter_lock
+
+    def __setitem__(self, key, value) -> None:
+        with self._counter_lock:
+            order = self._order
+            if key not in order:
+                order[key] = None
+                while len(order) > STEP1_MEMO_ENTRIES:
+                    oldest = next(iter(order))
+                    del order[oldest]
+                    super().pop(oldest, None)
+            super().__setitem__(key, value)
+
+    def pop(self, key, default=None):
+        with self._counter_lock:
+            self._order.pop(key, None)
+            return super().pop(key, default)
+
+    def items(self) -> list[tuple]:
+        """A ``(key, value)`` snapshot, oldest first: a checkpoint writes the
+        memo in this order, so a restore under the bound keeps the newest."""
+        with self._counter_lock:
+            keys = list(self._order)
+        snapshot = []
+        for key in keys:
+            value = super().get(key, _MISS)
+            if value is not _MISS:
+                snapshot.append((key, value))
+        return snapshot
 
     def get(self, key, default=None):
         value = super().get(key, _MISS)

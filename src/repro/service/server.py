@@ -124,6 +124,10 @@ FIELD_METRICS: dict[str, str] = {
     "step1_memo.entries": "dance_step1_memo_entries",
     "step1_memo.hits": "dance_step1_memo_hits_total",
     "step1_memo.misses": "dance_step1_memo_misses_total",
+    "walk_space_memo.entries": "dance_walk_space_memo_entries",
+    "walk_space_memo.graphs": "dance_walk_space_memo_graphs",
+    "walk_space_memo.hits": "dance_walk_space_memo_hits_total",
+    "walk_space_memo.misses": "dance_walk_space_memo_misses_total",
 }
 
 
@@ -359,6 +363,7 @@ def render_prometheus(
     queue = metrics.get("queue", {})
     qos = metrics.get("qos", {})
     step1 = metrics.get("step1_memo", {})
+    walk_spaces = metrics.get("walk_space_memo", {})
 
     _metric(
         lines, f"{prefix}_requests_total", "counter", "Requests executed (admitted and run)."
@@ -483,6 +488,17 @@ def render_prometheus(
         name = f"{prefix}_step1_memo_{field}{suffix}"
         _metric(lines, name, kind, help_text)
         lines.append(f"{name} {_format_value(step1.get(field, 0))}")
+
+    for field, kind, help_text in (
+        ("entries", "gauge", "Walk spaces (Step-2 starts) in the walk-space memo."),
+        ("graphs", "gauge", "Starts and proposal graphs the walk-space memo holds."),
+        ("hits", "counter", "Step-2 starts served from the walk-space memo."),
+        ("misses", "counter", "Step-2 starts built afresh."),
+    ):
+        suffix = "_total" if kind == "counter" else ""
+        name = f"{prefix}_walk_space_memo_{field}{suffix}"
+        _metric(lines, name, kind, help_text)
+        lines.append(f"{name} {_format_value(walk_spaces.get(field, 0))}")
 
     for name, value in (extra or {}).items():
         full = f"{prefix}_{name}"

@@ -50,7 +50,15 @@ keeps one marketplace *hot* instead:
   ``(terminal set, alpha, num_landmarks, landmark seed, graph version)``, so
   the service memoises it per that key; warm requests skip the
   landmark/Steiner search entirely.  It resets on every ``graph_version``
-  bump, because the Steiner search reads the whole I-layer.
+  bump, because the Steiner search reads the whole I-layer, and it holds at
+  most :data:`~repro.service.metrics.STEP1_MEMO_ENTRIES` entries.
+* **Walk-space memo.**  Beside it, one
+  :class:`~repro.search.acquisition.WalkSpaceMemo` keeps, per I-graph and
+  requested attribute set, Step 2's start and the move table and transition
+  memo every single-chain walk from that start shares, so a read at a seed
+  the session never saw still builds no graph an earlier walk built.  It
+  resets with the Step-1 memo and holds at most
+  :data:`~repro.search.acquisition.WALK_SPACE_GRAPHS` graphs.
 * **Metrics.**  Per-request latency histograms with p50/p95/p99, the
   evaluation-cache hit-rate trend over a sliding window, queue
   depth/rejection counters and an in-flight gauge
@@ -114,7 +122,7 @@ from repro.marketplace.shopper import AcquisitionRequest
 from repro.quality.fd import FunctionalDependency
 from repro.relational.joins import LineageMemo
 from repro.relational.table import Table
-from repro.search.acquisition import SearchRuntime
+from repro.search.acquisition import SearchRuntime, WalkSpaceMemo
 from repro.search.chains import LockStripedCache, shared_chain_pool
 from repro.search.plan import pool_width
 from repro.search.shm import SharedChainState
@@ -179,6 +187,7 @@ class AcquisitionService:
         self._lineage_memo = LineageMemo()  # guarded-by: self._lock
         self._evaluation_caches: dict[tuple, LockStripedCache] = {}  # guarded-by: self._lock
         self._step1_memo: CountingCache | None = None  # guarded-by: self._lock
+        self._walk_spaces = WalkSpaceMemo()  # guarded-by: self._lock
         self._chain_pool = None  # guarded-by: self._lock
         self._chain_pool_state: SharedChainState | None = None  # guarded-by: self._lock
         self._request_pool: ThreadPoolExecutor | None = None  # guarded-by: self._lock
@@ -412,12 +421,14 @@ class AcquisitionService:
             ji_cache = self._ji_cache
             lineage_memo = self._lineage_memo
             step1_cache = self._step1_memo
+            walk_spaces = self._walk_spaces
             pool, pool_state = self._chain_pool_locked()
         return SearchRuntime(
             evaluation_cache=evaluation_cache,
             ji_cache=ji_cache,
             lineage_memo=lineage_memo,
             step1_cache=step1_cache,
+            walk_spaces=walk_spaces,
             pool=pool,
             pool_state=pool_state,
             mcmc_seed=seed,
@@ -439,7 +450,8 @@ class AcquisitionService:
         change made on the middleware behind the session's back, which shows
         as a version gap — resets all three and counts in ``cache_resets``.
         The Step-1 memo always resets, because its Steiner search reads the
-        whole I-layer.
+        whole I-layer, and so does the walk-space memo, whose starts and
+        proposal graphs come from the join graph's edges.
 
         A sync that pruned skips :meth:`_restore_caches_locked`: the catalog
         blob describes the state before the write.
@@ -477,6 +489,7 @@ class AcquisitionService:
         self._synced_version = version
         self._synced_fds = fds
         self._step1_memo = CountingCache()
+        self._walk_spaces = WalkSpaceMemo()
         if not self._refresh_chain_pool_locked(version, changed):
             self._dispose_chain_pool_locked()
         if not pruned:
@@ -764,8 +777,9 @@ class AcquisitionService:
         Per-request latency (lifetime histogram buckets, p50/p95/p99 over the
         sliding window), the evaluation-cache hit-rate trend, the scheduler's
         queue counters (depth, peak, rejections, blocked time) and per-tier
-        accounting, the in-flight gauge, and the Step-1 memo's hit
-        accounting.
+        accounting, the in-flight gauge, and the hit accounting of the
+        Step-1 memo and of the walk-space memo (whose ``graphs`` counts the
+        starts and proposal graphs it holds).
         """
         with self._lock:
             in_flight = self._in_flight
@@ -776,11 +790,13 @@ class AcquisitionService:
                 if self._step1_memo is not None
                 else {"entries": 0, "hits": 0, "misses": 0}
             )
+            walk_spaces = self._walk_spaces.snapshot()
         payload = self._metrics.snapshot()
         payload["in_flight"] = in_flight
         payload["queue"] = self._scheduler.snapshot()
         payload["qos"] = self._scheduler.qos_snapshot()
         payload["step1_memo"] = step1
+        payload["walk_space_memo"] = walk_spaces
         return payload
 
     def _evaluation_entries_locked(self) -> int:
@@ -794,11 +810,15 @@ class AcquisitionService:
         ``register_source_tables`` summary reports what it kept and dropped.
         ``lineage_cache_entries`` and ``lineage_cache_rows`` count the join
         lineages the session's lineage memo holds and the rows those hold
-        (see :attr:`repro.relational.joins.JoinLineage.rows`).
+        (see :attr:`repro.relational.joins.JoinLineage.rows`), and
+        ``walk_space_memo_entries`` and ``walk_space_memo_graphs`` the walk
+        spaces the walk-space memo holds and their graphs (see
+        :class:`repro.search.acquisition.WalkSpaceMemo`).
         """
         metrics = self.metrics()
         with self._lock:
             evaluation_entries = self._evaluation_entries_locked()
+            walk_spaces = self._walk_spaces.snapshot()
             return {
                 "seed": self._seed,
                 "requests_served": self._requests_served,
@@ -815,6 +835,8 @@ class AcquisitionService:
                 "step1_memo_entries": (
                     0 if self._step1_memo is None else len(self._step1_memo)
                 ),
+                "walk_space_memo_entries": walk_spaces["entries"],
+                "walk_space_memo_graphs": walk_spaces["graphs"],
                 "chain_pool": None if self._chain_pool is None else self.config.mcmc.executor,
                 "execution_plan": self.config.execution_plan.spec(),
                 "shared_store": (

@@ -14,7 +14,11 @@ can reach, which ``mcmc_search`` stops once no later step could change its
 outcome; only its step counters may then fall short of the reference's.
 The reference keeps its join lineages to itself, so a walk that replays
 lineages another walk built and left in a shared
-:class:`~repro.relational.joins.LineageMemo` must match it too.
+:class:`~repro.relational.joins.LineageMemo` must match it too.  Likewise,
+walks that share one :class:`~repro.search.acquisition.WalkSpace`, and
+searches that share one :class:`~repro.search.acquisition.WalkSpaceMemo`,
+interleaved over seeds, hooks and requested attributes, must return what
+walks and searches with private tables return.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import InfeasibleAcquisitionError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.target import TargetGraph
 from repro.pricing.models import FlatAttributePricingModel
@@ -35,6 +40,7 @@ from repro.relational.joins import LineageMemo
 from repro.relational.schema import Attribute, AttributeType, Schema
 from repro.relational.table import Table
 from repro.sampling.resampling import ResamplingPolicy
+from repro.search.acquisition import WalkSpaceMemo, heuristic_acquisition
 from repro.search.mcmc import MCMCConfig, MCMCResult, mcmc_search
 
 
@@ -460,6 +466,128 @@ class TestWalkMatchesReference:
 
         check()
         assert any(stopped)
+
+
+def start_for(scenario, target: list[str]) -> TargetGraph:
+    """The scenario's start with projections for the source and ``target``."""
+    initial = scenario["initial"]
+    bare = TargetGraph(nodes=initial.nodes, edges=initial.edges, parents=initial.parents)
+    wanted = set(scenario["source"]) | set(target)
+    return TargetGraph(
+        nodes=list(initial.nodes),
+        edges=list(initial.edges),
+        parents=list(initial.parents),
+        projections={
+            name: bare.projections[name]
+            | (wanted & set(scenario["tables"][name].schema.names))
+            for name in initial.nodes
+        },
+        source_instances=initial.source_instances,
+    )
+
+
+#: One walk or search of an interleaving: its seed, whether it runs under the
+#: scenario's hook, and whether it also requests ``x1``.
+runs = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=50), st.booleans(), st.booleans()),
+    min_size=2,
+    max_size=6,
+)
+
+
+def targets_of(scenario, extra: bool) -> list[str]:
+    return scenario["target"] + (["x1"] if extra else [])
+
+
+def walk_outcome(walk_result: MCMCResult, cache: dict, hook) -> tuple:
+    return (
+        signature_or_none(walk_result.best_graph),
+        walk_result.best_evaluation,
+        walk_result.iterations,
+        walk_result.accepted_steps,
+        walk_result.feasible_steps,
+        walk_result.evaluation_cache_hits,
+        walk_result.evaluation_cache_misses,
+        walk_result.trace,
+        cache,
+        hook_state(hook),
+    )
+
+
+class TestSharedWalkSpaces:
+    @settings(max_examples=100, deadline=None)
+    @given(walk_scenarios(), runs)
+    def test_walks_sharing_one_space_match_walks_with_private_tables(self, scenario, plan):
+        """Each run walks from the start of its requested attributes, once
+        with that start's space out of one memo and once with private
+        tables; every result, counter, trace, memo and hook state agrees."""
+        positional, constraints = walk_arguments(scenario)
+        memo = WalkSpaceMemo()
+        for seed, hooked, extra in plan:
+            target = targets_of(scenario, extra)
+            start = start_for(scenario, target)
+            key = ("scenario", frozenset(scenario["source"]) | frozenset(target))
+            space = memo.get(key) or memo.add(key, start, scenario["tables"])
+            outcomes = []
+            for initial, tables in (
+                (space.start, {"moves": space.moves, "transitions": space.transitions}),
+                (start, {}),
+            ):
+                hook = new_hook(scenario) if hooked else None
+                cache: dict = {}
+                walked = mcmc_search(
+                    positional[0],
+                    initial,
+                    scenario["tables"],
+                    scenario["source"],
+                    target,
+                    scenario["fds"],
+                    **constraints,
+                    config=replace(scenario["config"], seed=seed),
+                    intermediate_hook=hook,
+                    evaluation_cache=cache,
+                    **tables,
+                )
+                outcomes.append(walk_outcome(walked, cache, hook))
+            assert outcomes[0] == outcomes[1]
+        held = memo._spaces.values()
+        assert memo.snapshot()["graphs"] == sum(1 + len(space.transitions) for space in held)
+
+    @settings(max_examples=100, deadline=None)
+    @given(walk_scenarios(), runs)
+    def test_searches_sharing_a_walk_space_memo_match_private_searches(self, scenario, plan):
+        """Step 1 and Step 2 on the scenario's join graph: searches that share
+        one memo, whichever requested attributes, seeds and hooks came
+        before, return what a search with private spaces returns."""
+        memo = WalkSpaceMemo()
+        for seed, hooked, extra in plan:
+            outcomes = []
+            for shared in ({"walk_spaces": memo}, {}):
+                hook = new_hook(scenario) if hooked else None
+                cache: dict = {}
+                try:
+                    found = heuristic_acquisition(
+                        scenario["join_graph"],
+                        scenario["source"],
+                        targets_of(scenario, extra),
+                        scenario["fds"],
+                        budget=scenario["budget"],
+                        max_weight=scenario["max_weight"],
+                        min_quality=scenario["min_quality"],
+                        mcmc_config=replace(scenario["config"], seed=seed),
+                        landmark_seed=seed,
+                        intermediate_hook=hook,
+                        evaluation_cache=cache,
+                        **shared,
+                    )
+                except InfeasibleAcquisitionError as error:
+                    outcomes.append(str(error))
+                    continue
+                outcomes.append(
+                    (found.igraph, found.igraph_index)
+                    + walk_outcome(found.mcmc, cache, hook)
+                )
+            assert outcomes[0] == outcomes[1]
 
 
 @st.composite
