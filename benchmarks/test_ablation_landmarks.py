@@ -33,7 +33,7 @@ def ablation_rows(setup):
     rows = []
     for count in LANDMARK_COUNTS:
         igraph = minimal_weight_igraph(
-            setup.join_graph, terminals, num_landmarks=count, rng=0
+            setup.join_graph, terminals, num_landmarks=count, landmark_seed=0
         )
         rows.append(
             {

@@ -58,7 +58,7 @@ def check_pool_lifecycle() -> int:
     )
     join_graph = JoinGraph([facts, dims], source_instances=["facts"])
     fds = [FunctionalDependency("good_key", "label")]
-    igraph = minimal_weight_igraph(join_graph, ["facts", "dims"], rng=0)
+    igraph = minimal_weight_igraph(join_graph, ["facts", "dims"], landmark_seed=0)
     initial = build_initial_target_graph(join_graph, igraph, ["measure"], ["label"])
 
     pool, state = shared_chain_pool(join_graph, fds, token="leakcheck", max_workers=2)

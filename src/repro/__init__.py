@@ -53,9 +53,11 @@ and three caches:
 * **Histogram-based join informativeness** — JI over the full outer join is a
   pure function of the two join-key histograms, so
   :func:`~repro.infotheory.join_informativeness.join_informativeness` never
-  materialises the outer join; per-edge JI weights are additionally cached on
-  the :class:`~repro.graph.join_graph.JoinGraph` and shared across candidate
-  evaluations through ``ji_cache``.
+  materialises the outer join; per-edge JI weights are computed once, when
+  the :class:`~repro.graph.join_graph.JoinGraph` is built, and every
+  candidate evaluation on its samples reads them from the graph
+  (:meth:`~repro.graph.join_graph.JoinGraph.ji_cache_for`), so a search
+  computes none.
 * **MCMC evaluation memoisation** — the Metropolis walk revisits candidate
   target graphs constantly, so :func:`~repro.search.mcmc.mcmc_search`
   memoises :meth:`~repro.graph.target.TargetGraph.evaluate` results by a

@@ -203,7 +203,7 @@ def cmd_acquire(args: argparse.Namespace) -> int:
             min_quality=args.beta,
             weights=ScoreWeights(),
             mcmc_config=dance.config.mcmc,
-            rng=args.seed,
+            landmark_seed=args.seed,
         )
         payload = [option.summary() for option in options]
         print(json.dumps(payload, indent=2))

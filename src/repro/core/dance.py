@@ -475,7 +475,6 @@ class DANCE:
             landmark_seed=derive_landmark_seed(seed),
             intermediate_hook=resampling if resampling.enabled else None,
             evaluation_cache=runtime.evaluation_cache,
-            ji_cache=runtime.ji_cache,
             lineage_memo=runtime.lineage_memo,
             step1_cache=runtime.step1_cache,
             walk_spaces=runtime.walk_spaces,

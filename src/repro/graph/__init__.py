@@ -22,7 +22,6 @@ from repro.graph.landmarks import (
     LandmarkIndex,
     canonical_landmark_seed,
     derive_landmark_seed,
-    resolve_landmark_seed,
 )
 from repro.graph.steiner import minimal_weight_igraph, minimal_weight_igraphs
 from repro.graph.export import (
@@ -46,7 +45,6 @@ __all__ = [
     "LandmarkIndex",
     "canonical_landmark_seed",
     "derive_landmark_seed",
-    "resolve_landmark_seed",
     "minimal_weight_igraph",
     "minimal_weight_igraphs",
 ]

@@ -302,6 +302,21 @@ class JoinGraph:
         make its edge recomputation hit the cache instead of re-measuring."""
         return dict(self._ji_cache)
 
+    def ji_cache_for(self, tables: Mapping[str, Table]) -> dict:
+        """The JI cache an evaluation on ``tables`` reads and fills.
+
+        When every table is this graph's own sample of its name, that is
+        the graph's cache: it holds the weight of every join-attribute
+        choice of every I-edge, keyed as :meth:`TargetGraph.weight
+        <repro.graph.target.TargetGraph.weight>` keys it and computed the
+        same way, so an evaluation of a graph built from those choices
+        computes no JI.  Other tables (full instances) get a fresh dict.
+        """
+        samples = self._samples
+        if all(samples.get(name) is table for name, table in tables.items()):
+            return self._ji_cache
+        return {}
+
     def lattice(self, name: str) -> AttributeSetLattice:
         self.sample(name)
         return self._lattices[name]

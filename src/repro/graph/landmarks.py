@@ -20,42 +20,30 @@ import networkx as nx
 from repro.exceptions import SearchError
 
 
-def canonical_landmark_seed(rng: int | None) -> int:
-    """Normalize Step-1 randomness to an explicit integer landmark seed.
+def canonical_landmark_seed(landmark_seed: int | None) -> int:
+    """Check a Step-1 landmark seed; ``None`` maps to the default seed 0.
 
     Step 1's output must depend only on declared inputs — the memoisation key
     of the acquisition service is ``(terminal set, alpha, num_landmarks,
     landmark seed, graph version)``.  A caller-owned mutable
     ``random.Random`` breaks that: the landmarks drawn would depend on every
     prior draw from the shared stream, so such values are rejected rather
-    than silently consumed.  ``None`` maps to the documented default seed 0.
+    than silently consumed, and so is any other value that is not an int.
+    Every Step-1 entry point (``LandmarkIndex``, ``minimal_weight_igraphs``,
+    ``heuristic_acquisition``) checks its ``landmark_seed`` here.
     """
-    if rng is None:
+    if landmark_seed is None:
         return 0
-    if isinstance(rng, random.Random):
+    if isinstance(landmark_seed, random.Random):
         raise SearchError(
             "Step 1 takes an integer landmark seed, not a mutable random.Random: "
             "a shared stream would make the landmark choice depend on prior draws"
         )
-    if isinstance(rng, int):
-        return rng
-    raise SearchError(f"landmark seed must be an int or None, got {type(rng).__name__}")
-
-
-def resolve_landmark_seed(rng: int | None, landmark_seed: int | None) -> int:
-    """Resolve the two seed keywords of a Step-1 entry point to one integer.
-
-    Every layer that accepts both the explicit ``landmark_seed`` and the
-    legacy ``rng`` keyword (``LandmarkIndex``, ``minimal_weight_igraphs``,
-    ``heuristic_acquisition``) applies this single rule: the two are mutually
-    exclusive, and ``rng`` is normalized through
-    :func:`canonical_landmark_seed`.
-    """
-    if landmark_seed is not None and rng is not None:
-        raise SearchError("pass either landmark_seed or rng, not both")
-    if landmark_seed is None:
-        return canonical_landmark_seed(rng)
-    return landmark_seed
+    if isinstance(landmark_seed, int):
+        return landmark_seed
+    raise SearchError(
+        f"landmark seed must be an int or None, got {type(landmark_seed).__name__}"
+    )
 
 
 def derive_landmark_seed(base_seed: int) -> int:
@@ -96,9 +84,8 @@ def draw_landmarks(
 class LandmarkIndex:
     """Pre-computed shortest paths from every vertex to a set of landmark vertices.
 
-    Landmark selection is seeded by ``landmark_seed`` (an explicit integer;
-    the legacy ``rng`` keyword accepts an int or ``None`` and is normalized
-    through :func:`canonical_landmark_seed`), so the index depends only on
+    Landmark selection is seeded by the integer ``landmark_seed`` (checked by
+    :func:`canonical_landmark_seed`), so the index depends only on
     ``(graph, num_landmarks, landmark_seed)``.  The landmarks come from
     :func:`draw_landmarks`, and each one's paths are its single-source
     Dijkstra tree.  Step 1 builds no index: it draws the same landmarks and
@@ -112,13 +99,12 @@ class LandmarkIndex:
         graph: nx.Graph,
         *,
         num_landmarks: int = 4,
-        rng: int | None = None,
         landmark_seed: int | None = None,
         weight: str = "weight",
     ) -> None:
         if graph.number_of_nodes() == 0:
             raise SearchError("cannot build a landmark index on an empty graph")
-        self.landmark_seed = landmark_seed = resolve_landmark_seed(rng, landmark_seed)
+        self.landmark_seed = landmark_seed = canonical_landmark_seed(landmark_seed)
 
         self._graph = graph
         self._weight = weight

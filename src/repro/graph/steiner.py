@@ -17,7 +17,7 @@ import networkx as nx
 
 from repro.exceptions import InfeasibleAcquisitionError, SearchError
 from repro.graph.join_graph import JoinGraph
-from repro.graph.landmarks import draw_landmarks, resolve_landmark_seed
+from repro.graph.landmarks import canonical_landmark_seed, draw_landmarks
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,6 @@ def minimal_weight_igraphs(
     *,
     num_landmarks: int = 4,
     max_weight: float = float("inf"),
-    rng: int | None = None,
     landmark_seed: int | None = None,
 ) -> list[IGraph]:
     """Find candidate minimal-weight I-layer subgraphs containing all terminals.
@@ -82,17 +81,16 @@ def minimal_weight_igraphs(
 
     The result is a pure function of ``(terminal set, max_weight,
     num_landmarks, landmark_seed, join graph)`` — landmark selection is seeded
-    by the explicit ``landmark_seed`` (the legacy ``rng`` keyword accepts an
-    int or ``None``, normalized through
-    :func:`repro.graph.landmarks.canonical_landmark_seed`; a mutable
-    ``random.Random`` is rejected).  This purity is what lets the acquisition
-    service memoise Step 1 across warm requests.
+    by the integer ``landmark_seed`` (``None`` means 0; a mutable
+    ``random.Random`` is rejected, see
+    :func:`repro.graph.landmarks.canonical_landmark_seed`).  This purity is
+    what lets the acquisition service memoise Step 1 across warm requests.
 
     Raises
     ------
     SearchError
         When no terminal is given, a terminal is not in the join graph, or
-        ``num_landmarks < 1`` with two or more terminals.
+        ``num_landmarks < 1``, whatever the number of terminals.
     InfeasibleAcquisitionError
         When no connected subgraph contains all terminals, or every connected
         candidate exceeds ``max_weight``.
@@ -102,14 +100,15 @@ def minimal_weight_igraphs(
     unknown = [name for name in terminal_instances if name not in join_graph]
     if unknown:
         raise SearchError(f"terminal instances not in the join graph: {unknown}")
-    landmark_seed = resolve_landmark_seed(rng, landmark_seed)
+    landmark_seed = canonical_landmark_seed(landmark_seed)
 
     graph = join_graph.igraph
+    # Drawn before the one-terminal answer, so a bad landmark count is
+    # refused whatever the number of terminals.
+    landmarks = draw_landmarks(graph.nodes, num_landmarks, landmark_seed)
     terminals = sorted(set(terminal_instances))
     if len(terminals) == 1:
         return [IGraph((terminals[0],), (), 0.0)]
-
-    landmarks = draw_landmarks(graph.nodes, num_landmarks, landmark_seed)
 
     candidates: dict[tuple[str, ...], IGraph] = {}
     # Also consider each terminal itself as a "landmark": connecting everything
@@ -149,7 +148,6 @@ def minimal_weight_igraph(
     *,
     num_landmarks: int = 4,
     max_weight: float = float("inf"),
-    rng: int | None = None,
     landmark_seed: int | None = None,
 ) -> IGraph:
     """The single lightest I-graph (see :func:`minimal_weight_igraphs`)."""
@@ -158,7 +156,6 @@ def minimal_weight_igraph(
         terminal_instances,
         num_landmarks=num_landmarks,
         max_weight=max_weight,
-        rng=rng,
         landmark_seed=landmark_seed,
     )[0]
 

@@ -30,9 +30,10 @@ from repro.infotheory.correlation import (
 )
 from repro.infotheory.cumulative import finite_floats
 from repro.infotheory.join_informativeness import join_informativeness
+from repro.memo import Memo
 from repro.quality.fd import FunctionalDependency
 from repro.quality.measure import grouped_join_quality, join_quality
-from repro.relational.joins import JoinLineage, LineageMemo, inner_join, inner_join_origins
+from repro.relational.joins import JoinLineage, inner_join, inner_join_origins
 from repro.relational.partitions import distinct_rows
 from repro.relational.schema import AttributeType
 from repro.relational.table import Table, mask_rows
@@ -321,7 +322,9 @@ class TargetGraph:
 
         ``ji_cache`` (keyed by ``(left, right, attrs)`` with the instance pair
         sorted) memoises per-edge JI across repeated evaluations against the
-        same tables — the MCMC walk shares one cache for the whole search.
+        same tables; on the join graph's own samples a search passes the
+        graph's weights (:meth:`JoinGraph.ji_cache_for
+        <repro.graph.join_graph.JoinGraph.ji_cache_for>`) and computes none.
         JI is not bitwise symmetric, so every term is computed in that
         sorted orientation, as :meth:`JoinGraph.edge_weight
         <repro.graph.join_graph.JoinGraph.edge_weight>` computes it: a
@@ -415,18 +418,16 @@ class TargetGraph:
 
 def prune_memos(
     evaluation_caches: Iterable[MutableMapping[tuple, TargetGraphEvaluation]],
-    ji_cache: MutableMapping[tuple, float] | None,
     changed: Iterable[str],
     fds_before: Iterable[FunctionalDependency],
     fds_after: Iterable[FunctionalDependency],
-    lineage_memo: LineageMemo | None = None,
+    lineage_memo: Memo | None = None,
 ) -> None:
     """Drop the memo entries a one-step write may have changed; keep the rest.
 
     ``evaluation_caches`` map :meth:`TargetGraph.signature` to evaluations,
-    ``ji_cache`` maps ``(left, right, attrs)`` to JI weights, ``changed``
-    names the instances the write added or replaced, the FD lists are
-    those in force before and after it, and ``lineage_memo`` maps
+    ``changed`` names the instances the write added or replaced, the FD
+    lists are those in force before and after it, and ``lineage_memo`` maps
     signatures to join lineages.  An evaluation reads the tables of
     its nodes (correlation, JI weight, price) and the FDs whose attributes
     all lie in its join's schema (quality), so an entry is dropped only when
@@ -438,10 +439,11 @@ def prune_memos(
       colliding columns a join renames.  FD order does not matter, because
       quality intersects per-FD correct sets.
 
-    A JI entry, or a lineage, is dropped only when one of its instances
-    changed: a lineage holds the join of its nodes' tables and no FD.  A
-    kept entry is exactly what re-evaluation would return.  The caches need
-    ``keys()`` and ``pop(key, default)``.
+    A lineage is dropped only when one of its nodes changed: it holds the
+    join of its nodes' tables and no FD.  A kept entry is exactly what
+    re-evaluation would return.  The caches need ``keys()`` and
+    ``pop(key, default)``.  JI weights are the join graph's, which
+    :meth:`~repro.graph.join_graph.JoinGraph.add_instance` prunes itself.
     """
     changed = frozenset(changed)
     # Built when the first entry passes the node test, which most writes'
@@ -464,10 +466,6 @@ def prune_memos(
             stale.append(signature)
         for signature in stale:
             cache.pop(signature, None)
-    if ji_cache is not None:
-        stale = [key for key in ji_cache.keys() if key[0] in changed or key[1] in changed]
-        for key in stale:
-            ji_cache.pop(key, None)
     if lineage_memo is not None:
         for signature in lineage_memo.keys():
             if not changed.isdisjoint(signature[0]):
@@ -507,7 +505,7 @@ class _LineageSummary:
     there holds on every sample of it).  Weight and price depend only on the
     graph and the tables, so those of the lineage's first evaluation serve
     every later one.  The summary lives as long as its lineage, which a
-    :class:`~repro.relational.joins.LineageMemo` may keep for many walks and
+    :func:`~repro.relational.joins.lineage_memo` may keep for many walks and
     requests; an evaluation for another request replaces it.
 
     A numerical source whose column holds a value the run-length kernel

@@ -17,19 +17,19 @@ left row is in that subset, in the same order.  :class:`JoinLineage` uses
 this to replay a re-sampled join chain without joining: it keeps each
 level's left-row index vector and the unsampled final join, and carries a
 sampler's byte mask of kept rows down the index vectors.  A
-:class:`LineageMemo` holds lineages for a session, within a bound on their
+:func:`lineage_memo` holds lineages for a session, within a bound on their
 rows.
 """
 
 from __future__ import annotations
 
-import threading
 from array import array
 from itertools import compress
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from repro.exceptions import JoinError
+from repro.memo import Memo
 from repro.relational.schema import Schema
 from repro.relational.table import ColumnEncoding, Table, Value, mask_rows
 
@@ -233,7 +233,7 @@ class JoinLineage:
     are never sampled, so every replay fires first at the same level.
     ``summary`` holds what an evaluator derives from ``joined`` once for
     all its replays (see :meth:`repro.graph.target.TargetGraph.evaluate`);
-    it lives as long as the lineage, which a :class:`LineageMemo` may keep
+    it lives as long as the lineage, which a :func:`lineage_memo` may keep
     for many walks.
 
     A replay carries a byte mask, one byte per row and 1 for kept, from the
@@ -291,76 +291,29 @@ class JoinLineage:
         return self.joined.take(mask_rows(self.kept_mask(sampler, first_mask)))
 
 
-#: The rows a :class:`LineageMemo` holds at most (see :attr:`JoinLineage.rows`):
+#: The rows a :func:`lineage_memo` holds at most (see :attr:`JoinLineage.rows`):
 #: about 15 MB at the 59 bytes per row that fresh-tpch's fired lineages
 #: retain with their summaries and replay gathers (tracemalloc, python 3.11).
-#: A put reads it, so a memo's bound is the value at the time of the put.
+#: Read when a memo is made.
 LINEAGE_MEMO_ROWS = 1 << 18
 
 
-class LineageMemo:
-    """Join lineages by graph signature, shared by the walks of a session.
+def lineage_memo() -> Memo:
+    """An empty memo of join lineages by graph signature, for a session's walks.
 
     A walk looks a fired graph up in its own lineages first and here second,
     and offers every lineage it fires on here (see
     :func:`repro.search.mcmc.mcmc_search`).  The memo holds at most
-    :data:`LINEAGE_MEMO_ROWS` rows, counted as :attr:`JoinLineage.rows`: a
-    put evicts the oldest lineages, in insertion order, until the new one
-    fits, and a lineage larger than the bound is not held.  A walk that
-    needs an evicted lineage builds it again, so eviction costs time, never
-    bits.
+    :data:`LINEAGE_MEMO_ROWS` rows, each lineage counted as its
+    :attr:`JoinLineage.rows` (see :class:`~repro.memo.Memo` for the eviction
+    order).  A walk that needs an evicted lineage builds it again.
 
     A lineage records the rows of its graph's tables and the level a
     re-sampling policy first fires on, so one memo serves one set of tables
-    and one policy.  Its owner drops the lineages a write made stale through
-    ``keys()`` and ``pop()`` (see :func:`repro.graph.target.prune_memos`).
+    and one policy.  Its owner drops the lineages a write made stale (see
+    :func:`repro.graph.target.prune_memos`).
     """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: dict[tuple, JoinLineage] = {}  # guarded-by: self._lock
-        self._rows = 0  # guarded-by: self._lock
-
-    def get(self, key: tuple, default=None) -> JoinLineage | None:
-        with self._lock:
-            return self._entries.get(key, default)
-
-    def __setitem__(self, key: tuple, lineage: JoinLineage) -> None:
-        """Hold ``lineage`` under ``key``, unless the key is held already."""
-        rows = lineage.rows
-        limit = LINEAGE_MEMO_ROWS
-        if rows > limit:
-            return
-        with self._lock:
-            entries = self._entries
-            if key in entries:
-                return
-            while self._rows + rows > limit:
-                self._rows -= entries.pop(next(iter(entries))).rows
-            entries[key] = lineage
-            self._rows += rows
-
-    def pop(self, key: tuple, default=None) -> JoinLineage | None:
-        with self._lock:
-            lineage = self._entries.pop(key, None)
-            if lineage is None:
-                return default
-            self._rows -= lineage.rows
-            return lineage
-
-    def keys(self) -> list[tuple]:
-        with self._lock:
-            return list(self._entries)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def rows(self) -> int:
-        """The rows the held lineages hold, summed."""
-        with self._lock:
-            return self._rows
+    return Memo(LINEAGE_MEMO_ROWS, size=attrgetter("rows"))
 
 
 def full_outer_join(

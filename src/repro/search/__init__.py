@@ -14,9 +14,8 @@
     by Step 2 (MCMC on the AS-layer).
 ``chains``
     The parallel multi-chain extension of Step 2: several independently
-    seeded walks (serial or process executor) sharing the evaluation and
-    join-informativeness caches, aggregated into the best feasible result
-    across chains.
+    seeded walks (serial or process executor) sharing the evaluation memo,
+    aggregated into the best feasible result across chains.
 ``plan``
     :class:`~repro.search.plan.ExecutionPlan`, the executor and chain count
     of a search in one value, and the width rule of its process pools.
@@ -27,12 +26,7 @@ from repro.search.candidates import (
     candidate_paths,
     enumerate_target_graphs,
 )
-from repro.search.chains import (
-    ChainScheduler,
-    LockStripedCache,
-    MultiChainResult,
-    chain_seed,
-)
+from repro.search.chains import ChainScheduler, MultiChainResult, chain_seed
 from repro.search.mcmc import MCMCConfig, MCMCResult, mcmc_search
 from repro.search.brute_force import BruteForceResult, global_optimal, local_optimal
 from repro.search.acquisition import HeuristicResult, heuristic_acquisition
@@ -49,7 +43,6 @@ __all__ = [
     "MCMCResult",
     "mcmc_search",
     "ChainScheduler",
-    "LockStripedCache",
     "MultiChainResult",
     "chain_seed",
     "BruteForceResult",

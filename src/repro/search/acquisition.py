@@ -11,15 +11,15 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Mapping, MutableMapping, Sequence
+from typing import MutableMapping, Sequence
 
 from repro.exceptions import InfeasibleAcquisitionError, SearchError
 from repro.graph.join_graph import JoinGraph
-from repro.graph.landmarks import resolve_landmark_seed
+from repro.graph.landmarks import canonical_landmark_seed
 from repro.graph.steiner import IGraph, minimal_weight_igraphs
 from repro.graph.target import TargetGraph, TargetGraphEvaluation
+from repro.memo import Memo
 from repro.quality.fd import FunctionalDependency
-from repro.relational.joins import LineageMemo
 from repro.relational.table import Table
 from repro.search.candidates import build_initial_target_graph, terminal_instances
 from repro.search.chains import ChainScheduler, MultiChainResult
@@ -167,20 +167,21 @@ class SearchRuntime:
     runtime through :meth:`repro.core.dance.DANCE.acquire` to make the search
     reuse session state instead of rebuilding its world per call:
 
-    ``evaluation_cache`` / ``ji_cache``
-        Externally-owned memo tables shared across all candidate I-graphs of
-        the request *and* across requests.  The evaluation memo is only valid
-        for a fixed ``(samples, source attrs, target attrs, fds, pricing)``
-        context — the service namespaces it per request signature; the JI
-        cache keys are structural and safe to share service-wide.
+    ``evaluation_cache``
+        An externally-owned memo table shared across all candidate I-graphs
+        of the request *and* across requests.  It is only valid for a fixed
+        ``(samples, source attrs, target attrs, fds, pricing)`` context — the
+        service namespaces it per request signature.  JI weights need no
+        runtime field: every search reads the join graph's own
+        (:meth:`~repro.graph.join_graph.JoinGraph.ji_cache_for`).
     ``lineage_memo``
-        A :class:`~repro.relational.joins.LineageMemo` holding the join
+        A :func:`~repro.relational.joins.lineage_memo` holding the join
         lineages of fired graphs for every single-walk search it is handed
         to.  A lineage depends on its graph's signature (whose projections
         carry every attribute the request reads), the tables and the
         re-sampling policy, never on the request itself, so the service
-        keeps one memo for the session, beside the JI cache.  Without one,
-        each walk keeps its lineages to itself.  Sharing one changes no
+        keeps one memo for the session.  Without one, each walk keeps its
+        lineages to itself.  Sharing one changes no
         served bit.  Whether the hook fires on a level depends on that
         level's row count alone, and one memo serves one re-sampling policy
         on one set of tables, so a lineage built in another walk fires first
@@ -236,8 +237,7 @@ class SearchRuntime:
     """
 
     evaluation_cache: MutableMapping | None = None
-    ji_cache: MutableMapping | None = None
-    lineage_memo: LineageMemo | None = None
+    lineage_memo: Memo | None = None
     step1_cache: MutableMapping | None = None
     walk_spaces: WalkSpaceMemo | None = None
     pool: object | None = None
@@ -295,13 +295,10 @@ def heuristic_acquisition(
     num_landmarks: int = 4,
     max_igraphs: int = 3,
     mcmc_config: MCMCConfig | None = None,
-    evaluation_tables: Mapping[str, Table] | None = None,
-    rng: int | None = None,
     landmark_seed: int | None = None,
     intermediate_hook=None,
     evaluation_cache: MutableMapping | None = None,
-    ji_cache: MutableMapping | None = None,
-    lineage_memo: LineageMemo | None = None,
+    lineage_memo: Memo | None = None,
     step1_cache: MutableMapping | None = None,
     walk_spaces: WalkSpaceMemo | None = None,
     pool=None,
@@ -311,7 +308,8 @@ def heuristic_acquisition(
 
     Step 1 produces one candidate minimal-weight I-graph per landmark/terminal
     hub; Step 2 runs the MCMC walk on the lightest ``max_igraphs`` of them and
-    the best feasible result (by correlation) wins.
+    the best feasible result (by correlation) wins.  Every walk evaluates on
+    the join graph's samples and weighs edges from the graph's JI weights.
 
     Parameters
     ----------
@@ -333,24 +331,17 @@ def heuristic_acquisition(
         every candidate I-graph is searched by a parallel multi-chain walk
         whose best feasible result wins, deterministically for a fixed
         ``(seed, chains)`` regardless of executor).
-    evaluation_tables:
-        Tables to evaluate candidates on; defaults to the samples inside the
-        join graph (the normal DANCE setting).
-    rng / landmark_seed:
-        The landmark-selection seed of Step 1.  ``landmark_seed`` is the
-        explicit integer form; the legacy ``rng`` keyword accepts an int or
-        ``None`` and is normalized through
-        :func:`repro.graph.landmarks.canonical_landmark_seed` (mutable
-        ``random.Random`` streams are rejected — Step-1 output must depend
-        only on declared inputs).
+    landmark_seed:
+        The integer landmark-selection seed of Step 1 (``None`` means 0; a
+        mutable ``random.Random`` is rejected, see
+        :func:`repro.graph.landmarks.canonical_landmark_seed`).
     intermediate_hook:
         Optional correlated re-sampler of the intermediate joins (see
         :meth:`TargetGraph.evaluate <repro.graph.target.TargetGraph.evaluate>`).
-    evaluation_cache / ji_cache:
-        Optional externally-owned memo tables shared by *all* candidate
-        I-graphs of this request (previously each I-graph's walk started
-        cold).  A long-lived caller can keep them across requests too — see
-        :class:`SearchRuntime` for the validity contract.
+    evaluation_cache:
+        Optional externally-owned memo table shared by *all* candidate
+        I-graphs of this request.  A long-lived caller can keep it across
+        requests too — see :class:`SearchRuntime` for the validity contract.
     lineage_memo:
         Optional memo of fired join lineages that every single-chain walk
         reads and fills (see :class:`SearchRuntime`); multi-chain walks do
@@ -391,7 +382,7 @@ def heuristic_acquisition(
     if not terminals:
         raise InfeasibleAcquisitionError("no instance covers the requested attributes")
 
-    landmark_seed = resolve_landmark_seed(rng, landmark_seed)
+    landmark_seed = canonical_landmark_seed(landmark_seed)
     step1_key = None
     candidates: tuple[IGraph, ...] | None = None
     if step1_cache is not None:
@@ -424,7 +415,7 @@ def heuristic_acquisition(
     # go to the executor in one dispatch.  A start depends on the I-graph and
     # on the requested attributes only as a set.
     wanted = frozenset(source_attributes) | frozenset(target_attributes)
-    starts: list[tuple[int, IGraph, WalkSpace, dict[str, Table]]] = []
+    starts: list[tuple[int, IGraph, WalkSpace]] = []
     for index, igraph in enumerate(igraphs):
         key = (igraph, wanted, join_graph.revision)
         space = None if walk_spaces is None else walk_spaces.get(key)
@@ -440,8 +431,7 @@ def heuristic_acquisition(
                 space = WalkSpace(initial, samples)
             else:
                 space = walk_spaces.add(key, initial, samples)
-        tables = space.tables if evaluation_tables is None else dict(evaluation_tables)
-        starts.append((index, igraph, space, tables))
+        starts.append((index, igraph, space))
 
     constraints = dict(budget=budget, max_weight=max_weight, min_quality=min_quality)
     config = mcmc_config or MCMCConfig()
@@ -453,7 +443,7 @@ def heuristic_acquisition(
             chains=config.chains, executor=config.executor, pool=pool, pool_state=pool_state
         ).run_starts(
             join_graph,
-            [(space.start, tables) for _, _, space, tables in starts],
+            [(space.start, space.tables) for _, _, space in starts],
             source_attributes,
             target_attributes,
             fds,
@@ -461,7 +451,6 @@ def heuristic_acquisition(
             config=config,
             intermediate_hook=intermediate_hook,
             evaluation_cache=evaluation_cache,
-            ji_cache=ji_cache,
         )
     else:
         # One walk draws from the request's hook itself, and its stream
@@ -470,7 +459,7 @@ def heuristic_acquisition(
             mcmc_search(
                 join_graph,
                 space.start,
-                tables,
+                space.tables,
                 source_attributes,
                 target_attributes,
                 fds,
@@ -478,17 +467,16 @@ def heuristic_acquisition(
                 config=config,
                 intermediate_hook=intermediate_hook,
                 evaluation_cache=evaluation_cache,
-                ji_cache=ji_cache,
                 lineage_memo=lineage_memo,
                 moves=space.moves,
                 transitions=space.transitions,
             )
-            for _, _, space, tables in starts
+            for _, _, space in starts
         ]
 
     best_result: HeuristicResult | None = None
     fallback_result: HeuristicResult | None = None
-    for (index, igraph, _, _), mcmc in zip(starts, walks):
+    for (index, igraph, _), mcmc in zip(starts, walks):
         result = HeuristicResult(igraph=igraph, mcmc=mcmc, igraph_index=index)
         if fallback_result is None:
             fallback_result = result

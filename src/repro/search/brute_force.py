@@ -64,9 +64,10 @@ def _exhaustive_search(
 ) -> BruteForceResult:
     pricing = join_graph.pricing
     result = BruteForceResult(best_graph=None, best_evaluation=None)
-    # Candidates overlap heavily in their edges, so per-edge JI terms are
-    # shared across the whole enumeration (the tables are fixed for the run).
-    ji_cache: dict[tuple, float] = {}
+    # Candidates overlap heavily in their edges, so per-edge JI terms come
+    # from one cache for the whole enumeration: LP's samples read the join
+    # graph's own weights, GP's full tables fill a private cache.
+    ji_cache = join_graph.ji_cache_for(tables)
     for candidate in enumerate_target_graphs(
         join_graph,
         source_attributes,

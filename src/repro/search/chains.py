@@ -16,12 +16,15 @@ graph across all of them:
   call the pool's state does not cover, workers that receive the join graph
   and tables in every payload (:func:`_run_chain`).
 * **Shared caches** — chains explore overlapping candidate sets, so the
-  evaluation memo table and the per-edge join-informativeness cache are
-  shared.  Serial chains literally share one pair of mappings; process
-  workers fill private memos and the scheduler merges what they added into
-  the caller's.  Sharing is safe because every cached value is
-  deterministic: a chain served from another chain's entry computes nothing
-  different, it just computes less.
+  evaluation memo table is shared.  Serial chains literally share one
+  mapping; process workers fill private memos and the scheduler merges what
+  they added into the caller's.  Sharing is safe because every cached value
+  is deterministic: a chain served from another chain's entry computes
+  nothing different, it just computes less.  JI weights need no sharing:
+  every chain reads its join graph's own
+  (:meth:`~repro.graph.join_graph.JoinGraph.ji_cache_for`), and a worker's
+  graph carries them (pickled with it, or preloaded from the published
+  weights).
 * **Aggregation** — the per-chain :class:`~repro.search.mcmc.MCMCResult`\\ s
   are folded into a :class:`MultiChainResult` that duck-types ``MCMCResult``
   (``best_graph``, ``require_feasible``, cache-hit accounting, ...), so the
@@ -45,7 +48,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import threading
 from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -79,87 +81,6 @@ def chain_seed(base_seed: int, chain_index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-class LockStripedCache:
-    """A dict striped over independently-locked buckets.
-
-    The acquisition service keeps its JI cache and evaluation memos in these,
-    because the requests it serves concurrently (batch fan-out, HTTP handler
-    threads) read and fill them at once.  Supports the exact mapping surface
-    the search hot path uses — ``get`` and item assignment — plus ``len``.
-    Keys are routed to a stripe by hash, so concurrent requests touching
-    different candidates rarely contend on the same lock.  (CPython's GIL
-    already serialises single dict operations; the stripes make the
-    structure safe by construction rather than by implementation detail, and
-    keep the design portable to free-threaded builds.)  ``keys`` and ``pop``
-    serve :func:`~repro.graph.target.prune_memos` after a write.
-    """
-
-    __slots__ = ("_stripes", "_locks")
-
-    def __init__(self, stripes: int = 16) -> None:
-        if stripes < 1:
-            raise SearchError(f"stripes must be >= 1, got {stripes}")
-        # guarded-by: self._locks[index]
-        self._stripes: list[dict] = [{} for _ in range(stripes)]
-        self._locks = [threading.Lock() for _ in range(stripes)]
-
-    def _index(self, key) -> int:
-        # dancelint: disable=DET102,CON201 -- stripe routing: the salted hash
-        # picks which stripe guards a key (it never orders results, derives
-        # seeds, or crosses a process boundary), and the stripe *list* is
-        # immutable after __init__ — only the dicts inside it need the locks.
-        return hash(key) % len(self._stripes)
-
-    def get(self, key, default=None):
-        index = self._index(key)
-        with self._locks[index]:
-            return self._stripes[index].get(key, default)
-
-    def __setitem__(self, key, value) -> None:
-        index = self._index(key)
-        with self._locks[index]:
-            self._stripes[index][key] = value
-
-    def __contains__(self, key) -> bool:
-        index = self._index(key)
-        with self._locks[index]:
-            return key in self._stripes[index]
-
-    def pop(self, key, default=None):
-        index = self._index(key)
-        with self._locks[index]:
-            return self._stripes[index].pop(key, default)
-
-    def keys(self) -> list:
-        """A point-in-time key snapshot across all stripes (see :meth:`items`)."""
-        return [key for key, _ in self.items()]
-
-    def __len__(self) -> int:
-        # dancelint: disable=CON201 -- racy-but-consistent gauge: each len()
-        # reads one dict atomically under the GIL; exactness is not promised.
-        return sum(len(stripe) for stripe in self._stripes)
-
-    def update(self, items: Mapping) -> None:
-        for key, value in items.items():
-            self[key] = value
-
-    def items(self) -> list[tuple]:
-        """A point-in-time ``(key, value)`` snapshot across all stripes.
-
-        Each stripe is copied under its own lock (there is no global lock to
-        take), so the snapshot is per-stripe consistent — exactly what cache
-        checkpointing needs: every entry ever observed is valid forever, only
-        entries written mid-snapshot may be missed.
-        """
-        snapshot: list[tuple] = []
-        # dancelint: disable=CON201 -- iterates the immutable stripe list;
-        # each stripe's entries are copied under that stripe's own lock.
-        for stripe, lock in zip(self._stripes, self._locks):
-            with lock:
-                snapshot.extend(stripe.items())
-        return snapshot
-
-
 @dataclass
 class MultiChainResult:
     """Aggregate outcome of a multi-chain MCMC search.
@@ -179,7 +100,6 @@ class MultiChainResult:
     best_chain_index: int | None = None
     executor: str = "serial"
     evaluation_cache_size: int = 0
-    ji_cache_size: int = 0
     # Shared-store pools only (see repro.search.shm): summed per-call worker
     # session accounting — cold_load / resyncs / deltas_applied /
     # spec_loads.  Empty for serial chains and full-payload workers.
@@ -297,16 +217,15 @@ def _chain_hook(intermediate_hook, chain_index: int):
     return hook
 
 
-def _run_chain(payload: tuple) -> tuple[MCMCResult, dict, dict]:
-    """Run one chain from a full payload with private caches.
+def _run_chain(payload: tuple) -> tuple[MCMCResult, dict]:
+    """Run one chain from a full payload with a private evaluation memo.
 
     The payload carries the join graph and the tables themselves.  A
     one-shot search's private pool runs every chain this way, and so does a
     persistent pool whose shared state does not cover a call (a write landed
     between the request's snapshot and its dispatch, or the caller passed
-    tables the pool never published).  Returns the result and the caches for
-    merging: they are the only way cache contents flow back to the
-    scheduler.
+    tables the pool never published).  Returns the result and the memo for
+    merging: it is the only way memo contents flow back to the scheduler.
     """
     (
         join_graph,
@@ -322,7 +241,6 @@ def _run_chain(payload: tuple) -> tuple[MCMCResult, dict, dict]:
         intermediate_hook,
     ) = payload
     evaluation_cache: dict = {}
-    ji_cache: dict = {}
     result = mcmc_search(
         join_graph,
         initial,
@@ -336,9 +254,8 @@ def _run_chain(payload: tuple) -> tuple[MCMCResult, dict, dict]:
         config=config,
         intermediate_hook=intermediate_hook,
         evaluation_cache=evaluation_cache,
-        ji_cache=ji_cache,
     )
-    return result, evaluation_cache, ji_cache
+    return result, evaluation_cache
 
 
 def _preload_shared_worker(pinned: "_shm.PinnedSpec") -> None:
@@ -353,13 +270,13 @@ def _preload_shared_worker(pinned: "_shm.PinnedSpec") -> None:
         pass
 
 
-def _run_chain_shared(payload: tuple) -> tuple[MCMCResult, dict, dict, dict]:
+def _run_chain_shared(payload: tuple) -> tuple[MCMCResult, dict, dict]:
     """Run one chain against the shared-memory worker session (see shm.py).
 
     The worker state is *versioned*: ``ensure_pinned_session`` applies any
     published deltas before the walk, so a warm pool survives catalog
     updates without teardown, and a worker already at the payload's version
-    never unpickles the spec.  The evaluation / JI memos persist inside the
+    never unpickles the spec.  The evaluation memos persist inside the
     worker across calls (plain dicts — no lock traffic); only the entries
     this call *added* are returned for merging, so warm calls ship back
     almost nothing."""
@@ -380,9 +297,7 @@ def _run_chain_shared(payload: tuple) -> tuple[MCMCResult, dict, dict, dict]:
     join_graph = session.graph
     tables = {name: join_graph.sample(name) for name in table_names}
     evaluation_cache = session.evaluation_cache(memo_key)
-    ji_cache = session.ji_cache
     known_evaluations = set(evaluation_cache)
-    known_ji = set(ji_cache)
     result = mcmc_search(
         join_graph,
         initial,
@@ -396,14 +311,12 @@ def _run_chain_shared(payload: tuple) -> tuple[MCMCResult, dict, dict, dict]:
         config=config,
         intermediate_hook=intermediate_hook,
         evaluation_cache=evaluation_cache,
-        ji_cache=ji_cache,
     )
     evaluation_delta = {
         key: evaluation_cache[key]
         for key in evaluation_cache.keys() - known_evaluations
     }
-    ji_delta = {key: ji_cache[key] for key in ji_cache.keys() - known_ji}
-    return result, evaluation_delta, ji_delta, stats
+    return result, evaluation_delta, stats
 
 
 def _run_chain_batch(batch: tuple) -> list[tuple]:
@@ -515,16 +428,15 @@ class ChainScheduler:
         config: MCMCConfig | None = None,
         intermediate_hook=None,
         evaluation_cache=None,
-        ji_cache=None,
     ) -> MultiChainResult:
         """Run all chains and fold their results into a :class:`MultiChainResult`.
 
         Accepts the same arguments as :func:`repro.search.mcmc.mcmc_search`;
         ``config.chains`` is overridden by the scheduler's own chain count.
-        Caller-supplied ``evaluation_cache`` / ``ji_cache`` mappings are used
-        directly by serial chains; the process executor merges each worker's
-        new cache entries into them after the run, so contents survive for
-        subsequent searches either way.  A process worker that dies raises
+        A caller-supplied ``evaluation_cache`` is used directly by serial
+        chains; the process executor merges each worker's new memo entries
+        into it after the run, so contents survive for subsequent searches
+        either way.  A process worker that dies raises
         :class:`~repro.exceptions.BrokenChainPoolError`.
         """
         (result,) = self.run_starts(
@@ -539,7 +451,6 @@ class ChainScheduler:
             config=config,
             intermediate_hook=intermediate_hook,
             evaluation_cache=evaluation_cache,
-            ji_cache=ji_cache,
         )
         return result
 
@@ -557,7 +468,6 @@ class ChainScheduler:
         config: MCMCConfig | None = None,
         intermediate_hook=None,
         evaluation_cache=None,
-        ji_cache=None,
     ) -> list[MultiChainResult]:
         """:meth:`run` for several ``(initial graph, tables)`` starts in one dispatch.
 
@@ -566,8 +476,8 @@ class ChainScheduler:
         back as one :class:`MultiChainResult` per start, in order.  Every
         start's chains get the same seeds and reset hook copies that a
         separate :meth:`run` would give them, so each result is that run's,
-        bit for bit.  Caller-supplied caches serve every start; without them
-        each start gets fresh caches, as a separate run would.
+        bit for bit.  A caller-supplied memo serves every start; without one
+        each start gets a fresh memo, as a separate run would.
         """
         if not starts:
             return []
@@ -619,13 +529,9 @@ class ChainScheduler:
             for index, chain_config in enumerate(configs)
         ]
         start_caches = [
-            (
-                evaluation_cache if evaluation_cache is not None else {},
-                ji_cache if ji_cache is not None else {},
-            )
-            for _ in starts
+            evaluation_cache if evaluation_cache is not None else {} for _ in starts
         ]
-        caches = [pair for pair in start_caches for _ in configs]
+        caches = [cache for cache in start_caches for _ in configs]
         if self.executor == "process":
             chain_results, chain_stats = self._run_process(
                 payloads, caches, worker=worker, shared_state=shared_state
@@ -635,7 +541,7 @@ class ChainScheduler:
             chain_stats = [{} for _ in payloads]
 
         results = []
-        for start, (start_evaluations, start_ji) in enumerate(start_caches):
+        for start, start_evaluations in enumerate(start_caches):
             span = slice(start * len(configs), (start + 1) * len(configs))
             worker_stats: dict = {}
             for stats in chain_stats[span]:
@@ -647,18 +553,16 @@ class ChainScheduler:
                     best_chain_index=_best_chain_index(chain_results[span]),
                     executor=self.executor,
                     evaluation_cache_size=len(start_evaluations),
-                    ji_cache_size=len(start_ji),
                     worker_stats=worker_stats,
                 )
             )
         return results
 
     # ------------------------------------------------------------ executors
-    def _run_serial(self, payloads: list[tuple], caches: list[tuple]) -> list[MCMCResult]:
-        """Serial execution over literally shared caches.
+    def _run_serial(self, payloads: list[tuple], caches: list) -> list[MCMCResult]:
+        """Serial execution over literally shared memos.
 
-        ``caches[i]`` is the ``(evaluation, JI)`` cache pair payload ``i``
-        walks on.
+        ``caches[i]`` is the evaluation memo payload ``i`` walks on.
         """
 
         def run_one(item: tuple) -> MCMCResult:
@@ -676,7 +580,7 @@ class ChainScheduler:
                     chain_config,
                     hook,
                 ),
-                (evaluation_cache, ji_cache),
+                evaluation_cache,
             ) = item
             return mcmc_search(
                 join_graph,
@@ -691,7 +595,6 @@ class ChainScheduler:
                 config=chain_config,
                 intermediate_hook=hook,
                 evaluation_cache=evaluation_cache,
-                ji_cache=ji_cache,
             )
 
         return [run_one(item) for item in zip(payloads, caches)]
@@ -699,16 +602,16 @@ class ChainScheduler:
     def _run_process(
         self,
         payloads: list[tuple],
-        caches: list[tuple],
+        caches: list,
         *,
         worker=_run_chain,
         shared_state: "_shm.SharedChainState | None" = None,
     ) -> tuple[list[MCMCResult], list[dict]]:
-        """Process execution: private caches per worker, merged afterwards.
+        """Process execution: private memos per worker, merged afterwards.
 
-        Each chain's new cache entries are merged into its ``caches[i]``
-        pair.  Shared-store workers (:func:`_run_chain_shared`) return a
-        fourth element, per-call session stats, which is returned per chain
+        Each chain's new memo entries are merged into its ``caches[i]``.
+        Shared-store workers (:func:`_run_chain_shared`) return a third
+        element, per-call session stats, which is returned per chain
         and reported to the parent-side ``shared_state``.  A pool broken by
         a dead worker raises :class:`~repro.exceptions.BrokenChainPoolError`:
         a private pool is gone with the call, and the owner of an external
@@ -718,15 +621,14 @@ class ChainScheduler:
 
         def collect(outcome_lists) -> None:
             outcomes = (outcome for outcomes in outcome_lists for outcome in outcomes)
-            for (evaluation_cache, ji_cache), outcome in zip(caches, outcomes):
-                result, chain_evaluations, chain_ji, *rest = outcome
+            for evaluation_cache, outcome in zip(caches, outcomes):
+                result, chain_evaluations, *rest = outcome
                 stats = rest[0] if rest else {}
                 if shared_state is not None:
                     shared_state.note_worker_stats(stats)
                 chain_results.append(result)
                 chain_stats.append(stats)
                 evaluation_cache.update(chain_evaluations)
-                ji_cache.update(chain_ji)
 
         # One IPC round-trip per worker, not per chain: contiguous chunks
         # preserve chain order (map is ordered), and each worker walks its

@@ -20,8 +20,9 @@ from typing import TYPE_CHECKING, Mapping, MutableMapping, Sequence
 from repro.exceptions import InfeasibleAcquisitionError, SearchError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.target import TargetGraph, TargetGraphEvaluation
+from repro.memo import Memo
 from repro.quality.fd import FunctionalDependency
-from repro.relational.joins import JoinLineage, LineageMemo
+from repro.relational.joins import JoinLineage
 from repro.relational.table import Table
 
 if TYPE_CHECKING:
@@ -281,8 +282,7 @@ def mcmc_search(
     config: MCMCConfig | None = None,
     intermediate_hook=None,
     evaluation_cache: "MutableMapping[tuple, TargetGraphEvaluation] | None" = None,
-    ji_cache: "MutableMapping[tuple, float] | None" = None,
-    lineage_memo: LineageMemo | None = None,
+    lineage_memo: Memo | None = None,
     moves: "MutableMapping[tuple, tuple[frozenset[str], ...]] | None" = None,
     transitions: "MutableMapping[tuple, TargetGraph] | None" = None,
     pool=None,
@@ -312,6 +312,9 @@ def mcmc_search(
     tables:
         The tables to evaluate candidates on — the per-instance samples for the
         heuristic / LP setting, or the full instances for GP-style evaluation.
+        On the join graph's own samples every JI weight is the graph's
+        (:meth:`~repro.graph.join_graph.JoinGraph.ji_cache_for`); other
+        tables weigh through a private JI cache.
     source_attributes / target_attributes:
         ``A_S`` and ``A_T``.
     fds:
@@ -325,15 +328,14 @@ def mcmc_search(
         candidate evaluation, such as
         :class:`~repro.sampling.resampling.ResamplingPolicy` (see
         :meth:`TargetGraph.evaluate <repro.graph.target.TargetGraph.evaluate>`).
-    evaluation_cache / ji_cache:
-        Optional externally-owned memo tables (any mapping supporting ``get``
-        and item assignment, e.g. the lock-striped caches of
-        :class:`~repro.search.chains.ChainScheduler`).  Sharing them across
-        chains — or across searches and requests, as the acquisition service
-        does — never changes walk outcomes, only which walk pays for each
-        (deterministic) evaluation.
+    evaluation_cache:
+        Optional externally-owned memo table (any mapping supporting ``get``
+        and item assignment, such as a :class:`~repro.memo.Memo`).  Sharing
+        it across chains — or across searches and requests, as the
+        acquisition service does — never changes walk outcomes, only which
+        walk pays for each (deterministic) evaluation.
     lineage_memo:
-        Optional :class:`~repro.relational.joins.LineageMemo` of the join
+        Optional :func:`~repro.relational.joins.lineage_memo` of the join
         lineages of fired graphs, shared with the other walks of a session
         on the same ``tables`` under the same hook settings.  A walk looks a
         fired graph up in its own lineages first and in the memo second, and
@@ -380,7 +382,6 @@ def mcmc_search(
             config=config,
             intermediate_hook=intermediate_hook,
             evaluation_cache=evaluation_cache,
-            ji_cache=ji_cache,
         )
     rng = random.Random(config.seed)
     pricing = join_graph.pricing
@@ -388,11 +389,11 @@ def mcmc_search(
 
     # The walk revisits candidates constantly (edge swaps are frequently
     # undone), so evaluations are memoised by canonical graph signature, and
-    # per-edge join-informativeness terms share one cache across candidates.
+    # per-edge join-informativeness terms come from one cache: the join
+    # graph's own weights on its samples, a private dict on other tables.
     if evaluation_cache is None:
         evaluation_cache = {}
-    if ji_cache is None:
-        ji_cache = {}
+    ji_cache = join_graph.ji_cache_for(tables)
     # A fired re-sampling hook makes an evaluation stochastic, and memoising
     # it would freeze one random draw per candidate for the rest of the walk.
     # Graphs on which the hook fired get a join lineage here instead: a

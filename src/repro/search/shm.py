@@ -9,7 +9,7 @@ down whenever the catalog changed.  This module replaces both halves:
     ``multiprocessing.shared_memory`` segments: one int64 buffer per cached
     dictionary-encoding (codes and histogram counts) plus one pickled payload
     blob per table (schema, decode values) and one store-level meta blob
-    (pricing model, JI cache, FDs).  Every segment is blake2b-fingerprinted
+    (pricing model, the join graph's JI weights, FDs).  Every segment is blake2b-fingerprinted
     and listed in a :class:`StoreManifest` — a small picklable registry.
     The codes travel once as ``array('q')`` bytes, and each worker copies
     them out into plain lists and unmaps the segment at once.
@@ -20,9 +20,10 @@ down whenever the catalog changed.  This module replaces both halves:
     weights the incremental ``JoinGraph`` rebuild already computed).  Workers
     hold a versioned session and apply deltas keyed by ``graph_version``,
     hard-resyncing only on version gaps or a rebase — so a warm pool survives
-    ``register_source_tables`` without teardown, and its memos keep every
-    entry a delta cannot have changed
-    (:func:`~repro.graph.target.prune_memos`).  The manifests reach workers
+    ``register_source_tables`` without teardown, and its evaluation memos
+    keep every entry a delta cannot have changed
+    (:func:`~repro.graph.target.prune_memos`).  A worker's JI weights are
+    its graph's, the only JI store its walks read.  The manifests reach workers
     as a :class:`PinnedSpec`: the :class:`WorkerSpec` pickled once per
     published version, which a worker already at that version never unpickles.
 """
@@ -371,7 +372,6 @@ class _WorkerSession:
         "graph",
         "fds",
         "eval_caches",
-        "ji_cache",
     )
 
     def __init__(self, token: str) -> None:
@@ -381,19 +381,19 @@ class _WorkerSession:
         self.graph: JoinGraph | None = None
         self.fds: tuple[FunctionalDependency, ...] = ()
         self.eval_caches: dict[object, dict] = {}
-        self.ji_cache: dict = {}
 
     def evaluation_cache(self, memo_key) -> dict:
         """Worker-persistent evaluation memo for one request namespace.
 
         A plain dict: workers are single-threaded, so unlike the service's
-        ``LockStripedCache`` there is no lock traffic on the hot path."""
+        :class:`~repro.memo.Memo` there is no lock traffic on the hot path.
+        JI weights are the worker graph's own, preloaded from the published
+        ones."""
         return self.eval_caches.setdefault(memo_key, {})
 
     def close(self) -> None:
         self.graph = None
         self.eval_caches.clear()
-        self.ji_cache.clear()
 
 
 _SESSIONS: dict[str, _WorkerSession] = {}
@@ -424,10 +424,9 @@ def _apply_delta(session: _WorkerSession, manifest: StoreManifest) -> None:
         )
     fds_before, session.fds = session.fds, tuple(meta["fds"])
     # A delta is one step, so the memos keep every entry it cannot have
-    # changed, by the same rule as the service's own memos.
-    prune_memos(
-        session.eval_caches.values(), session.ji_cache, tables, fds_before, session.fds
-    )
+    # changed, by the same rule as the service's own memos; add_instance
+    # dropped the changed instances' JI weights and preloaded the new ones.
+    prune_memos(session.eval_caches.values(), tables, fds_before, session.fds)
     session.version = manifest.version
 
 

@@ -19,14 +19,13 @@ that extension on top of the existing search machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.exceptions import InfeasibleAcquisitionError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.steiner import minimal_weight_igraph
 from repro.graph.target import TargetGraph, TargetGraphEvaluation
 from repro.quality.fd import FunctionalDependency
-from repro.relational.table import Table
 from repro.search.candidates import build_initial_target_graph, terminal_instances
 from repro.search.mcmc import MCMCConfig, mcmc_search
 
@@ -112,8 +111,7 @@ def top_k_acquisition(
     weights: ScoreWeights | None = None,
     mcmc_config: MCMCConfig | None = None,
     restarts: int = 3,
-    evaluation_tables: Mapping[str, Table] | None = None,
-    rng: int | None = None,
+    landmark_seed: int | None = None,
 ) -> list[RankedOption]:
     """Return up to ``k`` feasible acquisition options ranked by score.
 
@@ -121,6 +119,9 @@ def top_k_acquisition(
     times with different seeds on the Step-1 minimal-weight I-graph; every
     feasible candidate encountered by any walk is scored.  Candidates that buy
     the identical set of AS-vertices are de-duplicated (best score kept).
+    ``landmark_seed`` seeds Step 1's landmark draw (see
+    :func:`~repro.graph.steiner.minimal_weight_igraphs`).  Every candidate is
+    evaluated on the join graph's samples, with the graph's JI weights.
     """
     if k < 1:
         raise InfeasibleAcquisitionError("top-k acquisition requires k >= 1")
@@ -130,16 +131,13 @@ def top_k_acquisition(
     sources, targets = terminal_instances(join_graph, source_attributes, target_attributes)
     terminals = list(dict.fromkeys(sources + targets))
     igraph = minimal_weight_igraph(
-        join_graph, terminals, max_weight=max_weight, rng=rng
+        join_graph, terminals, max_weight=max_weight, landmark_seed=landmark_seed
     )
     initial = build_initial_target_graph(
         join_graph, igraph, source_attributes, target_attributes
     )
-    tables = (
-        dict(evaluation_tables)
-        if evaluation_tables is not None
-        else {name: join_graph.sample(name) for name in igraph.nodes}
-    )
+    tables = {name: join_graph.sample(name) for name in igraph.nodes}
+    ji_cache = join_graph.ji_cache_for(tables)
 
     pricing = join_graph.pricing
     wanted = frozenset(source_attributes) | frozenset(target_attributes)
@@ -147,7 +145,7 @@ def top_k_acquisition(
 
     def consider(graph: TargetGraph) -> None:
         evaluation = graph.evaluate(
-            tables, source_attributes, target_attributes, fds, pricing
+            tables, source_attributes, target_attributes, fds, pricing, ji_cache=ji_cache
         )
         if not evaluation.satisfies(
             max_weight=max_weight, min_quality=min_quality, budget=budget

@@ -45,7 +45,7 @@ never what it computes.
 
 from repro.pricing.sla import QosConfig
 from repro.service.batch import BatchResult, ServedRequest, fair_order, request_seed
-from repro.service.metrics import CountingCache, LatencyHistogram, ServiceMetrics
+from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.qos import (
     QosScheduler,
     TokenBucket,
@@ -59,7 +59,6 @@ __all__ = [
     "AcquisitionHTTPServer",
     "AcquisitionService",
     "BatchResult",
-    "CountingCache",
     "LatencyHistogram",
     "QosConfig",
     "QosScheduler",

@@ -1,4 +1,4 @@
-"""Service observability: latency histograms, hit-rate trends, counting caches.
+"""Service observability: latency histograms and hit-rate trends.
 
 `AcquisitionService.describe()` historically reported coarse lifetime counters
 (requests served, errors, cache sizes).  This module adds the per-request
@@ -16,12 +16,6 @@ view an operator actually pages on:
     hit-rate *trend* over the sliding window (older half vs. newer half —
     a warming cache trends up, an invalidation shows as a drop).
 
-:class:`CountingCache`
-    A :class:`~repro.search.chains.LockStripedCache` that additionally counts
-    hits and misses and holds at most :data:`STEP1_MEMO_ENTRIES` entries,
-    used for the service's Step-1 memo so the metrics can report how many
-    warm requests actually skipped the landmark/Steiner search.
-
 All classes are thread-safe; ``snapshot()`` methods return plain-JSON dicts
 (surfaced through ``AcquisitionService.describe()``/``metrics()``, the CLI
 ``metrics`` command and the ``batch`` summary).
@@ -34,7 +28,6 @@ import threading
 from collections import deque
 
 from repro.exceptions import ReproError
-from repro.search.chains import LockStripedCache
 
 # Upper bucket bounds in seconds; one implicit overflow bucket follows.
 BUCKET_BOUNDS: tuple[float, ...] = (
@@ -57,13 +50,6 @@ BUCKET_BOUNDS: tuple[float, ...] = (
 #: queue-wait and execution histograms, its hit-rate trend, and the
 #: scheduler's per-tier queue-wait histograms.
 WINDOW = 256
-
-#: Entries a :class:`CountingCache` (the session's Step-1 memo) holds at
-#: most; past it the oldest entry goes, in insertion order.  Read at every
-#: insertion.
-STEP1_MEMO_ENTRIES = 1024
-
-_MISS = object()
 
 
 def _percentile(ordered: list[float], quantile: float) -> float:
@@ -210,75 +196,3 @@ class ServiceMetrics:
             "execution": self.execution.snapshot(),
             "cache_hit_rate": hit_rate,
         }
-
-
-class CountingCache(LockStripedCache):
-    """A lock-striped cache that counts hits and misses on ``get``.
-
-    It holds at most :data:`STEP1_MEMO_ENTRIES` entries: a put of a new key
-    past the bound evicts the oldest key in insertion order, whether the
-    put comes from a search or from :meth:`update` restoring a catalog's
-    memo.  Every value is recomputable, so eviction costs time, never bits.
-    """
-
-    __slots__ = ("_counter_lock", "_hits", "_misses", "_order")
-
-    def __init__(self, stripes: int = 16) -> None:
-        super().__init__(stripes)
-        self._counter_lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        # Keys in insertion order; a dict, so membership is O(1).
-        self._order: dict = {}  # guarded-by: self._counter_lock
-
-    def __setitem__(self, key, value) -> None:
-        with self._counter_lock:
-            order = self._order
-            if key not in order:
-                order[key] = None
-                while len(order) > STEP1_MEMO_ENTRIES:
-                    oldest = next(iter(order))
-                    del order[oldest]
-                    super().pop(oldest, None)
-            super().__setitem__(key, value)
-
-    def pop(self, key, default=None):
-        with self._counter_lock:
-            self._order.pop(key, None)
-            return super().pop(key, default)
-
-    def items(self) -> list[tuple]:
-        """A ``(key, value)`` snapshot, oldest first: a checkpoint writes the
-        memo in this order, so a restore under the bound keeps the newest."""
-        with self._counter_lock:
-            keys = list(self._order)
-        snapshot = []
-        for key in keys:
-            value = super().get(key, _MISS)
-            if value is not _MISS:
-                snapshot.append((key, value))
-        return snapshot
-
-    def get(self, key, default=None):
-        value = super().get(key, _MISS)
-        with self._counter_lock:
-            if value is _MISS:
-                self._misses += 1
-            else:
-                self._hits += 1
-        return default if value is _MISS else value
-
-    @property
-    def hits(self) -> int:
-        with self._counter_lock:
-            return self._hits
-
-    @property
-    def misses(self) -> int:
-        with self._counter_lock:
-            return self._misses
-
-    def snapshot(self) -> dict[str, object]:
-        with self._counter_lock:
-            hits, misses = self._hits, self._misses
-        return {"entries": len(self), "hits": hits, "misses": misses}

@@ -5,20 +5,23 @@ fresh caches per candidate I-graph and, for the process executor, spins a
 fresh pool per ``mcmc_search`` call.  :class:`AcquisitionService`
 keeps one marketplace *hot* instead:
 
-* **Cache ownership.**  The service owns one JI cache (structural keys —
-  valid service-wide) and one evaluation memo *per request signature*
-  ``(source attrs, target attrs)`` — evaluations depend on the requested
-  attributes, so sharing them across different signatures would be wrong.
-  Both live in :class:`~repro.search.chains.LockStripedCache` instances and
-  are handed to every search through
+* **Cache ownership.**  The service owns one evaluation memo *per request
+  signature* ``(source attrs, target attrs)`` — evaluations depend on the
+  requested attributes, so sharing them across different signatures would
+  be wrong.  Each is a :class:`~repro.memo.Memo` of at most
+  :data:`EVALUATION_MEMO_ENTRIES` entries, in a memo of at most
+  :data:`EVALUATION_NAMESPACES` namespaces, handed to every search through
   :class:`~repro.search.acquisition.SearchRuntime`, so all candidate I-graphs
-  of one request and all requests of one session share work.  Beside the JI
-  cache sits one bounded :class:`~repro.relational.joins.LineageMemo` of the
-  join lineages of graphs on which the re-sampling hook fired: a lineage
-  depends on its graph, the tables and the session's one re-sampling policy,
-  never on the request, so every single-walk search of the session replays a
-  fired graph the session has already joined instead of joining it again.
-  It is never checkpointed.
+  of one request and all requests of one session share work.  JI weights
+  are the join graph's alone: every walk on the graph's samples reads them
+  (:meth:`~repro.graph.join_graph.JoinGraph.ji_cache_for`), so no served
+  read computes JI.  Beside the evaluation memos sits one bounded
+  :func:`~repro.relational.joins.lineage_memo` of the join lineages of
+  graphs on which the re-sampling hook fired: a lineage depends on its
+  graph, the tables and the session's one re-sampling policy, never on the
+  request, so every single-walk search of the session replays a fired graph
+  the session has already joined instead of joining it again.  It is never
+  checkpointed.
 * **Pool reuse.**  Under a process plan one persistent pool
   (:func:`repro.search.chains.shared_chain_pool`) serves every multi-chain
   ``mcmc_search`` call for the lifetime of the service: workers map the
@@ -51,7 +54,7 @@ keeps one marketplace *hot* instead:
   the service memoises it per that key; warm requests skip the
   landmark/Steiner search entirely.  It resets on every ``graph_version``
   bump, because the Steiner search reads the whole I-layer, and it holds at
-  most :data:`~repro.service.metrics.STEP1_MEMO_ENTRIES` entries.
+  most :data:`STEP1_MEMO_ENTRIES` entries.
 * **Walk-space memo.**  Beside it, one
   :class:`~repro.search.acquisition.WalkSpaceMemo` keeps, per I-graph and
   requested attribute set, Step 2's start and the move table and transition
@@ -67,19 +70,19 @@ keeps one marketplace *hot* instead:
 * **Incremental refresh.**  :meth:`register_source_tables` updates the join
   graph through DANCE's incremental path (only edges touching changed
   instances are recomputed) and invalidates exactly the session state the
-  change made stale: the evaluation and JI memos keep every entry the write
-  cannot have changed (:func:`~repro.graph.target.prune_memos`), in the
-  session and in shared-store pool workers, and the lineage memo keeps
-  every lineage over unchanged instances; offline rebuilds drop them all.
+  change made stale: the evaluation memos keep every entry the write cannot
+  have changed (:func:`~repro.graph.target.prune_memos`), in the session and
+  in shared-store pool workers, and the lineage memo keeps every lineage
+  over unchanged instances; offline rebuilds drop them all.
 * **Persistent session state.**  With ``ServiceConfig(catalog_path=...)``
   the service opens the catalog at startup (warming the offline phase; see
-  :meth:`repro.core.dance.DANCE.persist`), restores its JI cache and Step-1
-  memo from the catalog's session namespace — guarded by a graph-state
-  fingerprint, so caches never outlive the tables they were computed on —
-  and checkpoints marketplace, offline state, and caches back after
-  :meth:`register_source_tables` (or explicitly via :meth:`persist`).
-  Restore and checkpoint failures degrade to a cold session with a
-  ``RuntimeWarning``; they never fail serving.
+  :meth:`repro.core.dance.DANCE.persist`, which carries the JI weights),
+  restores its Step-1 memo from the catalog's session namespace — guarded
+  by a graph-state fingerprint, so the memo never outlives the tables it
+  was computed on — and checkpoints marketplace, offline state, and memo
+  back after :meth:`register_source_tables` (or explicitly via
+  :meth:`persist`).  Restore and checkpoint failures degrade to a cold
+  session with a ``RuntimeWarning``; they never fail serving.
 
 Thread-safety contract: concurrent *serving* calls are safe (that is the
 point of the batch API); management operations — ``register_source_tables``,
@@ -119,18 +122,32 @@ from repro.graph.join_graph import JoinGraph
 from repro.graph.target import prune_memos
 from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
+from repro.memo import Memo
 from repro.quality.fd import FunctionalDependency
-from repro.relational.joins import LineageMemo
+from repro.relational.joins import lineage_memo
 from repro.relational.table import Table
 from repro.search.acquisition import SearchRuntime, WalkSpaceMemo
-from repro.search.chains import LockStripedCache, shared_chain_pool
+from repro.search.chains import shared_chain_pool
 from repro.search.plan import pool_width
 from repro.search.shm import SharedChainState
 from repro.service.batch import BatchResult, ServedRequest, fair_order, request_seed
-from repro.service.metrics import CountingCache, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.qos import QosScheduler
 
 _SERVICE_COUNTER = itertools.count()
+
+#: Entries the Step-1 memo holds at most.  Read when a memo is made.
+STEP1_MEMO_ENTRIES = 1024
+
+#: Evaluations one request namespace's memo holds at most, and the
+#: namespaces the session keeps at most.  An entry (signature plus
+#: evaluation) pickles to about 350 B on TPC-H and TPC-E, so a full
+#: namespace pickles to about 2.9 MB and the worst case, every namespace
+#: full, to about 1.5 GB.  The benchmark's sessions peak at 41 entries over
+#: 3 namespaces, far below either bound, so none of its reads meets an
+#: eviction.  Read when a memo is made.
+EVALUATION_MEMO_ENTRIES = 1 << 13
+EVALUATION_NAMESPACES = 1 << 9
 
 #: Errors that mean "the scheduler shed this request before it executed".
 #: Shed requests appear in the queue/qos counters, never in
@@ -183,10 +200,9 @@ class AcquisitionService:
         self._closed = False  # guarded-by: self._lock
         self._synced_version: int | None = None  # guarded-by: self._lock
         self._synced_fds: tuple[FunctionalDependency, ...] = ()  # guarded-by: self._lock
-        self._ji_cache: LockStripedCache | None = None  # guarded-by: self._lock
-        self._lineage_memo = LineageMemo()  # guarded-by: self._lock
-        self._evaluation_caches: dict[tuple, LockStripedCache] = {}  # guarded-by: self._lock
-        self._step1_memo: CountingCache | None = None  # guarded-by: self._lock
+        self._lineage_memo = lineage_memo()  # guarded-by: self._lock
+        self._evaluation_caches = Memo(EVALUATION_NAMESPACES)  # guarded-by: self._lock
+        self._step1_memo: Memo | None = None  # guarded-by: self._lock
         self._walk_spaces = WalkSpaceMemo()  # guarded-by: self._lock
         self._chain_pool = None  # guarded-by: self._lock
         self._chain_pool_state: SharedChainState | None = None  # guarded-by: self._lock
@@ -418,15 +434,13 @@ class AcquisitionService:
                 self._dance.build_offline()
             self._sync_locked()
             evaluation_cache = self._evaluation_cache_locked(request)
-            ji_cache = self._ji_cache
-            lineage_memo = self._lineage_memo
+            lineages = self._lineage_memo
             step1_cache = self._step1_memo
             walk_spaces = self._walk_spaces
             pool, pool_state = self._chain_pool_locked()
         return SearchRuntime(
             evaluation_cache=evaluation_cache,
-            ji_cache=ji_cache,
-            lineage_memo=lineage_memo,
+            lineage_memo=lineages,
             step1_cache=step1_cache,
             walk_spaces=walk_spaces,
             pool=pool,
@@ -443,12 +457,12 @@ class AcquisitionService:
 
         A one-step refresh that names its changed instances (``changed``, the
         added and replaced names of :meth:`register_source_tables`) prunes
-        the evaluation, JI and lineage memos by
+        the evaluation and lineage memos by
         :func:`~repro.graph.target.prune_memos`: an entry survives unless the
         write changed one of its instances or (evaluations only) an FD its
         join can carry.  Any other version bump — an offline rebuild, or a
         change made on the middleware behind the session's back, which shows
-        as a version gap — resets all three and counts in ``cache_resets``.
+        as a version gap — resets both and counts in ``cache_resets``.
         The Step-1 memo always resets, because its Steiner search reads the
         whole I-layer, and so does the walk-space memo, whose starts and
         proposal graphs come from the join graph's edges.
@@ -473,8 +487,7 @@ class AcquisitionService:
         )
         if pruned:
             prune_memos(
-                self._evaluation_caches.values(),
-                self._ji_cache,
+                [memo for _, memo in self._evaluation_caches.items()],
                 changed,
                 self._synced_fds,
                 fds,
@@ -483,12 +496,11 @@ class AcquisitionService:
         else:
             if self._synced_version is not None:
                 self._cache_resets += 1
-            self._ji_cache = LockStripedCache()
-            self._evaluation_caches = {}
-            self._lineage_memo = LineageMemo()
+            self._evaluation_caches = Memo(EVALUATION_NAMESPACES)
+            self._lineage_memo = lineage_memo()
         self._synced_version = version
         self._synced_fds = fds
-        self._step1_memo = CountingCache()
+        self._step1_memo = Memo(STEP1_MEMO_ENTRIES)
         self._walk_spaces = WalkSpaceMemo()
         if not self._refresh_chain_pool_locked(version, changed):
             self._dispose_chain_pool_locked()
@@ -547,14 +559,15 @@ class AcquisitionService:
             )
 
     def _restore_caches_locked(self) -> None:
-        """Seed the freshly reset session caches from the attached catalog.
+        """Seed the freshly reset Step-1 memo from the attached catalog.
 
         The persisted blob carries a fingerprint of the graph state (every
-        sample table plus the revision counter) it was computed on; the
-        caches are adopted only when the current graph hashes identically —
-        Step-1 memo keys embed the graph revision, and JI keys are only
-        meaningful for unchanged samples.  Any failure warns and serves cold;
-        restoring is an optimisation, never a correctness dependency.
+        sample table plus the revision counter) it was computed on; the memo
+        is adopted only when the current graph hashes identically, since its
+        keys embed the graph revision.  The ``"ji"`` entry an older catalog
+        carries is ignored: the JI weights come back with the offline state.
+        Any failure warns and serves cold; restoring is an optimisation,
+        never a correctness dependency.
         """
         storage = self._dance.marketplace.storage
         if storage is None or self._dance._join_graph is None:
@@ -575,8 +588,6 @@ class AcquisitionService:
             )
             if state.get("fingerprint") != fingerprint:
                 return
-            if self._ji_cache is not None and state.get("ji"):
-                self._ji_cache.update(state["ji"])
             if self._step1_memo is not None and state.get("step1"):
                 self._step1_memo.update(state["step1"])
         except Exception as error:  # dancelint: disable=ERR301 -- restore is best-effort
@@ -586,19 +597,21 @@ class AcquisitionService:
                 stacklevel=3,
             )
 
-    def _evaluation_cache_locked(self, request: AcquisitionRequest) -> LockStripedCache:
+    def _evaluation_cache_locked(self, request: AcquisitionRequest) -> Memo:
         """The evaluation memo of one request signature (caller holds the lock).
 
         Evaluations depend on the source/target attribute sets (correlation is
         measured between them), so the memo is namespaced by
         ``(source_attributes, target_attributes)``; budgets and α/β
         constraints are applied *to* evaluations, never baked into them, so
-        requests differing only in constraints share a namespace.
+        requests differing only in constraints share a namespace.  Past
+        :data:`EVALUATION_NAMESPACES` the oldest namespace goes; a request
+        that holds it keeps using it.
         """
         key = (request.source_attributes, request.target_attributes)
         cache = self._evaluation_caches.get(key)
         if cache is None:
-            cache = LockStripedCache()
+            cache = Memo(EVALUATION_MEMO_ENTRIES)
             self._evaluation_caches[key] = cache
         return cache
 
@@ -703,9 +716,10 @@ class AcquisitionService:
         """Checkpoint marketplace, offline state, and session caches.
 
         ``path`` defaults to ``ServiceConfig.catalog_path``, then to the
-        marketplace's attached backend.  The session namespace stores the JI
-        cache and Step-1 memo under a fingerprint of the current graph state,
-        so a restarted service only adopts them while the data is unchanged.
+        marketplace's attached backend.  The session namespace stores the
+        Step-1 memo under a fingerprint of the current graph state, so a
+        restarted service only adopts it while the data is unchanged; the JI
+        weights are part of the offline state.
         The write is all-or-nothing across every namespace: it rewrites the
         attached catalog in one transaction, putting only the blobs that
         changed, or else replaces the file through one temp-file rename (see
@@ -732,7 +746,6 @@ class AcquisitionService:
                 "fingerprint": _serialize.graph_state_fingerprint(
                     graph._samples, graph.revision
                 ),
-                "ji": dict(self._ji_cache.items()) if self._ji_cache else {},
                 "step1": dict(self._step1_memo.items()) if self._step1_memo else {},
             }
             backend.put(NS_SESSION, "caches", _serialize.dumps(state))
@@ -800,7 +813,7 @@ class AcquisitionService:
         return payload
 
     def _evaluation_entries_locked(self) -> int:
-        return sum(len(cache) for cache in self._evaluation_caches.values())
+        return sum(len(cache) for _, cache in self._evaluation_caches.items())
 
     def describe(self) -> dict[str, object]:
         """A JSON-friendly snapshot of the session.
@@ -808,9 +821,10 @@ class AcquisitionService:
         ``cache_resets`` counts full memo resets (offline rebuilds, version
         gaps); a write that only pruned the memos is not one, and its
         ``register_source_tables`` summary reports what it kept and dropped.
-        ``lineage_cache_entries`` and ``lineage_cache_rows`` count the join
-        lineages the session's lineage memo holds and the rows those hold
-        (see :attr:`repro.relational.joins.JoinLineage.rows`), and
+        ``ji_cache_entries`` counts the join graph's JI weights, the only JI
+        store.  ``lineage_cache_entries`` and ``lineage_cache_rows`` count
+        the join lineages the session's lineage memo holds and the rows
+        those hold (see :attr:`repro.relational.joins.JoinLineage.rows`), and
         ``walk_space_memo_entries`` and ``walk_space_memo_graphs`` the walk
         spaces the walk-space memo holds and their graphs (see
         :class:`repro.search.acquisition.WalkSpaceMemo`).
@@ -819,6 +833,7 @@ class AcquisitionService:
         with self._lock:
             evaluation_entries = self._evaluation_entries_locked()
             walk_spaces = self._walk_spaces.snapshot()
+            graph = self._dance._join_graph
             return {
                 "seed": self._seed,
                 "requests_served": self._requests_served,
@@ -829,9 +844,9 @@ class AcquisitionService:
                 "graph_version": self._dance.graph_version,
                 "evaluation_cache_groups": len(self._evaluation_caches),
                 "evaluation_cache_entries": evaluation_entries,
-                "ji_cache_entries": 0 if self._ji_cache is None else len(self._ji_cache),
+                "ji_cache_entries": 0 if graph is None else len(graph._ji_cache),
                 "lineage_cache_entries": len(self._lineage_memo),
-                "lineage_cache_rows": self._lineage_memo.rows,
+                "lineage_cache_rows": self._lineage_memo.units,
                 "step1_memo_entries": (
                     0 if self._step1_memo is None else len(self._step1_memo)
                 ),

@@ -128,3 +128,12 @@ class TestInstanceServices:
         replacement = Table.from_rows("isolated", ["custkey"], [(1,)])
         join_graph.add_instance(replacement)
         assert join_graph.has_edge("isolated", "orders")
+
+    def test_evaluations_on_the_samples_read_the_graphs_weights(self, join_graph, tables):
+        own = {table.name: join_graph.sample(table.name) for table in tables[:2]}
+        assert join_graph.ji_cache_for(own) is join_graph.ji_cache_for({})
+        assert join_graph.ji_cache_for(own) == join_graph.ji_weights()
+        copy = Table.from_rows("orders", ["custkey", "amount"], list(tables[0].iter_rows()))
+        foreign = join_graph.ji_cache_for({"orders": copy, "customers": own["customers"]})
+        assert foreign == {}
+        assert foreign is not join_graph.ji_cache_for(own)

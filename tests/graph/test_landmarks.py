@@ -34,7 +34,7 @@ def weighted_graph() -> nx.Graph:
 
 class TestConstruction:
     def test_landmark_count_capped_by_graph_size(self, weighted_graph):
-        index = LandmarkIndex(weighted_graph, num_landmarks=50, rng=0)
+        index = LandmarkIndex(weighted_graph, num_landmarks=50, landmark_seed=0)
         assert len(index.landmarks) == weighted_graph.number_of_nodes()
 
     def test_empty_graph_rejected(self):
@@ -46,8 +46,8 @@ class TestConstruction:
             LandmarkIndex(weighted_graph, num_landmarks=0)
 
     def test_deterministic_with_seed(self, weighted_graph):
-        first = LandmarkIndex(weighted_graph, num_landmarks=3, rng=7)
-        second = LandmarkIndex(weighted_graph, num_landmarks=3, rng=7)
+        first = LandmarkIndex(weighted_graph, num_landmarks=3, landmark_seed=7)
+        second = LandmarkIndex(weighted_graph, num_landmarks=3, landmark_seed=7)
         assert first.landmarks == second.landmarks
 
 
@@ -62,27 +62,17 @@ class TestSeedNormalization:
         with pytest.raises(SearchError, match="prior draws"):
             canonical_landmark_seed(random.Random(0))
         with pytest.raises(SearchError):
-            LandmarkIndex(weighted_graph, rng=random.Random(0))
+            LandmarkIndex(weighted_graph, landmark_seed=random.Random(0))
 
     def test_non_integer_seed_rejected(self):
         with pytest.raises(SearchError):
             canonical_landmark_seed("seven")
-
-    def test_landmark_seed_keyword_equals_int_rng(self, weighted_graph):
-        by_rng = LandmarkIndex(weighted_graph, num_landmarks=3, rng=7)
-        by_seed = LandmarkIndex(weighted_graph, num_landmarks=3, landmark_seed=7)
-        assert by_rng.landmarks == by_seed.landmarks
-        assert by_seed.landmark_seed == 7
 
     def test_default_seed_is_declared_not_silent(self, weighted_graph):
         explicit = LandmarkIndex(weighted_graph, num_landmarks=3, landmark_seed=0)
         implicit = LandmarkIndex(weighted_graph, num_landmarks=3)
         assert implicit.landmarks == explicit.landmarks
         assert implicit.landmark_seed == 0
-
-    def test_both_seed_forms_rejected_together(self, weighted_graph):
-        with pytest.raises(SearchError, match="not both"):
-            LandmarkIndex(weighted_graph, rng=1, landmark_seed=2)
 
     def test_derived_seed_is_stable_and_domain_tagged(self):
         assert derive_landmark_seed(0) == derive_landmark_seed(0)
@@ -105,17 +95,17 @@ class TestSeedNormalization:
 
 class TestQueries:
     def test_estimate_is_upper_bound(self, weighted_graph):
-        index = LandmarkIndex(weighted_graph, num_landmarks=6, rng=0)
+        index = LandmarkIndex(weighted_graph, num_landmarks=6, landmark_seed=0)
         exact = nx.dijkstra_path_length(weighted_graph, "a", "e")
         assert index.estimate_distance("a", "e") >= exact - 1e-12
 
     def test_estimate_exact_when_all_nodes_are_landmarks(self, weighted_graph):
-        index = LandmarkIndex(weighted_graph, num_landmarks=7, rng=1)
+        index = LandmarkIndex(weighted_graph, num_landmarks=7, landmark_seed=1)
         exact = nx.dijkstra_path_length(weighted_graph, "a", "c")
         assert index.estimate_distance("a", "c") == pytest.approx(exact)
 
     def test_approximate_path_connects_endpoints(self, weighted_graph):
-        index = LandmarkIndex(weighted_graph, num_landmarks=4, rng=2)
+        index = LandmarkIndex(weighted_graph, num_landmarks=4, landmark_seed=2)
         path = index.approximate_path("a", "e")
         assert path[0] == "a"
         assert path[-1] == "e"
@@ -124,20 +114,20 @@ class TestQueries:
             assert weighted_graph.has_edge(left, right)
 
     def test_approximate_path_has_no_repeated_vertices(self, weighted_graph):
-        index = LandmarkIndex(weighted_graph, num_landmarks=4, rng=3)
+        index = LandmarkIndex(weighted_graph, num_landmarks=4, landmark_seed=3)
         path = index.approximate_path("a", "e")
         assert len(path) == len(set(path))
 
     def test_same_source_and_destination(self, weighted_graph):
-        index = LandmarkIndex(weighted_graph, num_landmarks=2, rng=0)
+        index = LandmarkIndex(weighted_graph, num_landmarks=2, landmark_seed=0)
         assert index.approximate_path("a", "a") == ["a"]
 
     def test_disconnected_vertex_unreachable(self, weighted_graph):
-        index = LandmarkIndex(weighted_graph, num_landmarks=6, rng=0)
+        index = LandmarkIndex(weighted_graph, num_landmarks=6, landmark_seed=0)
         assert index.estimate_distance("a", "island") == float("inf")
         assert index.approximate_path("a", "island") == []
 
     def test_path_weight(self, weighted_graph):
-        index = LandmarkIndex(weighted_graph, num_landmarks=3, rng=0)
+        index = LandmarkIndex(weighted_graph, num_landmarks=3, landmark_seed=0)
         assert index.path_weight(["a", "b", "c"]) == pytest.approx(0.3)
         assert index.path_weight(["a", "e"]) == float("inf")

@@ -27,19 +27,19 @@ def chain_graph() -> JoinGraph:
 
 class TestMinimalWeightIGraph:
     def test_connects_terminals(self, chain_graph):
-        igraph = minimal_weight_igraph(chain_graph, ["orders", "regions"], rng=0)
+        igraph = minimal_weight_igraph(chain_graph, ["orders", "regions"], landmark_seed=0)
         assert igraph.contains_all(["orders", "regions"])
         # the chain is the only way to connect them
         assert set(igraph.nodes) == {"orders", "customers", "nations", "regions"}
         assert igraph.size == 4
 
     def test_single_terminal(self, chain_graph):
-        igraph = minimal_weight_igraph(chain_graph, ["orders"], rng=0)
+        igraph = minimal_weight_igraph(chain_graph, ["orders"], landmark_seed=0)
         assert igraph.nodes == ("orders",)
         assert igraph.total_weight == 0.0
 
     def test_adjacent_terminals_use_direct_edge(self, chain_graph):
-        igraph = minimal_weight_igraph(chain_graph, ["orders", "customers"], rng=0)
+        igraph = minimal_weight_igraph(chain_graph, ["orders", "customers"], landmark_seed=0)
         assert set(igraph.nodes) == {"orders", "customers"}
         assert igraph.total_weight == pytest.approx(
             chain_graph.edge("orders", "customers").weight
@@ -47,57 +47,54 @@ class TestMinimalWeightIGraph:
 
     def test_unreachable_terminals_raise(self, chain_graph):
         with pytest.raises(InfeasibleAcquisitionError):
-            minimal_weight_igraph(chain_graph, ["orders", "lonely"], rng=0)
+            minimal_weight_igraph(chain_graph, ["orders", "lonely"], landmark_seed=0)
 
     def test_weight_threshold_enforced(self, chain_graph):
         with pytest.raises(InfeasibleAcquisitionError):
-            minimal_weight_igraph(chain_graph, ["orders", "regions"], max_weight=0.0, rng=0)
+            minimal_weight_igraph(
+                chain_graph, ["orders", "regions"], max_weight=0.0, landmark_seed=0
+            )
 
     def test_unknown_terminal_rejected(self, chain_graph):
         with pytest.raises(SearchError):
-            minimal_weight_igraph(chain_graph, ["orders", "nope"], rng=0)
+            minimal_weight_igraph(chain_graph, ["orders", "nope"], landmark_seed=0)
 
     def test_empty_terminals_rejected(self, chain_graph):
         with pytest.raises(SearchError):
-            minimal_weight_igraph(chain_graph, [], rng=0)
+            minimal_weight_igraph(chain_graph, [], landmark_seed=0)
 
     def test_total_weight_matches_edges(self, chain_graph):
-        igraph = minimal_weight_igraph(chain_graph, ["orders", "regions"], rng=0)
+        igraph = minimal_weight_igraph(chain_graph, ["orders", "regions"], landmark_seed=0)
         expected = sum(
             chain_graph.edge(left, right).weight for left, right in igraph.edges
         )
         assert igraph.total_weight == pytest.approx(expected)
 
     def test_deterministic_for_seed(self, chain_graph):
-        first = minimal_weight_igraph(chain_graph, ["orders", "regions"], rng=5)
-        second = minimal_weight_igraph(chain_graph, ["orders", "regions"], rng=5)
+        first = minimal_weight_igraph(chain_graph, ["orders", "regions"], landmark_seed=5)
+        second = minimal_weight_igraph(chain_graph, ["orders", "regions"], landmark_seed=5)
         assert first == second
-
-    def test_landmark_seed_keyword_equals_int_rng(self, chain_graph):
-        by_rng = minimal_weight_igraph(chain_graph, ["orders", "regions"], rng=5)
-        by_seed = minimal_weight_igraph(
-            chain_graph, ["orders", "regions"], landmark_seed=5
-        )
-        assert by_rng == by_seed
 
     def test_mutable_random_stream_rejected(self, chain_graph):
         import random
 
         with pytest.raises(SearchError, match="prior draws"):
             minimal_weight_igraph(
-                chain_graph, ["orders", "regions"], rng=random.Random(0)
+                chain_graph, ["orders", "regions"], landmark_seed=random.Random(0)
             )
+        with pytest.raises(SearchError, match="must be an int"):
+            minimal_weight_igraph(chain_graph, ["orders", "regions"], landmark_seed="5")
 
-    def test_both_seed_forms_rejected_together(self, chain_graph):
-        with pytest.raises(SearchError, match="not both"):
-            minimal_weight_igraph(
-                chain_graph, ["orders", "regions"], rng=1, landmark_seed=2
-            )
+    @pytest.mark.parametrize("terminals", [["orders", "orders"], ["orders", "regions"]])
+    def test_a_bad_landmark_count_is_refused_for_any_terminals(self, chain_graph, terminals):
+        """One terminal used to return before the landmark count was checked."""
+        with pytest.raises(SearchError, match="num_landmarks"):
+            minimal_weight_igraph(chain_graph, terminals, num_landmarks=0)
 
 
 class TestJoinOrder:
     def test_order_keeps_prefixes_connected(self, chain_graph):
-        igraph = minimal_weight_igraph(chain_graph, ["orders", "regions"], rng=0)
+        igraph = minimal_weight_igraph(chain_graph, ["orders", "regions"], landmark_seed=0)
         order = igraph_join_order(igraph)
         assert set(order) == set(igraph.nodes)
         adjacency = {frozenset(edge) for edge in igraph.edges}
@@ -107,7 +104,7 @@ class TestJoinOrder:
             placed.add(name)
 
     def test_start_node_honoured(self, chain_graph):
-        igraph = minimal_weight_igraph(chain_graph, ["orders", "regions"], rng=0)
+        igraph = minimal_weight_igraph(chain_graph, ["orders", "regions"], landmark_seed=0)
         order = igraph_join_order(igraph, start="orders")
         assert order[0] == "orders"
 

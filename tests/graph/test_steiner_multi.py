@@ -22,7 +22,7 @@ def diamond_graph() -> JoinGraph:
 
 class TestMultipleIGraphs:
     def test_returns_multiple_distinct_candidates(self, diamond_graph):
-        igraphs = minimal_weight_igraphs(diamond_graph, ["left", "right"], rng=0)
+        igraphs = minimal_weight_igraphs(diamond_graph, ["left", "right"], landmark_seed=0)
         assert len(igraphs) >= 2
         node_sets = {igraph.nodes for igraph in igraphs}
         assert len(node_sets) == len(igraphs)
@@ -30,36 +30,36 @@ class TestMultipleIGraphs:
             assert igraph.contains_all(["left", "right"])
 
     def test_sorted_by_weight(self, diamond_graph):
-        igraphs = minimal_weight_igraphs(diamond_graph, ["left", "right"], rng=0)
+        igraphs = minimal_weight_igraphs(diamond_graph, ["left", "right"], landmark_seed=0)
         weights = [igraph.total_weight for igraph in igraphs]
         assert weights == sorted(weights)
 
     def test_singular_wrapper_returns_lightest(self, diamond_graph):
-        igraphs = minimal_weight_igraphs(diamond_graph, ["left", "right"], rng=3)
-        single = minimal_weight_igraph(diamond_graph, ["left", "right"], rng=3)
+        igraphs = minimal_weight_igraphs(diamond_graph, ["left", "right"], landmark_seed=3)
+        single = minimal_weight_igraph(diamond_graph, ["left", "right"], landmark_seed=3)
         assert single == igraphs[0]
 
     def test_alpha_filters_candidates(self, diamond_graph):
-        unfiltered = minimal_weight_igraphs(diamond_graph, ["left", "right"], rng=0)
+        unfiltered = minimal_weight_igraphs(diamond_graph, ["left", "right"], landmark_seed=0)
         cutoff = unfiltered[0].total_weight + 1e-9
         filtered = minimal_weight_igraphs(
-            diamond_graph, ["left", "right"], max_weight=cutoff, rng=0
+            diamond_graph, ["left", "right"], max_weight=cutoff, landmark_seed=0
         )
         assert all(igraph.total_weight <= cutoff for igraph in filtered)
         assert len(filtered) <= len(unfiltered)
 
     def test_alpha_below_everything_raises(self, diamond_graph):
-        lightest = minimal_weight_igraphs(diamond_graph, ["left", "right"], rng=0)[0]
+        lightest = minimal_weight_igraphs(diamond_graph, ["left", "right"], landmark_seed=0)[0]
         if lightest.total_weight > 0:
             with pytest.raises(InfeasibleAcquisitionError):
                 minimal_weight_igraphs(
                     diamond_graph,
                     ["left", "right"],
                     max_weight=lightest.total_weight / 2,
-                    rng=0,
+                    landmark_seed=0,
                 )
 
     def test_single_terminal_single_candidate(self, diamond_graph):
-        igraphs = minimal_weight_igraphs(diamond_graph, ["left"], rng=0)
+        igraphs = minimal_weight_igraphs(diamond_graph, ["left"], landmark_seed=0)
         assert len(igraphs) == 1
         assert igraphs[0].nodes == ("left",)

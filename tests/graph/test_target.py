@@ -13,12 +13,13 @@ from repro.graph.target import (
     enumerate_covering_sets,
     prune_memos,
 )
+from repro.graph.join_graph import JoinGraph
+from repro.memo import Memo
 from repro.pricing.models import FlatAttributePricingModel
 from repro.quality.fd import FunctionalDependency
-from repro.relational.joins import JoinLineage, LineageMemo
+from repro.relational.joins import JoinLineage, lineage_memo
 from repro.relational.table import Table
 from repro.sampling.resampling import ResamplingPolicy
-from repro.search.chains import LockStripedCache
 
 
 @pytest.fixture
@@ -244,7 +245,7 @@ class TestPruneMemos:
         evaluations = caches()
         for signature in (self.ORDERS_CUSTOMERS, self.CUSTOMERS_NATIONS, self.NATIONS):
             evaluations[signature] = TargetGraphEvaluation(1.0, 1.0, 1.0, 1.0)
-        prune_memos([evaluations], None, changed, fds_before, fds_after)
+        prune_memos([evaluations], changed, fds_before, fds_after)
         return set(evaluations.keys())
 
     def test_drops_the_entries_of_changed_instances(self):
@@ -266,29 +267,46 @@ class TestPruneMemos:
         ]
         assert len(self.kept({"shop"}, fds, list(reversed(fds)))) == 3
 
-    def test_prunes_lock_striped_caches_alike(self):
-        kept = self.kept({"orders"}, caches=LockStripedCache)
+    def test_prunes_memos_alike(self):
+        kept = self.kept({"orders"}, caches=lambda: Memo(8))
         assert kept == {self.CUSTOMERS_NATIONS, self.NATIONS}
 
     def test_lineages_drop_only_with_a_changed_node(self):
         """A lineage holds its nodes' join and no FD: an FD change keeps it."""
-        memo = LineageMemo()
+        memo = lineage_memo()
         for signature in (self.ORDERS_CUSTOMERS, self.CUSTOMERS_NATIONS, self.NATIONS):
             lineage = JoinLineage(1)
             lineage.joined = Table.from_rows("joined", ["k"], [(0,)])
             memo[signature] = lineage
         fd = FunctionalDependency("custkey", "nationkey")
-        prune_memos([], None, {"nations"}, [], [fd], lineage_memo=memo)
+        prune_memos([], {"nations"}, [], [fd], lineage_memo=memo)
         assert memo.keys() == [self.ORDERS_CUSTOMERS]
-        assert memo.rows == 1
+        assert memo.units == 1
 
     def test_ji_entries_drop_only_with_a_changed_endpoint(self):
-        ji = {
-            ("customers", "orders", frozenset({"custkey"})): 0.5,
-            ("customers", "nations", frozenset({"nationkey"})): 0.25,
-        }
-        prune_memos([], ji, {"orders"}, [], [])
-        assert list(ji) == [("customers", "nations", frozenset({"nationkey"}))]
+        """A one-step write prunes the JI weights in the join graph, the only
+        JI store (``prune_memos`` takes none): a replaced instance's weights
+        are recomputed, every other weight is kept as it was."""
+        orders = Table.from_rows(
+            "orders", ["custkey", "amount"], [(i % 5, i) for i in range(9)]
+        )
+        customers = Table.from_rows(
+            "customers", ["custkey", "nationkey"], [(i, i % 3) for i in range(5)]
+        )
+        nations = Table.from_rows(
+            "nations", ["nationkey", "nname"], [(i, f"n{i}") for i in range(3)]
+        )
+        graph = JoinGraph([orders, customers, nations])
+        before = graph.ji_weights()
+        kept = ("customers", "nations", frozenset({"nationkey"}))
+        replaced = ("customers", "orders", frozenset({"custkey"}))
+        assert kept in before and replaced in before
+        computed = graph.ji_computations
+        graph.add_instance(Table.from_rows("orders", ["custkey", "amount"], [(0, 1), (9, 2)]))
+        after = graph.ji_weights()
+        assert after[kept] == before[kept]
+        assert after[replaced] != before[replaced]
+        assert graph.ji_computations == computed + 1
 
     def test_every_column_of_the_join_counts_as_carried(self):
         """An FD on any two columns of the actual join, renamed ones included,
@@ -303,7 +321,7 @@ class TestPruneMemos:
 
         def survives(fd: FunctionalDependency) -> bool:
             cache = {graph.signature(): None}
-            prune_memos([cache], None, {"shop"}, [], [fd])
+            prune_memos([cache], {"shop"}, [], [fd])
             return bool(cache)
 
         names = graph.joined_table({"left": left, "right": right}).schema.names

@@ -45,10 +45,11 @@ def reference_igraphs(
     if unknown:
         raise SearchError(f"terminal instances not in the join graph: {unknown}")
     graph = join_graph.igraph
+    # The index checks the landmark count before the one-terminal answer.
+    index = LandmarkIndex(graph, num_landmarks=num_landmarks, landmark_seed=landmark_seed)
     terminals = sorted(set(terminal_instances))
     if len(terminals) == 1:
         return [IGraph((terminals[0],), (), 0.0)]
-    index = LandmarkIndex(graph, num_landmarks=num_landmarks, landmark_seed=landmark_seed)
     candidates: dict[tuple[str, ...], IGraph] = {}
     found_connected = False
     for hub in list(index.landmarks) + terminals:

@@ -14,7 +14,7 @@ can reach, which ``mcmc_search`` stops once no later step could change its
 outcome; only its step counters may then fall short of the reference's.
 The reference keeps its join lineages to itself, so a walk that replays
 lineages another walk built and left in a shared
-:class:`~repro.relational.joins.LineageMemo` must match it too.  Likewise,
+:func:`~repro.relational.joins.lineage_memo` must match it too.  Likewise,
 walks that share one :class:`~repro.search.acquisition.WalkSpace`, and
 searches that share one :class:`~repro.search.acquisition.WalkSpaceMemo`,
 interleaved over seeds, hooks and requested attributes, must return what
@@ -27,6 +27,7 @@ import pickle
 import random
 from dataclasses import replace
 from itertools import combinations
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,9 +35,10 @@ from hypothesis import strategies as st
 from repro.exceptions import InfeasibleAcquisitionError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.target import TargetGraph
+from repro.memo import Memo
 from repro.pricing.models import FlatAttributePricingModel
 from repro.quality.fd import FunctionalDependency
-from repro.relational.joins import LineageMemo
+from repro.relational.joins import lineage_memo
 from repro.relational.schema import Attribute, AttributeType, Schema
 from repro.relational.table import Table
 from repro.sampling.resampling import ResamplingPolicy
@@ -233,6 +235,7 @@ def walk_scenarios(
     flips=(0.0, 0.5),
     source_keys=(False, True),
     moving: bool = False,
+    owned: bool = False,
     record_trace: bool = True,
     iterations: tuple[int, int] = (0, 60),
 ):
@@ -248,7 +251,9 @@ def walk_scenarios(
     flips, the walk starts dead.  A ``moving`` one gives every edge two or
     more keys and misses none, so every edge has an alternative.  Otherwise
     the source ``v0`` may also be a key of edge 0, which a swap can then
-    join on and swap away from.  ``hooks`` are the hook kinds, ``flips`` the
+    join on and swap away from.  An ``owned`` one misses no edge either, so
+    the walk's tables are the join graph's own samples.  ``hooks`` are the
+    hook kinds, ``flips`` the
     flip probabilities and ``source_keys`` the source-key choices to draw
     from; ``iterations`` bounds the walk's length.
     """
@@ -283,7 +288,7 @@ def walk_scenarios(
         tables[f"t{node}"] = Table(f"t{node}", Schema(attributes), columns)
     names = list(tables)
     samples = dict(tables)
-    missing = None if moving else draw(st.none() | st.integers(0, size - 2))
+    missing = None if moving or owned else draw(st.none() | st.integers(0, size - 2))
     if missing is not None:
         child = names[missing + 1]
         samples[child] = tables[child].project(
@@ -364,7 +369,7 @@ def new_hook(scenario) -> ResamplingPolicy | None:
 
 
 def walk_and_reference(
-    scenario, lineage_memo: LineageMemo | None = None
+    scenario, lineage_memo: Memo | None = None
 ) -> tuple[MCMCResult, MCMCResult]:
     """``mcmc_search``, handed ``lineage_memo``, and the reference walk on
     ``scenario``; both must leave the same evaluation memo and hook state."""
@@ -392,7 +397,7 @@ def walk_and_reference(
     return walked, expected
 
 
-def assert_walk_matches_reference(scenario, lineage_memo: LineageMemo | None = None) -> None:
+def assert_walk_matches_reference(scenario, lineage_memo: Memo | None = None) -> None:
     """A walk that records its trace matches the reference step for step."""
     walked, expected = walk_and_reference(scenario, lineage_memo)
     assert walked.accepted_steps == expected.accepted_steps
@@ -425,7 +430,7 @@ class TestWalkMatchesReference:
         own, and ends with the reference's result, counters, trace,
         evaluation memo and hook state."""
         positional, constraints = walk_arguments(scenario)
-        memo = LineageMemo()
+        memo = lineage_memo()
         mcmc_search(
             *positional,
             **constraints,
@@ -435,7 +440,29 @@ class TestWalkMatchesReference:
             lineage_memo=memo,
         )
         assert_walk_matches_reference(scenario, memo)
-        assert memo.rows == sum(memo.get(key).rows for key in memo.keys())
+        assert memo.units == sum(memo.get(key).rows for key in memo.keys())
+
+    @settings(max_examples=100, deadline=None)
+    @given(walk_scenarios(owned=True))
+    def test_a_walk_on_the_graphs_samples_reads_the_graphs_weights(self, scenario):
+        """On the join graph's own samples a walk, with or without projection
+        flips, weighs every edge from the graph's JI cache and computes no
+        JI; the reference weighs through a private dict it fills, and the
+        two still end alike."""
+        positional, constraints = walk_arguments(scenario)
+        join_graph = scenario["join_graph"]
+        weights = join_graph.ji_weights()
+        computed = AssertionError("the walk computed a JI weight")
+        with mock.patch("repro.graph.target.join_informativeness", side_effect=computed):
+            mcmc_search(
+                *positional,
+                **constraints,
+                config=scenario["config"],
+                intermediate_hook=new_hook(scenario),
+                evaluation_cache={},
+            )
+        assert join_graph.ji_weights() == weights
+        assert_walk_matches_reference(scenario)
 
     def test_a_walk_without_a_trace_stops_with_the_reference_outcome(self):
         """Without flips or a trace, a walk that has evaluated every graph its

@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import JoinError
+from repro.memo import Memo
 from repro.relational.joins import (
     JoinLineage,
-    LineageMemo,
     full_outer_join,
     inner_join,
     join_path,
     join_size_upper_bound,
+    lineage_memo,
     shared_join_attributes,
 )
 from repro.relational.table import Table
@@ -157,10 +158,10 @@ def lineage(origin_rows: int, joined_rows: int) -> JoinLineage:
 
 class TestLineageMemo:
     @pytest.fixture
-    def memo(self, monkeypatch) -> LineageMemo:
-        """A memo whose puts hold at most 10 rows."""
+    def memo(self, monkeypatch) -> Memo:
+        """A lineage memo that holds at most 10 rows."""
         monkeypatch.setattr("repro.relational.joins.LINEAGE_MEMO_ROWS", 10)
-        return LineageMemo()
+        return lineage_memo()
 
     def test_rows_count_origins_and_the_final_join(self):
         assert lineage(3, 5).rows == 8
@@ -175,7 +176,7 @@ class TestLineageMemo:
         assert memo.get("a") is not None  # a read does not refresh an entry
         memo["d"] = lineage(3, 3)
         assert memo.keys() == ["c", "d"]
-        assert memo.rows == 8 == sum(memo.get(key).rows for key in memo.keys())
+        assert memo.units == 8 == sum(memo.get(key).rows for key in memo.keys())
 
     def test_a_lineage_over_the_bound_is_not_held(self, memo):
         memo["a"] = lineage(2, 2)
@@ -188,10 +189,10 @@ class TestLineageMemo:
         memo["a"] = first
         memo["a"] = lineage(2, 2)
         assert memo.get("a") is first
-        assert memo.rows == 2
+        assert memo.units == 2
 
     def test_pop_returns_rows_to_the_budget(self, memo):
         memo["a"] = lineage(2, 3)
         assert memo.pop("missing", "default") == "default"
         assert memo.pop("a").rows == 5
-        assert (len(memo), memo.rows) == (0, 0)
+        assert (len(memo), memo.units) == (0, 0)

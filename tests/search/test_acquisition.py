@@ -42,7 +42,7 @@ class TestHeuristicAcquisition:
     def test_end_to_end_feasible(self, chain_graph, fds):
         result = heuristic_acquisition(
             chain_graph, ["totalprice"], ["nname"], fds,
-            budget=1e9, mcmc_config=MCMCConfig(iterations=40, seed=0), rng=0,
+            budget=1e9, mcmc_config=MCMCConfig(iterations=40, seed=0), landmark_seed=0,
         )
         assert result.feasible
         graph, evaluation = result.require_feasible()
@@ -53,42 +53,34 @@ class TestHeuristicAcquisition:
     def test_unreachable_target_raises(self, chain_graph, fds):
         with pytest.raises(InfeasibleAcquisitionError):
             heuristic_acquisition(
-                chain_graph, ["totalprice"], ["foo"], fds, budget=1e9, rng=0
+                chain_graph, ["totalprice"], ["foo"], fds, budget=1e9, landmark_seed=0
             )
 
     def test_alpha_threshold_enforced_in_step_one(self, chain_graph, fds):
         with pytest.raises(InfeasibleAcquisitionError):
             heuristic_acquisition(
                 chain_graph, ["totalprice"], ["nname"], fds,
-                budget=1e9, max_weight=0.0, rng=0,
+                budget=1e9, max_weight=0.0, landmark_seed=0,
             )
 
     def test_budget_infeasibility_reported_not_raised(self, chain_graph, fds):
         result = heuristic_acquisition(
             chain_graph, ["totalprice"], ["nname"], fds,
-            budget=0.0, mcmc_config=MCMCConfig(iterations=10, seed=0), rng=0,
+            budget=0.0, mcmc_config=MCMCConfig(iterations=10, seed=0), landmark_seed=0,
         )
         assert not result.feasible
         assert result.igraph_size == 3
 
     def test_missing_attribute_raises(self, chain_graph, fds):
         with pytest.raises(InfeasibleAcquisitionError):
-            heuristic_acquisition(chain_graph, ["totalprice"], ["missing"], fds, budget=1e9, rng=0)
+            heuristic_acquisition(
+                chain_graph, ["totalprice"], ["missing"], fds, budget=1e9, landmark_seed=0
+            )
 
     def test_no_source_attributes(self, chain_graph, fds):
         result = heuristic_acquisition(
             chain_graph, [], ["nname"], fds,
-            budget=1e9, mcmc_config=MCMCConfig(iterations=10, seed=0), rng=0,
-        )
-        assert result.feasible
-
-    def test_custom_evaluation_tables(self, chain_graph, fds):
-        """Evaluating on full tables (GP-style) still returns a feasible result."""
-        full = {name: chain_graph.sample(name) for name in chain_graph.instance_names}
-        result = heuristic_acquisition(
-            chain_graph, ["totalprice"], ["nname"], fds,
-            budget=1e9, evaluation_tables=full,
-            mcmc_config=MCMCConfig(iterations=10, seed=0), rng=0,
+            budget=1e9, mcmc_config=MCMCConfig(iterations=10, seed=0), landmark_seed=0,
         )
         assert result.feasible
 
@@ -110,7 +102,7 @@ class TestHeuristicAcquisition:
         )
         monkeypatch.setattr(acquisition, "mcmc_search", fixed_walk)
         result = heuristic_acquisition(
-            chain_graph, ["totalprice"], ["nname"], fds, budget=1e9, rng=0
+            chain_graph, ["totalprice"], ["nname"], fds, budget=1e9, landmark_seed=0
         )
         assert result.igraph_index == 1
         assert result.igraph is candidates[1]

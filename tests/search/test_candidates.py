@@ -69,7 +69,7 @@ class TestCandidatePaths:
 
 class TestInitialTargetGraph:
     def test_covers_requested_attributes(self, chain_graph):
-        igraph = minimal_weight_igraph(chain_graph, ["orders", "nations"], rng=0)
+        igraph = minimal_weight_igraph(chain_graph, ["orders", "nations"], landmark_seed=0)
         graph = build_initial_target_graph(chain_graph, igraph, ["totalprice"], ["nname"])
         provided = set()
         for name in graph.nodes:
@@ -77,18 +77,18 @@ class TestInitialTargetGraph:
         assert {"totalprice", "nname"} <= provided
 
     def test_edges_use_lightest_join_attributes(self, chain_graph):
-        igraph = minimal_weight_igraph(chain_graph, ["orders", "nations"], rng=0)
+        igraph = minimal_weight_igraph(chain_graph, ["orders", "nations"], landmark_seed=0)
         graph = build_initial_target_graph(chain_graph, igraph, ["totalprice"], ["nname"])
         for parent, child, attrs in graph.edge_pairs():
             assert attrs == chain_graph.edge(parent, child).best_join_attributes
 
     def test_source_instances_carried_over(self, chain_graph):
-        igraph = minimal_weight_igraph(chain_graph, ["orders", "nations"], rng=0)
+        igraph = minimal_weight_igraph(chain_graph, ["orders", "nations"], landmark_seed=0)
         graph = build_initial_target_graph(chain_graph, igraph, ["totalprice"], ["nname"])
         assert "orders" in graph.source_instances
 
     def test_joinable_on_samples(self, chain_graph):
-        igraph = minimal_weight_igraph(chain_graph, ["orders", "nations"], rng=0)
+        igraph = minimal_weight_igraph(chain_graph, ["orders", "nations"], landmark_seed=0)
         graph = build_initial_target_graph(chain_graph, igraph, ["totalprice"], ["nname"])
         tables = {name: chain_graph.sample(name) for name in graph.nodes}
         joined = graph.joined_table(tables)

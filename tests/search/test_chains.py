@@ -25,7 +25,6 @@ from repro.search.acquisition import heuristic_acquisition
 from repro.search.candidates import build_initial_target_graph
 from repro.search.chains import (
     ChainScheduler,
-    LockStripedCache,
     MultiChainResult,
     chain_seed,
     shared_chain_pool,
@@ -49,7 +48,7 @@ def setup():
         [(i, i % 2, f"lbl{i}") for i in range(8)],
     )
     join_graph = JoinGraph([facts, dims], source_instances=["facts"])
-    igraph = minimal_weight_igraph(join_graph, ["facts", "dims"], rng=0)
+    igraph = minimal_weight_igraph(join_graph, ["facts", "dims"], landmark_seed=0)
     initial = build_initial_target_graph(join_graph, igraph, ["measure"], ["label"])
     tables = {"facts": facts, "dims": dims}
     fds = [FunctionalDependency("good_key", "label")]
@@ -91,29 +90,6 @@ class TestChainSeed:
     def test_negative_index_rejected(self):
         with pytest.raises(SearchError):
             chain_seed(0, -1)
-
-
-class TestLockStripedCache:
-    def test_get_set_len_contains(self):
-        cache = LockStripedCache(stripes=4)
-        assert cache.get(("a",)) is None
-        assert cache.get(("a",), 5) == 5
-        cache[("a",)] = 1
-        cache[("b", 2)] = 2
-        assert cache.get(("a",)) == 1
-        assert ("b", 2) in cache
-        assert ("c",) not in cache
-        assert len(cache) == 2
-
-    def test_update_merges_a_plain_dict(self):
-        cache = LockStripedCache(stripes=2)
-        cache.update({1: "one", 2: "two"})
-        assert cache.get(1) == "one"
-        assert len(cache) == 2
-
-    def test_invalid_stripes_rejected(self):
-        with pytest.raises(SearchError):
-            LockStripedCache(stripes=0)
 
 
 class TestConfigValidation:
@@ -299,29 +275,24 @@ class TestSharedCacheAccounting:
         assert multi.evaluation_cache_misses > serial.evaluation_cache_misses
         # The merged cache still deduplicates across chains.
         assert multi.evaluation_cache_size == serial.evaluation_cache_size
-        assert multi.ji_cache_size == serial.ji_cache_size
 
     def test_caller_supplied_caches_are_used_and_survive(self, setup):
         """mcmc_search(chains>1) must honour external caches, per its docs."""
         join_graph, initial, tables, fds = setup
         evaluation_cache: dict = {}
-        ji_cache: dict = {}
         first = mcmc_search(
             join_graph, initial, tables, ["measure"], ["label"], fds,
             budget=1e9,
             config=MCMCConfig(iterations=50, seed=0, chains=2, executor="serial"),
             evaluation_cache=evaluation_cache,
-            ji_cache=ji_cache,
         )
         assert len(evaluation_cache) == first.evaluation_cache_misses > 0
-        assert len(ji_cache) > 0
         # A second search over the pre-warmed caches pays zero misses ...
         second = mcmc_search(
             join_graph, initial, tables, ["measure"], ["label"], fds,
             budget=1e9,
             config=MCMCConfig(iterations=50, seed=0, chains=2, executor="serial"),
             evaluation_cache=evaluation_cache,
-            ji_cache=ji_cache,
         )
         assert second.evaluation_cache_misses == 0
         # ... and still returns the identical result.
@@ -402,7 +373,7 @@ class TestHeuristicIntegration:
             fds,
             budget=1e9,
             mcmc_config=MCMCConfig(iterations=40, seed=0, chains=3, executor="process"),
-            rng=0,
+            landmark_seed=0,
         )
         assert result.feasible
         assert isinstance(result.mcmc, MultiChainResult)
@@ -414,7 +385,7 @@ class TestHeuristicIntegration:
             fds,
             budget=1e9,
             mcmc_config=MCMCConfig(iterations=40, seed=0),
-            rng=0,
+            landmark_seed=0,
         )
         assert (
             result.best_evaluation.correlation >= single.best_evaluation.correlation

@@ -33,7 +33,7 @@ def setup():
         [(i, i % 2, f"lbl{i}") for i in range(8)],
     )
     join_graph = JoinGraph([facts, dims], source_instances=["facts"])
-    igraph = minimal_weight_igraph(join_graph, ["facts", "dims"], rng=0)
+    igraph = minimal_weight_igraph(join_graph, ["facts", "dims"], landmark_seed=0)
     initial = build_initial_target_graph(join_graph, igraph, ["measure"], ["label"])
     tables = {"facts": facts, "dims": dims}
     fds = [FunctionalDependency("good_key", "label")]
@@ -241,7 +241,7 @@ class TestMCMCSearch:
         unknown: a swap keeps a requested attribute in a projection, so the
         graph is not fixed by its edges alone."""
         join_graph, _, tables, fds = setup
-        igraph = minimal_weight_igraph(join_graph, ["facts", "dims"], rng=0)
+        igraph = minimal_weight_igraph(join_graph, ["facts", "dims"], landmark_seed=0)
         initial = build_initial_target_graph(join_graph, igraph, ["measure"], ["bad_key"])
         result = mcmc_search(
             join_graph, initial, tables, ["measure"], ["bad_key"], fds,

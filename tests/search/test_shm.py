@@ -291,27 +291,24 @@ class TestWorkerSessions:
         ).signature()
         facts_extra = TargetGraph(nodes=["facts", "extra"], edges=[{"bad_key"}]).signature()
         with_dims = TargetGraph(nodes=["facts", "dims"], edges=[{"good_key"}]).signature()
-        kept_ji = ("extra", "facts", frozenset({"bad_key"}))
         try:
             session, _ = shm.ensure_session(state.spec())
             for signature in (facts_only, facts_extra, with_dims):
                 session.evaluation_cache(namespace)[signature] = TargetGraphEvaluation(
                     1.0, 1.0, 1.0, 1.0
                 )
-            dropped_ji = ("dims", "facts", frozenset({"good_key"}))
-            session.ji_cache.update({kept_ji: 0.25, dropped_ji: 0.5})
             # dims changed: only the entries that read it go.
             state.publish_delta(graph(dims("new")), fds, version=1, changed=("dims",))
             session, stats = shm.ensure_session(state.spec())
             assert stats == {"cold_load": 0, "resyncs": 0, "deltas_applied": 1}
             assert set(session.evaluation_cache(namespace)) == {facts_only, facts_extra}
-            assert list(session.ji_cache) == [kept_ji]
+            # The worker's one JI store, its graph, holds the new weights.
+            assert session.graph.ji_weights() == graph(dims("new")).ji_weights()
             # A new FD drops the untouched graph whose join carries it.
             grown = [*fds, FunctionalDependency("good_key", "measure")]
             state.publish_delta(graph(dims("newer")), grown, version=2, changed=("dims",))
             session, _ = shm.ensure_session(state.spec())
             assert set(session.evaluation_cache(namespace)) == {facts_extra}
-            assert list(session.ji_cache) == [kept_ji]
         finally:
             shm.drop_session("test-memo-prune")
             state.close()
@@ -486,7 +483,7 @@ class TestSharedSchedulerParity:
 
     def run_scheduler(self, join_graph, tables, fds, *, pool=None, pool_state=None,
                       executor="serial"):
-        igraph = minimal_weight_igraph(join_graph, ["facts", "dims"], rng=0)
+        igraph = minimal_weight_igraph(join_graph, ["facts", "dims"], landmark_seed=0)
         initial = build_initial_target_graph(
             join_graph, igraph, ["measure"], ["label"]
         )
@@ -599,11 +596,11 @@ class TestOneDispatchPerRequest:
             for query in queries_for(small_tpch).values():
                 request = (join_graph, query.source_attributes, query.target_attributes, fds)
                 serial = heuristic_acquisition(
-                    *request, budget=1000.0, mcmc_config=config("serial"), rng=0,
+                    *request, budget=1000.0, mcmc_config=config("serial"), landmark_seed=0,
                     intermediate_hook=hook(),
                 )
                 shared = heuristic_acquisition(
-                    *request, budget=1000.0, mcmc_config=config("process"), rng=0,
+                    *request, budget=1000.0, mcmc_config=config("process"), landmark_seed=0,
                     intermediate_hook=hook(), pool=counting, pool_state=state,
                 )
                 ((starts, results),) = dispatches

@@ -65,7 +65,7 @@ class TestTopKAcquisition:
     def test_returns_ranked_distinct_options(self, join_graph, fds):
         options = top_k_acquisition(
             join_graph, ["measure"], ["label"], fds,
-            k=3, budget=1e9, mcmc_config=MCMCConfig(iterations=40, seed=0), rng=0,
+            k=3, budget=1e9, mcmc_config=MCMCConfig(iterations=40, seed=0), landmark_seed=0,
         )
         assert 1 <= len(options) <= 3
         assert [option.rank for option in options] == list(range(1, len(options) + 1))
@@ -83,7 +83,7 @@ class TestTopKAcquisition:
     def test_multiple_options_found_when_alternatives_exist(self, join_graph, fds):
         options = top_k_acquisition(
             join_graph, ["measure"], ["label"], fds,
-            k=5, budget=1e9, mcmc_config=MCMCConfig(iterations=60, seed=1), rng=0,
+            k=5, budget=1e9, mcmc_config=MCMCConfig(iterations=60, seed=1), landmark_seed=0,
         )
         # the two join attributes (good_key / bad_key) give at least two options
         assert len(options) >= 2
@@ -93,7 +93,7 @@ class TestTopKAcquisition:
         options = top_k_acquisition(
             join_graph, ["measure"], ["label"], fds,
             k=4, budget=budget, min_quality=0.1,
-            mcmc_config=MCMCConfig(iterations=40, seed=2), rng=0,
+            mcmc_config=MCMCConfig(iterations=40, seed=2), landmark_seed=0,
         )
         for option in options:
             assert option.evaluation.price <= budget + 1e-6
@@ -102,11 +102,11 @@ class TestTopKAcquisition:
     def test_k_one_matches_best_option(self, join_graph, fds):
         all_options = top_k_acquisition(
             join_graph, ["measure"], ["label"], fds,
-            k=5, budget=1e9, mcmc_config=MCMCConfig(iterations=40, seed=3), rng=0,
+            k=5, budget=1e9, mcmc_config=MCMCConfig(iterations=40, seed=3), landmark_seed=0,
         )
         just_one = top_k_acquisition(
             join_graph, ["measure"], ["label"], fds,
-            k=1, budget=1e9, mcmc_config=MCMCConfig(iterations=40, seed=3), rng=0,
+            k=1, budget=1e9, mcmc_config=MCMCConfig(iterations=40, seed=3), landmark_seed=0,
         )
         assert len(just_one) == 1
         assert just_one[0].score == pytest.approx(all_options[0].score)
@@ -118,7 +118,7 @@ class TestTopKAcquisition:
     def test_zero_budget_yields_no_options(self, join_graph, fds):
         options = top_k_acquisition(
             join_graph, ["measure"], ["label"], fds,
-            k=3, budget=0.0, mcmc_config=MCMCConfig(iterations=10, seed=0), rng=0,
+            k=3, budget=0.0, mcmc_config=MCMCConfig(iterations=10, seed=0), landmark_seed=0,
         )
         assert options == []
 
@@ -127,7 +127,7 @@ class TestTopKAcquisition:
 
         options = top_k_acquisition(
             join_graph, ["measure"], ["label"], fds,
-            k=2, budget=1e9, mcmc_config=MCMCConfig(iterations=20, seed=0), rng=0,
+            k=2, budget=1e9, mcmc_config=MCMCConfig(iterations=20, seed=0), landmark_seed=0,
         )
         assert options
         payload = json.dumps([option.summary() for option in options])

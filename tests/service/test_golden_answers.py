@@ -117,7 +117,7 @@ def serve_answers() -> list[dict]:
                 budget=1000.0,
                 mcmc_config=MCMCConfig(iterations=100, seed=0),
                 restarts=2,
-                rng=0,
+                landmark_seed=0,
             )
             for option in options:
                 answers.append(

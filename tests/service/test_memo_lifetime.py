@@ -47,6 +47,7 @@ from repro.sampling.resampling import ResamplingPolicy
 from repro.search.mcmc import MCMCConfig
 from repro.search.shm import live_segments
 from repro.service import AcquisitionService
+from repro.service import session as session_module
 from repro.workloads.queries import queries_for
 from repro.workloads.tpce import tpce_workload
 from repro.workloads.tpch import tpch_workload
@@ -151,7 +152,7 @@ def lineage_keys(svc: AcquisitionService) -> set[tuple]:
 def assert_memo_rows_add_up(svc: AcquisitionService) -> None:
     memo = svc._lineage_memo
     held = sum(memo.get(signature).rows for signature in memo.keys())
-    assert memo.rows == held <= joins.LINEAGE_MEMO_ROWS
+    assert memo.units == held <= joins.LINEAGE_MEMO_ROWS
 
 
 def cold_evaluation(cold: AcquisitionService, namespace: tuple, signature: tuple) -> tuple:
@@ -361,6 +362,34 @@ def test_a_tiny_lineage_memo_evicts_and_serves_the_same_answers(monkeypatch):
         assert lineage_keys(tiny) < held
         assert 0 < described["lineage_cache_rows"] <= TINY_ROWS
         assert_memo_rows_add_up(tiny)
+
+
+def test_a_session_past_every_bound_keeps_its_memos_bounded_and_serves_fresh_bits(
+    monkeypatch,
+):
+    """Every session memo gets a tiny bound: two of the three request
+    namespaces, three evaluations per namespace, two Step-1 entries and
+    :data:`TINY_ROWS` lineage rows.  Every pair, at four seeds, returns a
+    fresh session's bits, and after every read each memo is within its
+    bound."""
+    family = "tpch"
+    expected = []
+    for request, seed in pairs(family):
+        with service(family, SERIAL, resampling=fired()) as fresh:
+            expected.append(answer_bits(fresh.acquire(request, seed=seed)))
+    monkeypatch.setattr(session_module, "EVALUATION_NAMESPACES", 2)
+    monkeypatch.setattr(session_module, "EVALUATION_MEMO_ENTRIES", 3)
+    monkeypatch.setattr(session_module, "STEP1_MEMO_ENTRIES", 2)
+    monkeypatch.setattr("repro.relational.joins.LINEAGE_MEMO_ROWS", TINY_ROWS)
+    with service(family, SERIAL, resampling=fired()) as bounded:
+        for (request, seed), bits in zip(pairs(family), expected):
+            assert answer_bits(bounded.acquire(request, seed=seed)) == bits
+            namespaces = bounded._evaluation_caches.items()
+            assert 0 < len(namespaces) <= 2
+            assert all(0 < len(memo) <= 3 for _, memo in namespaces)
+            assert 0 < bounded.describe()["step1_memo_entries"] <= 2
+            assert_memo_rows_add_up(bounded)
+        assert bounded.describe()["lineage_cache_rows"] <= TINY_ROWS
 
 
 def test_threads_sharing_the_lineage_memo_serve_the_serial_answers(monkeypatch):

@@ -14,7 +14,7 @@ from repro.marketplace.shopper import AcquisitionRequest
 from repro.pricing.models import EntropyPricingModel
 from repro.relational.table import Table
 from repro.search.mcmc import MCMCConfig
-from repro.service import AcquisitionService, CountingCache, LatencyHistogram, ServiceMetrics
+from repro.service import AcquisitionService, LatencyHistogram, ServiceMetrics
 
 
 class TestLatencyHistogram:
@@ -99,30 +99,6 @@ class TestServiceMetrics:
         assert trend["window_mean"] == pytest.approx(0.4)
         assert trend["older_half_mean"] is None
         assert trend["trend"] is None
-
-
-class TestCountingCache:
-    def test_counts_hits_and_misses(self):
-        cache = CountingCache()
-        assert cache.get("missing") is None
-        cache["key"] = "value"
-        assert cache.get("key") == "value"
-        assert cache.get("key") == "value"
-        assert cache.hits == 2
-        assert cache.misses == 1
-        assert cache.snapshot() == {"entries": 1, "hits": 2, "misses": 1}
-
-    def test_default_value_on_miss(self):
-        cache = CountingCache()
-        assert cache.get("nope", 42) == 42
-        assert cache.misses == 1
-
-    def test_still_a_striped_cache(self):
-        cache = CountingCache(stripes=4)
-        for index in range(50):
-            cache[index] = index * 2
-        assert len(cache) == 50
-        assert 49 in cache
 
 
 def small_marketplace() -> Marketplace:

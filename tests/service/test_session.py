@@ -17,6 +17,7 @@ import pytest
 from repro.core.config import DanceConfig, ServiceConfig
 from repro.core.dance import DANCE
 from repro.exceptions import BrokenChainPoolError, InfeasibleAcquisitionError, ReproError
+from repro.graph import target as target_module
 from repro.marketplace.dataset import MarketplaceDataset
 from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
@@ -205,11 +206,11 @@ class TestSessionLifecycle:
     def test_register_keeps_the_memo_entries_the_write_cannot_change(self):
         with AcquisitionService(small_marketplace(), config()) as service:
             service.acquire(REQUEST)
-            (namespace,) = service._evaluation_caches.values()
+            ((_, namespace),) = service._evaluation_caches.items()
             before = set(namespace.keys())
             touching = {signature for signature in before if "extra" in signature[0]}
             assert touching and touching != before
-            ji_before = set(service._ji_cache.keys())
+            ji_before = service.join_graph.ji_weights()
             extra = Table.from_rows(
                 "extra", ["bad_key", "bonus"], [(i % 3, float(i) + 0.5) for i in range(12)]
             )
@@ -220,8 +221,11 @@ class TestSessionLifecycle:
                 len(before - touching),
                 len(touching),
             )
-            assert set(service._ji_cache.keys()) == {
-                key for key in ji_before if "extra" not in key[:2]
+            # The join graph, the one JI store, keeps every weight between
+            # unchanged instances.
+            ji_after = service.join_graph.ji_weights()
+            assert {key: ji_after[key] for key in ji_before if "extra" not in key[:2]} == {
+                key: weight for key, weight in ji_before.items() if "extra" not in key[:2]
             }
             assert service.describe()["cache_resets"] == 0
 
@@ -538,9 +542,41 @@ class TestWorkerDeath:
 
 
 class TestServedJoinInformativeness:
+    def test_served_reads_compute_no_ji(self, monkeypatch):
+        """The join graph is the only JI store: reads at fresh seeds, warm
+        reads, and reads after an incremental write and after a rebuild
+        weigh every edge from it and compute no JI."""
+        computed = []
+        original = target_module.join_informativeness
+
+        def counting(left, right, attributes):
+            computed.append((left.name, right.name, tuple(attributes)))
+            return original(left, right, attributes)
+
+        monkeypatch.setattr(target_module, "join_informativeness", counting)
+        requests = [REQUEST, AcquisitionRequest(["bonus"], ["label"], budget=1e9)]
+
+        def read(service, seeds) -> None:
+            for seed in seeds:
+                for request in requests:
+                    service.acquire(request, seed=seed)
+
+        with AcquisitionService(small_marketplace(), config()) as service:
+            read(service, range(3))
+            read(service, range(3))
+            mine = Table.from_rows(
+                "mine", ["good_key", "note"], [(i, i % 2) for i in range(6)]
+            )
+            assert service.register_source_tables([mine])["mode"] == "incremental"
+            read(service, range(2, 5))
+            service.rebuild_offline(sampling_rate=0.8)
+            read(service, range(4, 7))
+            assert service.describe()["requests_served"] == 24
+        assert computed == []
+
     def test_served_ji_does_not_depend_on_request_order(self):
-        """A walk and the join graph share the JI cache; whichever misses
-        first, a weight is computed in the key's sorted orientation."""
+        """Walks read the join graph's JI weights, each computed in the key's
+        sorted orientation, so no request's order changes a served JI."""
         workload = tpce_workload(scale=0.5, seed=0)
         pricing = EntropyPricingModel()
         queries = queries_for(workload)

@@ -31,7 +31,7 @@ from repro.pricing.models import EntropyPricingModel
 from repro.relational.table import Table
 from repro.search import acquisition
 from repro.search.mcmc import MCMCConfig
-from repro.service import AcquisitionService, metrics
+from repro.service import AcquisitionService, session
 from repro.workloads.queries import queries_for
 from repro.workloads.tpch import tpch_workload
 
@@ -129,7 +129,7 @@ def test_the_step1_memo_holds_at_most_its_bound(monkeypatch):
     """Every pair has its own landmark seed, so a session that serves more
     pairs than the bound evicts, holds the bound, and still serves a fresh
     session's bits, the evicted pairs included."""
-    monkeypatch.setattr(metrics, "STEP1_MEMO_ENTRIES", 5)
+    monkeypatch.setattr(session, "STEP1_MEMO_ENTRIES", 5)
     with service() as bounded:
         assert serve(bounded) == fresh_answers()
         assert bounded.describe()["step1_memo_entries"] == 5
@@ -149,7 +149,7 @@ def test_a_catalog_restore_keeps_the_step1_memo_within_its_bound(tmp_path, monke
         serve(writer)
         assert writer.describe()["step1_memo_entries"] == len(PAIRS)
         writer.persist()
-    monkeypatch.setattr(metrics, "STEP1_MEMO_ENTRIES", 4)
+    monkeypatch.setattr(session, "STEP1_MEMO_ENTRIES", 4)
     with service(catalog_path=catalog) as restored:
         # The first request restores the memo.  The checkpoint wrote it
         # oldest first, so the newest four entries survive.
@@ -232,7 +232,7 @@ def test_threads_sharing_the_memos_serve_the_single_thread_bits(monkeypatch):
         graphs = single.describe()["walk_space_memo_graphs"]
     bound = graphs // 2
     monkeypatch.setattr(acquisition, "WALK_SPACE_GRAPHS", bound)
-    monkeypatch.setattr(metrics, "STEP1_MEMO_ENTRIES", 6)
+    monkeypatch.setattr(session, "STEP1_MEMO_ENTRIES", 6)
     threads_count = 6
     served_by = [[None] * len(PAIRS) for _ in range(threads_count)]
     errors: list[BaseException] = []

@@ -1,14 +1,17 @@
 """Service-level catalog persistence: warm restores, checkpoints, degradation.
 
 A service configured with ``ServiceConfig(catalog_path=...)`` adopts the
-catalog's offline state at startup (zero JI recomputes on the warm build),
-restores its session caches (JI cache + Step-1 memo) fingerprint-guarded, and
+catalog's offline state at startup (zero JI recomputes on the warm build, so
+the join graph carries every JI weight), restores its Step-1 memo
+fingerprint-guarded, and
 checkpoints the refreshed state on ``register_source_tables``.  Restoring is
 an optimisation, never a correctness dependency: mismatched or unusable
 catalogs degrade to a cold session with a warning.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import pytest
 
@@ -56,6 +59,37 @@ class TestWarmServiceRestart:
             assert warm.join_graph.edge_recomputes == 0
             served = warm.acquire(REQUEST)
             memo = warm.metrics()["step1_memo"]
+        assert served.estimated_correlation == expected.estimated_correlation
+        assert served.sql() == expected.sql()
+        assert memo["hits"] == 1 and memo["misses"] == 0
+
+    def test_a_session_blob_carrying_ji_restores_and_serves_the_same_answers(
+        self, tmp_path
+    ):
+        """An older catalog's session blob also carries the session's JI
+        cache under ``"ji"``.  A restore ignores it, since the weights are
+        the join graph's: even wrong ones change no answer, and the Step-1
+        memo still restores."""
+        from repro import storage
+        from repro.storage import NS_SESSION
+        from repro.storage import serialize
+
+        catalog = tmp_path / "cat"
+        with AcquisitionService(small_marketplace(), config(catalog)) as service:
+            expected = service.acquire(REQUEST)
+            weights = service.join_graph.ji_weights()
+            service.persist()
+        with storage.open_backend(catalog) as backend:
+            state = serialize.loads(backend.get(NS_SESSION, "caches"))
+            assert set(state) == {"fingerprint", "step1"}
+            state["ji"] = {key: weight + 1.0 for key, weight in weights.items()}
+            backend.put(NS_SESSION, "caches", serialize.dumps(state))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with AcquisitionService(small_marketplace(), config(catalog)) as warm:
+                served = warm.acquire(REQUEST)
+                memo = warm.metrics()["step1_memo"]
+        assert served.estimated_join_informativeness == expected.estimated_join_informativeness
         assert served.estimated_correlation == expected.estimated_correlation
         assert served.sql() == expected.sql()
         assert memo["hits"] == 1 and memo["misses"] == 0
