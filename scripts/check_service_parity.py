@@ -7,8 +7,7 @@ per-request seeds — and replays the same requests as serial one-at-a-time
 ``DANCE.acquire()`` calls with the same seeds on a cold middleware.  The two
 must agree bit-for-bit on every recommendation (target graph, correlation,
 quality, weight, price, SQL).  A warm repeat of the batch must agree with the
-cold one too (and, via the session's Step-1 memo, skip the landmark/Steiner
-search while doing so).
+cold one too, answered from the session's answer memo without a search.
 
 It then runs the admission-saturation smoke: a bounded queue under the
 ``block`` policy must serve the identical batch (backpressure never changes
@@ -24,13 +23,13 @@ afterwards.
 
 Then comes the fired smoke: under a re-sampling threshold low enough to
 fire the hook (``FIRED_ETA``, the golden-answer test's setting), one service
-serves Q1/Q2/Q3 at two seeds and then again in reverse order, so later
-requests replay join lineages that earlier ones left in the session's
-lineage memo.  Every answer must equal a cold one-shot ``DANCE.acquire()``
-at the same seed.
+serves Q1/Q2/Q3 at two seeds, so the second seed's requests replay join
+lineages that the first seed's left in the session's lineage memo, and then
+again in reverse order, which the answer memo serves.  Every answer must
+equal a cold one-shot ``DANCE.acquire()`` at the same seed.
 
 Last comes the fresh-seed smoke: a warm service serves Q1/Q2/Q3 at seeds it
-never used, which miss the Step-1 memo and hit the walk-space memo (the
+never used, which miss the answer memo and hit the walk-space memo (the
 starts and proposal graphs earlier requests built), then registers a new
 source instance and serves two more requests, the second at a seed never
 used.  Every answer must equal a cold one-shot ``DANCE.acquire()`` at the
@@ -314,7 +313,7 @@ def check_fired(workload, requests) -> int:
 
 
 def check_fresh_seeds(workload, requests) -> int:
-    """The fresh-seed smoke: Step-1 misses served from warm walk spaces."""
+    """The fresh-seed smoke: answer-memo misses served from warm walk spaces."""
     from repro.relational.table import Table
 
     config = DanceConfig(
@@ -353,12 +352,16 @@ def check_fresh_seeds(workload, requests) -> int:
         served_after = [fingerprint(service.acquire(requests[i], seed=s)) for i, s in after]
         final = service.metrics()
 
-    step1_misses = between["step1_memo"]["misses"] - before["step1_memo"]["misses"]
+    answer_misses = between["answer_memo"]["misses"] - before["answer_memo"]["misses"]
+    answer_hits = between["answer_memo"]["hits"] - before["answer_memo"]["hits"]
     space_hits = between["walk_space_memo"]["hits"] - before["walk_space_memo"]["hits"]
     space_misses = between["walk_space_memo"]["misses"] - before["walk_space_memo"]["misses"]
-    if step1_misses != len(fresh):
+    if (answer_misses, answer_hits) != (len(fresh), 0):
         failures += 1
-        print(f"FAIL[fresh]: {len(fresh)} never-used seeds made {step1_misses} Step-1 misses")
+        print(
+            f"FAIL[fresh]: {len(fresh)} never-used seeds made {answer_misses} answer-memo "
+            f"misses and {answer_hits} hits"
+        )
     if space_hits == 0:
         failures += 1
         print(
@@ -380,8 +383,8 @@ def check_fresh_seeds(workload, requests) -> int:
             )
     if not failures:
         print(
-            f"OK[fresh]: {len(fresh)} never-used seeds on a warm service ({step1_misses} "
-            f"Step-1 misses, {space_hits} of {space_hits + space_misses} starts from the "
+            f"OK[fresh]: {len(fresh)} never-used seeds on a warm service ({answer_misses} "
+            f"answer-memo misses, {space_hits} of {space_hits + space_misses} starts from the "
             f"walk-space memo) and {len(after)} requests after an {mode} write "
             f"bit-identical to cold one-shot DANCE.acquire"
         )
@@ -418,7 +421,7 @@ def main() -> int:
     with AcquisitionService(build_marketplace(workload), config) as service:
         cold = service.acquire_batch(requests)
         warm = service.acquire_batch(requests)
-        step1 = service.metrics()["step1_memo"]
+        answers = service.metrics()["answer_memo"]
     if not cold.ok:
         print(f"FAIL: batch reported errors: {[str(i.error) for i in cold.errors()]}")
         return 1
@@ -449,11 +452,11 @@ def main() -> int:
     if warm_prints != cold_prints:
         failures += 1
         print("MISMATCH: warm batch differs from cold batch")
-    if step1["hits"] < len(requests):
+    if (answers["hits"], answers["misses"]) != (len(requests), len(requests)):
         failures += 1
         print(
-            f"FAIL: warm repeat did not hit the Step-1 memo "
-            f"(expected >= {len(requests)} hits, got {step1})"
+            f"FAIL: the warm repeat was not answered from the answer memo "
+            f"(expected {len(requests)} hits after {len(requests)} misses, got {answers})"
         )
 
     failures += check_queue(workload, requests, cold_prints)
@@ -468,7 +471,7 @@ def main() -> int:
     print(
         f"OK: batch of {len(requests)} (x{BATCH_WORKERS} workers, warm repeat) "
         f"bit-identical to serial DANCE.acquire: correlations={correlations}; "
-        f"step1 memo hits={step1['hits']}"
+        f"answer memo hits={answers['hits']}"
     )
     return 0
 

@@ -25,13 +25,13 @@ shell without writing Python:
     tier (``--tier``) — and print one summary per request plus the service
     metrics.  ``--catalog PATH`` makes
     the service persistent: an existing catalog is opened instead of
-    regenerating the workload (warm offline phase, restored session caches),
-    and the session is checkpointed back after serving.
+    regenerating the workload (warm offline phase: no JI weight recomputed,
+    no table mined), and the session is checkpointed back after serving.
 
 ``repro-dance metrics``
     Serve requests the same way but print only the operational metrics dump:
     latency histogram with p50/p95/p99, cache hit-rate trend, queue
-    depth/rejection counters, Step-1 memo accounting.
+    depth/rejection counters, answer-memo and walk-space-memo accounting.
 
 ``repro-dance serve``
     Keep one hot service behind a stdlib HTTP/JSON endpoint: ``POST
@@ -345,7 +345,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     else:
         # Default traffic: the predefined workload queries as one batch,
         # served twice — the repeat reuses the per-index seeds, so the dump
-        # shows warm-path behaviour (hit-rate trend up, Step-1 memo hits).
+        # shows warm-path behaviour (every repeat an answer-memo hit).
         base = [
             AcquisitionRequest(
                 source_attributes=list(query.source_attributes),

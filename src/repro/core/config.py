@@ -39,10 +39,11 @@ class ServiceConfig:
         ``acquire``, recorded on the batch item by ``acquire_batch``).
     catalog_path:
         Path of the service's persistent catalog (see :mod:`repro.storage`).
-        When set, the service restores its session caches (JI cache, Step-1
-        memo) from the catalog at startup and checkpoints marketplace, graph,
-        and caches back to it after ``register_source_tables``.  ``None``
-        (the default) keeps the service fully in-memory.
+        When set, the service warms its offline phase (JI weights, FDs) from
+        the catalog at startup and checkpoints marketplace and offline state
+        back to it after ``register_source_tables``; no session memo is
+        persisted.  ``None`` (the default) keeps the service fully
+        in-memory.
     qos:
         The tier table of the service's scheduler
         (:class:`~repro.pricing.sla.QosConfig`; :mod:`repro.service.qos`),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.config import DanceConfig
 from repro.core.result import AcquisitionResult, queries_for_target_graph
@@ -270,12 +270,7 @@ class DANCE:
                     self._discovered[name] = (tables[name], list(fds))
         return preload or None
 
-    def persist(
-        self,
-        path: str | Path | None = None,
-        *,
-        extra: "Callable | None" = None,
-    ) -> object:
+    def persist(self, path: str | Path | None = None) -> object:
         """Checkpoint marketplace *and* offline phase into one catalog.
 
         Persists the marketplace (tables, encodings, pricing, revenues) plus
@@ -286,9 +281,8 @@ class DANCE:
         edges and mine no table.  A ``path`` names a sqlite catalog file.  The
         write is all-or-nothing whether it rewrites the attached catalog in
         place or replaces the file (see
-        :meth:`repro.marketplace.market.Marketplace.persist`); ``extra`` runs
-        inside the same write (used by the acquisition service to add its
-        session caches).  Returns the attached backend.
+        :meth:`repro.marketplace.market.Marketplace.persist`).  Returns the
+        attached backend.
         """
         from repro.storage import META_OFFLINE, NS_OFFLINE
         from repro.storage import serialize as _serialize
@@ -325,8 +319,6 @@ class DANCE:
                         "sampling_rate": self._current_rate,
                     },
                 )
-            if extra is not None:
-                extra(backend)
 
         return self.marketplace.persist(path, extra=write_offline)
 
@@ -390,9 +382,12 @@ class DANCE:
             Supplied by the acquisition service (:mod:`repro.service`); when
             given, iterative refinement is skipped unless
             ``runtime.allow_refinement`` is set, because refinement mutates
-            shared middleware state.  With a walk-space memo
-            (``runtime.walk_spaces``) the result's target graph is a copy of
-            the winner, so mutating it changes no later answer.
+            shared middleware state.
+
+        The result is the caller's own: its queries and chain list are built
+        for this call, and its target graph is the call's private winner or,
+        with a walk-space memo (``runtime.walk_spaces``), a copy of it, so
+        mutating the result changes no later answer.
 
         Returns
         -------
@@ -476,7 +471,6 @@ class DANCE:
             intermediate_hook=resampling if resampling.enabled else None,
             evaluation_cache=runtime.evaluation_cache,
             lineage_memo=runtime.lineage_memo,
-            step1_cache=runtime.step1_cache,
             walk_spaces=runtime.walk_spaces,
             pool=runtime.pool,
             pool_state=runtime.pool_state,

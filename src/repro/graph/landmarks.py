@@ -23,14 +23,16 @@ from repro.exceptions import SearchError
 def canonical_landmark_seed(landmark_seed: int | None) -> int:
     """Check a Step-1 landmark seed; ``None`` maps to the default seed 0.
 
-    Step 1's output must depend only on declared inputs — the memoisation key
-    of the acquisition service is ``(terminal set, alpha, num_landmarks,
-    landmark seed, graph version)``.  A caller-owned mutable
-    ``random.Random`` breaks that: the landmarks drawn would depend on every
-    prior draw from the shared stream, so such values are rejected rather
-    than silently consumed, and so is any other value that is not an int.
-    Every Step-1 entry point (``LandmarkIndex``, ``minimal_weight_igraphs``,
-    ``heuristic_acquisition``) checks its ``landmark_seed`` here.
+    Step 1's output must depend only on declared inputs ``(terminal set,
+    alpha, num_landmarks, landmark seed, graph version)``, so that a served
+    answer is a pure function of its request, its seed and the join graph
+    (the acquisition service's answer memo relies on it).  A caller-owned
+    mutable ``random.Random`` breaks that: the landmarks drawn would depend
+    on every prior draw from the shared stream, so such values are rejected
+    rather than silently consumed, and so is any other value that is not an
+    int.
+    Every Step-1 entry point (``LandmarkIndex``, ``minimal_weight_igraphs``)
+    checks its ``landmark_seed`` here.
     """
     if landmark_seed is None:
         return 0

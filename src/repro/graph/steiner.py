@@ -84,7 +84,9 @@ def minimal_weight_igraphs(
     by the integer ``landmark_seed`` (``None`` means 0; a mutable
     ``random.Random`` is rejected, see
     :func:`repro.graph.landmarks.canonical_landmark_seed`).  This purity is
-    what lets the acquisition service memoise Step 1 across warm requests.
+    part of what makes a served answer a pure function of its request, its
+    seed and the join graph, which the acquisition service's answer memo
+    relies on.
 
     Raises
     ------

@@ -216,14 +216,19 @@ class TargetGraph:
         )
 
     def copy(self) -> "TargetGraph":
-        """An equal graph whose fields a caller may mutate without touching this one."""
-        return TargetGraph(
-            nodes=list(self.nodes),
-            edges=list(self.edges),
-            parents=list(self.parents),
-            projections=dict(self.projections),
-            source_instances=self.source_instances,
-        )
+        """An equal graph whose fields a caller may mutate without touching this one.
+
+        This graph is valid and its fields hold immutable values, so the copy
+        skips validation and copies only the containers.  It caches nothing:
+        a caller that mutates it gets its signature from the mutated fields.
+        """
+        graph = object.__new__(TargetGraph)
+        graph.nodes = list(self.nodes)
+        graph.edges = list(self.edges)
+        graph.parents = list(self.parents)
+        graph.projections = dict(self.projections)
+        graph.source_instances = self.source_instances
+        return graph
 
     def with_projection(self, name: str, attributes: Iterable[str]) -> "TargetGraph":
         """A copy with the projection of instance ``name`` replaced."""

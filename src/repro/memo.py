@@ -1,12 +1,14 @@
 """One bounded memo for every cache that concurrent requests share.
 
-The acquisition service memoises pure functions of its hot state: Step 1's
-candidate I-graphs, candidate evaluations per requested attribute sets, and
-the join lineages of graphs on which the re-sampling hook fired.  Requests
-served at once (batch fan-out, HTTP handler threads) read and fill them
-together, and a long-lived session must not let them grow without bound.
-:class:`Memo` is the one class all of them use.  Every value it holds is
-recomputable, so eviction costs time, never bits.
+The acquisition service memoises pure functions of its hot state: served
+answers per request key, candidate evaluations per requested attribute
+sets, and the join lineages of graphs on which the re-sampling hook fired.
+Requests served at once (batch fan-out, HTTP handler threads) read and fill
+them together, and a long-lived session must not let them grow without
+bound.  :class:`Memo` is the one class all of them use.  Every value they
+hold is recomputable, so eviction costs time, never bits.  The scheduler
+bounds its per-shopper token buckets with it too; evicting one hands its
+shopper a full bucket.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ class Memo:
     same.  A put evicts the oldest entries, in insertion order, until the
     new one fits, and a value larger than the bound is not held.  A read
     does not refresh an entry.  ``get`` counts hits and misses;
-    :meth:`keys` and :meth:`items` list the entries oldest first, so a
-    checkpoint written in that order and restored through :meth:`update`
-    under a smaller bound keeps the newest.  One lock guards everything.
+    :meth:`keys` and :meth:`items` list the entries oldest first, so
+    entries copied in that order through :meth:`update` into a memo of a
+    smaller bound keep the newest.  One lock guards everything.
     """
 
     __slots__ = ("_bound", "_size", "_lock", "_entries", "_units", "_hits", "_misses")

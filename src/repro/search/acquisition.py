@@ -15,7 +15,6 @@ from typing import MutableMapping, Sequence
 
 from repro.exceptions import InfeasibleAcquisitionError, SearchError
 from repro.graph.join_graph import JoinGraph
-from repro.graph.landmarks import canonical_landmark_seed
 from repro.graph.steiner import IGraph, minimal_weight_igraphs
 from repro.graph.target import TargetGraph, TargetGraphEvaluation
 from repro.memo import Memo
@@ -38,14 +37,17 @@ class WalkSpace:
 
     ``start`` is the graph :func:`build_initial_target_graph` makes for one
     I-graph and one set of requested attributes, ``tables`` the I-graph's
-    samples, and ``moves`` and ``transitions`` the move table and the
-    transition memo of :func:`~repro.search.mcmc.mcmc_search`.  Each value
-    is a pure function of the join graph, the I-graph and the requested
-    attributes, and none draws from a random stream, so walks at any seed,
-    under any hook and for any constraints may share them.
+    samples, ``moves`` and ``transitions`` the move table and the transition
+    memo of :func:`~repro.search.mcmc.mcmc_search`, and ``size`` the count
+    of graphs its edge swaps reach (``math.inf`` when the edges alone bound
+    none), which the first walk without projection flips takes (``None``
+    until then).  Each value is a pure function of the join graph, the
+    I-graph and the requested attributes, and none draws from a random
+    stream, so walks at any seed, under any hook and for any constraints
+    may share them.
     """
 
-    __slots__ = ("start", "tables", "moves", "transitions")
+    __slots__ = ("start", "tables", "moves", "transitions", "size")
 
     def __init__(
         self,
@@ -57,6 +59,7 @@ class WalkSpace:
         self.tables = tables
         self.moves: dict[tuple, tuple[frozenset[str], ...]] = {}
         self.transitions = {} if transitions is None else transitions
+        self.size: float | None = None
 
 
 class _Transitions(dict):
@@ -86,7 +89,7 @@ class WalkSpaceMemo:
     """Walk spaces by ``(I-graph, requested attributes, graph revision)``.
 
     One memo serves the requests of a session on one join graph; its owner
-    replaces it whenever the graph changes, as it does the Step-1 memo.  The
+    replaces it whenever the graph changes, as it does the answer memo.  The
     memo counts the graphs it holds, each space's start plus its transition
     targets, and past :data:`WALK_SPACE_GRAPHS` it evicts whole spaces in
     insertion order.  A walk keeps the space it was handed, so eviction
@@ -196,20 +199,14 @@ class SearchRuntime:
         A persistent process pool and its shared columnar state serving
         every multi-chain dispatch of a process plan (see
         :func:`~repro.search.chains.shared_chain_pool`).
-    ``step1_cache``
-        Session-scoped memo for Step 1 (``minimal_weight_igraphs``), keyed on
-        ``(terminal set, alpha, num_landmarks, landmark seed, graph
-        revision)``.  Step 1 is a pure function of that key, so warm requests
-        skip the landmark/Steiner search entirely; the service invalidates
-        the memo off ``DANCE.graph_version`` like its other caches.
     ``walk_spaces``
         A :class:`WalkSpaceMemo` holding, per I-graph and requested
         attributes, the start of Step 2 and the move table and transition
         memo every single-chain walk from it shares, so a request whose
         Step-1 candidates an earlier request already walked builds no start
-        and no proposal graph the earlier walks built.  The service resets
-        it wherever it resets the Step-1 memo.  Multi-chain walks take its
-        starts but keep private tables.  Sharing it changes no served bit:
+        and no proposal graph the earlier walks built.  The service replaces
+        it on every graph change.  Multi-chain walks take its starts but keep
+        private tables.  Sharing it changes no served bit:
         each value is a pure function of its key, and none draws from a
         random stream.  A served result's target graph is then a copy (see
         :meth:`repro.core.dance.DANCE.acquire`), so a caller that mutates it
@@ -238,7 +235,6 @@ class SearchRuntime:
 
     evaluation_cache: MutableMapping | None = None
     lineage_memo: Memo | None = None
-    step1_cache: MutableMapping | None = None
     walk_spaces: WalkSpaceMemo | None = None
     pool: object | None = None
     pool_state: SharedChainState | None = None
@@ -299,7 +295,6 @@ def heuristic_acquisition(
     intermediate_hook=None,
     evaluation_cache: MutableMapping | None = None,
     lineage_memo: Memo | None = None,
-    step1_cache: MutableMapping | None = None,
     walk_spaces: WalkSpaceMemo | None = None,
     pool=None,
     pool_state: SharedChainState | None = None,
@@ -346,12 +341,6 @@ def heuristic_acquisition(
         Optional memo of fired join lineages that every single-chain walk
         reads and fills (see :class:`SearchRuntime`); multi-chain walks do
         not use it.
-    step1_cache:
-        Optional externally-owned memo for Step 1's candidate I-graphs, keyed
-        on ``(terminal set, max_weight, num_landmarks, landmark seed, graph
-        revision)`` — all of Step 1's declared inputs — so a warm request
-        skips the landmark/Steiner search entirely.  Only successful
-        candidate lists are memoised; infeasibility always re-raises fresh.
     walk_spaces:
         Optional :class:`WalkSpaceMemo` of Step 2's starts and the tables
         their single-chain walks share (see :class:`SearchRuntime`).
@@ -382,34 +371,13 @@ def heuristic_acquisition(
     if not terminals:
         raise InfeasibleAcquisitionError("no instance covers the requested attributes")
 
-    landmark_seed = canonical_landmark_seed(landmark_seed)
-    step1_key = None
-    candidates: tuple[IGraph, ...] | None = None
-    if step1_cache is not None:
-        # Every declared input of Step 1; the graph dimension is covered by the
-        # revision counter (in-place mutation) plus the owner invalidating the
-        # whole memo on DANCE.graph_version bumps (graph replacement).
-        step1_key = (
-            tuple(sorted(set(terminals))),
-            float(max_weight),
-            num_landmarks,
-            landmark_seed,
-            join_graph.revision,
-        )
-        candidates = step1_cache.get(step1_key)
-    if candidates is None:
-        candidates = tuple(
-            minimal_weight_igraphs(
-                join_graph,
-                terminals,
-                num_landmarks=num_landmarks,
-                max_weight=max_weight,
-                landmark_seed=landmark_seed,
-            )
-        )
-        if step1_cache is not None:
-            step1_cache[step1_key] = candidates
-    igraphs = list(candidates)[: max(1, max_igraphs)]
+    igraphs = minimal_weight_igraphs(
+        join_graph,
+        terminals,
+        num_landmarks=num_landmarks,
+        max_weight=max_weight,
+        landmark_seed=landmark_seed,
+    )[: max(1, max_igraphs)]
 
     # Every start is built before any walk, so the chains of all starts can
     # go to the executor in one dispatch.  A start depends on the I-graph and
@@ -468,8 +436,7 @@ def heuristic_acquisition(
                 intermediate_hook=intermediate_hook,
                 evaluation_cache=evaluation_cache,
                 lineage_memo=lineage_memo,
-                moves=space.moves,
-                transitions=space.transitions,
+                space=space,
             )
             for _, _, space in starts
         ]

@@ -26,6 +26,7 @@ from repro.relational.joins import JoinLineage
 from repro.relational.table import Table
 
 if TYPE_CHECKING:
+    from repro.search.acquisition import WalkSpace
     from repro.search.chains import MultiChainResult
 
 EXECUTORS = ("serial", "process")
@@ -179,9 +180,8 @@ def _space_size(
     start: TargetGraph,
     alternatives: Sequence[tuple[frozenset[str], ...]],
     wanted: frozenset[str],
-    limit: int,
-) -> int | None:
-    """How many graphs edge swaps can reach from ``start``, or ``None``.
+) -> float:
+    """How many graphs edge swaps can reach from ``start``, or ``math.inf``.
 
     ``alternatives[i]`` are edge ``i``'s other join attribute sets, so the
     edge takes one of ``len(alternatives[i]) + 1`` sets and the product over
@@ -191,14 +191,9 @@ def _space_size(
     extras and requested attributes, so this holds unless an attribute that
     some set of a swappable edge joins on is requested, or is an extra of
     one of the edge's nodes: the swaps would then carry it in or out of a
-    projection.  The answer is ``None`` then, and when the product exceeds
-    ``limit``.
+    projection.  The answer is ``math.inf`` then: the edges alone bound no
+    count of distinct graphs.
     """
-    size = 1
-    for options in alternatives:
-        size *= len(options) + 1
-        if size > limit:
-            return None
     required = start.required_join_attributes
     for index, options in enumerate(alternatives):
         if not options:
@@ -207,8 +202,8 @@ def _space_size(
         for node in (start.parents[index], index + 1):
             extras = start.projections[start.nodes[node]] - required[node]
             if not joined.isdisjoint(wanted | extras):
-                return None
-    return size
+                return math.inf
+    return math.prod(len(options) + 1 for options in alternatives)
 
 
 def _propose_edge_swap(
@@ -283,8 +278,7 @@ def mcmc_search(
     intermediate_hook=None,
     evaluation_cache: "MutableMapping[tuple, TargetGraphEvaluation] | None" = None,
     lineage_memo: Memo | None = None,
-    moves: "MutableMapping[tuple, tuple[frozenset[str], ...]] | None" = None,
-    transitions: "MutableMapping[tuple, TargetGraph] | None" = None,
+    space: "WalkSpace | None" = None,
     pool=None,
     pool_state=None,
 ) -> "MCMCResult | MultiChainResult":
@@ -345,13 +339,15 @@ def mcmc_search(
         :class:`~repro.search.acquisition.SearchRuntime`).  Ignored without
         a hook and for ``chains > 1``, whose walks keep their lineages to
         themselves.
-    moves / transitions:
-        Optional move table and transition memo shared with the other walks
-        from the same ``initial`` under the same requested attributes (see
-        :class:`~repro.search.acquisition.WalkSpace`).  Without them the walk
-        makes private ones.  Each entry is a pure function of its key, the
-        start and the requested attributes, and neither table draws from
-        ``rng``, so sharing them changes no outcome, counter or stream.
+    space:
+        Optional :class:`~repro.search.acquisition.WalkSpace` whose start is
+        ``initial``, shared with the other walks from it under the same
+        requested attributes: its move table, its transition memo and its
+        count of the graphs edge swaps reach, which the first walk without
+        flips takes and later walks read.  Without one the walk makes
+        private tables and counts for itself.  Each entry is a pure function
+        of its key, the start and the requested attributes, and none draws
+        from ``rng``, so sharing them changes no outcome, counter or stream.
         Ignored for ``chains > 1``, whose walks keep private tables.
     pool / pool_state:
         An externally-owned process pool and its
@@ -412,10 +408,11 @@ def mcmc_search(
     # tables die with the walk; shared ones serve every walk from this
     # start.  Neither touches the random stream: every proposal still draws
     # its edge and its attributes through ``rng``.
-    if moves is None:
-        moves = {}
-    if transitions is None:
-        transitions = {}
+    if space is None:
+        moves: MutableMapping[tuple, tuple[frozenset[str], ...]] = {}
+        transitions: MutableMapping[tuple, TargetGraph] = {}
+    else:
+        moves, transitions = space.moves, space.transitions
 
     def evaluate(graph: TargetGraph) -> TargetGraphEvaluation:
         signature = graph.signature()
@@ -460,20 +457,26 @@ def mcmc_search(
     flip_probability = config.projection_flip_probability
     flips = flip_probability > 0
     # Without flips a walk moves by edge swaps alone, over a space it can
-    # count (``_space_size``).  A space of one graph is a dead start: every
-    # proposal is None and the walk never moves, so it stops here.  Its
-    # only draws are from its private ``rng``, so stopping changes no other
-    # stream; the result is what the loop would return.
-    space = None
-    if not flips:
+    # count (``_space_size``); a shared space keeps its count for every walk
+    # from it.  Only a count of at most ``iterations + 1`` is worth tracking.
+    # A space of one graph is a dead start: every proposal is None and the
+    # walk never moves, so it stops here.  Its only draws are from its
+    # private ``rng``, so stopping changes no other stream; the result is
+    # what the loop would return.
+    size = None if space is None else space.size
+    if size is None and not flips:
         alternatives = []
         for index, edge in enumerate(current.edges):
             options = moves.get((index, edge))
             if options is None:
                 options = moves[index, edge] = _edge_alternatives(current, index, join_graph)
             alternatives.append(options)
-        space = _space_size(current, alternatives, wanted, config.iterations + 1)
-    if space == 1:
+        size = _space_size(current, alternatives, wanted)
+        if space is not None:
+            space.size = size
+    if flips or size > config.iterations + 1:
+        size = None
+    if size == 1:
         result.iterations = config.iterations
         if record_trace:
             result.trace = [current_eval.correlation] * config.iterations
@@ -486,7 +489,7 @@ def mcmc_search(
     # the best: the walk stops with the best, the evaluation memo and the
     # hook's stream of the full walk.  The trace would need every step.
     seen = None
-    if space is not None and not record_trace:
+    if size is not None and not record_trace:
         seen = {current.signature()}
         top = -math.inf
 
@@ -527,7 +530,7 @@ def mcmc_search(
             seen.add(proposal.signature())
             if feasible and proposal_eval.correlation > top:
                 top = proposal_eval.correlation
-            if len(seen) == space and not lineages:
+            if len(seen) == size and not lineages:
                 best = result.best_evaluation
                 beaten = result.feasible_steps > 0 if best is None else top > best.correlation
                 if not beaten:

@@ -8,11 +8,12 @@ package turns the online phase into a long-lived *session*:
 :class:`AcquisitionService`
     Wraps one :class:`~repro.marketplace.market.Marketplace` plus its offline
     phase and serves many :class:`~repro.marketplace.shopper.AcquisitionRequest`\\ s.
-    It owns the evaluation memo and JI cache (shared across all candidate
-    I-graphs of a request *and* across requests), under a multi-chain
-    process plan a single persistent process pool over the shared columnar
-    store serving every ``mcmc_search`` call, and the thread fan-out for
-    concurrent batches.
+    It owns the bounded session memos — served answers, evaluations per
+    request signature (shared across all candidate I-graphs of a request
+    *and* across requests), fired join lineages and walk spaces — under a
+    multi-chain process plan a single persistent process pool over the
+    shared columnar store serving every ``mcmc_search`` call, and the thread
+    fan-out for concurrent batches.  JI weights are the join graph's.
 
 :func:`request_seed` / :class:`ServedRequest` / :class:`BatchResult` / :func:`fair_order`
     Deterministic per-request seed derivation (blake2b, the chain-seed
@@ -27,8 +28,8 @@ package turns the online phase into a long-lived *session*:
     never what it computes.
 
 :class:`ServiceMetrics` / :class:`LatencyHistogram` (:mod:`repro.service.metrics`)
-    Per-request latency percentiles, cache hit-rate trends over a sliding
-    window, and the counting cache behind the Step-1 memo.
+    Per-request latency percentiles and cache hit-rate trends over a sliding
+    window.
 
 :class:`AcquisitionHTTPServer` (:mod:`repro.service.server`)
     The networked serve tier: ``POST /acquire`` (single + batch), ``GET
@@ -39,7 +40,7 @@ Determinism contract: a batch of N requests is bit-identical to the same N
 requests served one at a time — shared caches hold only deterministic values,
 per-request seeds depend only on ``(service seed, batch index)``, and result
 ordering follows request order, never completion order.  The scheduler,
-fairness and the Step-1 memo decide whether/when/how cheaply a request runs,
+fairness and the answer memo decide whether/when/how cheaply a request runs,
 never what it computes.
 """
 

@@ -12,9 +12,10 @@ view an operator actually pages on:
 
 :class:`ServiceMetrics`
     Aggregates the histogram with per-request success/error counts and the
-    MCMC evaluation-cache hit rate of each served request, reporting the
-    hit-rate *trend* over the sliding window (older half vs. newer half —
-    a warming cache trends up, an invalidation shows as a drop).
+    MCMC evaluation-cache hit rate of each request that ran a search (an
+    answer-memo hit records none), reporting the hit-rate *trend* over the
+    sliding window (older half vs. newer half — a warming cache trends up,
+    an invalidation shows as a drop).
 
 All classes are thread-safe; ``snapshot()`` methods return plain-JSON dicts
 (surfaced through ``AcquisitionService.describe()``/``metrics()``, the CLI

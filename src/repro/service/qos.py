@@ -24,7 +24,10 @@ never what it computes.
     submission with an empty bucket is shed with
     :class:`~repro.exceptions.RateLimitedError` carrying the seconds until
     the next token as its retry-after hint.  Tiers without a rate get no
-    bucket at all.
+    bucket at all.  ``shopper`` is any string a client sends, so the
+    scheduler holds at most :data:`TOKEN_BUCKETS` buckets and evicts the
+    oldest; an evicted shopper starts again with a full bucket, as a new
+    one does.
 
 :class:`QosScheduler`
     The threaded scheduler behind
@@ -65,8 +68,13 @@ from repro.exceptions import (
     ReproError,
 )
 from repro.marketplace.shopper import AcquisitionRequest
+from repro.memo import Memo
 from repro.pricing.sla import QosConfig, SlaTier
 from repro.service.metrics import LatencyHistogram
+
+#: Token buckets a scheduler holds at most, one per ``(shopper, tier)`` on a
+#: rated tier, oldest evicted first.  Read when a scheduler is made.
+TOKEN_BUCKETS = 1 << 14
 
 
 def retry_after_hint(
@@ -284,7 +292,7 @@ class QosScheduler:
         self._rate_limited = 0  # guarded-by: self._cond
         self._deadline_exceeded = 0  # guarded-by: self._cond
         self._blocked_seconds = 0.0  # guarded-by: self._cond
-        self._buckets: dict[tuple[str | None, str], TokenBucket] = {}  # guarded-by: self._cond
+        self._buckets = Memo(TOKEN_BUCKETS)  # guarded-by: self._cond
         self._tiers: dict[str, _TierStats] = {  # guarded-by: self._cond
             name: _TierStats() for name in sorted(config.tiers)
         }
@@ -302,7 +310,9 @@ class QosScheduler:
         Raises :class:`~repro.exceptions.PricingError` (HTTP 400) for a tier
         the table does not hold.  Sheds with
         :class:`~repro.exceptions.RateLimitedError` when the shopper's token
-        bucket is empty and with :class:`~repro.exceptions.AdmissionRejectedError`
+        bucket is empty (a shopper whose bucket was evicted past
+        :data:`TOKEN_BUCKETS` gets a full one) and with
+        :class:`~repro.exceptions.AdmissionRejectedError`
         when the queue is at ``max_depth`` under the ``reject`` policy
         (``block`` waits instead).  Both errors carry a retry-after hint.
         The submission time, which the queue wait and the deadline count

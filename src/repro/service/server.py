@@ -23,7 +23,7 @@ standard library:
     exposition format (:func:`render_prometheus`): request/error counters,
     the lifetime latency histogram with cumulative ``le`` buckets, exact
     window percentiles, the cache-hit-rate trend, admission queue gauges,
-    and Step-1 memo accounting.
+    and answer-memo and walk-space-memo accounting.
 
 ``GET /healthz``
     ``200 {"status": "ok"}`` while serving; ``503 {"status": "draining"}``
@@ -121,9 +121,9 @@ FIELD_METRICS: dict[str, str] = {
     "qos.rate_limited": "dance_qos_rate_limited_total",
     "qos.deadline_exceeded": "dance_qos_deadline_exceeded_total",
     "qos.tiers": "dance_tier_requests_total",
-    "step1_memo.entries": "dance_step1_memo_entries",
-    "step1_memo.hits": "dance_step1_memo_hits_total",
-    "step1_memo.misses": "dance_step1_memo_misses_total",
+    "answer_memo.entries": "dance_answer_memo_entries",
+    "answer_memo.hits": "dance_answer_memo_hits_total",
+    "answer_memo.misses": "dance_answer_memo_misses_total",
     "walk_space_memo.entries": "dance_walk_space_memo_entries",
     "walk_space_memo.graphs": "dance_walk_space_memo_graphs",
     "walk_space_memo.hits": "dance_walk_space_memo_hits_total",
@@ -362,7 +362,7 @@ def render_prometheus(
     hit_rate = metrics.get("cache_hit_rate", {})
     queue = metrics.get("queue", {})
     qos = metrics.get("qos", {})
-    step1 = metrics.get("step1_memo", {})
+    answers = metrics.get("answer_memo", {})
     walk_spaces = metrics.get("walk_space_memo", {})
 
     _metric(
@@ -480,14 +480,14 @@ def render_prometheus(
                 )
 
     for field, kind, help_text in (
-        ("entries", "gauge", "Entries in the Step-1 memo."),
-        ("hits", "counter", "Step-1 searches served from the memo."),
-        ("misses", "counter", "Step-1 searches that ran the landmark/Steiner pass."),
+        ("entries", "gauge", "Served answers the answer memo holds."),
+        ("hits", "counter", "Requests answered from the answer memo without a search."),
+        ("misses", "counter", "Requests that ran the search."),
     ):
         suffix = "_total" if kind == "counter" else ""
-        name = f"{prefix}_step1_memo_{field}{suffix}"
+        name = f"{prefix}_answer_memo_{field}{suffix}"
         _metric(lines, name, kind, help_text)
-        lines.append(f"{name} {_format_value(step1.get(field, 0))}")
+        lines.append(f"{name} {_format_value(answers.get(field, 0))}")
 
     for field, kind, help_text in (
         ("entries", "gauge", "Walk spaces (Step-2 starts) in the walk-space memo."),

@@ -49,18 +49,25 @@ keeps one marketplace *hot* instead:
   in per-shopper round-robin order (:func:`~repro.service.batch.fair_order`).
   The scheduler only decides whether/when a request runs — never what it
   computes: seeds and result positions follow the request index.
-* **Step-1 memo.**  ``minimal_weight_igraphs`` is a pure function of
-  ``(terminal set, alpha, num_landmarks, landmark seed, graph version)``, so
-  the service memoises it per that key; warm requests skip the
-  landmark/Steiner search entirely.  It resets on every ``graph_version``
-  bump, because the Steiner search reads the whole I-layer, and it holds at
-  most :data:`STEP1_MEMO_ENTRIES` entries.
+* **Answer memo.**  Under the determinism contract a served answer is a
+  pure function of the request's attributes and constraints, its seed and
+  the join graph's state, so the service keeps one
+  :class:`~repro.memo.Memo` of served results per request key
+  ``(source attributes, target attributes, budget, α, β, seed)`` on the
+  current graph version, at most :data:`ANSWER_MEMO_ENTRIES` of them.  A
+  repeat is answered from it without running Step 1, Step 2 or any other
+  DANCE code; it still passes the scheduler first.  ``shopper``, ``tier``
+  and ``deadline`` only steer scheduling and stay out of the key.  Only
+  results are held: an infeasible request raises every time.  Every caller
+  gets its own copy of the result (:meth:`AcquisitionResult.copy
+  <repro.core.result.AcquisitionResult.copy>`), so mutating one changes no
+  later answer.  The memo is replaced on every ``graph_version`` bump.
 * **Walk-space memo.**  Beside it, one
   :class:`~repro.search.acquisition.WalkSpaceMemo` keeps, per I-graph and
   requested attribute set, Step 2's start and the move table and transition
   memo every single-chain walk from that start shares, so a read at a seed
   the session never saw still builds no graph an earlier walk built.  It
-  resets with the Step-1 memo and holds at most
+  is replaced with the answer memo and holds at most
   :data:`~repro.search.acquisition.WALK_SPACE_GRAPHS` graphs.
 * **Metrics.**  Per-request latency histograms with p50/p95/p99, the
   evaluation-cache hit-rate trend over a sliding window, queue
@@ -76,18 +83,21 @@ keeps one marketplace *hot* instead:
   over unchanged instances; offline rebuilds drop them all.
 * **Persistent session state.**  With ``ServiceConfig(catalog_path=...)``
   the service opens the catalog at startup (warming the offline phase; see
-  :meth:`repro.core.dance.DANCE.persist`, which carries the JI weights),
-  restores its Step-1 memo from the catalog's session namespace — guarded
-  by a graph-state fingerprint, so the memo never outlives the tables it
-  was computed on — and checkpoints marketplace, offline state, and memo
-  back after :meth:`register_source_tables` (or explicitly via
-  :meth:`persist`).  Restore and checkpoint failures degrade to a cold
-  session with a ``RuntimeWarning``; they never fail serving.
+  :meth:`repro.core.dance.DANCE.persist`, which carries the JI weights) and
+  checkpoints marketplace and offline state back after
+  :meth:`register_source_tables` (or explicitly via :meth:`persist`).  No
+  session memo is persisted: an answer depends on the whole
+  :class:`~repro.core.config.DanceConfig`, which the catalog does not
+  record.  The session blob an older catalog carries is ignored.  An
+  unusable catalog degrades to a cold session with a ``RuntimeWarning``,
+  and a failed checkpoint warns; neither fails serving.
 
 Thread-safety contract: concurrent *serving* calls are safe (that is the
 point of the batch API); management operations — ``register_source_tables``,
 ``rebuild_offline``, ``close`` — must not overlap in-flight requests, exactly
 like schema changes on a live database are sequenced by the operator.
+A request captures the answer memo with the rest of its session state, so
+its answer always lands in the memo of the graph version it was computed on.
 
 Iterative refinement (buying more samples mid-request) mutates shared session
 state, so served requests run with refinement disabled; an infeasible request
@@ -136,8 +146,9 @@ from repro.service.qos import QosScheduler
 
 _SERVICE_COUNTER = itertools.count()
 
-#: Entries the Step-1 memo holds at most.  Read when a memo is made.
-STEP1_MEMO_ENTRIES = 1024
+#: Answers the answer memo holds at most.  A held answer pickles to about
+#: 1 KB on TPC-E, so a full memo holds about 1 MB.  Read when a memo is made.
+ANSWER_MEMO_ENTRIES = 1024
 
 #: Evaluations one request namespace's memo holds at most, and the
 #: namespaces the session keeps at most.  An entry (signature plus
@@ -202,7 +213,7 @@ class AcquisitionService:
         self._synced_fds: tuple[FunctionalDependency, ...] = ()  # guarded-by: self._lock
         self._lineage_memo = lineage_memo()  # guarded-by: self._lock
         self._evaluation_caches = Memo(EVALUATION_NAMESPACES)  # guarded-by: self._lock
-        self._step1_memo: Memo | None = None  # guarded-by: self._lock
+        self._answers = Memo(ANSWER_MEMO_ENTRIES)  # guarded-by: self._lock
         self._walk_spaces = WalkSpaceMemo()  # guarded-by: self._lock
         self._chain_pool = None  # guarded-by: self._lock
         self._chain_pool_state: SharedChainState | None = None  # guarded-by: self._lock
@@ -251,13 +262,15 @@ class AcquisitionService:
 
         Bit-identical to ``DANCE.acquire`` with the same seed *and refinement
         disabled* on a cold middleware (shared caches hold only deterministic
-        values), but a warm repeat is served almost entirely from the
-        evaluation memo (and skips Step 1 via the session's Step-1 memo).  A
-        request that is infeasible at the current sampling rate raises
+        values), but a repeat of a served request on the same graph version
+        is answered from the session's answer memo without searching, and
+        other requests reuse the evaluation and walk-space memos.  The
+        returned result is the caller's own copy.  A request that is
+        infeasible at the current sampling rate raises
         ``InfeasibleAcquisitionError`` instead of buying more samples —
         refresh the session with :meth:`rebuild_offline` (see the module
         docstring).  ``seed`` defaults to the service base seed, so a
-        repeated identical call is a repeated identical walk.
+        repeated identical call gets the same answer.
 
         Raises :class:`~repro.exceptions.AdmissionRejectedError` when the
         admission queue is full under the ``reject`` policy (under ``block``
@@ -370,18 +383,34 @@ class AcquisitionService:
     ) -> ServedRequest:
         """Execute one granted request.
 
+        A request whose key the answer memo holds gets a copy of the held
+        result and runs no search; any other runs DANCE and puts its result.
         ``queued_seconds`` is the scheduler's wait from submission to grant,
         and execution runs from the grant on, session plumbing included, so
         ``elapsed_seconds`` (queue wait + execution) is what the caller
-        observed end to end.
+        observed end to end.  Only a search records an evaluation-cache hit
+        rate.
         """
         start = time.perf_counter()
-        runtime = self._runtime_for(request, seed)
+        key = (
+            request.source_attributes,
+            request.target_attributes,
+            request.budget,
+            request.max_join_informativeness,
+            request.min_quality,
+            seed,
+        )
+        answers, held, runtime = self._runtime_for(request, seed, key)
         item = ServedRequest(index=index, request=request, seed=seed)
         with self._lock:
             self._in_flight += 1
         try:
-            item.result = self._dance.acquire(request, runtime=runtime)
+            if held is not None:
+                item.result = held.copy()
+            else:
+                result = self._dance.acquire(request, runtime=runtime)
+                answers[key] = result
+                item.result = result.copy()
         except BrokenChainPoolError as error:
             item.error = error
             self._drop_broken_pool(runtime.pool)
@@ -397,7 +426,9 @@ class AcquisitionService:
                 item.elapsed_seconds,
                 ok=item.ok,
                 cache_hit_rate=(
-                    item.result.mcmc_cache_hit_rate if item.result is not None else None
+                    item.result.mcmc_cache_hit_rate
+                    if item.result is not None and held is None
+                    else None
                 ),
                 queued_seconds=queued_seconds,
                 execution_seconds=item.execution_seconds,
@@ -423,8 +454,15 @@ class AcquisitionService:
                 self._errors += 1
 
     # ------------------------------------------------------- session plumbing
-    def _runtime_for(self, request: AcquisitionRequest, seed: int) -> SearchRuntime:
-        """The session-scoped runtime of one request (caches, pool, seed)."""
+    def _runtime_for(
+        self, request: AcquisitionRequest, seed: int, key: tuple
+    ) -> tuple[Memo, AcquisitionResult | None, SearchRuntime | None]:
+        """One request's session state, taken under the session lock.
+
+        Returns the answer memo, the answer it holds under ``key``, and,
+        when it holds none, the request's runtime (caches, pool, seed).  A
+        held answer takes no evaluation namespace and no pool.
+        """
         with self._lock:
             if self._closed:
                 raise ReproError("the acquisition service has been closed")
@@ -433,15 +471,17 @@ class AcquisitionService:
                 # concurrent first requests cannot each buy a sample set.
                 self._dance.build_offline()
             self._sync_locked()
+            answers = self._answers
+            held = answers.get(key)
+            if held is not None:
+                return answers, held, None
             evaluation_cache = self._evaluation_cache_locked(request)
             lineages = self._lineage_memo
-            step1_cache = self._step1_memo
             walk_spaces = self._walk_spaces
             pool, pool_state = self._chain_pool_locked()
-        return SearchRuntime(
+        runtime = SearchRuntime(
             evaluation_cache=evaluation_cache,
             lineage_memo=lineages,
-            step1_cache=step1_cache,
             walk_spaces=walk_spaces,
             pool=pool,
             pool_state=pool_state,
@@ -451,6 +491,7 @@ class AcquisitionService:
             resampling=dataclasses.replace(self.config.resampling),
             allow_refinement=False,
         )
+        return answers, None, runtime
 
     def _sync_locked(self, changed: Sequence[str] | None = None) -> None:
         """Re-derive session state after a join-graph change (caller holds the lock).
@@ -463,12 +504,9 @@ class AcquisitionService:
         join can carry.  Any other version bump — an offline rebuild, or a
         change made on the middleware behind the session's back, which shows
         as a version gap — resets both and counts in ``cache_resets``.
-        The Step-1 memo always resets, because its Steiner search reads the
-        whole I-layer, and so does the walk-space memo, whose starts and
+        The answer memo is always replaced, because an answer depends on the
+        whole graph, and so is the walk-space memo, whose starts and
         proposal graphs come from the join graph's edges.
-
-        A sync that pruned skips :meth:`_restore_caches_locked`: the catalog
-        blob describes the state before the write.
 
         The chain pool's shared columnar store is *versioned*, not
         disposable: when ``changed`` names the touched instances, only their
@@ -500,12 +538,10 @@ class AcquisitionService:
             self._lineage_memo = lineage_memo()
         self._synced_version = version
         self._synced_fds = fds
-        self._step1_memo = Memo(STEP1_MEMO_ENTRIES)
+        self._answers = Memo(ANSWER_MEMO_ENTRIES)
         self._walk_spaces = WalkSpaceMemo()
         if not self._refresh_chain_pool_locked(version, changed):
             self._dispose_chain_pool_locked()
-        if not pruned:
-            self._restore_caches_locked()
 
     def _refresh_chain_pool_locked(
         self, version: int, changed: Sequence[str] | None
@@ -536,10 +572,10 @@ class AcquisitionService:
 
         A marketplace opened from the catalog already carries it; for a
         marketplace built from scratch this makes the persisted offline state
-        and session caches visible (every read is fingerprint-guarded, so a
-        catalog written for different data simply warms nothing).  A missing
-        file is fine — the first checkpoint creates it; an unusable one
-        degrades to a cold session with a ``RuntimeWarning``.
+        visible (every read is fingerprint-guarded, so a catalog written for
+        different data simply warms nothing).  A missing file is fine — the
+        first checkpoint creates it; an unusable one degrades to a cold
+        session with a ``RuntimeWarning``.
         """
         market = self._dance.marketplace
         if market.storage is not None:
@@ -554,45 +590,6 @@ class AcquisitionService:
         except StorageError as error:
             warnings.warn(
                 f"ignoring unusable catalog at {target}: {error}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-    def _restore_caches_locked(self) -> None:
-        """Seed the freshly reset Step-1 memo from the attached catalog.
-
-        The persisted blob carries a fingerprint of the graph state (every
-        sample table plus the revision counter) it was computed on; the memo
-        is adopted only when the current graph hashes identically, since its
-        keys embed the graph revision.  The ``"ji"`` entry an older catalog
-        carries is ignored: the JI weights come back with the offline state.
-        Any failure warns and serves cold; restoring is an optimisation,
-        never a correctness dependency.
-        """
-        storage = self._dance.marketplace.storage
-        if storage is None or self._dance._join_graph is None:
-            return
-        from repro.storage import NS_SESSION
-        from repro.storage import serialize as _serialize
-
-        try:
-            payload = storage.get(NS_SESSION, "caches")
-            if payload is None:
-                return
-            state = _serialize.loads(payload)
-            if not isinstance(state, dict):
-                raise StorageError("session cache state is not a mapping")
-            graph = self._dance._join_graph
-            fingerprint = _serialize.graph_state_fingerprint(
-                graph._samples, graph.revision
-            )
-            if state.get("fingerprint") != fingerprint:
-                return
-            if self._step1_memo is not None and state.get("step1"):
-                self._step1_memo.update(state["step1"])
-        except Exception as error:  # dancelint: disable=ERR301 -- restore is best-effort
-            warnings.warn(
-                f"ignoring unreadable session caches in the catalog: {error}",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -670,9 +667,9 @@ class AcquisitionService:
         the new instances — then invalidates the session caches and pools the
         change made stale.  When the service has a catalog
         (``ServiceConfig(catalog_path=...)``), the refreshed state —
-        marketplace, offline phase, session caches — is checkpointed to it in
-        the same call, so a restart after the registration is warm; the
-        summary gains a ``"checkpointed"`` flag and ``"checkpoint_blobs"``,
+        marketplace and offline phase — is checkpointed to it in the same
+        call, so a restart after the registration is warm; the summary gains
+        a ``"checkpointed"`` flag and ``"checkpoint_blobs"``,
         the number of blobs the checkpoint put: every blob for a full
         rewrite, only those whose bytes changed for one in place, 0 when it
         failed.  Returns DANCE's refresh summary (mode, added / replaced
@@ -713,13 +710,12 @@ class AcquisitionService:
         return summary
 
     def persist(self, path: str | Path | None = None) -> object:
-        """Checkpoint marketplace, offline state, and session caches.
+        """Checkpoint marketplace and offline state.
 
         ``path`` defaults to ``ServiceConfig.catalog_path``, then to the
-        marketplace's attached backend.  The session namespace stores the
-        Step-1 memo under a fingerprint of the current graph state, so a
-        restarted service only adopts it while the data is unchanged; the JI
-        weights are part of the offline state.
+        marketplace's attached backend.  The JI weights are part of the
+        offline state; no session memo is written (see the module
+        docstring).
         The write is all-or-nothing across every namespace: it rewrites the
         attached catalog in one transaction, putting only the blobs that
         changed, or else replaces the file through one temp-file rename (see
@@ -735,23 +731,8 @@ class AcquisitionService:
             return self._persist_locked(path)
 
     def _persist_locked(self, path: str | Path | None = None) -> object:
-        from repro.storage import NS_SESSION
-        from repro.storage import serialize as _serialize
-
-        def write_session(backend) -> None:
-            graph = self._dance._join_graph
-            if graph is None:
-                return
-            state = {
-                "fingerprint": _serialize.graph_state_fingerprint(
-                    graph._samples, graph.revision
-                ),
-                "step1": dict(self._step1_memo.items()) if self._step1_memo else {},
-            }
-            backend.put(NS_SESSION, "caches", _serialize.dumps(state))
-
         target = path if path is not None else self.config.service.catalog_path
-        return self._dance.persist(target, extra=write_session)
+        return self._dance.persist(target)
 
     def rebuild_offline(self, *, sampling_rate: float | None = None) -> JoinGraph:
         """Re-run the offline phase (e.g. at a higher sampling rate) and resync.
@@ -791,24 +772,19 @@ class AcquisitionService:
         sliding window), the evaluation-cache hit-rate trend, the scheduler's
         queue counters (depth, peak, rejections, blocked time) and per-tier
         accounting, the in-flight gauge, and the hit accounting of the
-        Step-1 memo and of the walk-space memo (whose ``graphs`` counts the
-        starts and proposal graphs it holds).
+        answer memo and of the walk-space memo (whose ``graphs`` counts the
+        starts and proposal graphs it holds).  Both restart when a write
+        replaces the memo.
         """
         with self._lock:
             in_flight = self._in_flight
-            # Stable schema even before the first request syncs the session
-            # (the memo is created lazily in _sync_locked).
-            step1 = (
-                self._step1_memo.snapshot()
-                if self._step1_memo is not None
-                else {"entries": 0, "hits": 0, "misses": 0}
-            )
+            answers = self._answers.snapshot()
             walk_spaces = self._walk_spaces.snapshot()
         payload = self._metrics.snapshot()
         payload["in_flight"] = in_flight
         payload["queue"] = self._scheduler.snapshot()
         payload["qos"] = self._scheduler.qos_snapshot()
-        payload["step1_memo"] = step1
+        payload["answer_memo"] = answers
         payload["walk_space_memo"] = walk_spaces
         return payload
 
@@ -822,7 +798,8 @@ class AcquisitionService:
         gaps); a write that only pruned the memos is not one, and its
         ``register_source_tables`` summary reports what it kept and dropped.
         ``ji_cache_entries`` counts the join graph's JI weights, the only JI
-        store.  ``lineage_cache_entries`` and ``lineage_cache_rows`` count
+        store.  ``answer_memo_entries`` counts the answers the answer memo
+        holds.  ``lineage_cache_entries`` and ``lineage_cache_rows`` count
         the join lineages the session's lineage memo holds and the rows
         those hold (see :attr:`repro.relational.joins.JoinLineage.rows`), and
         ``walk_space_memo_entries`` and ``walk_space_memo_graphs`` the walk
@@ -847,9 +824,7 @@ class AcquisitionService:
                 "ji_cache_entries": 0 if graph is None else len(graph._ji_cache),
                 "lineage_cache_entries": len(self._lineage_memo),
                 "lineage_cache_rows": self._lineage_memo.units,
-                "step1_memo_entries": (
-                    0 if self._step1_memo is None else len(self._step1_memo)
-                ),
+                "answer_memo_entries": len(self._answers),
                 "walk_space_memo_entries": walk_spaces["entries"],
                 "walk_space_memo_graphs": walk_spaces["graphs"],
                 "chain_pool": None if self._chain_pool is None else self.config.mcmc.executor,

@@ -34,7 +34,6 @@ from repro.storage.memory import InMemoryBackend
 from repro.storage.serialize import (
     encodings_to_blob,
     fingerprint_tables,
-    graph_state_fingerprint,
     ji_weights_from_spec,
     ji_weights_to_spec,
     restore_encodings,
@@ -68,7 +67,6 @@ __all__ = [
     "atomic_persist",
     "table_fingerprint",
     "fingerprint_tables",
-    "graph_state_fingerprint",
     "table_to_blob",
     "table_from_blob",
     "encodings_to_blob",

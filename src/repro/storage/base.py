@@ -1,7 +1,7 @@
 """The abstract catalog backend: a namespaced blob store with JSON metadata.
 
 Every artifact the offline phase produces — instance tables, dictionary
-encodings, JI edge weights, Step-1 memos — can be persisted through one small
+encodings, JI edge weights, discovered FDs — can be persisted through one small
 interface so the marketplace is no longer capped at what one process holds in
 RAM.  A :class:`CatalogBackend` is deliberately minimal: namespaced binary
 blobs (``put``/``get``/``keys``/``delete``) plus a JSON metadata table
@@ -47,7 +47,7 @@ NS_TABLES = "tables"  # full instance data, one blob per dataset
 NS_ENCODINGS = "encodings"  # cached ColumnEncodings + entropy stats per dataset
 NS_DATASETS = "datasets"  # catalog entries, pricing, descriptions per dataset
 NS_OFFLINE = "offline"  # JI edge weights, discovered FDs, sample fingerprints
-NS_SESSION = "session"  # service session caches (JI cache, Step-1 memo)
+NS_SESSION = "session"  # older catalogs' session caches; never written, ignored on open
 
 META_SCHEMA_VERSION = "schema_version"
 META_KIND = "kind"

@@ -1,11 +1,11 @@
 """One checkpoint write, recorded so that the next one skips what did not change.
 
 A :class:`CheckpointWriter` stands between the layers that persist state
-(:meth:`repro.marketplace.market.Marketplace.persist`, the offline state of
-:meth:`repro.core.dance.DANCE.persist`, the service's session caches) and a
-backend.  It records a digest of every blob put through it and skips a put
-whose bytes the previous checkpoint already wrote; a layer that knows its
-blob is unchanged *keeps* it without serialising it at all.
+(:meth:`repro.marketplace.market.Marketplace.persist` and the offline state
+of :meth:`repro.core.dance.DANCE.persist`) and a backend.  It records a
+digest of every blob put through it and skips a put whose bytes the
+previous checkpoint already wrote; a layer that knows its blob is unchanged
+*keeps* it without serialising it at all.
 
 :func:`write_in_place` runs a writer inside one backend transaction and then
 deletes every blob and metadata key the write did not name, so the catalog

@@ -81,22 +81,6 @@ def fingerprint_tables(tables: Mapping[str, Table]) -> dict[str, str]:
     return {name: table_fingerprint(table) for name, table in tables.items()}
 
 
-def graph_state_fingerprint(tables: Mapping[str, Table], revision: int) -> str:
-    """Digest of a join graph's full table state plus its revision counter.
-
-    Session caches (Step-1 memo, evaluation-time JI cache) are only restored
-    into a graph whose state hashes identically to the one they were
-    persisted from — Step-1 memo keys embed ``JoinGraph.revision``, so the
-    revision is part of the state.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(str(revision).encode())
-    for name in sorted(tables):
-        digest.update(name.encode())
-        digest.update(table_fingerprint(tables[name]).encode())
-    return digest.hexdigest()
-
-
 # ------------------------------------------------------------------ tables
 def schema_to_spec(schema: Schema) -> list[tuple[str, str]]:
     return [(attribute.name, attribute.type.value) for attribute in schema]

@@ -198,7 +198,7 @@ class TestBatchCommand:
         payload = json.loads(capsys.readouterr().out)
         metrics = payload["metrics"]
         assert metrics["requests"] == 1
-        assert metrics["step1_memo"]["misses"] == 1
+        assert metrics["answer_memo"] == {"entries": 1, "hits": 0, "misses": 1}
         assert "p95_seconds" in metrics["latency"]
         assert "trend" in metrics["cache_hit_rate"]
 
@@ -245,7 +245,10 @@ class TestCatalogActions:
 
 
 class TestBatchCatalogWarmRestart:
-    def test_second_batch_run_restarts_warm(self, tmp_path, capsys):
+    def test_second_batch_run_restarts_warm(self, tmp_path, capsys, monkeypatch):
+        import repro.core.dance as dance_module
+        import repro.graph.join_graph as join_graph_module
+
         requests = tmp_path / "requests.json"
         requests.write_text(json.dumps([{"query": "Q1", "budget": 1000}]))
         catalog = tmp_path / "market.catalog"
@@ -254,12 +257,25 @@ class TestBatchCatalogWarmRestart:
         cold = json.loads(capsys.readouterr().out)
         assert catalog.exists()
 
+        offline_work = []
+        for module, name in (
+            (join_graph_module, "join_informativeness"),
+            (dance_module, "discover_afds"),
+        ):
+            original = getattr(module, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                offline_work.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
         assert main(cold_args) == 0
         warm = json.loads(capsys.readouterr().out)
-        # The warm service adopted the checkpointed Step-1 memo: the request
-        # is answered without a single landmark/Steiner search.
-        assert warm["metrics"]["step1_memo"]["hits"] == 1
-        assert warm["metrics"]["step1_memo"]["misses"] == 0
+        # The warm service adopted the checkpointed offline state: it
+        # computed no JI weight and mined no table.  Answers are not
+        # persisted, so the request searched.
+        assert offline_work == []
+        assert warm["metrics"]["answer_memo"] == {"entries": 1, "hits": 0, "misses": 1}
         assert (
             warm["results"][0]["result"]["estimated_correlation"]
             == cold["results"][0]["result"]["estimated_correlation"]
@@ -276,7 +292,8 @@ class TestMetricsCommand:
         assert payload["latency"]["count"] == 6
         assert payload["latency"]["p99_seconds"] is not None
         assert payload["queue"]["policy"] == "block"
-        assert payload["step1_memo"]["hits"] >= 1  # the repeat skips Step 1
+        # Each repeat is answered from the answer memo.
+        assert payload["answer_memo"] == {"entries": 3, "hits": 3, "misses": 3}
 
     def test_requests_file_and_reject_policy(self, tmp_path, capsys):
         path = tmp_path / "requests.json"

@@ -18,7 +18,8 @@ lineages another walk built and left in a shared
 walks that share one :class:`~repro.search.acquisition.WalkSpace`, and
 searches that share one :class:`~repro.search.acquisition.WalkSpaceMemo`,
 interleaved over seeds, hooks and requested attributes, must return what
-walks and searches with private tables return.
+walks and searches with private tables return; walks from one space count
+the graphs its edge swaps reach once, on the first walk.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from repro.relational.joins import lineage_memo
 from repro.relational.schema import Attribute, AttributeType, Schema
 from repro.relational.table import Table
 from repro.sampling.resampling import ResamplingPolicy
-from repro.search.acquisition import WalkSpaceMemo, heuristic_acquisition
+from repro.search import mcmc as mcmc_module
+from repro.search.acquisition import WalkSpace, WalkSpaceMemo, heuristic_acquisition
 from repro.search.mcmc import MCMCConfig, MCMCResult, mcmc_search
 
 
@@ -556,10 +558,7 @@ class TestSharedWalkSpaces:
             key = ("scenario", frozenset(scenario["source"]) | frozenset(target))
             space = memo.get(key) or memo.add(key, start, scenario["tables"])
             outcomes = []
-            for initial, tables in (
-                (space.start, {"moves": space.moves, "transitions": space.transitions}),
-                (start, {}),
-            ):
+            for initial, tables in ((space.start, {"space": space}), (start, {})):
                 hook = new_hook(scenario) if hooked else None
                 cache: dict = {}
                 walked = mcmc_search(
@@ -579,6 +578,43 @@ class TestSharedWalkSpaces:
             assert outcomes[0] == outcomes[1]
         held = memo._spaces.values()
         assert memo.snapshot()["graphs"] == sum(1 + len(space.transitions) for space in held)
+
+    @settings(max_examples=100, deadline=None)
+    @given(walk_scenarios(flips=(0.0,)), runs)
+    def test_walks_from_one_space_count_it_once(self, scenario, plan):
+        """Without flips the first walk from a space counts the graphs its
+        edge swaps reach and keeps the count on the space; every later walk,
+        whatever its seed, hook or length, compares that count with its own
+        ``iterations + 1`` and returns what a walk with private tables, which
+        counts for itself, returns."""
+        positional, constraints = walk_arguments(scenario)
+        space = WalkSpace(scenario["initial"], scenario["tables"])
+        counted = 0
+        for seed, hooked, _ in plan:
+            config = replace(scenario["config"], seed=seed, iterations=seed)
+            outcomes = []
+            for shared in ({"space": space}, {}):
+                hook = new_hook(scenario) if hooked else None
+                cache: dict = {}
+                with mock.patch.object(
+                    mcmc_module, "_space_size", wraps=mcmc_module._space_size
+                ) as size:
+                    walked = mcmc_search(
+                        *positional,
+                        **constraints,
+                        config=config,
+                        intermediate_hook=hook,
+                        evaluation_cache=cache,
+                        **shared,
+                    )
+                if shared:
+                    counted += size.call_count
+                else:
+                    assert size.call_count == 1
+                outcomes.append(walk_outcome(walked, cache, hook))
+            assert outcomes[0] == outcomes[1]
+        assert counted == 1
+        assert space.size is not None
 
     @settings(max_examples=100, deadline=None)
     @given(walk_scenarios(), runs)

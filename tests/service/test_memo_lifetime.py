@@ -368,10 +368,11 @@ def test_a_session_past_every_bound_keeps_its_memos_bounded_and_serves_fresh_bit
     monkeypatch,
 ):
     """Every session memo gets a tiny bound: two of the three request
-    namespaces, three evaluations per namespace, two Step-1 entries and
+    namespaces, three evaluations per namespace, two answers and
     :data:`TINY_ROWS` lineage rows.  Every pair, at four seeds, returns a
     fresh session's bits, and after every read each memo is within its
-    bound."""
+    bound; served again in reverse, only the two newest answers are
+    held."""
     family = "tpch"
     expected = []
     for request, seed in pairs(family):
@@ -379,7 +380,7 @@ def test_a_session_past_every_bound_keeps_its_memos_bounded_and_serves_fresh_bit
             expected.append(answer_bits(fresh.acquire(request, seed=seed)))
     monkeypatch.setattr(session_module, "EVALUATION_NAMESPACES", 2)
     monkeypatch.setattr(session_module, "EVALUATION_MEMO_ENTRIES", 3)
-    monkeypatch.setattr(session_module, "STEP1_MEMO_ENTRIES", 2)
+    monkeypatch.setattr(session_module, "ANSWER_MEMO_ENTRIES", 2)
     monkeypatch.setattr("repro.relational.joins.LINEAGE_MEMO_ROWS", TINY_ROWS)
     with service(family, SERIAL, resampling=fired()) as bounded:
         for (request, seed), bits in zip(pairs(family), expected):
@@ -387,19 +388,26 @@ def test_a_session_past_every_bound_keeps_its_memos_bounded_and_serves_fresh_bit
             namespaces = bounded._evaluation_caches.items()
             assert 0 < len(namespaces) <= 2
             assert all(0 < len(memo) <= 3 for _, memo in namespaces)
-            assert 0 < bounded.describe()["step1_memo_entries"] <= 2
+            assert 0 < bounded.describe()["answer_memo_entries"] <= 2
             assert_memo_rows_add_up(bounded)
         assert bounded.describe()["lineage_cache_rows"] <= TINY_ROWS
+        for (request, seed), bits in reversed(list(zip(pairs(family), expected))):
+            assert answer_bits(bounded.acquire(request, seed=seed)) == bits
+            assert bounded.describe()["answer_memo_entries"] == 2
+        answers = bounded.metrics()["answer_memo"]
+        assert (answers["hits"], answers["misses"]) == (2, 2 * len(expected) - 2)
 
 
 def test_threads_sharing_the_lineage_memo_serve_the_serial_answers(monkeypatch):
     """Eight threads serve every pair, each from another starting point, with
     the interpreter switching threads every 10 µs; the memo is tiny, so
-    puts, evictions and replays interleave."""
+    puts, evictions and replays interleave.  The answer memo holds nothing,
+    so every read walks."""
     family = "tpch"
     with service(family, SERIAL, resampling=fired()) as serial:
         expected = serve_pairs(serial, family)
     monkeypatch.setattr("repro.relational.joins.LINEAGE_MEMO_ROWS", TINY_ROWS)
+    monkeypatch.setattr(session_module, "ANSWER_MEMO_ENTRIES", 0)
     work = pairs(family)
     served_by = [[None] * len(work) for _ in range(8)]
     errors: list[BaseException] = []

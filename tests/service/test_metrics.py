@@ -134,24 +134,30 @@ class TestServiceMetricsIntegration:
         with AcquisitionService(small_marketplace(), config) as service:
             service.acquire(REQUEST)
             service.acquire(REQUEST)
+            service.acquire(REQUEST.with_budget(2e9))
             metrics = service.metrics()
-        assert metrics["requests"] == 2
+        assert metrics["requests"] == 3
         assert metrics["errors"] == 0
         assert metrics["in_flight"] == 0
         assert metrics["latency"]["p50_seconds"] is not None
         assert metrics["latency"]["p95_seconds"] is not None
         assert metrics["latency"]["p99_seconds"] is not None
-        assert metrics["queue"]["admitted"] == 2
-        assert metrics["step1_memo"]["hits"] >= 1  # the warm repeat
-        # The warm repeat is fully cached, so the window trend is upward.
+        assert metrics["queue"]["admitted"] == 3
+        # The warm repeat is answered from the answer memo: it runs no
+        # search, so only the two walks enter the trend.  The walk at the
+        # other budget is fully cached, so the window trend is upward.
+        assert metrics["answer_memo"] == {"entries": 2, "hits": 1, "misses": 2}
+        assert metrics["cache_hit_rate"]["window_size"] == 2
         assert metrics["cache_hit_rate"]["window_mean"] > 0.0
         json.dumps(metrics)  # the dump is plain JSON
 
-    def test_step1_schema_stable_before_first_request(self):
+    def test_answer_memo_schema_stable_before_first_request(self):
         config = DanceConfig(sampling_rate=1.0, mcmc=MCMCConfig(iterations=30, seed=0))
-        with AcquisitionService(small_marketplace(), config) as service:
-            memo = service.metrics()["step1_memo"]
+        with AcquisitionService(small_marketplace(), config, build_offline=False) as service:
+            memo = service.metrics()["answer_memo"]
+            described = service.describe()
         assert memo == {"entries": 0, "hits": 0, "misses": 0}
+        assert described["answer_memo_entries"] == 0
 
     def test_describe_embeds_metrics(self):
         config = DanceConfig(sampling_rate=1.0, mcmc=MCMCConfig(iterations=30, seed=0))
@@ -159,7 +165,7 @@ class TestServiceMetricsIntegration:
             service.acquire(REQUEST)
             description = service.describe()
         assert description["metrics"]["requests"] == 1
-        assert description["step1_memo_entries"] >= 1
+        assert description["answer_memo_entries"] == 1
         assert description["in_flight"] == 0
 
     def test_failed_requests_count_as_errors_with_latency(self):

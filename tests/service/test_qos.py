@@ -29,6 +29,7 @@ from repro.pricing.sla import DEFAULT_TIERS, QosConfig, SlaTier
 from repro.relational.table import Table
 from repro.search.mcmc import MCMCConfig
 from repro.service import AcquisitionService, request_seed
+from repro.service import qos as qos_module
 from repro.service.qos import QosScheduler, retry_after_hint
 
 
@@ -145,6 +146,46 @@ class TestScheduler:
         snapshot = scheduler.qos_snapshot()
         assert snapshot["rate_limited"] == 1
         assert snapshot["tiers"]["bronze"]["rate_limited"] == 1
+
+    def test_token_buckets_stay_within_their_bound(self, monkeypatch):
+        """Past ``TOKEN_BUCKETS`` the oldest bucket goes: the map stays at the
+        bound, a shopper whose bucket is held is shed with the hints an
+        unbounded scheduler gives, and an evicted shopper starts full."""
+        tiers = dict(DEFAULT_TIERS)
+        tiers["bronze"] = SlaTier("bronze", rate=0.5, burst=2)
+        roomy_clock, bounded_clock = FakeClock(), FakeClock()
+        roomy = QosScheduler(QosConfig(tiers=tiers), clock=roomy_clock)
+        monkeypatch.setattr(qos_module, "TOKEN_BUCKETS", 3)
+        bounded = QosScheduler(QosConfig(tiers=tiers), clock=bounded_clock)
+
+        def submit(scheduler, clock, shopper):
+            clock.advance(0.1)
+            try:
+                ticket = scheduler.submit(request(shopper=shopper))
+            except RateLimitedError as error:
+                return error.retry_after
+            scheduler.await_grant(ticket)
+            scheduler.release(ticket)
+            return "served"
+
+        newcomers = [f"s{index}" for index in range(5)] + ["s4"] * 3
+        for shopper in newcomers:
+            outcomes = [
+                submit(roomy, roomy_clock, shopper),
+                submit(bounded, bounded_clock, shopper),
+            ]
+            assert outcomes[0] == outcomes[1]
+            assert len(bounded._buckets) <= 3
+        # s4 spent its burst of two, so its last two requests were shed, the
+        # last 0.15 tokens in: both schedulers gave the same hints.
+        assert outcomes[0] == pytest.approx((1.0 - 0.15) / 0.5)
+        assert len(bounded._buckets) == 3 and bounded._buckets.get(("s0", "bronze")) is None
+        # s0's bucket was evicted: it starts full, where the roomy scheduler
+        # still holds its spent token.
+        assert [submit(bounded, bounded_clock, "s0") for _ in range(2)] == ["served"] * 2
+        assert submit(roomy, roomy_clock, "s0") == "served"
+        assert isinstance(submit(roomy, roomy_clock, "s0"), float)
+        assert len(bounded._buckets) == 3
 
     def test_zero_rate_bucket_has_no_finite_retry_after(self):
         tiers = dict(DEFAULT_TIERS)
@@ -303,7 +344,7 @@ class TestScheduler:
             ticket = scheduler.submit(request(shopper=f"shopper-{index}"))
             scheduler.await_grant(ticket)
             scheduler.release(ticket)
-        assert scheduler._buckets == {}
+        assert len(scheduler._buckets) == 0
         assert scheduler._wfq._finish == {}
         assert scheduler._wfq._heap == []
         assert scheduler.snapshot()["admitted"] == 1000

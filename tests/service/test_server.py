@@ -176,7 +176,7 @@ GOLDEN_PAYLOAD = {
             },
         },
     },
-    "step1_memo": {"entries": 3, "hits": 5, "misses": 4},
+    "answer_memo": {"entries": 3, "hits": 5, "misses": 4},
     "walk_space_memo": {"entries": 6, "graphs": 11, "hits": 9, "misses": 8},
 }
 

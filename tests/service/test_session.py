@@ -1,9 +1,10 @@
 """Tests for the long-lived acquisition service (``repro.service``).
 
 The contracts under test: a served request is bit-identical to a one-shot
-``DANCE.acquire`` with the same seed; warm repeats are served from the shared
-caches; session state is invalidated exactly when the join graph changes; and
-failures stay per-request.
+``DANCE.acquire`` with the same seed; warm repeats are served from the
+answer memo, and requests that differ only in their constraints from the
+evaluation memo; session state is invalidated exactly when the join graph
+changes; and failures stay per-request.
 """
 
 from __future__ import annotations
@@ -94,9 +95,15 @@ class TestSingleRequest:
             cold = service.acquire(REQUEST)
             assert cold.mcmc_cache_hit_rate < 1.0
             warm = service.acquire(REQUEST)
-            assert warm.mcmc_cache_hit_rate == 1.0
-            assert warm.estimated_correlation == cold.estimated_correlation
-            assert warm.sql() == cold.sql()
+            assert warm.summary() == cold.summary()
+            assert service.metrics()["answer_memo"]["hits"] == 1
+            # Another budget is another key, but its walks evaluate only
+            # graphs the evaluation memo holds.
+            other = service.acquire(REQUEST.with_budget(2e9))
+            assert other.mcmc_cache_hit_rate == 1.0
+            assert other.estimated_correlation == cold.estimated_correlation
+            assert other.sql() == cold.sql()
+            assert service.metrics()["answer_memo"]["misses"] == 2
 
     def test_seed_override_is_deterministic(self):
         with AcquisitionService(small_marketplace(), config()) as service:
@@ -322,56 +329,73 @@ class TestInFlightGauge:
             assert service.describe()["in_flight"] == 0
 
 
-class TestStep1Memo:
-    def count_step1_calls(self, monkeypatch):
-        import repro.search.acquisition as acquisition_module
+class TestAnswerMemo:
+    def count_searches(self, monkeypatch):
+        import repro.core.dance as dance_module
 
         calls = []
-        original = acquisition_module.minimal_weight_igraphs
+        original = dance_module.heuristic_acquisition
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(acquisition_module, "minimal_weight_igraphs", counting)
+        monkeypatch.setattr(dance_module, "heuristic_acquisition", counting)
         return calls
 
     def test_warm_request_skips_step1(self, monkeypatch):
-        calls = self.count_step1_calls(monkeypatch)
+        import repro.search.acquisition as acquisition_module
+
+        step1 = []
+        original = acquisition_module.minimal_weight_igraphs
+
+        def counting(*args, **kwargs):
+            step1.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(acquisition_module, "minimal_weight_igraphs", counting)
+        calls = self.count_searches(monkeypatch)
         with AcquisitionService(small_marketplace(), config()) as service:
             cold = service.acquire(REQUEST)
-            after_cold = len(calls)
+            assert (len(calls), len(step1)) == (1, 1)
             warm = service.acquire(REQUEST)
-            assert len(calls) == after_cold  # Step 1 never re-ran
+            assert (len(calls), len(step1)) == (1, 1)  # no search ran at all
             assert warm.estimated_correlation == cold.estimated_correlation
             assert warm.sql() == cold.sql()
-            memo = service.metrics()["step1_memo"]
-            assert memo["hits"] >= 1
+            memo = service.metrics()["answer_memo"]
+            assert memo == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_memo_invalidated_by_register_source_tables(self, monkeypatch):
-        calls = self.count_step1_calls(monkeypatch)
+        calls = self.count_searches(monkeypatch)
         with AcquisitionService(small_marketplace(), config()) as service:
             service.acquire(REQUEST)
-            entries_before = service.describe()["step1_memo_entries"]
-            assert entries_before >= 1
+            assert service.describe()["answer_memo_entries"] == 1
             source = Table.from_rows(
                 "myshop", ["bad_key", "score"], [(i % 3, i) for i in range(9)]
             )
             summary = service.register_source_tables([source])
             assert summary["mode"] == "incremental"  # graph_version bumped
-            assert service.describe()["step1_memo_entries"] == 0
+            assert service.describe()["answer_memo_entries"] == 0
             before_retry = len(calls)
             service.acquire(REQUEST)
-            assert len(calls) > before_retry  # memo was dropped: Step 1 re-ran
+            assert len(calls) == before_retry + 1  # memo was replaced: it searched
+            assert service.metrics()["answer_memo"] == {"entries": 1, "hits": 0, "misses": 1}
 
-    def test_memo_invalidated_by_rebuild_offline(self):
+    def test_memo_invalidated_by_rebuild_offline(self, monkeypatch):
+        calls = self.count_searches(monkeypatch)
         with AcquisitionService(small_marketplace(), config()) as service:
-            service.acquire(REQUEST)
-            assert service.describe()["step1_memo_entries"] >= 1
+            expected = service.acquire(REQUEST)
+            assert service.describe()["answer_memo_entries"] == 1
             service.rebuild_offline(sampling_rate=1.0)
-            assert service.describe()["step1_memo_entries"] == 0
-            # And the service still serves identically-seeded requests.
-            assert service.acquire(REQUEST).estimated_correlation is not None
+            assert service.describe()["answer_memo_entries"] == 0
+            # And the service still serves identically-seeded requests, by
+            # searching again.
+            again = service.acquire(REQUEST)
+            assert len(calls) == 2
+            assert again.estimated_correlation == expected.estimated_correlation
+            assert again.sql() == expected.sql()
+            # The rebuild bought the samples again, and the answer says so.
+            assert again.sample_cost == service.dance.sample_cost > expected.sample_cost
 
 
 class TestServiceConfigValidation:
@@ -509,33 +533,36 @@ class TestWorkerDeath:
         return pool
 
     def test_a_dead_worker_fails_one_request_and_the_next_gets_a_fresh_pool(self):
+        # A served answer is held, so every request that must meet the pool
+        # comes at a seed the service has not answered.
         with AcquisitionService(
             small_marketplace(), self.plan_config("executor=serial,chains=2")
         ) as serial:
-            expected = fingerprint(serial.acquire(REQUEST, seed=0))
+            expected = [fingerprint(serial.acquire(REQUEST, seed=seed)) for seed in range(4)]
         service = AcquisitionService(
             small_marketplace(), self.plan_config("executor=process,chains=2")
         )
         try:
-            assert fingerprint(service.acquire(REQUEST, seed=0)) == expected
+            assert fingerprint(service.acquire(REQUEST, seed=0)) == expected[0]
             broken = self.kill_a_worker(service)
             with pytest.raises(BrokenChainPoolError):
-                service.acquire(REQUEST, seed=0)
+                service.acquire(REQUEST, seed=1)
             described = service.describe()
             assert (described["requests_served"], described["errors"]) == (2, 1)
             assert described["chain_pool"] is None
             assert live_segments() == []
 
-            assert fingerprint(service.acquire(REQUEST, seed=0)) == expected
+            assert fingerprint(service.acquire(REQUEST, seed=1)) == expected[1]
             assert service._chain_pool not in (None, broken)
 
             self.kill_a_worker(service)
-            batch = service.acquire_batch([REQUEST, REQUEST], seeds=[0, 0])
+            batch = service.acquire_batch([REQUEST, REQUEST], seeds=[2, 2])
             first, second = batch.items
             assert isinstance(first.error, BrokenChainPoolError)
-            assert fingerprint(second.result) == expected
+            assert fingerprint(second.result) == expected[2]
             assert service.describe()["errors"] == 2
-            assert fingerprint(service.acquire(REQUEST, seed=0)) == expected
+            assert fingerprint(service.acquire(REQUEST, seed=3)) == expected[3]
+            assert fingerprint(service.acquire(REQUEST, seed=0)) == expected[0]
         finally:
             service.close()
         assert live_segments() == []

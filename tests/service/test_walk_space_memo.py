@@ -1,18 +1,19 @@
-"""The session's read-side memos: walk spaces and Step 1, bounded and bit-exact.
+"""The session's walk-space memo: bounded and bit-exact.
 
-A session keeps two memos of what a read derives from the join graph alone:
-the Step-1 memo (candidate I-graphs per terminal set, α, landmark count,
-landmark seed and graph revision) and the walk-space memo (per I-graph and
-requested attributes, Step 2's start and the move table and transition memo
-its single-chain walks share).  Both reset with every write, both are
-bounded, and neither may change a served bit.  These tests serve TPC-H Q1-Q3
-on a small marketplace and compare every answer with a fresh session's:
+A session keeps, per I-graph and requested attributes, Step 2's start and
+the move table and transition memo its single-chain walks share.  The memo
+is replaced with every write, is bounded, and may not change a served bit.
+These tests serve TPC-H Q1-Q3 on a small marketplace and compare every
+answer with a fresh session's:
 
-* past the bounds, under eviction, and after a catalog restore;
+* past the bound and under eviction;
 * after an in-place write and after a rebuilding one (and a write frees the
   memo it replaces at once);
 * from more threads than cores, with the interpreter switching threads often;
 * after a caller mutated a served result's target graph.
+
+A repeated pair is answered from the session's answer memo without a walk
+(``tests/service/test_answer_memo.py``).
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ def answer_bits(result) -> tuple:
     return tuple(float.hex(value) for value in estimates) + (tuple(result.sql()),)
 
 
-#: (request, seed) pairs: every query at eight seeds, so Step 1 sees many
-#: landmark seeds and the walks from a start run at many seeds.
+#: (request, seed) pairs: every query at eight seeds, so Step 1 draws many
+#: landmark sets and the walks from a start run at many seeds.
 PAIRS = [(request, seed) for seed in range(8) for request in requests()]
 
 
@@ -110,7 +111,9 @@ def assert_walk_spaces_add_up(svc: AcquisitionService) -> None:
     assert described["walk_space_memo_graphs"] == graphs
 
 
-def test_a_warm_session_serves_a_fresh_sessions_bits_from_its_walk_spaces():
+def test_a_warm_session_serves_a_fresh_sessions_bits_from_its_walk_spaces(monkeypatch):
+    # The answer memo holds nothing, so the second pass walks again.
+    monkeypatch.setattr(session, "ANSWER_MEMO_ENTRIES", 0)
     with service() as warm:
         assert serve(warm) == fresh_answers()
         snapshot = warm.metrics()["walk_space_memo"]
@@ -123,41 +126,6 @@ def test_a_warm_session_serves_a_fresh_sessions_bits_from_its_walk_spaces():
         again = warm.metrics()["walk_space_memo"]
         assert again["misses"] == snapshot["misses"]
         assert again["entries"] == snapshot["entries"]
-
-
-def test_the_step1_memo_holds_at_most_its_bound(monkeypatch):
-    """Every pair has its own landmark seed, so a session that serves more
-    pairs than the bound evicts, holds the bound, and still serves a fresh
-    session's bits, the evicted pairs included."""
-    monkeypatch.setattr(session, "STEP1_MEMO_ENTRIES", 5)
-    with service() as bounded:
-        assert serve(bounded) == fresh_answers()
-        assert bounded.describe()["step1_memo_entries"] == 5
-        memo = bounded.metrics()["step1_memo"]
-        assert memo["misses"] == len(PAIRS)
-        # The newest five entries are held, the oldest pairs were evicted.
-        assert serve(bounded, PAIRS[-5:]) == fresh_answers()[-5:]
-        assert bounded.metrics()["step1_memo"]["hits"] == 5
-        assert serve(bounded, PAIRS[:3]) == fresh_answers()[:3]
-        assert bounded.metrics()["step1_memo"]["misses"] == len(PAIRS) + 3
-        assert bounded.describe()["step1_memo_entries"] == 5
-
-
-def test_a_catalog_restore_keeps_the_step1_memo_within_its_bound(tmp_path, monkeypatch):
-    catalog = tmp_path / "catalog.sqlite"
-    with service(catalog_path=catalog) as writer:
-        serve(writer)
-        assert writer.describe()["step1_memo_entries"] == len(PAIRS)
-        writer.persist()
-    monkeypatch.setattr(session, "STEP1_MEMO_ENTRIES", 4)
-    with service(catalog_path=catalog) as restored:
-        # The first request restores the memo.  The checkpoint wrote it
-        # oldest first, so the newest four entries survive.
-        assert serve(restored, PAIRS[-4:]) == fresh_answers()[-4:]
-        memo = restored.metrics()["step1_memo"]
-        assert memo == {"entries": 4, "hits": 4, "misses": 0}
-        assert serve(restored, PAIRS[:1]) == fresh_answers()[:1]
-        assert restored.describe()["step1_memo_entries"] == 4
 
 
 def test_a_small_walk_space_memo_evicts_and_serves_the_same_bits(monkeypatch):
@@ -195,7 +163,7 @@ def test_writes_reset_the_memos_and_serve_a_fresh_sessions_bits():
         summary = warm.register_source_tables([shop])
         assert summary["mode"] == "incremental"
         assert warm.describe()["walk_space_memo_entries"] == 0
-        assert warm.describe()["step1_memo_entries"] == 0
+        assert warm.describe()["answer_memo_entries"] == 0
         with service(source_tables=[shop]) as fresh:
             assert serve(warm) == serve(fresh)
         summary = warm.register_source_tables([orders])
@@ -226,13 +194,14 @@ def test_a_write_frees_the_memo_it_replaces_at_once():
 def test_threads_sharing_the_memos_serve_the_single_thread_bits(monkeypatch):
     """Six threads on a two-core budget serve every pair, each from another
     starting point, with the interpreter switching threads every 10 µs and
-    both memos small enough to evict while they run."""
+    the walk-space memo small enough to evict while they run.  The answer
+    memo holds nothing, so every read walks."""
     with service() as single:
         expected = serve(single)
         graphs = single.describe()["walk_space_memo_graphs"]
     bound = graphs // 2
     monkeypatch.setattr(acquisition, "WALK_SPACE_GRAPHS", bound)
-    monkeypatch.setattr(session, "STEP1_MEMO_ENTRIES", 6)
+    monkeypatch.setattr(session, "ANSWER_MEMO_ENTRIES", 0)
     threads_count = 6
     served_by = [[None] * len(PAIRS) for _ in range(threads_count)]
     errors: list[BaseException] = []
@@ -265,8 +234,36 @@ def test_threads_sharing_the_memos_serve_the_single_thread_bits(monkeypatch):
         assert errors == []
         assert all(answers == expected for answers in served_by)
         assert max(peaks) <= bound
-        assert shared.describe()["step1_memo_entries"] <= 6
+        assert shared.metrics()["answer_memo"]["entries"] == 0
         assert_walk_spaces_add_up(shared)
+
+
+def test_mutating_a_direct_callers_target_graph_changes_no_later_answer():
+    """A caller of ``DANCE.acquire`` that shares a walk-space memo gets a
+    copy of the winner, never a graph later walks read."""
+    with service() as svc:
+        dance = svc.dance
+    memo = acquisition.WalkSpaceMemo()
+    first = []
+    for request, seed in PAIRS:
+        result = dance.acquire(
+            request, runtime=acquisition.SearchRuntime(mcmc_seed=seed, walk_spaces=memo)
+        )
+        first.append(answer_bits(result))
+        graph = result.target_graph
+        for name in graph.nodes:
+            graph.projections[name] = frozenset({"tampered"})
+        graph.edges[:] = [frozenset({"tampered"})] * len(graph.edges)
+        graph.nodes.append("tampered")
+    again = [
+        answer_bits(
+            dance.acquire(
+                request, runtime=acquisition.SearchRuntime(mcmc_seed=seed, walk_spaces=memo)
+            )
+        )
+        for request, seed in PAIRS
+    ]
+    assert again == first == fresh_answers()
 
 
 def test_mutating_a_served_target_graph_changes_no_later_answer():

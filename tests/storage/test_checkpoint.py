@@ -39,7 +39,6 @@ from repro.storage import (
     META_CREATED,
     MEMORY,
     NS_OFFLINE,
-    NS_SESSION,
     SQLITE,
     InMemoryBackend,
     open_backend,
@@ -298,7 +297,7 @@ class TestCheckpointBlobs:
             summary = service.register_source_tables([source_table(name, dirty=True)])
         assert summary["checkpointed"] is True
         assert summary["checkpoint_blobs"] == len(put) > 0
-        assert set(put) <= {NS_OFFLINE, NS_SESSION}
+        assert set(put) == {NS_OFFLINE}
 
 
 def test_lazily_opened_catalog_checkpoints_as_a_full_rewrite(tmp_path):
@@ -384,13 +383,14 @@ class TestCheckpointFaults:
         sources = [source_table("mine", False), source_table("extra", False)]
         assert reopen_and_serve(path, sources) == expected
 
-    def test_failing_session_writer_leaves_the_catalog_bytes(self, tmp_path, monkeypatch):
+    def test_failing_offline_writer_leaves_the_catalog_bytes(self, tmp_path, monkeypatch):
+        """The offline state is the last namespace a checkpoint writes."""
         path = tmp_path / "cat"
         original = CheckpointWriter.put
 
         def failing_put(writer, namespace, key, payload):
-            if namespace == NS_SESSION:
-                raise StorageError("session writer failed mid-checkpoint")
+            if namespace == NS_OFFLINE:
+                raise StorageError("offline writer failed mid-checkpoint")
             original(writer, namespace, key, payload)
 
         with AcquisitionService(small_marketplace(), config(path)) as service:

@@ -2,10 +2,10 @@
 
 A service configured with ``ServiceConfig(catalog_path=...)`` adopts the
 catalog's offline state at startup (zero JI recomputes on the warm build, so
-the join graph carries every JI weight), restores its Step-1 memo
-fingerprint-guarded, and
-checkpoints the refreshed state on ``register_source_tables``.  Restoring is
-an optimisation, never a correctness dependency: mismatched or unusable
+the join graph carries every JI weight) and checkpoints the refreshed state
+on ``register_source_tables``.  No session memo is persisted, and the
+session blob an older catalog carries is ignored.  Restoring is an
+optimisation, never a correctness dependency: mismatched or unusable
 catalogs degrade to a cold session with a warning.
 """
 
@@ -52,24 +52,25 @@ class TestWarmServiceRestart:
         assert catalog.exists()
 
         # A brand-new process would rebuild the marketplace from scratch; the
-        # catalog_path makes both the offline state and the session caches
-        # (Step-1 memo included) visible again.
+        # catalog_path makes the offline state, JI weights included, visible
+        # again.  Answers are not persisted, so the first request searches.
         with AcquisitionService(small_marketplace(), config(catalog)) as warm:
             assert warm.join_graph.ji_computations == 0
             assert warm.join_graph.edge_recomputes == 0
             served = warm.acquire(REQUEST)
-            memo = warm.metrics()["step1_memo"]
+            memo = warm.metrics()["answer_memo"]
         assert served.estimated_correlation == expected.estimated_correlation
         assert served.sql() == expected.sql()
-        assert memo["hits"] == 1 and memo["misses"] == 0
+        assert memo == {"entries": 1, "hits": 0, "misses": 1}
 
     def test_a_session_blob_carrying_ji_restores_and_serves_the_same_answers(
         self, tmp_path
     ):
-        """An older catalog's session blob also carries the session's JI
-        cache under ``"ji"``.  A restore ignores it, since the weights are
-        the join graph's: even wrong ones change no answer, and the Step-1
-        memo still restores."""
+        """An older catalog's session blob carries the Step-1 memo under
+        ``"step1"`` and the session's JI cache under ``"ji"``.  The service
+        ignores it without a warning: the weights are the join graph's, so
+        even wrong ones change no answer, and no memo is restored.  The next
+        checkpoint drops the blob."""
         from repro import storage
         from repro.storage import NS_SESSION
         from repro.storage import serialize
@@ -80,19 +81,25 @@ class TestWarmServiceRestart:
             weights = service.join_graph.ji_weights()
             service.persist()
         with storage.open_backend(catalog) as backend:
-            state = serialize.loads(backend.get(NS_SESSION, "caches"))
-            assert set(state) == {"fingerprint", "step1"}
-            state["ji"] = {key: weight + 1.0 for key, weight in weights.items()}
+            assert backend.get(NS_SESSION, "caches") is None
+            state = {
+                "fingerprint": "0" * 32,
+                "step1": {(("facts",), float("inf"), 4, 0, 0): ()},
+                "ji": {key: weight + 1.0 for key, weight in weights.items()},
+            }
             backend.put(NS_SESSION, "caches", serialize.dumps(state))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with AcquisitionService(small_marketplace(), config(catalog)) as warm:
                 served = warm.acquire(REQUEST)
-                memo = warm.metrics()["step1_memo"]
+                memo = warm.metrics()["answer_memo"]
+                warm.register_source_tables([SOURCE])
         assert served.estimated_join_informativeness == expected.estimated_join_informativeness
         assert served.estimated_correlation == expected.estimated_correlation
         assert served.sql() == expected.sql()
-        assert memo["hits"] == 1 and memo["misses"] == 0
+        assert memo == {"entries": 1, "hits": 0, "misses": 1}
+        with storage.open_backend(catalog) as backend:
+            assert backend.get(NS_SESSION, "caches") is None
 
     def test_restart_from_opened_marketplace(self, tmp_path):
         from repro.marketplace.market import Marketplace
@@ -174,10 +181,11 @@ class TestExplicitPersist:
             assert warm.join_graph.ji_computations == 0
 
     def test_persist_without_a_target_checkpoints_in_memory(self):
-        from repro.storage import NS_SESSION, InMemoryBackend
+        from repro.storage import NS_OFFLINE, NS_SESSION, InMemoryBackend
 
         with AcquisitionService(small_marketplace(), config()) as service:
             service.acquire(REQUEST)
             backend = service.persist()
         assert isinstance(backend, InMemoryBackend)
-        assert backend.get(NS_SESSION, "caches") is not None
+        assert backend.get(NS_OFFLINE, "state") is not None
+        assert backend.get(NS_SESSION, "caches") is None
