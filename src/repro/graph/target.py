@@ -36,7 +36,7 @@ from repro.quality.measure import grouped_join_quality, join_quality
 from repro.relational.joins import JoinLineage, inner_join, inner_join_origins
 from repro.relational.partitions import distinct_rows
 from repro.relational.schema import AttributeType
-from repro.relational.table import Table, mask_rows
+from repro.relational.table import Table, mask_count, mask_rows
 
 
 @dataclass(frozen=True)
@@ -501,17 +501,21 @@ _PLAIN_NUMBERS = frozenset({int, float, bool, type(None)})
 class _LineageSummary:
     """A lineage's final join as its distinct rows, for one evaluation request.
 
-    ``request`` is ``(source attributes, target attributes, FDs)``.  The
-    final join's rows are grouped on every column the request reads
-    (:func:`~repro.relational.partitions.distinct_rows`), and per group the
-    summary keeps its target key code, each present source's code
-    (categorical) or float (numerical), and the LHS and RHS codes of every
-    applicable FD that some row violates on the final join (an FD that holds
-    there holds on every sample of it).  Weight and price depend only on the
-    graph and the tables, so those of the lineage's first evaluation serve
-    every later one.  The summary lives as long as its lineage, which a
-    :func:`~repro.relational.joins.lineage_memo` may keep for many walks and
-    requests; an evaluation for another request replaces it.
+    ``request`` is ``(source attributes, target attributes, FDs)``.  Per
+    group of rows the summary keeps its target key code, each present
+    source's code (categorical) or float (numerical), and the LHS and RHS
+    codes of every applicable FD that some row violates on the final join:
+    an FD that holds there holds on every sample of it, so its quality is 1
+    and its attributes need not split the groups.  The final join's rows are
+    grouped on every column the request reads
+    (:func:`~repro.relational.partitions.distinct_rows`), which decides the
+    violations, and those groups are merged on the source, target and
+    violated FD attributes, the columns a measure reads.  Weight and price
+    depend only on the graph and the tables, so those of the lineage's first
+    evaluation serve every later one.  The summary lives as long as its
+    lineage, which a :func:`~repro.relational.joins.lineage_memo` may keep
+    for many walks and requests; an evaluation for another request replaces
+    it.
 
     A numerical source whose column holds a value the run-length kernel
     cannot take (see :func:`~repro.infotheory.cumulative.finite_floats`)
@@ -536,11 +540,24 @@ class _LineageSummary:
         applicable = [fd for fd in fds if fd.applies_to(joined)]
         fd_attributes = [a for fd in applicable for a in fd.attributes]
         read = dict.fromkeys(present_sources + present_targets + fd_attributes)
-        group_of, groups = distinct_rows(joined, list(read))
-        self.group_of: list[int] | None = group_of
+        # Grouped on a projection, which caches the rows' encoding in its
+        # place: the summary's merged group ids are the one per-row list kept.
+        fine_of, fine = distinct_rows(joined.project(list(read)), list(read))
+        violated = []
+        for fd in applicable:
+            lhs = fine.encoded_key(fd.lhs).codes
+            if len(set(zip(lhs, fine.encoded(fd.rhs).codes))) != len(set(lhs)):
+                violated.append(fd)
+        measured = dict.fromkeys(
+            present_sources + present_targets + [a for fd in violated for a in fd.attributes]
+        )
+        coarse_of, groups = distinct_rows(fine, list(measured))
+        self.group_of: list[int] | None = list(map(coarse_of.__getitem__, fine_of))
         self.targets = groups.encoded_key(present_targets).codes
         self.sources: list[tuple[AttributeType, list[int] | SortedGroups]] = []
-        self.fd_keys: list[tuple[list[int], list[int]]] = []
+        self.fd_keys = [
+            (groups.encoded_key(fd.lhs).codes, groups.encoded(fd.rhs).codes) for fd in violated
+        ]
         for attribute in present_sources:
             x_type = schema.type_of(attribute)
             if x_type is not AttributeType.NUMERICAL:
@@ -553,15 +570,10 @@ class _LineageSummary:
                 self.group_of = None  # the per-row route
                 return
             self.sources.append((x_type, SortedGroups.build(values, self.targets)))
-        for fd in applicable:
-            lhs = groups.encoded_key(fd.lhs).codes
-            rhs = groups.encoded(fd.rhs).codes
-            if len(set(zip(lhs, rhs))) != len(set(lhs)):
-                self.fd_keys.append((lhs, rhs))
 
     def evaluate(self, mask: bytes) -> TargetGraphEvaluation:
         """The evaluation of the final join's rows that the byte ``mask``
-        keeps (one byte per row, 1 for kept).
+        keeps (one byte per row, 1 for kept and 0 for dropped).
 
         Kept rows are counted per group in row order, so the groups come in
         the order of their first kept row, as the per-row kernels count them.
@@ -580,7 +592,7 @@ class _LineageSummary:
             quality=quality,
             weight=self.weight,
             price=self.price,
-            join_rows=mask.count(1),
+            join_rows=mask_count(mask),
         )
 
 

@@ -90,39 +90,51 @@ def attribute_set_correlation(
     return total
 
 
+class Ranking(NamedTuple):
+    """A numerical source over one partition of a table's distinct rows
+    (groups): ``groups`` in ascending order of their floats ``values``, and
+    the groups whose value is ``None`` (``missing``)."""
+
+    values: list[float]
+    groups: list[int]
+    missing: list[int]
+
+    def cumulative_entropy(self, counts: Mapping[int, int], rows: int) -> float:
+        """The cumulative entropy of the ``rows`` rows ``counts`` keeps of the
+        partition, read from ``counts`` in place in one pass over the ranked
+        groups; the kept rows without a value leave the sample size first."""
+        n = rows
+        for group in self.missing:
+            n -= counts.get(group, 0)
+        return cumulative_entropy_of_runs(self.values, map(counts.get, self.groups), n)
+
+
 class SortedGroups(NamedTuple):
-    """A numerical source over the distinct rows (groups) of a table.
+    """A numerical source over the distinct rows (groups) of a table, ranked
+    once: ``overall`` over every group and ``by_target`` per target code."""
 
-    ``values[g]`` is group ``g``'s finite float, or ``None``; ``order``
-    lists the groups that have a value in ascending value order, and
-    ``by_target`` does the same per target code.
-    """
-
-    values: list[float | None]
-    order: list[int]
-    by_target: dict[int, list[int]]
+    overall: Ranking
+    by_target: dict[int, Ranking]
 
     @classmethod
     def build(
         cls, values: list[float | None], target_codes: Sequence[int]
     ) -> "SortedGroups":
+        """``values[g]`` is group ``g``'s finite float, or ``None``, and
+        ``target_codes[g]`` its target code."""
         order = sorted(
             (group for group, value in enumerate(values) if value is not None),
             key=values.__getitem__,
         )
-        by_target: dict[int, list[int]] = {}
+        missing = [group for group, value in enumerate(values) if value is None]
+        by_target = {code: Ranking([], [], []) for code in dict.fromkeys(target_codes)}
         for group in order:
-            by_target.setdefault(target_codes[group], []).append(group)
-        return cls(values, order, by_target)
-
-    def kept_cumulative_entropy(
-        self, counts: Mapping[int, int], groups: Sequence[int]
-    ) -> float:
-        """The cumulative entropy of the rows ``counts`` keeps of ``groups``."""
-        kept = [group for group in groups if group in counts]
-        return cumulative_entropy_of_runs(
-            list(map(self.values.__getitem__, kept)), list(map(counts.__getitem__, kept))
-        )
+            ranking = by_target[target_codes[group]]
+            ranking.values.append(values[group])
+            ranking.groups.append(group)
+        for group in missing:
+            by_target[target_codes[group]].missing.append(group)
+        return cls(Ranking(list(map(values.__getitem__, order)), order, missing), by_target)
 
 
 def grouped_correlation(
@@ -138,8 +150,9 @@ def grouped_correlation(
     attribute: its type and either each group's code (categorical) or its
     :class:`SortedGroups` (numerical).  Every histogram is summed from the
     groups in that order, so its counts come out in the order the per-row
-    kernels see them and each entropy is the same float; the cumulative
-    entropies walk the groups in value order instead of sorting rows.
+    kernels see them and each entropy is the same float; each cumulative
+    entropy is one pass over the groups in value order
+    (:meth:`Ranking.cumulative_entropy`) instead of a sort of the rows.
     """
     rows = sum(counts.values())
     if not sources or rows == 0:
@@ -156,10 +169,10 @@ def grouped_correlation(
             # its rows, those without a value included.
             conditional = 0.0
             for y, rows_y in y_counts.items():
-                conditional += rows_y / rows * column.kept_cumulative_entropy(
-                    counts, column.by_target.get(y, ())
+                conditional += rows_y / rows * column.by_target[y].cumulative_entropy(
+                    counts, rows_y
                 )
-            total += column.kept_cumulative_entropy(counts, column.order) - conditional
+            total += column.overall.cumulative_entropy(counts, rows) - conditional
         else:
             x_counts: dict[int, int] = {}
             xy_counts: dict[tuple[int, int], int] = {}

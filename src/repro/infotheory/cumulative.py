@@ -10,16 +10,16 @@ cumulative entropy ``h(X | Y)`` averages ``h(X | y)`` over the conditioning
 groups (``Y`` is treated as categorical / discretised).
 
 :func:`cumulative_entropy` is the per-row estimator.  A sample given as
-sorted runs of distinct values and their counts takes
+sorted runs of values and their counts takes
 :func:`cumulative_entropy_of_runs`, which returns the same float on finite
-values without expanding the runs.
+values in one pass over the runs, without expanding them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from repro.exceptions import MeasureError
 
@@ -95,27 +95,33 @@ def cumulative_entropy(values: Sequence[object]) -> float:
     return total
 
 
-def cumulative_entropy_of_runs(values: Sequence[float], counts: Sequence[int]) -> float:
+def cumulative_entropy_of_runs(
+    values: Sequence[float], counts: Iterable[int | None], n: int
+) -> float:
     """:func:`cumulative_entropy` of finite floats given as ascending runs.
 
-    The sample holds ``counts[i]`` copies of ``values[i]``, with ``values``
-    ascending.  Between equal order statistics the per-row loop sees a zero
-    gap and adds nothing, so it adds a term only where a run starts, with
-    ``i`` the number of values below the run.  This loop adds the same
-    terms in the same order, so the result is the same float.  Neighbouring
-    runs may hold equal values: the zero gap between them adds nothing
-    either.
+    The sample holds ``count`` copies of each ``value`` of
+    ``zip(values, counts)``, with ``values`` ascending; a run whose count is
+    ``None`` or 0 is not in it.  ``n`` is the sample's size, the sum of the
+    counts.  Between equal order statistics the per-row loop sees a zero gap
+    and adds nothing, so it adds a term only where a run starts, with ``i``
+    the number of values below the run.  This one pass adds the same terms
+    in the same order, so the result is the same float.  Neighbouring runs
+    may hold equal values: the zero gap between them adds nothing either,
+    and neither does the first run's gap from ``previous = inf``.
     """
-    n = sum(counts)
-    if n < 2:
-        return 0.0
+    log = math.log
     total = 0.0
-    below = counts[0]
-    for previous, value, count in zip(values, values[1:], counts[1:]):
+    previous = math.inf
+    below = 0
+    for value, count in zip(values, counts):
+        if not count:
+            continue
         gap = value - previous
         if gap > 0.0:
             p = below / n
-            total -= gap * p * math.log(p)
+            total -= gap * p * log(p)
+        previous = value
         below += count
     return total
 

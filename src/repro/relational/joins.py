@@ -31,7 +31,7 @@ from typing import Sequence
 from repro.exceptions import JoinError
 from repro.memo import Memo
 from repro.relational.schema import Schema
-from repro.relational.table import ColumnEncoding, Table, Value, mask_rows
+from repro.relational.table import ColumnEncoding, Table, Value, mask_count, mask_rows
 
 
 def shared_join_attributes(left: Table, right: Table) -> tuple[str, ...]:
@@ -267,7 +267,9 @@ class JoinLineage:
         with ``sampler`` keeps.
 
         ``sampler.draw(num_rows)`` returns a byte mask over ``num_rows``
-        rows, or ``None`` to keep all; it is called once per level from the
+        rows (each byte 1 to keep its row or 0 to drop it, so
+        :func:`~repro.relational.table.mask_count` counts the kept ones), or
+        ``None`` to keep all; it is called once per level from the
         first re-sampled one on, with the row count the sampled chain has
         there, so with the same calls, in the same order, as sampling while
         joining.  A level's candidates are the rows whose origin was kept,
@@ -281,7 +283,7 @@ class JoinLineage:
             self._gathers = [_mask_gather(origins) for origins in self.origins]
         for gather in self._gathers:
             candidates = gather(mask)
-            keep = sampler.draw(candidates.count(1))
+            keep = sampler.draw(mask_count(candidates))
             mask = candidates if keep is None else _narrow(candidates, keep)
         return mask
 
@@ -292,7 +294,7 @@ class JoinLineage:
 
 
 #: The rows a :func:`lineage_memo` holds at most (see :attr:`JoinLineage.rows`):
-#: about 15 MB at the 59 bytes per row that fresh-tpch's fired lineages
+#: about 14 MB at the 54 bytes per row that fresh-tpch's fired lineages
 #: retain with their summaries and replay gathers (tracemalloc, python 3.11).
 #: Read when a memo is made.
 LINEAGE_MEMO_ROWS = 1 << 18

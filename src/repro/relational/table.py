@@ -117,6 +117,16 @@ def mask_rows(mask) -> list[int]:
     return list(compress(range(len(mask)), mask))
 
 
+def mask_count(mask: bytes) -> int:
+    """How many rows the byte ``mask`` keeps, for a mask whose every byte is
+    0 or 1 (as a re-sampling hook's ``draw`` returns them).
+
+    It is the popcount of the mask read as one int: ``mask.count(1)``
+    compares byte by byte, and its branch mispredicts on random masks.
+    """
+    return int.from_bytes(mask, "little").bit_count()
+
+
 def bernoulli_rows(num_rows: int, rate: float, rng: random.Random) -> list[int]:
     """The row positions a Bernoulli sample at ``rate`` keeps, in ascending
     order (those :func:`bernoulli_mask` marks)."""

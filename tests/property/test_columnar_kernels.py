@@ -41,7 +41,11 @@ from repro.infotheory.join_informativeness import (
 )
 from repro.exceptions import MeasureError
 from repro.graph.target import TargetGraph, _LineageSummary
-from repro.pricing.models import FlatAttributePricingModel
+from repro.core.config import DanceConfig
+from repro.core.dance import DANCE
+from repro.marketplace.dataset import MarketplaceDataset
+from repro.marketplace.market import Marketplace
+from repro.pricing.models import EntropyPricingModel, FlatAttributePricingModel
 from repro.quality.discovery import discover_afds
 from repro.quality.fd import FunctionalDependency
 from repro.quality.measure import correct_records, join_quality
@@ -699,6 +703,72 @@ class TestJoinLineage:
                 )
 
 
+class TestFiredTpchReplays:
+    """Replays at the scale a walk makes them.  The other oracles replay
+    small joins, whose partitions rarely hold 40 kept rows; here TPC-H Q1's
+    fired graph ``customer ⋈ orders ⋈ supplier ⋈ nation`` (joined on
+    custkey, h_segment and nationkey, as the golden scenario's walks fire on
+    it) is joined from the samples and FDs of TPC-H 1.0's offline phase.  Its final join holds
+    hundreds of distinct rows over the five market segments, and violates
+    one of the discovered FDs, so its groups split on that FD's attributes.
+    """
+
+    def test_replays_match_join_then_resample(self):
+        workload = tpch_workload(scale=1.0, seed=0)
+        pricing = EntropyPricingModel()
+        marketplace = Marketplace(default_pricing=pricing)
+        for name in workload.tables:
+            marketplace.host(
+                MarketplaceDataset(table=workload.dirty_or_clean(name), pricing=pricing)
+            )
+        dance = DANCE(marketplace, DanceConfig(sampling_rate=0.5))
+        dance.build_offline()
+        tables, fds = dance.join_graph.instance_tables(), dance.fds
+        graph = TargetGraph(
+            nodes=["customer", "orders", "supplier", "nation"],
+            edges=[frozenset({"custkey"}), frozenset({"h_segment"}), frozenset({"nationkey"})],
+            parents=[0, 0, 2],
+            projections={
+                "customer": frozenset({"custkey", "h_segment", "mktsegment"}),
+                "orders": frozenset({"custkey", "totalprice"}),
+                "supplier": frozenset({"h_segment", "nationkey"}),
+                "nation": frozenset({"nationkey"}),
+            },
+        )
+        # The reference joins level by level on the edges' attributes, so it
+        # joins the projections: unprojected, nation would meet customer's
+        # nationkey rather than its parent supplier's.
+        projected = {
+            name: tables[name].project(sorted(graph.projections[name])) for name in graph.nodes
+        }
+        source, target = ["totalprice"], ["mktsegment"]
+        # Every level fires; at rate 0.9 a replay keeps about 270 of the final
+        # join's 374 rows, more than 40 of them in some market segment.
+        policy = ResamplingPolicy(threshold=16, rate=0.9, seed=0)
+        reference_policy = ResamplingPolicy(threshold=16, rate=0.9, seed=0)
+        lineages: dict = {}
+        largest_segment = 0
+        for _ in range(60):
+            evaluation = graph.evaluate(
+                tables, source, target, fds, pricing,
+                intermediate_hook=policy, lineages=lineages,
+            )
+            reference = reference_sampled_join(graph, projected, reference_policy)
+            assert evaluation.join_rows == len(reference)
+            expected = attribute_set_correlation(reference, source, target)
+            assert evaluation.correlation.hex() == expected.hex()
+            assert evaluation.quality.hex() == join_quality(reference, fds).hex()
+            assert policy_state(policy) == policy_state(reference_policy)
+            segments = Counter(reference.column("mktsegment"))
+            largest_segment = max([largest_segment, *segments.values()])
+        (lineage,) = lineages.values()
+        summary = lineage.summary
+        assert len(set(summary.group_of)) > 300
+        assert len(set(summary.targets)) == 5
+        assert len(summary.fd_keys) == 1
+        assert largest_segment > 40
+
+
 # ------------------------------------------------ distinct-row (grouped) measures
 numeric_value_kinds = [
     st.integers(min_value=0, max_value=3),
@@ -715,16 +785,35 @@ def summarised_joins(draw):
     ``num`` is a numerical source; ``cat``, the targets ``t0``/``t1`` and the
     FD columns ``f0``/``f1`` draw from the value kinds of :func:`fd_tables`
     (``None``, ``1 == 1.0 == True``, NaN objects).  Small domains make
-    repeated rows, FD violations and tied sub-classes common.
+    repeated rows, FD violations and tied sub-classes common.  ``num`` may
+    also draw from a few wide ints and floats, ``None`` among them, so its
+    values tie across targets; ``f2`` is a function of ``f0``, so an FD
+    ``f0 -> f2`` holds on the final join beside violated ones; and the mask
+    may drop every row of one value of the first target column.
     """
-    rows = draw(st.integers(min_value=0, max_value=40))
+    rows = draw(st.integers(min_value=0, max_value=80))
 
     def column(kinds):
         return draw(st.lists(draw(st.sampled_from(kinds)), min_size=rows, max_size=rows))
 
-    columns = {"num": column(numeric_value_kinds)}
+    wide = draw(
+        st.lists(
+            st.integers(min_value=-(10**6), max_value=10**6)
+            | st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    columns = {
+        "num": column(
+            [*numeric_value_kinds, st.sampled_from(wide), st.none() | st.sampled_from(wide)]
+        )
+    }
     for name in ("cat", "t0", "t1", "f0", "f1"):
         columns[name] = column(fd_value_kinds)
+    # One class per f0 value under the encodings' equality (dict keys).
+    classes: dict = {}
+    columns["f2"] = [classes.setdefault(value, len(classes) % 3) for value in columns["f0"]]
     schema = Schema(
         [Attribute("num", AttributeType.NUMERICAL)]
         + [Attribute(name, AttributeType.CATEGORICAL) for name in list(columns)[1:]]
@@ -736,7 +825,7 @@ def summarised_joins(draw):
         )
     )
     targets = draw(st.sampled_from([["t0"], ["t0", "t1"], ["t1", "f0"], ["absent"]]))
-    names = ["f0", "f1", "t0", "cat", "num"]
+    names = ["f0", "f1", "f2", "t0", "cat", "num"]
     candidates = [
         FunctionalDependency(lhs, rhs)
         for size in (1, 2)
@@ -745,7 +834,16 @@ def summarised_joins(draw):
         if rhs not in lhs
     ] + [FunctionalDependency("absent", "f0")]
     fds = draw(st.lists(st.sampled_from(candidates), max_size=3))
+    if draw(st.booleans()):
+        fds.insert(draw(st.integers(0, len(fds))), FunctionalDependency("f0", "f2"))
     kept = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    first_target = columns.get(targets[0])
+    if first_target and draw(st.booleans()):
+        dropped = draw(st.sampled_from(first_target))
+        kept = [
+            keep and not (value is dropped or value == dropped)
+            for keep, value in zip(kept, first_target)
+        ]
     return table, sources, targets, fds, bytes(kept)
 
 
