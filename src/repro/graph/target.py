@@ -268,44 +268,60 @@ class TargetGraph:
             )
         return join_attrs
 
-    def _join(
-        self, tables: Mapping[str, Table], intermediate_hook
-    ) -> tuple[Table, JoinLineage | None, bytes | None]:
+    def _join(self, tables: Mapping[str, Table], intermediate_hook) -> tuple:
         """The unsampled join along the tree, and its lineage if the hook fired.
 
         The chain is joined unsampled, recording origins from the first level
-        the hook fires on; the third value is that first draw.  Replaying the
-        draws down the lineage (:meth:`JoinLineage.kept_mask`) then gives the
-        hook the same calls as re-sampling while joining.
+        the hook fires on.  There the hook derives this graph's policy
+        (:meth:`~repro.sampling.resampling.ResamplingPolicy.for_graph`), and
+        its first draw is the third value, the policy the fourth.  Replaying
+        the policy's draws down the lineage (:meth:`JoinLineage.kept_mask`)
+        then gives it the same calls as re-sampling while joining.
         """
         projected = self._projected_tables(tables)
         joined = projected[0]
-        lineage = first_mask = None
+        lineage = first_mask = sampler = None
         for edge_index, right in enumerate(projected[1:]):
             join_attrs = self._join_attributes(edge_index, joined, right)
             # Levels up to the first firing are never sampled, so only the
             # levels after it need to know which row each row came from.
             if lineage is None:
                 joined = inner_join(joined, right, join_attrs)
-                if intermediate_hook is not None:
-                    first_mask = intermediate_hook.draw(len(joined))
-                    if first_mask is not None:
-                        lineage = JoinLineage(len(joined))
+                if intermediate_hook is not None and intermediate_hook.fires(len(joined)):
+                    sampler = intermediate_hook.for_graph(self.signature())
+                    first_mask = sampler.draw(len(joined))
+                    lineage = JoinLineage(len(joined))
             else:
                 joined, origins = inner_join_origins(joined, right, join_attrs)
                 lineage.add_level(origins)
         if lineage is not None:
             lineage.joined = joined
-        return joined, lineage, first_mask
+        return joined, lineage, first_mask, sampler
 
     def joined_table(self, tables: Mapping[str, Table], *, intermediate_hook=None) -> Table:
-        """Join the (projected) instances along the tree.
+        """Join the (projected) instances along the tree, level by level.
 
-        ``intermediate_hook`` re-samples each intermediate join result (see
-        :meth:`evaluate`).
+        ``intermediate_hook`` is a re-sampling policy such as
+        :class:`~repro.sampling.resampling.ResamplingPolicy`.  At the first
+        level whose join it fires on (``intermediate_hook.fires(rows)``), it
+        derives this graph's own policy
+        (``intermediate_hook.for_graph(self.signature())``), which then
+        re-samples that intermediate and every later one as it is joined
+        (§3.2).  The hook itself is never drawn from, so the result is a
+        function of the graph, the tables and the hook's settings; a join it
+        never fires on derives nothing.
         """
-        joined, lineage, first_mask = self._join(tables, intermediate_hook)
-        return joined if lineage is None else lineage.sample(intermediate_hook, first_mask)
+        projected = self._projected_tables(tables)
+        joined = projected[0]
+        sampler = None
+        for edge_index, right in enumerate(projected[1:]):
+            joined = inner_join(joined, right, self._join_attributes(edge_index, joined, right))
+            if sampler is None and intermediate_hook is not None:
+                if intermediate_hook.fires(len(joined)):
+                    sampler = intermediate_hook.for_graph(self.signature())
+            if sampler is not None:
+                joined = sampler(joined)
+        return joined
 
     def price(self, tables: Mapping[str, Table], pricing) -> float:
         """Total purchase price: Σ over non-owned instances of the projection price."""
@@ -386,13 +402,13 @@ class TargetGraph:
         key = None if lineages is None or intermediate_hook is None else self.signature()
         lineage = None if key is None else lineages.get(key)
         if lineage is not None:
-            mask = lineage.kept_mask(intermediate_hook)
+            mask = lineage.kept_mask(intermediate_hook.for_graph(key))
         else:
-            joined, lineage, first_mask = self._join(tables, intermediate_hook)
+            joined, lineage, first_mask, sampler = self._join(tables, intermediate_hook)
             if lineage is None or key is None:
                 # Nothing to memoise: measure the (sampled) join row by row.
                 if lineage is not None:
-                    joined = lineage.sample(intermediate_hook, first_mask)
+                    joined = lineage.sample(sampler, first_mask)
                 return TargetGraphEvaluation(
                     correlation=attribute_set_correlation(
                         joined, source_attributes, target_attributes
@@ -403,7 +419,7 @@ class TargetGraph:
                     join_rows=len(joined),
                 )
             lineages[key] = lineage
-            mask = lineage.kept_mask(intermediate_hook, first_mask)
+            mask = lineage.kept_mask(sampler, first_mask)
         request = (tuple(source_attributes), tuple(target_attributes), tuple(fds))
         summary = lineage.summary
         if summary is None or summary.request != request:

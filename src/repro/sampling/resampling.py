@@ -19,6 +19,7 @@ positions; only the table form gathers rows.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, field
 
@@ -94,6 +95,25 @@ class ResamplingPolicy:
         self._rng = random.Random(self.seed)
         self._scale = 1.0
 
+    def fires(self, num_rows: int) -> bool:
+        """Whether an intermediate of ``num_rows`` rows is re-sampled."""
+        return self.threshold is not None and num_rows > self.threshold and self.rate < 1.0
+
+    def for_graph(self, signature: tuple) -> "ResamplingPolicy":
+        """The policy that draws the re-sample of one target graph.
+
+        It has this policy's threshold and rate, and its seed is blake2b of
+        this policy's seed and the graph's
+        :meth:`~repro.graph.target.TargetGraph.signature`, so a graph's
+        re-sample is a function of the graph, its tables and this policy.
+        The signature's ``repr`` (strings, ints and tuples) is the same in
+        every process, whatever ``PYTHONHASHSEED``.
+        """
+        digest = hashlib.blake2b(
+            repr((self.seed, signature)).encode("utf-8"), digest_size=8
+        ).digest()
+        return ResamplingPolicy(self.threshold, self.rate, int.from_bytes(digest, "big"))
+
     def draw(self, num_rows: int) -> bytes | None:
         """The rows to keep of an intermediate of ``num_rows`` rows, as a byte
         mask (byte ``i`` is 1 when row ``i`` is kept, else 0), or ``None``.
@@ -105,7 +125,7 @@ class ResamplingPolicy:
         :meth:`Table.sample_rows <repro.relational.table.Table.sample_rows>`
         would.
         """
-        if self.threshold is None or num_rows <= self.threshold or self.rate == 1.0:
+        if not self.fires(num_rows):
             return None
         self._scale *= self.rate
         return bernoulli_mask(num_rows, self.rate, self._rng)

@@ -435,9 +435,8 @@ def mcmc_search(
             ji_cache=ji_cache,
             lineages=lineages,
         )
-        if signature not in lineages:
-            evaluation_cache[signature] = evaluation
-        elif shared is not None:
+        evaluation_cache[signature] = evaluation
+        if shared is not None and signature in lineages:
             shared[signature] = lineages[signature]
         return evaluation
 
@@ -530,7 +529,7 @@ def mcmc_search(
             seen.add(proposal.signature())
             if feasible and proposal_eval.correlation > top:
                 top = proposal_eval.correlation
-            if len(seen) == size and not lineages:
+            if len(seen) == size:
                 best = result.best_evaluation
                 beaten = result.feasible_steps > 0 if best is None else top > best.correlation
                 if not beaten:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -190,14 +190,19 @@ class TestEvaluation:
         assert not evaluation.satisfies(budget=9.0)
 
     def test_intermediate_hook_applied(self, path_graph, tables):
-        calls = []
-
-        def draw(num_rows):
-            calls.append(num_rows)
-            return None
-
-        path_graph.joined_table(tables, intermediate_hook=SimpleNamespace(draw=draw))
-        assert len(calls) == 2
+        """From the first level the hook fires on, the policy it derives for
+        the graph re-samples each intermediate; the hook itself draws nothing."""
+        hook = ResamplingPolicy(threshold=0, rate=0.5, seed=1)
+        state = hook._rng.getstate()
+        resample = ResamplingPolicy.__call__
+        with mock.patch.object(
+            ResamplingPolicy, "__call__", autospec=True, side_effect=resample
+        ) as calls:
+            joined = path_graph.joined_table(tables, intermediate_hook=hook)
+        assert calls.call_count == 2
+        assert all(call.args[0] is not hook for call in calls.call_args_list)
+        assert 0 < len(joined) < len(path_graph.joined_table(tables))
+        assert hook._rng.getstate() == state
 
     def test_a_hookless_evaluation_neither_reads_nor_writes_the_lineages(
         self, path_graph, tables

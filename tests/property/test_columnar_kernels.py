@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from repro.infotheory.join_informativeness import (
     join_informativeness_from_pairs,
 )
 from repro.exceptions import MeasureError
+from repro.graph.join_graph import JoinGraph
 from repro.graph.target import TargetGraph, _LineageSummary
 from repro.core.config import DanceConfig
 from repro.core.dance import DANCE
@@ -65,6 +67,7 @@ from repro.relational.partitions import (
 from repro.relational.schema import Attribute, AttributeType, Schema
 from repro.relational.table import Table
 from repro.sampling.resampling import ResamplingPolicy
+from repro.search.mcmc import MCMCConfig, mcmc_search
 from repro.workloads.tpce import tpce_workload
 from repro.workloads.tpch import tpch_workload
 
@@ -527,21 +530,43 @@ def join_chains(draw):
 
 
 def reference_sampled_join(graph: TargetGraph, tables, policy) -> Table:
-    """Join level by level with :func:`inner_join`; re-sample each intermediate."""
-    joined = tables[graph.nodes[0]]
+    """Project each table by the graph's projections, join level by level
+    with :func:`inner_join` on each edge's attributes, and re-sample each
+    intermediate with ``policy``."""
+    projected = {}
+    for name in graph.nodes:
+        keep = [a for a in tables[name].schema.names if a in graph.projections[name]]
+        projected[name] = tables[name].project(keep) if keep else tables[name]
+    joined = projected[graph.nodes[0]]
     for edge_index, name in enumerate(graph.nodes[1:]):
-        right = tables[name]
+        right = projected[name]
         edge = graph.edges[edge_index]
         on = sorted(a for a in edge if a in joined.schema and a in right.schema)
         joined = policy(inner_join(joined, right, on))
     return joined
 
 
-def policy_state(policy: ResamplingPolicy) -> tuple:
-    return policy._rng.getstate(), policy.cumulative_scale
+def reference_evaluation(graph: TargetGraph, tables, source, target, fds, policy) -> tuple:
+    """The rows, correlation and quality (as ``float.hex``) of the graph's
+    join re-sampled by the graph's own policy, measured by the per-row
+    kernels."""
+    sample = reference_sampled_join(graph, tables, policy.for_graph(graph.signature()))
+    return (
+        len(sample),
+        attribute_set_correlation(sample, source, target).hex(),
+        join_quality(sample, fds).hex(),
+    )
+
+
+def measured(evaluation) -> tuple:
+    return evaluation.join_rows, evaluation.correlation.hex(), evaluation.quality.hex()
 
 
 class TestJoinLineage:
+    """A fired evaluation against the reference: join the projected tables
+    level by level and re-sample each intermediate as it is joined, under
+    the policy the hook derives for the graph."""
+
     @settings(max_examples=100, deadline=None)
     @given(
         join_chains(),
@@ -555,31 +580,22 @@ class TestJoinLineage:
         source, target = ["v0"], [f"v{len(graph.nodes) - 1}"]
         pricing = FlatAttributePricingModel()
         policy = ResamplingPolicy(threshold=threshold, rate=rate, seed=seed)
-        reference_policy = ResamplingPolicy(threshold=threshold, rate=rate, seed=seed)
-        lineages: dict = {}
-        # The first evaluation builds the lineage (when the policy fires), the
-        # later ones replay it; the reference joins afresh every time.
+        state = policy._rng.getstate()
+        expected = reference_evaluation(graph, tables, source, target, fds, policy)
+        # Every evaluation of the graph is the same draw.
         for _ in range(3):
             evaluation = graph.evaluate(
-                tables,
-                source,
-                target,
-                fds,
-                pricing,
-                intermediate_hook=policy,
-                lineages=lineages,
+                tables, source, target, fds, pricing, intermediate_hook=policy
             )
-            reference = reference_sampled_join(graph, tables, reference_policy)
-            assert evaluation.join_rows == len(reference)
-            correlation = attribute_set_correlation(reference, source, target)
-            assert evaluation.correlation == correlation
-            assert evaluation.quality == join_quality(reference, fds)
-            assert policy_state(policy) == policy_state(reference_policy)
-        replayed = graph.joined_table(tables, intermediate_hook=policy)
-        reference = reference_sampled_join(graph, tables, reference_policy)
-        assert replayed.schema == reference.schema
-        assert list(replayed.iter_rows()) == list(reference.iter_rows())
-        assert policy_state(policy) == policy_state(reference_policy)
+            assert measured(evaluation) == expected
+        joined = graph.joined_table(tables, intermediate_hook=policy)
+        reference = reference_sampled_join(
+            graph, tables, policy.for_graph(graph.signature())
+        )
+        assert joined.schema == reference.schema
+        assert list(joined.iter_rows()) == list(reference.iter_rows())
+        # The hook itself is never drawn from.
+        assert policy._rng.getstate() == state
 
     @pytest.mark.parametrize("threshold, firings", [(10_000, 0), (20, 1), (0, 3)])
     def test_policy_fires_at_no_one_or_several_levels(self, threshold, firings):
@@ -600,35 +616,32 @@ class TestJoinLineage:
             edges=[frozenset({"k1"}), frozenset({"k2"}), frozenset({"k3"})],
             projections={name: frozenset(t.schema.names) for name, t in tables.items()},
         )
+        policy = ResamplingPolicy(threshold=threshold, rate=0.5, seed=4)
+        derived = policy.for_graph(graph.signature())
         drawn: list[int] = []
-        reference_policy = ResamplingPolicy(threshold=threshold, rate=0.5, seed=4)
 
         def counting(intermediate):
-            out = reference_policy(intermediate)
+            out = derived(intermediate)
             if out is not intermediate:
                 drawn.append(len(intermediate))
             return out
 
-        policy = ResamplingPolicy(threshold=threshold, rate=0.5, seed=4)
-        lineages: dict = {}
+        reference = reference_sampled_join(graph, tables, counting)
+        assert len(drawn) == firings
         for _ in range(2):
-            drawn.clear()
-            evaluation = graph.evaluate(
-                tables,
-                ["v0"],
-                ["v3"],
-                [],
-                FlatAttributePricingModel(),
-                intermediate_hook=policy,
-                lineages=lineages,
-            )
-            reference = reference_sampled_join(graph, tables, counting)
-            assert len(drawn) == firings
+            # The graph's policy is derived where the first level fires, so
+            # an evaluation that never fires derives none.
+            with mock.patch.object(
+                ResamplingPolicy, "for_graph", autospec=True, side_effect=ResamplingPolicy.for_graph
+            ) as derive:
+                evaluation = graph.evaluate(
+                    tables, ["v0"], ["v3"], [], FlatAttributePricingModel(),
+                    intermediate_hook=policy,
+                )
+            assert derive.call_count == (1 if firings else 0)
             assert evaluation.join_rows == len(reference)
             correlation = attribute_set_correlation(reference, ["v0"], ["v3"])
             assert evaluation.correlation == correlation
-            assert policy_state(policy) == policy_state(reference_policy)
-        assert len(lineages) == (1 if firings else 0)
 
     @staticmethod
     def numeric_source_chain(v0):
@@ -655,62 +668,89 @@ class TestJoinLineage:
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_a_non_finite_source_takes_the_per_row_route(self, bad):
         # Half the joined rows hold ``bad``: the per-row estimator subtracts
-        # inf - inf (or sorts a NaN) and returns NaN, which the run-length
-        # kernel would not reproduce.
+        # inf - inf (or sorts a NaN) and returns NaN, and so does the
+        # evaluation, which measures with the per-row kernels.
         graph, tables = self.numeric_source_chain([bad, 1.0, bad, 2.0, bad, 3.0])
         policy = ResamplingPolicy(threshold=4, rate=0.9, seed=1)
-        reference_policy = ResamplingPolicy(threshold=4, rate=0.9, seed=1)
-        lineages: dict = {}
-        for _ in range(3):
-            evaluation = graph.evaluate(
-                tables, ["v0"], ["v1"], [], FlatAttributePricingModel(),
-                intermediate_hook=policy, lineages=lineages,
-            )
-            reference = reference_sampled_join(graph, tables, reference_policy)
-            expected = attribute_set_correlation(reference, ["v0"], ["v1"])
-            assert evaluation.correlation.hex() == expected.hex()
-        (lineage,) = lineages.values()
-        assert lineage.summary.group_of is None
+        expected = reference_evaluation(graph, tables, ["v0"], ["v1"], [], policy)
+        evaluation = graph.evaluate(
+            tables, ["v0"], ["v1"], [], FlatAttributePricingModel(), intermediate_hook=policy
+        )
+        assert measured(evaluation) == expected
 
     def test_each_request_gets_its_own_summary(self):
-        # One lineage memo serves two requests on the same graph.  v0 is 1.0
-        # under k1 = 0 and 2 and 2.0 under k1 = 0 and 1, so the requests'
-        # correlations differ and v0 -> k1 is violated.
+        # Two requests on the same graph measure its one draw each with its
+        # own attributes and FDs.  v0 is 1.0 under k1 = 0 and 2 and 2.0
+        # under k1 = 0 and 1, so the requests' correlations differ and
+        # v0 -> k1 is violated.
         graph, tables = self.numeric_source_chain([1.0, 2.0, 2.0, 5.0, 1.0, 7.0])
         policy = ResamplingPolicy(threshold=4, rate=0.7, seed=3)
-        reference_policy = ResamplingPolicy(threshold=4, rate=0.7, seed=3)
         requests = [(["v0"], ["k1"], []), (["k1"], ["v0"], [FunctionalDependency("v0", "k1")])]
-        lineages: dict = {}
         for sources, targets, fds in requests * 2:
             evaluation = graph.evaluate(
                 tables, sources, targets, fds, FlatAttributePricingModel(),
-                intermediate_hook=policy, lineages=lineages,
+                intermediate_hook=policy,
             )
-            reference = reference_sampled_join(graph, tables, reference_policy)
-            expected = attribute_set_correlation(reference, sources, targets)
-            assert evaluation.correlation.hex() == expected.hex()
-            assert evaluation.quality == join_quality(reference, fds)
+            expected = reference_evaluation(graph, tables, sources, targets, fds, policy)
+            assert measured(evaluation) == expected
 
     def test_an_int_beyond_float_range_fails_as_a_measure_error(self):
         graph, tables = self.numeric_source_chain([10**400] * 6)
         policy = ResamplingPolicy(threshold=4, rate=0.9, seed=1)
-        lineages: dict = {}
-        for _ in range(2):
-            with pytest.raises(MeasureError, match="float range"):
-                graph.evaluate(
-                    tables, ["v0"], ["v1"], [], FlatAttributePricingModel(),
-                    intermediate_hook=policy, lineages=lineages,
-                )
+        with pytest.raises(MeasureError, match="float range"):
+            graph.evaluate(
+                tables, ["v0"], ["v1"], [], FlatAttributePricingModel(),
+                intermediate_hook=policy,
+            )
+
+    def test_two_graphs_evaluate_alike_in_either_order(self):
+        """A graph's draw depends on that graph alone: evaluating another
+        graph first, under the same policy object, changes nothing."""
+        first, tables = self.numeric_source_chain([1.0, 2.0, 2.0, 5.0, 1.0, 7.0])
+        second = first.with_projection("t1", {"k1"})
+        policy = ResamplingPolicy(threshold=4, rate=0.5, seed=2)
+        arguments = (tables, ["v0"], ["v1", "k1"], [], FlatAttributePricingModel())
+        forwards = [g.evaluate(*arguments, intermediate_hook=policy) for g in (first, second)]
+        backwards = [g.evaluate(*arguments, intermediate_hook=policy) for g in (second, first)]
+        assert forwards == backwards[::-1]
+        assert forwards[0] != forwards[1]
+
+    def test_a_revisited_fired_graph_is_a_memo_hit(self):
+        """A walk memoises a fired evaluation: revisiting the graph reads the
+        memo, and the memoised value is the cold evaluation's."""
+        graph, tables = self.numeric_source_chain([1.0, 2.0, 2.0, 5.0, 1.0, 7.0])
+        policy = ResamplingPolicy(threshold=4, rate=0.5, seed=2)
+        join_graph = JoinGraph(tables, pricing=FlatAttributePricingModel())
+        cache: dict = {}
+        result = mcmc_search(
+            join_graph, graph, tables, ["v0"], ["v1"], [],
+            budget=1e9, config=MCMCConfig(iterations=5, seed=0, record_trace=True),
+            intermediate_hook=policy, evaluation_cache=cache,
+        )
+        assert (result.evaluation_cache_misses, result.evaluation_cache_hits) == (1, 0)
+        assert list(cache) == [graph.signature()]
+        again = mcmc_search(
+            join_graph, graph, tables, ["v0"], ["v1"], [],
+            budget=1e9, config=MCMCConfig(iterations=5, seed=0, record_trace=True),
+            intermediate_hook=policy, evaluation_cache=cache,
+        )
+        assert (again.evaluation_cache_misses, again.evaluation_cache_hits) == (0, 1)
+        cold = graph.evaluate(
+            tables, ["v0"], ["v1"], [], FlatAttributePricingModel(), intermediate_hook=policy
+        )
+        assert cache[graph.signature()] == cold
+        assert cold.join_rows < len(graph.joined_table(tables))
 
 
 class TestFiredTpchReplays:
-    """Replays at the scale a walk makes them.  The other oracles replay
-    small joins, whose partitions rarely hold 40 kept rows; here TPC-H Q1's
-    fired graph ``customer ⋈ orders ⋈ supplier ⋈ nation`` (joined on
-    custkey, h_segment and nationkey, as the golden scenario's walks fire on
-    it) is joined from the samples and FDs of TPC-H 1.0's offline phase.  Its final join holds
-    hundreds of distinct rows over the five market segments, and violates
-    one of the discovered FDs, so its groups split on that FD's attributes.
+    """A fired evaluation at the scale a walk makes it.  The other oracles
+    join small tables, whose partitions rarely hold 40 sampled rows; here
+    TPC-H Q1's fired graph ``customer ⋈ orders ⋈ supplier ⋈ nation``
+    (joined on custkey, h_segment and nationkey, as the golden scenario's
+    walks fire on it) is joined from the unprojected samples and FDs of
+    TPC-H 1.0's offline phase.  Its final join holds hundreds of distinct
+    rows over the five market segments, and violates one of the discovered
+    FDs.
     """
 
     def test_replays_match_join_then_resample(self):
@@ -735,37 +775,27 @@ class TestFiredTpchReplays:
                 "nation": frozenset({"nationkey"}),
             },
         )
-        # The reference joins level by level on the edges' attributes, so it
-        # joins the projections: unprojected, nation would meet customer's
-        # nationkey rather than its parent supplier's.
-        projected = {
-            name: tables[name].project(sorted(graph.projections[name])) for name in graph.nodes
-        }
         source, target = ["totalprice"], ["mktsegment"]
-        # Every level fires; at rate 0.9 a replay keeps about 270 of the final
+        # Unprojected, nation would meet customer's nationkey rather than its
+        # parent supplier's; the reference projects as the evaluation does.
+        unsampled = reference_sampled_join(graph, tables, lambda table: table)
+        assert len(unsampled) == len(graph.joined_table(tables)) == 374
+        assert len(set(zip(*map(unsampled.column, unsampled.schema.names)))) > 300
+        assert len(set(unsampled.column("mktsegment"))) == 5
+        assert join_quality(unsampled, fds) < 1.0
+        # Every level fires; at rate 0.9 a draw keeps about 270 of the final
         # join's 374 rows, more than 40 of them in some market segment.
-        policy = ResamplingPolicy(threshold=16, rate=0.9, seed=0)
-        reference_policy = ResamplingPolicy(threshold=16, rate=0.9, seed=0)
-        lineages: dict = {}
         largest_segment = 0
-        for _ in range(60):
+        for seed in range(20):
+            policy = ResamplingPolicy(threshold=16, rate=0.9, seed=seed)
             evaluation = graph.evaluate(
-                tables, source, target, fds, pricing,
-                intermediate_hook=policy, lineages=lineages,
+                tables, source, target, fds, pricing, intermediate_hook=policy
             )
-            reference = reference_sampled_join(graph, projected, reference_policy)
-            assert evaluation.join_rows == len(reference)
-            expected = attribute_set_correlation(reference, source, target)
-            assert evaluation.correlation.hex() == expected.hex()
-            assert evaluation.quality.hex() == join_quality(reference, fds).hex()
-            assert policy_state(policy) == policy_state(reference_policy)
-            segments = Counter(reference.column("mktsegment"))
+            expected = reference_evaluation(graph, tables, source, target, fds, policy)
+            assert measured(evaluation) == expected
+            sample = reference_sampled_join(graph, tables, policy.for_graph(graph.signature()))
+            segments = Counter(sample.column("mktsegment"))
             largest_segment = max([largest_segment, *segments.values()])
-        (lineage,) = lineages.values()
-        summary = lineage.summary
-        assert len(set(summary.group_of)) > 300
-        assert len(set(summary.targets)) == 5
-        assert len(summary.fd_keys) == 1
         assert largest_segment > 40
 
 

@@ -150,7 +150,6 @@ def reference_walk(
     pricing = join_graph.pricing
     wanted = set(source) | set(target)
     ji_cache: dict = {}
-    lineages: dict = {}
     result = MCMCResult(best_graph=None, best_evaluation=None)
 
     def evaluate(graph):
@@ -168,10 +167,8 @@ def reference_walk(
             pricing,
             intermediate_hook=intermediate_hook,
             ji_cache=ji_cache,
-            lineages=lineages,
         )
-        if signature not in lineages:
-            evaluation_cache[signature] = evaluation
+        evaluation_cache[signature] = evaluation
         return evaluation
 
     def feasible(evaluation):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.exceptions import InfeasibleAcquisitionError, SearchError
@@ -11,7 +9,8 @@ from repro.graph.join_graph import JoinGraph
 from repro.graph.steiner import minimal_weight_igraph
 from repro.graph.target import TargetGraph
 from repro.quality.fd import FunctionalDependency
-from repro.relational.table import Table, bernoulli_mask
+from repro.relational.table import Table
+from repro.sampling.resampling import ResamplingPolicy
 from repro.search.candidates import build_initial_target_graph
 from repro.search.mcmc import MCMCConfig, mcmc_search
 
@@ -139,29 +138,27 @@ class TestMCMCSearch:
             / (result.evaluation_cache_hits + result.evaluation_cache_misses)
         )
 
-    def test_stochastic_hook_disables_memoisation(self, setup):
-        """Evaluations whose re-sampling hook fired must not be memoised.
-
-        Caching a stochastic evaluation would freeze one random draw per
-        candidate; with a hook that always resamples, every visit must
-        re-evaluate (zero cache hits).
-        """
-        import random as random_module
-
+    def test_a_fired_evaluation_is_memoised(self, setup):
+        """A fired evaluation is one draw, fixed by the graph: the walk
+        memoises it like any other, and each memoised value is what the
+        graph evaluates to cold under the same policy."""
         join_graph, initial, tables, fds = setup
-        rng = random_module.Random(0)
-        always_resample = SimpleNamespace(
-            draw=lambda num_rows: bernoulli_mask(num_rows, 0.9, rng)
-        )
-
+        policy = ResamplingPolicy(threshold=0, rate=0.9, seed=0)
+        cache: dict = {}
         result = mcmc_search(
             join_graph, initial, tables, ["measure"], ["label"], fds,
-            budget=1e9, config=MCMCConfig(iterations=40, seed=0),
-            intermediate_hook=always_resample,
+            budget=1e9, config=MCMCConfig(iterations=40, seed=0, record_trace=True),
+            intermediate_hook=policy, evaluation_cache=cache,
         )
-        assert result.evaluation_cache_hits == 0
-        # A walk whose evaluations fire runs every step.
-        assert result.evaluation_cache_misses == 41
+        assert result.evaluation_cache_hits > 0
+        assert result.evaluation_cache_misses == len(cache) == 3
+        graph, evaluation = result.best_graph, result.best_evaluation
+        arguments = (tables, ["measure"], ["label"], fds, join_graph.pricing)
+        cold = graph.evaluate(
+            *arguments, intermediate_hook=ResamplingPolicy(threshold=0, rate=0.9, seed=0)
+        )
+        assert cold == evaluation
+        assert evaluation.join_rows < graph.evaluate(*arguments).join_rows
 
     def test_noop_hook_keeps_memoisation(self, setup):
         """A hook that never alters the intermediate keeps full caching."""
@@ -169,15 +166,16 @@ class TestMCMCSearch:
         result = mcmc_search(
             join_graph, initial, tables, ["measure"], ["label"], fds,
             budget=1e9, config=MCMCConfig(iterations=100, seed=0, record_trace=True),
-            intermediate_hook=SimpleNamespace(draw=lambda num_rows: None),
+            intermediate_hook=ResamplingPolicy(threshold=10_000),
         )
         assert result.evaluation_cache_hits > 0
 
-    @pytest.mark.parametrize("hook", [None, SimpleNamespace(draw=lambda num_rows: None)])
+    @pytest.mark.parametrize("hook", [None, ResamplingPolicy(threshold=0, rate=0.9)])
     def test_a_walk_that_has_seen_its_whole_space_stops(self, setup, hook):
         """The edge takes one of three join attribute sets.  Without a trace the
-        walk stops within a few evaluations of having seen all three, and
-        returns the best graph and evaluation of the walk that runs every step."""
+        walk stops within a few evaluations of having seen all three, whether
+        or not the hook fires on them, and returns the best graph and
+        evaluation of the walk that runs every step."""
         join_graph, initial, tables, fds = setup
         full, stopped = (
             mcmc_search(

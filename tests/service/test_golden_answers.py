@@ -2,8 +2,8 @@
 
 A small TPC-H 0.2 scenario is served serially through one
 :class:`~repro.service.AcquisitionService`: Q1-Q3 at two MCMC seeds, the same
-queries under a re-sampling threshold low enough to fire the hook (so the
-join-lineage replays run), and one top-k call (so projection flips run).
+queries under a re-sampling threshold low enough to fire the hook (so fired
+evaluations run), and one top-k call (so projection flips run).
 TPC-E 0.3's Q1-Q3 follow at the same two seeds: their walks move over
 spaces of several target graphs, which they stop walking once they have
 evaluated every one.  Correlation, price and quality are compared as
@@ -12,8 +12,11 @@ evaluated every one.  Correlation, price and quality are compared as
 The TPC-H entries record the answers of the code as it was before the walk
 served repeated proposals from its move table and transition memo, and the
 TPC-E entries those of the code before a walk stopped once it had seen its
-whole space.  Only a change meant to alter answers may regenerate the file,
-with::
+whole space.  The η = 16 entries record one draw per fired graph, seeded
+from the policy seed and the graph's signature (a walk that re-drew a fired
+graph on every revisit kept the best draw, and served 53.80, 39.44 and
+24.55 where one draw serves 25.09, 24.41 and 16.82).  Only a change meant
+to alter answers may regenerate the file, with::
 
     PYTHONPATH=src python tests/service/test_golden_answers.py \\
         > tests/service/data/golden_answers.json

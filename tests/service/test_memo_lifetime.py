@@ -15,12 +15,12 @@ The writes are the two kinds that reach memoised graphs differently:
   instance's rows adds an FD that applies to graphs without the new
   instance (those whose join carries both of its attributes must go).
 
-Under a re-sampling threshold low enough to fire the hook, the session also
-memoises the join lineages of fired graphs, in one bounded memo.  A write
-must drop exactly the lineages over a changed instance, and every lineage it
-keeps must hold the join a cold service builds.  The memo is shared by every
-request of the session, so the last tests shrink its bound until it evicts,
-and serve from eight threads at once.
+Under a re-sampling threshold low enough to fire the hook, a fired
+evaluation is one draw fixed by its graph and the session's policy, and the
+session memoises it like any other: every fired entry a write keeps must be
+what a cold service's evaluation under the same policy returns.  The last
+tests shrink every memo's bound until it evicts, and serve fired requests
+from eight threads at once.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.marketplace.dataset import MarketplaceDataset
 from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.pricing.models import EntropyPricingModel
-from repro.relational import joins
 from repro.relational.partitions import correct_row_count
 from repro.relational.schema import Schema
 from repro.relational.table import Table
@@ -144,25 +143,30 @@ def memo_entries(svc: AcquisitionService) -> dict[tuple, tuple]:
     }
 
 
-def lineage_keys(svc: AcquisitionService) -> set[tuple]:
-    """The signatures of the session's held join lineages."""
-    return set(svc._lineage_memo.keys())
-
-
-def assert_memo_rows_add_up(svc: AcquisitionService) -> None:
-    memo = svc._lineage_memo
-    held = sum(memo.get(signature).rows for signature in memo.keys())
-    assert memo.units == held <= joins.LINEAGE_MEMO_ROWS
+def fired_entries(svc: AcquisitionService) -> int:
+    """How many memoised evaluations the hook fired on: their join holds
+    fewer rows than the graph's unsampled join."""
+    graph = svc.join_graph
+    fired = 0
+    for (_, signature), bits in memo_entries(svc).items():
+        target = graph_of(signature, graph.source_instances)
+        unsampled = target.joined_table({name: graph.sample(name) for name in target.nodes})
+        fired += bits[-1] < len(unsampled)
+    return fired
 
 
 def cold_evaluation(cold: AcquisitionService, namespace: tuple, signature: tuple) -> tuple:
+    """The evaluation of ``signature``'s graph on ``cold``'s samples under
+    its re-sampling policy, as the session's memo entries hold it."""
     graph = cold.join_graph
     target = graph_of(signature, graph.source_instances)
+    resampling = cold.config.resampling
     evaluation = target.evaluate(
         {name: graph.sample(name) for name in target.nodes},
         *namespace,
         cold.dance.fds,
         graph.pricing,
+        intermediate_hook=resampling if resampling.enabled else None,
     )
     return hexes(
         evaluation.correlation, evaluation.quality, evaluation.weight, evaluation.price
@@ -222,8 +226,8 @@ def check_writes(
     registered: dict[str, Table] = {}
     with service(family, plan, resampling=resampling) as warm:
         served(warm, family)
-        # A firing hook leaves lineages for the writes to prune.
-        assert bool(lineage_keys(warm)) == (resampling is not None)
+        # A firing hook leaves fired evaluations for the writes to prune.
+        assert bool(fired_entries(warm)) == (resampling is not None)
         for kind, arg in ops:
             if kind == "add":
                 table = violating_sources(family)[arg]
@@ -232,34 +236,13 @@ def check_writes(
                 swapped = registered.get(arg) is clean
                 table = workload(family).dirty_or_clean(arg) if swapped else clean
             registered[table.name] = table
-            lineages_before = lineage_keys(warm)
             summary = warm.register_source_tables([table])
             kept = memo_entries(warm)
             assert summary["memo_kept"] == len(kept)
-            # A no-op write (the same table objects again) changes no table.
-            changed = set()
-            if summary["mode"] != "noop":
-                changed = set(summary["added"]) | set(summary["replaced"])
-            kept_lineages = lineage_keys(warm)
-            assert kept_lineages == {
-                signature for signature in lineages_before if changed.isdisjoint(signature[0])
-            }
-            assert summary["lineages_kept"] == len(kept_lineages)
-            assert summary["lineages_dropped"] == len(lineages_before) - len(kept_lineages)
             with service(family, cold_plan, registered.values(), resampling) as cold:
                 for (namespace, signature), bits in kept.items():
                     assert cold_evaluation(cold, namespace, signature) == bits, signature
-                graph = cold.join_graph
-                for signature in kept_lineages:
-                    target = graph_of(signature, graph.source_instances)
-                    joined = target.joined_table(
-                        {name: graph.sample(name) for name in target.nodes}
-                    )
-                    lineage = warm._lineage_memo.get(signature)
-                    assert lineage.joined.schema.names == joined.schema.names
-                    assert list(lineage.joined.iter_rows()) == list(joined.iter_rows())
                 assert served(warm, family) == served(cold, family)
-            assert_memo_rows_add_up(warm)
         assert warm.describe()["cache_resets"] == 0
     assert live_segments() == []
 
@@ -310,34 +293,6 @@ def test_each_new_source_drops_some_entries_and_keeps_others(family):
             assert summary["memo_dropped"] > 0
 
 
-def test_describe_and_write_summaries_count_the_lineages():
-    """``describe()`` counts the held lineages and their rows; a write reports
-    what it kept and dropped; an offline rebuild drops every lineage."""
-    with service("tpch", SERIAL, resampling=fired()) as warm:
-        served(warm, "tpch")
-        described = warm.describe()
-        memo = warm._lineage_memo
-        assert described["lineage_cache_entries"] == len(memo.keys()) > 0
-        assert described["lineage_cache_rows"] == sum(
-            memo.get(signature).rows for signature in memo.keys()
-        )
-        # Every held lineage joins lineitem, whose swap drops them all.
-        assert all("lineitem" in nodes for (nodes, *_) in lineage_keys(warm))
-        summary = warm.register_source_tables([workload("tpch").table("lineitem")])
-        assert summary["lineages_kept"] == 0
-        assert summary["lineages_dropped"] == described["lineage_cache_entries"]
-        assert warm.describe()["lineage_cache_rows"] == 0
-        served(warm, "tpch")
-        assert warm.describe()["lineage_cache_entries"] > 0
-        warm.rebuild_offline()
-        assert warm.describe()["lineage_cache_entries"] == 0
-
-
-#: A lineage-memo bound under what Q1-Q3 build on TPC-H at ``FIRED_ETA``,
-#: but above each single lineage, so the memo evicts.
-TINY_ROWS = 200
-
-
 def pairs(family: str) -> list[tuple[AcquisitionRequest, int]]:
     return [(request, seed) for seed in range(4) for request in requests(family)]
 
@@ -346,33 +301,14 @@ def serve_pairs(svc: AcquisitionService, family: str) -> list[tuple]:
     return [answer_bits(svc.acquire(request, seed=seed)) for request, seed in pairs(family)]
 
 
-def test_a_tiny_lineage_memo_evicts_and_serves_the_same_answers(monkeypatch):
-    """The bound holds for the whole session: requests of three namespaces
-    fill one memo, which evicts to stay under it."""
-    with service("tpch", SERIAL, resampling=fired()) as roomy:
-        expected = serve_pairs(roomy, "tpch")
-        held = lineage_keys(roomy)
-        roomy_rows = roomy.describe()["lineage_cache_rows"]
-    assert roomy_rows > TINY_ROWS
-    monkeypatch.setattr("repro.relational.joins.LINEAGE_MEMO_ROWS", TINY_ROWS)
-    with service("tpch", SERIAL, resampling=fired()) as tiny:
-        assert serve_pairs(tiny, "tpch") == expected
-        described = tiny.describe()
-        assert described["evaluation_cache_groups"] == len(requests("tpch"))
-        assert lineage_keys(tiny) < held
-        assert 0 < described["lineage_cache_rows"] <= TINY_ROWS
-        assert_memo_rows_add_up(tiny)
-
-
 def test_a_session_past_every_bound_keeps_its_memos_bounded_and_serves_fresh_bits(
     monkeypatch,
 ):
     """Every session memo gets a tiny bound: two of the three request
-    namespaces, three evaluations per namespace, two answers and
-    :data:`TINY_ROWS` lineage rows.  Every pair, at four seeds, returns a
-    fresh session's bits, and after every read each memo is within its
-    bound; served again in reverse, only the two newest answers are
-    held."""
+    namespaces, three evaluations per namespace and two answers.  Every
+    pair, at four seeds, returns a fresh session's bits, and after every
+    read each memo is within its bound; served again in reverse, only the
+    two newest answers are held."""
     family = "tpch"
     expected = []
     for request, seed in pairs(family):
@@ -381,7 +317,6 @@ def test_a_session_past_every_bound_keeps_its_memos_bounded_and_serves_fresh_bit
     monkeypatch.setattr(session_module, "EVALUATION_NAMESPACES", 2)
     monkeypatch.setattr(session_module, "EVALUATION_MEMO_ENTRIES", 3)
     monkeypatch.setattr(session_module, "ANSWER_MEMO_ENTRIES", 2)
-    monkeypatch.setattr("repro.relational.joins.LINEAGE_MEMO_ROWS", TINY_ROWS)
     with service(family, SERIAL, resampling=fired()) as bounded:
         for (request, seed), bits in zip(pairs(family), expected):
             assert answer_bits(bounded.acquire(request, seed=seed)) == bits
@@ -389,8 +324,6 @@ def test_a_session_past_every_bound_keeps_its_memos_bounded_and_serves_fresh_bit
             assert 0 < len(namespaces) <= 2
             assert all(0 < len(memo) <= 3 for _, memo in namespaces)
             assert 0 < bounded.describe()["answer_memo_entries"] <= 2
-            assert_memo_rows_add_up(bounded)
-        assert bounded.describe()["lineage_cache_rows"] <= TINY_ROWS
         for (request, seed), bits in reversed(list(zip(pairs(family), expected))):
             assert answer_bits(bounded.acquire(request, seed=seed)) == bits
             assert bounded.describe()["answer_memo_entries"] == 2
@@ -398,15 +331,16 @@ def test_a_session_past_every_bound_keeps_its_memos_bounded_and_serves_fresh_bit
         assert (answers["hits"], answers["misses"]) == (2, 2 * len(expected) - 2)
 
 
-def test_threads_sharing_the_lineage_memo_serve_the_serial_answers(monkeypatch):
+def test_threads_sharing_fired_evaluations_serve_the_serial_answers(monkeypatch):
     """Eight threads serve every pair, each from another starting point, with
-    the interpreter switching threads every 10 µs; the memo is tiny, so
-    puts, evictions and replays interleave.  The answer memo holds nothing,
-    so every read walks."""
+    the interpreter switching threads every 10 µs; each namespace's
+    evaluation memo holds three entries, so puts, evictions and fired
+    evaluations interleave.  The answer memo holds nothing, so every read
+    walks."""
     family = "tpch"
     with service(family, SERIAL, resampling=fired()) as serial:
         expected = serve_pairs(serial, family)
-    monkeypatch.setattr("repro.relational.joins.LINEAGE_MEMO_ROWS", TINY_ROWS)
+    monkeypatch.setattr(session_module, "EVALUATION_MEMO_ENTRIES", 3)
     monkeypatch.setattr(session_module, "ANSWER_MEMO_ENTRIES", 0)
     work = pairs(family)
     served_by = [[None] * len(work) for _ in range(8)]
@@ -435,5 +369,4 @@ def test_threads_sharing_the_lineage_memo_serve_the_serial_answers(monkeypatch):
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert all(answers == expected for answers in served_by)
-        assert lineage_keys(shared)
-        assert_memo_rows_add_up(shared)
+        assert fired_entries(shared)
