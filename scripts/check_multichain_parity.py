@@ -10,11 +10,12 @@ serial chain, once with four serial chains and once with four process
 chains (the service's shared-store pool).  The four-chain plans must agree
 bit for bit, and one chain must match their correlations on this scenario.
 Results depend only on ``(seed, chains)``, never on the executor or the
-scheduling order.  Every run is repeated with the re-sampling threshold ``eta`` lowered
-to ``FIRED_ETA``, so that the hook fires and the walks replay join lineages
-from their distinct-row summaries; there the four-chain plans must agree bit
-for bit (one chain draws differently, so its fired answers are not
-compared).
+scheduling order.  Every run is repeated with the re-sampling threshold
+``eta`` lowered to ``FIRED_ETA``, so that the hook fires on some served
+winners (:func:`check_service_parity.fired_winners`).  A fired estimate is
+one draw fixed by its graph, so every walk sees the same estimate of a
+graph, and there too the four-chain plans must agree bit for bit and one
+chain must match their correlations.
 
 **Executor check** (the CI ``shm-smoke`` check): ``--executor process``
 serves under the requested plan and replays serially; the served bits must
@@ -27,7 +28,7 @@ post-delta answers must equal those of a cold service built with the delta
 registered before its first request: warm services alone would all agree
 on an entry that was wrongly kept.  A second replay lowers the re-sampling
 threshold ``eta`` to ``FIRED_ETA``, so that the correlated re-sampling hook
-fires on the served target graphs, and must agree bit for bit across the
+fires on some served winners, and must agree bit for bit across the
 serial and requested executors, before and after the delta.
 
 Usage::
@@ -42,7 +43,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from types import SimpleNamespace
+
+from check_service_parity import fired_winners
 
 #: Live mode's second re-sampling threshold: the served TPC-H 0.2 target
 #: graphs have first-level joins of 17-28 rows, so it fires on every one.
@@ -134,11 +136,7 @@ def check_sweep(args) -> int:
                 results = [service.acquire(request) for request in requests]
                 served[label, plan.spec()] = [fingerprint(result) for result in results]
                 if resampling.threshold == FIRED_ETA:
-                    join_graph = service.dance.join_graph
-                    fired += sum(
-                        fires(result.target_graph, join_graph, resampling)
-                        for result in results
-                    )
+                    fired += fired_winners(results, service.dance.join_graph)
                 if plan.executor == "process" and service.describe()["shared_store"] is None:
                     failures += 1
                     print(f"FAIL [{label} plan={plan.spec()}]: no shared store")
@@ -150,19 +148,17 @@ def check_sweep(args) -> int:
                 continue
             if spec != single.spec():
                 same = fingerprints == reference
-            elif label == "default":
+            else:
                 # One chain and four chains are different walks; on this
                 # scenario they find the same correlations.
                 same = [f[2] for f in fingerprints] == [f[2] for f in reference]
-            else:
-                continue
             if not same:
                 failures += 1
                 print(f"MISMATCH [{label} plan={spec}] differs")
     if not fired:
         failures += 1
         print(
-            f"FAIL: eta={FIRED_ETA} fired on none of the served target graphs; "
+            f"FAIL: eta={FIRED_ETA} fired on none of the served winners; "
             f"lower FIRED_ETA"
         )
     leaked = live_segments()
@@ -178,7 +174,7 @@ def check_sweep(args) -> int:
     print(
         f"OK: {len(served)} (eta, plan) runs of {len(reference)} requests agree "
         f"(plans: {', '.join(plan.spec() for plan in plans)}); correlations: "
-        f"{correlations}; eta={FIRED_ETA} fired on {fired}/{fired_runs} served graphs"
+        f"{correlations}; eta={FIRED_ETA} fired on {fired}/{fired_runs} served winners"
     )
     return 0
 
@@ -221,7 +217,7 @@ def check_live(args) -> int:
         ``memo_split`` the delta must keep and drop memo entries in every plan.
 
         Returns the outcomes, the failure count and on how many of the first
-        plan's served graphs the policy fires."""
+        plan's served winners the policy fired."""
         failures = 0
         outcomes = []
         fired = 0
@@ -230,10 +226,7 @@ def check_live(args) -> int:
             with AcquisitionService(build_marketplace(workload), config) as service:
                 results = serve(service)
                 if not outcomes:
-                    fired = sum(
-                        fires(result.target_graph, service.dance.join_graph, resampling)
-                        for result in results
-                    )
+                    fired = fired_winners(results, service.dance.join_graph)
                 before = [fingerprint(result) for result in results]
                 summary = service.register_source_tables([delta_table])
                 after = [fingerprint(result) for result in serve(service)]
@@ -305,7 +298,7 @@ def check_live(args) -> int:
         failures += 1
         print(
             f"FAIL: eta={FIRED_ETA} fired on none of the {len(requests)} served "
-            f"target graphs; lower FIRED_ETA"
+            f"winners; lower FIRED_ETA"
         )
     leaked = live_segments()
     if leaked:
@@ -325,21 +318,10 @@ def check_live(args) -> int:
         f"(chains={args.chains}, executor={args.executor}), and equal to a cold "
         f"service after the delta; memo entries across the delta: {memo}; "
         f"shared-store stats: {stats}; "
-        f"eta={FIRED_ETA} fired on {fired}/{len(requests)} served graphs and "
+        f"eta={FIRED_ETA} fired on {fired}/{len(requests)} served winners and "
         f"{len(fired_plans)} plans agree; no leaked segments"
     )
     return 0
-
-
-def fires(graph, join_graph, policy) -> bool:
-    """Whether ``policy`` re-samples an intermediate of ``graph``'s evaluation.
-
-    The first level whose unsampled join exceeds ``eta`` is where it fires."""
-    sizes: list[int] = []
-    probe = SimpleNamespace(draw=lambda num_rows: sizes.append(num_rows))
-    tables = {name: join_graph.sample(name) for name in graph.nodes}
-    graph.joined_table(tables, intermediate_hook=probe)
-    return any(size > policy.threshold for size in sizes)
 
 
 def main(argv: list[str]) -> int:

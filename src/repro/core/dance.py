@@ -438,13 +438,9 @@ class DANCE:
         self, request: AcquisitionRequest, *, runtime: SearchRuntime | None = None
     ) -> AcquisitionResult | None:
         runtime = runtime or SearchRuntime()
-        # The runtime's private re-sampling policy (if any) replaces the
-        # config-owned one: reset() mutates the policy, which concurrent
-        # service requests must not share.
         resampling = (
             runtime.resampling if runtime.resampling is not None else self.config.resampling
         )
-        resampling.reset()
         seed = runtime.mcmc_seed if runtime.mcmc_seed is not None else self.config.mcmc.seed
         mcmc_config = self.config.mcmc
         if runtime.plan is not None:
@@ -470,7 +466,6 @@ class DANCE:
             landmark_seed=derive_landmark_seed(seed),
             intermediate_hook=resampling if resampling.enabled else None,
             evaluation_cache=runtime.evaluation_cache,
-            lineage_memo=runtime.lineage_memo,
             walk_spaces=runtime.walk_spaces,
             pool=runtime.pool,
             pool_state=runtime.pool_state,

@@ -16,27 +16,18 @@ total join-informativeness weight, and total price.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, product
+from itertools import product
 from typing import Iterable, Mapping, MutableMapping, Sequence
 
 from repro.exceptions import GraphConstructionError, SearchError
-from repro.infotheory.correlation import (
-    SortedGroups,
-    attribute_set_correlation,
-    grouped_correlation,
-)
-from repro.infotheory.cumulative import finite_floats
+from repro.infotheory.correlation import attribute_set_correlation
 from repro.infotheory.join_informativeness import join_informativeness
-from repro.memo import Memo
 from repro.quality.fd import FunctionalDependency
-from repro.quality.measure import grouped_join_quality, join_quality
-from repro.relational.joins import JoinLineage, inner_join, inner_join_origins
-from repro.relational.partitions import distinct_rows
-from repro.relational.schema import AttributeType
-from repro.relational.table import Table, mask_count, mask_rows
+from repro.quality.measure import join_quality
+from repro.relational.joins import inner_join
+from repro.relational.table import Table
 
 
 @dataclass(frozen=True)
@@ -268,36 +259,6 @@ class TargetGraph:
             )
         return join_attrs
 
-    def _join(self, tables: Mapping[str, Table], intermediate_hook) -> tuple:
-        """The unsampled join along the tree, and its lineage if the hook fired.
-
-        The chain is joined unsampled, recording origins from the first level
-        the hook fires on.  There the hook derives this graph's policy
-        (:meth:`~repro.sampling.resampling.ResamplingPolicy.for_graph`), and
-        its first draw is the third value, the policy the fourth.  Replaying
-        the policy's draws down the lineage (:meth:`JoinLineage.kept_mask`)
-        then gives it the same calls as re-sampling while joining.
-        """
-        projected = self._projected_tables(tables)
-        joined = projected[0]
-        lineage = first_mask = sampler = None
-        for edge_index, right in enumerate(projected[1:]):
-            join_attrs = self._join_attributes(edge_index, joined, right)
-            # Levels up to the first firing are never sampled, so only the
-            # levels after it need to know which row each row came from.
-            if lineage is None:
-                joined = inner_join(joined, right, join_attrs)
-                if intermediate_hook is not None and intermediate_hook.fires(len(joined)):
-                    sampler = intermediate_hook.for_graph(self.signature())
-                    first_mask = sampler.draw(len(joined))
-                    lineage = JoinLineage(len(joined))
-            else:
-                joined, origins = inner_join_origins(joined, right, join_attrs)
-                lineage.add_level(origins)
-        if lineage is not None:
-            lineage.joined = joined
-        return joined, lineage, first_mask, sampler
-
     def joined_table(self, tables: Mapping[str, Table], *, intermediate_hook=None) -> Table:
         """Join the (projected) instances along the tree, level by level.
 
@@ -315,7 +276,8 @@ class TargetGraph:
         joined = projected[0]
         sampler = None
         for edge_index, right in enumerate(projected[1:]):
-            joined = inner_join(joined, right, self._join_attributes(edge_index, joined, right))
+            join_attrs = self._join_attributes(edge_index, joined, right)
+            joined = inner_join(joined, right, join_attrs)
             if sampler is None and intermediate_hook is not None:
                 if intermediate_hook.fires(len(joined)):
                     sampler = intermediate_hook.for_graph(self.signature())
@@ -380,56 +342,28 @@ class TargetGraph:
         *,
         intermediate_hook=None,
         ji_cache: dict[tuple, float] | None = None,
-        lineages: dict[tuple, JoinLineage] | None = None,
     ) -> TargetGraphEvaluation:
         """Correlation, quality, weight and price of this target graph on ``tables``.
 
-        ``intermediate_hook`` is a correlated re-sampler of the intermediate
-        join results, such as
-        :class:`~repro.sampling.resampling.ResamplingPolicy`: its
-        ``draw(num_rows)`` returns a byte mask over the ``num_rows`` rows (1
-        for a row to keep, 0 for one to drop), or ``None`` to keep them all,
-        and whether it keeps all must depend on ``num_rows`` alone.
-        ``lineages`` memoises, by :meth:`signature`, the join lineage of every
-        graph on which the hook fired, so a later evaluation of the same graph
-        on the same ``tables`` re-samples without joining; graphs on which it
-        never fired get no entry.  A memoised lineage also keeps a
-        :class:`_LineageSummary` of its final join, and every evaluation of it
-        measures the rows its mask keeps from that summary without gathering
-        them.  An evaluation without a hook neither reads nor writes
-        ``lineages``: it has nothing to replay.
+        Correlation and quality are measured row by row on
+        :meth:`joined_table`, which ``intermediate_hook`` (a correlated
+        re-sampling policy such as
+        :class:`~repro.sampling.resampling.ResamplingPolicy`) re-samples as
+        it joins.  A fired evaluation is one draw, from the policy the hook
+        derives for this graph, so every evaluation of the graph on the same
+        tables under the same hook settings returns the same bits, and an
+        evaluation memo may hold it like any other.
         """
-        key = None if lineages is None or intermediate_hook is None else self.signature()
-        lineage = None if key is None else lineages.get(key)
-        if lineage is not None:
-            mask = lineage.kept_mask(intermediate_hook.for_graph(key))
-        else:
-            joined, lineage, first_mask, sampler = self._join(tables, intermediate_hook)
-            if lineage is None or key is None:
-                # Nothing to memoise: measure the (sampled) join row by row.
-                if lineage is not None:
-                    joined = lineage.sample(sampler, first_mask)
-                return TargetGraphEvaluation(
-                    correlation=attribute_set_correlation(
-                        joined, source_attributes, target_attributes
-                    ),
-                    quality=join_quality(joined, fds),
-                    weight=self.weight(tables, ji_cache=ji_cache),
-                    price=self.price(tables, pricing),
-                    join_rows=len(joined),
-                )
-            lineages[key] = lineage
-            mask = lineage.kept_mask(sampler, first_mask)
-        request = (tuple(source_attributes), tuple(target_attributes), tuple(fds))
-        summary = lineage.summary
-        if summary is None or summary.request != request:
-            summary = lineage.summary = _LineageSummary(
-                lineage.joined,
-                request,
-                weight=self.weight(tables, ji_cache=ji_cache),
-                price=self.price(tables, pricing),
-            )
-        return summary.evaluate(mask)
+        joined = self.joined_table(tables, intermediate_hook=intermediate_hook)
+        return TargetGraphEvaluation(
+            correlation=attribute_set_correlation(
+                joined, source_attributes, target_attributes
+            ),
+            quality=join_quality(joined, fds),
+            weight=self.weight(tables, ji_cache=ji_cache),
+            price=self.price(tables, pricing),
+            join_rows=len(joined),
+        )
 
     # ------------------------------------------------------------------ dunder
     def __repr__(self) -> str:
@@ -442,16 +376,15 @@ def prune_memos(
     changed: Iterable[str],
     fds_before: Iterable[FunctionalDependency],
     fds_after: Iterable[FunctionalDependency],
-    lineage_memo: Memo | None = None,
 ) -> None:
     """Drop the memo entries a one-step write may have changed; keep the rest.
 
     ``evaluation_caches`` map :meth:`TargetGraph.signature` to evaluations,
-    ``changed`` names the instances the write added or replaced, the FD
-    lists are those in force before and after it, and ``lineage_memo`` maps
-    signatures to join lineages.  An evaluation reads the tables of
-    its nodes (correlation, JI weight, price) and the FDs whose attributes
-    all lie in its join's schema (quality), so an entry is dropped only when
+    ``changed`` names the instances the write added or replaced, and the FD
+    lists are those in force before and after it.  An evaluation, fired or
+    not, reads the tables of its nodes (correlation, JI weight, price) and
+    the FDs whose attributes all lie in its join's schema (quality), so an
+    entry is dropped only when
 
     * one of its nodes changed, or
     * some FD in the symmetric difference of the before and after
@@ -460,11 +393,10 @@ def prune_memos(
       colliding columns a join renames.  FD order does not matter, because
       quality intersects per-FD correct sets.
 
-    A lineage is dropped only when one of its nodes changed: it holds the
-    join of its nodes' tables and no FD.  A kept entry is exactly what
-    re-evaluation would return.  The caches need ``keys()`` and
-    ``pop(key, default)``.  JI weights are the join graph's, which
-    :meth:`~repro.graph.join_graph.JoinGraph.add_instance` prunes itself.
+    A kept entry is exactly what re-evaluation would return.  The caches
+    need ``keys()`` and ``pop(key, default)``.  JI weights are the join
+    graph's, which :meth:`~repro.graph.join_graph.JoinGraph.add_instance`
+    prunes itself.
     """
     changed = frozenset(changed)
     # Built when the first entry passes the node test, which most writes'
@@ -487,10 +419,6 @@ def prune_memos(
             stale.append(signature)
         for signature in stale:
             cache.pop(signature, None)
-    if lineage_memo is not None:
-        for signature in lineage_memo.keys():
-            if not changed.isdisjoint(signature[0]):
-                lineage_memo.pop(signature, None)
 
 
 def _carries_any(signature: tuple, fd_delta: list[frozenset[str]], renames: bool) -> bool:
@@ -506,110 +434,6 @@ def _carries_any(signature: tuple, fd_delta: list[frozenset[str]], renames: bool
             for attribute in projection
         )
     return any(names.issuperset(attributes) for attributes in fd_delta)
-
-
-#: The value types a numerical source's summary takes: two of them that
-#: compare equal convert to the same float.  Other types may equal a plain
-#: number (``Decimal(1) == 1``) yet fail the per-row estimator's cleaning.
-_PLAIN_NUMBERS = frozenset({int, float, bool, type(None)})
-
-
-class _LineageSummary:
-    """A lineage's final join as its distinct rows, for one evaluation request.
-
-    ``request`` is ``(source attributes, target attributes, FDs)``.  Per
-    group of rows the summary keeps its target key code, each present
-    source's code (categorical) or float (numerical), and the LHS and RHS
-    codes of every applicable FD that some row violates on the final join:
-    an FD that holds there holds on every sample of it, so its quality is 1
-    and its attributes need not split the groups.  The final join's rows are
-    grouped on every column the request reads
-    (:func:`~repro.relational.partitions.distinct_rows`), which decides the
-    violations, and those groups are merged on the source, target and
-    violated FD attributes, the columns a measure reads.  Weight and price
-    depend only on the graph and the tables, so those of the lineage's first
-    evaluation serve every later one.  The summary lives as long as its
-    lineage, which a :func:`~repro.relational.joins.lineage_memo` may keep
-    for many walks and requests; an evaluation for another request replaces
-    it.
-
-    A numerical source whose column holds a value the run-length kernel
-    cannot take (see :func:`~repro.infotheory.cumulative.finite_floats`)
-    sends the lineage down the per-row route: each evaluation gathers its
-    kept rows and measures them with the per-row kernels.
-    """
-
-    __slots__ = (
-        "request", "joined", "weight", "price", "group_of", "targets", "sources", "fd_keys"
-    )
-
-    def __init__(self, joined: Table, request: tuple, *, weight: float, price: float):
-        self.request = request
-        self.joined = joined
-        self.weight = weight
-        self.price = price
-        source_attributes, target_attributes, fds = request
-        schema = joined.schema
-        present_targets = [a for a in target_attributes if a in schema]
-        # Without a present target CORR is 0 and reads no source.
-        present_sources = [a for a in source_attributes if a in schema and present_targets]
-        applicable = [fd for fd in fds if fd.applies_to(joined)]
-        fd_attributes = [a for fd in applicable for a in fd.attributes]
-        read = dict.fromkeys(present_sources + present_targets + fd_attributes)
-        # Grouped on a projection, which caches the rows' encoding in its
-        # place: the summary's merged group ids are the one per-row list kept.
-        fine_of, fine = distinct_rows(joined.project(list(read)), list(read))
-        violated = []
-        for fd in applicable:
-            lhs = fine.encoded_key(fd.lhs).codes
-            if len(set(zip(lhs, fine.encoded(fd.rhs).codes))) != len(set(lhs)):
-                violated.append(fd)
-        measured = dict.fromkeys(
-            present_sources + present_targets + [a for fd in violated for a in fd.attributes]
-        )
-        coarse_of, groups = distinct_rows(fine, list(measured))
-        self.group_of: list[int] | None = list(map(coarse_of.__getitem__, fine_of))
-        self.targets = groups.encoded_key(present_targets).codes
-        self.sources: list[tuple[AttributeType, list[int] | SortedGroups]] = []
-        self.fd_keys = [
-            (groups.encoded_key(fd.lhs).codes, groups.encoded(fd.rhs).codes) for fd in violated
-        ]
-        for attribute in present_sources:
-            x_type = schema.type_of(attribute)
-            if x_type is not AttributeType.NUMERICAL:
-                self.sources.append((x_type, groups.encoded(attribute).codes))
-                continue
-            values = None
-            if set(map(type, joined.column(attribute))) <= _PLAIN_NUMBERS:
-                values = finite_floats(groups.column(attribute))
-            if values is None:
-                self.group_of = None  # the per-row route
-                return
-            self.sources.append((x_type, SortedGroups.build(values, self.targets)))
-
-    def evaluate(self, mask: bytes) -> TargetGraphEvaluation:
-        """The evaluation of the final join's rows that the byte ``mask``
-        keeps (one byte per row, 1 for kept and 0 for dropped).
-
-        Kept rows are counted per group in row order, so the groups come in
-        the order of their first kept row, as the per-row kernels count them.
-        """
-        if self.group_of is None:
-            sources, targets, fds = self.request
-            sample = self.joined.take(mask_rows(mask))
-            correlation = attribute_set_correlation(sample, sources, targets)
-            quality = join_quality(sample, fds)
-        else:
-            counts = Counter(compress(self.group_of, mask))
-            correlation = grouped_correlation(counts, self.targets, self.sources)
-            quality = grouped_join_quality(counts, self.fd_keys)
-        return TargetGraphEvaluation(
-            correlation=correlation,
-            quality=quality,
-            weight=self.weight,
-            price=self.price,
-            join_rows=mask_count(mask),
-        )
 
 
 def incident_join_attributes(

@@ -8,18 +8,13 @@ numerical attribute ``X`` with the *cumulative entropy*
 estimated from the empirical CDF of the observed values.  The conditional
 cumulative entropy ``h(X | Y)`` averages ``h(X | y)`` over the conditioning
 groups (``Y`` is treated as categorical / discretised).
-
-:func:`cumulative_entropy` is the per-row estimator.  A sample given as
-sorted runs of values and their counts takes
-:func:`cumulative_entropy_of_runs`, which returns the same float on finite
-values in one pass over the runs, without expanding them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from repro.exceptions import MeasureError
 
@@ -48,29 +43,6 @@ def _clean_numeric(values: Sequence[object]) -> list[float]:
         ) from None
 
 
-def finite_floats(values: Sequence[object]) -> list[float | None] | None:
-    """``values`` (ints, floats, bools or ``None``) as floats, keeping ``None``.
-
-    Returns ``None`` instead when a value is an int beyond float range or a
-    float that is not finite: there the per-row estimator raises, or its
-    result depends on where NaNs and equal infinities fall in its sort, so
-    :func:`cumulative_entropy_of_runs` cannot stand in for it.
-    """
-    cleaned: list[float | None] = []
-    for value in values:
-        if value is None:
-            cleaned.append(None)
-            continue
-        try:
-            number = float(value)
-        except OverflowError:
-            return None
-        if not math.isfinite(number):
-            return None
-        cleaned.append(number)
-    return cleaned
-
-
 def cumulative_entropy(values: Sequence[object]) -> float:
     """Empirical cumulative entropy of a numerical sample.
 
@@ -92,37 +64,6 @@ def cumulative_entropy(values: Sequence[object]) -> float:
             continue
         p = i / n
         total -= gap * p * math.log(p)
-    return total
-
-
-def cumulative_entropy_of_runs(
-    values: Sequence[float], counts: Iterable[int | None], n: int
-) -> float:
-    """:func:`cumulative_entropy` of finite floats given as ascending runs.
-
-    The sample holds ``count`` copies of each ``value`` of
-    ``zip(values, counts)``, with ``values`` ascending; a run whose count is
-    ``None`` or 0 is not in it.  ``n`` is the sample's size, the sum of the
-    counts.  Between equal order statistics the per-row loop sees a zero gap
-    and adds nothing, so it adds a term only where a run starts, with ``i``
-    the number of values below the run.  This one pass adds the same terms
-    in the same order, so the result is the same float.  Neighbouring runs
-    may hold equal values: the zero gap between them adds nothing either,
-    and neither does the first run's gap from ``previous = inf``.
-    """
-    log = math.log
-    total = 0.0
-    previous = math.inf
-    below = 0
-    for value, count in zip(values, counts):
-        if not count:
-            continue
-        gap = value - previous
-        if gap > 0.0:
-            p = below / n
-            total -= gap * p * log(p)
-        previous = value
-        below += count
     return total
 
 

@@ -1,14 +1,13 @@
 """One bounded memo for every cache that concurrent requests share.
 
 The acquisition service memoises pure functions of its hot state: served
-answers per request key, candidate evaluations per requested attribute
-sets, and the join lineages of graphs on which the re-sampling hook fired.
-Requests served at once (batch fan-out, HTTP handler threads) read and fill
-them together, and a long-lived session must not let them grow without
-bound.  :class:`Memo` is the one class all of them use.  Every value they
-hold is recomputable, so eviction costs time, never bits.  The scheduler
-bounds its per-shopper token buckets with it too; evicting one hands its
-shopper a full bucket.
+answers per request key and candidate evaluations per requested attribute
+sets, fired ones included.  Requests served at once (batch fan-out, HTTP
+handler threads) read and fill them together, and a long-lived session
+must not let them grow without bound.  :class:`Memo` is the one class all
+of them use.  Every value they hold is recomputable, so eviction costs
+time, never bits.  The scheduler bounds its per-shopper token buckets with
+it too; evicting one hands its shopper a full bucket.
 """
 
 from __future__ import annotations

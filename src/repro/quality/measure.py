@@ -12,13 +12,11 @@ Following Definitions 2.2 and 2.3 of the paper:
 Because join can both create and destroy FD violations (Example 2.2 of the
 paper), quality must always be evaluated on the join result — these functions
 therefore accept either a pre-joined table or a list of tables to join.
-:func:`grouped_join_quality` measures a table given as its distinct rows and
-how many times each occurs, and returns what :func:`join_quality` does.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.quality.fd import FunctionalDependency
 from repro.relational.joins import join_path
@@ -62,40 +60,6 @@ def join_quality(table: Table, fds: Iterable[FunctionalDependency]) -> float:
             return 0.0
     assert correct is not None
     return correct.bit_count() / len(table)
-
-
-def grouped_join_quality(
-    counts: Mapping[int, int], fd_keys: Sequence[tuple[Sequence[int], Sequence[int]]]
-) -> float:
-    """:func:`join_quality` of a table given by its distinct rows.
-
-    ``counts`` maps each distinct row (a group) to how many times it occurs,
-    in the order of first occurrence in the table.  ``fd_keys`` holds, per
-    applicable FD, each group's code of its LHS values and of its RHS value.
-    Rows of one group agree on every FD attribute, so a group is correct or
-    not as a whole: each ``pi_X`` class keeps its largest ``(X, Y)``
-    sub-class, the first seen on a tie, as
-    :func:`~repro.relational.partitions.correct_row_mask` chooses.
-    """
-    rows = sum(counts.values())
-    if rows == 0:
-        return 1.0
-    correct: Iterable[int] = counts
-    for lhs, rhs in fd_keys:
-        sizes: dict[tuple[int, int], int] = {}
-        for group, count in counts.items():
-            key = (lhs[group], rhs[group])
-            sizes[key] = sizes.get(key, 0) + count
-        largest: dict[int, int] = {}
-        chosen: dict[int, int] = {}
-        for (x, y), size in sizes.items():
-            if size > largest.get(x, 0):
-                largest[x] = size
-                chosen[x] = y
-        correct = [group for group in correct if rhs[group] == chosen[lhs[group]]]
-        if not correct:
-            return 0.0
-    return sum(map(counts.__getitem__, correct)) / rows
 
 
 def quality_of_tables(

@@ -10,28 +10,15 @@ The joins are *columnar*: each side's join key is dictionary-encoded once
 (cached on the table), matching happens per distinct key code rather than per
 row, and the result columns are gathered directly from (left row, right row)
 index vectors — no intermediate row tuples are materialised.
-
-Inner joins emit their rows grouped by left row, in left row order, so
-joining a row subset of the left side yields exactly the join's rows whose
-left row is in that subset, in the same order.  :class:`JoinLineage` uses
-this to replay a re-sampled join chain without joining: it keeps each
-level's left-row index vector and the unsampled final join, and carries a
-sampler's byte mask of kept rows down the index vectors.  A
-:func:`lineage_memo` holds lineages for a session, within a bound on their
-rows.
 """
 
 from __future__ import annotations
 
-from array import array
-from itertools import compress
-from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from repro.exceptions import JoinError
-from repro.memo import Memo
 from repro.relational.schema import Schema
-from repro.relational.table import ColumnEncoding, Table, Value, mask_count, mask_rows
+from repro.relational.table import ColumnEncoding, Table, Value
 
 
 def shared_join_attributes(left: Table, right: Table) -> tuple[str, ...]:
@@ -168,18 +155,6 @@ def inner_join(
     of the right table that collide with a left attribute name are prefixed
     with the right table's name.
     """
-    return inner_join_origins(left, right, on, name=name)[0]
-
-
-def inner_join_origins(
-    left: Table,
-    right: Table,
-    on: Sequence[str] | None = None,
-    *,
-    name: str | None = None,
-):
-    """:func:`inner_join`, plus the left row each result row came from
-    (an ascending list)."""
     join_attrs = _resolve_join_attributes(left, right, on)
     schema, right_extra = _joined_schema(left, right, join_attrs)
     result_name = name or f"{left.name}_join_{right.name}"
@@ -199,123 +174,7 @@ def inner_join_origins(
         columns[result_names[len(left.schema.names) + offset]] = _gather(
             right, attr, right_idx
         )
-    return Table._from_columns(result_name, schema, columns, len(left_idx)), left_idx
-
-
-def _mask_gather(origins):
-    """A function that carries a byte mask over a level's rows to the rows of
-    the next level, whose ``origins`` name the row each came from.
-
-    An ``operator.itemgetter`` over the origins gathers them in C.
-    """
-    if len(origins) < 2:  # itemgetter needs an item, and returns one bare
-        return lambda mask: bytes(mask[row] for row in origins)
-    gather = itemgetter(*origins)
-    return lambda mask: bytes(gather(mask))
-
-
-def _narrow(candidates: bytes, keep) -> bytes:
-    """``candidates`` with its marked rows narrowed to those ``keep`` marks;
-    ``keep`` holds one byte per marked row, in row order."""
-    narrowed = bytearray(len(candidates))
-    for row in compress(compress(range(len(candidates)), candidates), keep):
-        narrowed[row] = 1
-    return bytes(narrowed)
-
-
-class JoinLineage:
-    """A left-deep join chain from the first level a sampler re-sampled on.
-
-    ``fired_rows`` is that level's row count; ``origins`` holds, for each
-    later level, the row of the level before that each of its rows came
-    from; ``joined`` is the unsampled final join.  Whether a sampler fires
-    depends on the row count alone, and the levels before the first firing
-    are never sampled, so every replay fires first at the same level.
-    ``summary`` holds what an evaluator derives from ``joined`` once for
-    all its replays (see :meth:`repro.graph.target.TargetGraph.evaluate`);
-    it lives as long as the lineage, which a :func:`lineage_memo` may keep
-    for many walks.
-
-    A replay carries a byte mask, one byte per row and 1 for kept, from the
-    first level's draw down the origins (:meth:`kept_mask`); it never lists
-    row positions.  The per-level gathers are built on the first replay.  A
-    replay writes nothing but those gathers and the summary, each a function
-    of the lineage alone, so walks on several threads may replay one
-    lineage at once.
-    """
-
-    __slots__ = ("fired_rows", "origins", "joined", "summary", "_gathers")
-
-    def __init__(self, fired_rows: int) -> None:
-        self.fired_rows = fired_rows
-        self.origins: list = []
-        self.joined: Table | None = None
-        self.summary = None
-        self._gathers: list | None = None
-
-    def add_level(self, origins) -> None:
-        """Record the next level's origins (packed into ``int64``)."""
-        self.origins.append(array("q", origins))
-
-    @property
-    def rows(self) -> int:
-        """The rows the lineage holds: its origins plus the final join's."""
-        return sum(map(len, self.origins)) + len(self.joined)
-
-    def kept_mask(self, sampler, first_mask: bytes | None = None) -> bytes:
-        """The byte mask of the rows of ``joined`` that re-sampling every level
-        with ``sampler`` keeps.
-
-        ``sampler.draw(num_rows)`` returns a byte mask over ``num_rows``
-        rows (each byte 1 to keep its row or 0 to drop it, so
-        :func:`~repro.relational.table.mask_count` counts the kept ones), or
-        ``None`` to keep all; it is called once per level from the
-        first re-sampled one on, with the row count the sampled chain has
-        there, so with the same calls, in the same order, as sampling while
-        joining.  A level's candidates are the rows whose origin was kept,
-        and its draw narrows them.  ``first_mask`` is the first level's draw
-        when it was already made.
-        """
-        mask = first_mask if first_mask is not None else sampler.draw(self.fired_rows)
-        if mask is None:
-            mask = b"\x01" * self.fired_rows
-        if self._gathers is None:
-            self._gathers = [_mask_gather(origins) for origins in self.origins]
-        for gather in self._gathers:
-            candidates = gather(mask)
-            keep = sampler.draw(mask_count(candidates))
-            mask = candidates if keep is None else _narrow(candidates, keep)
-        return mask
-
-    def sample(self, sampler, first_mask: bytes | None = None) -> Table:
-        """The final join as re-sampling every level with ``sampler`` makes it
-        (the rows :meth:`kept_mask` marks)."""
-        return self.joined.take(mask_rows(self.kept_mask(sampler, first_mask)))
-
-
-#: The rows a :func:`lineage_memo` holds at most (see :attr:`JoinLineage.rows`):
-#: about 14 MB at the 54 bytes per row that fresh-tpch's fired lineages
-#: retain with their summaries and replay gathers (tracemalloc, python 3.11).
-#: Read when a memo is made.
-LINEAGE_MEMO_ROWS = 1 << 18
-
-
-def lineage_memo() -> Memo:
-    """An empty memo of join lineages by graph signature, for a session's walks.
-
-    A walk looks a fired graph up in its own lineages first and here second,
-    and offers every lineage it fires on here (see
-    :func:`repro.search.mcmc.mcmc_search`).  The memo holds at most
-    :data:`LINEAGE_MEMO_ROWS` rows, each lineage counted as its
-    :attr:`JoinLineage.rows` (see :class:`~repro.memo.Memo` for the eviction
-    order).  A walk that needs an evicted lineage builds it again.
-
-    A lineage records the rows of its graph's tables and the level a
-    re-sampling policy first fires on, so one memo serves one set of tables
-    and one policy.  Its owner drops the lineages a write made stale (see
-    :func:`repro.graph.target.prune_memos`).
-    """
-    return Memo(LINEAGE_MEMO_ROWS, size=attrgetter("rows"))
+    return Table._from_columns(result_name, schema, columns, len(left_idx))
 
 
 def full_outer_join(

@@ -53,28 +53,6 @@ def stripped_partition(table: Table, attributes: Sequence[str]) -> list[list[int
     return [eclass for eclass in equivalence_classes(table, attributes) if len(eclass) > 1]
 
 
-def distinct_rows(table: Table, names: Sequence[str]) -> tuple[list[int], Table]:
-    """``pi_names`` of ``table`` with one row per class: its distinct rows on ``names``.
-
-    Returns each row's group, numbered in first-occurrence order, and a
-    table whose row ``g`` holds group ``g``'s values on ``names`` (those of
-    its first row).  Rows share a group exactly when they agree on every
-    attribute under the equality of the table's dictionary encodings
-    (:func:`column_codes`), so the groups' own encodings code them as the
-    rows' encodings would.
-    """
-    names = table.schema.validate_subset(names)
-    encoding = table.encoded_key(names)
-    columns = list(zip(*encoding.values)) or [()] * len(names)
-    groups = Table._from_columns(
-        table.name,
-        table.schema.project(names),
-        {name: list(values) for name, values in zip(names, columns)},
-        encoding.num_codes,
-    )
-    return encoding.codes, groups
-
-
 def column_codes(table: Table, name: str) -> RowKeys:
     """One column's dictionary codes as a python list, and its number of values.
 

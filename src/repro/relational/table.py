@@ -86,8 +86,7 @@ def bernoulli_mask(num_rows: int, rate: float, rng: random.Random) -> bytes:
     are the top byte of ``a``, which alone decides every row whose top byte
     differs from the threshold's; the others, about one row in 256, are
     decided from all 53 bits.  Every row sampler of the library draws
-    through here, so a sample taken from a row count alone consumes the
-    same stream as sampling the table itself.
+    through here.
 
     Raises :class:`~repro.exceptions.SamplingError` for a ``rate`` outside
     ``(0, 1]``.
@@ -115,16 +114,6 @@ def bernoulli_mask(num_rows: int, rate: float, rng: random.Random) -> bytes:
 def mask_rows(mask) -> list[int]:
     """The positions of the nonzero bytes of ``mask``, in ascending order."""
     return list(compress(range(len(mask)), mask))
-
-
-def mask_count(mask: bytes) -> int:
-    """How many rows the byte ``mask`` keeps, for a mask whose every byte is
-    0 or 1 (as a re-sampling hook's ``draw`` returns them).
-
-    It is the popcount of the mask read as one int: ``mask.count(1)``
-    compares byte by byte, and its branch mispredicts on random masks.
-    """
-    return int.from_bytes(mask, "little").bit_count()
 
 
 def bernoulli_rows(num_rows: int, rate: float, rng: random.Random) -> list[int]:

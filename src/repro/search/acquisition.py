@@ -17,7 +17,6 @@ from repro.exceptions import InfeasibleAcquisitionError, SearchError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.steiner import IGraph, minimal_weight_igraphs
 from repro.graph.target import TargetGraph, TargetGraphEvaluation
-from repro.memo import Memo
 from repro.quality.fd import FunctionalDependency
 from repro.relational.table import Table
 from repro.search.candidates import build_initial_target_graph, terminal_instances
@@ -173,28 +172,13 @@ class SearchRuntime:
     ``evaluation_cache``
         An externally-owned memo table shared across all candidate I-graphs
         of the request *and* across requests.  It is only valid for a fixed
-        ``(samples, source attrs, target attrs, fds, pricing)`` context — the
-        service namespaces it per request signature.  JI weights need no
+        ``(samples, source attrs, target attrs, fds, pricing, re-sampling
+        policy)`` context — the service namespaces it per request signature,
+        and its policy is fixed for the session.  A fired evaluation is one
+        draw from the policy the hook derives for its graph, so it is as
+        fixed as an unfired one and the memo holds both.  JI weights need no
         runtime field: every search reads the join graph's own
         (:meth:`~repro.graph.join_graph.JoinGraph.ji_cache_for`).
-    ``lineage_memo``
-        A :func:`~repro.relational.joins.lineage_memo` holding the join
-        lineages of fired graphs for every single-walk search it is handed
-        to.  A lineage depends on its graph's signature (whose projections
-        carry every attribute the request reads), the tables and the
-        re-sampling policy, never on the request itself, so the service
-        keeps one memo for the session.  Without one, each walk keeps its
-        lineages to itself.  Sharing one changes no
-        served bit.  Whether the hook fires on a level depends on that
-        level's row count alone, and one memo serves one re-sampling policy
-        on one set of tables, so a lineage built in another walk fires first
-        at the level this walk's build would.  A build's draws on the levels
-        before that one return ``None`` and consume no randomness.  A replay
-        therefore draws the same masks, in the same order, whichever walk
-        built its lineage: the hook's RNG stream, the evaluation memo (fired
-        graphs never enter it) and every
-        :class:`~repro.search.mcmc.MCMCResult` counter are those of walks
-        with private lineages.  Multi-chain walks keep private lineages.
     ``pool`` / ``pool_state``
         A persistent process pool and its shared columnar state serving
         every multi-chain dispatch of a process plan (see
@@ -217,9 +201,12 @@ class SearchRuntime:
         blake2b-derived from it
         (:func:`repro.graph.landmarks.derive_landmark_seed`).
     ``resampling``
-        A private re-sampling policy instance replacing the shared
-        ``DanceConfig.resampling`` (whose ``reset()`` is a mutation unsafe
-        under concurrent requests).
+        A re-sampling policy replacing ``DanceConfig.resampling`` for this
+        search.  No walk draws from it: each fired graph draws from the
+        policy it derives (see
+        :meth:`TargetGraph.joined_table
+        <repro.graph.target.TargetGraph.joined_table>`), so concurrent
+        requests may share one.
     ``allow_refinement``
         Whether :meth:`DANCE.acquire` may fall back to buying more samples
         and rebuilding the join graph.  Off for service requests: refinement
@@ -234,7 +221,6 @@ class SearchRuntime:
     """
 
     evaluation_cache: MutableMapping | None = None
-    lineage_memo: Memo | None = None
     walk_spaces: WalkSpaceMemo | None = None
     pool: object | None = None
     pool_state: SharedChainState | None = None
@@ -294,7 +280,6 @@ def heuristic_acquisition(
     landmark_seed: int | None = None,
     intermediate_hook=None,
     evaluation_cache: MutableMapping | None = None,
-    lineage_memo: Memo | None = None,
     walk_spaces: WalkSpaceMemo | None = None,
     pool=None,
     pool_state: SharedChainState | None = None,
@@ -337,10 +322,6 @@ def heuristic_acquisition(
         Optional externally-owned memo table shared by *all* candidate
         I-graphs of this request.  A long-lived caller can keep it across
         requests too — see :class:`SearchRuntime` for the validity contract.
-    lineage_memo:
-        Optional memo of fired join lineages that every single-chain walk
-        reads and fills (see :class:`SearchRuntime`); multi-chain walks do
-        not use it.
     walk_spaces:
         Optional :class:`WalkSpaceMemo` of Step 2's starts and the tables
         their single-chain walks share (see :class:`SearchRuntime`).
@@ -405,8 +386,8 @@ def heuristic_acquisition(
     config = mcmc_config or MCMCConfig()
     walks: list[MCMCResult | MultiChainResult]
     if config.chains > 1:
-        # Each chain walks on a reset copy of the hook, so the starts are
-        # independent and their chains share one dispatch.
+        # No walk draws from the hook, so the starts are independent and
+        # their chains share one dispatch.
         walks = ChainScheduler(
             chains=config.chains, executor=config.executor, pool=pool, pool_state=pool_state
         ).run_starts(
@@ -421,8 +402,6 @@ def heuristic_acquisition(
             evaluation_cache=evaluation_cache,
         )
     else:
-        # One walk draws from the request's hook itself, and its stream
-        # carries from one start to the next: the walks run in order.
         walks = [
             mcmc_search(
                 join_graph,
@@ -435,7 +414,6 @@ def heuristic_acquisition(
                 config=config,
                 intermediate_hook=intermediate_hook,
                 evaluation_cache=evaluation_cache,
-                lineage_memo=lineage_memo,
                 space=space,
             )
             for _, _, space in starts

@@ -31,22 +31,15 @@ graph across all of them:
   two-step heuristic, :class:`~repro.core.dance.DANCE`, and the CLI surface
   multi-chain runs without special cases.
 
-Stochastic re-sampling hooks stay correct: each chain receives its own copy
-of the hook, reset to its seeded state (see :func:`_chain_hook`), and
-evaluations during which a hook actually fired are never memoised, so the
-shared caches only ever hold hook-independent values.  This relies on one
-property custom hooks must share with
-:class:`~repro.sampling.resampling.ResamplingPolicy`: *whether* a hook fires
-on a given intermediate (and whether it consumes randomness) must be a
-deterministic function of that intermediate's row count — e.g. a size
-threshold.  A hook that draws from its RNG even when it keeps every row
-would let a cache hit (which skips hook invocations entirely) desynchronise
-the hook's RNG between executors, breaking cross-executor bit-identity.
+Re-sampling hooks need no care: no walk draws from the hook it is handed.
+A fired evaluation is one draw from the policy the hook derives for its
+graph (:meth:`~repro.sampling.resampling.ResamplingPolicy.for_graph`), so it
+is as deterministic as an unfired one, the shared caches hold both, and
+every chain, serial or in a worker, sees the same estimate of a graph.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -57,7 +50,6 @@ from repro.graph.join_graph import JoinGraph
 from repro.graph.target import TargetGraph, TargetGraphEvaluation
 from repro.quality.fd import FunctionalDependency
 from repro.relational.table import Table
-from repro.sampling.resampling import ResamplingPolicy
 from repro.search import shm as _shm
 from repro.search.mcmc import EXECUTORS, MCMCConfig, MCMCResult, mcmc_search
 from repro.search.plan import pool_width
@@ -194,27 +186,6 @@ def _chain_configs(config: MCMCConfig) -> list[MCMCConfig]:
         replace(config, chains=1, executor="serial", seed=chain_seed(config.seed, index))
         for index in range(config.chains)
     ]
-
-
-def _chain_hook(intermediate_hook, chain_index: int):
-    """An independent, reset copy of the re-sampling hook for one chain.
-
-    Chains must not share mutable hook state (a shared RNG would make results
-    depend on chain scheduling).  Chain 0 keeps a reset copy too, so its
-    walk matches a fresh single-chain run with the same hook.  A
-    :class:`~repro.sampling.resampling.ResamplingPolicy` is rebuilt from its
-    fields, which starts the seeded stream afresh without deep-copying the
-    generator state; other hooks are deep-copied and ``reset()``.
-    """
-    if intermediate_hook is None:
-        return None
-    if isinstance(intermediate_hook, ResamplingPolicy):
-        return replace(intermediate_hook)
-    hook = copy.deepcopy(intermediate_hook)
-    reset = getattr(hook, "reset", None)
-    if callable(reset):
-        reset()
-    return hook
 
 
 def _run_chain(payload: tuple) -> tuple[MCMCResult, dict]:
@@ -474,10 +445,10 @@ class ChainScheduler:
         The chain payloads are start-major (every chain of the first start,
         then of the second, ...), go to the executor in one call, and come
         back as one :class:`MultiChainResult` per start, in order.  Every
-        start's chains get the same seeds and reset hook copies that a
-        separate :meth:`run` would give them, so each result is that run's,
-        bit for bit.  A caller-supplied memo serves every start; without one
-        each start gets a fresh memo, as a separate run would.
+        start's chains get the same seeds that a separate :meth:`run` would
+        give them, so each result is that run's, bit for bit.  A
+        caller-supplied memo serves every start; without one each start gets
+        a fresh memo, as a separate run would.
         """
         if not starts:
             return []
@@ -497,18 +468,21 @@ class ChainScheduler:
             # attributes mirrors the service's per-signature caches; the
             # remaining validity dimensions (samples, fds, pricing) are pinned
             # by the session version, which ensure_session brings up to date,
-            # dropping the entries each delta may have changed.
+            # dropping the entries each delta may have changed, and the
+            # re-sampling policy is the one the pool's session serves with.
             memo_key = (tuple(source_attributes), tuple(target_attributes))
             worker = _run_chain_shared
 
-            def payload(initial, tables, chain_config, hook) -> tuple:
+            def payload(initial, tables, chain_config) -> tuple:
                 names = tuple(sorted(tables))
-                return (pinned, names, initial, *constraints, chain_config, hook, memo_key)
+                return (
+                    pinned, names, initial, *constraints, chain_config, intermediate_hook, memo_key
+                )
 
         else:
             worker = _run_chain
 
-            def payload(initial, tables, chain_config, hook) -> tuple:
+            def payload(initial, tables, chain_config) -> tuple:
                 return (
                     join_graph,
                     initial,
@@ -520,13 +494,13 @@ class ChainScheduler:
                     max_weight,
                     min_quality,
                     chain_config,
-                    hook,
+                    intermediate_hook,
                 )
 
         payloads = [
-            payload(initial, tables, chain_config, _chain_hook(intermediate_hook, index))
+            payload(initial, tables, chain_config)
             for initial, tables in starts
-            for index, chain_config in enumerate(configs)
+            for chain_config in configs
         ]
         start_caches = [
             evaluation_cache if evaluation_cache is not None else {} for _ in starts

@@ -20,9 +20,7 @@ from typing import TYPE_CHECKING, Mapping, MutableMapping, Sequence
 from repro.exceptions import InfeasibleAcquisitionError, SearchError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.target import TargetGraph, TargetGraphEvaluation
-from repro.memo import Memo
 from repro.quality.fd import FunctionalDependency
-from repro.relational.joins import JoinLineage
 from repro.relational.table import Table
 
 if TYPE_CHECKING:
@@ -277,7 +275,6 @@ def mcmc_search(
     config: MCMCConfig | None = None,
     intermediate_hook=None,
     evaluation_cache: "MutableMapping[tuple, TargetGraphEvaluation] | None" = None,
-    lineage_memo: Memo | None = None,
     space: "WalkSpace | None" = None,
     pool=None,
     pool_state=None,
@@ -290,12 +287,18 @@ def mcmc_search(
     :class:`~repro.search.chains.MultiChainResult` (a drop-in superset of
     :class:`MCMCResult`) carries the best feasible target graph across chains.
 
+    Every evaluation is memoised by graph signature, a fired one too: it is
+    one draw from the policy the hook derives for its graph (see
+    :meth:`TargetGraph.joined_table
+    <repro.graph.target.TargetGraph.joined_table>`), so a revisit reads the
+    same estimate back, as Theorem 3.2's estimator defines it.  The walk
+    never draws from the hook itself.
+
     A walk without projection flips stops early once no remaining step could
     change its outcome: at once when its start cannot move, and, without a
-    trace, once it has evaluated every graph its edge swaps can reach, none
-    of them fired the hook and none beats its best.  Its best graph and
-    evaluation, the evaluation memo and the hook's random stream are then
-    those of the walk that runs every step.
+    trace, once it has evaluated every graph its edge swaps can reach and
+    none beats its best.  Its best graph and evaluation and the evaluation
+    memo are then those of the walk that runs every step.
 
     Parameters
     ----------
@@ -318,27 +321,17 @@ def mcmc_search(
     config:
         Iteration count, seed, and proposal mix.
     intermediate_hook:
-        Optional correlated re-sampler of the intermediate join results during
-        candidate evaluation, such as
+        Optional correlated re-sampling policy of the intermediate join
+        results during candidate evaluation, such as
         :class:`~repro.sampling.resampling.ResamplingPolicy` (see
         :meth:`TargetGraph.evaluate <repro.graph.target.TargetGraph.evaluate>`).
     evaluation_cache:
         Optional externally-owned memo table (any mapping supporting ``get``
-        and item assignment, such as a :class:`~repro.memo.Memo`).  Sharing
-        it across chains — or across searches and requests, as the
-        acquisition service does — never changes walk outcomes, only which
-        walk pays for each (deterministic) evaluation.
-    lineage_memo:
-        Optional :func:`~repro.relational.joins.lineage_memo` of the join
-        lineages of fired graphs, shared with the other walks of a session
-        on the same ``tables`` under the same hook settings.  A walk looks a
-        fired graph up in its own lineages first and in the memo second, and
-        offers the memo every lineage it fires on, so the memo also takes
-        back one it evicted.  A replay draws what a build draws, so the memo
-        changes no outcome, counter or hook state (see
-        :class:`~repro.search.acquisition.SearchRuntime`).  Ignored without
-        a hook and for ``chains > 1``, whose walks keep their lineages to
-        themselves.
+        and item assignment, such as a :class:`~repro.memo.Memo`), valid for
+        one set of ``tables``, requested attributes, FDs, pricing and hook
+        settings.  Sharing it across chains — or across searches and
+        requests, as the acquisition service does — never changes walk
+        outcomes, only which walk pays for each (deterministic) evaluation.
     space:
         Optional :class:`~repro.search.acquisition.WalkSpace` whose start is
         ``initial``, shared with the other walks from it under the same
@@ -390,16 +383,6 @@ def mcmc_search(
     if evaluation_cache is None:
         evaluation_cache = {}
     ji_cache = join_graph.ji_cache_for(tables)
-    # A fired re-sampling hook makes an evaluation stochastic, and memoising
-    # it would freeze one random draw per candidate for the rest of the walk.
-    # Graphs on which the hook fired get a join lineage here instead: a
-    # revisit skips every join but still draws afresh.  The walk's own dict
-    # also marks which graphs fired in this walk, and a lineage taken from
-    # the session's memo enters it before its first replay, so an eviction
-    # from the memo never makes this walk build a lineage twice.  Every
-    # fired evaluation offers its lineage back to the memo.
-    lineages: dict[tuple, JoinLineage] = {}
-    shared = lineage_memo if intermediate_hook is not None else None
     # A walk never changes its nodes or parents, so an edge's alternatives
     # depend only on the edge's index and its current join attributes: the
     # move table reads the join graph once per such key.  The transition
@@ -421,10 +404,6 @@ def mcmc_search(
             result.evaluation_cache_hits += 1
             return cached
         result.evaluation_cache_misses += 1
-        if shared is not None and signature not in lineages:
-            lineage = shared.get(signature)
-            if lineage is not None:
-                lineages[signature] = lineage
         evaluation = graph.evaluate(
             tables,
             source_attributes,
@@ -433,11 +412,8 @@ def mcmc_search(
             pricing,
             intermediate_hook=intermediate_hook,
             ji_cache=ji_cache,
-            lineages=lineages,
         )
         evaluation_cache[signature] = evaluation
-        if shared is not None and signature in lineages:
-            shared[signature] = lineages[signature]
         return evaluation
 
     result = MCMCResult(best_graph=None, best_evaluation=None)
@@ -460,8 +436,7 @@ def mcmc_search(
     # from it.  Only a count of at most ``iterations + 1`` is worth tracking.
     # A space of one graph is a dead start: every proposal is None and the
     # walk never moves, so it stops here.  Its only draws are from its
-    # private ``rng``, so stopping changes no other stream; the result is
-    # what the loop would return.
+    # private ``rng``; the result is what the loop would return.
     size = None if space is None else space.size
     if size is None and not flips:
         alternatives = []
@@ -483,10 +458,9 @@ def mcmc_search(
     # A larger space the walk could exhaust: ``seen`` records the signature
     # of every graph it evaluates, memo hits included, and ``top`` the
     # highest correlation of a feasible one.  Once ``seen`` holds the whole
-    # space, no evaluation has fired (an unfired one is memoised) and none
-    # beats the best, every later proposal is a memo hit that cannot change
-    # the best: the walk stops with the best, the evaluation memo and the
-    # hook's stream of the full walk.  The trace would need every step.
+    # space and none beats the best, every later proposal is a memo hit that
+    # cannot change the best: the walk stops with the best and the
+    # evaluation memo of the full walk.  The trace would need every step.
     seen = None
     if size is not None and not record_trace:
         seen = {current.signature()}

@@ -10,7 +10,8 @@ package turns the online phase into a long-lived *session*:
     phase and serves many :class:`~repro.marketplace.shopper.AcquisitionRequest`\\ s.
     It owns the bounded session memos — served answers, evaluations per
     request signature (shared across all candidate I-graphs of a request
-    *and* across requests), fired join lineages and walk spaces — under a
+    *and* across requests; a fired evaluation is one draw fixed by its graph,
+    so they hold it too) and walk spaces — under a
     multi-chain process plan a single persistent process pool over the
     shared columnar store serving every ``mcmc_search`` call, and the thread
     fan-out for concurrent batches.  JI weights are the join graph's.

@@ -15,13 +15,12 @@ keeps one marketplace *hot* instead:
   of one request and all requests of one session share work.  JI weights
   are the join graph's alone: every walk on the graph's samples reads them
   (:meth:`~repro.graph.join_graph.JoinGraph.ji_cache_for`), so no served
-  read computes JI.  Beside the evaluation memos sits one bounded
-  :func:`~repro.relational.joins.lineage_memo` of the join lineages of
-  graphs on which the re-sampling hook fired: a lineage depends on its
-  graph, the tables and the session's one re-sampling policy, never on the
-  request, so every single-walk search of the session replays a fired graph
-  the session has already joined instead of joining it again.  It is never
-  checkpointed.
+  read computes JI.  The session serves with one re-sampling policy
+  (``DanceConfig.resampling``) and never draws from it: an evaluation on
+  which the hook fired is one draw from the policy derived for its graph,
+  so the evaluation memos hold it like any other, and while its entry is
+  held a fired graph is joined once per namespace, however many requests,
+  seeds or walks revisit it.
 * **Pool reuse.**  Under a process plan one persistent pool
   (:func:`repro.search.chains.shared_chain_pool`) serves every multi-chain
   ``mcmc_search`` call for the lifetime of the service: workers map the
@@ -79,8 +78,7 @@ keeps one marketplace *hot* instead:
   instances are recomputed) and invalidates exactly the session state the
   change made stale: the evaluation memos keep every entry the write cannot
   have changed (:func:`~repro.graph.target.prune_memos`), in the session and
-  in shared-store pool workers, and the lineage memo keeps every lineage
-  over unchanged instances; offline rebuilds drop them all.
+  in shared-store pool workers; offline rebuilds drop them all.
 * **Persistent session state.**  With ``ServiceConfig(catalog_path=...)``
   the service opens the catalog at startup (warming the offline phase; see
   :meth:`repro.core.dance.DANCE.persist`, which carries the JI weights) and
@@ -108,7 +106,6 @@ sampling rate) when infeasibility persists.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import threading
 import time
@@ -134,7 +131,6 @@ from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.memo import Memo
 from repro.quality.fd import FunctionalDependency
-from repro.relational.joins import lineage_memo
 from repro.relational.table import Table
 from repro.search.acquisition import SearchRuntime, WalkSpaceMemo
 from repro.search.chains import shared_chain_pool
@@ -154,9 +150,10 @@ ANSWER_MEMO_ENTRIES = 1024
 #: namespaces the session keeps at most.  An entry (signature plus
 #: evaluation) pickles to about 350 B on TPC-H and TPC-E, so a full
 #: namespace pickles to about 2.9 MB and the worst case, every namespace
-#: full, to about 1.5 GB.  The benchmark's sessions peak at 41 entries over
-#: 3 namespaces, far below either bound, so none of its reads meets an
-#: eviction.  Read when a memo is made.
+#: full, to about 1.5 GB.  The benchmark's sessions peak at 44 entries over
+#: 3 namespaces (fresh-tpch, its three fired Q1 graphs included), far below
+#: either bound, so none of its reads meets an eviction.  Read when a memo
+#: is made.
 EVALUATION_MEMO_ENTRIES = 1 << 13
 EVALUATION_NAMESPACES = 1 << 9
 
@@ -211,7 +208,6 @@ class AcquisitionService:
         self._closed = False  # guarded-by: self._lock
         self._synced_version: int | None = None  # guarded-by: self._lock
         self._synced_fds: tuple[FunctionalDependency, ...] = ()  # guarded-by: self._lock
-        self._lineage_memo = lineage_memo()  # guarded-by: self._lock
         self._evaluation_caches = Memo(EVALUATION_NAMESPACES)  # guarded-by: self._lock
         self._answers = Memo(ANSWER_MEMO_ENTRIES)  # guarded-by: self._lock
         self._walk_spaces = WalkSpaceMemo()  # guarded-by: self._lock
@@ -476,19 +472,14 @@ class AcquisitionService:
             if held is not None:
                 return answers, held, None
             evaluation_cache = self._evaluation_cache_locked(request)
-            lineages = self._lineage_memo
             walk_spaces = self._walk_spaces
             pool, pool_state = self._chain_pool_locked()
         runtime = SearchRuntime(
             evaluation_cache=evaluation_cache,
-            lineage_memo=lineages,
             walk_spaces=walk_spaces,
             pool=pool,
             pool_state=pool_state,
             mcmc_seed=seed,
-            # A policy rebuilt from its fields starts the seeded stream afresh
-            # without copying the config's generator state.
-            resampling=dataclasses.replace(self.config.resampling),
             allow_refinement=False,
         )
         return answers, None, runtime
@@ -498,12 +489,12 @@ class AcquisitionService:
 
         A one-step refresh that names its changed instances (``changed``, the
         added and replaced names of :meth:`register_source_tables`) prunes
-        the evaluation and lineage memos by
-        :func:`~repro.graph.target.prune_memos`: an entry survives unless the
-        write changed one of its instances or (evaluations only) an FD its
-        join can carry.  Any other version bump — an offline rebuild, or a
-        change made on the middleware behind the session's back, which shows
-        as a version gap — resets both and counts in ``cache_resets``.
+        the evaluation memos by :func:`~repro.graph.target.prune_memos`: an
+        entry survives unless the write changed one of its instances or an
+        FD its join can carry.  Any other version bump — an offline rebuild,
+        or a change made on the middleware behind the session's back, which
+        shows as a version gap — resets them and counts in
+        ``cache_resets``.
         The answer memo is always replaced, because an answer depends on the
         whole graph, and so is the walk-space memo, whose starts and
         proposal graphs come from the join graph's edges.
@@ -529,13 +520,11 @@ class AcquisitionService:
                 changed,
                 self._synced_fds,
                 fds,
-                lineage_memo=self._lineage_memo,
             )
         else:
             if self._synced_version is not None:
                 self._cache_resets += 1
             self._evaluation_caches = Memo(EVALUATION_NAMESPACES)
-            self._lineage_memo = lineage_memo()
         self._synced_version = version
         self._synced_fds = fds
         self._answers = Memo(ANSWER_MEMO_ENTRIES)
@@ -676,14 +665,11 @@ class AcquisitionService:
         names, edge recompute and AFD discovery counts) plus ``memo_kept``
         and ``memo_dropped``: how many memoised evaluations, over every
         request namespace, survived the write and how many it dropped (see
-        :meth:`_sync_locked`), and ``lineages_kept`` and
-        ``lineages_dropped``, the same for the join lineages.  Must not
-        overlap in-flight requests.
+        :meth:`_sync_locked`).  Must not overlap in-flight requests.
         """
         with self._lock:
             summary = self._dance.register_source_tables(tables)
             entries = self._evaluation_entries_locked()
-            lineages = len(self._lineage_memo)
             if self._dance._join_graph is not None:
                 # Shared-store pools take a per-instance delta instead of a
                 # teardown; a "noop" refresh did not bump the version, so
@@ -692,8 +678,6 @@ class AcquisitionService:
                 self._sync_locked(changed)
             summary["memo_kept"] = self._evaluation_entries_locked()
             summary["memo_dropped"] = entries - summary["memo_kept"]
-            summary["lineages_kept"] = len(self._lineage_memo)
-            summary["lineages_dropped"] = lineages - summary["lineages_kept"]
             if self.config.service.catalog_path is not None:
                 try:
                     self._persist_locked(self.config.service.catalog_path)
@@ -799,11 +783,8 @@ class AcquisitionService:
         ``register_source_tables`` summary reports what it kept and dropped.
         ``ji_cache_entries`` counts the join graph's JI weights, the only JI
         store.  ``answer_memo_entries`` counts the answers the answer memo
-        holds.  ``lineage_cache_entries`` and ``lineage_cache_rows`` count
-        the join lineages the session's lineage memo holds and the rows
-        those hold (see :attr:`repro.relational.joins.JoinLineage.rows`), and
-        ``walk_space_memo_entries`` and ``walk_space_memo_graphs`` the walk
-        spaces the walk-space memo holds and their graphs (see
+        holds, and ``walk_space_memo_entries`` and ``walk_space_memo_graphs``
+        the walk spaces the walk-space memo holds and their graphs (see
         :class:`repro.search.acquisition.WalkSpaceMemo`).
         """
         metrics = self.metrics()
@@ -822,8 +803,6 @@ class AcquisitionService:
                 "evaluation_cache_groups": len(self._evaluation_caches),
                 "evaluation_cache_entries": evaluation_entries,
                 "ji_cache_entries": 0 if graph is None else len(graph._ji_cache),
-                "lineage_cache_entries": len(self._lineage_memo),
-                "lineage_cache_rows": self._lineage_memo.units,
                 "answer_memo_entries": len(self._answers),
                 "walk_space_memo_entries": walk_spaces["entries"],
                 "walk_space_memo_graphs": walk_spaces["graphs"],

@@ -17,7 +17,6 @@ from repro.graph.join_graph import JoinGraph
 from repro.memo import Memo
 from repro.pricing.models import FlatAttributePricingModel
 from repro.quality.fd import FunctionalDependency
-from repro.relational.joins import JoinLineage, lineage_memo
 from repro.relational.table import Table
 from repro.sampling.resampling import ResamplingPolicy
 
@@ -204,26 +203,6 @@ class TestEvaluation:
         assert 0 < len(joined) < len(path_graph.joined_table(tables))
         assert hook._rng.getstate() == state
 
-    def test_a_hookless_evaluation_neither_reads_nor_writes_the_lineages(
-        self, path_graph, tables
-    ):
-        """Lineages a hooked evaluation left can hold a graph an evaluation
-        without a hook then meets: that evaluation measures the unsampled
-        join and leaves the lineages as they were."""
-        args = (tables, ["totalprice"], ["nname"], [], FlatAttributePricingModel(1.0))
-        lineages: dict = {}
-        path_graph.evaluate(
-            *args, intermediate_hook=ResamplingPolicy(threshold=4, rate=0.5), lineages=lineages
-        )
-        assert list(lineages) == [path_graph.signature()]
-        unsampled = path_graph.evaluate(*args, lineages=lineages)
-        assert unsampled == path_graph.evaluate(*args)
-        assert unsampled.join_rows == 40
-        assert list(lineages) == [path_graph.signature()]
-        untouched: dict = {}
-        path_graph.evaluate(*args, lineages=untouched)
-        assert untouched == {}
-
 
 class TestPruneMemos:
     """The one rule that decides which memo entries outlive a one-step write."""
@@ -275,18 +254,6 @@ class TestPruneMemos:
     def test_prunes_memos_alike(self):
         kept = self.kept({"orders"}, caches=lambda: Memo(8))
         assert kept == {self.CUSTOMERS_NATIONS, self.NATIONS}
-
-    def test_lineages_drop_only_with_a_changed_node(self):
-        """A lineage holds its nodes' join and no FD: an FD change keeps it."""
-        memo = lineage_memo()
-        for signature in (self.ORDERS_CUSTOMERS, self.CUSTOMERS_NATIONS, self.NATIONS):
-            lineage = JoinLineage(1)
-            lineage.joined = Table.from_rows("joined", ["k"], [(0,)])
-            memo[signature] = lineage
-        fd = FunctionalDependency("custkey", "nationkey")
-        prune_memos([], {"nations"}, [], [fd], lineage_memo=memo)
-        assert memo.keys() == [self.ORDERS_CUSTOMERS]
-        assert memo.units == 1
 
     def test_ji_entries_drop_only_with_a_changed_endpoint(self):
         """A one-step write prunes the JI weights in the join graph, the only

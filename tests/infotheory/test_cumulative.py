@@ -5,16 +5,12 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.exceptions import MeasureError
 from repro.infotheory.cumulative import (
     conditional_cumulative_entropy,
     cumulative_entropy,
-    cumulative_entropy_of_runs,
     cumulative_mutual_information,
-    finite_floats,
 )
 
 INF = float("inf")
@@ -91,74 +87,6 @@ class TestCumulativeEntropy:
     def test_an_int_beyond_float_range_is_a_measure_error(self, values):
         with pytest.raises(MeasureError, match="float range"):
             cumulative_entropy(values)
-
-
-class TestRunLengthKernel:
-    """cumulative_entropy_of_runs reproduces the per-row estimator on finite runs."""
-
-    @staticmethod
-    def runs(values):
-        cleaned = sorted(value for value in finite_floats(values) if value is not None)
-        distinct = sorted(set(cleaned))
-        return distinct, [cleaned.count(value) for value in distinct], len(cleaned)
-
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [],
-            [3.0],
-            [5.0, 5.0, 5.0],
-            [2.0, 1.0, 2.0, 1.0],
-            [0.0, 1.0, 1.0, 3.0],
-            [1, 2.0, True, 3],
-            [-0.0, 0.0, 1.0, -1.0],
-            [None, 1.0, None, 2.5, 2.5],
-            [1e300, -1e300, 0.0],
-            [2**53, 2**53 + 1, 7],
-        ],
-    )
-    def test_matches_the_per_row_estimator(self, values):
-        distinct, counts, n = self.runs(values)
-        expected = cumulative_entropy(values).hex()
-        assert cumulative_entropy_of_runs(distinct, counts, n).hex() == expected
-
-    def test_equal_neighbouring_runs_add_nothing(self):
-        # 2**53 and 2**53 + 1 are distinct ints with one float: two runs of
-        # one value, as two groups of distinct rows would give them.
-        values = [1.0, float(2**53), float(2**53 + 1), 2.0**54]
-        split = cumulative_entropy_of_runs(values, [1, 2, 1, 1], 5)
-        merged = cumulative_entropy_of_runs([1.0, 2.0**53, 2.0**54], [1, 3, 1], 5)
-        assert split.hex() == merged.hex()
-        assert split.hex() == cumulative_entropy([1, 2**53, 2**53, 2**53 + 1, 2**54]).hex()
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.one_of(
-                    st.integers(min_value=-50, max_value=50),
-                    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-                ),
-                st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
-            ),
-            max_size=30,
-        )
-    )
-    def test_ranked_runs_match_the_per_row_estimator(self, runs):
-        # Ranked as a summary ranks its groups: by value, ties in any order.
-        # A replay reads a group it kept no row of as None (``counts.get``).
-        runs.sort(key=lambda run: run[0])
-        sample = [value for value, count in runs for _ in range(count or 0)]
-        kernel = cumulative_entropy_of_runs(
-            [float(value) for value, _ in runs], [count for _, count in runs], len(sample)
-        )
-        assert kernel.hex() == cumulative_entropy(sample).hex()
-
-    def test_finite_floats_refuses_what_the_kernel_cannot_take(self):
-        assert finite_floats([1, True, None, 2.5]) == [1.0, 1.0, None, 2.5]
-        assert finite_floats([1.0, INF]) is None
-        assert finite_floats([NAN]) is None
-        assert finite_floats([10**400]) is None
 
 
 class TestConditionalCumulativeEntropy:

@@ -12,11 +12,10 @@ partition code they replaced, which groups the original values (``None``,
 ``1 == 1.0 == True`` mixes, shared and distinct NaN objects) with python's
 own equality.
 
-A re-sampled target-graph evaluation replays its sampler's draws down a join
-lineage instead of joining sampled intermediates; its reference joins every
-level with :func:`inner_join` and re-samples each intermediate table.  It
-then measures the kept rows from the lineage's distinct-row summary; the
-reference gathers them and runs the per-row correlation and quality kernels.
+A re-sampled target-graph evaluation is checked against a reference that
+projects each table, joins every level with :func:`inner_join`, re-samples
+each intermediate under the policy the hook derives for the graph, and runs
+the per-row correlation and quality kernels on what is left.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from repro.infotheory.join_informativeness import (
 )
 from repro.exceptions import MeasureError
 from repro.graph.join_graph import JoinGraph
-from repro.graph.target import TargetGraph, _LineageSummary
+from repro.graph.target import TargetGraph
 from repro.core.config import DanceConfig
 from repro.core.dance import DANCE
 from repro.marketplace.dataset import MarketplaceDataset
@@ -631,8 +630,9 @@ class TestJoinLineage:
         for _ in range(2):
             # The graph's policy is derived where the first level fires, so
             # an evaluation that never fires derives none.
+            derive_policy = ResamplingPolicy.for_graph
             with mock.patch.object(
-                ResamplingPolicy, "for_graph", autospec=True, side_effect=ResamplingPolicy.for_graph
+                ResamplingPolicy, "for_graph", autospec=True, side_effect=derive_policy
             ) as derive:
                 evaluation = graph.evaluate(
                     tables, ["v0"], ["v3"], [], FlatAttributePricingModel(),
@@ -797,116 +797,3 @@ class TestFiredTpchReplays:
             segments = Counter(sample.column("mktsegment"))
             largest_segment = max([largest_segment, *segments.values()])
         assert largest_segment > 40
-
-
-# ------------------------------------------------ distinct-row (grouped) measures
-numeric_value_kinds = [
-    st.integers(min_value=0, max_value=3),
-    st.sampled_from([0.0, -0.0, 1.5, 2.5]),
-    st.one_of(st.none(), st.sampled_from([0, 1, 1.0, True, 2, 2.5, -0.0, 0.0])),
-]
-
-
-@st.composite
-def summarised_joins(draw):
-    """A final join, an evaluation request on it and the byte mask of the
-    rows a replay keeps.
-
-    ``num`` is a numerical source; ``cat``, the targets ``t0``/``t1`` and the
-    FD columns ``f0``/``f1`` draw from the value kinds of :func:`fd_tables`
-    (``None``, ``1 == 1.0 == True``, NaN objects).  Small domains make
-    repeated rows, FD violations and tied sub-classes common.  ``num`` may
-    also draw from a few wide ints and floats, ``None`` among them, so its
-    values tie across targets; ``f2`` is a function of ``f0``, so an FD
-    ``f0 -> f2`` holds on the final join beside violated ones; and the mask
-    may drop every row of one value of the first target column.
-    """
-    rows = draw(st.integers(min_value=0, max_value=80))
-
-    def column(kinds):
-        return draw(st.lists(draw(st.sampled_from(kinds)), min_size=rows, max_size=rows))
-
-    wide = draw(
-        st.lists(
-            st.integers(min_value=-(10**6), max_value=10**6)
-            | st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    columns = {
-        "num": column(
-            [*numeric_value_kinds, st.sampled_from(wide), st.none() | st.sampled_from(wide)]
-        )
-    }
-    for name in ("cat", "t0", "t1", "f0", "f1"):
-        columns[name] = column(fd_value_kinds)
-    # One class per f0 value under the encodings' equality (dict keys).
-    classes: dict = {}
-    columns["f2"] = [classes.setdefault(value, len(classes) % 3) for value in columns["f0"]]
-    schema = Schema(
-        [Attribute("num", AttributeType.NUMERICAL)]
-        + [Attribute(name, AttributeType.CATEGORICAL) for name in list(columns)[1:]]
-    )
-    table = Table("joined", schema, columns)
-    sources = draw(
-        st.lists(
-            st.sampled_from(["num", "cat", "absent"]), min_size=1, max_size=3, unique=True
-        )
-    )
-    targets = draw(st.sampled_from([["t0"], ["t0", "t1"], ["t1", "f0"], ["absent"]]))
-    names = ["f0", "f1", "f2", "t0", "cat", "num"]
-    candidates = [
-        FunctionalDependency(lhs, rhs)
-        for size in (1, 2)
-        for lhs in combinations(names, size)
-        for rhs in names
-        if rhs not in lhs
-    ] + [FunctionalDependency("absent", "f0")]
-    fds = draw(st.lists(st.sampled_from(candidates), max_size=3))
-    if draw(st.booleans()):
-        fds.insert(draw(st.integers(0, len(fds))), FunctionalDependency("f0", "f2"))
-    kept = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    first_target = columns.get(targets[0])
-    if first_target and draw(st.booleans()):
-        dropped = draw(st.sampled_from(first_target))
-        kept = [
-            keep and not (value is dropped or value == dropped)
-            for keep, value in zip(kept, first_target)
-        ]
-    return table, sources, targets, fds, bytes(kept)
-
-
-class TestDistinctRowMeasures:
-    @settings(max_examples=200, deadline=None)
-    @given(summarised_joins())
-    def test_grouped_measures_match_the_per_row_kernels(self, case):
-        table, sources, targets, fds, mask = case
-        rows = [row for row, keep in enumerate(mask) if keep]
-        request = (tuple(sources), tuple(targets), tuple(fds))
-        summary = _LineageSummary(table, request, weight=0.0, price=0.0)
-        assert summary.group_of is not None
-        evaluation = summary.evaluate(mask)
-        sample = table.take(rows)
-        correlation = attribute_set_correlation(sample, sources, targets)
-        assert evaluation.correlation.hex() == correlation.hex()
-        assert evaluation.quality.hex() == join_quality(sample, fds).hex()
-        assert evaluation.join_rows == len(rows)
-
-    def test_ties_go_to_the_first_kept_sub_class(self):
-        # Kept rows 1-3 leave a=1 with b="x" (rows 1, 2) against b="y"
-        # (row 3); all six rows tie, and "y" wins by appearing first.
-        table = Table.from_rows(
-            "t", ["a", "b"], [(1, "y"), (1, "x"), (1, "x"), (1, "y"), (2, "z"), (2, "z")]
-        )
-        fds = [FunctionalDependency("a", "b")]
-        summary = _LineageSummary(table, ((), (), tuple(fds)), weight=0.0, price=0.0)
-
-        def mask(rows):
-            return bytes(row in rows for row in range(len(table)))
-
-        for rows in ([0, 1, 2, 3, 4, 5], [1, 2, 3], [0, 3, 4]):
-            expected = join_quality(table.take(rows), fds)
-            assert summary.evaluate(mask(rows)).quality == expected
-        assert summary.evaluate(mask(range(6))).quality == 4 / 6
-        assert summary.evaluate(mask([1, 2, 3])).quality == 2 / 3

@@ -5,17 +5,16 @@ walk-local tables: a move table of each edge's alternatives and a transition
 memo of the graphs already proposed.  The reference below is the walk they
 replaced: every proposal looks its edge up in the join graph, builds a fresh
 graph with a two-construction ``replace_edge``, and recomputes the signature.
-On generated join graphs both walks must return the same result, leave the
-same evaluation memo behind, and leave the re-sampling hook in the same state.
+On generated join graphs both walks must return the same result and leave
+the same evaluation memo behind, fired evaluations included: each is one
+draw from the policy the hook derives for its graph, so both walks memoise
+it.
 The reference also runs every iteration of a walk whose start has no move
 (no flips, no edge with an alternative), which ``mcmc_search`` stops early,
 and of a walk without a trace that has evaluated every graph its edge swaps
 can reach, which ``mcmc_search`` stops once no later step could change its
 outcome; only its step counters may then fall short of the reference's.
-The reference keeps its join lineages to itself, so a walk that replays
-lineages another walk built and left in a shared
-:func:`~repro.relational.joins.lineage_memo` must match it too.  Likewise,
-walks that share one :class:`~repro.search.acquisition.WalkSpace`, and
+Likewise, walks that share one :class:`~repro.search.acquisition.WalkSpace`, and
 searches that share one :class:`~repro.search.acquisition.WalkSpaceMemo`,
 interleaved over seeds, hooks and requested attributes, must return what
 walks and searches with private tables return; walks from one space count
@@ -36,10 +35,8 @@ from hypothesis import strategies as st
 from repro.exceptions import InfeasibleAcquisitionError
 from repro.graph.join_graph import JoinGraph
 from repro.graph.target import TargetGraph
-from repro.memo import Memo
 from repro.pricing.models import FlatAttributePricingModel
 from repro.quality.fd import FunctionalDependency
-from repro.relational.joins import lineage_memo
 from repro.relational.schema import Attribute, AttributeType, Schema
 from repro.relational.table import Table
 from repro.sampling.resampling import ResamplingPolicy
@@ -346,10 +343,6 @@ def walk_scenarios(
     )
 
 
-def hook_state(hook) -> tuple | None:
-    return None if hook is None else (hook._rng.getstate(), hook.cumulative_scale)
-
-
 def signature_or_none(graph) -> tuple | None:
     return None if graph is None else reference_signature(graph)
 
@@ -367,38 +360,33 @@ def new_hook(scenario) -> ResamplingPolicy | None:
     return None if args is None else ResamplingPolicy(**args)
 
 
-def walk_and_reference(
-    scenario, lineage_memo: Memo | None = None
-) -> tuple[MCMCResult, MCMCResult]:
-    """``mcmc_search``, handed ``lineage_memo``, and the reference walk on
-    ``scenario``; both must leave the same evaluation memo and hook state."""
+def walk_and_reference(scenario) -> tuple[MCMCResult, MCMCResult]:
+    """``mcmc_search`` and the reference walk on ``scenario``; both must
+    leave the same evaluation memo."""
     positional, constraints = walk_arguments(scenario)
     runs = []
-    for walk, shared in ((mcmc_search, {"lineage_memo": lineage_memo}), (reference_walk, {})):
-        hook = new_hook(scenario)
+    for walk in (mcmc_search, reference_walk):
         cache: dict = {}
         result = walk(
             *positional,
             **constraints,
             config=scenario["config"],
-            intermediate_hook=hook,
+            intermediate_hook=new_hook(scenario),
             evaluation_cache=cache,
-            **shared,
         )
-        runs.append((result, cache, hook_state(hook)))
-    (walked, walked_cache, walked_hook), (expected, expected_cache, expected_hook) = runs
+        runs.append((result, cache))
+    (walked, walked_cache), (expected, expected_cache) = runs
     assert signature_or_none(walked.best_graph) == signature_or_none(expected.best_graph)
     assert walked.best_evaluation == expected.best_evaluation
     assert walked.iterations == expected.iterations
     assert walked.evaluation_cache_misses == expected.evaluation_cache_misses
     assert walked_cache == expected_cache
-    assert walked_hook == expected_hook
     return walked, expected
 
 
-def assert_walk_matches_reference(scenario, lineage_memo: Memo | None = None) -> None:
+def assert_walk_matches_reference(scenario) -> None:
     """A walk that records its trace matches the reference step for step."""
-    walked, expected = walk_and_reference(scenario, lineage_memo)
+    walked, expected = walk_and_reference(scenario)
     assert walked.accepted_steps == expected.accepted_steps
     assert walked.feasible_steps == expected.feasible_steps
     assert walked.evaluation_cache_hits == expected.evaluation_cache_hits
@@ -415,31 +403,9 @@ class TestWalkMatchesReference:
     @given(walk_scenarios(dead=True))
     def test_dead_starts_return_what_the_reference_walk_does(self, scenario):
         """Without flips these walks stop after the initial evaluation; with
-        flips they run the loop.  Either way the result, the trace, the memo
-        and the hook are the reference walk's."""
+        flips they run the loop.  Either way the result, the trace and the
+        memo are the reference walk's."""
         assert_walk_matches_reference(scenario)
-
-    @settings(max_examples=100, deadline=None)
-    @given(walk_scenarios(hooks=("fires",)), st.integers(min_value=0, max_value=50))
-    def test_a_walk_replaying_another_walks_lineages_matches_the_reference(
-        self, scenario, first_seed
-    ):
-        """A first walk, at another seed, fills a lineage memo; a second walk
-        that shares it replays those lineages where the reference builds its
-        own, and ends with the reference's result, counters, trace,
-        evaluation memo and hook state."""
-        positional, constraints = walk_arguments(scenario)
-        memo = lineage_memo()
-        mcmc_search(
-            *positional,
-            **constraints,
-            config=replace(scenario["config"], seed=first_seed),
-            intermediate_hook=new_hook(scenario),
-            evaluation_cache={},
-            lineage_memo=memo,
-        )
-        assert_walk_matches_reference(scenario, memo)
-        assert memo.units == sum(memo.get(key).rows for key in memo.keys())
 
     @settings(max_examples=100, deadline=None)
     @given(walk_scenarios(owned=True))
@@ -465,11 +431,11 @@ class TestWalkMatchesReference:
 
     def test_a_walk_without_a_trace_stops_with_the_reference_outcome(self):
         """Without flips or a trace, a walk that has evaluated every graph its
-        edge swaps can reach, none of them fired and none beating its best,
-        stops there.  It returns the reference's best graph and evaluation,
-        evaluation memo, hook state, iterations and misses, with no more
-        hits, accepted steps or feasible steps; most of these walks stop
-        early, and a stopped walk has fewer hits than the reference."""
+        edge swaps can reach, fired or not, none beating its best, stops
+        there.  It returns the reference's best graph and evaluation,
+        evaluation memo, iterations and misses, with no more hits, accepted
+        steps or feasible steps; most of these walks stop early, and a
+        stopped walk has fewer hits than the reference."""
         stopped = []
 
         @settings(max_examples=200, deadline=None)
@@ -525,7 +491,7 @@ def targets_of(scenario, extra: bool) -> list[str]:
     return scenario["target"] + (["x1"] if extra else [])
 
 
-def walk_outcome(walk_result: MCMCResult, cache: dict, hook) -> tuple:
+def walk_outcome(walk_result: MCMCResult, cache: dict) -> tuple:
     return (
         signature_or_none(walk_result.best_graph),
         walk_result.best_evaluation,
@@ -536,7 +502,6 @@ def walk_outcome(walk_result: MCMCResult, cache: dict, hook) -> tuple:
         walk_result.evaluation_cache_misses,
         walk_result.trace,
         cache,
-        hook_state(hook),
     )
 
 
@@ -546,7 +511,7 @@ class TestSharedWalkSpaces:
     def test_walks_sharing_one_space_match_walks_with_private_tables(self, scenario, plan):
         """Each run walks from the start of its requested attributes, once
         with that start's space out of one memo and once with private
-        tables; every result, counter, trace, memo and hook state agrees."""
+        tables; every result, counter, trace and memo agrees."""
         positional, constraints = walk_arguments(scenario)
         memo = WalkSpaceMemo()
         for seed, hooked, extra in plan:
@@ -571,7 +536,7 @@ class TestSharedWalkSpaces:
                     evaluation_cache=cache,
                     **tables,
                 )
-                outcomes.append(walk_outcome(walked, cache, hook))
+                outcomes.append(walk_outcome(walked, cache))
             assert outcomes[0] == outcomes[1]
         held = memo._spaces.values()
         assert memo.snapshot()["graphs"] == sum(1 + len(space.transitions) for space in held)
@@ -608,7 +573,7 @@ class TestSharedWalkSpaces:
                     counted += size.call_count
                 else:
                     assert size.call_count == 1
-                outcomes.append(walk_outcome(walked, cache, hook))
+                outcomes.append(walk_outcome(walked, cache))
             assert outcomes[0] == outcomes[1]
         assert counted == 1
         assert space.size is not None
@@ -645,7 +610,7 @@ class TestSharedWalkSpaces:
                     continue
                 outcomes.append(
                     (found.igraph, found.igraph_index)
-                    + walk_outcome(found.mcmc, cache, hook)
+                    + walk_outcome(found.mcmc, cache)
                 )
             assert outcomes[0] == outcomes[1]
 

@@ -5,14 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import JoinError
-from repro.memo import Memo
 from repro.relational.joins import (
-    JoinLineage,
     full_outer_join,
     inner_join,
     join_path,
     join_size_upper_bound,
-    lineage_memo,
     shared_join_attributes,
 )
 from repro.relational.table import Table
@@ -146,53 +143,3 @@ class TestJoinSizeBound:
         a = Table.from_rows("a", ["x"], [(1,)])
         b = Table.from_rows("b", ["y"], [(1,)])
         assert join_size_upper_bound(a, b) == 0
-
-
-def lineage(origin_rows: int, joined_rows: int) -> JoinLineage:
-    """A lineage of one later level holding ``origin_rows + joined_rows`` rows."""
-    built = JoinLineage(origin_rows)
-    built.add_level(range(origin_rows))
-    built.joined = Table.from_rows("joined", ["k"], [(i,) for i in range(joined_rows)])
-    return built
-
-
-class TestLineageMemo:
-    @pytest.fixture
-    def memo(self, monkeypatch) -> Memo:
-        """A lineage memo that holds at most 10 rows."""
-        monkeypatch.setattr("repro.relational.joins.LINEAGE_MEMO_ROWS", 10)
-        return lineage_memo()
-
-    def test_rows_count_origins_and_the_final_join(self):
-        assert lineage(3, 5).rows == 8
-        final_level = JoinLineage(4)
-        final_level.joined = Table.from_rows("joined", ["k"], [(0,), (1,)])
-        assert final_level.rows == 2
-
-    def test_evicts_in_insertion_order_to_fit_a_put(self, memo):
-        memo["a"] = lineage(2, 2)
-        memo["b"] = lineage(1, 2)
-        memo["c"] = lineage(1, 1)
-        assert memo.get("a") is not None  # a read does not refresh an entry
-        memo["d"] = lineage(3, 3)
-        assert memo.keys() == ["c", "d"]
-        assert memo.units == 8 == sum(memo.get(key).rows for key in memo.keys())
-
-    def test_a_lineage_over_the_bound_is_not_held(self, memo):
-        memo["a"] = lineage(2, 2)
-        memo["big"] = lineage(6, 5)
-        assert memo.keys() == ["a"]
-        assert memo.get("big") is None
-
-    def test_a_held_key_keeps_its_lineage(self, memo):
-        first = lineage(1, 1)
-        memo["a"] = first
-        memo["a"] = lineage(2, 2)
-        assert memo.get("a") is first
-        assert memo.units == 2
-
-    def test_pop_returns_rows_to_the_budget(self, memo):
-        memo["a"] = lineage(2, 3)
-        assert memo.pop("missing", "default") == "default"
-        assert memo.pop("a").rows == 5
-        assert (len(memo), memo.units) == (0, 0)

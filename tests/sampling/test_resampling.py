@@ -46,12 +46,10 @@ class TestResamplingPolicy:
         assert policy.enabled
         shrunk = policy(big_table)
         assert len(shrunk) < len(big_table)
-        assert policy.cumulative_scale == pytest.approx(0.4)
 
     def test_small_tables_pass_through(self, big_table):
         policy = ResamplingPolicy(threshold=10_000, rate=0.4, seed=0)
         assert policy(big_table) is big_table
-        assert policy.cumulative_scale == 1.0
 
     def test_reset_restores_reproducibility(self, big_table):
         policy = ResamplingPolicy(threshold=100, rate=0.4, seed=5)
@@ -60,11 +58,31 @@ class TestResamplingPolicy:
         second = policy(big_table).column("k")
         assert first == second
 
-    def test_cumulative_scale_accumulates(self, big_table):
-        policy = ResamplingPolicy(threshold=50, rate=0.5, seed=0)
-        policy(big_table)
-        policy(big_table)
-        assert policy.cumulative_scale == pytest.approx(0.25)
+    def test_fires_above_the_threshold_only(self):
+        policy = ResamplingPolicy(threshold=100, rate=0.4)
+        assert not policy.fires(100)
+        assert policy.fires(101)
+        assert not ResamplingPolicy.disabled().fires(10**6)
+        assert not ResamplingPolicy(threshold=0, rate=1.0).fires(10**6)
+
+    def test_for_graph_derives_a_policy_per_graph(self, big_table):
+        """A graph's policy keeps the threshold and rate, takes its seed from
+        the policy seed and the graph signature, and draws the same sample
+        every time it is derived; the policy it came from draws nothing."""
+        signature = (("a", "b"), (("k",),), (0,), (("k", "v"), ("k",)))
+        other = (("a", "b"), (("v",),), (0,), (("k", "v"), ("v",)))
+        policy = ResamplingPolicy(threshold=100, rate=0.4, seed=5)
+        state = policy._rng.getstate()
+        derived = policy.for_graph(signature)
+        assert (derived.threshold, derived.rate) == (100, 0.4)
+        assert derived.seed == policy.for_graph(signature).seed
+        assert derived.seed != policy.for_graph(other).seed
+        assert derived.seed != ResamplingPolicy(threshold=100, rate=0.4, seed=6).for_graph(
+            signature
+        ).seed
+        first = derived(big_table).column("k")
+        assert policy.for_graph(signature)(big_table).column("k") == first
+        assert policy._rng.getstate() == state
 
     def test_invalid_configuration(self):
         with pytest.raises(SamplingError):
