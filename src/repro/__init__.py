@@ -46,8 +46,9 @@ and three caches:
 
 * **Dictionary encoding** — :class:`~repro.relational.table.Table` lazily
   encodes each column (and each multi-column key) into integer codes with a
-  code→value dictionary, cached on the table.  Joins match per distinct key
-  code and gather result *columns* from index vectors (no row tuples), and all
+  code→value dictionary, cached on the table.  A join probes its build
+  side's key → rows index, kept on that side's cached key encoding, and
+  gathers result *columns* from row vectors (no row tuples), and all
   entropy kernels reduce integer-code histograms instead of hashing raw
   values row by row (:mod:`repro.infotheory.entropy`).
 * **Histogram-based join informativeness** — JI over the full outer join is a

@@ -13,38 +13,32 @@ it too; evicting one hands its shopper a full bucket.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Mapping
+from typing import Mapping
 
 _MISS = object()
 
 
 class Memo:
-    """A thread-safe mapping that holds at most ``bound`` units.
+    """A thread-safe mapping that holds at most ``bound`` entries.
 
-    An entry costs ``size(value)`` units, or one unit without ``size``.  The
-    first put under a key wins: a later put under a held key changes
+    The first put under a key wins: a later put under a held key changes
     nothing, which is sound because every value memoised under a key is the
-    same.  A put evicts the oldest entries, in insertion order, until the
-    new one fits, and a value larger than the bound is not held.  A read
-    does not refresh an entry.  ``get`` counts hits and misses;
-    :meth:`keys` and :meth:`items` list the entries oldest first, so
-    entries copied in that order through :meth:`update` into a memo of a
-    smaller bound keep the newest.  One lock guards everything.
+    same.  A put into a full memo evicts the oldest entry, in insertion
+    order, and a zero bound holds nothing.  A read does not refresh an
+    entry.  ``get`` counts hits and misses; :meth:`keys` and :meth:`items`
+    list the entries oldest first, so entries copied in that order through
+    :meth:`update` into a memo of a smaller bound keep the newest.  One lock
+    guards everything.
     """
 
-    __slots__ = ("_bound", "_size", "_lock", "_entries", "_units", "_hits", "_misses")
+    __slots__ = ("_bound", "_lock", "_entries", "_hits", "_misses")
 
-    def __init__(self, bound: int, *, size: Callable[[object], int] | None = None) -> None:
+    def __init__(self, bound: int) -> None:
         self._bound = bound
-        self._size = size
         self._lock = threading.Lock()
         self._entries: dict = {}  # guarded-by: self._lock
-        self._units = 0  # guarded-by: self._lock
         self._hits = 0  # guarded-by: self._lock
         self._misses = 0  # guarded-by: self._lock
-
-    def _cost(self, value) -> int:
-        return 1 if self._size is None else self._size(value)
 
     def get(self, key, default=None):
         with self._lock:
@@ -56,25 +50,19 @@ class Memo:
             return value
 
     def __setitem__(self, key, value) -> None:
-        cost = self._cost(value)
-        if cost > self._bound:
+        if self._bound <= 0:
             return
         with self._lock:
             entries = self._entries
             if key in entries:
                 return
-            while self._units + cost > self._bound:
-                self._units -= self._cost(entries.pop(next(iter(entries))))
+            while len(entries) >= self._bound:
+                del entries[next(iter(entries))]
             entries[key] = value
-            self._units += cost
 
     def pop(self, key, default=None):
         with self._lock:
-            value = self._entries.pop(key, _MISS)
-            if value is _MISS:
-                return default
-            self._units -= self._cost(value)
-            return value
+            return self._entries.pop(key, default)
 
     def update(self, items: Mapping) -> None:
         """Put every entry of ``items``, in its order."""
@@ -92,12 +80,6 @@ class Memo:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    @property
-    def units(self) -> int:
-        """The units the held entries cost, summed."""
-        with self._lock:
-            return self._units
 
     def snapshot(self) -> dict[str, int]:
         """The entries held and the hits and misses of :meth:`get`."""

@@ -10,10 +10,10 @@ The public surface is re-exported here:
 ``AttributeType``, ``Attribute``, ``Schema``
     Schema-level metadata (``schema.py``).
 ``Table``, ``ColumnEncoding``
-    The column-oriented relation and its lazy dictionary encoding
-    (``table.py``).
-``inner_join``, ``full_outer_join``, ``join_path``
-    Equi-join operators and multi-way join evaluation (``joins.py``).
+    The column-oriented relation and its lazy dictionary encoding, which
+    keeps a key's histogram and join row index (``table.py``).
+``inner_join``, ``join_path``
+    The probe equi-join and multi-way join evaluation (``joins.py``).
 ``partition``, ``equivalence_classes``
     Partition / equivalence-class machinery used by FD-based quality
     measurement (``partitions.py``).
@@ -21,7 +21,7 @@ The public surface is re-exported here:
 
 from repro.relational.schema import Attribute, AttributeType, Schema
 from repro.relational.table import ColumnEncoding, Table
-from repro.relational.joins import full_outer_join, inner_join, join_path
+from repro.relational.joins import inner_join, join_path
 from repro.relational.partitions import equivalence_classes, partition, stripped_partition
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "Table",
     "ColumnEncoding",
     "inner_join",
-    "full_outer_join",
     "join_path",
     "partition",
     "equivalence_classes",

@@ -29,14 +29,30 @@ class ColumnEncoding:
     ``values`` reproduces the first-seen order of the raw data.  Encodings are
     produced and cached by :meth:`Table.encoded` / :meth:`Table.encoded_key`;
     they are the substrate for the histogram-based entropy / join kernels.
+
+    The histogram and, for key encodings, the join's row index are derived
+    from the codes once and kept on the encoding, so every table that adopts
+    it (see :meth:`Table.project`) shares them for as long as it lives.  Two
+    threads that build one at once build equal ones, and each publishes its
+    own with a single attribute store.
     """
 
-    __slots__ = ("codes", "values", "_counts")
+    __slots__ = ("codes", "values", "_counts", "_rows")
 
     def __init__(self, codes: list[int], values: list[Value]) -> None:
         self.codes = codes
         self.values = values
         self._counts = None
+        self._rows = None
+
+    def __getstate__(self) -> tuple:
+        # A pickle (a process pool's payload) carries no row index: the
+        # receiving process builds its own on first use.
+        return self.codes, self.values, self._counts
+
+    def __setstate__(self, state: tuple) -> None:
+        self.codes, self.values, self._counts = state
+        self._rows = None
 
     @property
     def num_codes(self) -> int:
@@ -54,6 +70,24 @@ class ColumnEncoding:
         """Histogram keyed by the original values, in first-occurrence order."""
         counts = self.counts()
         return {value: counts[code] for code, value in enumerate(self.values)}
+
+    def row_index(self) -> dict[tuple, list[int]]:
+        """The build side of a join: each key tuple mapped to its rows, ascending.
+
+        For key encodings (:meth:`Table.encoded_key`), whose values are
+        tuples.  Keys holding ``None`` are left out, so they never match
+        (SQL NULL semantics).  A probe finds a key under dict equality, the
+        equality the codes were assigned by: ``1``, ``1.0`` and ``True``
+        find each other, and a NaN object finds only itself.
+        """
+        if self._rows is None:
+            groups: list[list[int]] = [[] for _ in self.values]
+            for row, code in enumerate(self.codes):
+                groups[code].append(row)
+            self._rows = {
+                key: rows for key, rows in zip(self.values, groups) if None not in key
+            }
+        return self._rows
 
 
 def _encode(values: Sequence[Value]) -> ColumnEncoding:

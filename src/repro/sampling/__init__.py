@@ -20,7 +20,7 @@ quality from them.
 
 from repro.sampling.hashing import uniform_hash
 from repro.sampling.correlated import CorrelatedSampler, correlated_sample
-from repro.sampling.resampling import ResamplingPolicy, resample_if_large
+from repro.sampling.resampling import ResamplingPolicy
 from repro.sampling.estimators import SampleEstimator
 
 __all__ = [
@@ -28,6 +28,5 @@ __all__ = [
     "correlated_sample",
     "CorrelatedSampler",
     "ResamplingPolicy",
-    "resample_if_large",
     "SampleEstimator",
 ]

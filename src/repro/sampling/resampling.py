@@ -30,24 +30,6 @@ from repro.exceptions import SamplingError
 from repro.relational.table import Table
 
 
-def resample_if_large(
-    table: Table,
-    threshold: int,
-    rate: float,
-    rng: random.Random,
-    *,
-    name: str | None = None,
-) -> Table:
-    """Bernoulli-sample ``table`` at ``rate`` when it has more than ``threshold`` rows."""
-    if threshold < 0:
-        raise SamplingError(f"re-sampling threshold eta must be >= 0, got {threshold}")
-    if not 0.0 < rate <= 1.0:
-        raise SamplingError(f"re-sampling rate must be in (0, 1], got {rate}")
-    if len(table) <= threshold or rate == 1.0:
-        return table
-    return table.sample_rows(rate, rng, name=name or table.name)
-
-
 @dataclass
 class ResamplingPolicy:
     """Configuration of correlated re-sampling for multi-way join estimation.

@@ -17,7 +17,7 @@ from repro.graph.join_graph import JoinGraph
 from repro.memo import Memo
 from repro.pricing.models import FlatAttributePricingModel
 from repro.quality.fd import FunctionalDependency
-from repro.relational.table import Table
+from repro.relational.table import ColumnEncoding, Table
 from repro.sampling.resampling import ResamplingPolicy
 
 
@@ -187,6 +187,39 @@ class TestEvaluation:
         assert not evaluation.satisfies(max_weight=0.5)
         assert not evaluation.satisfies(min_quality=0.9)
         assert not evaluation.satisfies(budget=9.0)
+
+    def test_two_graphs_joining_a_sample_on_one_key_build_its_index_once(
+        self, path_graph, tables
+    ):
+        """Both graphs join customers on custkey: the first evaluation builds
+        the row index on the key encoding cached on the sample (as the join
+        graph's build caches it), and the second probes the same index."""
+        JoinGraph(tables)
+        other = TargetGraph(
+            nodes=["orders", "customers"],
+            edges=[frozenset({"custkey"})],
+            projections={
+                "orders": {"custkey", "totalprice"},
+                "customers": {"custkey", "segment"},
+            },
+            source_instances={"orders"},
+        )
+        built = []
+        row_index = ColumnEncoding.row_index
+
+        def counting(encoding):
+            if encoding._rows is None:
+                built.append(encoding)
+            return row_index(encoding)
+
+        pricing = FlatAttributePricingModel(1.0)
+        key = tables["customers"].encoded_key(("custkey",))
+        with mock.patch.object(ColumnEncoding, "row_index", counting):
+            path_graph.evaluate(tables, ["totalprice"], ["nname"], [], pricing)
+            index = key._rows
+            other.evaluate(tables, ["totalprice"], ["segment"], [], pricing)
+        assert [encoding for encoding in built if encoding is key] == [key]
+        assert index is not None and key._rows is index
 
     def test_intermediate_hook_applied(self, path_graph, tables):
         """From the first level the hook fires on, the policy it derives for

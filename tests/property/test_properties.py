@@ -17,7 +17,7 @@ from repro.infotheory.join_informativeness import join_informativeness_from_pair
 from repro.quality.fd import FunctionalDependency
 from repro.quality.measure import instance_quality
 from repro.relational.schema import AttributeType
-from repro.relational.joins import full_outer_join, inner_join
+from repro.relational.joins import inner_join
 from repro.relational.table import Table
 from repro.sampling.correlated import correlated_sample
 from repro.sampling.hashing import uniform_hash
@@ -120,20 +120,6 @@ table_rows = st.lists(
 
 
 class TestJoinProperties:
-    @given(table_rows, table_rows)
-    @settings(max_examples=40)
-    def test_inner_join_subset_of_outer_join(self, left_rows, right_rows):
-        left = Table.from_rows("l", ["k", "a"], left_rows)
-        right = Table.from_rows("r", ["k", "b"], right_rows)
-        inner = inner_join(left, right)
-        outer = full_outer_join(left, right)
-        assert len(outer) >= len(inner)
-        assert (
-            len(outer) >= max(len(left), len(right)) - 1e-9
-            if (left_rows or right_rows)
-            else True
-        )
-
     @given(table_rows, table_rows)
     @settings(max_examples=40)
     def test_inner_join_commutative_in_size(self, left_rows, right_rows):

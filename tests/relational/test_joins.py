@@ -5,13 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import JoinError
-from repro.relational.joins import (
-    full_outer_join,
-    inner_join,
-    join_path,
-    join_size_upper_bound,
-    shared_join_attributes,
-)
+from repro.relational.joins import inner_join, join_path, shared_join_attributes
 from repro.relational.table import Table
 
 
@@ -76,27 +70,6 @@ class TestInnerJoin:
         assert joined.row(0) == (1, 1, "a", "c")
 
 
-class TestFullOuterJoin:
-    def test_keeps_unmatched_both_sides(self, left, right):
-        outer = full_outer_join(left, right)
-        # matched: 2 rows (k=1 twice); left-only: k=2, k=3, k=None; right-only: k=4
-        assert len(outer) == 6
-
-    def test_right_join_key_copy_present(self, left, right):
-        outer = full_outer_join(left, right)
-        assert "right.k" in outer.schema
-        pairs = list(zip(outer.column("k"), outer.column("right.k")))
-        assert (2, None) in pairs
-        assert (None, 4) in pairs
-
-    def test_all_matched_means_no_nulls(self):
-        a = Table.from_rows("a", ["k", "x"], [(1, "a")])
-        b = Table.from_rows("b", ["k", "y"], [(1, "b")])
-        outer = full_outer_join(a, b)
-        assert len(outer) == 1
-        assert None not in outer.row(0)
-
-
 class TestJoinPath:
     def test_three_way_chain(self):
         a = Table.from_rows("a", ["x", "p"], [(1, "a1"), (2, "a2")])
@@ -133,13 +106,3 @@ class TestJoinPath:
         b = Table.from_rows("b", ["x"], [(1,)])
         assert join_path([a, b], name="joined").name == "joined"
 
-
-class TestJoinSizeBound:
-    def test_upper_bound_is_exact_for_keys(self, left, right):
-        bound = join_size_upper_bound(left, right)
-        assert bound == len(inner_join(left, right))
-
-    def test_zero_when_no_shared_attributes(self):
-        a = Table.from_rows("a", ["x"], [(1,)])
-        b = Table.from_rows("b", ["y"], [(1,)])
-        assert join_size_upper_bound(a, b) == 0

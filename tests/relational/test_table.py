@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from repro.exceptions import SamplingError, SchemaError
 from repro.relational.schema import Attribute, AttributeType, Schema
 from repro.relational.table import Table, bernoulli_mask, bernoulli_rows
+from repro.storage.serialize import encodings_to_blob, restore_encodings
 
 
 @pytest.fixture
@@ -295,6 +297,33 @@ class TestEncodingPropagation:
         assert projected.encoded_key(("k", "cat")) is key_encoding
         assert projected.key_entropy(("k",)) == entropy
         assert ("entropy", "k") in projected._stats
+
+    def test_project_shares_the_row_index_of_an_adopted_key_encoding(self):
+        table = make_table()
+        index = table.encoded_key(("k", "cat")).row_index()
+        # Keys holding None (rows 3 and 5) are left out; rows ascend.
+        assert index == {("a", "x"): [0, 2], ("b", "y"): [1], ("c", "y"): [4]}
+        projected = table.project(["k", "cat"])
+        assert projected.encoded_key(("k", "cat")).row_index() is index
+
+    def test_the_row_index_is_never_serialised(self):
+        """Neither the catalog blob nor a pickle carries the index; a
+        restored or unpickled encoding rebuilds an equal one."""
+        table = make_table()
+        encoding = table.encoded_key(("k",))
+        blob = encodings_to_blob(table)
+        index = encoding.row_index()
+        assert encodings_to_blob(table) == blob
+        unpickled = pickle.loads(pickle.dumps(encoding))
+        assert unpickled._rows is None
+        assert (unpickled.codes, unpickled.values) == (encoding.codes, encoding.values)
+        assert unpickled.counts() == encoding.counts()
+        assert unpickled.row_index() == index
+        restored = Table("t", table.schema, {n: table.column(n) for n in table.schema.names})
+        restore_encodings(restored, blob)
+        rebuilt = restored.encoded_key(("k",))
+        assert rebuilt._rows is None
+        assert rebuilt.row_index() == index == {("a",): [0, 2, 5], ("b",): [1], ("c",): [4]}
 
     def test_project_drops_encodings_of_dropped_columns(self):
         table = make_table()

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.exceptions import SamplingError
 from repro.relational.table import Table
-from repro.sampling.resampling import ResamplingPolicy, resample_if_large
+from repro.sampling.resampling import ResamplingPolicy
 
 
 @pytest.fixture
@@ -16,40 +14,26 @@ def big_table() -> Table:
     return Table.from_rows("big", ["k", "v"], [(i, i * 2) for i in range(500)])
 
 
-class TestResampleIfLarge:
-    def test_below_threshold_is_untouched(self, big_table):
-        assert resample_if_large(big_table, 1000, 0.5, random.Random(0)) is big_table
-
-    def test_above_threshold_is_shrunk(self, big_table):
-        shrunk = resample_if_large(big_table, 100, 0.3, random.Random(0))
-        assert len(shrunk) < len(big_table)
-        assert 0.1 * len(big_table) <= len(shrunk) <= 0.5 * len(big_table)
-
-    def test_rate_one_is_untouched(self, big_table):
-        assert resample_if_large(big_table, 100, 1.0, random.Random(0)) is big_table
-
-    def test_invalid_parameters(self, big_table):
-        with pytest.raises(SamplingError):
-            resample_if_large(big_table, -1, 0.5, random.Random(0))
-        with pytest.raises(SamplingError):
-            resample_if_large(big_table, 10, 0.0, random.Random(0))
-
-
 class TestResamplingPolicy:
     def test_disabled_policy_never_resamples(self, big_table):
         policy = ResamplingPolicy.disabled()
         assert not policy.enabled
         assert policy(big_table) is big_table
+        rate_one = ResamplingPolicy(threshold=100, rate=1.0)
+        assert not rate_one.enabled
+        assert rate_one(big_table) is big_table
 
     def test_enabled_policy_resamples_large_tables(self, big_table):
         policy = ResamplingPolicy(threshold=100, rate=0.4, seed=0)
         assert policy.enabled
         shrunk = policy(big_table)
-        assert len(shrunk) < len(big_table)
+        assert 0.1 * len(big_table) <= len(shrunk) <= 0.5 * len(big_table)
 
     def test_small_tables_pass_through(self, big_table):
         policy = ResamplingPolicy(threshold=10_000, rate=0.4, seed=0)
         assert policy(big_table) is big_table
+        # At the threshold itself the table passes through too.
+        assert ResamplingPolicy(threshold=len(big_table), rate=0.4)(big_table) is big_table
 
     def test_reset_restores_reproducibility(self, big_table):
         policy = ResamplingPolicy(threshold=100, rate=0.4, seed=5)
@@ -89,3 +73,5 @@ class TestResamplingPolicy:
             ResamplingPolicy(threshold=-5)
         with pytest.raises(SamplingError):
             ResamplingPolicy(rate=0.0)
+        with pytest.raises(SamplingError):
+            ResamplingPolicy(rate=1.5)

@@ -23,7 +23,7 @@ from repro.marketplace.dataset import MarketplaceDataset
 from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.pricing.models import EntropyPricingModel
-from repro.relational.table import Table
+from repro.relational.table import ColumnEncoding, Table
 from repro.search.chains import chain_seed
 from repro.search.mcmc import MCMCConfig
 from repro.search.shm import live_segments
@@ -634,3 +634,50 @@ class TestServedJoinInformativeness:
             return answers
 
         assert served(requests) == served(requests[::-1])
+
+
+class TestServedJoinIndexes:
+    def test_a_session_builds_each_sample_index_once(self, small_tpch, monkeypatch):
+        """Every join a session runs probes the row index kept on a key
+        encoding its join graph's build cached on a sample, so reads of
+        three queries at fresh seeds, warm repeats included, get one index
+        object per such encoding, and build no other."""
+        probed: dict[int, tuple] = {}
+        original = ColumnEncoding.row_index
+
+        def recording(encoding):
+            index = original(encoding)
+            probed.setdefault(id(encoding), (encoding, []))[1].append(index)
+            return index
+
+        monkeypatch.setattr(ColumnEncoding, "row_index", recording)
+        pricing = EntropyPricingModel()
+        marketplace = Marketplace(default_pricing=pricing)
+        for name in small_tpch.tables:
+            marketplace.host(
+                MarketplaceDataset(table=small_tpch.dirty_or_clean(name), pricing=pricing)
+            )
+        queries = queries_for(small_tpch)
+        settings = DanceConfig(sampling_rate=0.5, mcmc=MCMCConfig(iterations=60, seed=0))
+        with AcquisitionService(marketplace, settings) as service:
+            for seed in (0, 1, 2, 0):
+                for name in ("Q1", "Q2", "Q3"):
+                    query = queries[name]
+                    request = AcquisitionRequest(
+                        list(query.source_attributes),
+                        list(query.target_attributes),
+                        budget=1000.0,
+                    )
+                    service.acquire(request, seed=seed)
+            graph = service.dance.join_graph
+            cached = {
+                id(encoding)
+                for name in graph.instance_names
+                for encoding in graph.sample(name)._encodings.values()
+            }
+        assert len(probed) >= 2
+        assert sum(len(indexes) for _, indexes in probed.values()) > len(probed)
+        assert set(probed) <= cached
+        for _, indexes in probed.values():
+            assert all(index is indexes[0] for index in indexes)
+

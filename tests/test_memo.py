@@ -26,11 +26,11 @@ class TestMapping:
         assert memo.items() == [(1, "one"), (2, "two")]
 
     def test_pop_returns_the_value_or_the_default(self):
-        memo = Memo(8, size=len)
+        memo = Memo(8)
         memo["a"] = "xyz"
         assert memo.pop("missing", "default") == "default"
         assert memo.pop("a") == "xyz"
-        assert (len(memo), memo.units) == (0, 0)
+        assert len(memo) == 0
 
 
 class TestCounting:
@@ -54,33 +54,32 @@ class TestBound:
         for key in "abcde":
             memo[key] = key.upper()
         assert memo.keys() == ["c", "d", "e"]
-        assert memo.units == 3
+        assert len(memo) == 3
 
-    def test_sized_entries_evict_in_insertion_order_to_fit_a_put(self):
-        memo = Memo(10, size=len)
-        memo["a"] = "xxxx"
-        memo["b"] = "xxx"
-        memo["c"] = "xx"
-        assert memo.get("a") is not None  # a read does not refresh an entry
-        memo["d"] = "xxxxxx"
-        assert memo.keys() == ["c", "d"]
-        assert memo.units == 8
+    def test_a_read_does_not_refresh_an_entry(self):
+        memo = Memo(3)
+        memo["a"] = "x"
+        memo["b"] = "y"
+        memo["c"] = "z"
+        assert memo.get("a") == "x"
+        memo["d"] = "w"
+        assert memo.keys() == ["b", "c", "d"]
+        memo.pop("c")
+        memo["e"] = "v"  # a freed slot is filled without an eviction
+        assert memo.keys() == ["b", "d", "e"]
 
     def test_a_value_over_the_bound_is_not_held(self):
-        memo = Memo(4, size=len)
-        memo["a"] = "xx"
-        memo["big"] = "xxxxx"
-        assert memo.keys() == ["a"]
-        assert memo.get("big") is None
-        Memo(0)["one"] = 1  # a zero bound holds nothing and never fails
+        memo = Memo(0)
+        memo["one"] = 1  # a zero bound holds nothing and never fails
+        assert memo.keys() == []
+        assert memo.get("one") is None
 
     def test_the_first_put_under_a_key_wins(self):
-        memo = Memo(10, size=len)
+        memo = Memo(10)
         memo["a"] = "x"
         memo["b"] = "yy"
         memo["a"] = "zzz"
         assert memo.items() == [("a", "x"), ("b", "yy")]
-        assert memo.units == 3
 
 
 class TestCheckpoint:
@@ -96,13 +95,12 @@ class TestCheckpoint:
         assert len(restored) == 4
 
 
-def test_threads_keep_the_bound_and_the_units_exact():
+def test_threads_keep_the_bound():
     """Eight threads put, read and pop overlapping keys of a memo that must
     evict on most puts, with the interpreter switching threads every 1 µs;
     every value is a function of its key, so every hit must return it, and
-    the units must add up to the held entries within the bound.  (A put
-    outside the lock breaks the sum within a few runs.)"""
-    memo = Memo(10, size=lambda value: value % 3 + 1)
+    the memo must never hold more than its bound."""
+    memo = Memo(5)
     errors: list[BaseException] = []
 
     def work(thread: int) -> None:
@@ -112,6 +110,8 @@ def test_threads_keep_the_bound_and_the_units_exact():
                 value = memo.get(key)
                 if value is None:
                     memo[key] = key * 2
+                    if len(memo) > 5:
+                        raise AssertionError(f"{len(memo)} entries held")
                 elif value != key * 2:
                     raise AssertionError(f"{key} held {value}")
                 if step % 11 == 0:
@@ -133,4 +133,4 @@ def test_threads_keep_the_bound_and_the_units_exact():
     assert errors == []
     items = memo.items()
     assert all(value == key * 2 for key, value in items)
-    assert memo.units == sum(value % 3 + 1 for _, value in items) <= 10
+    assert len(items) <= 5
