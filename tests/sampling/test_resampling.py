@@ -14,26 +14,48 @@ def big_table() -> Table:
     return Table.from_rows("big", ["k", "v"], [(i, i * 2) for i in range(500)])
 
 
+class TestResampleIfLarge:
+    """A policy re-samples a table only when it has more than ``eta`` rows."""
+
+    def test_below_threshold_is_untouched(self, big_table):
+        assert ResamplingPolicy(threshold=1000, rate=0.5)(big_table) is big_table
+        # At the threshold itself the table passes through too.
+        assert ResamplingPolicy(threshold=len(big_table), rate=0.5)(big_table) is big_table
+
+    def test_above_threshold_is_shrunk(self, big_table):
+        shrunk = ResamplingPolicy(threshold=100, rate=0.3, seed=0)(big_table)
+        assert len(shrunk) < len(big_table)
+        assert 0.1 * len(big_table) <= len(shrunk) <= 0.5 * len(big_table)
+
+    def test_rate_one_is_untouched(self, big_table):
+        policy = ResamplingPolicy(threshold=100, rate=1.0)
+        assert not policy.enabled
+        assert policy(big_table) is big_table
+
+    def test_invalid_parameters(self):
+        with pytest.raises(SamplingError):
+            ResamplingPolicy(threshold=-1, rate=0.5)
+        with pytest.raises(SamplingError):
+            ResamplingPolicy(threshold=10, rate=0.0)
+        with pytest.raises(SamplingError):
+            ResamplingPolicy(threshold=10, rate=1.5)
+
+
 class TestResamplingPolicy:
     def test_disabled_policy_never_resamples(self, big_table):
         policy = ResamplingPolicy.disabled()
         assert not policy.enabled
         assert policy(big_table) is big_table
-        rate_one = ResamplingPolicy(threshold=100, rate=1.0)
-        assert not rate_one.enabled
-        assert rate_one(big_table) is big_table
 
     def test_enabled_policy_resamples_large_tables(self, big_table):
         policy = ResamplingPolicy(threshold=100, rate=0.4, seed=0)
         assert policy.enabled
         shrunk = policy(big_table)
-        assert 0.1 * len(big_table) <= len(shrunk) <= 0.5 * len(big_table)
+        assert len(shrunk) < len(big_table)
 
     def test_small_tables_pass_through(self, big_table):
         policy = ResamplingPolicy(threshold=10_000, rate=0.4, seed=0)
         assert policy(big_table) is big_table
-        # At the threshold itself the table passes through too.
-        assert ResamplingPolicy(threshold=len(big_table), rate=0.4)(big_table) is big_table
 
     def test_reset_restores_reproducibility(self, big_table):
         policy = ResamplingPolicy(threshold=100, rate=0.4, seed=5)
@@ -73,5 +95,3 @@ class TestResamplingPolicy:
             ResamplingPolicy(threshold=-5)
         with pytest.raises(SamplingError):
             ResamplingPolicy(rate=0.0)
-        with pytest.raises(SamplingError):
-            ResamplingPolicy(rate=1.5)
