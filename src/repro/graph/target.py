@@ -12,6 +12,14 @@ AS-vertex that will actually be purchased.  The class knows how to evaluate
 itself against a set of instance tables (samples or full data): correlation
 between the source and target attribute sets on the join result, join quality,
 total join-informativeness weight, and total price.
+
+The join result an evaluation measures is a row-vector join
+(:class:`~repro.relational.joins.RowVectorJoin`): per instance, the
+positions of its table's rows in the join.  Its schema comes from the
+projections and its columns stay in the tables, so correlation and quality
+read codes gathered from the tables' own cached encodings.  Those codes are
+not dense, and the kernels count a distinct count where they need one (see
+:mod:`repro.relational.partitions`).
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from repro.infotheory.correlation import attribute_set_correlation
 from repro.infotheory.join_informativeness import join_informativeness
 from repro.quality.fd import FunctionalDependency
 from repro.quality.measure import join_quality
-from repro.relational.joins import inner_join
+from repro.relational.joins import RowVectorJoin, inner_join
 from repro.relational.table import Table
 
 
@@ -236,17 +244,9 @@ class TargetGraph:
         )
 
     # -------------------------------------------------------------- evaluation
-    def _projected_tables(self, tables: Mapping[str, Table]) -> list[Table]:
-        projected: list[Table] = []
-        for name in self.nodes:
-            if name not in tables:
-                raise SearchError(f"no table supplied for instance {name!r}")
-            table = tables[name]
-            keep = [a for a in table.schema.names if a in self.projections[name]]
-            projected.append(table.project(keep) if keep else table)
-        return projected
-
-    def _join_attributes(self, edge_index: int, joined: Table, right: Table) -> list[str]:
+    def _join_attributes(
+        self, edge_index: int, joined: RowVectorJoin, right: RowVectorJoin
+    ) -> list[str]:
         # sorted so the key-encoding cache key is canonical for the attr set
         join_attrs = sorted(
             a for a in self.edges[edge_index] if a in joined.schema and a in right.schema
@@ -259,8 +259,17 @@ class TargetGraph:
             )
         return join_attrs
 
-    def joined_table(self, tables: Mapping[str, Table], *, intermediate_hook=None) -> Table:
-        """Join the (projected) instances along the tree, level by level.
+    def joined_rows(
+        self, tables: Mapping[str, Table], *, intermediate_hook=None
+    ) -> RowVectorJoin:
+        """Join the instances along the tree, level by level, as row vectors.
+
+        Each node reads its table through its projection: the table's
+        attributes in schema order, filtered by the projection (an empty
+        filter keeps the whole table).  Level ``i`` probes the accumulated
+        join on edge ``i``'s attributes, resolved by name in that join, and
+        extends its row vectors (:class:`~repro.relational.joins.RowVectorJoin`);
+        no table is projected and no column is gathered.
 
         ``intermediate_hook`` is a re-sampling policy such as
         :class:`~repro.sampling.resampling.ResamplingPolicy`.  At the first
@@ -272,10 +281,16 @@ class TargetGraph:
         function of the graph, the tables and the hook's settings; a join it
         never fires on derives nothing.
         """
-        projected = self._projected_tables(tables)
-        joined = projected[0]
+        scans = []
+        for name in self.nodes:
+            if name not in tables:
+                raise SearchError(f"no table supplied for instance {name!r}")
+            table = tables[name]
+            keep = [a for a in table.schema.names if a in self.projections[name]]
+            scans.append(RowVectorJoin.scan(table, keep or None))
+        joined = scans[0]
         sampler = None
-        for edge_index, right in enumerate(projected[1:]):
+        for edge_index, right in enumerate(scans[1:]):
             join_attrs = self._join_attributes(edge_index, joined, right)
             joined = inner_join(joined, right, join_attrs)
             if sampler is None and intermediate_hook is not None:
@@ -284,6 +299,11 @@ class TargetGraph:
             if sampler is not None:
                 joined = sampler(joined)
         return joined
+
+    def joined_table(self, tables: Mapping[str, Table], *, intermediate_hook=None) -> Table:
+        """:meth:`joined_rows` materialised: the same schema and rows, with
+        every column gathered into a list."""
+        return self.joined_rows(tables, intermediate_hook=intermediate_hook).to_table()
 
     def price(self, tables: Mapping[str, Table], pricing) -> float:
         """Total purchase price: Σ over non-owned instances of the projection price."""
@@ -346,15 +366,18 @@ class TargetGraph:
         """Correlation, quality, weight and price of this target graph on ``tables``.
 
         Correlation and quality are measured row by row on
-        :meth:`joined_table`, which ``intermediate_hook`` (a correlated
+        :meth:`joined_rows`, which ``intermediate_hook`` (a correlated
         re-sampling policy such as
         :class:`~repro.sampling.resampling.ResamplingPolicy`) re-samples as
-        it joins.  A fired evaluation is one draw, from the policy the hook
-        derives for this graph, so every evaluation of the graph on the same
-        tables under the same hook settings returns the same bits, and an
-        evaluation memo may hold it like any other.
+        it joins.  The measures gather only the columns they read: codes from
+        the encodings the tables cache (computed on first use and kept on
+        those tables), and values of numerical sources.  A fired evaluation
+        is one draw, from the policy the hook derives for this graph, so
+        every evaluation of the graph on the same tables under the same hook
+        settings returns the same bits, and an evaluation memo may hold it
+        like any other.
         """
-        joined = self.joined_table(tables, intermediate_hook=intermediate_hook)
+        joined = self.joined_rows(tables, intermediate_hook=intermediate_hook)
         return TargetGraphEvaluation(
             correlation=attribute_set_correlation(
                 joined, source_attributes, target_attributes

@@ -14,6 +14,7 @@ definition when ``X`` is homogeneous and single-attribute.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 from repro.exceptions import MeasureError
@@ -24,6 +25,8 @@ from repro.infotheory.entropy import (
     joint_entropy_of_codes,
     shannon_entropy,
 )
+from repro.relational.joins import Relation
+from repro.relational.partitions import column_codes, combined_keys
 from repro.relational.schema import AttributeType
 from repro.relational.table import Table
 
@@ -45,7 +48,7 @@ def correlation(
 
 
 def attribute_set_correlation(
-    table: Table, source_attributes: Sequence[str], target_attributes: Sequence[str]
+    table: Relation, source_attributes: Sequence[str], target_attributes: Sequence[str]
 ) -> float:
     """``CORR(A_S, A_T)`` measured on ``table`` (typically a join result).
 
@@ -53,31 +56,35 @@ def attribute_set_correlation(
     cumulative) entropy given the *joint* value of the target attributes; the
     contributions are summed.  Attributes missing from the table (e.g. pruned
     by a projection) are skipped, and an empty overlap yields 0.0.
+    ``table`` is a table or a row-vector join: both are read through their
+    dictionary codes (:func:`~repro.relational.partitions.column_codes`),
+    and values are read only for numerical sources.
     """
     present_sources = [a for a in source_attributes if a in table.schema]
     present_targets = [a for a in target_attributes if a in table.schema]
     if not present_sources or not present_targets or len(table) == 0:
         return 0.0
 
-    # Operate on dictionary-encoded code columns: the target key is encoded
-    # once (cached on the table) and each source contribution reduces to small
+    # Operate on dictionary codes: the target key is combined once from its
+    # columns' codes, and each source contribution reduces to small
     # integer-histogram entropies instead of hashing value tuples per row.
-    y_encoding = table.encoded_key(present_targets)
-    h_y = entropy_of_counts(y_encoding.counts())
+    # Counts come in first-occurrence order, as a dense encoding's counts()
+    # lists them, so every float sum runs in the same order whether the
+    # codes are a table's or gathered by a row-vector join.
+    y_keys, y_radix = combined_keys([column_codes(table, a) for a in present_targets])
+    h_y = entropy_of_counts(Counter(y_keys).values())
     total = 0.0
     for attribute in present_sources:
         x_type = table.schema.type_of(attribute)
         if x_type is AttributeType.NUMERICAL:
             x_values = table.column(attribute)
             total += cumulative_entropy(x_values) - conditional_cumulative_entropy(
-                x_values, y_encoding.codes
+                x_values, y_keys
             )
         else:
-            x_encoding = table.encoded(attribute)
-            h_x = entropy_of_counts(x_encoding.counts())
-            h_xy = joint_entropy_of_codes(
-                x_encoding.codes, y_encoding.codes, y_encoding.num_codes
-            )
+            x_codes = column_codes(table, attribute)[0]
+            h_x = entropy_of_counts(Counter(x_codes).values())
+            h_xy = joint_entropy_of_codes(x_codes, y_keys, y_radix)
             total += h_x - (h_xy - h_y)
     return total
 

@@ -10,6 +10,7 @@ quality ``Q(D, X -> Y)`` is at least a threshold ``theta``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from repro.exceptions import QualityError
@@ -47,9 +48,16 @@ class FunctionalDependency:
         """All attributes mentioned by the FD (LHS followed by RHS)."""
         return self.lhs + (self.rhs,)
 
+    @cached_property
+    def attribute_set(self) -> frozenset[str]:
+        """:attr:`attributes` as a set, for one subset test against a schema's
+        names (computed on first use, so an FD unpickled from a catalog
+        written without it gets one too)."""
+        return frozenset(self.attributes)
+
     def applies_to(self, table: Table) -> bool:
         """True when every attribute of the FD exists in ``table``'s schema."""
-        return all(attribute in table.schema for attribute in self.attributes)
+        return self.attribute_set <= table.schema.name_set
 
     # --------------------------------------------------------------- semantics
     def holds_exactly(self, table: Table) -> bool:

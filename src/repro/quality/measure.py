@@ -12,6 +12,11 @@ Following Definitions 2.2 and 2.3 of the paper:
 Because join can both create and destroy FD violations (Example 2.2 of the
 paper), quality must always be evaluated on the join result — these functions
 therefore accept either a pre-joined table or a list of tables to join.
+:func:`join_quality` also takes a row-vector join
+(:class:`~repro.relational.joins.RowVectorJoin`), as a target graph's
+evaluation hands it: its codes are gathered from the samples' encodings and
+are not dense, and :func:`~repro.relational.partitions.correct_row_mask`
+counts the distinct LHS keys its fast paths compare.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.quality.fd import FunctionalDependency
-from repro.relational.joins import join_path
+from repro.relational.joins import Relation, join_path
 from repro.relational.partitions import correct_row_indices, correct_row_mask
 from repro.relational.table import Table
 
@@ -38,18 +43,22 @@ def instance_quality(table: Table, fd: FunctionalDependency) -> float:
     return len(correct_records(table, fd)) / len(table)
 
 
-def join_quality(table: Table, fds: Iterable[FunctionalDependency]) -> float:
+def join_quality(table: Relation, fds: Iterable[FunctionalDependency]) -> float:
     """``Q`` of a (join-result) table against a set of FDs (Definition 2.3).
 
     The correct set is the intersection of the per-FD correct sets; FDs whose
     attributes are not all present in the table are ignored (they cannot be
-    checked on the projection the shopper buys).  Each set is a
+    checked on the projection the shopper buys), which one subset test of
+    each FD's attribute set decides.  Each set is a
     :func:`~repro.relational.partitions.correct_row_mask`, read as one int
     with one byte per row, so intersecting and counting run on whole ints.
+    ``table`` is a table or a row-vector join, whose masks are computed on
+    the codes it gathers.
     """
     if len(table) == 0:
         return 1.0
-    applicable = [fd for fd in fds if fd.applies_to(table)]
+    names = frozenset(table.schema.name_set)
+    applicable = [fd for fd in fds if fd.attribute_set <= names]
     if not applicable:
         return 1.0
     correct: int | None = None

@@ -2,8 +2,10 @@
 
 This package is a small, self-contained relational engine used by every other
 part of the library.  The marketplace datasets, the data shopper's local
-instances, the sampled relations, and all intermediate join results are
-instances of :class:`~repro.relational.table.Table`.
+instances, the sampled relations, and materialised join results are
+instances of :class:`~repro.relational.table.Table`; a target graph's
+evaluation holds its join as row vectors over its tables instead
+(:class:`~repro.relational.joins.RowVectorJoin`).
 
 The public surface is re-exported here:
 
@@ -13,7 +15,8 @@ The public surface is re-exported here:
     The column-oriented relation and its lazy dictionary encoding, which
     keeps a key's histogram and join row index (``table.py``).
 ``inner_join``, ``join_path``
-    The probe equi-join and multi-way join evaluation (``joins.py``).
+    The probe equi-join, of tables or of row-vector joins, and multi-way
+    join evaluation (``joins.py``).
 ``partition``, ``equivalence_classes``
     Partition / equivalence-class machinery used by FD-based quality
     measurement (``partitions.py``).

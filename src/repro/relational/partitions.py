@@ -7,10 +7,19 @@ quality of an instance w.r.t. an FD ``X -> Y`` is computed by comparing the
 partition on ``X`` with the partition on ``X ∪ Y``.
 
 The g3 error, AFD discovery and the correct-record sets of the quality
-measure never build those partitions: they work on the tables' cached
-dictionary codes instead (:func:`group_keys`, :func:`correct_from_keys`,
+measure never build those partitions: they work on dictionary codes instead
+(:func:`column_codes`, :func:`group_keys`, :func:`correct_from_keys`,
 :func:`correct_row_mask`), where two rows share a key exactly when they agree
-on every attribute.
+on every attribute.  A table's codes are dense: its encoding's ``num_codes``
+is their distinct count.  A row-vector join's codes are gathered from its
+input tables' encodings
+(:meth:`~repro.relational.joins.RowVectorJoin.codes`), so they need not be:
+their radix is still the encoding's ``num_codes``, but where a kernel needs
+a distinct count, it counts it.  Those are :func:`group_keys` (a single
+column with no known count; several columns always) and the fast paths of
+:func:`correct_row_mask` through it.  Relabelling codes changes no
+grouping, no first-occurrence order and no tie, so the kernels return the
+same on either kind of codes.
 """
 
 from __future__ import annotations
@@ -20,10 +29,12 @@ from itertools import compress
 from operator import eq
 from typing import Sequence
 
+from repro.relational.joins import Relation
 from repro.relational.table import Table
 
-#: A row-aligned int key per row and how many distinct keys there are.
-RowKeys = tuple[list[int], int]
+#: A row-aligned int key per row, the radix every key is below, and how many
+#: distinct keys there are (``None`` where that has not been counted).
+RowKeys = tuple[Sequence[int], int, int | None]
 
 
 def partition(table: Table, attributes: Sequence[str]) -> dict[tuple, list[int]]:
@@ -53,36 +64,55 @@ def stripped_partition(table: Table, attributes: Sequence[str]) -> list[list[int
     return [eclass for eclass in equivalence_classes(table, attributes) if len(eclass) > 1]
 
 
-def column_codes(table: Table, name: str) -> RowKeys:
-    """One column's dictionary codes as a python list, and its number of values.
+def column_codes(table: Relation, name: str) -> RowKeys:
+    """One column's dictionary codes, their radix and their distinct count.
 
-    The codes come from the table's cached encoding (:meth:`Table.encoded`),
+    A table's codes come from its cached encoding (:meth:`Table.encoded`),
     whose dict lookups give the same equality as grouping the raw values:
     ``None`` is a value, ``1 == 1.0 == True`` share a code, and distinct NaN
-    objects stay apart.
+    objects stay apart.  They are dense, so the encoding's ``num_codes`` is
+    both their radix and their distinct count.  A row-vector join gathers
+    its input table's codes
+    (:meth:`~repro.relational.joins.RowVectorJoin.codes`), whose distinct
+    count is known only where the join scans every row of that table.
     """
-    encoding = table.encoded(name)
-    return encoding.codes, encoding.num_codes
+    if isinstance(table, Table):
+        encoding = table.encoded(name)
+        return encoding.codes, encoding.num_codes, encoding.num_codes
+    return table.codes(name)
+
+
+def combined_keys(columns: Sequence[RowKeys]) -> tuple[Sequence[int], int]:
+    """One int key per row for the value combination of ``columns``, and its radix.
+
+    ``columns`` are :func:`column_codes` results (at least one).  The codes
+    combine in mixed radix over each column's radix, so two rows get the
+    same key exactly when they agree on every column; a single column's
+    codes are returned as they are.
+    """
+    keys, radix, _ = columns[0]
+    for codes, column_radix, _ in columns[1:]:
+        keys = [key * column_radix + code for key, code in zip(keys, codes)]
+        radix *= column_radix
+    return keys, radix
 
 
 def group_keys(columns: Sequence[RowKeys]) -> RowKeys:
-    """One int key per row for the value combination of ``columns``.
+    """:func:`combined_keys` with their distinct count.
 
-    ``columns`` are :func:`column_codes` results (at least one).  The codes
-    combine in mixed radix over each column's ``num_codes``, so two rows get
-    the same key exactly when they agree on every column.  Returns the keys
-    and their distinct count; a single column is returned as it is.
+    A single column's count is taken from ``columns`` where it is known;
+    otherwise, and for several columns, it is counted.
     """
-    keys, distinct = columns[0]
-    for codes, radix in columns[1:]:
-        keys = [key * radix + code for key, code in zip(keys, codes)]
-    if len(columns) > 1:
+    keys, radix = combined_keys(columns)
+    distinct = columns[0][2] if len(columns) == 1 else None
+    if distinct is None:
         distinct = len(set(keys))
-    return keys, distinct
+    return keys, radix, distinct
 
 
 def correct_from_keys(lhs: RowKeys, rhs: RowKeys) -> int:
-    """``|C(D, X -> Y)|`` from the row keys of ``X`` and of ``Y``.
+    """``|C(D, X -> Y)|`` from the row keys of ``X`` and of ``Y``, with their
+    distinct counts (as :func:`group_keys` gives them).
 
     Each ``pi_X`` class counts the rows of its largest ``pi_{X ∪ Y}``
     sub-class.  Two cases need no counting: when every row has its own ``X``
@@ -90,7 +120,7 @@ def correct_from_keys(lhs: RowKeys, rhs: RowKeys) -> int:
     ``X`` class keeps one row.  When each ``X`` class holds one ``Y`` value
     (an exact FD) all rows are correct too.
     """
-    (lhs_keys, lhs_distinct), (rhs_keys, rhs_distinct) = lhs, rhs
+    (lhs_keys, _, lhs_distinct), (rhs_keys, _, rhs_distinct) = lhs, rhs
     rows = len(lhs_keys)
     if lhs_distinct == rows:
         return rows
@@ -118,7 +148,7 @@ def correct_row_count(table: Table, lhs: Sequence[str], rhs: Sequence[str]) -> i
     rows = len(table)
     if not rhs or rows == 0:
         return rows
-    lhs_keys = group_keys([column_codes(table, a) for a in lhs]) if lhs else ([0] * rows, 1)
+    lhs_keys = group_keys([column_codes(table, a) for a in lhs]) if lhs else ([0] * rows, 1, 1)
     return correct_from_keys(lhs_keys, group_keys([column_codes(table, a) for a in rhs]))
 
 
@@ -133,15 +163,18 @@ def partition_error(table: Table, lhs: Sequence[str], rhs: Sequence[str]) -> flo
     return 1.0 - correct_row_count(table, lhs, rhs) / len(table)
 
 
-def correct_row_mask(table: Table, lhs: Sequence[str], rhs: Sequence[str]) -> bytes:
+def correct_row_mask(table: Relation, lhs: Sequence[str], rhs: Sequence[str]) -> bytes:
     """One byte per row, 1 for the rows of ``C(D, lhs -> rhs)`` and 0 otherwise.
 
     For every equivalence class ``eq_x`` of ``pi_lhs`` the rows of the
     *largest* class of ``pi_{lhs ∪ rhs}`` contained in ``eq_x`` are correct;
     ties go to the sub-class whose first row comes first, which is
-    deterministic for a given row order.  Classes are grouped on the
-    dictionary codes (:func:`group_keys`), RHS attributes that are also on
-    the LHS are dropped, and an RHS left empty keeps every row.
+    deterministic for a given row order and does not depend on how the
+    codes are numbered.  Classes are grouped on the dictionary codes
+    (:func:`group_keys`), RHS attributes that are also on the LHS are
+    dropped, and an RHS left empty keeps every row.  ``table`` is a table or
+    a row-vector join; the LHS's distinct count, which the two fast paths
+    compare, is counted where the codes do not give it.
     """
     lhs = table.schema.validate_subset(lhs)
     rhs = table.schema.validate_subset([a for a in rhs if a not in lhs])
@@ -149,12 +182,12 @@ def correct_row_mask(table: Table, lhs: Sequence[str], rhs: Sequence[str]) -> by
     everything = b"\x01" * rows
     if not rhs or rows == 0:
         return everything
-    lhs_keys, lhs_distinct = (
-        group_keys([column_codes(table, a) for a in lhs]) if lhs else ([0] * rows, 1)
+    lhs_keys, _, lhs_distinct = (
+        group_keys([column_codes(table, a) for a in lhs]) if lhs else ([0] * rows, 1, 1)
     )
     if lhs_distinct == rows:
         return everything
-    rhs_keys, _ = group_keys([column_codes(table, a) for a in rhs])
+    rhs_keys, _ = combined_keys([column_codes(table, a) for a in rhs])
     # Counter keeps first-occurrence order, so a strictly larger sub-class is
     # the only one that displaces the current choice.
     counts = Counter(zip(lhs_keys, rhs_keys))

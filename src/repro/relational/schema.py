@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, KeysView, Mapping, Sequence
 
 from repro.exceptions import SchemaError, UnknownAttributeError
 
@@ -120,6 +120,11 @@ class Schema:
         """Attribute names in schema order."""
         # ``_index`` is built in attribute order and never changes afterwards.
         return tuple(self._index)
+
+    @property
+    def name_set(self) -> KeysView[str]:
+        """Attribute names as a set-like view (no copy), for subset tests."""
+        return self._index.keys()
 
     @property
     def attributes(self) -> tuple[Attribute, ...]:

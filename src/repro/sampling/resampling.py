@@ -10,13 +10,14 @@ fired Q1 graphs (η = 10,000, rate 0.5), the mean of single draws over 200
 policy seeds read 68% to 146% above the same graph measured without
 re-sampling.
 
-A policy re-samples a table: ``policy(table)`` returns the table, or its
+A policy re-samples a join: ``policy(join)`` returns the join, or its
 Bernoulli sample when :meth:`ResamplingPolicy.fires` on its row count (the
-hook of :func:`repro.relational.joins.join_path`).  A target graph's
+hook of :func:`repro.relational.joins.join_path`), for a table and a
+row-vector join alike.  A target graph's
 estimate is one draw from the policy :meth:`ResamplingPolicy.for_graph`
 derives for that graph, seeded from the policy seed and the graph's
 signature, so it is a pure function of the graph, its tables and the policy
-settings (see :meth:`repro.graph.target.TargetGraph.joined_table`).  The
+settings (see :meth:`repro.graph.target.TargetGraph.joined_rows`).  The
 search never draws from the policy it is handed.
 """
 
@@ -27,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.exceptions import SamplingError
-from repro.relational.table import Table
+from repro.relational.joins import Relation
 
 
 @dataclass
@@ -92,8 +93,13 @@ class ResamplingPolicy:
         ).digest()
         return ResamplingPolicy(self.threshold, self.rate, int.from_bytes(digest, "big"))
 
-    def __call__(self, intermediate: Table) -> Table:
-        """Hook for :func:`repro.relational.joins.join_path`: maybe re-sample."""
+    def __call__(self, intermediate: Relation) -> Relation:
+        """Hook for :func:`repro.relational.joins.join_path`: maybe re-sample.
+
+        A table and a row-vector join are re-sampled by the same
+        :func:`~repro.relational.table.bernoulli_rows` draw, which keeps the
+        same rows of the same join.
+        """
         if not self.fires(len(intermediate)):
             return intermediate
         return intermediate.sample_rows(self.rate, self._rng)

@@ -204,8 +204,8 @@ class SearchRuntime:
         A re-sampling policy replacing ``DanceConfig.resampling`` for this
         search.  No walk draws from it: each fired graph draws from the
         policy it derives (see
-        :meth:`TargetGraph.joined_table
-        <repro.graph.target.TargetGraph.joined_table>`), so concurrent
+        :meth:`TargetGraph.joined_rows
+        <repro.graph.target.TargetGraph.joined_rows>`), so concurrent
         requests may share one.
     ``allow_refinement``
         Whether :meth:`DANCE.acquire` may fall back to buying more samples

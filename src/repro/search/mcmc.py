@@ -289,8 +289,8 @@ def mcmc_search(
 
     Every evaluation is memoised by graph signature, a fired one too: it is
     one draw from the policy the hook derives for its graph (see
-    :meth:`TargetGraph.joined_table
-    <repro.graph.target.TargetGraph.joined_table>`), so a revisit reads the
+    :meth:`TargetGraph.joined_rows
+    <repro.graph.target.TargetGraph.joined_rows>`), so a revisit reads the
     same estimate back, as Theorem 3.2's estimator defines it.  The walk
     never draws from the hook itself.
 

@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 
 from repro.exceptions import GraphConstructionError, SearchError
+from repro.graph import target
 from repro.graph.target import (
     TargetGraph,
     TargetGraphEvaluation,
@@ -14,9 +15,12 @@ from repro.graph.target import (
     prune_memos,
 )
 from repro.graph.join_graph import JoinGraph
+from repro.infotheory.correlation import attribute_set_correlation
 from repro.memo import Memo
 from repro.pricing.models import FlatAttributePricingModel
 from repro.quality.fd import FunctionalDependency
+from repro.quality.measure import join_quality
+from repro.relational.joins import inner_join
 from repro.relational.table import ColumnEncoding, Table
 from repro.sampling.resampling import ResamplingPolicy
 
@@ -235,6 +239,68 @@ class TestEvaluation:
         assert all(call.args[0] is not hook for call in calls.call_args_list)
         assert 0 < len(joined) < len(path_graph.joined_table(tables))
         assert hook._rng.getstate() == state
+
+
+class TestLayerEntryPoints:
+    """A benchmark times the evaluation layers by rebinding the names
+    ``repro.graph.target`` calls them through (``inner_join``,
+    ``join_quality``, ``attribute_set_correlation``) and
+    ``ResamplingPolicy.__call__``.  An evaluation that stops calling one of
+    them leaves its layer reading 0, so a fired evaluation is held to
+    calling each."""
+
+    def test_a_fired_evaluation_calls_every_layer_through_its_name(self):
+        keys = [0, 0, 1, 1, 2, 2]
+        tables = {
+            "t0": Table.from_rows("t0", ["k1", "v0"], [(k, i) for i, k in enumerate(keys)]),
+            "t1": Table.from_rows(
+                "t1", ["k1", "k2", "v1"], [(k, k, c) for k, c in zip(keys, "abcabc")]
+            ),
+            "t2": Table.from_rows(
+                "t2", ["k2", "k3", "v2"], [(k, k, c) for k, c in zip(keys, "bcabca")]
+            ),
+            "t3": Table.from_rows("t3", ["k3", "v3"], [(k, c) for k, c in zip(keys, "cab")]),
+        }
+        graph = TargetGraph(
+            nodes=list(tables),
+            edges=[frozenset({"k1"}), frozenset({"k2"}), frozenset({"k3"})],
+            projections={name: frozenset(t.schema.names) for name, t in tables.items()},
+        )
+        # Unsampled, the levels hold 12, 24 and 24 rows: the hook first fires
+        # on the second level, and the graph's policy is then called on it
+        # and on the third (which it leaves whole once it is 20 rows or fewer).
+        hook = ResamplingPolicy(threshold=20, rate=0.5, seed=4)
+        derived = hook.for_graph(graph.signature())
+        first = inner_join(tables["t0"], tables["t1"], ["k1"])
+        second = inner_join(first, tables["t2"], ["k2"])
+        third = inner_join(derived(second), tables["t3"], ["k3"])
+        final = derived(third)
+
+        joined_rows = []
+
+        def join(*args, **kwargs):
+            result = inner_join(*args, **kwargs)
+            joined_rows.append(len(result))
+            return result
+
+        resample = ResamplingPolicy.__call__
+        fds = [FunctionalDependency("k1", "v1")]
+        with mock.patch.object(target, "inner_join", side_effect=join), mock.patch.object(
+            target, "join_quality", wraps=join_quality
+        ) as quality, mock.patch.object(
+            target, "attribute_set_correlation", wraps=attribute_set_correlation
+        ) as correlation, mock.patch.object(
+            ResamplingPolicy, "__call__", autospec=True, side_effect=resample
+        ) as hooks:
+            evaluation = graph.evaluate(
+                tables, ["v0"], ["v3"], fds, FlatAttributePricingModel(),
+                intermediate_hook=hook,
+            )
+        assert joined_rows == [len(first), len(second), len(third)]
+        assert joined_rows[:2] == [12, 24]
+        assert quality.call_count == correlation.call_count == 1
+        assert [len(call.args[1]) for call in hooks.call_args_list] == [24, len(third)]
+        assert evaluation.join_rows == len(final)
 
 
 class TestPruneMemos:

@@ -506,49 +506,107 @@ class TestCodeKernelCorrectRecords:
 
 
 # ------------------------------------------------------- re-sampled join chains
-chain_keys = st.sampled_from([0, 1, 2, None])
+# Keys and payloads under dict equality: 1, 1.0 and True are one value, a
+# NaN object the tables may share matches only itself, and a NaN built per
+# draw matches nothing.
+def _fresh_nan(value):
+    return float("nan") if value == "new nan" else value
+
+
+chain_keys = st.sampled_from([0, 1, 1.0, True, None, SHARED_NAN, "new nan"]).map(_fresh_nan)
+# A two-attribute key's second component: one value under three spellings,
+# or None.
+second_keys = st.sampled_from([1, 1.0, True, None])
+chain_payloads = st.sampled_from(
+    ["a", "b", "c", None, 1, 1.0, True, SHARED_NAN, "new nan"]
+).map(_fresh_nan)
+# The shared ``w``, which edges may also join on: fewer values, so such
+# joins match.
+shared_payloads = st.sampled_from(["a", 1, 1.0, True, None, SHARED_NAN])
+numeric_payloads = st.one_of(
+    st.none(), st.integers(min_value=0, max_value=5), st.sampled_from([1.0, True])
+)
 
 
 @st.composite
 def join_chains(draw):
-    """A tree of 2-4 small tables joined on per-edge keys, with payload columns.
+    """A tree of 1-4 small tables, its projections, and a request on its join.
 
-    Node ``i > 0`` joins its parent on ``k<i>``; every node carries a payload
-    ``v<i>`` (``v0`` numeric), so the joins grow and re-sampling can fire at
+    Node ``i > 0`` joins its parent on ``k<i>``, and also on ``j<i>`` or on
+    ``w`` when the edge has two attributes.  Every node carries a payload
+    ``v<i>`` (``v0`` numeric) and a shared ``w``, which the join renames
+    ``t<i>.w`` in every projection after the first that keeps it as a
+    non-join attribute.  An edge on ``w`` reads the accumulated join's
+    ``w``, which an earlier node than the parent may hold, so its key can
+    span two input tables.
+    A projection keeps its node's join attributes and a drawn subset of the
+    rest; a one-node graph's may keep nothing, which reads the whole table.
+    The request's one or two sources (numerical or categorical) and one or
+    two targets, and its FDs (with one- and two-attribute LHSs, renamed
+    columns among them, and one the join cannot carry), are drawn from the
+    join's attributes.  Keys and payloads mix ``1``, ``1.0``, ``True``,
+    ``None`` and NaN objects, so the joins grow and re-sampling can fire at
     any level.
     """
-    size = draw(st.integers(min_value=2, max_value=4))
+    size = draw(st.integers(min_value=1, max_value=4))
     parents = [draw(st.integers(min_value=0, max_value=i)) for i in range(size - 1)]
+    keys = []
+    for child in range(size):
+        second = draw(st.sampled_from([None, f"j{child}", "w"]))
+        keys.append([f"k{child}"] + ([second] if second else []))
     tables = {}
     for node in range(size):
-        rows = draw(st.integers(min_value=0, max_value=9))
-        names = [f"k{node}"] if node else []
-        names += [f"k{child + 1}" for child, parent in enumerate(parents) if parent == node]
-        columns = {
-            name: draw(st.lists(chain_keys, min_size=rows, max_size=rows)) for name in names
-        }
-        payload = (
-            st.one_of(st.none(), st.integers(min_value=0, max_value=5))
-            if node == 0
-            else st.one_of(st.none(), st.sampled_from(["a", "b", "c"]))
+        rows = draw(
+            st.integers(min_value=0, max_value=9) | st.integers(min_value=4, max_value=9)
         )
+        names = list(keys[node]) if node else []
+        for child, parent in enumerate(parents, start=1):
+            if parent == node:
+                names += keys[child]
+        names = [name for name in names if name != "w"]
+        columns = {
+            name: draw(
+                st.lists(
+                    chain_keys if name[0] == "k" else second_keys,
+                    min_size=rows,
+                    max_size=rows,
+                )
+            )
+            for name in names
+        }
+        payload = numeric_payloads if node == 0 else chain_payloads
         columns[f"v{node}"] = draw(st.lists(payload, min_size=rows, max_size=rows))
-        numeric = {"v0"}
+        columns["w"] = draw(st.lists(shared_payloads, min_size=rows, max_size=rows))
         attributes = [
             Attribute(
-                name,
-                AttributeType.NUMERICAL if name in numeric else AttributeType.CATEGORICAL,
+                name, AttributeType.NUMERICAL if name == "v0" else AttributeType.CATEGORICAL
             )
             for name in columns
         ]
         tables[f"t{node}"] = Table(f"t{node}", Schema(attributes), columns)
+    edges = [frozenset(keys[child]) for child in range(1, size)]
+    required = TargetGraph(nodes=list(tables), edges=edges, parents=parents)
+    projections = {
+        name: required.projections[name]
+        | {a for a in table.schema.names if draw(st.booleans())}
+        for name, table in tables.items()
+    }
     graph = TargetGraph(
-        nodes=list(tables),
-        edges=[frozenset({f"k{child}"}) for child in range(1, size)],
-        parents=parents,
-        projections={name: frozenset(table.schema.names) for name, table in tables.items()},
+        nodes=list(tables), edges=edges, parents=parents, projections=projections
     )
-    return graph, tables
+    names = list(reference_sampled_join(graph, tables, lambda table: table).schema.names)
+    sources = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    targets = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    candidates = [
+        FunctionalDependency(lhs, rhs)
+        for lhs_size in (1, 2)
+        for lhs in combinations(names, lhs_size)
+        for rhs in names
+        if rhs not in lhs
+    ]
+    fds = draw(st.lists(st.sampled_from(candidates), max_size=3)) if candidates else []
+    fds.append(FunctionalDependency("t9.w", "v0"))
+    return graph, tables, sources, targets, fds
 
 
 def reference_sampled_join(graph: TargetGraph, tables, policy) -> Table:
@@ -584,22 +642,51 @@ def measured(evaluation) -> tuple:
     return evaluation.join_rows, evaluation.correlation.hex(), evaluation.quality.hex()
 
 
-class TestJoinLineage:
-    """A fired evaluation against the reference: join the projected tables
-    level by level and re-sample each intermediate as it is joined, under
-    the policy the hook derives for the graph."""
+def _multi_table_key_case():
+    """``t0 ⋈ t1 ⋈ t2``, where ``t2`` joins on ``{k2, w}``: ``k2`` is its
+    parent ``t1``'s, but the join's ``w`` is ``t0``'s (``t1``'s is renamed
+    ``t1.w``), so the key spans two tables.  An FD names ``t1.w``; the
+    request reads a categorical source and two targets."""
+    keys = [0, 1, True, 1.0, None, SHARED_NAN]
+    tables = {
+        "t0": Table.from_rows(
+            "t0",
+            ["k1", "w", "v0"],
+            [(k, "a" if i % 2 else 1, i % 3) for i, k in enumerate(keys)],
+        ),
+        "t1": Table.from_rows(
+            "t1", ["k1", "k2", "w", "v1"],
+            [(k, i % 2, "a" if i % 3 else True, "bc"[i % 2]) for i, k in enumerate(keys * 2)],
+        ),
+        "t2": Table.from_rows(
+            "t2", ["k2", "w", "v2"], [(i % 2, "a" if i % 2 else 1.0, i) for i in range(8)]
+        ),
+    }
+    graph = TargetGraph(
+        nodes=list(tables),
+        edges=[frozenset({"k1"}), frozenset({"k2", "w"})],
+        projections={name: frozenset(table.schema.names) for name, table in tables.items()},
+    )
+    fds = [FunctionalDependency("t1.w", "v1"), FunctionalDependency(("k1", "k2"), "v2")]
+    return graph, tables, ["v1"], ["v2", "t1.w"], fds
 
-    @settings(max_examples=100, deadline=None)
+
+class TestJoinLineage:
+    """An evaluation against the reference: join the projected tables level
+    by level with the materialising :func:`inner_join` and re-sample each
+    intermediate as it is joined, under the policy the hook derives for the
+    graph."""
+
+    @settings(max_examples=150, deadline=None)
     @given(
         join_chains(),
         st.integers(min_value=0, max_value=2) | st.integers(min_value=0, max_value=60),
         st.sampled_from([0.3, 0.5, 0.9]),
         st.integers(min_value=0, max_value=20),
     )
+    @example(_multi_table_key_case(), 10, 0.5, 3)
     def test_lineage_replays_match_join_then_resample(self, chain, threshold, rate, seed):
-        graph, tables = chain
-        fds = [FunctionalDependency("k1", "v0")]
-        source, target = ["v0"], [f"v{len(graph.nodes) - 1}"]
+        graph, tables, source, target, fds = chain
         pricing = FlatAttributePricingModel()
         policy = ResamplingPolicy(threshold=threshold, rate=rate, seed=seed)
         state = policy._rng.getstate()
@@ -610,12 +697,17 @@ class TestJoinLineage:
                 tables, source, target, fds, pricing, intermediate_hook=policy
             )
             assert measured(evaluation) == expected
-        joined = graph.joined_table(tables, intermediate_hook=policy)
-        reference = reference_sampled_join(
-            graph, tables, policy.for_graph(graph.signature())
-        )
-        assert joined.schema == reference.schema
-        assert list(joined.iter_rows()) == list(reference.iter_rows())
+        for hook in (policy, None):
+            joined = graph.joined_table(tables, intermediate_hook=hook)
+            reference = reference_sampled_join(
+                graph,
+                tables,
+                policy.for_graph(graph.signature()) if hook else (lambda table: table),
+            )
+            assert joined.schema == reference.schema
+            assert joined.name == reference.name
+            assert joined == reference
+            assert all(type(column) is list for column in joined._columns.values())
         # The hook itself is never drawn from.
         assert policy._rng.getstate() == state
 

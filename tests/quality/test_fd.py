@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.exceptions import QualityError
@@ -38,6 +40,20 @@ class TestConstruction:
     def test_hashable_and_equal(self):
         assert FunctionalDependency("a", "b") == FunctionalDependency(("a",), "b")
         assert len({FunctionalDependency("a", "b"), FunctionalDependency("a", "b")}) == 1
+
+    def test_the_attribute_set_stays_out_of_equality_and_pickles(self):
+        """Equality and hash stay on ``(lhs, rhs)``, and an FD pickled before
+        it kept an attribute set (a catalog's, or the shared store's) loads
+        and gets one."""
+        fd = FunctionalDependency(("a", "b"), "c")
+        fresh = FunctionalDependency(("a", "b"), "c")
+        assert fd.attribute_set == frozenset({"a", "b", "c"})
+        assert fd == fresh and len({fd, fresh}) == 1
+        assert pickle.loads(pickle.dumps(fd)) == fd
+        older = pickle.dumps(fresh)  # pickled without an attribute set
+        assert b"attribute_set" not in older
+        loaded = pickle.loads(older)
+        assert loaded == fd and loaded.attribute_set == fd.attribute_set
 
     def test_decompose(self):
         fds = FunctionalDependency.decompose(("x",), ["y", "z"])

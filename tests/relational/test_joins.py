@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.exceptions import JoinError
-from repro.relational.joins import inner_join, join_path, shared_join_attributes
+from repro.exceptions import JoinError, UnknownAttributeError
+from repro.relational.joins import (
+    RowVectorJoin,
+    inner_join,
+    join_path,
+    shared_join_attributes,
+)
 from repro.relational.table import Table
 
 
@@ -106,3 +113,55 @@ class TestJoinPath:
         b = Table.from_rows("b", ["x"], [(1,)])
         assert join_path([a, b], name="joined").name == "joined"
 
+
+
+class TestRowVectorJoin:
+    """A row-vector join holds the rows of the join it materialises."""
+
+    @pytest.fixture
+    def chain(self) -> list[Table]:
+        a = Table.from_rows("a", ["x", "p", "v"], [(i % 4, f"a{i % 3}", i) for i in range(12)])
+        b = Table.from_rows("b", ["x", "y", "v"], [(i % 5, i % 2, -i) for i in range(10)])
+        c = Table.from_rows("c", ["y", "q"], [(0, "c0"), (1, "c1"), (1, "c2"), (None, "c3")])
+        return [a, b, c]
+
+    def test_materialises_the_table_join(self, chain):
+        a, b, c = chain
+        rows = inner_join(inner_join(RowVectorJoin.scan(a), RowVectorJoin.scan(b), ["x"]), c)
+        table = inner_join(inner_join(a, b, ["x"]), c)
+        assert isinstance(rows, RowVectorJoin) and len(rows) == len(table) > 0
+        assert rows.schema == table.schema and "b.v" in rows.schema
+        assert rows.to_table() == table
+        assert rows.to_table().name == table.name
+
+    def test_a_scan_reads_its_attributes_in_place(self, chain):
+        a = chain[0]
+        scan = RowVectorJoin.scan(a, ["v", "x"])
+        assert scan.schema.names == ("v", "x")
+        assert scan.column("x") is a.column("x")
+        assert scan.codes("x") == (a.encoded("x").codes, 4, 4)
+        with pytest.raises(UnknownAttributeError):
+            scan.column("p")
+
+    def test_codes_are_gathered_from_the_tables_encoding(self, chain):
+        a, b, _ = chain
+        rows = inner_join(RowVectorJoin.scan(a), b, ["x"])
+        codes, radix, distinct = rows.codes("y")
+        encoding = b.encoded("y")
+        assert (radix, distinct) == (encoding.num_codes, None)
+        assert [encoding.values[code] for code in codes] == list(rows.column("y"))
+
+    def test_sample_rows_keeps_the_tables_draw(self, chain):
+        a, b, _ = chain
+        rows = inner_join(RowVectorJoin.scan(a), b, ["x"])
+        left, right = random.Random(3), random.Random(3)
+        sample = rows.sample_rows(0.5, left)
+        assert sample.to_table() == rows.to_table().sample_rows(0.5, right)
+        assert left.getstate() == right.getstate()
+        assert 0 < len(sample) < len(rows)
+
+    def test_the_build_side_scans_one_table(self, chain):
+        a, b, c = chain
+        rows = inner_join(RowVectorJoin.scan(b), c, ["y"])
+        with pytest.raises(JoinError, match="scan one table"):
+            inner_join(RowVectorJoin.scan(a), rows, ["x"])
