@@ -17,6 +17,16 @@ therefore accept either a pre-joined table or a list of tables to join.
 evaluation hands it: its codes are gathered from the samples' encodings and
 are not dense, and :func:`~repro.relational.partitions.correct_row_mask`
 counts the distinct LHS keys its fast paths compare.
+
+Example 2.2's violations have a limit.  A join's rows repeat or drop the rows
+of each instance, so a join can create violations only of an FD whose
+attributes come from different instances.  An FD whose attributes one
+instance supplies (directly, or through join attributes a probe matched to
+its columns) and which holds on that whole instance holds on every multiset
+of its rows: its correct set is every row of the join.  On a row-vector join
+:func:`join_quality` skips those FDs.  Whether an FD holds on an instance is
+decided once per (instance table, attributes) and kept in the table's
+statistics.
 """
 
 from __future__ import annotations
@@ -24,8 +34,12 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.quality.fd import FunctionalDependency
-from repro.relational.joins import Relation, join_path
-from repro.relational.partitions import correct_row_indices, correct_row_mask
+from repro.relational.joins import Relation, RowVectorJoin, join_path
+from repro.relational.partitions import (
+    correct_row_count,
+    correct_row_indices,
+    correct_row_mask,
+)
 from repro.relational.table import Table
 
 
@@ -53,22 +67,45 @@ def join_quality(table: Relation, fds: Iterable[FunctionalDependency]) -> float:
     :func:`~repro.relational.partitions.correct_row_mask`, read as one int
     with one byte per row, so intersecting and counting run on whole ints.
     ``table`` is a table or a row-vector join, whose masks are computed on
-    the codes it gathers.
+    the codes it gathers.  A row-vector join also skips every FD that holds
+    on the one input table its attributes read
+    (:meth:`~repro.relational.joins.RowVectorJoin.input_supplying`), whose
+    correct set is every row (see the module docstring).
     """
     if len(table) == 0:
         return 1.0
     names = frozenset(table.schema.name_set)
     applicable = [fd for fd in fds if fd.attribute_set <= names]
+    if isinstance(table, RowVectorJoin):
+        applicable = [fd for fd in applicable if not _holds_on_its_input(table, fd)]
     if not applicable:
         return 1.0
-    correct: int | None = None
+    correct = -1  # every bit set, so the first FD's mask is kept whole
     for fd in applicable:
-        fd_correct = int.from_bytes(correct_row_mask(table, fd.lhs, (fd.rhs,)), "little")
-        correct = fd_correct if correct is None else correct & fd_correct
+        correct &= int.from_bytes(correct_row_mask(table, fd.lhs, (fd.rhs,)), "little")
         if not correct:
             return 0.0
-    assert correct is not None
     return correct.bit_count() / len(table)
+
+
+def _holds_on_its_input(join: RowVectorJoin, fd: FunctionalDependency) -> bool:
+    """Whether one input table of ``join`` reads every attribute of ``fd`` and
+    ``fd`` holds exactly on that whole table.
+
+    The fact is computed once per (table, attributes) and kept in the
+    table's statistics, under its own attribute names; a concurrent first
+    computation stores an equal bool.
+    """
+    supplied = join.input_supplying(fd.attributes)
+    if supplied is None:
+        return False
+    table, attributes = supplied
+    key = ("holds", *attributes)
+    held = table._stats.get(key)
+    if held is None:
+        held = correct_row_count(table, attributes[:-1], attributes[-1:]) == len(table)
+        table._stats[key] = held
+    return held
 
 
 def quality_of_tables(

@@ -22,6 +22,14 @@ are its input table's cached encoding's, gathered at the table's row vector,
 so they are not dense: a code below the encoding's ``num_codes`` need not
 occur in the join.  The kernels that need a distinct count count it (see
 :mod:`repro.relational.partitions`).
+
+A row-vector join also records, per join attribute, the attribute of each
+input table a probe matched to it.  On every row of the join those hold
+dict-equal values, so they partition the rows alike, and
+:meth:`RowVectorJoin.input_supplying` can name one input table that a set
+of the join's attributes reads, through its own columns or through such
+matches.  The quality measure skips the FDs that hold on that table (see
+:func:`repro.quality.measure.join_quality`).
 """
 
 from __future__ import annotations
@@ -48,9 +56,17 @@ class RowVectorJoin:
     row vector.  A join starts as a :meth:`scan` of one table, grows by
     :func:`inner_join` and is re-sampled by :meth:`sample_rows`; like a
     table, it is never mutated.
+
+    Each probe also matches its join attributes to the build side's: the
+    join keeps, per join attribute, every (input table, attribute) pair a
+    probe matched to it, and :meth:`input_supplying` reads them.  A
+    colliding non-join attribute the join renames is not matched to
+    anything.
     """
 
-    __slots__ = ("name", "schema", "_tables", "_rows", "_sources", "_num_rows", "_codes")
+    __slots__ = (
+        "name", "schema", "_tables", "_rows", "_sources", "_equal", "_num_rows", "_codes"
+    )
 
     def __init__(
         self,
@@ -60,6 +76,7 @@ class RowVectorJoin:
         rows: tuple[Sequence[int], ...],
         sources: Mapping[str, tuple[int, str]],
         num_rows: int,
+        equal: Mapping[str, tuple[tuple[int, str], ...]],
     ) -> None:
         self.name = name
         self.schema = schema
@@ -67,6 +84,9 @@ class RowVectorJoin:
         self._tables = tables
         self._rows = rows
         self._sources = sources  # attribute -> (input table, its attribute)
+        # join attribute -> the (input table, its attribute) pairs probes
+        # matched to it, which hold a dict-equal value on every row
+        self._equal = equal
         self._num_rows = num_rows
         self._codes: dict[str, tuple[Sequence[int], int, int | None]] = {}
 
@@ -76,7 +96,7 @@ class RowVectorJoin:
         when omitted)."""
         schema = table.schema if names is None else table.schema.project(names)
         sources = {name: (0, name) for name in schema.names}
-        return cls(table.name, schema, (table,), (range(len(table)),), sources, len(table))
+        return cls(table.name, schema, (table,), (range(len(table)),), sources, len(table), {})
 
     def __len__(self) -> int:
         return self._num_rows
@@ -134,6 +154,23 @@ class RowVectorJoin:
         encoding = self._tables[node].encoded_key([self._sources[name][1] for name in names])
         return encoding, _gather(encoding.codes, self._rows[node])
 
+    def input_supplying(self, names: Sequence[str]) -> tuple[Table, tuple[str, ...]] | None:
+        """The first input table, in join order, that reads every one of
+        ``names``, and the attribute of that table each name reads; ``None``
+        when no one table does.
+
+        A name reads its source attribute, and a join attribute also reads
+        every attribute a probe matched to it.  Two rows of the join agree on
+        the name exactly when they agree on any attribute it reads, because
+        the probe matched keys under the dict equality the codes group by.
+        """
+        readers = [dict((self._sources[name], *self._equal.get(name, ()))) for name in names]
+        nodes = set(readers[0]).intersection(*readers[1:])
+        if not nodes:
+            return None
+        node = min(nodes)
+        return self._tables[node], tuple(reader[node] for reader in readers)
+
     def _vectors_at(self, rows: list[int]) -> tuple[Sequence[int], ...]:
         """Every row vector at the join's ``rows``, in that order."""
         take = _gatherer(rows)
@@ -147,7 +184,13 @@ class RowVectorJoin:
         rows = bernoulli_rows(self._num_rows, rate, rng)
         vectors = self._vectors_at(rows)
         return RowVectorJoin(
-            self.name, self.schema, self._tables, vectors, self._sources, len(rows)
+            self.name,
+            self.schema,
+            self._tables,
+            vectors,
+            self._sources,
+            len(rows),
+            self._equal,
         )
 
     def to_table(self) -> Table:
@@ -165,16 +208,21 @@ class RowVectorJoin:
         self,
         table: Table,
         schema: Schema,
+        join_attrs: Sequence[str],
         right_extra: Sequence[str],
         left_rows: list[int],
         right_rows: list[int],
         name: str,
     ) -> "RowVectorJoin":
-        """This join's ``left_rows`` matched with ``table``'s ``right_rows``."""
+        """This join's ``left_rows`` matched with ``table``'s ``right_rows`` on
+        ``join_attrs``."""
         node = len(self._tables)
         sources = dict(self._sources)
         for result_attr, attr in zip(schema.names[len(self.schema):], right_extra):
             sources[result_attr] = (node, attr)
+        equal = dict(self._equal)
+        for attr in join_attrs:
+            equal[attr] = equal.get(attr, ()) + ((node, attr),)
         return RowVectorJoin(
             name,
             schema,
@@ -182,6 +230,7 @@ class RowVectorJoin:
             self._vectors_at(left_rows) + (right_rows,),
             sources,
             len(left_rows),
+            equal,
         )
 
 
@@ -251,7 +300,9 @@ def inner_join(
     build = right._scanned() if isinstance(right, RowVectorJoin) else right
     left_rows, right_rows = _probe(left, join_attrs, build.encoded_key(join_attrs).row_index())
     if isinstance(left, RowVectorJoin):
-        return left._extended(build, schema, right_extra, left_rows, right_rows, result_name)
+        return left._extended(
+            build, schema, join_attrs, right_extra, left_rows, right_rows, result_name
+        )
 
     take_left, take_right = _gatherer(left_rows), _gatherer(right_rows)
     columns = {attr: list(take_left(left.column(attr))) for attr in left.schema.names}

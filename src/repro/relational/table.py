@@ -209,9 +209,12 @@ class Table:
         }
         self._num_rows = lengths.pop() if lengths else 0
         self._encodings: dict[tuple[str, ...], ColumnEncoding] = {}
-        # Entropy statistics, plus the content fingerprint the catalog caches
-        # here (see repro.storage.serialize.table_fingerprint).
-        self._stats: dict[object, float | str] = {}
+        # Entropy statistics ("entropy", *names), the content fingerprint the
+        # catalog caches here (see repro.storage.serialize.table_fingerprint)
+        # and whether an FD holds exactly ("holds", *lhs, rhs; see
+        # repro.quality.measure.join_quality).  Only entropies are persisted
+        # or adopted by derived tables.
+        self._stats: dict[object, float | str | bool] = {}
 
     @classmethod
     def _from_columns(

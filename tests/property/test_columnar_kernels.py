@@ -671,6 +671,53 @@ def _multi_table_key_case():
     return graph, tables, ["v1"], ["v2", "t1.w"], fds
 
 
+def _fd_skip_case():
+    """``t0 ⋈ t1 ⋈ t2`` on ``k1`` and ``k2``, with FDs that the quality
+    measure may and may not skip on the row-vector join.
+
+    * ``k1 -> v1`` holds on ``t1``, which reads the join's ``k1`` (``t0``'s)
+      only through the join attribute, and ``t2`` repeats ``t1``'s rows
+      whose ``k2`` is 0, so it holds under fan-out: skipped.
+    * ``t1.w -> v1`` has the same RHS on ``t1`` and fails there (``w`` is
+      ``"z"`` on every row), and in the join.
+    * ``v1 -> w`` holds on ``t1`` through its own ``w``, but the join's
+      ``w`` is ``t0``'s (``t1``'s is renamed ``t1.w``), which it fails on.
+
+    The unsampled join keeps 4 of its 7 rows as correct, and the draw at
+    threshold 0, rate 0.9 and seed 9, which fires at both levels, keeps 2
+    of 5; skipping either failing FD keeps more."""
+    tables = {
+        "t0": Table(
+            "t0",
+            Schema(
+                [
+                    Attribute("k1", AttributeType.CATEGORICAL),
+                    Attribute("w", AttributeType.CATEGORICAL),
+                    Attribute("v0", AttributeType.NUMERICAL),
+                ]
+            ),
+            {"k1": [0, 1, 2, 0], "w": ["a", "b", "a", "b"], "v0": [1.0, 2.0, 3.0, 4.0]},
+        ),
+        "t1": Table.from_rows(
+            "t1",
+            ["k1", "k2", "v1", "w"],
+            [(0, 0, "x", "z"), (1, 0, "x", "z"), (2, 1, "y", "z")],
+        ),
+        "t2": Table.from_rows("t2", ["k2", "v2"], [(0, "p"), (0, "q"), (1, "p")]),
+    }
+    graph = TargetGraph(
+        nodes=list(tables),
+        edges=[frozenset({"k1"}), frozenset({"k2"})],
+        projections={name: frozenset(table.schema.names) for name, table in tables.items()},
+    )
+    fds = [
+        FunctionalDependency("k1", "v1"),
+        FunctionalDependency("t1.w", "v1"),
+        FunctionalDependency("v1", "w"),
+    ]
+    return graph, tables, ["v0"], ["v2"], fds
+
+
 class TestJoinLineage:
     """An evaluation against the reference: join the projected tables level
     by level with the materialising :func:`inner_join` and re-sample each
@@ -685,6 +732,8 @@ class TestJoinLineage:
         st.integers(min_value=0, max_value=20),
     )
     @example(_multi_table_key_case(), 10, 0.5, 3)
+    @example(_fd_skip_case(), 10_000, 0.5, 0)
+    @example(_fd_skip_case(), 0, 0.9, 9)
     def test_lineage_replays_match_join_then_resample(self, chain, threshold, rate, seed):
         graph, tables, source, target, fds = chain
         pricing = FlatAttributePricingModel()

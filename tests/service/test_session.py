@@ -23,11 +23,15 @@ from repro.marketplace.dataset import MarketplaceDataset
 from repro.marketplace.market import Marketplace
 from repro.marketplace.shopper import AcquisitionRequest
 from repro.pricing.models import EntropyPricingModel
+from repro.quality import measure as measure_module
+from repro.relational.joins import RowVectorJoin
 from repro.relational.table import ColumnEncoding, Table
+from repro.sampling.resampling import ResamplingPolicy
 from repro.search.chains import chain_seed
 from repro.search.mcmc import MCMCConfig
 from repro.search.shm import live_segments
 from repro.service import AcquisitionService, request_seed
+from repro.storage.serialize import encodings_state, encodings_to_blob
 from repro.workloads.queries import queries_for
 from repro.workloads.tpce import tpce_workload
 
@@ -681,3 +685,118 @@ class TestServedJoinIndexes:
         for _, indexes in probed.values():
             assert all(index is indexes[0] for index in indexes)
 
+
+class TestServedQualitySkips:
+    def test_quality_masks_only_the_fds_a_join_can_violate(self, small_tpch, monkeypatch):
+        """Served evaluations (Q1-Q3 at three seeds, at eta 16 so that one
+        walk fires) build a correct-row mask only for the applicable FDs
+        that no one input table reads and satisfies; each such exactness
+        fact is computed once per sample's life, a write recomputes only
+        the replaced sample's, and no fact reaches the encodings blob."""
+        masks, facts, evaluations, fired = [], [], [], []
+        correct_row_mask = measure_module.correct_row_mask
+        correct_row_count = measure_module.correct_row_count
+        join_quality = target_module.join_quality
+        sample_rows = RowVectorJoin.sample_rows
+
+        def masking(table, lhs, rhs):
+            masks.append((tuple(lhs), tuple(rhs)))
+            return correct_row_mask(table, lhs, rhs)
+
+        def counting(table, lhs, rhs):
+            facts.append((table, tuple(lhs) + tuple(rhs)))
+            return correct_row_count(table, lhs, rhs)
+
+        def measuring(join, fds):
+            first = len(masks)
+            quality = join_quality(join, fds)
+            evaluations.append((join, list(fds), quality, masks[first:]))
+            return quality
+
+        def sampling(join, rate, rng):
+            sample = sample_rows(join, rate, rng)
+            fired.append(sample)
+            return sample
+
+        monkeypatch.setattr(measure_module, "correct_row_mask", masking)
+        monkeypatch.setattr(measure_module, "correct_row_count", counting)
+        monkeypatch.setattr(target_module, "join_quality", measuring)
+        monkeypatch.setattr(RowVectorJoin, "sample_rows", sampling)
+        pricing = EntropyPricingModel()
+        marketplace = Marketplace(default_pricing=pricing)
+        for name in small_tpch.tables:
+            marketplace.host(
+                MarketplaceDataset(table=small_tpch.dirty_or_clean(name), pricing=pricing)
+            )
+        queries = queries_for(small_tpch)
+        settings = DanceConfig(
+            sampling_rate=0.5,
+            mcmc=MCMCConfig(iterations=60, seed=0),
+            resampling=ResamplingPolicy(threshold=16),
+        )
+
+        def read(service) -> None:
+            for seed in (0, 1, 2):
+                for name in ("Q1", "Q2", "Q3"):
+                    query = queries[name]
+                    request = AcquisitionRequest(
+                        list(query.source_attributes),
+                        list(query.target_attributes),
+                        budget=1000.0,
+                    )
+                    service.acquire(request, seed=seed)
+
+        def held(join, fd) -> bool:
+            supplied = join.input_supplying(fd.attributes)
+            if supplied is None:
+                return False
+            table, attributes = supplied
+            return correct_row_count(table, attributes[:-1], attributes[-1:]) == len(table)
+
+        with AcquisitionService(marketplace, settings) as service:
+            read(service)
+            before = len(facts)
+            summary = service.register_source_tables([small_tpch.tables["customer"]])
+            assert summary["replaced"] == ["customer"]
+            read(service)
+
+        skipped = 0
+        fired_through_a_join_attribute = 0
+        fired_ids = {id(sample) for sample in fired}
+        for join, fds, quality, made in evaluations:
+            assert isinstance(join, RowVectorJoin)
+            if len(join) == 0:
+                assert made == []
+                continue
+            applicable = [fd for fd in fds if fd.attribute_set <= join.schema.name_set]
+            kept = [(fd.lhs, (fd.rhs,)) for fd in applicable if not held(join, fd)]
+            # The masks stop early once no row is correct.
+            assert made == kept or (quality == 0.0 and made == kept[: len(made)])
+            skipped += len(applicable) - len(kept)
+            if id(join) in fired_ids and applicable and not kept:
+                assert made == []
+                # An FD whose one input reads some name only through a
+                # probe's match: the re-sample kept the matches.
+                fired_through_a_join_attribute += any(
+                    join.input_supplying(fd.attributes)[0]
+                    is not join.input_supplying([name])[0]
+                    for fd in applicable
+                    for name in fd.attributes
+                )
+        assert masks and skipped > len(masks)
+        assert fired_through_a_join_attribute
+        computed = [(id(table), attributes) for table, attributes in facts]
+        assert facts and len(set(computed)) == len(computed)
+        names_before = {(table.name, attributes) for table, attributes in facts[:before]}
+        recomputed = {
+            (table.name, attributes)
+            for table, attributes in facts[before:]
+            if (table.name, attributes) in names_before
+        }
+        assert recomputed and {name for name, _ in recomputed} == {"customer"}
+        # The facts live in the table's statistics and never reach its blob.
+        table = facts[0][0]
+        blob, state = encodings_to_blob(table), encodings_state(table)
+        for key in [key for key in table._stats if key[0] == "holds"]:
+            del table._stats[key]
+        assert (encodings_to_blob(table), encodings_state(table)) == (blob, state)
