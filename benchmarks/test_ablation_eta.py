@@ -1,10 +1,12 @@
 """Ablation: re-sampling threshold η.
 
 Theorem 3.2 says the correlated re-sampling estimator is unbiased regardless of
-η; smaller η re-samples more aggressively, trading estimator variance for
-bounded intermediate join sizes.  This bench sweeps η and checks that (1) the
-estimates stay in a sane band around the no-re-sampling estimate and (2) the
-intermediate sizes actually shrink when η is small.
+η.  Here one re-sampled draw is biased, and more so at small η (see
+``repro.sampling.resampling``).  Smaller η re-samples more aggressively,
+trading the estimate's variance and bias for bounded intermediate join sizes.
+This bench sweeps η and checks that (1) the estimates stay in a sane band
+around the no-re-sampling estimate and (2) the intermediate sizes actually
+shrink when η is small.
 """
 
 from __future__ import annotations

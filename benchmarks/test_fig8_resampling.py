@@ -2,7 +2,9 @@
 
 Shape to reproduce: the correlation estimated with re-sampling oscillates
 around the estimate without re-sampling, and the difference shrinks as the
-re-sampling rate grows (the estimator stays unbiased; only variance changes).
+re-sampling rate grows.  The paper proves the estimator unbiased; here one
+re-sampled draw is biased, so the difference holds bias and noise, and both
+shrink as the rate grows (see ``repro.experiments.fig8``).
 """
 
 from __future__ import annotations

@@ -2,10 +2,13 @@
 
 For re-sampling rates 0.1–0.9 (and queries Q1/Q2/Q3 on TPC-H), the correlation
 estimated by the heuristic *with* re-sampling of intermediate join results is
-compared to the estimate *without* re-sampling.  Expected shape: the
-re-sampled estimate oscillates around the non-re-sampled one and converges to
-it as the re-sampling rate grows (the estimator is unbiased regardless of the
-rate; only the variance shrinks).
+compared to the estimate *without* re-sampling.  The paper's expected shape:
+the re-sampled estimate oscillates around the non-re-sampled one and converges
+to it as the re-sampling rate grows, because the estimator is unbiased at every
+rate.  Here one re-sampled draw is biased, with a sign that depends on the
+graph (68% to 146% above on fresh-tpch's fired Q1 graphs, 2.3% below on a test
+chain; see :mod:`repro.sampling.resampling`), so a row's difference mixes that
+bias with the draw's noise.  Both shrink as the rate grows.
 """
 
 from __future__ import annotations

@@ -123,11 +123,3 @@ def join_informativeness(
         right.encoded_key(join_attrs).value_counts(),
         len(join_attrs),
     )
-
-
-def path_join_informativeness(tables: Sequence[Table]) -> float:
-    """Total JI along a join path: ``Σ JI(T_i, T_{i+1})`` (the paper's α constraint)."""
-    total = 0.0
-    for left, right in zip(tables, tables[1:]):
-        total += join_informativeness(left, right)
-    return total

@@ -16,12 +16,7 @@ records consistent with a set of (approximate) functional dependencies on the
 """
 
 from repro.quality.fd import FunctionalDependency
-from repro.quality.measure import (
-    correct_records,
-    instance_quality,
-    join_quality,
-    quality_of_tables,
-)
+from repro.quality.measure import correct_records, instance_quality, join_quality
 from repro.quality.discovery import discover_afds
 from repro.quality.dirty import inject_inconsistency
 from repro.quality.repair import majority_repair, repair_all
@@ -30,7 +25,6 @@ __all__ = [
     "FunctionalDependency",
     "instance_quality",
     "join_quality",
-    "quality_of_tables",
     "correct_records",
     "discover_afds",
     "inject_inconsistency",

@@ -10,13 +10,13 @@ Following Definitions 2.2 and 2.3 of the paper:
   ``Q(D) = |⋂_F C(J, F)| / |J|``.
 
 Because join can both create and destroy FD violations (Example 2.2 of the
-paper), quality must always be evaluated on the join result — these functions
-therefore accept either a pre-joined table or a list of tables to join.
-:func:`join_quality` also takes a row-vector join
-(:class:`~repro.relational.joins.RowVectorJoin`), as a target graph's
-evaluation hands it: its codes are gathered from the samples' encodings and
-are not dense, and :func:`~repro.relational.partitions.correct_row_mask`
-counts the distinct LHS keys its fast paths compare.
+paper), quality is always measured on the join result.  :func:`join_quality`
+takes a joined table or a row-vector join
+(:class:`~repro.relational.joins.RowVectorJoin`), which is what a target
+graph's evaluation hands it.  A row-vector join's codes are gathered from the
+samples' encodings and are not dense, and
+:func:`~repro.relational.partitions.correct_row_mask` counts the distinct LHS
+keys its fast paths compare.
 
 Example 2.2's violations have a limit.  A join's rows repeat or drop the rows
 of each instance, so a join can create violations only of an FD whose
@@ -31,10 +31,10 @@ statistics.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.quality.fd import FunctionalDependency
-from repro.relational.joins import Relation, RowVectorJoin, join_path
+from repro.relational.joins import Relation, RowVectorJoin
 from repro.relational.partitions import (
     correct_row_count,
     correct_row_indices,
@@ -106,26 +106,6 @@ def _holds_on_its_input(join: RowVectorJoin, fd: FunctionalDependency) -> bool:
         held = correct_row_count(table, attributes[:-1], attributes[-1:]) == len(table)
         table._stats[key] = held
     return held
-
-
-def quality_of_tables(
-    tables: Sequence[Table],
-    fds: Iterable[FunctionalDependency],
-    *,
-    intermediate_hook=None,
-) -> float:
-    """Join ``tables`` along their natural join path and measure the join quality.
-
-    ``intermediate_hook`` is forwarded to :func:`repro.relational.joins.join_path`
-    so that the sampling estimators can bound intermediate join sizes.
-    """
-    if not tables:
-        return 1.0
-    if len(tables) == 1:
-        joined = tables[0]
-    else:
-        joined = join_path(tables, intermediate_hook=intermediate_hook)
-    return join_quality(joined, fds)
 
 
 def violating_records(table: Table, fd: FunctionalDependency) -> set[int]:

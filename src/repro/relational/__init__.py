@@ -14,9 +14,8 @@ The public surface is re-exported here:
 ``Table``, ``ColumnEncoding``
     The column-oriented relation and its lazy dictionary encoding, which
     keeps a key's histogram and join row index (``table.py``).
-``inner_join``, ``join_path``
-    The probe equi-join, of tables or of row-vector joins, and multi-way
-    join evaluation (``joins.py``).
+``inner_join``
+    The probe equi-join, of tables or of row-vector joins (``joins.py``).
 ``partition``, ``equivalence_classes``
     Partition / equivalence-class machinery used by FD-based quality
     measurement (``partitions.py``).
@@ -24,7 +23,7 @@ The public surface is re-exported here:
 
 from repro.relational.schema import Attribute, AttributeType, Schema
 from repro.relational.table import ColumnEncoding, Table
-from repro.relational.joins import inner_join, join_path
+from repro.relational.joins import inner_join
 from repro.relational.partitions import equivalence_classes, partition, stripped_partition
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "Table",
     "ColumnEncoding",
     "inner_join",
-    "join_path",
     "partition",
     "equivalence_classes",
     "stripped_partition",

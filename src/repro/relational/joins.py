@@ -1,4 +1,4 @@
-"""Equi-join operators: the inner join and multi-way join paths.
+"""Equi-join operators: the probe inner join, of tables or of row vectors.
 
 The correlation / quality estimators operate on the inner equi-join of the
 purchased instances.  (The join-informativeness measure, Definition 2.4, is
@@ -351,28 +351,3 @@ def _gatherer(rows: Sequence[int]) -> Callable[[Sequence[Value]], Sequence[Value
 def _gather(values: Sequence[Value], rows: Sequence[int]) -> Sequence[Value]:
     """``values`` at ``rows``; a range row vector reads them all in place."""
     return values if isinstance(rows, range) else _gatherer(rows)(values)
-
-
-def join_path(
-    tables: Sequence[Table],
-    *,
-    name: str | None = None,
-    intermediate_hook=None,
-) -> Table:
-    """Left-deep evaluation of a join path ``T1 ⋈ T2 ⋈ ... ⋈ Tk``.
-
-    ``intermediate_hook`` (if given) is called with each intermediate join
-    result and must return the (possibly re-sampled) table to continue with;
-    the correlated re-sampling estimator plugs in here to bound intermediate
-    sizes.
-    """
-    if not tables:
-        raise JoinError("join_path requires at least one table")
-    result = tables[0]
-    for right in tables[1:]:
-        result = inner_join(result, right)
-        if intermediate_hook is not None:
-            result = intermediate_hook(result)
-    if name is not None:
-        result = result.with_name(name)
-    return result

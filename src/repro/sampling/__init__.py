@@ -1,8 +1,10 @@
 """Sampling and sample-based estimation (Section 3 of the paper).
 
 DANCE never ships whole marketplace instances to the middleware; it buys
-*correlated samples* and estimates join informativeness, correlation and
-quality from them.
+*correlated samples* and estimates join informativeness from them as the join
+graph's edge weights (Theorem 3.1), and correlation and quality as a target
+graph's evaluation, re-sampled above ``eta`` (Theorem 3.2).  The paper proves
+these unbiased; one re-sampled draw is not (see :mod:`repro.sampling.resampling`).
 
 ``hashing``
     The deterministic uniform hash of join-attribute values into ``[0, 1]``.
@@ -13,20 +15,15 @@ quality from them.
 ``resampling``
     Correlated re-sampling: a second-round Bernoulli sample applied to
     intermediate join results whose size exceeds a threshold ``eta``.
-``estimators``
-    Unbiased estimators of JI / CORR / Q over join paths built from samples
-    (Theorems 3.1 and 3.2).
 """
 
 from repro.sampling.hashing import uniform_hash
 from repro.sampling.correlated import CorrelatedSampler, correlated_sample
 from repro.sampling.resampling import ResamplingPolicy
-from repro.sampling.estimators import SampleEstimator
 
 __all__ = [
     "uniform_hash",
     "correlated_sample",
     "CorrelatedSampler",
     "ResamplingPolicy",
-    "SampleEstimator",
 ]

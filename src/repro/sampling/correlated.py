@@ -11,7 +11,7 @@ join-statistics estimation from the samples unbiased.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.exceptions import SamplingError
 from repro.relational.table import Table
@@ -79,24 +79,6 @@ class CorrelatedSampler:
         return correlated_sample(
             table, join_attributes, self.rate, seed=self.seed, name=name
         )
-
-    def sample_all(
-        self,
-        tables: Sequence[Table],
-        join_attributes_by_table: Mapping[str, Sequence[str]],
-    ) -> list[Table]:
-        """Sample several instances, each over its own join-attribute set.
-
-        ``join_attributes_by_table`` maps table name to the attributes on which
-        that table joins with its neighbours; tables absent from the mapping
-        are sampled over their full attribute set (equivalent to uniform row
-        sampling keyed by the whole row).
-        """
-        samples = []
-        for table in tables:
-            join_attrs = join_attributes_by_table.get(table.name, table.schema.names)
-            samples.append(self.sample(table, join_attrs, name=f"{table.name}_sample"))
-        return samples
 
     def expected_sample_size(self, table: Table) -> float:
         """Expected number of sampled rows (rate × rows); exact in expectation."""

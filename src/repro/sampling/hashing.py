@@ -22,7 +22,8 @@ def _canonical_bytes(value: object) -> bytes:
     if value is None:
         return b"\x00none"
     if isinstance(value, bool):
-        return b"\x01bool:" + (b"1" if value else b"0")
+        # True == 1 and False == 0 join (dict equality), so they hash as ints.
+        return b"\x02int:" + (b"1" if value else b"0")
     if isinstance(value, int):
         return b"\x02int:" + str(value).encode()
     if isinstance(value, float):

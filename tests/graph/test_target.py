@@ -16,6 +16,7 @@ from repro.graph.target import (
 )
 from repro.graph.join_graph import JoinGraph
 from repro.infotheory.correlation import attribute_set_correlation
+from repro.infotheory.join_informativeness import join_informativeness
 from repro.memo import Memo
 from repro.pricing.models import FlatAttributePricingModel
 from repro.quality.fd import FunctionalDependency
@@ -171,6 +172,13 @@ class TestEvaluation:
     def test_weight_sums_edge_ji(self, path_graph, tables):
         weight = path_graph.weight(tables)
         assert 0.0 <= weight <= 2.0
+        # each edge's JI is taken with its instance pair in sorted order
+        by_edge = [
+            join_informativeness(tables["customers"], tables["orders"], ["custkey"]),
+            join_informativeness(tables["customers"], tables["nations"], ["nationkey"]),
+        ]
+        assert weight == sum(by_edge)
+        assert TargetGraph(nodes=["orders"], edges=[]).weight(tables) == 0.0
 
     def test_evaluate_returns_all_metrics(self, path_graph, tables):
         fds = [FunctionalDependency("nationkey", "nname")]

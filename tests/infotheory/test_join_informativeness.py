@@ -8,7 +8,6 @@ from repro.exceptions import JoinError
 from repro.infotheory.join_informativeness import (
     join_informativeness,
     join_informativeness_from_pairs,
-    path_join_informativeness,
 )
 from repro.relational.table import Table
 
@@ -102,18 +101,3 @@ class TestJoinInformativeness:
         right = Table.from_rows("r", ["b"], [(1,)])
         with pytest.raises(JoinError):
             join_informativeness(left, right)
-
-
-class TestPathJoinInformativeness:
-    def test_sum_over_path(self):
-        a = Table.from_rows("a", ["x", "p"], [(1, "a")])
-        b = Table.from_rows("b", ["x", "y"], [(1, 10)])
-        c = Table.from_rows("c", ["y", "q"], [(10, "c")])
-        total = path_join_informativeness([a, b, c])
-        assert total == pytest.approx(
-            join_informativeness(a, b) + join_informativeness(b, c)
-        )
-
-    def test_single_table_is_zero(self):
-        a = Table.from_rows("a", ["x"], [(1,)])
-        assert path_join_informativeness([a]) == 0.0

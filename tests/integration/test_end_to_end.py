@@ -9,7 +9,7 @@ from repro.core.dance import DANCE
 from repro.infotheory.correlation import attribute_set_correlation
 from repro.marketplace.shopper import AcquisitionRequest, DataShopper
 from repro.pricing.budget import Budget
-from repro.relational.joins import join_path
+from repro.relational.joins import inner_join
 from repro.search.mcmc import MCMCConfig
 from repro.workloads.queries import tpch_queries
 
@@ -118,9 +118,12 @@ class TestJoinPathSanity:
         customer = tpch_marketplace_module.dataset("customer").table
         nation = tpch_marketplace_module.dataset("nation").table
         region = tpch_marketplace_module.dataset("region").table
-        joined = join_path(
-            [orders.project(["custkey", "totalprice"]), customer.project(["custkey", "nationkey"]),
-             nation.project(["nationkey", "regionkey"]), region]
-        )
+        joined = orders.project(["custkey", "totalprice"])
+        for right in (
+            customer.project(["custkey", "nationkey"]),
+            nation.project(["nationkey", "regionkey"]),
+            region,
+        ):
+            joined = inner_join(joined, right)
         assert len(joined) > 0
         assert "rname" in joined.schema

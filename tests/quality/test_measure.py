@@ -9,10 +9,9 @@ from repro.quality.measure import (
     correct_records,
     instance_quality,
     join_quality,
-    quality_of_tables,
     violating_records,
 )
-from repro.relational.joins import inner_join
+from repro.relational.joins import RowVectorJoin, inner_join
 from repro.relational.table import Table
 
 
@@ -96,15 +95,14 @@ class TestJoinQuality:
         assert join_quality(example_d, []) == 1.0
 
     def test_quality_of_tables_joins_first(self, paper_d1, paper_d2):
+        """The row-vector join an evaluation measures reads like the joined table."""
         fds = [FunctionalDependency("A", "B"), FunctionalDependency("D", "E")]
         direct = join_quality(inner_join(paper_d1, paper_d2), fds)
-        assert quality_of_tables([paper_d1, paper_d2], fds) == pytest.approx(direct)
+        rows = inner_join(RowVectorJoin.scan(paper_d1), RowVectorJoin.scan(paper_d2))
+        assert join_quality(rows, fds) == pytest.approx(direct)
 
     def test_quality_of_single_table(self, example_d, fd_a_b):
-        assert quality_of_tables([example_d], [fd_a_b]) == pytest.approx(0.6)
-
-    def test_quality_of_no_tables(self):
-        assert quality_of_tables([], []) == 1.0
+        assert join_quality(example_d, [fd_a_b]) == pytest.approx(0.6)
 
     def test_disjoint_correct_sets_give_zero(self):
         rows = [("a", "x", "p", "u"), ("a", "y", "q", "u"), ("a", "y", "q", "v")]

@@ -7,12 +7,8 @@ import random
 import pytest
 
 from repro.exceptions import JoinError, UnknownAttributeError
-from repro.relational.joins import (
-    RowVectorJoin,
-    inner_join,
-    join_path,
-    shared_join_attributes,
-)
+from repro.graph.target import TargetGraph
+from repro.relational.joins import RowVectorJoin, inner_join, shared_join_attributes
 from repro.relational.table import Table
 
 
@@ -78,41 +74,46 @@ class TestInnerJoin:
 
 
 class TestJoinPath:
-    def test_three_way_chain(self):
+    """A target graph joins its tables level by level (``TargetGraph.joined_rows``)."""
+
+    @pytest.fixture
+    def path(self) -> tuple[TargetGraph, dict[str, Table]]:
         a = Table.from_rows("a", ["x", "p"], [(1, "a1"), (2, "a2")])
         b = Table.from_rows("b", ["x", "y"], [(1, 10), (2, 20)])
         c = Table.from_rows("c", ["y", "q"], [(10, "c1"), (20, "c2")])
-        joined = join_path([a, b, c])
+        graph = TargetGraph(
+            nodes=["a", "b", "c"],
+            edges=[frozenset({"x"}), frozenset({"y"})],
+            projections={"a": {"x", "p"}, "b": {"x", "y"}, "c": {"y", "q"}},
+        )
+        return graph, {"a": a, "b": b, "c": c}
+
+    def test_three_way_chain(self, path):
+        graph, tables = path
+        joined = graph.joined_table(tables)
         assert len(joined) == 2
         assert set(joined.schema.names) == {"x", "p", "y", "q"}
 
-    def test_single_table_returned_unchanged(self):
-        a = Table.from_rows("a", ["x"], [(1,)])
-        assert join_path([a]) is a
-
-    def test_empty_path_raises(self):
-        with pytest.raises(JoinError):
-            join_path([])
-
-    def test_intermediate_hook_is_applied(self):
-        a = Table.from_rows("a", ["x", "p"], [(1, "a1"), (2, "a2")])
-        b = Table.from_rows("b", ["x", "y"], [(1, 10), (2, 20)])
-        c = Table.from_rows("c", ["y", "q"], [(10, "c1"), (20, "c2")])
+    def test_intermediate_hook_is_applied(self, path):
+        graph, tables = path
         calls = []
 
-        def hook(table):
-            calls.append(len(table))
-            return table.head(1)
+        class Hook:
+            """Fires on every intermediate; its sampler keeps the first row."""
 
-        joined = join_path([a, b, c], intermediate_hook=hook)
-        assert calls  # hook ran on intermediates
+            def fires(self, rows):
+                return True
+
+            def for_graph(self, signature):
+                def sampler(join):
+                    calls.append(len(join))
+                    return RowVectorJoin.scan(join.to_table().head(1))
+
+                return sampler
+
+        joined = graph.joined_table(tables, intermediate_hook=Hook())
+        assert calls == [2, 1]  # the hook ran on both intermediates
         assert len(joined) <= 1
-
-    def test_named_result(self):
-        a = Table.from_rows("a", ["x"], [(1,)])
-        b = Table.from_rows("b", ["x"], [(1,)])
-        assert join_path([a, b], name="joined").name == "joined"
-
 
 
 class TestRowVectorJoin:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import SamplingError
+from repro.marketplace.market import Marketplace
 from repro.relational.joins import inner_join
 from repro.relational.table import Table
 from repro.sampling.correlated import CorrelatedSampler, correlated_sample
@@ -66,6 +67,17 @@ class TestCorrelatedSample:
         # not all-or-nothing: roughly half survive
         assert 0.25 * len(table) <= len(sample) <= 0.75 * len(table)
 
+    def test_bool_and_int_keys_that_join_are_kept_together(self):
+        """``True`` joins ``1`` and ``False`` joins ``0``, so each pair is
+        kept on both sides or dropped from both."""
+        flags = Table.from_rows("flags", ["k", "f"], [(True, "t"), (False, "f")])
+        ints = Table.from_rows("ints", ["k", "i"], [(1, "one"), (0, "zero")])
+        assert len(inner_join(flags, ints)) == 2
+        for seed in range(6):
+            kept_flags = correlated_sample(flags, ["k"], 0.5, seed=seed)
+            kept_ints = correlated_sample(ints, ["k"], 0.5, seed=seed)
+            assert sorted(map(int, kept_flags.column("k"))) == sorted(kept_ints.column("k"))
+
     def test_sample_name(self, orders):
         assert correlated_sample(orders, ["custkey"], 0.5).name == "orders_sample"
         assert correlated_sample(orders, ["custkey"], 0.5, name="x").name == "x"
@@ -77,13 +89,14 @@ class TestCorrelatedSampler:
             CorrelatedSampler(rate=0.0)
 
     def test_sample_all_uses_per_table_join_attributes(self, orders, customers):
-        sampler = CorrelatedSampler(rate=0.5, seed=0)
-        samples = sampler.sample_all(
-            [orders, customers], {"orders": ["custkey"], "customers": ["custkey"]}
+        market = Marketplace([orders, customers])
+        samples, _ = market.sell_samples(
+            CorrelatedSampler(rate=0.5, seed=0),
+            join_attributes_by_dataset={"orders": ["custkey"], "customers": ["custkey"]},
         )
-        assert [s.name for s in samples] == ["orders_sample", "customers_sample"]
-        joined = inner_join(samples[0], samples[1])
-        assert len(joined) == len(samples[0])
+        assert list(samples) == ["orders", "customers"]
+        joined = inner_join(samples["orders"], samples["customers"])
+        assert len(joined) == len(samples["orders"])
 
     def test_expected_sample_size(self, orders):
         sampler = CorrelatedSampler(rate=0.25)

@@ -18,8 +18,13 @@ class TestDeterminism:
     def test_int_and_equal_float_hash_identically(self):
         assert uniform_hash(3) == uniform_hash(3.0)
 
-    def test_bool_not_confused_with_int(self):
-        assert uniform_hash(True) != uniform_hash(1)
+    def test_bool_hashes_like_the_number_it_equals(self):
+        """Values that join under dict equality must be sampled together."""
+        assert uniform_hash(True) == uniform_hash(1) == uniform_hash(1.0)
+        assert uniform_hash(False) == uniform_hash(0) == uniform_hash(0.0)
+        assert uniform_hash(True) != uniform_hash(False)
+        assert uniform_hash((True, "a")) == uniform_hash((1, "a")) == uniform_hash((1.0, "a"))
+        assert uniform_hash((False, "a")) == uniform_hash((0, "a")) == uniform_hash((0.0, "a"))
 
     def test_none_has_a_hash(self):
         assert 0.0 <= uniform_hash(None) <= 1.0

@@ -57,13 +57,6 @@ class TestResamplingPolicy:
         policy = ResamplingPolicy(threshold=10_000, rate=0.4, seed=0)
         assert policy(big_table) is big_table
 
-    def test_reset_restores_reproducibility(self, big_table):
-        policy = ResamplingPolicy(threshold=100, rate=0.4, seed=5)
-        first = policy(big_table).column("k")
-        policy.reset()
-        second = policy(big_table).column("k")
-        assert first == second
-
     def test_fires_above_the_threshold_only(self):
         policy = ResamplingPolicy(threshold=100, rate=0.4)
         assert not policy.fires(100)
